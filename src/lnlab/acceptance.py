@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import ConeSpec, cone_margin, f_eval, grad_f, mu_plus, tau_deform
-from .schouten import (barrier_profile, hyperbolic_ball_profile,
+from .schouten import (_two_valued, barrier_profile, hyperbolic_ball_profile,
                        radial_schouten_spectrum, ricci_spectrum_from_schouten,
                        spectrum_field)
 from .admissible import find_N, linear_auxiliary, verify_admissible
@@ -96,9 +96,10 @@ def check_barrier() -> CriterionResult:
         worst = max(worst,
                     float(np.max(np.abs(rad - 2 / R**2))),
                     float(np.max(np.abs(tan - 2 / R**2))))
-        fval = f_eval(ConeSpec(3, 1), np.full(3, 2 / R**2))
+        fval = f_eval(ConeSpec(3, 1), _two_valued(2 / R**2, 2 / R**2, 3))
         ok = ok and fval >= 0.5 - 1e-14
-    super_fails_at_21 = f_eval(ConeSpec(3, 1), np.full(3, 2 / 2.1**2)) < 0.5
+    super_fails_at_21 = f_eval(ConeSpec(3, 1),
+                               _two_valued(2 / 2.1**2, 2 / 2.1**2, 3)) < 0.5
     passed = worst <= 1e-10 and ok and super_fails_at_21
     return CriterionResult("barrier", passed, worst, "<= 1e-10",
                            "R in {0.5,1,2} exact; f >= 1/2 iff R <= 2")
@@ -121,8 +122,7 @@ def check_certificate_constructor() -> CriterionResult:
         eNv = np.exp(cert.N * data.v)
         tang = 0.5 * (cert.N * eNv)**2
         norm = tang - (cert.N**2 * eNv**2 - cert.N**2 * eNv)
-        spectra = np.repeat(tang[:, None], n, axis=1)
-        spectra[:, 0] = norm
+        spectra = _two_valued(norm, tang, n)
         direct = cone_margin(ConeSpec(n, k), spectra)
         passed = passed and bool(np.all(direct > 0))
         bound = cert.lower_bound_spectra(n)

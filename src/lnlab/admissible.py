@@ -17,7 +17,7 @@ import numpy as np
 
 from .cones import ConeSpec, cone_margin, mu_plus
 from .errors import CriticalPointError, InvalidArgumentError, NoCertificateError
-from .schouten import rescaled_metric_spectrum_bound
+from .schouten import _two_valued, rescaled_metric_spectrum_bound
 
 # Geometric scan N in {2^j / 8 : j = 0..40}; smallest valid value is returned.
 N_SCAN = [2.0**j / 8.0 for j in range(41)]
@@ -82,9 +82,7 @@ class AdmissibilityCertificate:
 
     def lower_bound_spectra(self, n: int) -> np.ndarray:
         """Certified spectrum lower bounds, shape (nodes, n)."""
-        out = np.repeat((self.scale * self.chi2)[:, None], n, axis=1)
-        out[:, 0] = self.scale * self.chi1
-        return out
+        return _two_valued(self.scale * self.chi1, self.scale * self.chi2, n)
 
     def to_dict(self) -> dict:
         return {

@@ -73,6 +73,25 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+def _config_value(action: argparse.Action, value):
+    """A config value read as its flag would read it; raises if refused.
+
+    A number flag takes only a JSON number its type keeps unchanged (100.5
+    and "100" are refused for an integer); other flags read the value as
+    text, a list as comma-separated text.
+    """
+    if action.type in (int, float):
+        if isinstance(value, (bool, str)) or action.type(value) != value:
+            raise ValueError(f"expected {action.type.__name__}, got {value!r}")
+    else:
+        value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+    return [value] if isinstance(action, argparse._AppendAction) else value
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Fill unset flags from the config file; explicit flags win."""
     if not getattr(args, "config", None):
@@ -83,14 +102,18 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         parser.error(f"cannot read config {args.config}: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config {args.config} must be a flat JSON object")
+    commands = next(a for a in parser._actions if a.dest == "command")
+    flags = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in raw.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None or not hasattr(args, action.dest):
             parser.error(f"config key {key!r} does not match any flag")
-        if getattr(args, attr) is None:
-            if attr in ("delta_schedule", "tau_schedule") and isinstance(value, str):
-                value = _parse_schedule(value)
-            setattr(args, attr, value)
+        try:
+            value = _config_value(action, value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"config key {key!r}: {exc}")
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
     return args
 
 

@@ -23,10 +23,6 @@ from .errors import ConeDomainError, DegeneratePointError, InvalidArgumentError
 # (f is non-smooth on the cone boundary).
 INTERIOR_MARGIN = 1e-12
 
-# Test-harness hook: a multiplicative perturbation of the elementary symmetric
-# recurrence, used by mutation checks to confirm the acceptance suite trips.
-_sigma_scale = 1.0
-
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -77,7 +73,7 @@ def sigma_all(lam: np.ndarray) -> np.ndarray:
     e = np.zeros(lam.shape[:-1] + (n + 1,))
     e[..., 0] = 1.0
     for i in range(n):
-        e[..., 1:i + 2] += _sigma_scale * lam[..., i:i + 1] * e[..., 0:i + 1].copy()
+        e[..., 1:i + 2] += lam[..., i:i + 1] * e[..., 0:i + 1].copy()
     return e
 
 

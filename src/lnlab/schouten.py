@@ -16,14 +16,53 @@ At r = 0 (even profiles on a ball) v_r / r -> v_rr and both eigenvalues
 coincide at -v * v_rr.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CriticalPointError, GridMismatchError,
-                     InvalidArgumentError, InvalidProfileError)
+from .errors import CriticalPointError, InvalidArgumentError, InvalidProfileError
+
+
+def _radial_stencil(u, r):
+    """Second-order discrete (u_r, u_rr) on the uniform grid r.
+
+    Central differences at interior nodes, one-sided second-order stencils
+    at the ends; a grid starting at r = 0 is a ball centre and uses the even
+    extension u(-h) = u(h).
+    """
+    h = r[1] - r[0]
+    du = np.empty_like(u)
+    d2u = np.empty_like(u)
+    du[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    d2u[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
+    if r[0] == 0.0:
+        du[0] = 0.0
+        d2u[0] = 2.0 * (u[1] - u[0]) / h**2
+    else:
+        du[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+        d2u[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
+    du[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+    d2u[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
+    return du, d2u
+
+
+def _eigenpair(v, v_r, v_rr, r):
+    """(radial, tangential) eigenvalues in polynomial form, unchecked.
+
+    r = 0 entries use the even-profile centre rule v_r / r -> v_rr.  Zero v
+    is allowed: the polynomial forms extend continuously to it.
+    """
+    radial = 0.5 * v_r**2 - v * v_rr
+    slope_over_r = np.where(r > 0, v_r / np.where(r > 0, r, 1.0), v_rr)
+    tangential = 0.5 * v_r**2 - v * slope_over_r
+    return radial, tangential
+
+
+def _two_valued(a, b, n: int) -> np.ndarray:
+    """Spectra (a, b, ..., b) of length n along a new last axis."""
+    out = np.repeat(np.asarray(b, dtype=float)[..., None], n, axis=-1)
+    out[..., 0] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,25 +102,8 @@ class RadialProfile:
         return self.r[0] == 0.0
 
     def derivatives(self):
-        """Second-order discrete (u_r, u_rr).
-
-        Central differences at interior nodes, one-sided second-order stencils
-        at the ends; the ball center uses the even extension u(-h) = u(h).
-        """
-        u, h = self.u, self.h
-        du = np.empty_like(u)
-        d2u = np.empty_like(u)
-        du[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-        d2u[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-        if self.is_ball:
-            du[0] = 0.0
-            d2u[0] = 2.0 * (u[1] - u[0]) / h**2
-        else:
-            du[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
-            d2u[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
-        du[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-        d2u[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
-        return du, d2u
+        """Second-order discrete (u_r, u_rr); see _radial_stencil."""
+        return _radial_stencil(self.u, self.r)
 
 
 @dataclass(frozen=True)
@@ -95,9 +117,7 @@ class SchoutenSpectrumField:
 
     def spectra(self) -> np.ndarray:
         """Full eigenvalue vectors, shape (nodes, n): radial first, then n-1 tangential."""
-        out = np.repeat(self.tangential[:, None], self.n, axis=1)
-        out[:, 0] = self.radial
-        return out
+        return _two_valued(self.radial, self.tangential, self.n)
 
 
 def radial_schouten_spectrum(v, v_r, v_rr, r, n: int):
@@ -112,9 +132,7 @@ def radial_schouten_spectrum(v, v_r, v_rr, r, n: int):
     r = np.asarray(r, dtype=float)
     if np.any(v <= 0):
         raise InvalidProfileError("conformal factor must be positive")
-    radial = 0.5 * v_r**2 - v * v_rr
-    slope_over_r = np.where(r > 0, v_r / np.where(r > 0, r, 1.0), v_rr)
-    tangential = 0.5 * v_r**2 - v * slope_over_r
+    radial, tangential = _eigenpair(v, v_r, v_rr, r)
     if radial.ndim:
         return radial, tangential
     return float(radial), float(tangential)
@@ -129,9 +147,7 @@ def halfspace_schouten_spectrum(w, w_prime, w_doubleprime, n: int) -> np.ndarray
     if w <= 0:
         raise InvalidProfileError("conformal factor must be positive")
     tangential = 0.5 * w_prime**2
-    out = np.full(n, tangential)
-    out[0] = tangential - w * w_doubleprime
-    return out
+    return _two_valued(tangential - w * w_doubleprime, tangential, n)
 
 
 def spectrum_field(profile: RadialProfile, n: int) -> SchoutenSpectrumField:
@@ -141,14 +157,9 @@ def spectrum_field(profile: RadialProfile, n: int) -> SchoutenSpectrumField:
     with smooth closed forms the eigenvalues are O(h^2)-accurate.
     """
     du, d2u = profile.derivatives()
-    u = profile.u
-    # Zero endpoint data is allowed: the polynomial eigenvalue forms extend
-    # continuously (the v*... products vanish with v).
-    radial = 0.5 * du**2 - u * d2u
-    r = profile.r
-    slope_over_r = np.where(r > 0, du / np.where(r > 0, r, 1.0), d2u)
-    tangential = 0.5 * du**2 - u * slope_over_r
-    return SchoutenSpectrumField(r=r.copy(), radial=radial, tangential=tangential, n=n)
+    radial, tangential = _eigenpair(profile.u, du, d2u, profile.r)
+    return SchoutenSpectrumField(r=profile.r.copy(), radial=radial,
+                                 tangential=tangential, n=n)
 
 
 def ricci_spectrum_from_schouten(schouten: np.ndarray, n: int) -> np.ndarray:
@@ -215,16 +226,3 @@ def barrier_profile(R: float, delta: float, m: float, grid: int) -> RadialProfil
         raise InvalidArgumentError(f"need 0 < delta < m, got delta={delta}, m={m}")
     r = np.linspace(R * np.sqrt(1.0 + delta), R * np.sqrt(1.0 + m), grid + 1)
     return RadialProfile(r=r, u=(r**2 - R**2) / R**2)
-
-
-def field_to_csv(profile: RadialProfile, fld: SchoutenSpectrumField) -> str:
-    """CSV with columns r, u, radial_eig, tangential_eig (plot-ready)."""
-    if profile.r.shape != fld.r.shape or not np.array_equal(profile.r, fld.r):
-        raise GridMismatchError("profile and field grids differ")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r", "u", "radial_eig", "tangential_eig"])
-    for i in range(profile.r.size):
-        writer.writerow([format(x, ".17g") for x in
-                         (profile.r[i], profile.u[i], fld.radial[i], fld.tangential[i])])
-    return buf.getvalue()

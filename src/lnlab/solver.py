@@ -23,7 +23,7 @@ from scipy.linalg import solve_banded
 from .cones import ConeSpec, _f_and_grad_unchecked, cone_margin
 from .errors import (ContinuationStallError, GridMismatchError,
                      InadmissibleIterateError, InvalidArgumentError)
-from .schouten import RadialProfile
+from .schouten import RadialProfile, _eigenpair, _radial_stencil, _two_valued
 
 NEWTON_TOL = 1e-10
 MARGIN_FLOOR = 1e-12
@@ -78,6 +78,8 @@ class ProblemSpec:
                                        "set the deformation on the problem itself")
         if not 0.0 <= self.tau <= 1.0:
             raise InvalidArgumentError(f"tau must lie in [0, 1], got {self.tau}")
+        if not isinstance(self.grid, (int, np.integer)) or isinstance(self.grid, bool):
+            raise InvalidArgumentError(f"grid must be an integer, got {self.grid!r}")
         if self.grid < 8:
             raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
         for d in self.boundary_deltas():
@@ -171,7 +173,6 @@ class NewtonOptions:
     tol: float = NEWTON_TOL
     margin_floor: float = MARGIN_FLOOR
     max_halvings: int = 40
-    fd_jacobian: bool = False
 
 
 def _pde_rows(spec: ProblemSpec):
@@ -181,46 +182,28 @@ def _pde_rows(spec: ProblemSpec):
     return slice(1, spec.grid)
 
 
-def _stencil_state(u: np.ndarray, r: np.ndarray, h: float, is_ball: bool):
-    """Discrete (value, slope, curvature, slope/r) at the PDE rows."""
-    if is_ball:
-        val = u[:-1]
-        du = np.empty_like(val)
-        d2u = np.empty_like(val)
-        du[0] = 0.0
-        d2u[0] = 2.0 * (u[1] - u[0]) / h**2
-        du[1:] = (u[2:] - u[:-2]) / (2 * h)
-        d2u[1:] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-        sor = np.empty_like(val)
-        sor[0] = d2u[0]
-        sor[1:] = du[1:] / r[1:-1]
-    else:
-        val = u[1:-1]
-        du = (u[2:] - u[:-2]) / (2 * h)
-        d2u = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-        sor = du / r[1:-1]
-    return val, du, d2u, sor
+def _worst_node(spec: ProblemSpec, margins: np.ndarray) -> int:
+    """Grid node of the smallest PDE-row margin."""
+    return _pde_rows(spec).start + int(np.argmin(margins))
 
 
-def _spectra(val, du, d2u, sor, n):
-    """Eigenvalue rows (radial first, n-1 tangential copies) at the PDE nodes."""
-    radial = 0.5 * du**2 - val * d2u
-    tangential = 0.5 * du**2 - val * sor
-    lam = np.repeat(tangential[:, None], n, axis=1)
-    lam[:, 0] = radial
-    return lam
+def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
+    """spec.radii(), after checking that the profile lives on that grid."""
+    r = spec.radii()
+    if profile.r.shape != r.shape or not np.allclose(profile.r, r, atol=1e-12):
+        raise GridMismatchError("profile grid does not match the problem grid")
+    return r
 
 
 def _evaluate(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
     """Residual vector, per-node margins (PDE rows) and cached state."""
-    h = r[1] - r[0]
-    is_ball = isinstance(spec.domain, Ball)
-    val, du, d2u, sor = _stencil_state(u, r, h, is_ball)
-    lam = _spectra(val, du, d2u, sor, cone.n)
+    rows = _pde_rows(spec)
+    du, d2u = _radial_stencil(u, r)
+    val, du, d2u = u[rows], du[rows], d2u[rows]
+    lam = _two_valued(*_eigenpair(val, du, d2u, r[rows]), cone.n)
     margins = np.atleast_1d(cone_margin(cone, lam))
 
     F = np.empty_like(u)
-    rows = _pde_rows(spec)
     inner_delta, outer_delta = spec.boundary_deltas()
     if np.all(margins > 0.0):
         fvals, grads = _f_and_grad_unchecked(cone, lam)
@@ -228,15 +211,15 @@ def _evaluate(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
     else:
         fvals, grads = None, None
         F[rows] = np.nan
-    if not is_ball:
+    if inner_delta is not None:
         F[0] = u[0] - inner_delta
     F[-1] = u[-1] - outer_delta
-    return F, margins, (val, du, d2u, sor, lam, grads)
+    return F, margins, (val, du, d2u, grads)
 
 
 def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     """Tridiagonal Jacobian in solve_banded layout (3, m)."""
-    val, du, d2u, sor, lam, grads = state
+    val, du, d2u, grads = state
     h = r[1] - r[0]
     m = u.size
     is_ball = isinstance(spec.domain, Ball)
@@ -282,7 +265,7 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
 
 
 def _fd_jacobian(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
-    """Tridiagonal Jacobian by central differences (verification fallback)."""
+    """Tridiagonal Jacobian by central differences (oracle for the analytic one)."""
     m = u.size
     ab = np.zeros((3, m))
     base_step = np.sqrt(np.finfo(float).eps)
@@ -310,15 +293,12 @@ def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     Raises InadmissibleIterateError (with the worst node index) if the
     spectrum leaves the cone at any PDE row.
     """
-    r = spec.radii()
-    if profile.r.shape != r.shape or not np.allclose(profile.r, r, atol=1e-12):
-        raise GridMismatchError("profile grid does not match the problem grid")
+    r = _problem_grid(profile, spec)
     psi = spec.rhs_values(r)
     cone = spec.solve_cone()
     F, margins, _ = _evaluate(profile.u, spec, r, psi, cone)
     if not np.all(margins > 0.0):
-        rows = np.arange(r.size)[_pde_rows(spec)]
-        worst = int(rows[np.argmin(margins)])
+        worst = _worst_node(spec, margins)
         raise InadmissibleIterateError(
             f"spectrum outside the cone at node {worst} "
             f"(margin {float(margins.min()):.3e})",
@@ -328,7 +308,7 @@ def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
 
 def node_margins(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     """Cone margins at the PDE rows of a profile."""
-    r = spec.radii()
+    r = _problem_grid(profile, spec)
     psi = spec.rhs_values(r)
     _, margins, _ = _evaluate(profile.u, spec, r, psi, spec.solve_cone())
     return margins
@@ -443,18 +423,16 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     opts = opts or NewtonOptions()
     if spec.tau >= 1.0:
         raise InvalidArgumentError("the solver requires tau < 1 (ellipticity degenerates at 1)")
-    r = spec.radii()
-    if init.r.shape != r.shape or not np.allclose(init.r, r, atol=1e-12):
-        raise GridMismatchError("initial profile grid does not match the problem grid")
+    r = _problem_grid(init, spec)
     psi = spec.rhs_values(r)
     cone = spec.solve_cone()
 
     u = init.u.copy()
     F, margins, state = _evaluate(u, spec, r, psi, cone)
     if not np.all(margins > opts.margin_floor):
-        worst = int(np.argmin(margins))
+        worst = _worst_node(spec, margins)
         raise InadmissibleIterateError(
-            f"initial profile inadmissible (worst PDE row {worst}, "
+            f"initial profile inadmissible (worst node {worst}, "
             f"margin {float(margins.min()):.3e})",
             worst_node=worst, margin=float(margins.min()))
 
@@ -463,10 +441,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         if res <= opts.tol:
             return _make_report(u, spec, r, psi, cone, F, margins,
                                 it - 1, continuation_steps, True)
-        if opts.fd_jacobian:
-            ab = _fd_jacobian(u, spec, r, psi, cone)
-        else:
-            ab = _analytic_jacobian(u, spec, r, cone, state)
+        ab = _analytic_jacobian(u, spec, r, cone, state)
         step = solve_banded((1, 1), ab, -F)
 
         t = 1.0

@@ -101,6 +101,27 @@ class TestSolve:
         rc = main(self.ARGS + ["--tau-schedule", "0.3,0.6,0.9"])
         assert rc == 0
 
+    def test_config_matches_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 3, "k": 1, "tau": 0.9, "grid": 150, '
+                       '"delta-schedule": [0.1, 0.05, 0.01]}')
+        assert main(["solve", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out == from_config
+
+    @pytest.mark.parametrize("config", ['{"grid": 100.5}', '{"grid": "100"}',
+                                        '{"grid": true}', '{"domain": "disk"}',
+                                        '{"tau-schedule": "0.5,x"}'])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--config", str(cfg)])
+        assert err.value.code == 2
+        key = next(iter(json.loads(config)))
+        assert f"config key {key!r}" in capsys.readouterr().err
+
     def test_bad_schedule_text(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--delta-schedule", "0.1,abc"])
@@ -127,14 +148,15 @@ class TestVerify:
         assert {rec["name"] for rec in payload} == {"barrier", "mu-plus-table"}
         assert all(rec["passed"] for rec in payload)
 
-    def test_mutated_sigma_recurrence_fails_named_criterion(self, capsys):
-        """Injecting a 10% error into the sigma recurrence must trip the
-        suite with the affected criterion named."""
-        cones._sigma_scale = 1.1
-        try:
-            rc = main(["verify", "--only", "hyperbolic-exactness"])
-        finally:
-            cones._sigma_scale = 1.0
+    def test_mutated_sigma_recurrence_fails_named_criterion(self, capsys,
+                                                            monkeypatch):
+        """Injecting a 10% error into each step of the sigma recurrence
+        (sigma_j scaled by 1.1^j) must trip the suite with the affected
+        criterion named."""
+        sigma_all = cones.sigma_all
+        monkeypatch.setattr(cones, "sigma_all",
+                            lambda lam: sigma_all(1.1 * lam))
+        rc = main(["verify", "--only", "hyperbolic-exactness"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL] hyperbolic-exactness" in out

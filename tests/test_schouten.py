@@ -1,4 +1,4 @@
-"""Schouten spectra: exact model metrics, convergence order, serialization."""
+"""Schouten spectra: exact model metrics, convergence order, rescaling bounds."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from lnlab import (RadialProfile, barrier_profile, halfspace_schouten_spectrum,
                    hyperbolic_ball_profile, radial_schouten_spectrum,
                    ricci_spectrum_from_schouten, spectrum_field)
-from lnlab.schouten import field_to_csv, rescaled_metric_spectrum_bound
-from lnlab.errors import (CriticalPointError, GridMismatchError,
-                          InvalidArgumentError, InvalidProfileError)
+from lnlab.schouten import rescaled_metric_spectrum_bound
+from lnlab.errors import (CriticalPointError, InvalidArgumentError,
+                          InvalidProfileError)
 
 
 class TestRadialProfile:
@@ -164,21 +164,3 @@ class TestRescaledBound:
             rescaled_metric_spectrum_bound(-1.0, np.ones(3), np.ones(3), 1, 0, 0)
         with pytest.raises(InvalidArgumentError):
             rescaled_metric_spectrum_bound(1.0, 0.5 * np.ones(3), np.ones(3), 1, 0, 0)
-
-
-class TestCsv:
-    def test_columns_and_determinism(self):
-        prof = hyperbolic_ball_profile(10)
-        fld = spectrum_field(prof, 3)
-        text = field_to_csv(prof, fld)
-        lines = text.strip().split("\n")
-        assert lines[0] == "r,u,radial_eig,tangential_eig"
-        assert len(lines) == 12
-        assert text == field_to_csv(prof, fld)
-
-    def test_grid_mismatch(self):
-        prof = hyperbolic_ball_profile(10)
-        other = hyperbolic_ball_profile(12)
-        fld = spectrum_field(other, 3)
-        with pytest.raises(GridMismatchError):
-            field_to_csv(prof, fld)

@@ -31,6 +31,9 @@ class TestProblemSpec:
             ball_spec(delta=-0.1)
         with pytest.raises(InvalidArgumentError):
             ball_spec(grid=4)
+        for grid in (100.5, 100.0, "100", True):
+            with pytest.raises(InvalidArgumentError):
+                ball_spec(grid=grid)
         with pytest.raises(InvalidArgumentError):
             ball_spec(rhs=0.0)
         with pytest.raises(InvalidArgumentError):
@@ -85,11 +88,28 @@ class TestResidual:
         assert err.value.worst_node is not None
 
     def test_grid_mismatch(self):
+        """Another node count, or the same count on another radius."""
         spec = ball_spec(grid=50)
-        other = ball_spec(grid=60)
-        prof = initial_profile(other)
-        with pytest.raises(GridMismatchError):
+        for other in (ball_spec(grid=60), replace(spec, domain=Ball(2.0))):
+            prof = initial_profile(other)
+            for check in (residual, node_margins, newton_solve):
+                with pytest.raises(GridMismatchError):
+                    check(prof, spec)
+
+    def test_worst_node_agrees_with_newton(self):
+        """On an annulus the PDE rows start at node 1; both errors must
+        still name the node of the dent."""
+        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.9,
+                           domain=Annulus(0.5, 1.0), delta=1.0, grid=32)
+        u = np.ones(33)
+        u[9] = 0.9
+        prof = RadialProfile(r=spec.radii(), u=u)
+        with pytest.raises(InadmissibleIterateError) as from_residual:
             residual(prof, spec)
+        with pytest.raises(InadmissibleIterateError) as from_newton:
+            newton_solve(prof, spec)
+        assert from_residual.value.worst_node == 9
+        assert from_newton.value.worst_node == 9
 
 
 class TestJacobian:
@@ -121,13 +141,6 @@ class TestNewton:
         assert rep.residual_sup <= 1e-10
         assert rep.newton_iterations <= 10
         assert rep.admissibility_margin_min > 0
-
-    def test_fd_jacobian_path(self):
-        spec = ball_spec(grid=24)
-        prof = initial_profile(replace(spec, tau=0.0))
-        rep = newton_solve(prof, replace(spec, tau=0.0),
-                           NewtonOptions(fd_jacobian=True))
-        assert rep.converged
 
     def test_rejects_tau_one(self):
         spec = ProblemSpec(cone=ConeSpec(3, 1), tau=1.0, domain=Ball(1.0),
