@@ -1,0 +1,151 @@
+"""Before/after numbers for the pair-form cones kernels.
+
+    python3 benchmarks/bench_pair_kernel.py PARENT_CHECKOUT > BENCH_pair_kernel.json
+
+Compares this checkout with PARENT_CHECKOUT (another lnlab checkout, e.g. made
+with `git archive`), in three parts:
+
+1. `solver._evaluate` wall time at grids 1e4 and 1e5 on the unit ball for
+   three cones: the median of 40 calls after 5 untimed ones, on the
+   hyperbolic starting profile, in a fresh interpreter per checkout with
+   BLAS pinned to one thread.
+2. perfbench/run.py --trace 0 on every workload for PAIRS alternating
+   (parent, change) pairs on seeds 101, 102, ...; the side that runs first
+   alternates.  Each checkout runs its own perfbench/, so both must carry the
+   same benchmark.
+3. One perfbench/run.py --trace 1 solve-large run on seed 1 per checkout,
+   for the per-layer cones and solver metrics.
+
+Progress goes to stderr; the summary is one JSON document on stdout.
+"""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 101
+EVAL_GRIDS = (10_000, 100_000)
+EVAL_CONES = ((3, 1, 0.9), (4, 2, 0.95), (6, 3, 0.95))
+TRACED = ("cones.cone_margin", "cones.f_and_grad", "cones.sigma_all",
+          "cones.tau_deform")
+
+
+def evaluate_times(src: str) -> dict:
+    """Median _evaluate milliseconds per (grid, cone), lnlab from src."""
+    sys.path.insert(0, src)
+    from lnlab.cones import ConeSpec
+    from lnlab.solver import Ball, ProblemSpec, _evaluate, initial_profile
+    out = {}
+    for grid in EVAL_GRIDS:
+        for n, k, tau in EVAL_CONES:
+            spec = ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=Ball(1.0),
+                               delta=0.05, grid=grid)
+            r = spec.radii()
+            psi = spec.rhs_values(r)
+            cone = spec.solve_cone()
+            u = initial_profile(spec).u
+            for _ in range(5):
+                _evaluate(u, spec, r, psi, cone)
+            times = []
+            for _ in range(40):
+                start = time.perf_counter()
+                _evaluate(u, spec, r, psi, cone)
+                times.append(time.perf_counter() - start)
+            out[f"grid={grid},n={n},k={k},tau={tau}"] = statistics.median(times) * 1e3
+    return out
+
+
+def run_evaluate(checkout: Path) -> dict:
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    cmd = [sys.executable, __file__, "--evaluate", str(checkout / "src")]
+    return json.loads(subprocess.run(cmd, env=env, check=True, capture_output=True,
+                                     text=True).stdout)
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(run_seconds()),
+           "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    result = json.loads(out[-1])
+    provenance = json.loads(out[-2].split(" ", 1)[1])
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    print(f"{checkout.name} {workload} seed {seed} trace {trace}: "
+          f"correct={result['correct']} run_s={metrics.get('run_s', '-')}",
+          file=sys.stderr, flush=True)
+    return {"correct": result["correct"], "failed": result["failed"],
+            "metrics": metrics,
+            "host": {k: provenance[k] for k in ("cpu", "nproc", "python", "numpy")}}
+
+
+def run_seconds() -> float:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def summarise(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def compare(parent: Path, change: Path) -> dict:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    out = {}
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = {"parent": [], "change": []}
+        for i in range(PAIRS):
+            sides = [("parent", parent), ("change", change)]
+            for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
+                runs[side].append(run_perfbench(checkout, workload,
+                                                FIRST_SEED + i, 0))
+        metrics = {}
+        for m in bench["end_to_end"]:
+            name, lower = m["name"], m["better"] == "lower"
+            p = [r["metrics"][name] for r in runs["parent"]]
+            c = [r["metrics"][name] for r in runs["change"]]
+            wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(p, c))
+            metrics[name] = {"unit": m["unit"], "better": m["better"],
+                             "bound": m["bound"], "parent": summarise(p),
+                             "change": summarise(c), "change_wins": wins}
+        out[workload] = {
+            "seeds": list(range(FIRST_SEED, FIRST_SEED + PAIRS)),
+            "all_correct": all(r["correct"] for side in runs.values() for r in side),
+            "end_to_end": metrics}
+    return out
+
+
+def traced(checkout: Path) -> dict:
+    result = run_perfbench(checkout, "solve-large", 1, 1)
+    keep = {k: v for k, v in result["metrics"].items()
+            if k.startswith(TRACED) or k.startswith("solver.")}
+    return {"correct": result["correct"], "host": result["host"], "metrics": keep}
+
+
+def main():
+    if sys.argv[1:2] == ["--evaluate"]:
+        json.dump(evaluate_times(sys.argv[2]), sys.stdout)
+        return
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    parent, change = Path(sys.argv[1]).resolve(), ROOT
+    evaluate = {"parent": run_evaluate(parent), "change": run_evaluate(change)}
+    evaluate["speedup"] = {key: evaluate["parent"][key] / evaluate["change"][key]
+                           for key in evaluate["parent"]}
+    summary = {
+        "evaluate_ms": evaluate,
+        "perfbench": compare(parent, change),
+        "traced_solve_large": {"parent": traced(parent), "change": traced(change)},
+    }
+    json.dump(summary, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

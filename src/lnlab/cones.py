@@ -7,8 +7,22 @@ deformation
     lam^tau = tau*lam + (1-tau)*sigma_1(lam)*e,
     f^tau(lam) = f(lam^tau) / (tau + n*(1-tau)),
 
-normalised so f^tau(e) = 1 for every tau in [0, 1].  All functions accept
-arrays of spectra with shape (..., n) and broadcast over the leading axes.
+normalised so f^tau(e) = 1 for every tau in [0, 1].
+
+Shape contract.  Spectra are arrays broadcast over their leading axes, in one
+of two forms:
+
+- full: shape (..., n), one eigenvalue per entry;
+- pair: shape (..., 2), a row (a, b) standing for the n-vector (a, b, ..., b).
+
+The cone functions (cone_margin, in_cone, f_eval, grad_f) take either form
+and tell them apart by the last axis: a cone has n >= 3, so a last axis of 2
+is never a full spectrum.  sigma_all and tau_deform cannot know n from a pair
+and take it as an argument.  Every spectrum lnlab builds has the form
+(a, b, ..., b), and the solver passes its iterates as pairs: sigma_j then has
+the closed form (C(n-1,j)*b + C(n-1,j-1)*a) * b^(j-1), and the
+tau-deformation keeps the form.  The full form is the general path and the
+oracle for the pair one.
 """
 
 from dataclasses import dataclass
@@ -60,15 +74,28 @@ class Membership(NamedTuple):
     margin: np.ndarray | float
 
 
-def sigma_all(lam: np.ndarray) -> np.ndarray:
+def sigma_all(lam: np.ndarray, n: int | None = None) -> np.ndarray:
     """All elementary symmetric polynomials of lam.
 
     Returns an array of shape lam.shape[:-1] + (n+1,) whose entry [..., j]
-    is sigma_j(lam), with sigma_0 = 1.  Uses the stable product recurrence
-    (coefficients of prod_i (t + lam_i)) rather than subset enumeration.
-    Entries are sorted first so permutations give bit-identical results.
+    is sigma_j(lam), with sigma_0 = 1.  A full spectrum (n = None) uses the
+    stable product recurrence (coefficients of prod_i (t + lam_i)) rather
+    than subset enumeration, on entries sorted first so permutations give
+    bit-identical results.  A pair (a, b) standing for (a, b, ..., b) of
+    length n uses the closed form (C(n-1,j)*b + C(n-1,j-1)*a) * b^(j-1).
     """
-    lam = np.sort(np.asarray(lam, dtype=float), axis=-1)
+    lam = np.asarray(lam, dtype=float)
+    if n is not None:
+        _check_pair(lam)
+        a, b = lam[..., 0], lam[..., 1]
+        e = np.empty((n + 1,) + lam.shape[:-1])
+        e[0] = 1.0
+        b_pow = e[0]                      # b^(j-1)
+        for j in range(1, n + 1):
+            e[j] = (comb(n - 1, j) * b + comb(n - 1, j - 1) * a) * b_pow
+            b_pow = b_pow * b
+        return _last_axis_outermost(e)
+    lam = np.sort(lam, axis=-1)
     n = lam.shape[-1]
     e = np.zeros(lam.shape[:-1] + (n + 1,))
     e[..., 0] = 1.0
@@ -78,7 +105,7 @@ def sigma_all(lam: np.ndarray) -> np.ndarray:
 
 
 def sigma_k(lam: np.ndarray, j: int) -> np.ndarray | float:
-    """sigma_j(lam) for 1 <= j <= n."""
+    """sigma_j(lam) for 1 <= j <= n, lam a full spectrum."""
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     if not 1 <= j <= n:
@@ -87,14 +114,50 @@ def sigma_k(lam: np.ndarray, j: int) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def tau_deform(lam: np.ndarray, tau: float) -> np.ndarray:
-    """lam^tau = tau*lam + (1-tau)*sigma_1(lam)*e."""
+def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
+    """lam^tau = tau*lam + (1-tau)*sigma_1(lam)*e.
+
+    With n given, lam is a pair (a, b) standing for (a, b, ..., b) of length
+    n, and the result is the deformed pair.
+    """
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgumentError(f"tau must lie in [0, 1], got {tau}")
     lam = np.asarray(lam, dtype=float)
+    if n is not None:
+        _check_pair(lam)
+        a, b = lam[..., 0], lam[..., 1]
+        shift = (1.0 - tau) * (a + (n - 1) * b)
+        return _last_axis_outermost(np.stack((tau * a + shift, tau * b + shift)))
     # Sum in sorted order so permutations of lam give bit-identical traces.
     s1 = np.sort(lam, axis=-1).sum(axis=-1, keepdims=True)
     return tau * lam + (1.0 - tau) * s1
+
+
+def _last_axis_outermost(columns: np.ndarray) -> np.ndarray:
+    """View of a (c, ...) array as (..., c).
+
+    Pair-path arrays keep each column contiguous: numpy loops over a short
+    last axis (or broadcast against one) run row by row, many times slower
+    than the same work over whole columns.
+    """
+    return np.moveaxis(columns, 0, -1)
+
+
+def _check_pair(lam: np.ndarray):
+    if lam.shape[-1:] != (2,):
+        raise InvalidArgumentError(
+            f"a pair spectrum has a last axis of 2, got shape {lam.shape}")
+
+
+def _pair_length(cone: ConeSpec, lam: np.ndarray) -> int | None:
+    """cone.n if lam is in pair form, None if it is a full spectrum."""
+    if lam.shape[-1:] == (2,):
+        return cone.n
+    if lam.shape[-1:] != (cone.n,):
+        raise InvalidArgumentError(
+            f"spectrum has {lam.shape[-1] if lam.ndim else 0} entries, cone "
+            f"dimension is {cone.n} (or 2 for an (a, b, ..., b) pair)")
+    return None
 
 
 def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
@@ -102,19 +165,24 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
 
     min over j <= k of sigma_j(lam^tau) / (binom(n,j) * max(1, |lam^tau|_inf)^j);
     positive inside the cone, zero on the boundary, negative outside.  The
-    normalization makes margins comparable across j.
+    normalization makes margins comparable across j.  lam may be a full
+    spectrum or a pair (see the module docstring).
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1] != cone.n:
-        raise InvalidArgumentError(
-            f"spectrum has {lam.shape[-1]} entries, cone dimension is {cone.n}")
-    mu = tau_deform(lam, cone.tau)
-    sig = sigma_all(mu)
-    scale = np.maximum(1.0, np.abs(mu).max(axis=-1))
-    margins = np.empty(mu.shape[:-1] + (cone.k,))
+    pair = _pair_length(cone, lam)
+    mu = tau_deform(lam, cone.tau, pair)
+    sig = sigma_all(mu, pair)
+    # Column-wise max and min: exact like the axis reductions, and much
+    # cheaper than them on a short last axis.
+    abs_mu = np.abs(mu)
+    scale = abs_mu[..., 0]
+    for i in range(1, mu.shape[-1]):
+        scale = np.maximum(scale, abs_mu[..., i])
+    scale = np.maximum(1.0, scale)
+    out = None
     for j in range(1, cone.k + 1):
-        margins[..., j - 1] = sig[..., j] / (comb(cone.n, j) * scale ** j)
-    out = margins.min(axis=-1)
+        margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
+        out = margin_j if out is None else np.minimum(out, margin_j)
     return out if out.ndim else float(out)
 
 
@@ -127,16 +195,17 @@ def in_cone(cone: ConeSpec, lam: np.ndarray) -> Membership:
 def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     """f^tau(lam) = c_{n,k} * sigma_k(lam^tau)^(1/k) / (tau + n*(1-tau)).
 
-    Degree-one homogeneous with f^tau(e) = 1.  Raises ConeDomainError if any
-    point lies outside the cone.
+    Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
+    a pair.  Raises ConeDomainError if any point lies outside the cone.
     """
     margin = cone_margin(cone, lam)
     if not np.all(np.asarray(margin) > 0.0):
         worst = float(np.min(margin))
         raise ConeDomainError(
             f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
-    mu = tau_deform(lam, cone.tau)
-    sk = sigma_all(mu)[..., cone.k]
+    pair = _pair_length(cone, np.asarray(lam))
+    mu = tau_deform(lam, cone.tau, pair)
+    sk = sigma_all(mu, pair)[..., cone.k]
     out = cone.normalization * sk ** (1.0 / cone.k) / cone.deformation_scale
     return out if np.ndim(out) else float(out)
 
@@ -146,12 +215,15 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
 
     Used by the solver on iterates already certified admissible.  The gradient
     combines d sigma_k / d mu_i = sigma_{k-1}(mu with entry i removed), the
-    power 1/k, and the linear deformation map.
+    power 1/k, and the linear deformation map.  For a pair (a, b) the
+    gradient is the pair (df/da, df/db_i): the derivative along the one a
+    entry and along any one of the n-1 b entries.
     """
     lam = np.asarray(lam, dtype=float)
     n, k = cone.n, cone.k
-    mu = tau_deform(lam, cone.tau)
-    sig = sigma_all(mu)
+    pair = _pair_length(cone, lam)
+    mu = tau_deform(lam, cone.tau, pair)
+    sig = sigma_all(mu, pair)
     sk = sig[..., k]
     fk = cone.normalization * sk ** (1.0 / k)
 
@@ -163,14 +235,21 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     grad_F = (fk / (k * sk))[..., None] * drop
 
     # Chain rule through lam^tau: d mu_i / d lam_j = tau*delta_ij + (1-tau).
-    g = (cone.tau * grad_F
-         + (1.0 - cone.tau) * grad_F.sum(axis=-1, keepdims=True))
+    if pair is not None:
+        total = grad_F[..., 0:1] + (n - 1) * grad_F[..., 1:2]
+    else:
+        total = grad_F.sum(axis=-1, keepdims=True)
+    g = cone.tau * grad_F + (1.0 - cone.tau) * total
     s = cone.deformation_scale
     return fk / s, g / s
 
 
 def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
-    """Gradient of f^tau at a strictly interior lam; all components positive."""
+    """Gradient of f^tau at a strictly interior lam; all components positive.
+
+    For a pair (a, b) it is the pair (df/da, df/db_i), see
+    _f_and_grad_unchecked.
+    """
     margin = cone_margin(cone, lam)
     if not np.all(np.asarray(margin) >= INTERIOR_MARGIN):
         worst = float(np.min(margin))

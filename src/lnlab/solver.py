@@ -23,7 +23,7 @@ from scipy.linalg import solve_banded
 from .cones import ConeSpec, _f_and_grad_unchecked, cone_margin
 from .errors import (ContinuationStallError, GridMismatchError,
                      InadmissibleIterateError, InvalidArgumentError)
-from .schouten import RadialProfile, _eigenpair, _radial_stencil, _two_valued
+from .schouten import RadialProfile, _eigenpair, _radial_stencil
 
 NEWTON_TOL = 1e-10
 MARGIN_FLOOR = 1e-12
@@ -200,7 +200,8 @@ def _evaluate(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
     rows = _pde_rows(spec)
     du, d2u = _radial_stencil(u, r)
     val, du, d2u = u[rows], du[rows], d2u[rows]
-    lam = _two_valued(*_eigenpair(val, du, d2u, r[rows]), cone.n)
+    # (radial, tangential) pairs stand for the spectra (a, b, ..., b).
+    lam = np.stack(_eigenpair(val, du, d2u, r[rows]), axis=-1)
     margins = np.atleast_1d(cone_margin(cone, lam))
 
     F = np.empty_like(u)
@@ -224,7 +225,7 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     m = u.size
     is_ball = isinstance(spec.domain, Ball)
     gR = grads[:, 0]
-    gT = grads[:, 1:].sum(axis=1)
+    gT = (cone.n - 1) * grads[:, 1]
 
     diag = np.zeros(m)
     sup = np.zeros(m - 1)   # J[i, i+1]
@@ -265,25 +266,29 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
 
 
 def _fd_jacobian(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
-    """Tridiagonal Jacobian by central differences (oracle for the analytic one)."""
+    """Tridiagonal Jacobian by central differences (oracle for the analytic one).
+
+    Curtis-Powell-Reid colouring: columns j and j + 3 touch disjoint rows
+    of a tridiagonal matrix, so one difference per colour c = j mod 3
+    recovers every column of that colour.  The difference is the
+    fourth-order central one (12 evaluations in all): the u_rr stencil
+    scales a step by 1/h^2, and the second-order difference is off by
+    about 1e-6 relative at grid 1000.
+    """
     m = u.size
     ab = np.zeros((3, m))
-    base_step = np.sqrt(np.finfo(float).eps)
-    for j in range(m):
-        step = base_step * max(1.0, abs(u[j]))
-        up = u.copy()
-        um = u.copy()
-        up[j] += step
-        um[j] -= step
-        Fp, _, _ = _evaluate(up, spec, r, psi, cone)
-        Fm, _, _ = _evaluate(um, spec, r, psi, cone)
-        col = (Fp - Fm) / (2 * step)
-        # column j contributes to rows j-1, j, j+1
-        if j > 0:
-            ab[0, j] = col[j - 1]
-        ab[1, j] = col[j]
-        if j + 1 < m:
-            ab[2, j] = col[j + 1]
+    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(u))
+    for c in range(3):
+        cols = np.arange(c, m, 3)
+        e = np.zeros(m)
+        e[cols] = steps[cols]
+        F = {t: _evaluate(u + t * e, spec, r, psi, cone)[0] for t in (-2, -1, 1, 2)}
+        diff = (8.0 * (F[1] - F[-1]) - (F[2] - F[-2])) / 12.0
+        # Row j + off of the difference belongs to column j; banded layout
+        # stores J[j + off, j] at ab[1 + off, j].
+        for off in (-1, 0, 1):
+            j = cols[(cols + off >= 0) & (cols + off < m)]
+            ab[1 + off, j] = diff[j + off] / steps[j]
     return ab
 
 

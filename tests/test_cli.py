@@ -155,7 +155,7 @@ class TestVerify:
         criterion named."""
         sigma_all = cones.sigma_all
         monkeypatch.setattr(cones, "sigma_all",
-                            lambda lam: sigma_all(1.1 * lam))
+                            lambda lam, n=None: sigma_all(1.1 * lam, n))
         rc = main(["verify", "--only", "hyperbolic-exactness"])
         out = capsys.readouterr().out
         assert rc == 1

@@ -2,15 +2,20 @@
 
 import itertools
 import math
+from math import comb
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnlab import (ConeSpec, cone_margin, contains_ray_e1, f_eval, grad_f,
                    in_cone, mu_plus, sigma_k, tau_deform)
-from lnlab.cones import sigma_all
+from lnlab.cones import _f_and_grad_unchecked, sigma_all
 from lnlab.errors import (ConeDomainError, DegeneratePointError,
                           InvalidArgumentError)
+from lnlab.schouten import _two_valued
 
 
 def sigma_by_enumeration(lam, j):
@@ -225,3 +230,136 @@ class TestRayE1:
         assert not contains_ray_e1(ConeSpec(5, 5))
         # deformation reopens the cone around e1
         assert contains_ray_e1(ConeSpec(4, 2, 0.5))
+
+
+# Verbatim copies of the full-spectrum kernels before the pair form existed:
+# the general path must return bit-identical arrays.
+def reference_sigma_all(lam):
+    lam = np.sort(np.asarray(lam, dtype=float), axis=-1)
+    n = lam.shape[-1]
+    e = np.zeros(lam.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    for i in range(n):
+        e[..., 1:i + 2] += lam[..., i:i + 1] * e[..., 0:i + 1].copy()
+    return e
+
+
+def reference_tau_deform(lam, tau):
+    lam = np.asarray(lam, dtype=float)
+    s1 = np.sort(lam, axis=-1).sum(axis=-1, keepdims=True)
+    return tau * lam + (1.0 - tau) * s1
+
+
+def reference_cone_margin(cone, lam):
+    lam = np.asarray(lam, dtype=float)
+    mu = reference_tau_deform(lam, cone.tau)
+    sig = reference_sigma_all(mu)
+    scale = np.maximum(1.0, np.abs(mu).max(axis=-1))
+    margins = np.empty(mu.shape[:-1] + (cone.k,))
+    for j in range(1, cone.k + 1):
+        margins[..., j - 1] = sig[..., j] / (comb(cone.n, j) * scale ** j)
+    out = margins.min(axis=-1)
+    return out if out.ndim else float(out)
+
+
+class TestGeneralPathUnchanged:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_bit_identical_to_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        for shape in [(n,), (200, n), (3, 40, n)]:
+            lam = rng.normal(size=shape) * rng.uniform(0.01, 50.0, size=shape)
+            assert np.array_equal(sigma_all(lam), reference_sigma_all(lam))
+            for tau in (0.0, 0.37, 0.95, 1.0):
+                assert np.array_equal(tau_deform(lam, tau),
+                                      reference_tau_deform(lam, tau))
+                for k in range(1, n + 1):
+                    cone = ConeSpec(n, k, tau)
+                    assert np.array_equal(cone_margin(cone, lam),
+                                          reference_cone_margin(cone, lam))
+
+
+def mp_sigma(full, j):
+    """sigma_j of a full spectrum in 50-digit arithmetic, by the product
+    recurrence on prod_i (t + lam_i)."""
+    with mpmath.workdps(50):
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(full)
+        for x in full:
+            x = mpmath.mpf(float(x))
+            for i in range(len(e) - 1, 0, -1):
+                e[i] += x * e[i - 1]
+        return e[j]
+
+
+def pairs(max_size):
+    return st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+                    min_size=1, max_size=max_size).map(np.array)
+
+
+class TestPairForm:
+    """A pair (a, b) stands for (a, b, ..., b); the full form is the oracle."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.95, 0.999, 1.0])
+    @pytest.mark.parametrize("n", range(3, 9))
+    @settings(max_examples=15, deadline=None)
+    @given(lam=pairs(60))
+    def test_margin_f_and_grad_match_full(self, n, tau, lam):
+        full = _two_valued(lam[:, 0], lam[:, 1], n)
+        for k in range(1, n + 1):
+            cone = ConeSpec(n, k, tau)
+            mp, mf = cone_margin(cone, lam), cone_margin(cone, full)
+            clear = np.abs(mf) > 1e-12
+            assert np.array_equal(mp[clear] > 0, mf[clear] > 0)
+            assert np.max(np.abs(mp - mf)) <= 1e-13
+            inside = mf >= 1e-3
+            if not inside.any():
+                continue
+            fp, gp = _f_and_grad_unchecked(cone, lam[inside])
+            ff, gf = _f_and_grad_unchecked(cone, full[inside])
+            np.testing.assert_allclose(fp, ff, rtol=1e-12)
+            # (g_R, g_T) relative to |g_R| + |g_T|: a g_T far below g_R
+            # carries the cancellation of the sigma_{k-1}(mu \ i) recurrence
+            # on both paths (componentwise up to 5e-12 at n = k = 8).
+            g_R, g_T = gf[:, 0], gf[:, 1:].sum(axis=1)
+            size = np.abs(g_R) + np.abs(g_T)
+            assert np.all(np.abs(gp[:, 0] - g_R) <= 1e-12 * size)
+            assert np.all(np.abs((n - 1) * gp[:, 1] - g_T) <= 1e-12 * size)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @settings(max_examples=15, deadline=None)
+    @given(lam=pairs(8))
+    def test_sigma_all_matches_mpmath(self, n, lam):
+        sig = sigma_all(lam, n)
+        assert sig.shape == (lam.shape[0], n + 1)
+        assert np.all(sig[:, 0] == 1.0)
+        # Rounding is relative to sigma_j of the absolute values, down to
+        # the subnormal range.
+        size = sigma_all(np.abs(lam), n)
+        for row in range(lam.shape[0]):
+            full = [lam[row, 0]] + [lam[row, 1]] * (n - 1)
+            for j in range(1, n + 1):
+                exact = float(mp_sigma(full, j))
+                assert abs(sig[row, j] - exact) <= 1e-14 * size[row, j] + 1e-300
+
+    def test_public_functions_take_pairs(self):
+        """f_eval, grad_f and in_cone read a last axis of 2 as a pair, never
+        as a 2-vector: the same answers as the full spectrum."""
+        cone = ConeSpec(4, 2, 0.9)
+        pair, full = np.array([1.0, 2.0]), np.array([1.0, 2.0, 2.0, 2.0])
+        assert f_eval(cone, pair) == pytest.approx(f_eval(cone, full), rel=1e-14)
+        assert f_eval(cone, pair) == pytest.approx(1.7414202188725805, rel=1e-14)
+        np.testing.assert_allclose(grad_f(cone, pair), grad_f(cone, full)[:2],
+                                   rtol=1e-14)
+        assert in_cone(cone, pair).member
+        outside = np.array([-5.0, 1.0])     # a / b = -5 < -mu+ = -(n - k) / k = -1
+        assert not in_cone(ConeSpec(4, 2), outside).member
+        with pytest.raises(ConeDomainError):
+            f_eval(ConeSpec(4, 2), outside)
+
+    def test_shape_errors(self):
+        with pytest.raises(InvalidArgumentError):
+            sigma_all(np.ones(3), 4)
+        with pytest.raises(InvalidArgumentError):
+            tau_deform(np.ones((5, 3)), 0.5, 4)
+        for fn in (cone_margin, f_eval, grad_f):
+            with pytest.raises(InvalidArgumentError):
+                fn(ConeSpec(4, 2), np.ones(3))

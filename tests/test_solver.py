@@ -1,5 +1,6 @@
 """Solver: residual oracles, Newton, Jacobian, continuation, comparison tools."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from lnlab import (Annulus, Ball, ConeSpec, NewtonOptions, ProblemSpec,
                    RadialProfile, barrier_slope_bound, boundary_slope,
                    comparison_check, continuation_delta, continuation_tau,
                    initial_profile, newton_solve, residual)
+import lnlab.solver as solver_module
 from lnlab.solver import (_analytic_jacobian, _evaluate, _fd_jacobian,
                           default_delta_schedule, node_margins)
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
@@ -114,20 +116,28 @@ class TestResidual:
 
 class TestJacobian:
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.2)])
-    def test_analytic_matches_fd(self, domain):
+    def test_analytic_matches_fd(self, domain, monkeypatch):
         delta = 0.1 if isinstance(domain, Ball) else (0.1, 0.1)
-        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.8, domain=domain,
-                           delta=delta, grid=24)
-        # an iterate that is admissible for the deformed cone
-        prof = continuation_tau(spec).profile
-        r = spec.radii()
-        psi = spec.rhs_values(r)
-        cone = spec.solve_cone()
-        _, _, state = _evaluate(prof.u, spec, r, psi, cone)
-        ja = _analytic_jacobian(prof.u, spec, r, cone, state)
-        jf = _fd_jacobian(prof.u, spec, r, psi, cone)
-        scale = np.max(np.abs(jf))
-        assert np.max(np.abs(ja - jf)) / scale < 1e-6
+        calls = []
+        monkeypatch.setattr(solver_module, "_evaluate",
+                            lambda *args: calls.append(1) or _evaluate(*args))
+        # (n, k) = (3, 1) and (6, 3) weight the tangential gradient by
+        # n - 1 = 2 and 5, so a wrong multiplicity cannot hide behind n - 1 = 3.
+        for (n, k), grid in itertools.product([(4, 2), (3, 1), (6, 3)], [24, 1000]):
+            spec = ProblemSpec(cone=ConeSpec(n, k), tau=0.8, domain=domain,
+                               delta=delta, grid=grid)
+            # an iterate that is admissible for the deformed cone
+            prof = continuation_tau(spec).profile
+            r = spec.radii()
+            psi = spec.rhs_values(r)
+            cone = spec.solve_cone()
+            _, _, state = _evaluate(prof.u, spec, r, psi, cone)
+            ja = _analytic_jacobian(prof.u, spec, r, cone, state)
+            calls.clear()
+            jf = _fd_jacobian(prof.u, spec, r, psi, cone)
+            assert len(calls) == 12     # three colours, four evaluations each
+            scale = np.max(np.abs(jf))
+            assert np.max(np.abs(ja - jf)) / scale < 1e-6, (n, k, grid)
 
 
 class TestNewton:
