@@ -95,16 +95,19 @@ def summarise(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(parent: Path, change: Path) -> dict:
+def compare(parent: Path, change: Path, workloads=None, pairs=PAIRS,
+            first_seed=FIRST_SEED) -> dict:
+    """End-to-end metrics of `pairs` alternating (parent, change) untraced
+    runs per workload (default: every workload BENCHMARK.json lists)."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     out = {}
-    for workload in (w["name"] for w in bench["workloads"]):
+    for workload in workloads or [w["name"] for w in bench["workloads"]]:
         runs = {"parent": [], "change": []}
-        for i in range(PAIRS):
+        for i in range(pairs):
             sides = [("parent", parent), ("change", change)]
             for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
                 runs[side].append(run_perfbench(checkout, workload,
-                                                FIRST_SEED + i, 0))
+                                                first_seed + i, 0))
         metrics = {}
         for m in bench["end_to_end"]:
             name, lower = m["name"], m["better"] == "lower"
@@ -115,7 +118,7 @@ def compare(parent: Path, change: Path) -> dict:
                              "bound": m["bound"], "parent": summarise(p),
                              "change": summarise(c), "change_wins": wins}
         out[workload] = {
-            "seeds": list(range(FIRST_SEED, FIRST_SEED + PAIRS)),
+            "seeds": list(range(first_seed, first_seed + pairs)),
             "all_correct": all(r["correct"] for side in runs.values() for r in side),
             "end_to_end": metrics}
     return out

@@ -14,6 +14,7 @@ flags override the file.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,8 @@ import numpy as np
 def _format17(obj) -> str:
     """JSON text with every float rendered to 17 significant digits."""
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        # json spells non-finite floats NaN, Infinity and -Infinity.
+        return format(obj, ".17g") if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, str)):
@@ -44,7 +46,7 @@ def _format17(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _format17(obj.tolist())
     if isinstance(obj, (np.floating,)):
-        return format(float(obj), ".17g")
+        return _format17(float(obj))
     if isinstance(obj, (np.integer,)):
         return json.dumps(int(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")

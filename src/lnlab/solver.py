@@ -11,8 +11,6 @@ fully nonlinear operator) and in the boundary datum delta (downward, toward
 the zero-boundary problem whose solutions satisfy u / dist -> 1).
 """
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -156,15 +154,18 @@ class SolveReport:
         return json.dumps(self.to_dict(include_profile), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
-        """CSV with columns r, u, residual, margin."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r", "u", "residual", "margin"])
-        for i in range(self.profile.r.size):
-            writer.writerow([format(x, ".17g") for x in
-                             (self.profile.r[i], self.profile.u[i],
-                              self.residual_nodes[i], self.margin_nodes[i])])
-        return buf.getvalue()
+        """CSV with columns r, u, residual, margin: one row per node, every
+        value to 17 significant digits, so it reads back bit for bit."""
+        missing = [name for name in ("residual_nodes", "margin_nodes")
+                   if getattr(self, name) is None]
+        if missing:
+            raise InvalidArgumentError(
+                "report has no node arrays to write; missing: " + ", ".join(missing))
+        cols = np.stack((self.profile.r, self.profile.u,
+                         self.residual_nodes, self.margin_nodes), axis=1)
+        template = ("r,u,residual,margin\n"
+                    + "{:.17g},{:.17g},{:.17g},{:.17g}\n" * len(cols))
+        return template.format(*cols.ravel().tolist())
 
 
 @dataclass

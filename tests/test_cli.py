@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import lnlab.acceptance as acceptance
 import lnlab.cones as cones
-from lnlab.cli import main
+from lnlab.cli import _format17, main
+from lnlab.solver import DeltaContinuationResult
 
 
 class TestCone:
@@ -148,6 +151,20 @@ class TestVerify:
         assert {rec["name"] for rec in payload} == {"barrier", "mu-plus-table"}
         assert all(rec["passed"] for rec in payload)
 
+    def test_failed_ln_limit_report_is_valid_json(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A failed sweep measures nan, which the report must still spell as
+        JSON."""
+        failed = DeltaContinuationResult(deltas=[0.1, 0.05], reports=[],
+                                         failed_delta=0.05)
+        monkeypatch.setattr(acceptance, "_ln_limit_sweep",
+                            lambda: (None, failed))
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--only", "ln-limit", "--out", str(out)]) == 1
+        [rec] = json.loads(out.read_text())
+        assert rec["name"] == "ln-limit" and rec["passed"] is False
+        assert rec["measured"] != rec["measured"]
+
     def test_mutated_sigma_recurrence_fails_named_criterion(self, capsys,
                                                             monkeypatch):
         """Injecting a 10% error into each step of the sigma recurrence
@@ -164,3 +181,22 @@ class TestVerify:
 
     def test_seed_changes_nothing_for_deterministic_criteria(self, capsys):
         assert main(self.FAST + ["--seed", "5"]) == 0
+
+
+class TestFormat17:
+    def test_non_finite_floats_round_trip(self):
+        payload = {"a": float("nan"), "b": [float("inf"), -float("inf")],
+                   "c": np.float64("-inf")}
+        text = _format17(payload)
+        assert text == '{"a": NaN, "b": [Infinity, -Infinity], "c": -Infinity}'
+        back = json.loads(text)
+        assert back["a"] != back["a"]
+        assert back["b"] == [float("inf"), -float("inf")]
+        assert back["c"] == -float("inf")
+
+    def test_finite_floats_keep_17_digits(self):
+        values = [1 / 3, -0.0, 5e-324, 1e22, 0.1, np.float64(2 / 3)]
+        text = _format17(values)
+        assert text == "[" + ", ".join(format(float(x), ".17g")
+                                       for x in values) + "]"
+        assert json.loads(text) == [float(x) for x in values]

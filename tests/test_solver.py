@@ -1,5 +1,7 @@
 """Solver: residual oracles, Newton, Jacobian, continuation, comparison tools."""
 
+import csv
+import io
 import itertools
 import json
 from dataclasses import replace
@@ -12,8 +14,8 @@ from lnlab import (Annulus, Ball, ConeSpec, NewtonOptions, ProblemSpec,
                    comparison_check, continuation_delta, continuation_tau,
                    initial_profile, newton_solve, residual)
 import lnlab.solver as solver_module
-from lnlab.solver import (_analytic_jacobian, _evaluate, _fd_jacobian,
-                          default_delta_schedule, node_margins)
+from lnlab.solver import (SolveReport, _analytic_jacobian, _evaluate,
+                          _fd_jacobian, default_delta_schedule, node_margins)
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError)
 
@@ -289,6 +291,33 @@ class TestComparisonTheorems:
         assert comparison_check(high.profile, base.profile, "ge")
 
 
+# Verbatim copy of SolveReport.to_csv before it filled one row template per
+# report: the CSV bytes must not change.
+def reference_to_csv(self):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["r", "u", "residual", "margin"])
+    for i in range(self.profile.r.size):
+        writer.writerow([format(x, ".17g") for x in
+                         (self.profile.r[i], self.profile.u[i],
+                          self.residual_nodes[i], self.margin_nodes[i])])
+    return buf.getvalue()
+
+
+def special_values_report():
+    """A report whose columns hold values a float writer can get wrong."""
+    odd = [np.inf, np.nan, -0.0, 5e-324, 1e22, 1 / 3]
+    profile = RadialProfile(r=np.linspace(0.0, 1.0, 6),
+                            u=[1 / 3, 1e22, 5e-324, 0.1, 2 / 3, -0.0])
+    return SolveReport(profile=profile, residual_sup=np.inf,
+                       admissibility_margin_min=-np.inf, boundary_slope=np.nan,
+                       c0_bounds=(0.0, 1e22), grad_sup=np.inf,
+                       newton_iterations=0, continuation_steps=0,
+                       converged=False, tau=0.5, delta=0.1,
+                       residual_nodes=np.array(odd),
+                       margin_nodes=-np.array(odd[::-1]))
+
+
 class TestReport:
     def test_json_roundtrip_and_determinism(self):
         spec = ball_spec(grid=100)
@@ -305,3 +334,28 @@ class TestReport:
         lines = rep.to_csv().strip().split("\n")
         assert lines[0] == "r,u,residual,margin"
         assert len(lines) == 52
+
+    def test_csv_matches_reference_writer(self):
+        annulus = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9,
+                              domain=Annulus(0.5, 1.0), delta=0.05, grid=60)
+        reports = [continuation_tau(ball_spec(grid=50)),
+                   continuation_tau(annulus), special_values_report()]
+        for rep in reports:
+            text = rep.to_csv()
+            assert text == reference_to_csv(rep)
+            back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1,
+                              ndmin=2)
+            written = np.stack((rep.profile.r, rep.profile.u,
+                                rep.residual_nodes, rep.margin_nodes), axis=1)
+            nan = np.isnan(written)
+            assert np.array_equal(np.isnan(back), nan)
+            assert np.array_equal(back.view(np.int64)[~nan],
+                                  written.view(np.int64)[~nan])
+
+    def test_csv_without_node_arrays(self):
+        rep = continuation_tau(ball_spec(grid=24))
+        with pytest.raises(InvalidArgumentError, match="missing: residual_nodes$"):
+            replace(rep, residual_nodes=None).to_csv()
+        with pytest.raises(InvalidArgumentError,
+                           match="missing: residual_nodes, margin_nodes"):
+            replace(rep, residual_nodes=None, margin_nodes=None).to_csv()
