@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import ConeSpec, cone_margin, f_eval, grad_f, mu_plus, tau_deform
-from .schouten import (_two_valued, barrier_profile, hyperbolic_ball_profile,
-                       radial_schouten_spectrum, ricci_spectrum_from_schouten,
-                       spectrum_field)
+from .schouten import (barrier_profile, halfspace_schouten_spectrum,
+                       hyperbolic_ball_profile, radial_schouten_spectrum,
+                       ricci_spectrum_from_schouten, spectrum_field)
 from .admissible import find_N, linear_auxiliary, verify_admissible
 from .solver import (Annulus, Ball, NewtonOptions, ProblemSpec,
                      comparison_check, continuation_delta, continuation_tau)
@@ -96,10 +96,9 @@ def check_barrier() -> CriterionResult:
         worst = max(worst,
                     float(np.max(np.abs(rad - 2 / R**2))),
                     float(np.max(np.abs(tan - 2 / R**2))))
-        fval = f_eval(ConeSpec(3, 1), _two_valued(2 / R**2, 2 / R**2, 3))
+        fval = f_eval(ConeSpec(3, 1), (2 / R**2, 2 / R**2))
         ok = ok and fval >= 0.5 - 1e-14
-    super_fails_at_21 = f_eval(ConeSpec(3, 1),
-                               _two_valued(2 / 2.1**2, 2 / 2.1**2, 3)) < 0.5
+    super_fails_at_21 = f_eval(ConeSpec(3, 1), (2 / 2.1**2, 2 / 2.1**2)) < 0.5
     passed = worst <= 1e-10 and ok and super_fails_at_21
     return CriterionResult("barrier", passed, worst, "<= 1e-10",
                            "R in {0.5,1,2} exact; f >= 1/2 iff R <= 2")
@@ -111,23 +110,21 @@ def check_certificate_constructor() -> CriterionResult:
     x = np.linspace(0.0, 1.0, 41)
     data = linear_auxiliary(x)
     cert = find_N(data)
-    passed = True
+    # Direct spectrum of e^{2 e^{Nv}} * delta with v a flat coordinate:
+    # the half-space pair of w = e^{-e^{Nv}} over w^2, relative to the flat
+    # reference, matching the certified bound exactly in the flat case.
+    eNv = np.exp(cert.N * data.v)
+    direct = halfspace_schouten_spectrum(
+        1.0, -cert.N * eNv, cert.N**2 * eNv**2 - cert.N**2 * eNv)
+    bound = np.exp(cert.log_scale)[:, None] * np.stack((cert.chi1, cert.chi2), axis=-1)
+    passed = float(np.max(np.abs(direct - bound) / np.abs(bound))) < 1e-12
     worst_margin = np.inf
     for (n, k) in ((4, 2), (6, 3)):
         ok, margin = verify_admissible(data, cert, ConeSpec(n, k))
         passed = passed and ok and margin > 0
-        # Direct spectrum of e^{2 e^{Nv}} * delta with v a flat coordinate:
-        # one normal eigenvalue, n-1 tangential, relative to the flat
-        # reference, matching the certified bound exactly in the flat case.
-        eNv = np.exp(cert.N * data.v)
-        tang = 0.5 * (cert.N * eNv)**2
-        norm = tang - (cert.N**2 * eNv**2 - cert.N**2 * eNv)
-        spectra = _two_valued(norm, tang, n)
-        direct = cone_margin(ConeSpec(n, k), spectra)
-        passed = passed and bool(np.all(direct > 0))
-        bound = cert.lower_bound_spectra(n)
-        passed = passed and float(np.max(np.abs(spectra - bound) / np.abs(bound))) < 1e-12
-        worst_margin = min(worst_margin, float(np.min(direct)))
+        margins = cone_margin(ConeSpec(n, k), direct)
+        passed = passed and bool(np.all(margins > 0))
+        worst_margin = min(worst_margin, float(np.min(margins)))
     return CriterionResult("certificate-constructor", passed, worst_margin, "> 0",
                            f"N = {cert.N:g}, mu_required = {cert.mu_required:.4f}")
 

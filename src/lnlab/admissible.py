@@ -3,11 +3,14 @@
 Given a background with metric-equivalence / Schouten / Hessian bounds
 (C0, C2, C3) and an auxiliary function v >= 1 with no critical points, the
 rescaling g^N = e^{2 e^{N v}} g has a certified componentwise spectrum lower
-bound scale * (chi1, chi2, ..., chi2).  For N large enough that
+bound scale * (chi1, chi2, ..., chi2) (see rescaled_metric_spectrum_bound).
+The certificate is valid when, at every node,
 
-    1/2 < chi2   and   chi1 > -chi2 + e^{-N v}   at every node,
+    q = 4*C0*C3 / (N |dv|^2) + 4*C0*C2 e^{-N v} / (N^2 |dv|^2) < 1,
 
-the bound lies in any cone whose mu+ exceeds 1 - e^{-N max(v)}.
+which is chi1 > -chi2 + e^{-N v} multiplied through by e^{N v}, and implies
+chi2 > 1/2.  A valid bound lies in any cone whose mu+ is at least
+1 - e^{-N max(v)}.
 """
 
 import json
@@ -17,7 +20,7 @@ import numpy as np
 
 from .cones import ConeSpec, cone_margin, mu_plus
 from .errors import CriticalPointError, InvalidArgumentError, NoCertificateError
-from .schouten import _two_valued, rescaled_metric_spectrum_bound
+from .schouten import rescaled_metric_spectrum_bound
 
 # Geometric scan N in {2^j / 8 : j = 0..40}; smallest valid value is returned.
 N_SCAN = [2.0**j / 8.0 for j in range(41)]
@@ -32,7 +35,7 @@ class BackgroundData:
 
     v >= 1 everywhere, |dv|^2 > 0 everywhere (no critical points); C0 >= 1
     bounds the metric equivalence and Christoffel symbols, C2 the Schouten
-    tensor from above, C3 the Hessian of v.
+    tensor from above, C3 the Hessian of v.  All values must be finite.
     """
 
     v: np.ndarray
@@ -48,6 +51,9 @@ class BackgroundData:
         object.__setattr__(self, "dv_sq", dv_sq)
         if v.shape != dv_sq.shape or v.ndim != 1 or v.size == 0:
             raise InvalidArgumentError("v and dv_sq must be matching non-empty 1-d arrays")
+        for name in ("v", "dv_sq", "C0", "C2", "C3"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidArgumentError(f"{name} must be finite")
         if np.any(v < 1.0):
             raise InvalidArgumentError("auxiliary function must satisfy v >= 1 everywhere")
         if np.any(dv_sq <= 0.0):
@@ -58,31 +64,32 @@ class BackgroundData:
 
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
-    """A value of N with its per-node lower-bound data.
+    """A value of N with the per-node (t, e^{-N v}, log(scale), q) of
+    rescaled_metric_spectrum_bound.
 
-    Valid iff at every node chi2 > 1/2 and chi1 > -chi2 + e^{-N v}; any cone
-    with mu+ >= mu_required = 1 - e^{-N max(v)} then contains the bound.
+    Valid iff q < 1 at every node; any cone with mu+ >= mu_required =
+    1 - e^{-N max(v)} then contains the bound.
     """
 
     N: float
-    chi1: np.ndarray
-    chi2: np.ndarray
-    scale: np.ndarray
+    t: np.ndarray
+    e_neg: np.ndarray
+    log_scale: np.ndarray
+    q: np.ndarray
     mu_required: float
 
-    def slack(self, v: np.ndarray) -> np.ndarray:
-        """Per-node slack chi1 - (-chi2 + e^{-N v}); positive when valid.
+    @property
+    def chi1(self) -> np.ndarray:
+        return -1.0 + 2.0 * self.e_neg - self.t
 
-        Evaluated as e^{-N v} - 2*(1 - chi2), which is algebraically identical
-        (chi1 + chi2 = 2 e^{-N v} - 2*(1 - chi2)) but avoids the catastrophic
-        cancellation of chi1 + chi2 when both round to +-1 at large N.
-        """
-        eNv = np.exp(-self.N * np.asarray(v))
-        return eNv - 2.0 * (1.0 - self.chi2)
+    @property
+    def chi2(self) -> np.ndarray:
+        return 1.0 - self.t
 
-    def lower_bound_spectra(self, n: int) -> np.ndarray:
-        """Certified spectrum lower bounds, shape (nodes, n)."""
-        return _two_valued(self.scale * self.chi1, self.scale * self.chi2, n)
+    def slack(self) -> np.ndarray:
+        """Per-node 1 - q, the slack chi1 - (-chi2 + e^{-N v}) times e^{N v}:
+        positive exactly where valid, with no underflow at any N."""
+        return 1.0 - self.q
 
     def to_dict(self) -> dict:
         return {
@@ -90,8 +97,8 @@ class AdmissibilityCertificate:
             "mu_required": self.mu_required,
             "worst_chi1": float(self.chi1.min()),
             "worst_chi2": float(self.chi2.min()),
-            "worst_slack": float((self.chi1 + self.chi2).min()),
-            "min_scale": float(self.scale.min()),
+            "worst_slack": float(self.slack().min()),
+            "min_log_scale": float(self.log_scale.min()),
         }
 
     def to_json(self) -> str:
@@ -99,30 +106,19 @@ class AdmissibilityCertificate:
 
 
 def _certificate_at(data: BackgroundData, N: float) -> AdmissibilityCertificate:
-    chi1, chi2, scale = rescaled_metric_spectrum_bound(
+    t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(
         N, data.v, data.dv_sq, data.C0, data.C2, data.C3)
-    chi1 = np.atleast_1d(chi1)
-    chi2 = np.atleast_1d(chi2)
-    scale = np.atleast_1d(scale)
-    mu_required = 1.0 - float(np.exp(-N * data.v.max()))
-    return AdmissibilityCertificate(N=N, chi1=chi1, chi2=chi2, scale=scale,
-                                    mu_required=mu_required)
-
-
-def _is_valid(cert: AdmissibilityCertificate, data: BackgroundData) -> bool:
-    # chi2 <= 1 holds identically (the correction terms are nonnegative), so
-    # only the lower conditions need checking; equality chi2 = 1 occurs for
-    # flat data and is accepted.
-    return bool(np.all(cert.chi2 > 0.5) and np.all(cert.slack(data.v) > 0.0))
+    return AdmissibilityCertificate(N=N, t=t, e_neg=e_neg, log_scale=log_scale,
+                                    q=q, mu_required=1.0 - float(e_neg.min()))
 
 
 def find_N(data: BackgroundData) -> AdmissibilityCertificate:
     """Smallest N on the geometric scan grid with a valid certificate."""
     for N in N_SCAN:
         cert = _certificate_at(data, N)
-        if _is_valid(cert, data):
+        if np.all(cert.slack() > 0.0):
             return cert
-    worst = int(np.argmin(cert.slack(data.v)))
+    worst = int(np.argmin(cert.slack()))
     raise NoCertificateError(
         f"no valid certificate for N up to {N_SCAN[-1]:g}; worst node {worst}",
         worst_node=worst)
@@ -132,17 +128,27 @@ def verify_admissible(data: BackgroundData, cert: AdmissibilityCertificate,
                       cone: ConeSpec):
     """Check a certificate against a concrete cone.
 
-    ok iff mu+(cone) >= mu_required and the certified lower-bound vector lies
-    in the cone at every node; the margin is the worst cone margin.  By
-    monotonicity of f, membership of the lower bound implies membership of the
-    true spectrum.
+    ok iff mu+(cone) >= mu_required and the certified lower bound lies in the
+    cone at every node (by monotonicity of f, so then does the true
+    spectrum).  The scale is positive, and a pair (chi1, chi2) with chi2 > 0
+    lies in the cone exactly when chi1 + mu+ * chi2 > 0, tested in slack form
+
+        chi1 + mu+ * chi2 = (mu+ - 1) * chi2 + e^{-N v} (2 - q),
+
+    with e^{-N v} > 0 kept apart, so its sign survives e^{-N v} underflowing.
+    The margin is the worst cone_margin of the pairs (chi1, chi2); it rounds
+    to 0 within about eps of the cone boundary, where ok still holds its sign.
     """
-    if cert.chi1.shape != data.v.shape:
+    if cert.q.shape != data.v.shape:
         raise InvalidArgumentError("certificate was not produced for this data")
-    spectra = cert.lower_bound_spectra(cone.n)
-    margins = cone_margin(cone, spectra)
-    margin = float(np.min(margins))
-    ok = mu_plus(cone) >= cert.mu_required and bool(np.all(margins > 0.0))
+    mu = mu_plus(cone)
+    chi1, chi2 = cert.chi1, cert.chi2
+    lead = (mu - 1.0) * chi2
+    tail = 1.0 + cert.slack()
+    inside = (chi2 > 0.0) & (((lead >= 0.0) & (tail > 0.0))
+                             | (lead + cert.e_neg * tail > 0.0))
+    margin = float(np.min(cone_margin(cone, np.stack((chi1, chi2), axis=-1))))
+    ok = mu >= cert.mu_required and bool(np.all(inside))
     return ok, margin
 
 

@@ -58,13 +58,6 @@ def _eigenpair(v, v_r, v_rr, r):
     return radial, tangential
 
 
-def _two_valued(a, b, n: int) -> np.ndarray:
-    """Spectra (a, b, ..., b) of length n along a new last axis."""
-    out = np.repeat(np.asarray(b, dtype=float)[..., None], n, axis=-1)
-    out[..., 0] = a
-    return out
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """A conformal factor sampled on a uniform radial grid.
@@ -97,10 +90,6 @@ class RadialProfile:
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    @property
-    def is_ball(self) -> bool:
-        return self.r[0] == 0.0
-
     def derivatives(self):
         """Second-order discrete (u_r, u_rr); see _radial_stencil."""
         return _radial_stencil(self.u, self.r)
@@ -116,8 +105,9 @@ class SchoutenSpectrumField:
     n: int
 
     def spectra(self) -> np.ndarray:
-        """Full eigenvalue vectors, shape (nodes, n): radial first, then n-1 tangential."""
-        return _two_valued(self.radial, self.tangential, self.n)
+        """Per-node pairs (radial, tangential), shape (nodes, 2), each standing
+        for the spectrum (radial, tangential, ..., tangential) of length n."""
+        return np.stack((self.radial, self.tangential), axis=-1)
 
 
 def radial_schouten_spectrum(v, v_r, v_rr, r, n: int):
@@ -138,16 +128,16 @@ def radial_schouten_spectrum(v, v_r, v_rr, r, n: int):
     return float(radial), float(tangential)
 
 
-def halfspace_schouten_spectrum(w, w_prime, w_doubleprime, n: int) -> np.ndarray:
+def halfspace_schouten_spectrum(w, w_prime, w_doubleprime) -> np.ndarray:
     """Spectrum of -g_w^{-1} A_{g_w} for g_w = w(x_n)^-2 * delta on a half-space.
 
-    Returns (w'^2/2 - w*w'' , w'^2/2, ..., w'^2/2) with the normal direction
-    first.
+    Returns the pair (w'^2/2 - w*w'', w'^2/2) along a new last axis: the
+    normal eigenvalue, then the one shared by the n-1 tangential directions.
     """
-    if w <= 0:
+    if np.any(np.asarray(w) <= 0):
         raise InvalidProfileError("conformal factor must be positive")
-    tangential = 0.5 * w_prime**2
-    return _two_valued(tangential - w * w_doubleprime, tangential, n)
+    tangential = 0.5 * np.asarray(w_prime, dtype=float)**2
+    return np.stack((tangential - w * w_doubleprime, tangential), axis=-1)
 
 
 def spectrum_field(profile: RadialProfile, n: int) -> SchoutenSpectrumField:
@@ -173,15 +163,24 @@ def ricci_spectrum_from_schouten(schouten: np.ndarray, n: int) -> np.ndarray:
 
 
 def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):
-    """Certified componentwise lower bound for the spectrum of g^N = e^{2 e^{Nv}} g.
+    """Certified lower bound for the spectrum of g^N = e^{2 e^{Nv}} g.
 
-    Returns (chi1, chi2, scale) with the guaranteed bound
-    lam(-g^{-1} A_{g^N}) >= scale * (chi1, chi2, ..., chi2), where
+    The guaranteed bound is lam(-g^{-1} A_{g^N}) >= scale * (chi1, chi2, ..., chi2)
+    with
 
-        chi2  = 1 - 2*C0*C2/(N^2 e^{2Nv} |dv|^2) - 2*C0*C3/(N e^{Nv} |dv|^2),
-        chi1  = -chi2 + 2 e^{-Nv} - 4*C0*C2/(N^2 e^{2Nv} |dv|^2)
-                                  - 4*C0*C3/(N e^{Nv} |dv|^2),
+        chi2  = 1 - t,    chi1 = -1 + 2 e^{-Nv} - t,    t = t2 + t3,
+        t2    = 2*C0*C2 / (N^2 e^{2Nv} |dv|^2),   t3 = 2*C0*C3 / (N e^{Nv} |dv|^2),
         scale = N^2 e^{2Nv} |dv|^2 / (2*C0).
+
+    Returns per node (t, e^{-Nv}, log(scale), q), where
+
+        q = 2 t e^{Nv} = 4*C0*C3 / (N |dv|^2) + 4*C0*C2 e^{-Nv} / (N^2 |dv|^2)
+
+    is the correction relative to e^{-Nv}, rounded up (t follows it, so the
+    bound stays a lower bound).  The slack chi1 - (-chi2 + e^{-Nv}) equals
+    e^{-Nv} (1 - q), so the bound is a valid certificate exactly where q < 1,
+    which also gives chi2 > 1/2.  Nothing here forms e^{Nv}: t and e^{-Nv}
+    underflow to 0 at large N*v, while q and log(scale) stay accurate.
 
     |dv|^2 is measured in the flat reference metric; the C0 in the scale
     converts it to a lower bound for the metric norm.
@@ -190,23 +189,16 @@ def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):
     dv_sq = np.asarray(dv_sq, dtype=float)
     if np.any(dv_sq <= 0):
         raise CriticalPointError("auxiliary function has a critical point (|dv|^2 <= 0)")
-    if N <= 0:
-        raise InvalidArgumentError(f"N must be positive, got {N}")
+    if not 0 < N < np.inf:
+        raise InvalidArgumentError(f"N must be positive and finite, got {N}")
     if np.any(v < 1):
         raise InvalidArgumentError("auxiliary function must satisfy v >= 1")
-    # Large N overflows e^{Nv}; the correction terms then saturate to 0 (or
-    # +inf when the gradient is degenerate), and the validity checks downstream
-    # handle either sign correctly, so the warnings are suppressed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        eNv = np.exp(N * v)
-        t2 = 2.0 * C0 * C2 / (N**2 * eNv**2 * dv_sq)
-        t3 = 2.0 * C0 * C3 / (N * eNv * dv_sq)
-        chi2 = 1.0 - t2 - t3
-        chi1 = -chi2 + 2.0 / eNv - 2.0 * t2 - 2.0 * t3
-        scale = 0.5 * N**2 * eNv**2 * dv_sq / C0
-    if chi2.ndim:
-        return chi1, chi2, scale
-    return float(chi1), float(chi2), float(scale)
+    e_neg = np.exp(-N * v)
+    # Rounded up by 2^-48, more than exp and four roundings lose when N*v is
+    # exact (N a power of two, as on the scan), so q < 1 holds exactly too.
+    q = 4.0 * C0 * (C3 + C2 * e_neg / N) / (N * dv_sq) * (1.0 + 2.0**-48)
+    log_scale = 2.0 * np.log(N) + 2.0 * N * v + np.log(dv_sq) - np.log(2.0 * C0)
+    return 0.5 * q * e_neg, e_neg, log_scale, q
 
 
 def hyperbolic_ball_profile(grid: int, radius: float = 1.0) -> RadialProfile:

@@ -25,12 +25,15 @@ from .schouten import RadialProfile, _eigenpair, _radial_stencil
 
 NEWTON_TOL = 1e-10
 MARGIN_FLOOR = 1e-12
-MIN_LINESEARCH_STEP = 1e-14
+# The line search tries steps 1, 1/2, ..., 2^-MAX_HALVINGS.
+MAX_HALVINGS = 40
 TAU_STEP = 0.05
 MIN_TAU_STEP = 1e-6
 DELTA_RATIO = 0.5
 DELTA_START = 1e-1
 DELTA_END = 1e-4
+# Delta legs are compared on this inner share of the span, off the boundary layer.
+INTERIOR_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidArgumentError(f"ball radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise InvalidArgumentError(
+                f"ball radius must be positive and finite, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,9 @@ class Annulus:
     outer: float
 
     def __post_init__(self):
-        if not 0 < self.inner < self.outer:
+        if not 0 < self.inner < self.outer < math.inf:
             raise InvalidArgumentError(
-                f"annulus needs 0 < inner < outer, got ({self.inner}, {self.outer})")
+                f"annulus needs 0 < inner < outer < inf, got ({self.inner}, {self.outer})")
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,12 @@ class ProblemSpec:
         if self.grid < 8:
             raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
         for d in self.boundary_deltas():
-            if d is not None and d <= 0:
-                raise InvalidArgumentError(f"boundary data must be positive, got {d}")
-        if not callable(self.rhs) and self.rhs <= 0:
-            raise InvalidArgumentError(f"right-hand side must be positive, got {self.rhs}")
+            if d is not None and not 0 < d < math.inf:
+                raise InvalidArgumentError(
+                    f"boundary data delta must be positive and finite, got {d}")
+        if not callable(self.rhs) and not 0 < self.rhs < math.inf:
+            raise InvalidArgumentError(
+                f"right-hand side rhs must be positive and finite, got {self.rhs}")
 
     def boundary_deltas(self):
         """(inner, outer) boundary values; inner is None on a ball."""
@@ -105,8 +111,8 @@ class ProblemSpec:
     def rhs_values(self, r: np.ndarray) -> np.ndarray:
         psi = self.rhs(r) if callable(self.rhs) else np.full_like(r, float(self.rhs))
         psi = np.asarray(psi, dtype=float)
-        if np.any(psi <= 0):
-            raise InvalidArgumentError("right-hand side must be positive on the grid")
+        if not np.all((psi > 0) & (psi < math.inf)):
+            raise InvalidArgumentError("right-hand side must be positive and finite on the grid")
         return psi
 
     def solve_cone(self) -> ConeSpec:
@@ -172,8 +178,6 @@ class SolveReport:
 class NewtonOptions:
     max_iterations: int = 60
     tol: float = NEWTON_TOL
-    margin_floor: float = MARGIN_FLOOR
-    max_halvings: int = 40
 
 
 def _pde_rows(spec: ProblemSpec):
@@ -435,7 +439,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
 
     u = init.u.copy()
     F, margins, state = _evaluate(u, spec, r, psi, cone)
-    if not np.all(margins > opts.margin_floor):
+    if not np.all(margins > MARGIN_FLOOR):
         worst = _worst_node(spec, margins)
         raise InadmissibleIterateError(
             f"initial profile inadmissible (worst node {worst}, "
@@ -451,22 +455,18 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         step = solve_banded((1, 1), ab, -F)
 
         t = 1.0
-        accepted = False
-        halvings = 0
-        while t >= MIN_LINESEARCH_STEP and halvings <= opts.max_halvings:
+        for _ in range(MAX_HALVINGS + 1):
             u_try = u + t * step
             interior_ok = np.all(u_try[1:-1] > 0.0) and u_try[0] > 0.0 and u_try[-1] > 0.0
             if interior_ok:
                 F_try, m_try, s_try = _evaluate(u_try, spec, r, psi, cone)
-                if (np.all(m_try > opts.margin_floor)
+                if (np.all(m_try > MARGIN_FLOOR)
                         and float(np.max(np.abs(F_try))) < res):
                     u, F, margins, state = u_try, F_try, m_try, s_try
                     res = float(np.max(np.abs(F)))
-                    accepted = True
                     break
             t *= 0.5
-            halvings += 1
-        if not accepted:
+        else:
             return _make_report(u, spec, r, psi, cone, F, margins,
                                 it, continuation_steps, False)
     return _make_report(u, spec, r, psi, cone, F, margins,
@@ -562,8 +562,7 @@ def _blend_boundary(profile: RadialProfile, spec_next: ProblemSpec) -> RadialPro
 
 
 def continuation_delta(spec: ProblemSpec, delta_schedule=None,
-                       opts: NewtonOptions | None = None,
-                       interior_fraction: float = 0.5) -> DeltaContinuationResult:
+                       opts: NewtonOptions | None = None) -> DeltaContinuationResult:
     """Sweep the boundary datum down a strictly decreasing schedule.
 
     The first leg runs the full tau continuation; later legs warm-start from
@@ -576,13 +575,14 @@ def continuation_delta(spec: ProblemSpec, delta_schedule=None,
         delta_schedule = default_delta_schedule()
     delta_schedule = list(delta_schedule)
     if any(d2 >= d1 for d1, d2 in zip(delta_schedule, delta_schedule[1:])) or \
-            any(d <= 0 for d in delta_schedule):
-        raise InvalidArgumentError("delta schedule must be strictly decreasing and positive")
+            any(not 0 < d < math.inf for d in delta_schedule):
+        raise InvalidArgumentError(
+            "delta schedule must be strictly decreasing, positive and finite")
 
     result = DeltaContinuationResult(deltas=[], reports=[])
     prev_report = None
     r = spec.radii()
-    half = r[0] + interior_fraction * (r[-1] - r[0])
+    half = r[0] + INTERIOR_FRACTION * (r[-1] - r[0])
     interior = r <= half
     tol = (r[1] - r[0])**2
 

@@ -91,6 +91,18 @@ class TestSolve:
                    "--outer", "0.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--rhs", "nan"], "rhs"),
+        (["--rhs", "inf"], "rhs"),
+        (["--delta-schedule", "nan"], "delta"),
+        (["--radius", "inf"], "radius"),
+        (["--domain", "annulus", "--inner", "0.5", "--outer", "inf"], "outer"),
+    ])
+    def test_non_finite_value_is_usage_error(self, capsys, flags, name):
+        assert main(["solve", "--grid", "50"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_annulus_missing_radii(self, capsys):
         assert main(["solve", "--domain", "annulus"]) == 2
 

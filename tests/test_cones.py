@@ -15,7 +15,6 @@ from lnlab import (ConeSpec, cone_margin, contains_ray_e1, f_eval, grad_f,
 from lnlab.cones import _f_and_grad_unchecked, sigma_all
 from lnlab.errors import (ConeDomainError, DegeneratePointError,
                           InvalidArgumentError)
-from lnlab.schouten import _two_valued
 
 
 def sigma_by_enumeration(lam, j):
@@ -303,7 +302,7 @@ class TestPairForm:
     @settings(max_examples=15, deadline=None)
     @given(lam=pairs(60))
     def test_margin_f_and_grad_match_full(self, n, tau, lam):
-        full = _two_valued(lam[:, 0], lam[:, 1], n)
+        full = np.column_stack([lam[:, 0]] + [lam[:, 1]] * (n - 1))
         for k in range(1, n + 1):
             cone = ConeSpec(n, k, tau)
             mp, mf = cone_margin(cone, lam), cone_margin(cone, full)

@@ -50,7 +50,9 @@ class TestModelSpectra:
         fld = spectrum_field(prof, 4)
         assert np.allclose(fld.radial, 0.5, atol=1e-12)
         assert np.allclose(fld.tangential, 0.5, atol=1e-12)
-        assert fld.spectra().shape == (201, 4)
+        pairs = fld.spectra()
+        assert pairs.shape == (201, 2)
+        assert np.array_equal(pairs, np.column_stack((fld.radial, fld.tangential)))
 
     def test_hyperbolic_scaled_radius(self):
         prof = hyperbolic_ball_profile(100, radius=3.0)
@@ -71,13 +73,14 @@ class TestModelSpectra:
     def test_halfspace_exponential(self):
         # w = e^{-x}: w' = -w, w'' = w, so normal = -w^2/2, tangential = w^2/2
         w = 0.7
-        spec = halfspace_schouten_spectrum(w, -w, w, 4)
+        spec = halfspace_schouten_spectrum(w, -w, w)
+        assert spec.shape == (2,)
         assert spec[0] == pytest.approx(-0.5 * w**2)
-        assert np.allclose(spec[1:], 0.5 * w**2)
+        assert spec[1] == pytest.approx(0.5 * w**2)
 
     def test_positive_factor_required(self):
         with pytest.raises(InvalidProfileError):
-            halfspace_schouten_spectrum(-1.0, 0.0, 0.0, 3)
+            halfspace_schouten_spectrum(-1.0, 0.0, 0.0)
         with pytest.raises(InvalidProfileError):
             radial_schouten_spectrum(-1.0, 0.0, 0.0, 1.0, 3)
 
@@ -128,39 +131,52 @@ class TestRicci:
 class TestRescaledBound:
     def test_flat_case(self):
         v = np.array([1.0, 1.5, 2.0])
-        chi1, chi2, scale = rescaled_metric_spectrum_bound(
+        t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(
             2.0, v, np.ones(3), 1.0, 0.0, 0.0)
-        assert np.allclose(chi2, 1.0)
-        assert np.allclose(chi1, -1.0 + 2 * np.exp(-2.0 * v))
-        assert np.allclose(scale, 2.0 * np.exp(4.0 * v))
+        assert np.array_equal(t, np.zeros(3))
+        assert np.array_equal(q, np.zeros(3))
+        assert np.allclose(e_neg, np.exp(-2.0 * v))
+        assert np.allclose(log_scale, np.log(2.0) + 4.0 * v)
 
     def test_matches_direct_formula(self):
+        """Against the (chi1, chi2, scale) formulas with e^{Nv} formed
+        directly, where it does not overflow."""
         v = np.linspace(1.0, 2.0, 7)
         dv_sq = np.full(7, 0.8)
         N, C0, C2, C3 = 3.0, 1.4, 0.6, 0.9
-        chi1, chi2, scale = rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3)
+        t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3)
         eNv = np.exp(N * v)
         t2 = 2 * C0 * C2 / (N**2 * eNv**2 * dv_sq)
         t3 = 2 * C0 * C3 / (N * eNv * dv_sq)
-        assert np.allclose(chi2, 1 - t2 - t3, rtol=1e-14)
-        assert np.allclose(chi1, -chi2 + 2 / eNv - 2 * t2 - 2 * t3, rtol=1e-14)
-        assert np.allclose(scale, 0.5 * N**2 * eNv**2 * dv_sq / C0, rtol=1e-14)
+        chi2 = 1 - t2 - t3
+        chi1 = -chi2 + 2 / eNv - 2 * t2 - 2 * t3
+        assert np.allclose(1 - t, chi2, rtol=1e-14)
+        assert np.allclose(-1 + 2 * e_neg - t, chi1, rtol=1e-14)
+        assert np.allclose(np.exp(log_scale), 0.5 * N**2 * eNv**2 * dv_sq / C0, rtol=1e-13)
+        # q is the slack chi1 - (-chi2 + e^{-Nv}) = e^{-Nv} (1 - q), rescaled.
+        assert np.allclose(q, 1 - (chi1 + chi2 - 1 / eNv) * eNv, rtol=1e-12)
 
     def test_large_N_limits(self):
         v = np.array([1.0, 1.2])
         dv_sq = np.ones(2)
         for N in (5.0, 10.0):
-            chi1, chi2, _ = rescaled_metric_spectrum_bound(N, v, dv_sq, 2.0, 1.0, 1.0)
-            assert np.all(chi2 < 1.0)
-        # chi2 -> 1 and chi1 -> -1 as N grows
-        chi1, chi2, _ = rescaled_metric_spectrum_bound(60.0, v, dv_sq, 2.0, 1.0, 1.0)
-        assert np.allclose(chi2, 1.0, atol=1e-12)
-        assert np.allclose(chi1, -1.0, atol=1e-12)
+            t, _, _, _ = rescaled_metric_spectrum_bound(N, v, dv_sq, 2.0, 1.0, 1.0)
+            assert np.all(t > 0.0)
+        # Past N v ~ 745, e^{-Nv} and t underflow to 0; q keeps its value
+        # 4*C0*C3 / (N |dv|^2) + 4*C0*C2 e^{-Nv} / (N^2 |dv|^2) and log(scale)
+        # stays finite, with no overflow on the way.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(
+                1e4, v, dv_sq, 2.0, 1.0, 1.0)
+        assert np.array_equal(t, np.zeros(2)) and np.array_equal(e_neg, np.zeros(2))
+        assert np.allclose(q, 8e-4, rtol=1e-15)
+        assert np.allclose(log_scale, 2 * np.log(1e4) + 2e4 * v - np.log(4.0))
 
     def test_validation(self):
         with pytest.raises(CriticalPointError):
             rescaled_metric_spectrum_bound(1.0, np.ones(3), np.zeros(3), 1, 0, 0)
-        with pytest.raises(InvalidArgumentError):
-            rescaled_metric_spectrum_bound(-1.0, np.ones(3), np.ones(3), 1, 0, 0)
+        for N in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(InvalidArgumentError):
+                rescaled_metric_spectrum_bound(N, np.ones(3), np.ones(3), 1, 0, 0)
         with pytest.raises(InvalidArgumentError):
             rescaled_metric_spectrum_bound(1.0, 0.5 * np.ones(3), np.ones(3), 1, 0, 0)

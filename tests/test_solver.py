@@ -45,6 +45,20 @@ class TestProblemSpec:
         with pytest.raises(InvalidArgumentError):
             Ball(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_name(self, bad):
+        for make, name in ((lambda: Ball(bad), "radius"),
+                           (lambda: Annulus(0.5, bad), "inner < outer < inf"),
+                           (lambda: ball_spec(delta=bad), "delta"),
+                           (lambda: ball_spec(rhs=bad), "rhs")):
+            with pytest.raises(InvalidArgumentError, match=name):
+                make()
+        spec = ball_spec(grid=50, rhs=lambda r: np.where(r > 0.5, bad, 0.5))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            spec.rhs_values(spec.radii())
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            continuation_delta(ball_spec(grid=50), delta_schedule=[0.1, bad])
+
     def test_ball_rejects_delta_pair(self):
         with pytest.raises(InvalidArgumentError):
             ProblemSpec(cone=ConeSpec(3, 1), tau=0.5, domain=Ball(1.0),
