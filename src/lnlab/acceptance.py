@@ -72,16 +72,32 @@ def check_hyperbolic_exactness() -> CriterionResult:
 
 
 def check_mu_plus_table() -> CriterionResult:
-    """mu+ = (n-k)/k for Gamma_k^+; (1-tau)(n-1) for the deformed top cone."""
+    """mu+ = (n-k)/k for Gamma_k^+; (1-tau)(n-1) for the deformed top cone.
+
+    Independently of any closed form, the general full-form cone_margin must
+    put (-mu, 1, ..., 1) inside the cone just below mu = mu+ and outside just
+    above it, at a distance 1e-9 * max(1, mu+).
+    """
     worst = 0.0
+    misplaced = []
     for n in range(3, 9):
-        for k in range(1, n + 1):
-            worst = max(worst, abs(mu_plus(ConeSpec(n, k)) - (n - k) / k))
-        for tau in (0.25, 0.5, 0.75, 0.9):
-            worst = max(worst,
-                        abs(mu_plus(ConeSpec(n, n, tau)) - (1 - tau) * (n - 1)))
-    return CriterionResult("mu-plus-table", worst <= 1e-10, worst, "<= 1e-10",
-                           "n <= 8, all k, plus deformed top cones")
+        table = [(ConeSpec(n, k), (n - k) / k) for k in range(1, n + 1)]
+        table += [(ConeSpec(n, n, tau), (1 - tau) * (n - 1))
+                  for tau in (0.25, 0.5, 0.75, 0.9)]
+        for cone, expected in table:
+            mu = mu_plus(cone)
+            worst = max(worst, abs(mu - expected))
+            step = 1e-9 * max(1.0, mu)
+            probes = np.ones((2, n))
+            probes[:, 0] = (step - mu, -step - mu)
+            inside, outside = cone_margin(cone, probes)
+            if not (inside > 0.0 and outside <= 0.0):
+                misplaced.append(f"({n},{cone.k},{cone.tau:g})")
+    detail = "n <= 8, all k, plus deformed top cones"
+    if misplaced:
+        detail += "; boundary not at mu+ for " + " ".join(misplaced)
+    return CriterionResult("mu-plus-table", worst <= 1e-10 and not misplaced,
+                           worst, "<= 1e-10", detail)
 
 
 def check_barrier() -> CriterionResult:
@@ -92,7 +108,7 @@ def check_barrier() -> CriterionResult:
         prof = barrier_profile(R, delta=0.1, m=1.0, grid=64)
         r = prof.r
         rad, tan = radial_schouten_spectrum(
-            prof.u, 2 * r / R**2, np.full_like(r, 2 / R**2), r, 3)
+            prof.u, 2 * r / R**2, np.full_like(r, 2 / R**2), r)
         worst = max(worst,
                     float(np.max(np.abs(rad - 2 / R**2))),
                     float(np.max(np.abs(tan - 2 / R**2))))

@@ -15,10 +15,11 @@ chi2 > 1/2.  A valid bound lies in any cone whose mu+ is at least
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .cones import ConeSpec, cone_margin, mu_plus
+from .cones import ConeSpec, _mu_plus_exact, cone_margin
 from .errors import CriticalPointError, InvalidArgumentError, NoCertificateError
 from .schouten import rescaled_metric_spectrum_bound
 
@@ -136,19 +137,27 @@ def verify_admissible(data: BackgroundData, cert: AdmissibilityCertificate,
         chi1 + mu+ * chi2 = (mu+ - 1) * chi2 + e^{-N v} (2 - q),
 
     with e^{-N v} > 0 kept apart, so its sign survives e^{-N v} underflowing.
-    The margin is the worst cone_margin of the pairs (chi1, chi2); it rounds
-    to 0 within about eps of the cone boundary, where ok still holds its sign.
+    Both comparisons with mu+ use its exact rational value.  Where mu+ >= 1
+    and 2 - q > 0 both terms are >= 0, and the node is inside.  Otherwise the
+    float sum counts only when it exceeds 2^-48 times the sum of the terms'
+    magnitudes, which bounds the roundings in the terms and the sum, and the
+    error of e^{-N v} when N*v is exact, as for q.  The margin is the worst cone_margin of the
+    pairs (chi1, chi2); it rounds to 0 within about eps of the cone boundary,
+    where ok still holds its sign.
     """
     if cert.q.shape != data.v.shape:
         raise InvalidArgumentError("certificate was not produced for this data")
-    mu = mu_plus(cone)
+    mu = _mu_plus_exact(cone)
     chi1, chi2 = cert.chi1, cert.chi2
-    lead = (mu - 1.0) * chi2
+    lead = float(mu - 1) * chi2
     tail = 1.0 + cert.slack()
-    inside = (chi2 > 0.0) & (((lead >= 0.0) & (tail > 0.0))
-                             | (lead + cert.e_neg * tail > 0.0))
+    rest = cert.e_neg * tail
+    inside = lead + rest > 2.0**-48 * (np.abs(lead) + np.abs(rest))
+    if mu >= 1:
+        inside |= tail > 0.0
+    inside &= chi2 > 0.0
     margin = float(np.min(cone_margin(cone, np.stack((chi1, chi2), axis=-1))))
-    ok = mu >= cert.mu_required and bool(np.all(inside))
+    ok = mu >= Fraction(cert.mu_required) and bool(np.all(inside))
     return ok, margin
 
 

@@ -26,6 +26,7 @@ oracle for the pair one.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -260,30 +261,33 @@ def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
     return g
 
 
-def mu_plus(cone: ConeSpec) -> float:
-    """The unique mu in [0, n-1] with (-mu, 1, ..., 1) on the cone boundary.
+def _mu_plus_exact(cone: ConeSpec) -> Fraction:
+    """mu+ of the cone in exact rational arithmetic on the float tau.
 
-    Found by bisection on the sign of the membership margin; 60 fixed
-    iterations give absolute accuracy well below 1e-10 on a bracket of
-    length n-1.  Equals (n-k)/k for the undeformed Gamma_k^+.
+    (-mu, 1, ..., 1) deforms to the pair a' = (1-tau)(n-1) - mu,
+    b' = tau + (1-tau)(n-1-mu).  With b' > 0, sigma_j of the pair is
+    (C(n-1,j)*b' + C(n-1,j-1)*a') * b'^(j-1), so the pair is in Gamma_k
+    exactly when k*a' + (n-k)*b' > 0, which solves to
+
+        mu+ = [k(1-tau)(n-1) + (n-k)(tau + (1-tau)(n-1))] / [k + (n-k)(1-tau)].
+
+    It equals n-1 - tau*n*(k-1) / [k + (n-k)(1-tau)], so it lies in [0, n-1]
+    for every tau in [0, 1] and needs no clamp.
     """
-    n = cone.n
-    probe = np.ones(n)
+    n, k, tau = cone.n, cone.k, Fraction(float(cone.tau))
+    s = 1 - tau
+    return ((k * s * (n - 1) + (n - k) * (tau + s * (n - 1)))
+            / (k + (n - k) * s))
 
-    def member(m):
-        probe[0] = -m
-        return cone_margin(cone, probe) > 0.0
 
-    lo, hi = 0.0, float(n - 1)
-    if not member(lo):
-        return lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def mu_plus(cone: ConeSpec) -> float:
+    """The unique mu in [0, n-1] with (-mu, 1, ..., 1) on the cone boundary,
+    correctly rounded from the closed form (see _mu_plus_exact).
+
+    Equals (n-k)/k for the undeformed Gamma_k^+ and (1-tau)(n-1) for the
+    deformed top cone Gamma_n.
+    """
+    return float(_mu_plus_exact(cone))
 
 
 def contains_ray_e1(cone: ConeSpec) -> bool:
@@ -291,7 +295,7 @@ def contains_ray_e1(cone: ConeSpec) -> bool:
 
     True marks the regime in which the limiting zero-boundary solutions stay
     smooth; false once the cone boundary touches that ray (k >= 2, tau = 1).
+    The ray deforms to the pair (1, 1-tau): every sigma_j of it is positive
+    when 1-tau > 0, and with tau = 1 only sigma_1 is.
     """
-    e1 = np.zeros(cone.n)
-    e1[0] = 1.0
-    return bool(cone_margin(cone, e1) > INTERIOR_MARGIN)
+    return bool(cone.k == 1 or cone.tau < 1.0)

@@ -110,7 +110,7 @@ class SchoutenSpectrumField:
         return np.stack((self.radial, self.tangential), axis=-1)
 
 
-def radial_schouten_spectrum(v, v_r, v_rr, r, n: int):
+def radial_schouten_spectrum(v, v_r, v_rr, r):
     """Eigenvalues (radial, tangential) of -g_v^{-1} A_{g_v} for g_v = v^-2*delta.
 
     Inputs broadcast; r = 0 entries are evaluated with the even-profile center

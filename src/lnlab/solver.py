@@ -270,33 +270,6 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     return ab
 
 
-def _fd_jacobian(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
-    """Tridiagonal Jacobian by central differences (oracle for the analytic one).
-
-    Curtis-Powell-Reid colouring: columns j and j + 3 touch disjoint rows
-    of a tridiagonal matrix, so one difference per colour c = j mod 3
-    recovers every column of that colour.  The difference is the
-    fourth-order central one (12 evaluations in all): the u_rr stencil
-    scales a step by 1/h^2, and the second-order difference is off by
-    about 1e-6 relative at grid 1000.
-    """
-    m = u.size
-    ab = np.zeros((3, m))
-    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(u))
-    for c in range(3):
-        cols = np.arange(c, m, 3)
-        e = np.zeros(m)
-        e[cols] = steps[cols]
-        F = {t: _evaluate(u + t * e, spec, r, psi, cone)[0] for t in (-2, -1, 1, 2)}
-        diff = (8.0 * (F[1] - F[-1]) - (F[2] - F[-2])) / 12.0
-        # Row j + off of the difference belongs to column j; banded layout
-        # stores J[j + off, j] at ab[1 + off, j].
-        for off in (-1, 0, 1):
-            j = cols[(cols + off >= 0) & (cols + off < m)]
-            ab[1 + off, j] = diff[j + off] / steps[j]
-    return ab
-
-
 def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     """Per-node residual: f^tau(lam_i) - psi_i at PDE rows, u - delta at boundaries.
 

@@ -3,6 +3,7 @@
 import functools
 import json
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from lnlab import (BackgroundData, ConeSpec, find_N,
                    halfspace_schouten_spectrum, linear_auxiliary,
                    verify_admissible)
-from lnlab import admissible
 from lnlab.admissible import N_SCAN, _certificate_at, scan_background
 from lnlab.cones import cone_margin, mu_plus
 from lnlab.errors import (CriticalPointError, InvalidArgumentError,
@@ -235,13 +235,11 @@ class TestOracle:
         assert mu_plus(ConeSpec(4, 2)) == 1.0
         assert mu_plus(ConeSpec(6, 3)) == 1.0
 
-    def test_find_N_and_verify_match_the_oracle(self, monkeypatch):
+    def test_find_N_and_verify_match_the_oracle(self):
         """find_N returns the smallest N on N_SCAN whose true slack is
         positive at every node, or raises exactly when no N is; verify
         agrees with the exact-mu+ oracle around that N and at the first scan
         value, with no nan margin and no RuntimeWarning."""
-        # mu_plus is deterministic; caching it only saves repeated bisections.
-        monkeypatch.setattr(admissible, "mu_plus", functools.cache(mu_plus))
         wrong = []
         found = 0
         with warnings.catch_warnings():
@@ -281,6 +279,22 @@ class TestOracle:
         assert not oracle_valid(data, 1.0)
         assert oracle_valid(data, 2.0)
         assert find_N(data).N == 2.0
+
+    def test_near_boundary_narrow_cone_rounds_toward_invalid(self):
+        """(4, 3), mu+ = 1/3: mu_required < 1/3, but the exact sum
+        (mu+ - 1) chi2 + e^{-Nv} (2 - q) over the certificate's own floats is
+        -1.5e-18, while the same sum in floating point, with mu+ - 1 rounded
+        to nearest, reads +5.6e-17.  The node must not verify."""
+        data = BackgroundData(v=[3.2191465463391715], dv_sq=[0.9969423014992496],
+                              C3=0.046875)
+        cert = _certificate_at(data, N_SCAN[0])
+        chi2, e_neg, q = float(cert.chi2[0]), float(cert.e_neg[0]), float(cert.q[0])
+        mu = Fraction(1, 3)
+        assert Fraction(cert.mu_required) < mu
+        assert (mu - 1) * Fraction(chi2) + Fraction(e_neg) * (2 - Fraction(q)) <= 0
+        assert float(mu - 1) * chi2 + e_neg * (1.0 + (1.0 - q)) > 0
+        ok, _ = verify_admissible(data, cert, ConeSpec(4, 3))
+        assert not ok
 
     def test_large_N_certificate_on_threshold_cone(self):
         """scan_background(1 + x, 1, 1e3, 1e3): the first valid scan value is

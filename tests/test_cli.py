@@ -1,6 +1,7 @@
 """Command-line front-end: exit codes, determinism, filtering, mutation check."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL] hyperbolic-exactness" in out
+        assert "acceptance: FAIL" in out
+
+    def test_mutated_mu_plus_closed_form_fails_named_criterion(self, capsys,
+                                                               monkeypatch):
+        """Swapping k and n - k in the closed form of mu+ (where n - k >= 1)
+        must fail mu-plus-table by name."""
+        exact = cones._mu_plus_exact
+        monkeypatch.setattr(
+            cones, "_mu_plus_exact",
+            lambda cone: exact(replace(cone, k=cone.n - cone.k))
+            if cone.k < cone.n else exact(cone))
+        rc = main(["verify", "--only", "mu-plus-table"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[FAIL] mu-plus-table" in out
         assert "acceptance: FAIL" in out
 
     def test_seed_changes_nothing_for_deterministic_criteria(self, capsys):

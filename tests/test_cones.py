@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from math import comb
 
 import mpmath
@@ -198,6 +199,27 @@ class TestFProperties:
         assert np.all(mix >= sep - 1e-12)
 
 
+def bisected_mu_plus(cone):
+    """mu+ by 60 bisection steps on the sign of the full-form margin of
+    (-mu, 1, ..., 1) over [0, n-1]: the oracle for the closed form."""
+    probe = np.ones(cone.n)
+
+    def member(m):
+        probe[0] = -m
+        return cone_margin(cone, probe) > 0.0
+
+    lo, hi = 0.0, float(cone.n - 1)
+    if not member(lo):
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if member(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestMuPlus:
     def test_closed_form_undeformed(self):
         for n in range(3, 9):
@@ -209,6 +231,21 @@ class TestMuPlus:
             for tau in (0.2, 0.5, 0.9):
                 expected = (1 - tau) * (n - 1)
                 assert mu_plus(ConeSpec(n, n, tau)) == pytest.approx(expected, abs=1e-10)
+
+    def test_matches_full_form_bisection(self):
+        for n in range(3, 9):
+            for k in range(1, n + 1):
+                for tau in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
+                    cone = ConeSpec(n, k, tau)
+                    mu = mu_plus(cone)
+                    assert 0.0 <= mu <= n - 1
+                    assert abs(mu - bisected_mu_plus(cone)) <= 1e-12, (n, k, tau)
+
+    def test_correctly_rounded(self):
+        assert mu_plus(ConeSpec(4, 3)) == 1 / 3
+        assert mu_plus(ConeSpec(6, 3, 0.5)) == 11 / 3
+        assert mu_plus(ConeSpec(7, 6)) == 1 / 6
+        assert mu_plus(ConeSpec(5, 5, 0.7)) == float(4 * (1 - Fraction(0.7)))
 
     def test_boundary_flip(self):
         cone = ConeSpec(5, 2)
@@ -229,6 +266,16 @@ class TestRayE1:
         assert not contains_ray_e1(ConeSpec(5, 5))
         # deformation reopens the cone around e1
         assert contains_ray_e1(ConeSpec(4, 2, 0.5))
+
+    @pytest.mark.parametrize("cone", [ConeSpec(4, 3, 0.9999999),
+                                      ConeSpec(6, 4, 0.99999),
+                                      ConeSpec(8, 8, 0.99)])
+    def test_inside_for_every_tau_below_one(self, cone):
+        """e1 deforms to the pair (1, 1 - tau), strictly inside for tau < 1
+        although its margin, about (1 - tau)^(k-1), is far below 1e-12."""
+        assert contains_ray_e1(cone)
+        assert np.all(sigma_k(tau_deform(np.eye(cone.n)[0], cone.tau),
+                              cone.k) > 0.0)
 
 
 # Verbatim copies of the full-spectrum kernels before the pair form existed:

@@ -82,10 +82,10 @@ class TestModelSpectra:
         with pytest.raises(InvalidProfileError):
             halfspace_schouten_spectrum(-1.0, 0.0, 0.0)
         with pytest.raises(InvalidProfileError):
-            radial_schouten_spectrum(-1.0, 0.0, 0.0, 1.0, 3)
+            radial_schouten_spectrum(-1.0, 0.0, 0.0, 1.0)
 
     def test_center_rule(self):
-        rad, tan = radial_schouten_spectrum(2.0, 0.0, -1.5, 0.0, 3)
+        rad, tan = radial_schouten_spectrum(2.0, 0.0, -1.5, 0.0)
         assert rad == pytest.approx(3.0)
         assert tan == pytest.approx(3.0)
 
