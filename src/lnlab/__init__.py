@@ -2,7 +2,7 @@
 
 from .cones import (ConeSpec, contains_ray_e1, cone_margin, f_eval, grad_f,
                     in_cone, mu_plus, sigma_k, tau_deform)
-from .schouten import (RadialProfile, SchoutenSpectrumField, barrier_profile,
+from .schouten import (RadialProfile, barrier_profile,
                        halfspace_schouten_spectrum, hyperbolic_ball_profile,
                        radial_schouten_spectrum,
                        rescaled_metric_spectrum_bound,
@@ -10,23 +10,23 @@ from .schouten import (RadialProfile, SchoutenSpectrumField, barrier_profile,
 from .admissible import (AdmissibilityCertificate, BackgroundData, find_N,
                          linear_auxiliary, verify_admissible)
 from .solver import (Annulus, Ball, DeltaContinuationResult, NewtonOptions,
-                     ProblemSpec, SolveReport, barrier_slope_bound,
-                     boundary_slope, comparison_check, continuation_delta,
-                     continuation_tau, initial_profile, newton_solve, residual)
+                     ProblemSpec, SolveReport, boundary_slope,
+                     comparison_check, continuation_delta, continuation_tau,
+                     initial_profile, newton_solve, residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConeSpec", "contains_ray_e1", "cone_margin", "f_eval", "grad_f",
     "in_cone", "mu_plus", "sigma_k", "tau_deform",
-    "RadialProfile", "SchoutenSpectrumField", "barrier_profile",
+    "RadialProfile", "barrier_profile",
     "halfspace_schouten_spectrum", "hyperbolic_ball_profile",
     "radial_schouten_spectrum", "rescaled_metric_spectrum_bound",
     "ricci_spectrum_from_schouten", "spectrum_field",
     "AdmissibilityCertificate", "BackgroundData", "find_N",
     "linear_auxiliary", "verify_admissible",
     "Annulus", "Ball", "DeltaContinuationResult", "NewtonOptions",
-    "ProblemSpec", "SolveReport", "barrier_slope_bound", "boundary_slope",
+    "ProblemSpec", "SolveReport", "boundary_slope",
     "comparison_check", "continuation_delta", "continuation_tau",
     "initial_profile", "newton_solve", "residual",
 ]

@@ -15,6 +15,7 @@ from .schouten import (barrier_profile, halfspace_schouten_spectrum,
                        hyperbolic_ball_profile, radial_schouten_spectrum,
                        ricci_spectrum_from_schouten, spectrum_field)
 from .admissible import find_N, linear_auxiliary, verify_admissible
+from .errors import InvalidArgumentError
 from .solver import (Annulus, Ball, NewtonOptions, ProblemSpec,
                      comparison_check, continuation_delta, continuation_tau)
 
@@ -55,12 +56,10 @@ def check_hyperbolic_exactness() -> CriterionResult:
     """u = (1-r^2)/2 on the unit ball solves f^tau = 1/2 for every (n, k, tau)."""
     grid = 2000
     tol = 5.0 / grid**2
-    profile = hyperbolic_ball_profile(grid)
+    spectra = spectrum_field(hyperbolic_ball_profile(grid))
     worst = 0.0
     worst_case = ""
     for n in (3, 4, 5, 6):
-        fld = spectrum_field(profile, n)
-        spectra = fld.spectra()
         for k in range(1, n + 1):
             for tau in _taus(n):
                 vals = f_eval(ConeSpec(n, k, tau), spectra)
@@ -229,10 +228,10 @@ _PROPERTY_CONES = [ConeSpec(3, 1), ConeSpec(4, 2), ConeSpec(5, 3, 0.7),
                    ConeSpec(6, 6, 0.3), ConeSpec(8, 4)]
 
 
-def check_cone_properties(seed: int = 0, trials: int = 10_000) -> CriterionResult:
+def check_cone_properties(seed: int = 0) -> CriterionResult:
     """Randomized structural properties of the operator family; zero failures."""
     rng = np.random.default_rng(seed)
-    per = trials // len(_PROPERTY_CONES)
+    per = 10_000 // len(_PROPERTY_CONES)
     failures = []
 
     def record(name, bad):
@@ -285,10 +284,11 @@ def check_cone_properties(seed: int = 0, trials: int = 10_000) -> CriterionResul
                            f"{per} trials x {len(_PROPERTY_CONES)} cones per property")
 
 
-def check_ricci_identity(seed: int = 0, trials: int = 1000) -> CriterionResult:
+def check_ricci_identity(seed: int = 0) -> CriterionResult:
     """At tau = (n-2)/(n-1): lam^tau = lam(-g^{-1}Ric)/(n-1) exactly; the scalar
     prefactor relating the two operator families is measured, not asserted."""
     rng = np.random.default_rng(seed)
+    trials = 1000
     worst = 0.0
     details = []
     for n in (3, 4, 5):
@@ -331,13 +331,18 @@ CRITERIA = {
 
 
 def run_acceptance(only=None, seed: int = 0):
-    """Run all (or the named subset of) acceptance criteria."""
+    """Run all (or the named subset of) acceptance criteria.
+
+    Every name in only is checked before any criterion runs.
+    """
     names = list(CRITERIA) if not only else list(only)
+    unknown = [name for name in names if name not in CRITERIA]
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown criterion {', '.join(map(repr, unknown))}; choices: "
+            + ", ".join(CRITERIA))
     results = []
     for name in names:
-        if name not in CRITERIA:
-            raise KeyError(f"unknown criterion {name!r}; "
-                           f"choose from {sorted(CRITERIA)}")
         fn = CRITERIA[name]
         start = time.perf_counter()
         if name in ("cone-properties", "ricci-identity"):

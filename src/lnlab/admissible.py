@@ -13,7 +13,6 @@ chi2 > 1/2.  A valid bound lies in any cone whose mu+ is at least
 1 - e^{-N max(v)}.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,19 +91,6 @@ class AdmissibilityCertificate:
         positive exactly where valid, with no underflow at any N."""
         return 1.0 - self.q
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "mu_required": self.mu_required,
-            "worst_chi1": float(self.chi1.min()),
-            "worst_chi2": float(self.chi2.min()),
-            "worst_slack": float(self.slack().min()),
-            "min_log_scale": float(self.log_scale.min()),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def _certificate_at(data: BackgroundData, N: float) -> AdmissibilityCertificate:
     t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(
@@ -141,9 +127,9 @@ def verify_admissible(data: BackgroundData, cert: AdmissibilityCertificate,
     and 2 - q > 0 both terms are >= 0, and the node is inside.  Otherwise the
     float sum counts only when it exceeds 2^-48 times the sum of the terms'
     magnitudes, which bounds the roundings in the terms and the sum, and the
-    error of e^{-N v} when N*v is exact, as for q.  The margin is the worst cone_margin of the
-    pairs (chi1, chi2); it rounds to 0 within about eps of the cone boundary,
-    where ok still holds its sign.
+    error of e^{-N v} when N*v is exact, as for q.  The margin is the worst
+    cone_margin of the pairs (chi1, chi2), capped at 0 when a node fails the
+    test above, so its sign never contradicts that test.
     """
     if cert.q.shape != data.v.shape:
         raise InvalidArgumentError("certificate was not produced for this data")
@@ -157,6 +143,8 @@ def verify_admissible(data: BackgroundData, cert: AdmissibilityCertificate,
         inside |= tail > 0.0
     inside &= chi2 > 0.0
     margin = float(np.min(cone_margin(cone, np.stack((chi1, chi2), axis=-1))))
+    if not np.all(inside):
+        margin = min(margin, 0.0)
     ok = mu >= Fraction(cert.mu_required) and bool(np.all(inside))
     return ok, margin
 

@@ -185,7 +185,7 @@ def cmd_cone(args) -> int:
     return 0
 
 
-def _solve_spec(args) -> ProblemSpec:
+def _solve_spec(args, schedule) -> ProblemSpec:
     n = 3 if args.n is None else args.n
     k = 1 if args.k is None else args.k
     tau = 0.9 if args.tau is None else args.tau
@@ -196,7 +196,6 @@ def _solve_spec(args) -> ProblemSpec:
         if args.inner is None or args.outer is None:
             raise LnlabError("annulus domains need --inner and --outer")
         domain = Annulus(args.inner, args.outer)
-    schedule = args.delta_schedule or default_delta_schedule()
     return ProblemSpec(
         cone=ConeSpec(n, k),
         tau=tau,
@@ -208,8 +207,8 @@ def _solve_spec(args) -> ProblemSpec:
 
 
 def cmd_solve(args) -> int:
-    spec = _solve_spec(args)
     schedule = args.delta_schedule or default_delta_schedule()
+    spec = _solve_spec(args, schedule)
 
     head = continuation_tau(spec, tau_schedule=args.tau_schedule)
     sweep = continuation_delta(spec, delta_schedule=schedule)
@@ -221,19 +220,18 @@ def cmd_solve(args) -> int:
             "grid": spec.grid, "rhs": float(spec.rhs),
             "delta_schedule": [float(d) for d in schedule],
         },
-        "tau_continuation": head.to_dict(include_profile=False),
+        "tau_continuation": head.to_dict(),
         "delta_sweep": {
             "deltas": [float(d) for d in sweep.deltas],
             "converged": sweep.ok,
             "failed_delta": sweep.failed_delta,
             "monotonicity_max_violation": sweep.monotonicity_max_violation,
             "interior_sup_diffs": sweep.interior_sup_diffs,
-            "legs": [rep.to_dict(include_profile=False)
-                     for rep in sweep.reports],
+            "legs": [rep.to_dict() for rep in sweep.reports],
         },
     }
     if sweep.reports:
-        summary["final"] = sweep.reports[-1].to_dict(include_profile=False)
+        summary["final"] = sweep.reports[-1].to_dict()
 
     if args.out:
         out = Path(args.out)
@@ -253,10 +251,6 @@ def cmd_verify(args) -> int:
         only = []
         for item in args.only:
             only.extend(t.strip() for t in item.split(",") if t.strip())
-        for name in only:
-            if name not in CRITERIA:
-                raise LnlabError(f"unknown criterion {name!r}; choices: "
-                                 + ", ".join(CRITERIA))
     seed = 0 if args.seed is None else args.seed
     results = run_acceptance(only=only, seed=seed)
     for res in results:

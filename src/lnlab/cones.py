@@ -32,11 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConeDomainError, DegeneratePointError, InvalidArgumentError
-
-# Minimum normalized margin for a point to count as strictly interior
-# (f is non-smooth on the cone boundary).
-INTERIOR_MARGIN = 1e-12
+from .errors import ConeDomainError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,11 @@ def sigma_all(lam: np.ndarray, n: int | None = None) -> np.ndarray:
             e[j] = (comb(n - 1, j) * b + comb(n - 1, j - 1) * a) * b_pow
             b_pow = b_pow * b
         return _last_axis_outermost(e)
+    return _sigma_full(lam)
+
+
+def _sigma_full(lam: np.ndarray) -> np.ndarray:
+    """sigma_all of a full spectrum: the product recurrence on sorted entries."""
     lam = np.sort(lam, axis=-1)
     n = lam.shape[-1]
     e = np.zeros(lam.shape[:-1] + (n + 1,))
@@ -193,17 +194,22 @@ def in_cone(cone: ConeSpec, lam: np.ndarray) -> Membership:
     return Membership(margin > 0.0, margin)
 
 
+def _check_inside(cone: ConeSpec, lam: np.ndarray):
+    """Raise ConeDomainError unless every point has a positive margin."""
+    margin = cone_margin(cone, lam)
+    if not np.all(np.asarray(margin) > 0.0):
+        worst = float(np.min(margin))
+        raise ConeDomainError(
+            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
+
+
 def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     """f^tau(lam) = c_{n,k} * sigma_k(lam^tau)^(1/k) / (tau + n*(1-tau)).
 
     Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
     a pair.  Raises ConeDomainError if any point lies outside the cone.
     """
-    margin = cone_margin(cone, lam)
-    if not np.all(np.asarray(margin) > 0.0):
-        worst = float(np.min(margin))
-        raise ConeDomainError(
-            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
+    _check_inside(cone, lam)
     pair = _pair_length(cone, np.asarray(lam))
     mu = tau_deform(lam, cone.tau, pair)
     sk = sigma_all(mu, pair)[..., cone.k]
@@ -228,11 +234,23 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     sk = sig[..., k]
     fk = cone.normalization * sk ** (1.0 / k)
 
-    # sigma_{k-1} of mu with entry i deleted, via the downward recurrence
-    # sigma_j(mu \ i) = sigma_j(mu) - mu_i * sigma_{j-1}(mu \ i).
-    drop = np.ones_like(mu)
-    for j in range(1, k):
-        drop = sig[..., j][..., None] - mu * drop
+    # sigma_{k-1} of mu with entry i deleted, computed from the deleted
+    # entries themselves.  The downward recurrence sigma_j(mu) - mu_i *
+    # sigma_{j-1}(mu \ i) loses a factor of about (mu_i / the rest)^(k-1) in
+    # relative accuracy, which near the e1 ray is every digit.
+    if k == 1:
+        drop = np.ones_like(mu)
+    elif pair is not None:
+        # Deleting a leaves b n-1 times; deleting a b leaves (a, b, ..., b)
+        # of length n-1.  Both in the closed form of sigma_all.
+        a, b = mu[..., 0], mu[..., 1]
+        b_pow = b ** (k - 2)
+        drop = _last_axis_outermost(np.stack((
+            comb(n - 1, k - 1) * b * b_pow,
+            (comb(n - 2, k - 1) * b + comb(n - 2, k - 2) * a) * b_pow)))
+    else:
+        drop = np.stack([_sigma_full(np.delete(mu, i, axis=-1))[..., k - 1]
+                         for i in range(n)], axis=-1)
     grad_F = (fk / (k * sk))[..., None] * drop
 
     # Chain rule through lam^tau: d mu_i / d lam_j = tau*delta_ij + (1-tau).
@@ -246,17 +264,12 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
 
 
 def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
-    """Gradient of f^tau at a strictly interior lam; all components positive.
+    """Gradient of f^tau at an interior lam; all components positive.
 
     For a pair (a, b) it is the pair (df/da, df/db_i), see
-    _f_and_grad_unchecked.
+    _f_and_grad_unchecked.  Raises ConeDomainError where f_eval does.
     """
-    margin = cone_margin(cone, lam)
-    if not np.all(np.asarray(margin) >= INTERIOR_MARGIN):
-        worst = float(np.min(margin))
-        raise DegeneratePointError(
-            f"spectrum too close to the cone boundary for a gradient "
-            f"(margin {worst:.3e} < {INTERIOR_MARGIN:.0e})", margin=worst)
+    _check_inside(cone, lam)
     _, g = _f_and_grad_unchecked(cone, lam)
     return g
 

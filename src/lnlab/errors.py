@@ -20,10 +20,6 @@ class ConeDomainError(LnlabError, ValueError):
         self.margin = margin
 
 
-class DegeneratePointError(ConeDomainError):
-    """Gradient requested too close to the cone boundary, where f is non-smooth."""
-
-
 class InvalidProfileError(LnlabError, ValueError):
     """A conformal factor is non-positive where it must be positive."""
 

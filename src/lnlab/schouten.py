@@ -95,21 +95,6 @@ class RadialProfile:
         return _radial_stencil(self.u, self.r)
 
 
-@dataclass(frozen=True)
-class SchoutenSpectrumField:
-    """Per-node radial/tangential eigenvalues of -g_u^{-1} A_{g_u}."""
-
-    r: np.ndarray
-    radial: np.ndarray
-    tangential: np.ndarray
-    n: int
-
-    def spectra(self) -> np.ndarray:
-        """Per-node pairs (radial, tangential), shape (nodes, 2), each standing
-        for the spectrum (radial, tangential, ..., tangential) of length n."""
-        return np.stack((self.radial, self.tangential), axis=-1)
-
-
 def radial_schouten_spectrum(v, v_r, v_rr, r):
     """Eigenvalues (radial, tangential) of -g_v^{-1} A_{g_v} for g_v = v^-2*delta.
 
@@ -140,16 +125,16 @@ def halfspace_schouten_spectrum(w, w_prime, w_doubleprime) -> np.ndarray:
     return np.stack((tangential - w * w_doubleprime, tangential), axis=-1)
 
 
-def spectrum_field(profile: RadialProfile, n: int) -> SchoutenSpectrumField:
-    """Discrete Schouten spectrum field of a radial profile.
+def spectrum_field(profile: RadialProfile) -> np.ndarray:
+    """Discrete Schouten spectra of a radial profile: per-node pairs
+    (radial, tangential), shape (nodes, 2), each standing for the spectrum
+    (radial, tangential, ..., tangential) in any dimension n.
 
     Derivatives come from the profile's second-order stencils, so for profiles
     with smooth closed forms the eigenvalues are O(h^2)-accurate.
     """
     du, d2u = profile.derivatives()
-    radial, tangential = _eigenpair(profile.u, du, d2u, profile.r)
-    return SchoutenSpectrumField(r=profile.r.copy(), radial=radial,
-                                 tangential=tangential, n=n)
+    return np.stack(_eigenpair(profile.u, du, d2u, profile.r), axis=-1)
 
 
 def ricci_spectrum_from_schouten(schouten: np.ndarray, n: int) -> np.ndarray:

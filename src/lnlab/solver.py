@@ -11,7 +11,6 @@ fully nonlinear operator) and in the boundary datum delta (downward, toward
 the zero-boundary problem whose solutions satisfy u / dist -> 1).
 """
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +23,7 @@ from .errors import (ContinuationStallError, GridMismatchError,
 from .schouten import RadialProfile, _eigenpair, _radial_stencil
 
 NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERATIONS = 60
 MARGIN_FLOOR = 1e-12
 # The line search tries steps 1, 1/2, ..., 2^-MAX_HALVINGS.
 MAX_HALVINGS = 40
@@ -137,8 +137,9 @@ class SolveReport:
     residual_nodes: np.ndarray = field(repr=False, default=None)
     margin_nodes: np.ndarray = field(repr=False, default=None)
 
-    def to_dict(self, include_profile=True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The scalar fields; the profile goes out through to_csv."""
+        return {
             "residual_sup": self.residual_sup,
             "admissibility_margin_min": self.admissibility_margin_min,
             "boundary_slope": self.boundary_slope,
@@ -151,13 +152,6 @@ class SolveReport:
             "tau": self.tau,
             "delta": list(self.delta) if isinstance(self.delta, tuple) else self.delta,
         }
-        if include_profile:
-            out["r"] = self.profile.r.tolist()
-            out["u"] = self.profile.u.tolist()
-        return out
-
-    def to_json(self, include_profile=True) -> str:
-        return json.dumps(self.to_dict(include_profile), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         """CSV with columns r, u, residual, margin: one row per node, every
@@ -176,7 +170,6 @@ class SolveReport:
 
 @dataclass
 class NewtonOptions:
-    max_iterations: int = 60
     tol: float = NEWTON_TOL
 
 
@@ -289,14 +282,6 @@ def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     return F
 
 
-def node_margins(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
-    """Cone margins at the PDE rows of a profile."""
-    r = _problem_grid(profile, spec)
-    psi = spec.rhs_values(r)
-    _, margins, _ = _evaluate(profile.u, spec, r, psi, spec.solve_cone())
-    return margins
-
-
 def boundary_slope(report_or_profile) -> float:
     """Richardson estimate of u / dist near the outer boundary.
 
@@ -324,19 +309,6 @@ def comparison_check(u: RadialProfile, v: RadialProfile, direction: str = "le") 
     if direction == "ge":
         return bool(np.all(u.u >= v.u - tol))
     raise InvalidArgumentError(f"direction must be 'le' or 'ge', got {direction!r}")
-
-
-def barrier_slope_bound(delta: float, m: float, r_geom: float = math.inf):
-    """Upper bound for the boundary derivative from the explicit barrier.
-
-    Over a Euclidean background the barrier eigenvalues are 2/R^2, so the
-    supersolution property forces R <= 2; r_geom may shrink R further.
-    Returns (R, v_r at the inner barrier sphere) = (R, 2*sqrt(1+delta)/R).
-    """
-    if not 0 < delta < m:
-        raise InvalidArgumentError(f"need 0 < delta < m, got delta={delta}, m={m}")
-    R = min(2.0, r_geom)
-    return R, 2.0 * math.sqrt(1.0 + delta) / R
 
 
 def initial_profile(spec: ProblemSpec) -> RadialProfile:
@@ -401,7 +373,8 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
 
     The line search halves the step until the iterate is positive, fully
     admissible (margin above the floor) and the residual decreases.  The
-    report has converged = False on max-iterations or line-search failure.
+    report has converged = False after MAX_NEWTON_ITERATIONS or on line-search
+    failure.
     """
     opts = opts or NewtonOptions()
     if spec.tau >= 1.0:
@@ -420,7 +393,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
             worst_node=worst, margin=float(margins.min()))
 
     res = float(np.max(np.abs(F)))
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return _make_report(u, spec, r, psi, cone, F, margins,
                                 it - 1, continuation_steps, True)
@@ -430,8 +403,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             u_try = u + t * step
-            interior_ok = np.all(u_try[1:-1] > 0.0) and u_try[0] > 0.0 and u_try[-1] > 0.0
-            if interior_ok:
+            if np.all(u_try > 0.0):
                 F_try, m_try, s_try = _evaluate(u_try, spec, r, psi, cone)
                 if (np.all(m_try > MARGIN_FLOOR)
                         and float(np.max(np.abs(F_try))) < res):
@@ -443,7 +415,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
             return _make_report(u, spec, r, psi, cone, F, margins,
                                 it, continuation_steps, False)
     return _make_report(u, spec, r, psi, cone, F, margins,
-                        opts.max_iterations, continuation_steps, res <= opts.tol)
+                        MAX_NEWTON_ITERATIONS, continuation_steps, res <= opts.tol)
 
 
 def continuation_tau(spec: ProblemSpec, tau_schedule=None,
@@ -508,14 +480,14 @@ class DeltaContinuationResult:
         return self.failed_delta is None
 
 
-def default_delta_schedule(start=DELTA_START, end=DELTA_END, ratio=DELTA_RATIO):
-    """Geometric schedule from start down to (exactly) end."""
+def default_delta_schedule():
+    """Geometric schedule from DELTA_START down to (exactly) DELTA_END."""
     out = []
-    d = start
-    while d > end * (1 + 1e-12):
+    d = DELTA_START
+    while d > DELTA_END * (1 + 1e-12):
         out.append(d)
-        d *= ratio
-    out.append(end)
+        d *= DELTA_RATIO
+    out.append(DELTA_END)
     return out
 
 

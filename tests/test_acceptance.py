@@ -7,6 +7,7 @@ captured output on failure).
 import pytest
 
 from lnlab.acceptance import CRITERIA, RUNTIME_LIMITS, run_acceptance
+from lnlab.errors import InvalidArgumentError
 
 RESULTS = {}
 
@@ -25,3 +26,11 @@ def test_criterion(name):
     assert result.passed, result.line()
     assert result.seconds <= RUNTIME_LIMITS[name], (
         f"{name} took {result.seconds:.2f}s, budget {RUNTIME_LIMITS[name]}s")
+
+
+def test_unknown_only_name_refused_before_any_criterion_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(CRITERIA, "barrier", lambda: ran.append("barrier"))
+    with pytest.raises(InvalidArgumentError, match="'bogus'.*choices: .*barrier"):
+        run_acceptance(only=["barrier", "bogus"])
+    assert ran == []

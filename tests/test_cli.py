@@ -156,6 +156,9 @@ class TestVerify:
 
     def test_only_unknown_name(self, capsys):
         assert main(["verify", "--only", "nonsense"]) == 2
+        assert main(["verify", "--only", "barrier,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "'bogus'" in captured.err and "[PASS]" not in captured.out
 
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "verify.json"

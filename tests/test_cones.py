@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from lnlab import (ConeSpec, cone_margin, contains_ray_e1, f_eval, grad_f,
                    in_cone, mu_plus, sigma_k, tau_deform)
 from lnlab.cones import _f_and_grad_unchecked, sigma_all
-from lnlab.errors import (ConeDomainError, DegeneratePointError,
-                          InvalidArgumentError)
+from lnlab.errors import ConeDomainError, InvalidArgumentError
 
 
 def sigma_by_enumeration(lam, j):
@@ -173,12 +172,36 @@ class TestFProperties:
                       - np.asarray(f_eval(cone, lm))) / (2 * step)
                 assert np.allclose(g[:, i], fd, rtol=1e-6, atol=1e-9)
 
-    def test_gradient_raises_near_boundary(self):
-        cone = ConeSpec(3, 2)
-        # sigma_2 barely positive: margin below the interior floor
-        lam = np.array([1.0, 1.0, -0.5 + 1e-14])
-        with pytest.raises(DegeneratePointError):
-            grad_f(cone, lam)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_gradient_on_e1_ray_matches_fd(self, n):
+        """e1 = (1, 0, ..., 0) is inside every deformed cone (tau < 1), with
+        margins down to 1e-21 at (8, 8, 0.999): grad_f answers there, for
+        the full spectrum and for the pair (1, 0), and agrees with a central
+        difference of f_eval whose step is small against the deformed
+        tangential entry 1 - tau."""
+        e1 = np.eye(n)[0]
+        for k, tau in itertools.product(range(1, n + 1), (0.5, 0.9, 0.99, 0.999)):
+            cone = ConeSpec(n, k, tau)
+            assert cone_margin(cone, e1) > 0.0
+            g = grad_f(cone, e1)
+            assert np.all(g > 0.0)
+            np.testing.assert_allclose(grad_f(cone, np.array([1.0, 0.0])), g[:2],
+                                       rtol=1e-12)
+            step = 1e-3 * (1.0 - tau)
+            fd = [(f_eval(cone, e1 + step * d) - f_eval(cone, e1 - step * d))
+                  / (2 * step) for d in np.eye(n)]
+            np.testing.assert_allclose(g, fd, rtol=1e-6, err_msg=f"k={k}, tau={tau}")
+
+    def test_gradient_raises_on_and_outside_boundary(self):
+        """grad_f refuses exactly where f_eval does: margin <= 0."""
+        on = np.array([1.0, 0.0, 0.0, 0.0])      # sigma_2 = 0 at tau = 1
+        outside = np.array([1.0, 1.0, -0.6])     # sigma_2 = -0.2
+        for cone, lam in ((ConeSpec(4, 2), on), (ConeSpec(4, 2), on[:2]),
+                          (ConeSpec(3, 2), outside)):
+            assert cone_margin(cone, lam) <= 0.0
+            for fn in (f_eval, grad_f):
+                with pytest.raises(ConeDomainError):
+                    fn(cone, lam)
 
     def test_trace_upper_bound(self):
         rng = np.random.default_rng(8)

@@ -47,24 +47,18 @@ class TestRadialProfile:
 class TestModelSpectra:
     def test_hyperbolic_is_half(self):
         prof = hyperbolic_ball_profile(200)
-        fld = spectrum_field(prof, 4)
-        assert np.allclose(fld.radial, 0.5, atol=1e-12)
-        assert np.allclose(fld.tangential, 0.5, atol=1e-12)
-        pairs = fld.spectra()
+        pairs = spectrum_field(prof)
         assert pairs.shape == (201, 2)
-        assert np.array_equal(pairs, np.column_stack((fld.radial, fld.tangential)))
+        assert np.allclose(pairs, 0.5, atol=1e-12)
 
     def test_hyperbolic_scaled_radius(self):
         prof = hyperbolic_ball_profile(100, radius=3.0)
-        fld = spectrum_field(prof, 3)
-        assert np.allclose(fld.radial, 0.5, atol=1e-12)
+        assert np.allclose(spectrum_field(prof)[:, 0], 0.5, atol=1e-12)
 
     def test_barrier_exact(self):
         for R in (0.5, 1.0, 2.0):
             prof = barrier_profile(R, delta=0.2, m=1.5, grid=40)
-            fld = spectrum_field(prof, 5)
-            assert np.allclose(fld.radial, 2 / R**2, atol=1e-10)
-            assert np.allclose(fld.tangential, 2 / R**2, atol=1e-10)
+            assert np.allclose(spectrum_field(prof), 2 / R**2, atol=1e-10)
 
     def test_barrier_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -105,10 +99,8 @@ class TestConvergenceOrder:
         for grid in (64, 128):
             r = np.linspace(0.0, 1.0, grid + 1)
             prof = RadialProfile(r=r, u=1.0 + 0.25 * r**4)
-            fld = spectrum_field(prof, 3)
-            rad, tan = exact_field(r)
-            errs.append(max(np.max(np.abs(fld.radial - rad)),
-                            np.max(np.abs(fld.tangential - tan))))
+            exact = np.stack(exact_field(r), axis=-1)
+            errs.append(np.max(np.abs(spectrum_field(prof) - exact)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 

@@ -9,12 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lnlab import (Annulus, Ball, ConeSpec, NewtonOptions, ProblemSpec,
-                   RadialProfile, barrier_slope_bound, boundary_slope,
-                   comparison_check, continuation_delta, continuation_tau,
-                   initial_profile, newton_solve, residual)
-from lnlab.solver import (SolveReport, _analytic_jacobian, _evaluate,
-                          default_delta_schedule, node_margins)
+from lnlab import (Annulus, Ball, ConeSpec, ProblemSpec, RadialProfile,
+                   boundary_slope, comparison_check, continuation_delta,
+                   continuation_tau, initial_profile, newton_solve, residual)
+from lnlab import solver
+from lnlab.cli import _format17
+from lnlab.solver import (DELTA_END, DELTA_START, SolveReport,
+                          _analytic_jacobian, _evaluate, default_delta_schedule)
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError)
 
@@ -109,7 +110,7 @@ class TestResidual:
         spec = ball_spec(grid=50)
         for other in (ball_spec(grid=60), replace(spec, domain=Ball(2.0))):
             prof = initial_profile(other)
-            for check in (residual, node_margins, newton_solve):
+            for check in (residual, newton_solve):
                 with pytest.raises(GridMismatchError):
                     check(prof, spec)
 
@@ -208,10 +209,12 @@ class TestNewton:
         with pytest.raises(InadmissibleIterateError):
             newton_solve(RadialProfile(r=r, u=np.ones(33)), spec)
 
-    def test_failure_reports_not_converged(self):
+    def test_failure_reports_not_converged(self, monkeypatch):
         spec = ball_spec(grid=100)
         prof = initial_profile(replace(spec, tau=0.0))
-        rep = newton_solve(prof, spec, NewtonOptions(max_iterations=1))
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 1)
+        rep = newton_solve(prof, spec)
+        assert rep.newton_iterations == 1
         # one iteration from a rough start cannot reach 1e-10
         assert not rep.converged
 
@@ -270,8 +273,8 @@ class TestContinuationDelta:
             continuation_delta(spec, delta_schedule=[0.1, -0.05])
 
     def test_schedule_helper(self):
-        sched = default_delta_schedule(0.1, 1e-3, 0.5)
-        assert sched[0] == 0.1 and sched[-1] == 1e-3
+        sched = default_delta_schedule()
+        assert sched[0] == DELTA_START and sched[-1] == DELTA_END
         assert all(b < a for a, b in zip(sched, sched[1:]))
 
 
@@ -299,20 +302,13 @@ class TestDiagnostics:
         with pytest.raises(GridMismatchError):
             comparison_check(a, RadialProfile(r=r[:-1], u=b.u[:-1]), "le")
 
-    def test_barrier_slope_bound(self):
-        R, slope = barrier_slope_bound(0.1, 1.0)
-        assert R == 2.0
-        assert slope == pytest.approx(2 * np.sqrt(1.1) / 2)
-        R, slope = barrier_slope_bound(0.1, 1.0, r_geom=1.0)
-        assert R == 1.0
-        with pytest.raises(InvalidArgumentError):
-            barrier_slope_bound(0.5, 0.2)
-
     def test_node_margins_positive_on_solution(self):
+        """The report's per-node margins: positive on every PDE row (all
+        but the outer node on a ball), 0 on the Dirichlet row."""
         spec = ball_spec(grid=100)
         rep = continuation_tau(spec)
-        margins = node_margins(rep.profile, spec)
-        assert np.all(margins > 0)
+        assert np.all(rep.margin_nodes[:-1] > 0) and rep.margin_nodes[-1] == 0
+        assert rep.admissibility_margin_min == rep.margin_nodes[:-1].min()
 
 
 class TestComparisonTheorems:
@@ -364,8 +360,10 @@ class TestReport:
         spec = ball_spec(grid=100)
         a = continuation_tau(spec)
         b = continuation_tau(spec)
-        assert a.to_json() == b.to_json()
-        payload = json.loads(a.to_json(include_profile=False))
+        text = _format17(a.to_dict())
+        assert text == _format17(b.to_dict())
+        payload = json.loads(text)
+        assert payload == a.to_dict()       # 17 digits read back bit for bit
         assert payload["converged"] is True
         assert "r" not in payload
 
