@@ -8,7 +8,8 @@ with `git archive`), in three parts:
 1. `solver._evaluate` wall time at grids 1e4 and 1e5 on the unit ball for
    three cones: the median of 40 calls after 5 untimed ones, on the
    hyperbolic starting profile, in a fresh interpreter per checkout with
-   BLAS pinned to one thread.
+   BLAS pinned to one thread.  Both checkouts must take
+   `_evaluate(u, spec, r, cone)`, the signature without a per-node rhs.
 2. perfbench/run.py --trace 0 on every workload for PAIRS alternating
    (parent, change) pairs on seeds 101, 102, ...; the side that runs first
    alternates.  Each checkout runs its own perfbench/, so both must carry the
@@ -47,15 +48,14 @@ def evaluate_times(src: str) -> dict:
             spec = ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=Ball(1.0),
                                delta=0.05, grid=grid)
             r = spec.radii()
-            psi = spec.rhs_values(r)
             cone = spec.solve_cone()
             u = initial_profile(spec).u
             for _ in range(5):
-                _evaluate(u, spec, r, psi, cone)
+                _evaluate(u, spec, r, cone)
             times = []
             for _ in range(40):
                 start = time.perf_counter()
-                _evaluate(u, spec, r, psi, cone)
+                _evaluate(u, spec, r, cone)
                 times.append(time.perf_counter() - start)
             out[f"grid={grid},n={n},k={k},tau={tau}"] = statistics.median(times) * 1e3
     return out

@@ -11,8 +11,8 @@ Run:  python demos/continuation_run.py
 
 import numpy as np
 
-from lnlab import (Ball, ConeSpec, ProblemSpec, boundary_slope,
-                   continuation_delta, continuation_tau)
+from lnlab import (Ball, ConeSpec, ProblemSpec, continuation_delta,
+                   continuation_tau)
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
     sweep = continuation_delta(spec)
     for d, leg in zip(sweep.deltas, sweep.reports):
         print("  delta=%8.1e  u(0)=%.6f  slope~%.5f"
-              % (d, leg.profile.u[0], boundary_slope(leg)))
+              % (d, leg.profile.u[0], leg.boundary_slope))
     final = sweep.reports[-1]
     r = final.profile.r
     inner = r <= 0.9
@@ -39,7 +39,7 @@ def main():
           % (sweep.monotonicity_max_violation == 0.0, sweep.monotonicity_max_violation))
     print("  distance to hyperbolic model on r <= 0.9: %.2e" % dist)
     print("  boundary slope: %.5f (zero-boundary limit forces 1)"
-          % boundary_slope(final))
+          % final.boundary_slope)
 
 
 if __name__ == "__main__":

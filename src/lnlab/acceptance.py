@@ -299,8 +299,8 @@ def check_ricci_identity(seed: int = 0) -> CriterionResult:
         rel = np.abs(lhs - ric / (n - 1)) / np.maximum(1.0, np.abs(ric) / (n - 1))
         worst = max(worst, float(np.max(rel)))
 
-        # Prefactor report on admissible spectra: the deformed sigma_k^(1/k)
-        # operator equals sigma_k^(1/k) of the Ricci spectrum over a constant.
+        # Prefactor report on admissible spectra: the deformed sigma_{k}^(1/k)
+        # operator equals sigma_{k}^(1/k) of the Ricci spectrum over a constant.
         pos = 0.05 + rng.exponential(1.0, size=(trials, n))
         k = min(2, n)
         cone = ConeSpec(n, k, tau)

@@ -25,9 +25,6 @@ from .schouten import rescaled_metric_spectrum_bound
 # Geometric scan N in {2^j / 8 : j = 0..40}; smallest valid value is returned.
 N_SCAN = [2.0**j / 8.0 for j in range(41)]
 
-# Safety factor applied when extracting C0/C2/C3 from discrete data.
-BOUND_SAFETY = 1.1
-
 
 @dataclass(frozen=True)
 class BackgroundData:
@@ -147,20 +144,6 @@ def verify_admissible(data: BackgroundData, cert: AdmissibilityCertificate,
         margin = min(margin, 0.0)
     ok = mu >= Fraction(cert.mu_required) and bool(np.all(inside))
     return ok, margin
-
-
-def scan_background(v: np.ndarray, dv_sq: np.ndarray,
-                    schouten_sup: float = 0.0, hessian_sup: float = 0.0,
-                    metric_ratio: float = 1.0) -> BackgroundData:
-    """Build BackgroundData from discrete bounds with the standard safety factor.
-
-    metric_ratio bounds the eigenvalue spread between the background metric and
-    the flat reference; flat backgrounds use the defaults unchanged.
-    """
-    C0 = max(1.0, BOUND_SAFETY * metric_ratio)
-    C2 = BOUND_SAFETY * schouten_sup if schouten_sup > 0 else 0.0
-    C3 = BOUND_SAFETY * hessian_sup if hessian_sup > 0 else 0.0
-    return BackgroundData(v=v, dv_sq=dv_sq, C0=C0, C2=C2, C3=C3)
 
 
 def linear_auxiliary(coords: np.ndarray) -> BackgroundData:

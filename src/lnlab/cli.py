@@ -150,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--delta-schedule", type=_parse_schedule, default=None,
                          help="comma-separated decreasing boundary data "
                               "(default geometric 1e-1 .. 1e-4)")
-    p_solve.add_argument("--tau-schedule", type=_parse_schedule, default=None,
-                         help="comma-separated increasing tau values ending at --tau")
     p_solve.add_argument("--rhs", type=float, default=None,
                          help="constant positive right-hand side (default 0.5)")
     _add_common(p_solve)
@@ -210,7 +208,7 @@ def cmd_solve(args) -> int:
     schedule = args.delta_schedule or default_delta_schedule()
     spec = _solve_spec(args, schedule)
 
-    head = continuation_tau(spec, tau_schedule=args.tau_schedule)
+    head = continuation_tau(spec)
     sweep = continuation_delta(spec, delta_schedule=schedule)
 
     summary = {

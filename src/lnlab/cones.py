@@ -1,6 +1,6 @@
 """Algebra of Garding cones and their trace deformations.
 
-The supported operator family is f(lam) = c_{n,k} * sigma_k(lam)^(1/k) on the
+The supported operator family is f(lam) = c_{n,k} * sigma_{k}(lam)^(1/k) on the
 cone Gamma_k^+ = {sigma_j(lam) > 0 for j <= k}, together with the one-parameter
 deformation
 
@@ -106,16 +106,6 @@ def _sigma_full(lam: np.ndarray) -> np.ndarray:
     return e
 
 
-def sigma_k(lam: np.ndarray, j: int) -> np.ndarray | float:
-    """sigma_j(lam) for 1 <= j <= n, lam a full spectrum."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 1 <= j <= n:
-        raise InvalidArgumentError(f"sigma index j must satisfy 1 <= j <= {n}, got {j}")
-    out = sigma_all(lam)[..., j]
-    return out if out.ndim else float(out)
-
-
 def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
     """lam^tau = tau*lam + (1-tau)*sigma_1(lam)*e.
 
@@ -204,7 +194,7 @@ def _check_inside(cone: ConeSpec, lam: np.ndarray):
 
 
 def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
-    """f^tau(lam) = c_{n,k} * sigma_k(lam^tau)^(1/k) / (tau + n*(1-tau)).
+    """f^tau(lam) = c_{n,k} * sigma_{k}(lam^tau)^(1/k) / (tau + n*(1-tau)).
 
     Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
     a pair.  Raises ConeDomainError if any point lies outside the cone.
@@ -218,10 +208,10 @@ def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
 
 
 def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
-    """f^tau and its gradient, assuming sigma_k(lam^tau) > 0.
+    """f^tau and its gradient, assuming sigma_{k}(lam^tau) > 0.
 
     Used by the solver on iterates already certified admissible.  The gradient
-    combines d sigma_k / d mu_i = sigma_{k-1}(mu with entry i removed), the
+    combines d sigma_{k} / d mu_i = sigma_{k-1}(mu with entry i removed), the
     power 1/k, and the linear deformation map.  For a pair (a, b) the
     gradient is the pair (df/da, df/db_i): the derivative along the one a
     entry and along any one of the n-1 b entries.

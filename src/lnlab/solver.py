@@ -1,7 +1,7 @@
 """Damped-Newton continuation solver for the radial Dirichlet problem.
 
 Unknowns are conformal-factor values u_i on a uniform radial grid.  Interior
-rows impose f^tau(lam(-g_u^{-1} A_{g_u})) = psi via second-order stencils;
+rows impose f^tau(lam(-g_u^{-1} A_{g_u})) = rhs via second-order stencils;
 boundary rows impose u = delta.  The Jacobian is tridiagonal (chain rule of
 the f-gradient through the eigenvalue stencils) and every accepted Newton
 iterate keeps all interior spectra strictly inside the deformed cone.
@@ -12,6 +12,7 @@ the zero-boundary problem whose solutions satisfy u / dist -> 1).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,8 +64,8 @@ class ProblemSpec:
 
     cone is the base Garding cone (undeformed); tau is the deformation the
     solver works at.  delta is the boundary datum: a single positive number,
-    or an (inner, outer) pair for annuli.  rhs may be a positive constant or
-    a positive function of r.
+    or an (inner, outer) pair for annuli.  rhs is the constant right-hand
+    side, a positive finite real (the paper's problem has rhs = 1/2).
     """
 
     cone: ConeSpec
@@ -72,7 +73,7 @@ class ProblemSpec:
     domain: Ball | Annulus
     delta: float | tuple
     grid: int = 1000
-    rhs: object = 0.5
+    rhs: float = 0.5
 
     def __post_init__(self):
         if self.cone.tau != 1.0:
@@ -88,9 +89,11 @@ class ProblemSpec:
             if d is not None and not 0 < d < math.inf:
                 raise InvalidArgumentError(
                     f"boundary data delta must be positive and finite, got {d}")
-        if not callable(self.rhs) and not 0 < self.rhs < math.inf:
+        if (not isinstance(self.rhs, numbers.Real) or isinstance(self.rhs, bool)
+                or not 0 < self.rhs < math.inf):
             raise InvalidArgumentError(
-                f"right-hand side rhs must be positive and finite, got {self.rhs}")
+                f"right-hand side rhs must be a positive finite real, got {self.rhs!r}")
+        object.__setattr__(self, "rhs", float(self.rhs))
 
     def boundary_deltas(self):
         """(inner, outer) boundary values; inner is None on a ball."""
@@ -107,13 +110,6 @@ class ProblemSpec:
         if isinstance(self.domain, Ball):
             return np.linspace(0.0, self.domain.radius, self.grid + 1)
         return np.linspace(self.domain.inner, self.domain.outer, self.grid + 1)
-
-    def rhs_values(self, r: np.ndarray) -> np.ndarray:
-        psi = self.rhs(r) if callable(self.rhs) else np.full_like(r, float(self.rhs))
-        psi = np.asarray(psi, dtype=float)
-        if not np.all((psi > 0) & (psi < math.inf)):
-            raise InvalidArgumentError("right-hand side must be positive and finite on the grid")
-        return psi
 
     def solve_cone(self) -> ConeSpec:
         return replace(self.cone, tau=self.tau)
@@ -193,7 +189,7 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     return r
 
 
-def _evaluate(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
+def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     """Residual vector, per-node margins (PDE rows) and cached state."""
     rows = _pde_rows(spec)
     du, d2u = _radial_stencil(u, r)
@@ -206,7 +202,7 @@ def _evaluate(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
     inner_delta, outer_delta = spec.boundary_deltas()
     if np.all(margins > 0.0):
         fvals, grads = _f_and_grad_unchecked(cone, lam)
-        F[rows] = fvals - psi[rows]
+        F[rows] = fvals - spec.rhs
     else:
         fvals, grads = None, None
         F[rows] = np.nan
@@ -264,15 +260,13 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
 
 
 def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
-    """Per-node residual: f^tau(lam_i) - psi_i at PDE rows, u - delta at boundaries.
+    """Per-node residual: f^tau(lam_i) - rhs at PDE rows, u - delta at boundaries.
 
     Raises InadmissibleIterateError (with the worst node index) if the
     spectrum leaves the cone at any PDE row.
     """
     r = _problem_grid(profile, spec)
-    psi = spec.rhs_values(r)
-    cone = spec.solve_cone()
-    F, margins, _ = _evaluate(profile.u, spec, r, psi, cone)
+    F, margins, _ = _evaluate(profile.u, spec, r, spec.solve_cone())
     if not np.all(margins > 0.0):
         worst = _worst_node(spec, margins)
         raise InadmissibleIterateError(
@@ -282,15 +276,13 @@ def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     return F
 
 
-def boundary_slope(report_or_profile) -> float:
+def boundary_slope(profile: RadialProfile) -> float:
     """Richardson estimate of u / dist near the outer boundary.
 
     Uses the last three interior nodes: with q_i = (u_i - u_b) / (b - r_i)
     at distances h, 2h, 3h, the quadratic extrapolant to the boundary is
     3 q_1 - 3 q_2 + q_3.
     """
-    profile = (report_or_profile.profile
-               if isinstance(report_or_profile, SolveReport) else report_or_profile)
     r, u = profile.r, profile.u
     if r.size < 5:
         raise InvalidArgumentError("boundary slope needs at least 5 grid nodes")
@@ -328,17 +320,16 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
     a, b = spec.domain.inner, spec.domain.outer
     base = inner_delta + (outer_delta - inner_delta) * (r - a) / (b - a)
     cone0 = replace(spec.cone, tau=0.0)
-    psi = spec.rhs_values(r)
     for c in [2.0**j for j in range(-2, 12)]:
         u = base + c * (r - a) * (b - r)
         profile = RadialProfile(r=r, u=u)
-        _, margins, _ = _evaluate(u, spec, r, psi, cone0)
+        _, margins, _ = _evaluate(u, spec, r, cone0)
         if np.all(margins > MARGIN_FLOOR):
             return profile
     raise InadmissibleIterateError("could not construct an admissible annulus start")
 
 
-def _make_report(u, spec, r, psi, cone, F, margins, iters, steps, converged):
+def _make_report(u, spec, r, F, margins, iters, converged):
     du = np.gradient(u, r)
     profile = RadialProfile(r=r, u=np.maximum(u, 0.0))
     m = r.size
@@ -357,7 +348,7 @@ def _make_report(u, spec, r, psi, cone, F, margins, iters, steps, converged):
         c0_bounds=(float(u.min()), float(u.max())),
         grad_sup=float(np.max(np.abs(du))),
         newton_iterations=iters,
-        continuation_steps=steps,
+        continuation_steps=0,
         converged=converged,
         tau=spec.tau,
         delta=spec.delta,
@@ -367,8 +358,7 @@ def _make_report(u, spec, r, psi, cone, F, margins, iters, steps, converged):
 
 
 def newton_solve(init: RadialProfile, spec: ProblemSpec,
-                 opts: NewtonOptions | None = None,
-                 continuation_steps: int = 0) -> SolveReport:
+                 opts: NewtonOptions | None = None) -> SolveReport:
     """Damped Newton iteration on the discrete system.
 
     The line search halves the step until the iterate is positive, fully
@@ -380,11 +370,10 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     if spec.tau >= 1.0:
         raise InvalidArgumentError("the solver requires tau < 1 (ellipticity degenerates at 1)")
     r = _problem_grid(init, spec)
-    psi = spec.rhs_values(r)
     cone = spec.solve_cone()
 
     u = init.u.copy()
-    F, margins, state = _evaluate(u, spec, r, psi, cone)
+    F, margins, state = _evaluate(u, spec, r, cone)
     if not np.all(margins > MARGIN_FLOOR):
         worst = _worst_node(spec, margins)
         raise InadmissibleIterateError(
@@ -395,8 +384,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     res = float(np.max(np.abs(F)))
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
-            return _make_report(u, spec, r, psi, cone, F, margins,
-                                it - 1, continuation_steps, True)
+            return _make_report(u, spec, r, F, margins, it - 1, True)
         ab = _analytic_jacobian(u, spec, r, cone, state)
         step = solve_banded((1, 1), ab, -F)
 
@@ -404,7 +392,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         for _ in range(MAX_HALVINGS + 1):
             u_try = u + t * step
             if np.all(u_try > 0.0):
-                F_try, m_try, s_try = _evaluate(u_try, spec, r, psi, cone)
+                F_try, m_try, s_try = _evaluate(u_try, spec, r, cone)
                 if (np.all(m_try > MARGIN_FLOOR)
                         and float(np.max(np.abs(F_try))) < res):
                     u, F, margins, state = u_try, F_try, m_try, s_try
@@ -412,19 +400,18 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
                     break
             t *= 0.5
         else:
-            return _make_report(u, spec, r, psi, cone, F, margins,
-                                it, continuation_steps, False)
-    return _make_report(u, spec, r, psi, cone, F, margins,
-                        MAX_NEWTON_ITERATIONS, continuation_steps, res <= opts.tol)
+            return _make_report(u, spec, r, F, margins, it, False)
+    return _make_report(u, spec, r, F, margins,
+                        MAX_NEWTON_ITERATIONS, res <= opts.tol)
 
 
-def continuation_tau(spec: ProblemSpec, tau_schedule=None,
+def continuation_tau(spec: ProblemSpec,
                      opts: NewtonOptions | None = None) -> SolveReport:
     """Continuation in tau from the semilinear start to spec.tau.
 
-    Solves at tau = 0 first, then advances by TAU_STEP (or the supplied
-    schedule), reusing each solution as the next initial guess and halving
-    the step on Newton failure.  Stalls below MIN_TAU_STEP raise.
+    Solves at tau = 0 first, then advances by TAU_STEP up to spec.tau,
+    reusing each solution as the next initial guess and halving the step on
+    Newton failure.  Stalls below MIN_TAU_STEP raise.
     """
     if spec.tau >= 1.0:
         raise InvalidArgumentError("continuation target tau must be < 1")
@@ -439,12 +426,10 @@ def continuation_tau(spec: ProblemSpec, tau_schedule=None,
     if target == 0.0:
         return replace(report, continuation_steps=0)
 
-    if tau_schedule is None:
-        tau_schedule = list(np.arange(TAU_STEP, target, TAU_STEP)) + [target]
-    tau_schedule = [t for t in tau_schedule if 0.0 < t <= target]
-
+    # Keep the schedule inside (0, target] whatever arange's rounding gives.
+    schedule = list(np.arange(TAU_STEP, target, TAU_STEP)) + [target]
+    pending = [t for t in schedule if 0.0 < t <= target]
     current = 0.0
-    pending = list(tau_schedule)
     while pending:
         t_next = pending[0]
         spec_t = replace(spec, tau=t_next)

@@ -11,7 +11,7 @@ import pytest
 from lnlab import (BackgroundData, ConeSpec, find_N,
                    halfspace_schouten_spectrum, linear_auxiliary,
                    verify_admissible)
-from lnlab.admissible import N_SCAN, _certificate_at, scan_background
+from lnlab.admissible import N_SCAN, _certificate_at
 from lnlab.cones import cone_margin, mu_plus
 from lnlab.errors import (CriticalPointError, InvalidArgumentError,
                           NoCertificateError)
@@ -50,14 +50,6 @@ class TestBackgroundData:
         assert np.array_equal(data.dv_sq, np.ones(3))
         with pytest.raises(InvalidArgumentError):
             linear_auxiliary(np.array([-0.1, 0.0]))
-
-    def test_scan_background_safety(self):
-        data = scan_background(np.ones(4) + 0.5, np.ones(4),
-                               schouten_sup=2.0, hessian_sup=1.0,
-                               metric_ratio=1.5)
-        assert data.C0 == pytest.approx(1.65)
-        assert data.C2 == pytest.approx(2.2)
-        assert data.C3 == pytest.approx(1.1)
 
 
 class TestFindN:
@@ -217,7 +209,8 @@ def oracle_cases():
     for profile, (v, dv_sq) in ORACLE_PROFILES.items():
         for C2 in ORACLE_BOUNDS:
             for C3 in ORACLE_BOUNDS:
-                yield profile, scan_background(v, dv_sq, C2, C3)
+                yield profile, BackgroundData(v, dv_sq, C0=1.1, C2=1.1 * C2,
+                                              C3=1.1 * C3)
 
 
 class TestOracle:
@@ -292,9 +285,11 @@ class TestOracle:
         assert margin <= 0.0
 
     def test_large_N_certificate_on_threshold_cone(self):
-        """scan_background(1 + x, 1, 1e3, 1e3): the first valid scan value is
-        8192, where e^{-Nv} underflows; the threshold cones still verify."""
-        data = scan_background(1.0 + _X, np.ones_like(_X), 1e3, 1e3)
+        """v = 1 + x, |dv|^2 = 1, C0 = 1.1, C2 = C3 = 1100: the first valid
+        scan value is 8192, where e^{-Nv} underflows; the threshold cones
+        still verify."""
+        data = BackgroundData(1.0 + _X, np.ones_like(_X), C0=1.1, C2=1.1 * 1e3,
+                              C3=1.1 * 1e3)
         cert = find_N(data)
         assert cert.N == 8192.0 and np.all(cert.e_neg == 0.0)
         assert not np.all(_certificate_at(data, 4096.0).slack() > 0)

@@ -113,9 +113,19 @@ class TestSolve:
                    "--grid", "100", "--delta-schedule", "0.1,0.05"])
         assert rc == 0
 
-    def test_tau_schedule_flag(self, capsys):
-        rc = main(self.ARGS + ["--tau-schedule", "0.3,0.6,0.9"])
-        assert rc == 0
+    @pytest.mark.parametrize("domain", [
+        [], ["--domain", "annulus", "--inner", "0.5", "--outer", "1.0"]])
+    def test_head_report_equals_first_leg(self, capsys, domain):
+        """The head tau continuation solves the first leg's problem with the
+        same schedule, so the two reports agree field for field."""
+        assert main(self.ARGS + domain) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["tau_continuation"] == summary["delta_sweep"]["legs"][0]
+
+    def test_tau_schedule_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(self.ARGS + ["--tau-schedule", "0.5"])
+        assert err.value.code == 2
 
     def test_config_matches_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -128,7 +138,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("config", ['{"grid": 100.5}', '{"grid": "100"}',
                                         '{"grid": true}', '{"domain": "disk"}',
-                                        '{"tau-schedule": "0.5,x"}'])
+                                        '{"delta-schedule": "0.5,x"}'])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnlab import (ConeSpec, cone_margin, contains_ray_e1, f_eval, grad_f,
-                   in_cone, mu_plus, sigma_k, tau_deform)
+                   in_cone, mu_plus, tau_deform)
 from lnlab.cones import _f_and_grad_unchecked, sigma_all
 from lnlab.errors import ConeDomainError, InvalidArgumentError
 
@@ -25,9 +25,7 @@ def sigma_by_enumeration(lam, j):
 class TestSigma:
     def test_examples(self):
         lam = np.array([1.0, 2.0, 3.0])
-        assert sigma_k(lam, 1) == 6.0
-        assert sigma_k(lam, 2) == 11.0
-        assert sigma_k(lam, 3) == 6.0
+        assert sigma_all(lam).tolist() == [1.0, 6.0, 11.0, 6.0]
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(7)
@@ -35,7 +33,7 @@ class TestSigma:
             lam = rng.normal(size=n) * rng.uniform(0.5, 3.0)
             for j in range(1, n + 1):
                 expected = sigma_by_enumeration(lam, j)
-                assert sigma_k(lam, j) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                assert sigma_all(lam)[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_sigma_all_shape_and_sigma0(self):
         lam = np.ones((4, 5, 3))
@@ -49,12 +47,6 @@ class TestSigma:
         base = sigma_all(lam)
         for perm in itertools.islice(itertools.permutations(lam), 100):
             assert np.array_equal(sigma_all(np.array(perm)), base)
-
-    def test_bad_index(self):
-        with pytest.raises(InvalidArgumentError):
-            sigma_k(np.ones(3), 4)
-        with pytest.raises(InvalidArgumentError):
-            sigma_k(np.ones(3), 0)
 
 
 class TestConeSpec:
@@ -297,8 +289,7 @@ class TestRayE1:
         """e1 deforms to the pair (1, 1 - tau), strictly inside for tau < 1
         although its margin, about (1 - tau)^(k-1), is far below 1e-12."""
         assert contains_ray_e1(cone)
-        assert np.all(sigma_k(tau_deform(np.eye(cone.n)[0], cone.tau),
-                              cone.k) > 0.0)
+        assert sigma_all(tau_deform(np.eye(cone.n)[0], cone.tau))[cone.k] > 0.0
 
 
 # Verbatim copies of the full-spectrum kernels before the pair form existed:

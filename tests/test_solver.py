@@ -53,11 +53,14 @@ class TestProblemSpec:
                            (lambda: ball_spec(rhs=bad), "rhs")):
             with pytest.raises(InvalidArgumentError, match=name):
                 make()
-        spec = ball_spec(grid=50, rhs=lambda r: np.where(r > 0.5, bad, 0.5))
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            spec.rhs_values(spec.radii())
         with pytest.raises(InvalidArgumentError, match="finite"):
             continuation_delta(ball_spec(grid=50), delta_schedule=[0.1, bad])
+
+    @pytest.mark.parametrize("bad", [lambda r: 0.5 + 0.0 * r, True, "0.5"])
+    def test_non_real_rhs_rejected_by_name(self, bad):
+        """rhs is a constant: a function of r, a bool or a string is refused."""
+        with pytest.raises(InvalidArgumentError, match="rhs"):
+            ball_spec(rhs=bad)
 
     def test_ball_rejects_delta_pair(self):
         with pytest.raises(InvalidArgumentError):
@@ -130,7 +133,7 @@ class TestResidual:
         assert from_newton.value.worst_node == 9
 
 
-def _fd_jacobian(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
+def _fd_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec):
     """Tridiagonal Jacobian by central differences (oracle for the analytic one).
 
     Curtis-Powell-Reid colouring: columns j and j + 3 touch disjoint rows
@@ -147,7 +150,7 @@ def _fd_jacobian(u, spec: ProblemSpec, r, psi, cone: ConeSpec):
         cols = np.arange(c, m, 3)
         e = np.zeros(m)
         e[cols] = steps[cols]
-        F = {t: _evaluate(u + t * e, spec, r, psi, cone)[0] for t in (-2, -1, 1, 2)}
+        F = {t: _evaluate(u + t * e, spec, r, cone)[0] for t in (-2, -1, 1, 2)}
         diff = (8.0 * (F[1] - F[-1]) - (F[2] - F[-2])) / 12.0
         # Row j + off of the difference belongs to column j; banded layout
         # stores J[j + off, j] at ab[1 + off, j].
@@ -173,12 +176,11 @@ class TestJacobian:
             # an iterate that is admissible for the deformed cone
             prof = continuation_tau(spec).profile
             r = spec.radii()
-            psi = spec.rhs_values(r)
             cone = spec.solve_cone()
-            _, _, state = _evaluate(prof.u, spec, r, psi, cone)
+            _, _, state = _evaluate(prof.u, spec, r, cone)
             ja = _analytic_jacobian(prof.u, spec, r, cone, state)
             calls.clear()
-            jf = _fd_jacobian(prof.u, spec, r, psi, cone)
+            jf = _fd_jacobian(prof.u, spec, r, cone)
             assert len(calls) == 12     # three colours, four evaluations each
             scale = np.max(np.abs(jf))
             assert np.max(np.abs(ja - jf)) / scale < 1e-6, (n, k, grid)
@@ -234,11 +236,6 @@ class TestContinuationTau:
         rep = continuation_tau(spec)
         assert rep.converged and rep.continuation_steps == 0
 
-    def test_custom_schedule(self):
-        spec = ball_spec(tau=0.6, grid=100)
-        rep = continuation_tau(spec, tau_schedule=[0.3, 0.6])
-        assert rep.converged and rep.continuation_steps == 2
-
     def test_annulus(self):
         spec = ProblemSpec(cone=ConeSpec(3, 2), tau=0.9,
                            domain=Annulus(0.5, 1.0), delta=0.05, grid=200)
@@ -264,6 +261,7 @@ class TestContinuationDelta:
         assert sweep.interior_sup_diffs[-1] < sweep.interior_sup_diffs[0]
         final = sweep.reports[-1]
         assert abs(final.boundary_slope - 1.0) < 0.01
+        assert final.boundary_slope == boundary_slope(final.profile)
 
     def test_bad_schedule(self):
         spec = ball_spec(grid=50)
