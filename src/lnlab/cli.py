@@ -8,8 +8,7 @@ Subcommands:
 
 All floating-point output is printed with 17 significant digits so reports
 are byte-reproducible.  Exit codes: 0 success, 1 numerical failure, 2 invalid
-configuration.  A flat JSON config file may supply any flag value; explicit
-flags override the file.
+configuration.
 """
 
 import argparse
@@ -22,7 +21,7 @@ from .acceptance import CRITERIA, RUNTIME_LIMITS, run_acceptance
 from .cones import ConeSpec, contains_ray_e1, f_eval, mu_plus
 from .errors import (ContinuationStallError, InadmissibleIterateError,
                      LnlabError, NoCertificateError)
-from .solver import (Annulus, Ball, ProblemSpec, continuation_delta,
+from .solver import (RHS, Annulus, Ball, ProblemSpec, continuation_delta,
                      continuation_tau, default_delta_schedule)
 
 import numpy as np
@@ -71,52 +70,7 @@ def _parse_schedule(text):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat JSON file supplying flag defaults")
     p.add_argument("--out", help="output path (default: stdout)")
-
-
-def _config_value(action: argparse.Action, value):
-    """A config value read as its flag would read it; raises if refused.
-
-    A number flag takes only a JSON number its type keeps unchanged (100.5
-    and "100" are refused for an integer); other flags read the value as
-    text, a list as comma-separated text.
-    """
-    if action.type in (int, float):
-        if isinstance(value, (bool, str)) or action.type(value) != value:
-            raise ValueError(f"expected {action.type.__name__}, got {value!r}")
-    else:
-        value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-    if action.type is not None:
-        value = action.type(value)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
-    return [value] if isinstance(action, argparse._AppendAction) else value
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {args.config}: {exc}")
-    if not isinstance(raw, dict):
-        parser.error(f"config {args.config} must be a flat JSON object")
-    commands = next(a for a in parser._actions if a.dest == "command")
-    flags = {a.dest: a for a in commands.choices[args.command]._actions}
-    for key, value in raw.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None or not hasattr(args, action.dest):
-            parser.error(f"config key {key!r} does not match any flag")
-        try:
-            value = _config_value(action, value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"config key {key!r}: {exc}")
-        if getattr(args, action.dest) is None:
-            setattr(args, action.dest, value)
-    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,31 +81,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cone = sub.add_parser("cone", help="cone diagnostics table")
-    p_cone.add_argument("--n", type=int, default=None, help="dimension (>= 3)")
-    p_cone.add_argument("--k", type=int, default=None, help="cone order")
-    p_cone.add_argument("--tau", type=float, default=None,
-                        help="trace deformation in [0, 1] (default 1)")
+    p_cone.add_argument("--n", type=int, required=True, help="dimension (>= 3)")
+    p_cone.add_argument("--k", type=int, required=True, help="cone order")
+    p_cone.add_argument("--tau", type=float, default=1.0,
+                        help="trace deformation in [0, 1] (default %(default)s)")
     _add_common(p_cone)
 
     p_solve = sub.add_parser("solve", help="tau continuation + delta sweep")
-    p_solve.add_argument("--n", type=int, default=None)
-    p_solve.add_argument("--k", type=int, default=None)
-    p_solve.add_argument("--tau", type=float, default=None,
-                         help="target deformation, must be < 1 (default 0.9)")
-    p_solve.add_argument("--domain", choices=("ball", "annulus"), default=None)
-    p_solve.add_argument("--radius", type=float, default=None,
-                         help="ball radius (default 1)")
+    p_solve.add_argument("--n", type=int, default=3,
+                         help="dimension (default %(default)s)")
+    p_solve.add_argument("--k", type=int, default=1,
+                         help="cone order (default %(default)s)")
+    p_solve.add_argument("--tau", type=float, default=0.9,
+                         help="target deformation, must be < 1 "
+                              "(default %(default)s)")
+    p_solve.add_argument("--domain", choices=("ball", "annulus"), default="ball",
+                         help="radial domain (default %(default)s)")
+    p_solve.add_argument("--radius", type=float, default=1.0,
+                         help="ball radius (default %(default)s)")
     p_solve.add_argument("--inner", type=float, default=None,
                          help="annulus inner radius")
     p_solve.add_argument("--outer", type=float, default=None,
                          help="annulus outer radius")
-    p_solve.add_argument("--grid", type=int, default=None,
-                         help="number of radial intervals (default 1000)")
-    p_solve.add_argument("--delta-schedule", type=_parse_schedule, default=None,
+    p_solve.add_argument("--grid", type=int, default=1000,
+                         help="number of radial intervals (default %(default)s)")
+    p_solve.add_argument("--delta-schedule", type=_parse_schedule,
+                         default=default_delta_schedule(),
                          help="comma-separated decreasing boundary data "
                               "(default geometric 1e-1 .. 1e-4)")
-    p_solve.add_argument("--rhs", type=float, default=None,
-                         help="constant positive right-hand side (default 0.5)")
     _add_common(p_solve)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
@@ -159,21 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="NAME",
                           help=f"run only the named criteria (repeatable); "
                                f"choices: {', '.join(CRITERIA)}")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed for randomized property sweeps (default 0)")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized property sweeps "
+                               "(default %(default)s)")
     _add_common(p_verify)
     return parser
 
 
 def cmd_cone(args) -> int:
-    if args.n is None or args.k is None:
-        raise LnlabError("cone requires --n and --k (flags or config file)")
-    tau = 1.0 if args.tau is None else args.tau
-    cone = ConeSpec(args.n, args.k, tau)
+    cone = ConeSpec(args.n, args.k, args.tau)
     row = {
         "n": cone.n,
         "k": cone.k,
-        "tau": float(tau),
+        "tau": float(args.tau),
         "mu_plus": mu_plus(cone),
         "contains_e1": contains_ray_e1(cone),
         "f_at_e": float(f_eval(cone, np.ones(cone.n))),
@@ -183,30 +138,25 @@ def cmd_cone(args) -> int:
     return 0
 
 
-def _solve_spec(args, schedule) -> ProblemSpec:
-    n = 3 if args.n is None else args.n
-    k = 1 if args.k is None else args.k
-    tau = 0.9 if args.tau is None else args.tau
-    domain_kind = args.domain or "ball"
-    if domain_kind == "ball":
-        domain = Ball(1.0 if args.radius is None else args.radius)
+def _solve_spec(args) -> ProblemSpec:
+    if args.domain == "ball":
+        domain = Ball(args.radius)
     else:
         if args.inner is None or args.outer is None:
             raise LnlabError("annulus domains need --inner and --outer")
         domain = Annulus(args.inner, args.outer)
     return ProblemSpec(
-        cone=ConeSpec(n, k),
-        tau=tau,
+        cone=ConeSpec(args.n, args.k),
+        tau=args.tau,
         domain=domain,
-        delta=schedule[0],
-        grid=1000 if args.grid is None else args.grid,
-        rhs=0.5 if args.rhs is None else args.rhs,
+        delta=args.delta_schedule[0],
+        grid=args.grid,
     )
 
 
 def cmd_solve(args) -> int:
-    schedule = args.delta_schedule or default_delta_schedule()
-    spec = _solve_spec(args, schedule)
+    schedule = args.delta_schedule
+    spec = _solve_spec(args)
 
     head = continuation_tau(spec)
     sweep = continuation_delta(spec, delta_schedule=schedule)
@@ -215,7 +165,7 @@ def cmd_solve(args) -> int:
         "spec": {
             "n": spec.cone.n, "k": spec.cone.k, "tau": spec.tau,
             "domain": ("ball" if isinstance(spec.domain, Ball) else "annulus"),
-            "grid": spec.grid, "rhs": float(spec.rhs),
+            "grid": spec.grid, "rhs": RHS,
             "delta_schedule": [float(d) for d in schedule],
         },
         "tau_continuation": head.to_dict(),
@@ -249,8 +199,7 @@ def cmd_verify(args) -> int:
         only = []
         for item in args.only:
             only.extend(t.strip() for t in item.split(",") if t.strip())
-    seed = 0 if args.seed is None else args.seed
-    results = run_acceptance(only=only, seed=seed)
+    results = run_acceptance(only=only, seed=args.seed)
     for res in results:
         print(res.line())
     all_pass = all(r.passed for r in results)
@@ -270,7 +219,6 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
     handler = {"cone": cmd_cone, "solve": cmd_solve, "verify": cmd_verify}
     try:
         return handler[args.command](args)

@@ -1,7 +1,7 @@
 """Damped-Newton continuation solver for the radial Dirichlet problem.
 
 Unknowns are conformal-factor values u_i on a uniform radial grid.  Interior
-rows impose f^tau(lam(-g_u^{-1} A_{g_u})) = rhs via second-order stencils;
+rows impose f^tau(lam(-g_u^{-1} A_{g_u})) = RHS via second-order stencils;
 boundary rows impose u = delta.  The Jacobian is tridiagonal (chain rule of
 the f-gradient through the eigenvalue stencils) and every accepted Newton
 iterate keeps all interior spectra strictly inside the deformed cone.
@@ -12,7 +12,6 @@ the zero-boundary problem whose solutions satisfy u / dist -> 1).
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +34,9 @@ DELTA_START = 1e-1
 DELTA_END = 1e-4
 # Delta legs are compared on this inner share of the span, off the boundary layer.
 INTERIOR_FRACTION = 0.5
+# The paper's right-hand side.  Any constant c > 0 reduces to it: the Schouten
+# tensor is scale-invariant, so u -> sqrt(2c) u multiplies lam by 2c.
+RHS = 0.5
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,8 @@ class ProblemSpec:
 
     cone is the base Garding cone (undeformed); tau is the deformation the
     solver works at.  delta is the boundary datum: a single positive number,
-    or an (inner, outer) pair for annuli.  rhs is the constant right-hand
-    side, a positive finite real (the paper's problem has rhs = 1/2).
+    or an (inner, outer) pair for annuli.  The equation solved is
+    f^tau(lam) = RHS.
     """
 
     cone: ConeSpec
@@ -73,7 +75,6 @@ class ProblemSpec:
     domain: Ball | Annulus
     delta: float | tuple
     grid: int = 1000
-    rhs: float = 0.5
 
     def __post_init__(self):
         if self.cone.tau != 1.0:
@@ -89,11 +90,6 @@ class ProblemSpec:
             if d is not None and not 0 < d < math.inf:
                 raise InvalidArgumentError(
                     f"boundary data delta must be positive and finite, got {d}")
-        if (not isinstance(self.rhs, numbers.Real) or isinstance(self.rhs, bool)
-                or not 0 < self.rhs < math.inf):
-            raise InvalidArgumentError(
-                f"right-hand side rhs must be a positive finite real, got {self.rhs!r}")
-        object.__setattr__(self, "rhs", float(self.rhs))
 
     def boundary_deltas(self):
         """(inner, outer) boundary values; inner is None on a ball."""
@@ -130,8 +126,8 @@ class SolveReport:
     converged: bool
     tau: float
     delta: float | tuple
-    residual_nodes: np.ndarray = field(repr=False, default=None)
-    margin_nodes: np.ndarray = field(repr=False, default=None)
+    residual_nodes: np.ndarray = field(repr=False)
+    margin_nodes: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         """The scalar fields; the profile goes out through to_csv."""
@@ -152,11 +148,6 @@ class SolveReport:
     def to_csv(self) -> str:
         """CSV with columns r, u, residual, margin: one row per node, every
         value to 17 significant digits, so it reads back bit for bit."""
-        missing = [name for name in ("residual_nodes", "margin_nodes")
-                   if getattr(self, name) is None]
-        if missing:
-            raise InvalidArgumentError(
-                "report has no node arrays to write; missing: " + ", ".join(missing))
         cols = np.stack((self.profile.r, self.profile.u,
                          self.residual_nodes, self.margin_nodes), axis=1)
         template = ("r,u,residual,margin\n"
@@ -202,7 +193,7 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     inner_delta, outer_delta = spec.boundary_deltas()
     if np.all(margins > 0.0):
         fvals, grads = _f_and_grad_unchecked(cone, lam)
-        F[rows] = fvals - spec.rhs
+        F[rows] = fvals - RHS
     else:
         fvals, grads = None, None
         F[rows] = np.nan
@@ -260,7 +251,7 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
 
 
 def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
-    """Per-node residual: f^tau(lam_i) - rhs at PDE rows, u - delta at boundaries.
+    """Per-node residual: f^tau(lam_i) - RHS at PDE rows, u - delta at boundaries.
 
     Raises InadmissibleIterateError (with the worst node index) if the
     spectrum leaves the cone at any PDE row.
@@ -330,11 +321,10 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
 
 
 def _make_report(u, spec, r, F, margins, iters, converged):
-    du = np.gradient(u, r)
+    du = _radial_stencil(u, r)[0]
     profile = RadialProfile(r=r, u=np.maximum(u, 0.0))
-    m = r.size
-    res_nodes = np.where(np.isnan(F), np.inf, np.abs(F))
-    margin_full = np.zeros(m)
+    res_nodes = np.abs(F)
+    margin_full = np.zeros(r.size)
     margin_full[_pde_rows(spec)] = margins
     try:
         slope = boundary_slope(profile)
@@ -352,7 +342,7 @@ def _make_report(u, spec, r, F, margins, iters, converged):
         converged=converged,
         tau=spec.tau,
         delta=spec.delta,
-        residual_nodes=np.abs(F),
+        residual_nodes=res_nodes,
         margin_nodes=margin_full,
     )
 
@@ -426,9 +416,10 @@ def continuation_tau(spec: ProblemSpec,
     if target == 0.0:
         return replace(report, continuation_steps=0)
 
-    # Keep the schedule inside (0, target] whatever arange's rounding gives.
-    schedule = list(np.arange(TAU_STEP, target, TAU_STEP)) + [target]
-    pending = [t for t in schedule if 0.0 < t <= target]
+    # Keep the steps inside (0, target) whatever arange's rounding gives,
+    # so that target is solved once, last.
+    pending = [t for t in np.arange(TAU_STEP, target, TAU_STEP)
+               if 0.0 < t < target] + [target]
     current = 0.0
     while pending:
         t_next = pending[0]

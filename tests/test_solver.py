@@ -20,9 +20,9 @@ from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError)
 
 
-def ball_spec(n=3, k=1, tau=0.9, delta=0.05, grid=200, rhs=0.5):
+def ball_spec(n=3, k=1, tau=0.9, delta=0.05, grid=200):
     return ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=Ball(1.0),
-                       delta=delta, grid=grid, rhs=rhs)
+                       delta=delta, grid=grid)
 
 
 class TestProblemSpec:
@@ -39,8 +39,6 @@ class TestProblemSpec:
             with pytest.raises(InvalidArgumentError):
                 ball_spec(grid=grid)
         with pytest.raises(InvalidArgumentError):
-            ball_spec(rhs=0.0)
-        with pytest.raises(InvalidArgumentError):
             Annulus(1.0, 0.5)
         with pytest.raises(InvalidArgumentError):
             Ball(-1.0)
@@ -49,18 +47,11 @@ class TestProblemSpec:
     def test_non_finite_rejected_by_name(self, bad):
         for make, name in ((lambda: Ball(bad), "radius"),
                            (lambda: Annulus(0.5, bad), "inner < outer < inf"),
-                           (lambda: ball_spec(delta=bad), "delta"),
-                           (lambda: ball_spec(rhs=bad), "rhs")):
+                           (lambda: ball_spec(delta=bad), "delta")):
             with pytest.raises(InvalidArgumentError, match=name):
                 make()
         with pytest.raises(InvalidArgumentError, match="finite"):
             continuation_delta(ball_spec(grid=50), delta_schedule=[0.1, bad])
-
-    @pytest.mark.parametrize("bad", [lambda r: 0.5 + 0.0 * r, True, "0.5"])
-    def test_non_real_rhs_rejected_by_name(self, bad):
-        """rhs is a constant: a function of r, a bool or a string is refused."""
-        with pytest.raises(InvalidArgumentError, match="rhs"):
-            ball_spec(rhs=bad)
 
     def test_ball_rejects_delta_pair(self):
         with pytest.raises(InvalidArgumentError):
@@ -243,6 +234,14 @@ class TestContinuationTau:
         assert rep.converged
         assert rep.admissibility_margin_min > 0
 
+    def test_target_on_the_step_grid_is_solved_once(self):
+        """arange(0.05, 0.2, 0.05) already ends on 0.2 in floating point;
+        the schedule is 0.05, 0.1, 0.15, 0.2 and no second solve at 0.2."""
+        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.2,
+                           domain=Annulus(0.5, 1.0), delta=0.05, grid=100)
+        rep = continuation_tau(spec)
+        assert rep.converged and rep.continuation_steps == 4
+
     def test_rejects_target_one(self):
         spec = ProblemSpec(cone=ConeSpec(3, 1), tau=1.0, domain=Ball(1.0),
                            delta=0.1, grid=24)
@@ -365,6 +364,14 @@ class TestReport:
         assert payload["converged"] is True
         assert "r" not in payload
 
+    @pytest.mark.parametrize("delta", [0.05, 1e-4])
+    def test_ball_grad_sup_is_exact(self, delta):
+        """The ball solution A - r^2 / (4A), A = (delta + sqrt(delta^2 + 1)) / 2,
+        is quadratic, so the second-order stencil gives sup|u'| = 1 / (2A)."""
+        rep = continuation_tau(ball_spec(delta=delta, grid=100))
+        A = (delta + np.sqrt(delta**2 + 1)) / 2
+        assert rep.grad_sup == pytest.approx(1 / (2 * A), abs=1e-12)
+
     def test_csv_columns(self):
         spec = ball_spec(grid=50)
         rep = continuation_tau(spec)
@@ -388,11 +395,3 @@ class TestReport:
             assert np.array_equal(np.isnan(back), nan)
             assert np.array_equal(back.view(np.int64)[~nan],
                                   written.view(np.int64)[~nan])
-
-    def test_csv_without_node_arrays(self):
-        rep = continuation_tau(ball_spec(grid=24))
-        with pytest.raises(InvalidArgumentError, match="missing: residual_nodes$"):
-            replace(rep, residual_nodes=None).to_csv()
-        with pytest.raises(InvalidArgumentError,
-                           match="missing: residual_nodes, margin_nodes"):
-            replace(rep, residual_nodes=None, margin_nodes=None).to_csv()
