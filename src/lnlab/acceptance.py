@@ -210,7 +210,7 @@ def check_ordering() -> CriterionResult:
     if not sweep.ok:
         violations += 1
     for earlier, later in zip(sweep.reports, sweep.reports[1:]):
-        if not comparison_check(later.profile, earlier.profile, "le"):
+        if not comparison_check(later.profile, earlier.profile):
             violations += 1
 
     spec0 = ProblemSpec(cone=ConeSpec(3, 1), tau=0.0, domain=Ball(1.0),
@@ -218,7 +218,7 @@ def check_ordering() -> CriterionResult:
     base = continuation_tau(spec0)
     for tau in (0.5, 0.9):
         rep = continuation_tau(replace(spec0, tau=tau))
-        if not comparison_check(rep.profile, base.profile, "ge"):
+        if not comparison_check(base.profile, rep.profile):
             violations += 1
     return CriterionResult("ordering", violations == 0, float(violations), "0",
                            f"{len(sweep.reports)} delta legs, tau in {{0.5, 0.9}}")

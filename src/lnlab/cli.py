@@ -97,12 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default %(default)s)")
     p_solve.add_argument("--domain", choices=("ball", "annulus"), default="ball",
                          help="radial domain (default %(default)s)")
-    p_solve.add_argument("--radius", type=float, default=1.0,
-                         help="ball radius (default %(default)s)")
     p_solve.add_argument("--inner", type=float, default=None,
-                         help="annulus inner radius")
-    p_solve.add_argument("--outer", type=float, default=None,
-                         help="annulus outer radius")
+                         help="annulus inner radius (annulus only)")
+    p_solve.add_argument("--outer", type=float, default=1.0,
+                         help="outer radius: the ball is [0, outer], the "
+                              "annulus [inner, outer] (default %(default)s)")
     p_solve.add_argument("--grid", type=int, default=1000,
                          help="number of radial intervals (default %(default)s)")
     p_solve.add_argument("--delta-schedule", type=_parse_schedule,
@@ -140,10 +139,12 @@ def cmd_cone(args) -> int:
 
 def _solve_spec(args) -> ProblemSpec:
     if args.domain == "ball":
-        domain = Ball(args.radius)
+        if args.inner is not None:
+            raise LnlabError("--inner applies to annulus domains only")
+        domain = Ball(args.outer)
     else:
-        if args.inner is None or args.outer is None:
-            raise LnlabError("annulus domains need --inner and --outer")
+        if args.inner is None:
+            raise LnlabError("annulus domains need --inner")
         domain = Annulus(args.inner, args.outer)
     return ProblemSpec(
         cone=ConeSpec(args.n, args.k),

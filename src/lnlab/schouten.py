@@ -186,11 +186,11 @@ def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):
     return 0.5 * q * e_neg, e_neg, log_scale, q
 
 
-def hyperbolic_ball_profile(grid: int, radius: float = 1.0) -> RadialProfile:
-    """u(r) = (b^2 - r^2) / (2 b): the Poincare-ball conformal factor, with
-    all Schouten eigenvalues equal to 1/2."""
-    r = np.linspace(0.0, radius, grid + 1)
-    return RadialProfile(r=r, u=(radius**2 - r**2) / (2.0 * radius))
+def hyperbolic_ball_profile(grid: int) -> RadialProfile:
+    """u(r) = (1 - r^2) / 2 on the unit ball: the Poincare-ball conformal
+    factor, with all Schouten eigenvalues equal to 1/2."""
+    r = np.linspace(0.0, 1.0, grid + 1)
+    return RadialProfile(r=r, u=(1.0 - r**2) / 2.0)
 
 
 def barrier_profile(R: float, delta: float, m: float, grid: int) -> RadialProfile:

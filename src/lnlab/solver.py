@@ -12,6 +12,7 @@ the zero-boundary problem whose solutions satisfy u / dist -> 1).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,7 +47,7 @@ class Ball:
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise InvalidArgumentError(
-                f"ball radius must be positive and finite, got {self.radius}")
+                f"ball outer radius must be positive and finite, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,15 @@ class ProblemSpec:
     """Full radial problem statement.
 
     cone is the base Garding cone (undeformed); tau is the deformation the
-    solver works at.  delta is the boundary datum: a single positive number,
-    or an (inner, outer) pair for annuli.  The equation solved is
-    f^tau(lam) = RHS.
+    solver works at.  delta is the Dirichlet datum u = delta on every
+    boundary component: one positive, finite real number, stored as a float.
+    The equation solved is f^tau(lam) = RHS.
     """
 
     cone: ConeSpec
     tau: float
     domain: Ball | Annulus
-    delta: float | tuple
+    delta: float
     grid: int = 1000
 
     def __post_init__(self):
@@ -86,21 +87,13 @@ class ProblemSpec:
             raise InvalidArgumentError(f"grid must be an integer, got {self.grid!r}")
         if self.grid < 8:
             raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
-        for d in self.boundary_deltas():
-            if d is not None and not 0 < d < math.inf:
-                raise InvalidArgumentError(
-                    f"boundary data delta must be positive and finite, got {d}")
-
-    def boundary_deltas(self):
-        """(inner, outer) boundary values; inner is None on a ball."""
-        if isinstance(self.domain, Ball):
-            if isinstance(self.delta, tuple):
-                raise InvalidArgumentError("ball domains take a single boundary value")
-            return (None, float(self.delta))
-        if isinstance(self.delta, tuple):
-            a, b = self.delta
-            return (float(a), float(b))
-        return (float(self.delta), float(self.delta))
+        if not isinstance(self.delta, numbers.Real) or isinstance(self.delta, bool):
+            raise InvalidArgumentError(
+                f"boundary datum delta must be a real number, got {self.delta!r}")
+        if not 0 < self.delta < math.inf:
+            raise InvalidArgumentError(
+                f"boundary datum delta must be positive and finite, got {self.delta}")
+        object.__setattr__(self, "delta", float(self.delta))
 
     def radii(self) -> np.ndarray:
         if isinstance(self.domain, Ball):
@@ -125,7 +118,7 @@ class SolveReport:
     continuation_steps: int
     converged: bool
     tau: float
-    delta: float | tuple
+    delta: float
     residual_nodes: np.ndarray = field(repr=False)
     margin_nodes: np.ndarray = field(repr=False)
 
@@ -142,7 +135,7 @@ class SolveReport:
             "continuation_steps": self.continuation_steps,
             "converged": self.converged,
             "tau": self.tau,
-            "delta": list(self.delta) if isinstance(self.delta, tuple) else self.delta,
+            "delta": self.delta,
         }
 
     def to_csv(self) -> str:
@@ -161,15 +154,22 @@ class NewtonOptions:
 
 
 def _pde_rows(spec: ProblemSpec):
-    """Indices of PDE rows; the remaining rows are Dirichlet."""
+    """Indices of the PDE rows.  Every other row is a Dirichlet row,
+    u - delta; no other code decides which rows are which."""
     if isinstance(spec.domain, Ball):
         return slice(0, spec.grid)      # center node carries a PDE row
     return slice(1, spec.grid)
 
 
-def _worst_node(spec: ProblemSpec, margins: np.ndarray) -> int:
-    """Grid node of the smallest PDE-row margin."""
-    return _pde_rows(spec).start + int(np.argmin(margins))
+def _inadmissible(spec: ProblemSpec, margins: np.ndarray,
+                  what: str) -> InadmissibleIterateError:
+    """The error for an iterate whose PDE-row margins are too small, naming
+    the grid node of the smallest one."""
+    worst = _pde_rows(spec).start + int(np.argmin(margins))
+    margin = float(margins.min())
+    return InadmissibleIterateError(
+        f"{what} (worst node {worst}, margin {margin:.3e})",
+        worst_node=worst, margin=margin)
 
 
 def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
@@ -189,17 +189,13 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     lam = np.stack(_eigenpair(val, du, d2u, r[rows]), axis=-1)
     margins = np.atleast_1d(cone_margin(cone, lam))
 
-    F = np.empty_like(u)
-    inner_delta, outer_delta = spec.boundary_deltas()
+    F = u - spec.delta
     if np.all(margins > 0.0):
         fvals, grads = _f_and_grad_unchecked(cone, lam)
         F[rows] = fvals - RHS
     else:
-        fvals, grads = None, None
+        grads = None
         F[rows] = np.nan
-    if inner_delta is not None:
-        F[0] = u[0] - inner_delta
-    F[-1] = u[-1] - outer_delta
     return F, margins, (val, du, d2u, grads)
 
 
@@ -208,21 +204,18 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     val, du, d2u, grads = state
     h = r[1] - r[0]
     m = u.size
-    is_ball = isinstance(spec.domain, Ball)
+    rows = _pde_rows(spec)
     gR = grads[:, 0]
     gT = (cone.n - 1) * grads[:, 1]
 
-    diag = np.zeros(m)
+    diag = np.ones(m)       # Dirichlet rows: d(u - delta)/du = 1
     sup = np.zeros(m - 1)   # J[i, i+1]
     sub = np.zeros(m - 1)   # J[i+1, i]
 
-    if is_ball:
-        pde = np.arange(0, m - 1)
-    else:
-        pde = np.arange(1, m - 1)
-    # Interior rows with full central stencils (ball row 0 handled separately).
-    ii = pde[1:] if is_ball else pde
-    s = slice(1, None) if is_ball else slice(None)
+    # PDE rows with full central stencils: all but a centre row 0.  The state
+    # arrays hold PDE rows only, so row i sits at i - rows.start.
+    ii = np.arange(1, rows.stop)
+    s = slice(1 - rows.start, None)
     dR_c = -d2u[s] + 2.0 * val[s] / h**2
     dR_p = du[s] / (2 * h) - val[s] / h**2
     dR_m = -du[s] / (2 * h) - val[s] / h**2
@@ -234,14 +227,11 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     sup[ii] = gR[s] * dR_p + gT[s] * dT_p
     sub[ii - 1] = gR[s] * dR_m + gT[s] * dT_m
 
-    if is_ball:
+    if rows.start == 0:
         # Center row: both eigenvalues equal -u0 * d2u0 with d2u0 = 2(u1-u0)/h^2.
         gsum = gR[0] + gT[0]
         diag[0] = gsum * (-d2u[0] + 2.0 * val[0] / h**2)
         sup[0] = gsum * (-2.0 * val[0] / h**2)
-    else:
-        diag[0] = 1.0
-    diag[-1] = 1.0
 
     ab = np.zeros((3, m))
     ab[0, 1:] = sup
@@ -259,11 +249,7 @@ def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     r = _problem_grid(profile, spec)
     F, margins, _ = _evaluate(profile.u, spec, r, spec.solve_cone())
     if not np.all(margins > 0.0):
-        worst = _worst_node(spec, margins)
-        raise InadmissibleIterateError(
-            f"spectrum outside the cone at node {worst} "
-            f"(margin {float(margins.min()):.3e})",
-            worst_node=worst, margin=float(margins.min()))
+        raise _inadmissible(spec, margins, "spectrum outside the cone")
     return F
 
 
@@ -282,37 +268,29 @@ def boundary_slope(profile: RadialProfile) -> float:
     return float(3 * q[0] - 3 * q[1] + q[2])
 
 
-def comparison_check(u: RadialProfile, v: RadialProfile, direction: str = "le") -> bool:
-    """Pointwise ordering u <= v (or >=) with tolerance h^2."""
-    if u.r.shape != v.r.shape or not np.array_equal(u.r, v.r):
+def comparison_check(lower: RadialProfile, upper: RadialProfile) -> bool:
+    """Pointwise ordering lower <= upper + h^2 on a shared grid."""
+    if lower.r.shape != upper.r.shape or not np.array_equal(lower.r, upper.r):
         raise GridMismatchError("profiles live on different grids")
-    tol = u.h**2
-    if direction == "le":
-        return bool(np.all(u.u <= v.u + tol))
-    if direction == "ge":
-        return bool(np.all(u.u >= v.u - tol))
-    raise InvalidArgumentError(f"direction must be 'le' or 'ge', got {direction!r}")
+    return bool(np.all(lower.u <= upper.u + lower.h**2))
 
 
 def initial_profile(spec: ProblemSpec) -> RadialProfile:
     """Admissible starting profile for the tau = 0 problem.
 
     Ball: the hyperbolic model scaled to the domain, shifted to the boundary
-    datum (all eigenvalues positive).  Annulus: boundary-interpolating line
-    plus a concave bump, with the bump size scanned until every node has
-    positive trace.
+    datum (all eigenvalues positive).  Annulus: the datum plus a concave
+    bump, with the bump size scanned until every node has positive trace.
     """
     r = spec.radii()
-    inner_delta, outer_delta = spec.boundary_deltas()
     if isinstance(spec.domain, Ball):
         b = spec.domain.radius
-        u = (b**2 - r**2) / (2.0 * b) + outer_delta
+        u = (b**2 - r**2) / (2.0 * b) + spec.delta
         return RadialProfile(r=r, u=u)
     a, b = spec.domain.inner, spec.domain.outer
-    base = inner_delta + (outer_delta - inner_delta) * (r - a) / (b - a)
     cone0 = replace(spec.cone, tau=0.0)
     for c in [2.0**j for j in range(-2, 12)]:
-        u = base + c * (r - a) * (b - r)
+        u = spec.delta + c * (r - a) * (b - r)
         profile = RadialProfile(r=r, u=u)
         _, margins, _ = _evaluate(u, spec, r, cone0)
         if np.all(margins > MARGIN_FLOOR):
@@ -326,15 +304,11 @@ def _make_report(u, spec, r, F, margins, iters, converged):
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
     margin_full[_pde_rows(spec)] = margins
-    try:
-        slope = boundary_slope(profile)
-    except InvalidArgumentError:
-        slope = float("nan")
     return SolveReport(
         profile=profile,
         residual_sup=float(np.max(res_nodes)),
         admissibility_margin_min=float(np.min(margins)),
-        boundary_slope=slope,
+        boundary_slope=boundary_slope(profile),
         c0_bounds=(float(u.min()), float(u.max())),
         grad_sup=float(np.max(np.abs(du))),
         newton_iterations=iters,
@@ -365,11 +339,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     u = init.u.copy()
     F, margins, state = _evaluate(u, spec, r, cone)
     if not np.all(margins > MARGIN_FLOOR):
-        worst = _worst_node(spec, margins)
-        raise InadmissibleIterateError(
-            f"initial profile inadmissible (worst node {worst}, "
-            f"margin {float(margins.min()):.3e})",
-            worst_node=worst, margin=float(margins.min()))
+        raise _inadmissible(spec, margins, "initial profile inadmissible")
 
     res = float(np.max(np.abs(F)))
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
@@ -470,20 +440,19 @@ def default_delta_schedule():
 def _blend_boundary(profile: RadialProfile, spec_next: ProblemSpec) -> RadialProfile:
     """Warm start: shift the previous solution smoothly onto the new boundary data."""
     r = profile.r
-    inner_new, outer_new = spec_next.boundary_deltas()
+    delta = spec_next.delta
     u = profile.u.copy()
     if isinstance(spec_next.domain, Ball):
-        shift = outer_new - u[-1]
+        shift = delta - u[-1]
         u = u + shift * (r / r[-1])**2
     else:
         a, b = r[0], r[-1]
         w = (r - a) / (b - a)
-        u = u + (inner_new - u[0]) * (1 - w) + (outer_new - u[-1]) * w
+        u = u + (delta - u[0]) * (1 - w) + (delta - u[-1]) * w
     return RadialProfile(r=r, u=u)
 
 
-def continuation_delta(spec: ProblemSpec, delta_schedule=None,
-                       opts: NewtonOptions | None = None) -> DeltaContinuationResult:
+def continuation_delta(spec: ProblemSpec, delta_schedule=None) -> DeltaContinuationResult:
     """Sweep the boundary datum down a strictly decreasing schedule.
 
     The first leg runs the full tau continuation; later legs warm-start from
@@ -491,7 +460,6 @@ def continuation_delta(spec: ProblemSpec, delta_schedule=None,
     warm start fails).  Records pointwise monotonicity violations beyond h^2
     and the successive interior sup-differences (stabilization diagnostic).
     """
-    opts = opts or NewtonOptions()
     if delta_schedule is None:
         delta_schedule = default_delta_schedule()
     delta_schedule = list(delta_schedule)
@@ -513,12 +481,12 @@ def continuation_delta(spec: ProblemSpec, delta_schedule=None,
         if prev_report is not None:
             try:
                 warm = _blend_boundary(prev_report.profile, spec_d)
-                report = newton_solve(warm, spec_d, opts)
+                report = newton_solve(warm, spec_d)
             except (InadmissibleIterateError, InvalidArgumentError):
                 report = None
         if report is None or not report.converged:
             try:
-                report = continuation_tau(spec_d, opts=opts)
+                report = continuation_tau(spec_d)
             except (ContinuationStallError, InadmissibleIterateError):
                 report = None
         if report is None or not report.converged:

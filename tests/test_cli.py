@@ -84,13 +84,36 @@ class TestSolve:
 
     @pytest.mark.parametrize("flags, name", [
         (["--delta-schedule", "nan"], "delta"),
-        (["--radius", "inf"], "radius"),
+        (["--outer", "inf"], "outer"),
         (["--domain", "annulus", "--inner", "0.5", "--outer", "inf"], "outer"),
     ])
     def test_non_finite_value_is_usage_error(self, capsys, flags, name):
         assert main(["solve", "--grid", "50"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--domain", "annulus", "--inner", "0.5", "--outer", "1",
+          "--radius", "7"], "--radius"),
+        (["--inner", "0.9", "--outer", "0.1"], "--inner"),
+        (["--inner", "0.2"], "--inner"),
+    ], ids=["annulus-radius", "ball-inner-outer", "ball-inner"])
+    def test_flag_of_the_other_domain_is_usage_error(self, capsys, flags, name):
+        """A flag that cannot act on the chosen domain is refused by name."""
+        try:
+            rc = main(["solve", "--grid", "50"] + flags)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
+    def test_ball_outer_radius(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve", "--domain", "ball", "--outer", "2", "--grid", "50",
+                     "--delta-schedule", "0.1", "--out", str(out)]) == 0
+        r = np.loadtxt(tmp_path / "run_leg00.csv", delimiter=",", skiprows=1,
+                       usecols=0)
+        assert r[0] == 0.0 and r[-1] == 2.0
 
     def test_annulus_missing_radii(self, capsys):
         assert main(["solve", "--domain", "annulus"]) == 2
@@ -112,6 +135,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag, value", [("--tau-schedule", "0.5"),
                                              ("--rhs", "0.5"),
+                                             ("--radius", "1"),
                                              ("--config", "cfg.json")])
     def test_removed_flag_is_not_an_option(self, capsys, flag, value):
         with pytest.raises(SystemExit) as err:

@@ -52,7 +52,8 @@ class TestModelSpectra:
         assert np.allclose(pairs, 0.5, atol=1e-12)
 
     def test_hyperbolic_scaled_radius(self):
-        prof = hyperbolic_ball_profile(100, radius=3.0)
+        r = np.linspace(0.0, 3.0, 101)
+        prof = RadialProfile(r=r, u=(9.0 - r**2) / 6.0)
         assert np.allclose(spectrum_field(prof)[:, 0], 0.5, atol=1e-12)
 
     def test_barrier_exact(self):

@@ -53,10 +53,19 @@ class TestProblemSpec:
         with pytest.raises(InvalidArgumentError, match="finite"):
             continuation_delta(ball_spec(grid=50), delta_schedule=[0.1, bad])
 
-    def test_ball_rejects_delta_pair(self):
-        with pytest.raises(InvalidArgumentError):
-            ProblemSpec(cone=ConeSpec(3, 1), tau=0.5, domain=Ball(1.0),
-                        delta=(0.1, 0.2))
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    @pytest.mark.parametrize("bad", [(0.1, 0.2), [0.1], "0.1", True],
+                             ids=["tuple", "list", "str", "bool"])
+    def test_delta_must_be_one_real_number(self, domain, bad):
+        with pytest.raises(InvalidArgumentError, match="delta"):
+            ProblemSpec(cone=ConeSpec(3, 1), tau=0.5, domain=domain, delta=bad)
+
+    @pytest.mark.parametrize("delta", [1, np.float32(0.5), np.float64(0.1)],
+                             ids=["int", "float32", "float64"])
+    def test_delta_is_stored_as_float(self, delta):
+        spec = ball_spec(delta=delta)
+        assert type(spec.delta) is float and spec.delta == float(delta)
 
     def test_radii(self):
         spec = ball_spec(grid=10)
@@ -84,7 +93,7 @@ class TestResidual:
         R = 1.0
         spec = ProblemSpec(cone=ConeSpec(3, 2), tau=1.0,
                            domain=Annulus(R * np.sqrt(1.1), R * np.sqrt(2.0)),
-                           delta=(0.1, 1.0), grid=64)
+                           delta=0.1, grid=64)
         r = spec.radii()
         u = (r**2 - R**2) / R**2
         F = residual(RadialProfile(r=r, u=u), spec)
@@ -154,7 +163,7 @@ def _fd_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec):
 class TestJacobian:
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.2)])
     def test_analytic_matches_fd(self, domain, monkeypatch):
-        delta = 0.1 if isinstance(domain, Ball) else (0.1, 0.1)
+        delta = 0.1
         calls = []
         evaluate = _evaluate
         monkeypatch.setitem(globals(), "_evaluate",
@@ -175,6 +184,37 @@ class TestJacobian:
             assert len(calls) == 12     # three colours, four evaluations each
             scale = np.max(np.abs(jf))
             assert np.max(np.abs(ja - jf)) / scale < 1e-6, (n, k, grid)
+
+
+class TestDirichletRows:
+    @pytest.mark.parametrize("domain, count", [(Ball(1.0), 1),
+                                               (Annulus(0.5, 1.0), 2)],
+                             ids=["ball", "annulus"])
+    def test_rows_outside_pde_rows_impose_u_minus_delta(self, domain, count):
+        """F = u - delta bit for bit and a unit Jacobian row at every row
+        that _pde_rows leaves out: the outer node, and on an annulus the
+        inner one."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.8, domain=domain,
+                           delta=0.1, grid=40)
+        # Scaling by 1.1 scales every spectrum by 1.21, so u stays admissible
+        # while its boundary values move off delta.
+        u = 1.1 * continuation_tau(spec).profile.u
+        r = spec.radii()
+        cone = spec.solve_cone()
+        F, margins, state = _evaluate(u, spec, r, cone)
+        assert np.all(margins > 0)
+        dirichlet = np.ones(u.size, dtype=bool)
+        dirichlet[solver._pde_rows(spec)] = False
+        assert dirichlet.sum() == count and dirichlet[-1]
+        assert F[dirichlet].tobytes() == (u[dirichlet] - spec.delta).tobytes()
+        assert np.all(F[dirichlet] != 0)
+
+        ab = _analytic_jacobian(u, spec, r, cone, state)
+        J = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        for i in np.flatnonzero(dirichlet):
+            row = np.zeros(u.size)
+            row[i] = 1.0
+            assert np.array_equal(J[i], row), i
 
 
 class TestNewton:
@@ -291,13 +331,11 @@ class TestDiagnostics:
         r = np.linspace(0.0, 1.0, 51)
         a = RadialProfile(r=r, u=1.0 - 0.5 * r**2)
         b = RadialProfile(r=r, u=1.1 - 0.5 * r**2)
-        assert comparison_check(a, b, "le")
-        assert comparison_check(b, a, "ge")
-        assert not comparison_check(b, a, "le")
-        with pytest.raises(InvalidArgumentError):
-            comparison_check(a, b, "lt")
+        assert comparison_check(a, b)
+        assert comparison_check(a, b)       # b >= a, read as a <= b
+        assert not comparison_check(b, a)
         with pytest.raises(GridMismatchError):
-            comparison_check(a, RadialProfile(r=r[:-1], u=b.u[:-1]), "le")
+            comparison_check(a, RadialProfile(r=r[:-1], u=b.u[:-1]))
 
     def test_node_margins_positive_on_solution(self):
         """The report's per-node margins: positive on every PDE row (all
@@ -316,13 +354,13 @@ class TestComparisonTheorems:
         rep = continuation_tau(spec)
         r = spec.radii()
         barrier = RadialProfile(r=r, u=(1 - r**2) / 2 + 0.05)
-        assert comparison_check(rep.profile, barrier, "le")
+        assert comparison_check(rep.profile, barrier)
 
     def test_tau_ordering(self):
         spec0 = ball_spec(tau=0.0, grid=150)
         base = continuation_tau(spec0)
         high = continuation_tau(replace(spec0, tau=0.9))
-        assert comparison_check(high.profile, base.profile, "ge")
+        assert comparison_check(base.profile, high.profile)
 
 
 # Verbatim copy of SolveReport.to_csv before it filled one row template per
