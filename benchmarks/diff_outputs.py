@@ -14,16 +14,22 @@ on PYTHONPATH, and writes into a per-checkout directory:
 
 Every exit code goes into `exit_codes.txt`, and a nonzero one is also
 reported on stderr.  The two trees are compared file by file; each file that
-differs, or exists on one side only, is printed.  Exits 1 if any does, 0 if
-the trees are identical.  Progress goes to stderr.
+differs, or exists on one side only, is printed.  A leg CSV present on both
+sides also gets its largest relative |Δu| (|u_change − u_parent| / |u_parent|
+over the nodes), and a solve JSON the δ-sweep legs whose
+`newton_iterations` changed.  Exits 1 if any file differs, 0 if the trees are
+identical.  Progress goes to stderr.
 """
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -76,6 +82,26 @@ def files(tree: Path) -> set:
     return {p.relative_to(tree) for p in tree.rglob("*") if p.is_file()}
 
 
+def change_detail(old: Path, new: Path) -> str | None:
+    """The size of a change in a leg CSV or a solve JSON, or None."""
+    if old.suffix == ".csv":
+        u_old, u_new = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+                        for p in (old, new))
+        if u_old.shape != u_new.shape:
+            return f"node count {u_old.size} -> {u_new.size}"
+        return f"max relative |du| {np.max(np.abs(u_new - u_old) / np.abs(u_old)):.3e}"
+    if old.name == "solve.json":
+        legs_old, legs_new = (json.loads(p.read_text())["delta_sweep"]["legs"]
+                              for p in (old, new))
+        changed = [f"leg {i}: {a['newton_iterations']} -> {b['newton_iterations']}"
+                   for i, (a, b) in enumerate(zip(legs_old, legs_new))
+                   if a["newton_iterations"] != b["newton_iterations"]]
+        if len(legs_old) != len(legs_new):
+            changed.append(f"leg count {len(legs_old)} -> {len(legs_new)}")
+        return "newton_iterations " + ("; ".join(changed) or "unchanged")
+    return None
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -90,11 +116,15 @@ def main(argv) -> int:
             trees[side].mkdir()
             run_checkout(checkout, trees[side])
         old, new = files(trees["parent"]), files(trees["change"])
-        differ = sorted(str(p) for p in old | new if p not in old & new
-                        or not filecmp.cmp(trees["parent"] / p,
-                                           trees["change"] / p, shallow=False))
+        both = old & new
+        differ = sorted((p for p in old | new if p not in both
+                         or not filecmp.cmp(trees["parent"] / p,
+                                            trees["change"] / p, shallow=False)),
+                        key=str)
         for path in differ:
-            print(f"differs: {path}")
+            detail = path in both and change_detail(trees["parent"] / path,
+                                                    trees["change"] / path)
+            print(f"differs: {path}" + (f" ({detail})" if detail else ""))
         print(f"{len(old | new)} files, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -25,6 +25,7 @@ tau-deformation keeps the form.  The full form is the general path and the
 oracle for the pair one.
 """
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -33,6 +34,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConeDomainError, InvalidArgumentError
+
+
+def _check_real(value, name: str):
+    """Raise InvalidArgumentError naming the field unless value is one real
+    number.  A bool is refused although Python counts it as an int."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,7 @@ class ConeSpec:
             raise InvalidArgumentError(f"dimension n must be an integer >= 3, got {self.n}")
         if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= self.n):
             raise InvalidArgumentError(f"order k must satisfy 1 <= k <= n, got {self.k}")
+        _check_real(self.tau, "tau")
         if not (0.0 <= self.tau <= 1.0):
             raise InvalidArgumentError(f"tau must lie in [0, 1], got {self.tau}")
 

@@ -12,13 +12,12 @@ the zero-boundary problem whose solutions satisfy u / dist -> 1).
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .cones import ConeSpec, _f_and_grad_unchecked, cone_margin
+from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, cone_margin
 from .errors import (ContinuationStallError, GridMismatchError,
                      InadmissibleIterateError, InvalidArgumentError)
 from .schouten import RadialProfile, _eigenpair, _radial_stencil
@@ -45,6 +44,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        _check_real(self.radius, "ball outer radius")
         if not 0 < self.radius < math.inf:
             raise InvalidArgumentError(
                 f"ball outer radius must be positive and finite, got {self.radius}")
@@ -56,6 +56,8 @@ class Annulus:
     outer: float
 
     def __post_init__(self):
+        _check_real(self.inner, "annulus inner radius")
+        _check_real(self.outer, "annulus outer radius")
         if not 0 < self.inner < self.outer < math.inf:
             raise InvalidArgumentError(
                 f"annulus needs 0 < inner < outer < inf, got ({self.inner}, {self.outer})")
@@ -81,15 +83,14 @@ class ProblemSpec:
         if self.cone.tau != 1.0:
             raise InvalidArgumentError("base cone must be undeformed (tau = 1); "
                                        "set the deformation on the problem itself")
+        _check_real(self.tau, "tau")
         if not 0.0 <= self.tau <= 1.0:
             raise InvalidArgumentError(f"tau must lie in [0, 1], got {self.tau}")
         if not isinstance(self.grid, (int, np.integer)) or isinstance(self.grid, bool):
             raise InvalidArgumentError(f"grid must be an integer, got {self.grid!r}")
         if self.grid < 8:
             raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
-        if not isinstance(self.delta, numbers.Real) or isinstance(self.delta, bool):
-            raise InvalidArgumentError(
-                f"boundary datum delta must be a real number, got {self.delta!r}")
+        _check_real(self.delta, "boundary datum delta")
         if not 0 < self.delta < math.inf:
             raise InvalidArgumentError(
                 f"boundary datum delta must be positive and finite, got {self.delta}")
@@ -276,26 +277,28 @@ def comparison_check(lower: RadialProfile, upper: RadialProfile) -> bool:
 
 
 def initial_profile(spec: ProblemSpec) -> RadialProfile:
-    """Admissible starting profile for the tau = 0 problem.
+    """Starting profile for the tau = 0 problem: u = delta + w / |w'(b)|.
 
-    Ball: the hyperbolic model scaled to the domain, shifted to the boundary
-    datum (all eigenvalues positive).  Annulus: the datum plus a concave
-    bump, with the bump size scanned until every node has positive trace.
+    w = P - r^2 + Q r^(2-n) is the domain's torsion function, Delta w = -2n
+    with w = 0 on the boundary (Q = 0 and P = b^2 on the ball, where u is
+    the hyperbolic model (b^2 - r^2) / (2b) shifted to the datum).  Scaling
+    by |w'(b)| gives u a unit slope at the outer radius.  At tau = 0 the
+    cone is sigma_1 > 0, and sigma_1 = n u_r^2 / 2 - u Delta u
+    = n u_r^2 / 2 + 2n u / |w'(b)| > 0: the start is admissible in the
+    continuum, for every delta > 0 and every annulus.  On the grid the
+    r^(2-n) term is resolved only when h is small against the inner radius;
+    newton_solve checks the discrete margins.
     """
     r = spec.radii()
-    if isinstance(spec.domain, Ball):
-        b = spec.domain.radius
-        u = (b**2 - r**2) / (2.0 * b) + spec.delta
-        return RadialProfile(r=r, u=u)
-    a, b = spec.domain.inner, spec.domain.outer
-    cone0 = replace(spec.cone, tau=0.0)
-    for c in [2.0**j for j in range(-2, 12)]:
-        u = spec.delta + c * (r - a) * (b - r)
-        profile = RadialProfile(r=r, u=u)
-        _, margins, _ = _evaluate(u, spec, r, cone0)
-        if np.all(margins > MARGIN_FLOOR):
-            return profile
-    raise InadmissibleIterateError("could not construct an admissible annulus start")
+    b = r[-1]
+    w = b**2 - r**2
+    slope = 2.0 * b
+    if isinstance(spec.domain, Annulus):
+        a, n = r[0], spec.cone.n
+        Q = (b**2 - a**2) / (b**(2 - n) - a**(2 - n))
+        w = w + Q * (r**(2 - n) - b**(2 - n))
+        slope = slope + (n - 2) * Q * b**(1 - n)
+    return RadialProfile(r=r, u=w / slope + spec.delta)
 
 
 def _make_report(u, spec, r, F, margins, iters, converged):
@@ -365,6 +368,31 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
                         MAX_NEWTON_ITERATIONS, res <= opts.tol)
 
 
+def _newton_stop(report: SolveReport, opts: NewtonOptions) -> str:
+    """Why a Newton solve stopped short of opts.tol: newton_solve returns
+    before MAX_NEWTON_ITERATIONS only when the line search fails."""
+    cause = ("iteration limit reached"
+             if report.newton_iterations >= MAX_NEWTON_ITERATIONS
+             else "line search found no admissible descent step")
+    return (f"Newton stopped at residual_sup {report.residual_sup:.3e} after "
+            f"{report.newton_iterations} iterations, above tol {opts.tol:.1e} "
+            f"({cause})")
+
+
+def _unresolved_start(spec: ProblemSpec,
+                      err: InadmissibleIterateError) -> InadmissibleIterateError:
+    """The error for an annulus start that is not admissible on the grid.
+    The start is admissible in the continuum, so the cause is an inner
+    radius the grid does not resolve."""
+    r = spec.radii()
+    node = err.worst_node
+    return InadmissibleIterateError(
+        f"the tau = 0 start is inadmissible: the grid does not resolve the "
+        f"inner radius (worst node {node}, r = {r[node]:.6g}, "
+        f"margin {err.margin:.3e}, h/inner = {(r[1] - r[0]) / r[0]:.3g})",
+        worst_node=node, margin=err.margin)
+
+
 def continuation_tau(spec: ProblemSpec,
                      opts: NewtonOptions | None = None) -> SolveReport:
     """Continuation in tau from the semilinear start to spec.tau.
@@ -379,9 +407,16 @@ def continuation_tau(spec: ProblemSpec,
     target = spec.tau
 
     spec0 = replace(spec, tau=0.0)
-    report = newton_solve(initial_profile(spec0), spec0, opts)
+    try:
+        report = newton_solve(initial_profile(spec0), spec0, opts)
+    except InadmissibleIterateError as err:
+        # A NaN margin is an overflowed start, not an unresolved radius.
+        if isinstance(spec.domain, Ball) or math.isnan(err.margin):
+            raise
+        raise _unresolved_start(spec0, err) from err
     if not report.converged:
-        raise ContinuationStallError("the tau = 0 start problem did not converge")
+        raise ContinuationStallError(
+            f"the tau = 0 start problem did not converge: {_newton_stop(report, opts)}")
     steps = 0
     if target == 0.0:
         return replace(report, continuation_steps=0)
@@ -396,9 +431,11 @@ def continuation_tau(spec: ProblemSpec,
         spec_t = replace(spec, tau=t_next)
         try:
             trial = newton_solve(report.profile, spec_t, opts)
-        except InadmissibleIterateError:
-            trial = None
-        if trial is not None and trial.converged:
+            refusal = None if trial.converged else _newton_stop(trial, opts)
+        except InadmissibleIterateError as err:
+            refusal = (f"the step left the cone (worst node {err.worst_node}, "
+                       f"margin {err.margin:.3e})")
+        if refusal is None:
             report = trial
             current = t_next
             pending.pop(0)
@@ -406,7 +443,8 @@ def continuation_tau(spec: ProblemSpec,
         else:
             if t_next - current < MIN_TAU_STEP:
                 raise ContinuationStallError(
-                    f"tau continuation stalled at tau = {current:.6f}")
+                    f"tau continuation stalled at tau = {current:.6f}: "
+                    f"tau = {t_next:.9f} refused, {refusal}")
             pending.insert(0, 0.5 * (current + t_next))
     return replace(report, continuation_steps=steps)
 

@@ -14,10 +14,12 @@ from lnlab import (Annulus, Ball, ConeSpec, ProblemSpec, RadialProfile,
                    continuation_tau, initial_profile, newton_solve, residual)
 from lnlab import solver
 from lnlab.cli import _format17
-from lnlab.solver import (DELTA_END, DELTA_START, SolveReport,
-                          _analytic_jacobian, _evaluate, default_delta_schedule)
+from lnlab.solver import (DELTA_END, DELTA_START, MARGIN_FLOOR, NEWTON_TOL,
+                          NewtonOptions, SolveReport, _analytic_jacobian,
+                          _evaluate, default_delta_schedule)
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
-                          InadmissibleIterateError, InvalidArgumentError)
+                          InadmissibleIterateError, InvalidArgumentError,
+                          LnlabError)
 
 
 def ball_spec(n=3, k=1, tau=0.9, delta=0.05, grid=200):
@@ -60,6 +62,20 @@ class TestProblemSpec:
     def test_delta_must_be_one_real_number(self, domain, bad):
         with pytest.raises(InvalidArgumentError, match="delta"):
             ProblemSpec(cone=ConeSpec(3, 1), tau=0.5, domain=domain, delta=bad)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: ProblemSpec(cone=ConeSpec(3, 1), tau=v, domain=Ball(1.0),
+                               delta=0.1), "tau"),
+        (lambda v: ConeSpec(3, 1, v), "tau"),
+        (lambda v: Ball(v), "radius"),
+        (lambda v: Annulus(v, 2.0), "inner"),
+        (lambda v: Annulus(0.5, v), "outer"),
+    ], ids=["problem-tau", "cone-tau", "ball-radius", "inner", "outer"])
+    @pytest.mark.parametrize("bad", [True, "1", None, 1j],
+                             ids=["bool", "str", "none", "complex"])
+    def test_fields_must_be_real_numbers(self, make, name, bad):
+        with pytest.raises(InvalidArgumentError, match=name):
+            make(bad)
 
     @pytest.mark.parametrize("delta", [1, np.float32(0.5), np.float64(0.1)],
                              ids=["int", "float32", "float64"])
@@ -252,6 +268,67 @@ class TestNewton:
         assert not rep.converged
 
 
+def annulus_spec(n, k, tau, inner, delta=0.1, grid=200):
+    return ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=Annulus(inner, 1.0),
+                       delta=delta, grid=grid)
+
+
+class TestInitialProfile:
+    def test_ball_start_is_the_hyperbolic_model(self):
+        spec = ball_spec(delta=0.05, grid=100)
+        r = spec.radii()
+        u = initial_profile(spec).u
+        assert u.tobytes() == ((1.0**2 - r**2) / (2.0 * 1.0) + 0.05).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_annulus_start_is_the_scaled_torsion_function(self, n):
+        """u = delta on both spheres, slope -1 at the outer one, and
+        Delta u = -2n / |w'(b)| constant inside."""
+        spec = annulus_spec(n, 1, 0.0, 0.3, delta=0.2, grid=4000)
+        r = spec.radii()
+        u = initial_profile(spec).u
+        assert u[0] == pytest.approx(0.2, abs=1e-14) and u[-1] == 0.2
+        du = np.gradient(u, r, edge_order=2)
+        assert du[-1] == pytest.approx(-1.0, abs=1e-6)
+        lap = np.gradient(du, r, edge_order=2) + (n - 1) * du / r
+        assert lap[10:-10] == pytest.approx(lap[-10], rel=1e-3)
+
+    def test_initial_profile_evaluates_no_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("initial_profile called the operator")
+        for name in ("_evaluate", "cone_margin", "_f_and_grad_unchecked"):
+            monkeypatch.setattr(solver, name, refuse)
+        initial_profile(annulus_spec(8, 2, 0.0, 0.1))
+
+    def test_start_margins_exceed_floor_on_the_box(self):
+        """sigma_1 > 0 holds for the torsion start in the continuum; at grid
+        1000 the discrete margins clear MARGIN_FLOOR on n <= 12, inner radius
+        0.05 .. 0.99 and delta 1e-4 .. 10.  At tau = 0 the margin does not
+        depend on k."""
+        for n, inner, delta in itertools.product(
+                range(3, 13), np.geomspace(0.05, 0.99, 7), np.geomspace(1e-4, 10, 6)):
+            spec = annulus_spec(n, 1, 0.0, float(inner), float(delta), grid=1000)
+            margins = _evaluate(initial_profile(spec).u, spec, spec.radii(),
+                                spec.solve_cone())[1]
+            assert margins.min() > MARGIN_FLOOR, (n, inner, delta)
+
+    def test_unresolved_inner_radius_is_named(self):
+        """At grid 200 an inner radius of 0.01 is half a grid step: the
+        discrete start leaves the cone next to it, and the error says so."""
+        with pytest.raises(InadmissibleIterateError,
+                           match=r"does not resolve the inner radius "
+                                 r"\(worst node 2, r = 0.0199, margin .*, "
+                                 r"h/inner = 0.495\)") as err:
+            continuation_tau(annulus_spec(8, 1, 0.5, 0.01))
+        assert err.value.worst_node == 2 and err.value.margin < 0
+
+
+# Every refusal of continuation_tau names one of these causes.
+CAUSES = ("does not resolve the inner radius", "the step left the cone",
+          "line search found no admissible descent step",
+          "iteration limit reached")
+
+
 class TestContinuationTau:
     def test_threshold_case(self):
         spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.95, domain=Ball(1.0),
@@ -273,6 +350,50 @@ class TestContinuationTau:
         rep = continuation_tau(spec)
         assert rep.converged
         assert rep.admissibility_margin_min > 0
+
+    def test_inner_radius_point_one_in_dimension_five(self):
+        """n >= 5 on [0.1, 1]: the start is admissible and the solve converges."""
+        rep = continuation_tau(annulus_spec(5, 2, 0.9, 0.1))
+        assert rep.converged and rep.residual_sup <= NEWTON_TOL
+
+    def test_annulus_sweep_converges_or_names_the_cause(self):
+        """A seeded draw from the annulus box at grid 200, plus n = 5, 6, 8 on
+        [0.1, 1]: each run converges or its error names one of CAUSES.  Inner
+        radii the grid does not resolve have their own test: there the step
+        halvings can take seconds."""
+        rng = np.random.default_rng(0)
+        configs = [(n, int(rng.integers(1, n + 1)), 0.9, 0.1) for n in (5, 6, 8)]
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            configs.append((n, int(rng.integers(1, n + 1)),
+                            float(rng.choice([0.5, 0.9, 0.99])),
+                            float(rng.choice([0.1, 0.5, 0.9]))))
+        for config in configs:
+            try:
+                assert continuation_tau(annulus_spec(*config)).converged, config
+            except LnlabError as err:
+                assert any(cause in str(err) for cause in CAUSES), (config, err)
+
+    def test_start_problem_failure_names_the_newton_stop(self, monkeypatch):
+        spec = ball_spec(grid=100)
+        with pytest.raises(ContinuationStallError,
+                           match=r"line search found no admissible descent step"):
+            continuation_tau(spec, NewtonOptions(tol=1e-30))
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 1)
+        with pytest.raises(ContinuationStallError,
+                           match=r"the tau = 0 start problem did not converge: "
+                                 r"Newton stopped at residual_sup \S+ after 1 "
+                                 r"iterations, above tol 1.0e-10 "
+                                 r"\(iteration limit reached\)"):
+            continuation_tau(spec)
+
+    def test_stall_names_the_refused_tau_and_the_cause(self):
+        """(8, 8) on [0.1, 1] reaches the cone boundary before tau = 0.9."""
+        with pytest.raises(ContinuationStallError,
+                           match=r"stalled at tau = 0\.85\d*: tau = 0\.85\d* "
+                                 r"refused, the step left the cone "
+                                 r"\(worst node \d+, margin \S+\)"):
+            continuation_tau(annulus_spec(8, 8, 0.9, 0.1))
 
     def test_target_on_the_step_grid_is_solved_once(self):
         """arange(0.05, 0.2, 0.05) already ends on 0.2 in floating point;
