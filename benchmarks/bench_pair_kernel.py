@@ -1,15 +1,17 @@
 """Before/after numbers for the pair-form cones kernels.
 
-    python3 benchmarks/bench_pair_kernel.py PARENT_CHECKOUT > BENCH_pair_kernel.json
+    python3 benchmarks/bench_pair_kernel.py PARENT_CHECKOUT > BENCH_name.json
 
 Compares this checkout with PARENT_CHECKOUT (another lnlab checkout, e.g. made
 with `git archive`), in three parts:
 
-1. `solver._evaluate` wall time at grids 1e4 and 1e5 on the unit ball for
-   three cones: the median of 40 calls after 5 untimed ones, on the
-   hyperbolic starting profile, in a fresh interpreter per checkout with
-   BLAS pinned to one thread.  Both checkouts must take
-   `_evaluate(u, spec, r, cone)`, the signature without a per-node rhs.
+1. `solver._evaluate` and `solver._analytic_jacobian` wall times at grids
+   1e3, 1e4 and 1e5 on the unit ball for three cones: the median of 40
+   calls after 5 untimed ones, on the hyperbolic starting profile (where
+   every cone is admissible, so the Jacobian has its gradients), in a fresh
+   interpreter per checkout with BLAS pinned to one thread.  Both checkouts
+   must take `_evaluate(u, spec, r, cone)` and
+   `_analytic_jacobian(u, spec, r, cone, state)`.
 2. perfbench/run.py --trace 0 on every workload for PAIRS alternating
    (parent, change) pairs on seeds 101, 102, ...; the side that runs first
    alternates.  Each checkout runs its own perfbench/, so both must carry the
@@ -31,18 +33,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 FIRST_SEED = 101
-EVAL_GRIDS = (10_000, 100_000)
+EVAL_GRIDS = (1_000, 10_000, 100_000)
 EVAL_CONES = ((3, 1, 0.9), (4, 2, 0.95), (6, 3, 0.95))
 TRACED = ("cones.cone_margin", "cones.f_and_grad", "cones.sigma_all",
           "cones.tau_deform")
 
 
-def evaluate_times(src: str) -> dict:
-    """Median _evaluate milliseconds per (grid, cone), lnlab from src."""
+def kernel_times(src: str) -> dict:
+    """Median milliseconds of _evaluate and of _analytic_jacobian per
+    (grid, cone), lnlab from src."""
     sys.path.insert(0, src)
     from lnlab.cones import ConeSpec
-    from lnlab.solver import Ball, ProblemSpec, _evaluate, initial_profile
-    out = {}
+    from lnlab.solver import (Ball, ProblemSpec, _analytic_jacobian, _evaluate,
+                              initial_profile)
+    out = {"_evaluate": {}, "_analytic_jacobian": {}}
     for grid in EVAL_GRIDS:
         for n, k, tau in EVAL_CONES:
             spec = ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=Ball(1.0),
@@ -50,21 +54,27 @@ def evaluate_times(src: str) -> dict:
             r = spec.radii()
             cone = spec.solve_cone()
             u = initial_profile(spec).u
-            for _ in range(5):
-                _evaluate(u, spec, r, cone)
-            times = []
-            for _ in range(40):
-                start = time.perf_counter()
-                _evaluate(u, spec, r, cone)
-                times.append(time.perf_counter() - start)
-            out[f"grid={grid},n={n},k={k},tau={tau}"] = statistics.median(times) * 1e3
+            state = _evaluate(u, spec, r, cone)[2]
+            calls = {"_evaluate": lambda: _evaluate(u, spec, r, cone),
+                     "_analytic_jacobian":
+                         lambda: _analytic_jacobian(u, spec, r, cone, state)}
+            for name, call in calls.items():
+                for _ in range(5):
+                    call()
+                times = []
+                for _ in range(40):
+                    start = time.perf_counter()
+                    call()
+                    times.append(time.perf_counter() - start)
+                key = f"grid={grid},n={n},k={k},tau={tau}"
+                out[name][key] = statistics.median(times) * 1e3
     return out
 
 
-def run_evaluate(checkout: Path) -> dict:
+def run_kernels(checkout: Path) -> dict:
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    cmd = [sys.executable, __file__, "--evaluate", str(checkout / "src")]
+    cmd = [sys.executable, __file__, "--kernels", str(checkout / "src")]
     return json.loads(subprocess.run(cmd, env=env, check=True, capture_output=True,
                                      text=True).stdout)
 
@@ -132,17 +142,21 @@ def traced(checkout: Path) -> dict:
 
 
 def main():
-    if sys.argv[1:2] == ["--evaluate"]:
-        json.dump(evaluate_times(sys.argv[2]), sys.stdout)
+    if sys.argv[1:2] == ["--kernels"]:
+        json.dump(kernel_times(sys.argv[2]), sys.stdout)
         return
     if len(sys.argv) != 2:
         raise SystemExit(__doc__.split("\n\n")[1])
     parent, change = Path(sys.argv[1]).resolve(), ROOT
-    evaluate = {"parent": run_evaluate(parent), "change": run_evaluate(change)}
-    evaluate["speedup"] = {key: evaluate["parent"][key] / evaluate["change"][key]
-                           for key in evaluate["parent"]}
+    sides = {"parent": run_kernels(parent), "change": run_kernels(change)}
+    kernels = {}
+    for name, parent_ms in sides["parent"].items():
+        change_ms = sides["change"][name]
+        kernels[name] = {"parent": parent_ms, "change": change_ms,
+                         "speedup": {key: parent_ms[key] / change_ms[key]
+                                     for key in parent_ms}}
     summary = {
-        "evaluate_ms": evaluate,
+        "kernel_ms": kernels,
         "perfbench": compare(parent, change),
         "traced_solve_large": {"parent": traced(parent), "change": traced(change)},
     }

@@ -23,6 +23,12 @@ and take it as an argument.  Every spectrum lnlab builds has the form
 the closed form (C(n-1,j)*b + C(n-1,j-1)*a) * b^(j-1), and the
 tau-deformation keeps the form.  The full form is the general path and the
 oracle for the pair one.
+
+f and the cone Gamma_k read sigma_j for j <= k only, so sigma_all returns the
+orders up to the k it is asked for (every order when k is None), with the
+same bits for each of them whatever k is; the cone functions ask for cone.k.
+Pair-path kernels write their columns into one preallocated (columns, rows)
+buffer and return it viewed as (rows, columns).
 """
 
 import numbers
@@ -80,38 +86,60 @@ class Membership(NamedTuple):
     margin: np.ndarray | float
 
 
-def sigma_all(lam: np.ndarray, n: int | None = None) -> np.ndarray:
-    """All elementary symmetric polynomials of lam.
+def sigma_all(lam: np.ndarray, n: int | None = None,
+              k: int | None = None) -> np.ndarray:
+    """Elementary symmetric polynomials of lam, up to order k.
 
-    Returns an array of shape lam.shape[:-1] + (n+1,) whose entry [..., j]
-    is sigma_j(lam), with sigma_0 = 1.  A full spectrum (n = None) uses the
-    stable product recurrence (coefficients of prod_i (t + lam_i)) rather
-    than subset enumeration, on entries sorted first so permutations give
+    Returns an array of shape lam.shape[:-1] + (k+1,) whose entry [..., j]
+    is sigma_j(lam), with sigma_0 = 1; k = None means every order, up to
+    the length of the spectrum.  A full spectrum (n = None) uses the stable
+    product recurrence (coefficients of prod_i (t + lam_i)) rather than
+    subset enumeration, on entries sorted first so permutations give
     bit-identical results.  A pair (a, b) standing for (a, b, ..., b) of
     length n uses the closed form (C(n-1,j)*b + C(n-1,j-1)*a) * b^(j-1).
+    Column j depends on columns < j only, so every order up to k has the
+    same bits whatever k is.
     """
     lam = np.asarray(lam, dtype=float)
     if n is not None:
         _check_pair(lam)
-        a, b = lam[..., 0], lam[..., 1]
-        e = np.empty((n + 1,) + lam.shape[:-1])
-        e[0] = 1.0
-        b_pow = e[0]                      # b^(j-1)
-        for j in range(1, n + 1):
-            e[j] = (comb(n - 1, j) * b + comb(n - 1, j - 1) * a) * b_pow
-            b_pow = b_pow * b
-        return _last_axis_outermost(e)
-    return _sigma_full(lam)
+    length = lam.shape[-1] if n is None else n
+    if k is None:
+        k = length
+    elif (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+          or not 0 <= k <= length):
+        raise InvalidArgumentError(
+            f"order k must be an integer in [0, {length}], got {k!r}")
+    if n is None:
+        return _sigma_full(lam, k)
+    a, b = lam[..., 0], lam[..., 1]
+    e = np.empty((k + 1,) + lam.shape[:-1])
+    e[0, ...] = 1.0
+    b_pow = None                          # b^(j-1), None standing for 1
+    term = np.empty_like(e[0, ...])
+    for j in range(1, k + 1):
+        row = e[j, ...]
+        np.multiply(b, comb(n - 1, j), out=row)
+        np.multiply(a, comb(n - 1, j - 1), out=term)
+        row += term
+        if b_pow is not None:
+            row *= b_pow
+            if j < k:
+                b_pow *= b
+        elif j < k:
+            b_pow = b.copy()
+    return _last_axis_outermost(e)
 
 
-def _sigma_full(lam: np.ndarray) -> np.ndarray:
-    """sigma_all of a full spectrum: the product recurrence on sorted entries."""
+def _sigma_full(lam: np.ndarray, k: int) -> np.ndarray:
+    """sigma_0..sigma_k of a full spectrum: the product recurrence on sorted
+    entries, updating columns <= k only."""
     lam = np.sort(lam, axis=-1)
-    n = lam.shape[-1]
-    e = np.zeros(lam.shape[:-1] + (n + 1,))
+    e = np.zeros(lam.shape[:-1] + (k + 1,))
     e[..., 0] = 1.0
-    for i in range(n):
-        e[..., 1:i + 2] += lam[..., i:i + 1] * e[..., 0:i + 1].copy()
+    for i in range(lam.shape[-1]):
+        top = min(i + 1, k)
+        e[..., 1:top + 1] += lam[..., i:i + 1] * e[..., 0:top]
     return e
 
 
@@ -127,8 +155,15 @@ def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
     if n is not None:
         _check_pair(lam)
         a, b = lam[..., 0], lam[..., 1]
-        shift = (1.0 - tau) * (a + (n - 1) * b)
-        return _last_axis_outermost(np.stack((tau * a + shift, tau * b + shift)))
+        out = np.empty((2,) + lam.shape[:-1])
+        shift = np.multiply(b, n - 1)
+        shift += a
+        shift *= 1.0 - tau
+        for i, x in enumerate((a, b)):
+            column = out[i, ...]
+            np.multiply(x, tau, out=column)
+            column += shift
+        return _last_axis_outermost(out)
     # Sum in sorted order so permutations of lam give bit-identical traces.
     s1 = np.sort(lam, axis=-1).sum(axis=-1, keepdims=True)
     return tau * lam + (1.0 - tau) * s1
@@ -141,7 +176,7 @@ def _last_axis_outermost(columns: np.ndarray) -> np.ndarray:
     last axis (or broadcast against one) run row by row, many times slower
     than the same work over whole columns.
     """
-    return np.moveaxis(columns, 0, -1)
+    return columns.transpose((*range(1, columns.ndim), 0))
 
 
 def _check_pair(lam: np.ndarray):
@@ -172,14 +207,17 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     lam = np.asarray(lam, dtype=float)
     pair = _pair_length(cone, lam)
     mu = tau_deform(lam, cone.tau, pair)
-    sig = sigma_all(mu, pair)
+    sig = sigma_all(mu, pair, cone.k)
     # Column-wise max and min: exact like the axis reductions, and much
-    # cheaper than them on a short last axis.
+    # cheaper than them on a short last axis.  The scale is built in place
+    # in column 0 of |mu|; [()] makes one spectrum's scale the scalar a
+    # ufunc would return, so its powers take the scalar path as before.
     abs_mu = np.abs(mu)
     scale = abs_mu[..., 0]
     for i in range(1, mu.shape[-1]):
-        scale = np.maximum(scale, abs_mu[..., i])
-    scale = np.maximum(1.0, scale)
+        np.maximum(scale, abs_mu[..., i], out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    scale = scale[()]
     out = None
     for j in range(1, cone.k + 1):
         margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
@@ -211,7 +249,7 @@ def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     _check_inside(cone, lam)
     pair = _pair_length(cone, np.asarray(lam))
     mu = tau_deform(lam, cone.tau, pair)
-    sk = sigma_all(mu, pair)[..., cone.k]
+    sk = sigma_all(mu, pair, cone.k)[..., cone.k]
     out = cone.normalization * sk ** (1.0 / cone.k) / cone.deformation_scale
     return out if np.ndim(out) else float(out)
 
@@ -229,37 +267,46 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     n, k = cone.n, cone.k
     pair = _pair_length(cone, lam)
     mu = tau_deform(lam, cone.tau, pair)
-    sig = sigma_all(mu, pair)
+    sig = sigma_all(mu, pair, k)
     sk = sig[..., k]
     fk = cone.normalization * sk ** (1.0 / k)
+
+    weight = fk / (k * sk)              # df / dsigma_k
+    s = cone.deformation_scale
 
     # sigma_{k-1} of mu with entry i deleted, computed from the deleted
     # entries themselves.  The downward recurrence sigma_j(mu) - mu_i *
     # sigma_{j-1}(mu \ i) loses a factor of about (mu_i / the rest)^(k-1) in
-    # relative accuracy, which near the e1 ray is every digit.
+    # relative accuracy, which near the e1 ray is every digit.  Then the
+    # chain rule through lam^tau: d mu_i / d lam_j = tau*delta_ij + (1-tau).
+    if pair is None:
+        if k == 1:
+            drop = np.ones_like(mu)
+        else:
+            drop = np.stack([_sigma_full(np.delete(mu, i, axis=-1), k - 1)[..., k - 1]
+                             for i in range(n)], axis=-1)
+        grad_F = weight[..., None] * drop
+        total = grad_F.sum(axis=-1, keepdims=True)
+        return fk / s, (cone.tau * grad_F + (1.0 - cone.tau) * total) / s
+
+    # A pair, column by column.  Deleting a leaves b n-1 times; deleting a b
+    # leaves (a, b, ..., b) of length n-1.  Both in the closed form of
+    # sigma_all.
     if k == 1:
-        drop = np.ones_like(mu)
-    elif pair is not None:
-        # Deleting a leaves b n-1 times; deleting a b leaves (a, b, ..., b)
-        # of length n-1.  Both in the closed form of sigma_all.
+        grad_a = grad_b = weight
+    else:
         a, b = mu[..., 0], mu[..., 1]
         b_pow = b ** (k - 2)
-        drop = _last_axis_outermost(np.stack((
-            comb(n - 1, k - 1) * b * b_pow,
-            (comb(n - 2, k - 1) * b + comb(n - 2, k - 2) * a) * b_pow)))
-    else:
-        drop = np.stack([_sigma_full(np.delete(mu, i, axis=-1))[..., k - 1]
-                         for i in range(n)], axis=-1)
-    grad_F = (fk / (k * sk))[..., None] * drop
-
-    # Chain rule through lam^tau: d mu_i / d lam_j = tau*delta_ij + (1-tau).
-    if pair is not None:
-        total = grad_F[..., 0:1] + (n - 1) * grad_F[..., 1:2]
-    else:
-        total = grad_F.sum(axis=-1, keepdims=True)
-    g = cone.tau * grad_F + (1.0 - cone.tau) * total
-    s = cone.deformation_scale
-    return fk / s, g / s
+        grad_a = weight * (comb(n - 1, k - 1) * b * b_pow)
+        grad_b = weight * ((comb(n - 2, k - 1) * b + comb(n - 2, k - 2) * a) * b_pow)
+    shift = (1.0 - cone.tau) * (grad_a + (n - 1) * grad_b)
+    g = np.empty((2,) + np.shape(weight))
+    for i, grad in enumerate((grad_a, grad_b)):
+        column = g[i, ...]
+        np.multiply(grad, cone.tau, out=column)
+        column += shift
+        column /= s
+    return fk / s, _last_axis_outermost(g)
 
 
 def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:

@@ -52,10 +52,10 @@ def _eigenpair(v, v_r, v_rr, r):
     r = 0 entries use the even-profile centre rule v_r / r -> v_rr.  Zero v
     is allowed: the polynomial forms extend continuously to it.
     """
-    radial = 0.5 * v_r**2 - v * v_rr
-    slope_over_r = np.where(r > 0, v_r / np.where(r > 0, r, 1.0), v_rr)
-    tangential = 0.5 * v_r**2 - v * slope_over_r
-    return radial, tangential
+    half_slope_sq = 0.5 * v_r**2
+    off_centre = r > 0
+    slope_over_r = np.where(off_centre, v_r / np.where(off_centre, r, 1.0), v_rr)
+    return half_slope_sq - v * v_rr, half_slope_sq - v * slope_over_r
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ INTERIOR_FRACTION = 0.5
 # The paper's right-hand side.  Any constant c > 0 reduces to it: the Schouten
 # tensor is scale-invariant, so u -> sqrt(2c) u multiplies lam by 2c.
 RHS = 0.5
+# Scalars of the torsion start that may underflow to 0 (see _check_float_range).
+_MAY_VANISH = ("outer^(2-n)", "Q")
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,30 @@ class ProblemSpec:
             raise InvalidArgumentError(
                 f"boundary datum delta must be positive and finite, got {self.delta}")
         object.__setattr__(self, "delta", float(self.delta))
+        self._check_float_range()
+
+    def _check_float_range(self):
+        """Refuse radii for which h^2, or a scalar of initial_profile's
+        torsion start, overflows, or underflows to 0 where the start divides
+        by it: past this check the stencils divide by a nonzero h^2 and the
+        start is finite.  (Q and outer^(2-n) may vanish: the start then
+        keeps its finite b^2 - r^2 part.)"""
+        ball = isinstance(self.domain, Ball)
+        span = (np.float64(self.domain.radius) if ball else
+                np.float64(self.domain.outer) - np.float64(self.domain.inner))
+        with np.errstate(all="ignore"):
+            scalars = {"h^2": (span / self.grid) ** 2, **_torsion_scalars(self)}
+        for name, value in scalars.items():
+            vanishes = value == 0.0 and name not in _MAY_VANISH
+            if vanishes or not math.isfinite(value):
+                radii = (f"ball outer radius {self.domain.radius:g}" if ball else
+                         f"annulus radii ({self.domain.inner:g}, {self.domain.outer:g})")
+                if name != "h^2":
+                    name = f"the torsion start's {name}"
+                raise InvalidArgumentError(
+                    f"{radii} out of float range at n = {self.cone.n}, "
+                    f"grid {self.grid}: {name} "
+                    f"{'underflows' if vanishes else 'overflows'} ({value:.3g})")
 
     def radii(self) -> np.ndarray:
         if isinstance(self.domain, Ball):
@@ -176,7 +202,10 @@ def _inadmissible(spec: ProblemSpec, margins: np.ndarray,
 def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     """spec.radii(), after checking that the profile lives on that grid."""
     r = spec.radii()
-    if profile.r.shape != r.shape or not np.allclose(profile.r, r, atol=1e-12):
+    if profile.r.shape != r.shape or not (
+            np.array_equal(profile.r, r)
+            or np.allclose(profile.r, r, rtol=0.0,
+                           atol=1e-12 * max(1.0, abs(r[-1])))):
         raise GridMismatchError("profile grid does not match the problem grid")
     return r
 
@@ -186,8 +215,9 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     rows = _pde_rows(spec)
     du, d2u = _radial_stencil(u, r)
     val, du, d2u = u[rows], du[rows], d2u[rows]
-    # (radial, tangential) pairs stand for the spectra (a, b, ..., b).
-    lam = np.stack(_eigenpair(val, du, d2u, r[rows]), axis=-1)
+    # (radial, tangential) pairs stand for the spectra (a, b, ..., b),
+    # stored column by column for the pair kernels.
+    lam = np.stack(_eigenpair(val, du, d2u, r[rows])).T
     margins = np.atleast_1d(cone_margin(cone, lam))
 
     F = u - spec.delta
@@ -201,43 +231,39 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
 
 
 def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
-    """Tridiagonal Jacobian in solve_banded layout (3, m)."""
+    """Tridiagonal Jacobian in solve_banded layout (3, m): ab[0, i + 1] is
+    J[i, i+1], ab[1, i] is J[i, i] and ab[2, i - 1] is J[i, i-1]."""
     val, du, d2u, grads = state
     h = r[1] - r[0]
-    m = u.size
     rows = _pde_rows(spec)
     gR = grads[:, 0]
     gT = (cone.n - 1) * grads[:, 1]
 
-    diag = np.ones(m)       # Dirichlet rows: d(u - delta)/du = 1
-    sup = np.zeros(m - 1)   # J[i, i+1]
-    sub = np.zeros(m - 1)   # J[i+1, i]
-
-    # PDE rows with full central stencils: all but a centre row 0.  The state
-    # arrays hold PDE rows only, so row i sits at i - rows.start.
-    ii = np.arange(1, rows.stop)
-    s = slice(1 - rows.start, None)
-    dR_c = -d2u[s] + 2.0 * val[s] / h**2
-    dR_p = du[s] / (2 * h) - val[s] / h**2
-    dR_m = -du[s] / (2 * h) - val[s] / h**2
-    rr = r[ii]
-    dT_c = -du[s] / rr
-    dT_p = (du[s] - val[s] / rr) / (2 * h)
-    dT_m = -dT_p
-    diag[ii] = gR[s] * dR_c + gT[s] * dT_c
-    sup[ii] = gR[s] * dR_p + gT[s] * dT_p
-    sub[ii - 1] = gR[s] * dR_m + gT[s] * dT_m
-
+    ab = np.zeros((3, u.size))
+    ab[1, 0] = ab[1, -1] = 1.0      # Dirichlet rows: d(u - delta)/du = 1
     if rows.start == 0:
         # Center row: both eigenvalues equal -u0 * d2u0 with d2u0 = 2(u1-u0)/h^2.
         gsum = gR[0] + gT[0]
-        diag[0] = gsum * (-d2u[0] + 2.0 * val[0] / h**2)
-        sup[0] = gsum * (-2.0 * val[0] / h**2)
+        ab[1, 0] = gsum * (-d2u[0] + 2.0 * val[0] / h**2)
+        ab[0, 1] = gsum * (-2.0 * val[0] / h**2)
 
-    ab = np.zeros((3, m))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
+    # PDE rows with full central stencils, i = 1 .. rows.stop - 1: all but a
+    # centre row 0.  The state arrays hold PDE rows only, so row i sits at
+    # i - rows.start.
+    stop = rows.stop
+    s = slice(1 - rows.start, None)
+    val, du, d2u, gR, gT = val[s], du[s], d2u[s], gR[s], gT[s]
+    rr = r[1:stop]
+    diag, sup, sub = ab[1, 1:stop], ab[0, 2:stop + 1], ab[2, :stop - 1]
+    # Radial eigenvalue through (u, u_r, u_rr), tangential through (u, u_r).
+    np.multiply(gR, -d2u + 2.0 * val / h**2, out=diag)
+    diag += gT * (-du / rr)
+    du_2h, val_h2 = du / (2 * h), val / h**2
+    np.multiply(gR, du_2h - val_h2, out=sup)
+    np.multiply(gR, -du_2h - val_h2, out=sub)
+    tangential = gT * ((du - val / rr) / (2 * h))
+    sup += tangential
+    sub -= tangential
     return ab
 
 
@@ -290,15 +316,26 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
     newton_solve checks the discrete margins.
     """
     r = spec.radii()
-    b = r[-1]
-    w = b**2 - r**2
-    slope = 2.0 * b
+    scalars = _torsion_scalars(spec)
+    w = scalars["b^2"] - r**2
     if isinstance(spec.domain, Annulus):
-        a, n = r[0], spec.cone.n
-        Q = (b**2 - a**2) / (b**(2 - n) - a**(2 - n))
-        w = w + Q * (r**(2 - n) - b**(2 - n))
-        slope = slope + (n - 2) * Q * b**(1 - n)
-    return RadialProfile(r=r, u=w / slope + spec.delta)
+        w = w + scalars["Q"] * (r**(2 - spec.cone.n) - scalars["outer^(2-n)"])
+    return RadialProfile(r=r, u=w / scalars["slope |w'(b)|"] + spec.delta)
+
+
+def _torsion_scalars(spec: ProblemSpec) -> dict:
+    """The scalars of initial_profile's start by name: b^2, the slope
+    |w'(b)| and, on an annulus, r^(2-n) at both radii and Q.  Each may be 0
+    or inf for radii out of float range, which ProblemSpec refuses."""
+    if isinstance(spec.domain, Ball):
+        b = np.float64(spec.domain.radius)
+        return {"b^2": b**2, "slope |w'(b)|": 2.0 * b}
+    n = spec.cone.n
+    a, b = np.float64(spec.domain.inner), np.float64(spec.domain.outer)
+    inner_pow, outer_pow = a**(2 - n), b**(2 - n)
+    Q = (b**2 - a**2) / (outer_pow - inner_pow)
+    return {"b^2": b**2, "inner^(2-n)": inner_pow, "outer^(2-n)": outer_pow,
+            "Q": Q, "slope |w'(b)|": 2.0 * b + (n - 2) * Q * b**(1 - n)}
 
 
 def _make_report(u, spec, r, F, margins, iters, converged):
@@ -410,8 +447,7 @@ def continuation_tau(spec: ProblemSpec,
     try:
         report = newton_solve(initial_profile(spec0), spec0, opts)
     except InadmissibleIterateError as err:
-        # A NaN margin is an overflowed start, not an unresolved radius.
-        if isinstance(spec.domain, Ball) or math.isnan(err.margin):
+        if isinstance(spec.domain, Ball):
             raise
         raise _unresolved_start(spec0, err) from err
     if not report.converged:

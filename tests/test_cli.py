@@ -92,6 +92,15 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--outer", "1e200"],
+        ["--domain", "annulus", "--inner", "1e-60", "--outer", "1", "--n", "8"],
+    ], ids=["ball", "annulus"])
+    def test_radius_out_of_float_range_is_usage_error(self, capsys, flags):
+        assert main(["solve", "--grid", "50"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of float range" in err
+
     @pytest.mark.parametrize("flags, name", [
         (["--domain", "annulus", "--inner", "0.5", "--outer", "1",
           "--radius", "7"], "--radius"),
@@ -193,7 +202,7 @@ class TestVerify:
         criterion named."""
         sigma_all = cones.sigma_all
         monkeypatch.setattr(cones, "sigma_all",
-                            lambda lam, n=None: sigma_all(1.1 * lam, n))
+                            lambda lam, *args: sigma_all(1.1 * lam, *args))
         rc = main(["verify", "--only", "hyperbolic-exactness"])
         out = capsys.readouterr().out
         assert rc == 1

@@ -328,7 +328,10 @@ class TestGeneralPathUnchanged:
         rng = np.random.default_rng(100 + n)
         for shape in [(n,), (200, n), (3, 40, n)]:
             lam = rng.normal(size=shape) * rng.uniform(0.01, 50.0, size=shape)
-            assert np.array_equal(sigma_all(lam), reference_sigma_all(lam))
+            full = sigma_all(lam)
+            assert np.array_equal(full, reference_sigma_all(lam))
+            for k in range(n + 1):
+                assert np.array_equal(sigma_all(lam, None, k), full[..., :k + 1])
             for tau in (0.0, 0.37, 0.95, 1.0):
                 assert np.array_equal(tau_deform(lam, tau),
                                       reference_tau_deform(lam, tau))
@@ -391,6 +394,8 @@ class TestPairForm:
         sig = sigma_all(lam, n)
         assert sig.shape == (lam.shape[0], n + 1)
         assert np.all(sig[:, 0] == 1.0)
+        for k in range(n + 1):
+            assert np.array_equal(sigma_all(lam, n, k), sig[:, :k + 1])
         # Rounding is relative to sigma_j of the absolute values, down to
         # the subnormal range.
         size = sigma_all(np.abs(lam), n)
@@ -418,6 +423,10 @@ class TestPairForm:
     def test_shape_errors(self):
         with pytest.raises(InvalidArgumentError):
             sigma_all(np.ones(3), 4)
+        for lam, n in ((np.ones((5, 2)), 4), (np.ones((5, 4)), None)):
+            for k in (-1, 5, 1.5, True):
+                with pytest.raises(InvalidArgumentError, match="order k"):
+                    sigma_all(lam, n, k)
         with pytest.raises(InvalidArgumentError):
             tau_deform(np.ones((5, 3)), 0.5, 4)
         for fn in (cone_margin, f_eval, grad_f):

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,30 @@ class TestProblemSpec:
         spec = ball_spec(delta=delta)
         assert type(spec.delta) is float and spec.delta == float(delta)
 
+    @pytest.mark.parametrize("domain, quantity", [
+        (Ball(1e200), "h^2 overflows"),
+        (Ball(1e-200), "h^2 underflows"),
+        (Annulus(1e150, 2e150), "r^(2-n) underflows"),
+        (Annulus(1e-60, 1.0), "r^(2-n) overflows"),
+    ], ids=["ball-huge", "ball-tiny", "annulus-huge", "annulus-tiny-inner"])
+    def test_radii_out_of_float_range_are_refused_by_name(self, domain,
+                                                          quantity):
+        """Refused before any Newton step, naming the radius and the scalar
+        of h^2 or the torsion start that left float range; no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError) as err:
+                ProblemSpec(cone=ConeSpec(8, 2), tau=0.5, domain=domain,
+                            delta=0.1, grid=50)
+        message = str(err.value)
+        radius = domain.radius if isinstance(domain, Ball) else domain.inner
+        assert f"{radius:g}" in message and quantity in message
+
+    def test_tiny_inner_radius_in_float_range_still_converges(self):
+        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.5,
+                           domain=Annulus(1e-60, 1.0), delta=0.1, grid=50)
+        assert continuation_tau(spec).converged
+
     def test_radii(self):
         spec = ball_spec(grid=10)
         r = spec.radii()
@@ -132,6 +157,22 @@ class TestResidual:
             for check in (residual, newton_solve):
                 with pytest.raises(GridMismatchError):
                     check(prof, spec)
+
+    @pytest.mark.parametrize("outer", [1.0, 1e6], ids=["unit", "large"])
+    def test_grid_tolerance_is_absolute(self, outer):
+        """Radii shifted by 1e-9 or 5e-6 (of the outer radius) are another
+        grid, although a relative tolerance of 1e-5 would take them; the
+        same linspace rebuilt is the problem's grid."""
+        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.5,
+                           domain=Annulus(0.5 * outer, outer), delta=0.1, grid=50)
+        u = initial_profile(spec).u
+        rebuilt = np.linspace(0.5 * outer, outer, 51)
+        assert np.array_equal(residual(RadialProfile(r=rebuilt, u=u), spec),
+                              residual(initial_profile(spec), spec))
+        for shift in (1e-9, 5e-6):
+            shifted = RadialProfile(r=rebuilt + shift * outer, u=u)
+            with pytest.raises(GridMismatchError):
+                residual(shifted, spec)
 
     def test_worst_node_agrees_with_newton(self):
         """On an annulus the PDE rows start at node 1; both errors must
