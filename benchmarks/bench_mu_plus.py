@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 import mpmath
-from bench_pair_kernel import compare, run_perfbench
+from bench_pair_kernel import claim, compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_PAIRS = 10
@@ -88,23 +88,6 @@ def cone_changes(parent: Path, change: Path) -> dict:
             "changed": changed}
 
 
-def claim(verify: dict) -> dict:
-    run_s = verify["end_to_end"]["run_s"]
-    p, c = run_s["parent"], run_s["change"]
-    spread = p["q3"] - p["q1"]
-    gap = p["median"] - c["median"]
-    return {"metric": "run_s", "workload": "verify", "pairs": len(p["values"]),
-            "change_wins": run_s["change_wins"], "median_gap": gap,
-            "parent_iqr": spread,
-            "met": run_s["change_wins"] >= 0.9 * len(p["values"]) and gap > spread}
-
-
-def traced(checkout: Path) -> dict:
-    result = run_perfbench(checkout, "verify", 1, 1)
-    keep = {k: v for k, v in result["metrics"].items() if k.startswith(TRACED)}
-    return {"correct": result["correct"], "host": result["host"], "metrics": keep}
-
-
 def main():
     if sys.argv[1:2] == ["--cone"]:
         json.dump(cone_rows(sys.argv[2]), sys.stdout)
@@ -116,9 +99,9 @@ def main():
     runs.update(compare(parent, change, ["cli-solve", "solve-large"],
                         OTHER_PAIRS, FIRST_SEED))
     summary = {
-        "claim": claim(runs["verify"]),
+        "claim": claim(runs, "verify"),
         "perfbench": runs,
-        "traced_verify": {"parent": traced(parent), "change": traced(change)},
+        "traced_verify": traced(parent, change, "verify", TRACED),
         "lnlab_cone": cone_changes(parent, change),
     }
     json.dump(summary, sys.stdout, indent=1)

@@ -36,7 +36,7 @@ FIRST_SEED = 101
 EVAL_GRIDS = (1_000, 10_000, 100_000)
 EVAL_CONES = ((3, 1, 0.9), (4, 2, 0.95), (6, 3, 0.95))
 TRACED = ("cones.cone_margin", "cones.f_and_grad", "cones.sigma_all",
-          "cones.tau_deform")
+          "cones.tau_deform", "solver.")
 
 
 def kernel_times(src: str) -> dict:
@@ -134,11 +134,30 @@ def compare(parent: Path, change: Path, workloads=None, pairs=PAIRS,
     return out
 
 
-def traced(checkout: Path) -> dict:
-    result = run_perfbench(checkout, "solve-large", 1, 1)
-    keep = {k: v for k, v in result["metrics"].items()
-            if k.startswith(TRACED) or k.startswith("solver.")}
-    return {"correct": result["correct"], "host": result["host"], "metrics": keep}
+def claim(runs: dict, workload: str) -> dict:
+    """Whether `compare`'s pairs on workload show a `run_s` gain: the change
+    wins at least 9 in 10 pairs, and its median lies below the parent's by
+    more than the parent's interquartile range."""
+    run_s = runs[workload]["end_to_end"]["run_s"]
+    p, c = run_s["parent"], run_s["change"]
+    spread = p["q3"] - p["q1"]
+    gap = p["median"] - c["median"]
+    return {"metric": "run_s", "workload": workload, "pairs": len(p["values"]),
+            "change_wins": run_s["change_wins"], "median_gap": gap,
+            "parent_iqr": spread,
+            "met": run_s["change_wins"] >= 0.9 * len(p["values"]) and gap > spread}
+
+
+def traced(parent: Path, change: Path, workload: str, prefixes: tuple) -> dict:
+    """One perfbench/run.py --trace 1 run on seed 1 per checkout: the
+    per-layer metrics whose names start with one of prefixes."""
+    out = {}
+    for side, checkout in (("parent", parent), ("change", change)):
+        result = run_perfbench(checkout, workload, 1, 1)
+        keep = {k: v for k, v in result["metrics"].items() if k.startswith(prefixes)}
+        out[side] = {"correct": result["correct"], "host": result["host"],
+                     "metrics": keep}
+    return out
 
 
 def main():
@@ -158,7 +177,7 @@ def main():
     summary = {
         "kernel_ms": kernels,
         "perfbench": compare(parent, change),
-        "traced_solve_large": {"parent": traced(parent), "change": traced(change)},
+        "traced_solve_large": traced(parent, change, "solve-large", TRACED),
     }
     json.dump(summary, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -28,7 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_pair_kernel import compare, run_perfbench
+from bench_pair_kernel import compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 CSV_ROWS = {1_000: 50, 10_000: 20, 100_000: 5}     # rows: timed calls
@@ -73,12 +73,6 @@ def run_to_csv(checkout: Path) -> dict:
                                      text=True).stdout)
 
 
-def traced(checkout: Path) -> dict:
-    result = run_perfbench(checkout, "cli-solve", 1, 1)
-    keep = {k: v for k, v in result["metrics"].items() if k.startswith(TRACED)}
-    return {"correct": result["correct"], "host": result["host"], "metrics": keep}
-
-
 def main():
     if sys.argv[1:2] == ["--to-csv"]:
         json.dump(to_csv_times(sys.argv[2]), sys.stdout)
@@ -95,7 +89,7 @@ def main():
     summary = {
         "to_csv_ms": to_csv,
         "perfbench": perfbench,
-        "traced_cli_solve": {"parent": traced(parent), "change": traced(change)},
+        "traced_cli_solve": traced(parent, change, "cli-solve", TRACED),
     }
     json.dump(summary, sys.stdout, indent=1)
     sys.stdout.write("\n")

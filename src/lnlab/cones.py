@@ -27,8 +27,12 @@ oracle for the pair one.
 f and the cone Gamma_k read sigma_j for j <= k only, so sigma_all returns the
 orders up to the k it is asked for (every order when k is None), with the
 same bits for each of them whatever k is; the cone functions ask for cone.k.
-Pair-path kernels write their columns into one preallocated (columns, rows)
-buffer and return it viewed as (rows, columns).
+Every cone function (cone_margin, in_cone, f_eval, grad_f and the solver's
+_f_and_grad_unchecked) reads one _deformed_sigma pass: one tau_deform and one
+sigma_all call, whose output private readers turn into the margin, f and the
+gradient.  f_eval and grad_f check membership on the margin of that same
+pass.  Pair-path kernels write their columns into one preallocated
+(columns, rows) buffer and return it viewed as (rows, columns).
 """
 
 import numbers
@@ -196,18 +200,18 @@ def _pair_length(cone: ConeSpec, lam: np.ndarray) -> int | None:
     return None
 
 
-def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
-    """Signed, scale-aware membership margin.
-
-    min over j <= k of sigma_j(lam^tau) / (binom(n,j) * max(1, |lam^tau|_inf)^j);
-    positive inside the cone, zero on the boundary, negative outside.  The
-    normalization makes margins comparable across j.  lam may be a full
-    spectrum or a pair (see the module docstring).
-    """
+def _deformed_sigma(cone: ConeSpec, lam: np.ndarray):
+    """The one deformation and sigma pass that every cone function reads:
+    (mu, sig, pair) with mu = lam^tau, sig = sigma_0..sigma_k(mu) and pair
+    = cone.n for a pair spectrum, None for a full one."""
     lam = np.asarray(lam, dtype=float)
     pair = _pair_length(cone, lam)
     mu = tau_deform(lam, cone.tau, pair)
-    sig = sigma_all(mu, pair, cone.k)
+    return mu, sigma_all(mu, pair, cone.k), pair
+
+
+def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray) -> np.ndarray | float:
+    """cone_margin from a _deformed_sigma pass."""
     # Column-wise max and min: exact like the axis reductions, and much
     # cheaper than them on a short last axis.  The scale is built in place
     # in column 0 of |mu|; [()] makes one spectrum's scale the scalar a
@@ -225,51 +229,17 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def in_cone(cone: ConeSpec, lam: np.ndarray) -> Membership:
-    """Strict membership of lam in the (deformed) cone, with its margin."""
-    margin = cone_margin(cone, lam)
-    return Membership(margin > 0.0, margin)
+def _f_undeformed(cone: ConeSpec, sig: np.ndarray):
+    """c_{n,k} * sigma_k^(1/k) from a _deformed_sigma pass, before the
+    division by the deformation scale."""
+    return cone.normalization * sig[..., cone.k] ** (1.0 / cone.k)
 
 
-def _check_inside(cone: ConeSpec, lam: np.ndarray):
-    """Raise ConeDomainError unless every point has a positive margin."""
-    margin = cone_margin(cone, lam)
-    if not np.all(np.asarray(margin) > 0.0):
-        worst = float(np.min(margin))
-        raise ConeDomainError(
-            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
-
-
-def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
-    """f^tau(lam) = c_{n,k} * sigma_{k}(lam^tau)^(1/k) / (tau + n*(1-tau)).
-
-    Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
-    a pair.  Raises ConeDomainError if any point lies outside the cone.
-    """
-    _check_inside(cone, lam)
-    pair = _pair_length(cone, np.asarray(lam))
-    mu = tau_deform(lam, cone.tau, pair)
-    sk = sigma_all(mu, pair, cone.k)[..., cone.k]
-    out = cone.normalization * sk ** (1.0 / cone.k) / cone.deformation_scale
-    return out if np.ndim(out) else float(out)
-
-
-def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
-    """f^tau and its gradient, assuming sigma_{k}(lam^tau) > 0.
-
-    Used by the solver on iterates already certified admissible.  The gradient
-    combines d sigma_{k} / d mu_i = sigma_{k-1}(mu with entry i removed), the
-    power 1/k, and the linear deformation map.  For a pair (a, b) the
-    gradient is the pair (df/da, df/db_i): the derivative along the one a
-    entry and along any one of the n-1 b entries.
-    """
-    lam = np.asarray(lam, dtype=float)
+def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
+    """_f_and_grad_unchecked from a _deformed_sigma pass."""
     n, k = cone.n, cone.k
-    pair = _pair_length(cone, lam)
-    mu = tau_deform(lam, cone.tau, pair)
-    sig = sigma_all(mu, pair, k)
     sk = sig[..., k]
-    fk = cone.normalization * sk ** (1.0 / k)
+    fk = _f_undeformed(cone, sig)
 
     weight = fk / (k * sk)              # df / dsigma_k
     s = cone.deformation_scale
@@ -309,15 +279,65 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     return fk / s, _last_axis_outermost(g)
 
 
+def _check_inside(margin: np.ndarray | float):
+    """Raise ConeDomainError unless every margin is positive."""
+    if not np.all(np.asarray(margin) > 0.0):
+        worst = float(np.min(margin))
+        raise ConeDomainError(
+            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
+
+
+def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
+    """Signed, scale-aware membership margin.
+
+    min over j <= k of sigma_j(lam^tau) / (binom(n,j) * max(1, |lam^tau|_inf)^j);
+    positive inside the cone, zero on the boundary, negative outside.  The
+    normalization makes margins comparable across j.  lam may be a full
+    spectrum or a pair (see the module docstring).
+    """
+    mu, sig, _ = _deformed_sigma(cone, lam)
+    return _margin(cone, mu, sig)
+
+
+def in_cone(cone: ConeSpec, lam: np.ndarray) -> Membership:
+    """Strict membership of lam in the (deformed) cone, with its margin."""
+    margin = cone_margin(cone, lam)
+    return Membership(margin > 0.0, margin)
+
+
+def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
+    """f^tau(lam) = c_{n,k} * sigma_{k}(lam^tau)^(1/k) / (tau + n*(1-tau)).
+
+    Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
+    a pair.  Raises ConeDomainError if any point lies outside the cone.
+    """
+    mu, sig, _ = _deformed_sigma(cone, lam)
+    _check_inside(_margin(cone, mu, sig))
+    out = _f_undeformed(cone, sig) / cone.deformation_scale
+    return out if np.ndim(out) else float(out)
+
+
+def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
+    """f^tau and its gradient, assuming sigma_{k}(lam^tau) > 0.
+
+    Used by the solver on iterates already certified admissible.  The gradient
+    combines d sigma_{k} / d mu_i = sigma_{k-1}(mu with entry i removed), the
+    power 1/k, and the linear deformation map.  For a pair (a, b) the
+    gradient is the pair (df/da, df/db_i): the derivative along the one a
+    entry and along any one of the n-1 b entries.
+    """
+    return _f_and_grad(cone, *_deformed_sigma(cone, lam))
+
+
 def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
     """Gradient of f^tau at an interior lam; all components positive.
 
     For a pair (a, b) it is the pair (df/da, df/db_i), see
     _f_and_grad_unchecked.  Raises ConeDomainError where f_eval does.
     """
-    _check_inside(cone, lam)
-    _, g = _f_and_grad_unchecked(cone, lam)
-    return g
+    mu, sig, pair = _deformed_sigma(cone, lam)
+    _check_inside(_margin(cone, mu, sig))
+    return _f_and_grad(cone, mu, sig, pair)[1]
 
 
 def _mu_plus_exact(cone: ConeSpec) -> Fraction:

@@ -416,18 +416,26 @@ def _newton_stop(report: SolveReport, opts: NewtonOptions) -> str:
             f"({cause})")
 
 
-def _unresolved_start(spec: ProblemSpec,
-                      err: InadmissibleIterateError) -> InadmissibleIterateError:
-    """The error for an annulus start that is not admissible on the grid.
-    The start is admissible in the continuum, so the cause is an inner
-    radius the grid does not resolve."""
-    r = spec.radii()
+def _inadmissible_start(spec: ProblemSpec,
+                        err: InadmissibleIterateError) -> InadmissibleIterateError:
+    """The error for a tau = 0 start that is not admissible on the grid.
+    The start is admissible in the continuum, so the cause is the grid's.
+    On a ball the stencil differentiates the quadratic start exactly, and
+    the one cause is a bump b/2 that rounds away against delta.  On an
+    annulus it is an inner radius the grid does not resolve."""
     node = err.worst_node
-    return InadmissibleIterateError(
-        f"the tau = 0 start is inadmissible: the grid does not resolve the "
-        f"inner radius (worst node {node}, r = {r[node]:.6g}, "
-        f"margin {err.margin:.3e}, h/inner = {(r[1] - r[0]) / r[0]:.3g})",
-        worst_node=node, margin=err.margin)
+    if isinstance(spec.domain, Ball):
+        b = spec.domain.radius
+        cause = (f"its bump b/2 rounds away against delta (ball radius {b:g}, "
+                 f"delta {spec.delta:g}, b/(2 delta) = {b / (2 * spec.delta):.3g}, "
+                 f"worst node {node}, margin {err.margin:.3e})")
+    else:
+        r = spec.radii()
+        cause = (f"the grid does not resolve the inner radius (worst node {node}, "
+                 f"r = {r[node]:.6g}, margin {err.margin:.3e}, "
+                 f"h/inner = {(r[1] - r[0]) / r[0]:.3g})")
+    return InadmissibleIterateError(f"the tau = 0 start is inadmissible: {cause}",
+                                    worst_node=node, margin=err.margin)
 
 
 def continuation_tau(spec: ProblemSpec,
@@ -447,9 +455,7 @@ def continuation_tau(spec: ProblemSpec,
     try:
         report = newton_solve(initial_profile(spec0), spec0, opts)
     except InadmissibleIterateError as err:
-        if isinstance(spec.domain, Ball):
-            raise
-        raise _unresolved_start(spec0, err) from err
+        raise _inadmissible_start(spec0, err) from err
     if not report.converged:
         raise ContinuationStallError(
             f"the tau = 0 start problem did not converge: {_newton_stop(report, opts)}")

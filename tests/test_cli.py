@@ -101,6 +101,15 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "out of float range" in err
 
+    def test_tiny_ball_names_the_rounded_bump(self, capsys):
+        """Radii that stay in float range but fall below delta's rounding:
+        a numerical failure that names its cause."""
+        assert main(["solve", "--n", "8", "--outer", "1e-150", "--grid", "50",
+                     "--delta-schedule", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "bump b/2 rounds away against delta (ball radius 1e-150" in err
+
     @pytest.mark.parametrize("flags, name", [
         (["--domain", "annulus", "--inner", "0.5", "--outer", "1",
           "--radius", "7"], "--radius"),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lnlab import (ConeSpec, cone_margin, contains_ray_e1, f_eval, grad_f,
                    in_cone, mu_plus, tau_deform)
+from lnlab import cones
 from lnlab.cones import _f_and_grad_unchecked, sigma_all
 from lnlab.errors import ConeDomainError, InvalidArgumentError
 
@@ -432,3 +433,161 @@ class TestPairForm:
         for fn in (cone_margin, f_eval, grad_f):
             with pytest.raises(InvalidArgumentError):
                 fn(ConeSpec(4, 2), np.ones(3))
+
+
+# The cone functions as they were before they shared one _deformed_sigma
+# pass: each runs tau_deform + sigma_all itself, and f_eval and grad_f check
+# membership with a pass of their own.  The split must give the same bits
+# and the same result types.
+def pre_split_margin(cone, lam):
+    lam = np.asarray(lam, dtype=float)
+    pair = cone.n if lam.shape[-1:] == (2,) else None
+    mu = tau_deform(lam, cone.tau, pair)
+    sig = sigma_all(mu, pair, cone.k)
+    abs_mu = np.abs(mu)
+    scale = abs_mu[..., 0]
+    for i in range(1, mu.shape[-1]):
+        np.maximum(scale, abs_mu[..., i], out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    scale = scale[()]
+    out = None
+    for j in range(1, cone.k + 1):
+        margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
+        out = margin_j if out is None else np.minimum(out, margin_j)
+    return out if out.ndim else float(out)
+
+
+def pre_split_check_inside(cone, lam):
+    margin = pre_split_margin(cone, lam)
+    if not np.all(np.asarray(margin) > 0.0):
+        worst = float(np.min(margin))
+        raise ConeDomainError(
+            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
+
+
+def pre_split_f_eval(cone, lam):
+    pre_split_check_inside(cone, lam)
+    pair = cone.n if np.asarray(lam).shape[-1:] == (2,) else None
+    mu = tau_deform(lam, cone.tau, pair)
+    sk = sigma_all(mu, pair, cone.k)[..., cone.k]
+    out = cone.normalization * sk ** (1.0 / cone.k) / cone.deformation_scale
+    return out if np.ndim(out) else float(out)
+
+
+def pre_split_f_and_grad(cone, lam):
+    lam = np.asarray(lam, dtype=float)
+    n, k = cone.n, cone.k
+    pair = n if lam.shape[-1:] == (2,) else None
+    mu = tau_deform(lam, cone.tau, pair)
+    sig = sigma_all(mu, pair, k)
+    sk = sig[..., k]
+    fk = cone.normalization * sk ** (1.0 / k)
+    weight = fk / (k * sk)
+    s = cone.deformation_scale
+    if pair is None:
+        if k == 1:
+            drop = np.ones_like(mu)
+        else:
+            drop = np.stack([sigma_all(np.delete(mu, i, axis=-1), None, k - 1)[..., k - 1]
+                             for i in range(n)], axis=-1)
+        grad_F = weight[..., None] * drop
+        total = grad_F.sum(axis=-1, keepdims=True)
+        return fk / s, (cone.tau * grad_F + (1.0 - cone.tau) * total) / s
+    if k == 1:
+        grad_a = grad_b = weight
+    else:
+        a, b = mu[..., 0], mu[..., 1]
+        b_pow = b ** (k - 2)
+        grad_a = weight * (comb(n - 1, k - 1) * b * b_pow)
+        grad_b = weight * ((comb(n - 2, k - 1) * b + comb(n - 2, k - 2) * a) * b_pow)
+    shift = (1.0 - cone.tau) * (grad_a + (n - 1) * grad_b)
+    g = np.empty((2,) + np.shape(weight))
+    for i, grad in enumerate((grad_a, grad_b)):
+        column = g[i, ...]
+        np.multiply(grad, cone.tau, out=column)
+        column += shift
+        column /= s
+    return fk / s, np.moveaxis(g, 0, -1)
+
+
+def pre_split_grad_f(cone, lam):
+    pre_split_check_inside(cone, lam)
+    return pre_split_f_and_grad(cone, lam)[1]
+
+
+def assert_same_bits(got, want):
+    """Equal result types, shapes and bytes, element by element for tuples."""
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def cone_inputs(draw):
+    """(cone, lam): a pair or full spectrum, one spectrum or a batch, as an
+    array or as (nested) tuples; entries of both signs, so some points lie
+    outside the cone."""
+    n = draw(st.integers(3, 8))
+    cone = ConeSpec(n, draw(st.integers(1, n)),
+                    draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])))
+    width = draw(st.sampled_from([2, n]))
+    entry = st.floats(-20.0, 20.0)
+    spectrum = st.tuples(*[entry] * width)
+    lam = draw(spectrum | st.lists(spectrum, min_size=1, max_size=20).map(tuple))
+    return cone, lam if draw(st.booleans()) else np.array(lam)
+
+
+class TestOnePass:
+    """Each cone function makes one deformation and one sigma pass and gives
+    the bits of the functions that made two."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=cone_inputs())
+    def test_bit_identical_to_pre_split(self, case):
+        cone, lam = case
+        margin = pre_split_margin(cone, lam)
+        assert_same_bits(cone_margin(cone, lam), margin)
+        member = in_cone(cone, lam)
+        assert_same_bits(member.member, margin > 0.0)
+        assert_same_bits(member.margin, margin)
+        with np.errstate(all="ignore"):
+            assert_same_bits(_f_and_grad_unchecked(cone, lam),
+                             pre_split_f_and_grad(cone, lam))
+        for fn, reference in ((f_eval, pre_split_f_eval),
+                              (grad_f, pre_split_grad_f)):
+            try:
+                want = reference(cone, lam)
+            except ConeDomainError as err:
+                with pytest.raises(ConeDomainError) as got:
+                    fn(cone, lam)
+                assert got.value.margin == err.margin
+                assert str(got.value) == str(err)
+            else:
+                assert_same_bits(fn(cone, lam), want)
+
+    @pytest.mark.parametrize("fn", [cone_margin, in_cone, f_eval, grad_f,
+                                    _f_and_grad_unchecked])
+    @pytest.mark.parametrize("form", ["pair", "full"])
+    def test_one_deformation_and_one_sigma_pass(self, monkeypatch, fn, form):
+        calls = {"tau_deform": 0, "sigma_all": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cones, name, counted(name, getattr(cones, name)))
+        cone = ConeSpec(5, 3, 0.9)
+        lam = np.array([[1.0, 2.0], [3.0, 0.5]])
+        if form == "full":
+            lam = np.repeat(lam, [1, 4], axis=1)
+        fn(cone, lam)
+        assert calls == {"tau_deform": 1, "sigma_all": 1}

@@ -364,6 +364,27 @@ class TestInitialProfile:
         assert err.value.worst_node == 2 and err.value.margin < 0
 
 
+    @pytest.mark.parametrize("n, radius", [(8, 1e-150), (3, 1e-100)])
+    def test_tiny_ball_start_names_the_rounded_bump(self, n, radius):
+        """A ball far smaller than delta: the bump b/2 of the start is below
+        delta's rounding, so the start is the constant delta in floats and
+        every spectrum is 0.  The error names that cause."""
+        spec = ProblemSpec(ConeSpec(n, 1), 0.5, Ball(radius), 0.1, grid=50)
+        with pytest.raises(InadmissibleIterateError,
+                           match=rf"start is inadmissible: its bump b/2 rounds "
+                                 rf"away against delta \(ball radius {radius:g}, "
+                                 rf"delta 0.1, b/\(2 delta\) = {radius / 0.2:.3g}, "
+                                 rf"worst node 0, margin 0.000e\+00\)") as err:
+            continuation_tau(spec)
+        assert err.value.worst_node == 0 and err.value.margin == 0.0
+
+    @pytest.mark.parametrize("n", [8, 3])
+    def test_normal_ball_start_is_unaffected(self, n):
+        spec = ProblemSpec(ConeSpec(n, 1), 0.5, Ball(1.0), 0.1, grid=50)
+        rep = continuation_tau(spec)
+        assert rep.converged and rep.admissibility_margin_min > MARGIN_FLOOR
+
+
 # Every refusal of continuation_tau names one of these causes.
 CAUSES = ("does not resolve the inner radius", "the step left the cone",
           "line search found no admissible descent step",
