@@ -8,6 +8,12 @@ on PYTHONPATH, and writes into a per-checkout directory:
 
 - `lnlab solve --out` for the 36 cli-solve configurations of perfbench
   (the JSON report and every leg CSV);
+- library `continuation_tau` at grid 40000 for two cones on the ball and on
+  the annulus (the report's `to_csv()` and `to_dict()`): their 40000 and
+  39999 PDE rows span two whole cone row blocks and a remainder, so the
+  blocked cone pass is compared too.  Newton stops at the solve-large
+  tolerance eps/h^2, since the default one is below the rounding floor at
+  this grid;
 - `lnlab verify --seed 0 --out` (the JSON report; its stdout holds timings);
 - `lnlab cone` at (4,2,1), (3,1,0.7), (6,3,0.5) and (5,5,0.3) (stdout);
 - the stdout of each script in demos/.
@@ -33,9 +39,30 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import ANNULUS, CLI_CONES, DOMAINS  # noqa: E402
+from oracle import rounding_floor  # noqa: E402
+from workloads import (ANNULUS, CLI_CONES, DOMAINS, LARGE_DELTA,  # noqa: E402
+                       grid_spacing)
 
 CONES = ((4, 2, 1), (3, 1, 0.7), (6, 3, 0.5), (5, 5, 0.3))
+LARGE_CONES = ((4, 2, 0.95), (5, 3, 0.5))
+LARGE_GRID = 40_000
+# argv: out directory, n, k, tau, domain, delta, Newton tolerance.
+LARGE_RUN = """
+import json, sys
+from pathlib import Path
+from lnlab.cones import ConeSpec
+from lnlab.solver import (Annulus, Ball, NewtonOptions, ProblemSpec,
+                          continuation_tau)
+out, n, k, tau, domain, delta, tol = sys.argv[1:]
+inner, outer = %r
+spec = ProblemSpec(cone=ConeSpec(int(n), int(k)), tau=float(tau),
+                   domain=Ball(1.0) if domain == "ball" else Annulus(inner, outer),
+                   delta=float(delta), grid=%d)
+report = continuation_tau(spec, NewtonOptions(tol=float(tol)))
+Path(out).mkdir(parents=True)
+(Path(out) / "report.csv").write_text(report.to_csv())
+(Path(out) / "report.json").write_text(json.dumps(report.to_dict(), indent=1))
+""" % (ANNULUS, LARGE_GRID)
 DEMOS = ("barrier_and_certificates", "cone_geometry_tour", "continuation_run")
 
 
@@ -50,6 +77,13 @@ def commands(checkout: Path, out: Path):
             if domain == "annulus":
                 argv += ["--inner", str(ANNULUS[0]), "--outer", str(ANNULUS[1])]
             yield name, lnlab + argv + ["--out", str(out / name / "solve.json")], None
+    for n, k, tau in LARGE_CONES:
+        for domain in DOMAINS:
+            name = f"large/{n}_{k}_{tau}_{domain}"
+            tol = rounding_floor(grid_spacing(domain, LARGE_GRID))
+            yield (name, [sys.executable, "-c", LARGE_RUN, str(out / name), str(n),
+                          str(k), str(tau), domain, repr(LARGE_DELTA), repr(tol)],
+                   None)
     yield ("verify", lnlab + ["verify", "--seed", "0",
                               "--out", str(out / "verify.json")], None)
     for n, k, tau in CONES:

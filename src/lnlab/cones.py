@@ -28,17 +28,22 @@ f and the cone Gamma_k read sigma_j for j <= k only, so sigma_all returns the
 orders up to the k it is asked for (every order when k is None), with the
 same bits for each of them whatever k is; the cone functions ask for cone.k.
 Every cone function (cone_margin, in_cone, f_eval, grad_f and the solver's
-_f_and_grad_unchecked) reads one _deformed_sigma pass: one tau_deform and one
-sigma_all call, whose output private readers turn into the margin, f and the
-gradient.  f_eval and grad_f check membership on the margin of that same
-pass.  Pair-path kernels write their columns into one preallocated
-(columns, rows) buffer and return it viewed as (rows, columns).
+_f_and_grad_unchecked) reads one _deformed_sigma pass per row block: one
+tau_deform and one sigma_all call, whose output private readers turn into
+the margin, f and the gradient.  A row is one spectrum of the flattened
+leading axes; inputs of at most _BLOCK_ROWS rows are one block, larger
+ones are split into blocks of _BLOCK_ROWS rows and a remainder, each
+block's results going into one preallocated output.  The readers work row
+by row, so blocks give the bits of a single pass.  f_eval and grad_f check
+membership on the margin of that same pass, after the last block.
+Pair-path kernels write their columns into one preallocated (columns, rows)
+buffer and return it viewed as (rows, columns).
 """
 
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +88,14 @@ class ConeSpec:
     def deformation_scale(self) -> float:
         """tau + n*(1-tau), the trace factor picked up by e under deformation."""
         return self.tau + self.n * (1.0 - self.tau)
+
+
+# Above this many spectra (rows of the flattened leading axes) the cone
+# functions make their pass block by block.  A block's temporaries, 128 KiB
+# per column, stay in a 4 MiB L2 cache and in the allocator's heap; those of
+# a 1e5-row pass are handed back to the OS when freed and fault in again on
+# the next call.
+_BLOCK_ROWS = 16384
 
 
 class Membership(NamedTuple):
@@ -222,27 +235,50 @@ def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray) -> np.ndarray | flo
         np.maximum(scale, abs_mu[..., i], out=scale)
     np.maximum(scale, 1.0, out=scale)
     scale = scale[()]
-    out = None
+    if not scale.ndim:
+        out = None
+        for j in range(1, cone.k + 1):
+            margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
+            out = margin_j if out is None else np.minimum(out, margin_j)
+        return float(out)
+    # The same operations in two buffers; scale **= j takes the path of
+    # scale ** j, and comb * x is x * comb.
+    out, denom = np.empty_like(scale), np.empty_like(scale)
     for j in range(1, cone.k + 1):
-        margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
-        out = margin_j if out is None else np.minimum(out, margin_j)
-    return out if out.ndim else float(out)
+        np.copyto(denom, scale)
+        denom **= j
+        denom *= comb(cone.n, j)
+        if j == 1:
+            np.divide(sig[..., j], denom, out=out)
+        else:
+            np.divide(sig[..., j], denom, out=denom)
+            np.minimum(out, denom, out=out)
+    return out
 
 
-def _f_undeformed(cone: ConeSpec, sig: np.ndarray):
+def _f_undeformed(cone: ConeSpec, sig: np.ndarray) -> np.ndarray:
     """c_{n,k} * sigma_k^(1/k) from a _deformed_sigma pass, before the
-    division by the deformation scale."""
-    return cone.normalization * sig[..., cone.k] ** (1.0 / cone.k)
+    division by the deformation scale, in a fresh buffer (0-d for one
+    spectrum).  x **= p takes the path of x ** p, and c * x is x * c."""
+    fk = sig[..., cone.k].copy()
+    fk **= 1.0 / cone.k
+    fk *= cone.normalization
+    return fk
 
 
 def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
-    """_f_and_grad_unchecked from a _deformed_sigma pass."""
-    n, k = cone.n, cone.k
-    sk = sig[..., k]
-    fk = _f_undeformed(cone, sig)
+    """_f_and_grad_unchecked from a _deformed_sigma pass.
 
-    weight = fk / (k * sk)              # df / dsigma_k
+    Works in buffers of its own with in-place ufuncs, in the operation order
+    (and so with the bits) of the plain expressions in the comments; [()]
+    turns one spectrum's 0-d f into the scalar those expressions give.
+    """
+    n, k = cone.n, cone.k
     s = cone.deformation_scale
+    fk = _f_undeformed(cone, sig)
+    weight = np.multiply(sig[..., k], k, out=np.empty_like(fk))
+    np.divide(fk, weight, out=weight)   # df / dsigma_k = fk / (k * sigma_k)
+    fk /= s
 
     # sigma_{k-1} of mu with entry i deleted, computed from the deleted
     # entries themselves.  The downward recurrence sigma_j(mu) - mu_i *
@@ -257,7 +293,7 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
                              for i in range(n)], axis=-1)
         grad_F = weight[..., None] * drop
         total = grad_F.sum(axis=-1, keepdims=True)
-        return fk / s, (cone.tau * grad_F + (1.0 - cone.tau) * total) / s
+        return fk[()], (cone.tau * grad_F + (1.0 - cone.tau) * total) / s
 
     # A pair, column by column.  Deleting a leaves b n-1 times; deleting a b
     # leaves (a, b, ..., b) of length n-1.  Both in the closed form of
@@ -267,16 +303,26 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
     else:
         a, b = mu[..., 0], mu[..., 1]
         b_pow = b ** (k - 2)
-        grad_a = weight * (comb(n - 1, k - 1) * b * b_pow)
-        grad_b = weight * ((comb(n - 2, k - 1) * b + comb(n - 2, k - 2) * a) * b_pow)
-    shift = (1.0 - cone.tau) * (grad_a + (n - 1) * grad_b)
-    g = np.empty((2,) + np.shape(weight))
+        # grad_a = weight * (C(n-1,k-1) * b * b_pow)
+        grad_a = np.multiply(b, comb(n - 1, k - 1), out=np.empty_like(fk))
+        grad_a *= b_pow
+        grad_a *= weight
+        # grad_b = weight * ((C(n-2,k-1) * b + C(n-2,k-2) * a) * b_pow)
+        grad_b = np.multiply(b, comb(n - 2, k - 1), out=np.empty_like(fk))
+        grad_b += a * comb(n - 2, k - 2)
+        grad_b *= b_pow
+        grad_b *= weight
+    # shift = (1 - tau) * (grad_a + (n-1) * grad_b)
+    shift = np.multiply(grad_b, n - 1, out=np.empty_like(fk))
+    shift += grad_a
+    shift *= 1.0 - cone.tau
+    g = np.empty((2,) + fk.shape)
     for i, grad in enumerate((grad_a, grad_b)):
         column = g[i, ...]
         np.multiply(grad, cone.tau, out=column)
         column += shift
         column /= s
-    return fk / s, _last_axis_outermost(g)
+    return fk[()], _last_axis_outermost(g)
 
 
 def _check_inside(margin: np.ndarray | float):
@@ -287,6 +333,50 @@ def _check_inside(margin: np.ndarray | float):
             f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
 
 
+def _blocked(lam: np.ndarray) -> bool:
+    """Whether lam has more than _BLOCK_ROWS spectra (rows of its flattened
+    leading axes), so the cone functions pass over it by _by_blocks."""
+    return prod(lam.shape[:-1]) > _BLOCK_ROWS
+
+
+def _by_blocks(cone: ConeSpec, lam: np.ndarray, read) -> tuple:
+    """read(mu, sig, pair) on the _deformed_sigma pass of each block of at
+    most _BLOCK_ROWS rows of lam's flattened leading axes.
+
+    read returns a tuple of per-row results, each of shape (rows,) or
+    (rows, columns).  Each result goes into one output allocated at the
+    first block, a (columns, rows) buffer for one with columns, and comes
+    back with lam's leading shape.  Every read is row by row, so the
+    outputs have the bits of one pass over all of lam.
+    """
+    lead = lam.shape[:-1]
+    rows = prod(lead)
+    flat = lam.reshape(rows, lam.shape[-1])
+    outs = None
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        results = read(*_deformed_sigma(cone, flat[block]))
+        if outs is None:
+            outs = [np.empty(res.shape[1:] + (rows,)) for res in results]
+        for out, res in zip(outs, results):
+            _last_axis_outermost(out)[block] = res
+    return tuple(out.reshape(lead) if out.ndim == 1 else
+                 _last_axis_outermost(out.reshape(out.shape[:1] + lead))
+                 for out in outs)
+
+
+def _inside_by_blocks(cone: ConeSpec, lam: np.ndarray, read) -> np.ndarray:
+    """read(mu, sig, pair) by _by_blocks, returned once the margins of every
+    block are checked positive.  Until then a point outside reads NaN or inf
+    without a warning, as the single pass, which checks first, never reads
+    it at all."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin, out = _by_blocks(cone, lam, lambda mu, sig, pair: (
+            _margin(cone, mu, sig), read(mu, sig, pair)))
+    _check_inside(margin)
+    return out
+
+
 def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     """Signed, scale-aware membership margin.
 
@@ -295,6 +385,9 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     normalization makes margins comparable across j.  lam may be a full
     spectrum or a pair (see the module docstring).
     """
+    lam = np.asarray(lam, dtype=float)
+    if _blocked(lam):
+        return _by_blocks(cone, lam, lambda mu, sig, pair: (_margin(cone, mu, sig),))[0]
     mu, sig, _ = _deformed_sigma(cone, lam)
     return _margin(cone, mu, sig)
 
@@ -311,9 +404,15 @@ def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
     a pair.  Raises ConeDomainError if any point lies outside the cone.
     """
-    mu, sig, _ = _deformed_sigma(cone, lam)
-    _check_inside(_margin(cone, mu, sig))
-    out = _f_undeformed(cone, sig) / cone.deformation_scale
+    lam = np.asarray(lam, dtype=float)
+    if _blocked(lam):
+        fk = _inside_by_blocks(cone, lam,
+                               lambda mu, sig, pair: _f_undeformed(cone, sig))
+    else:
+        mu, sig, _ = _deformed_sigma(cone, lam)
+        _check_inside(_margin(cone, mu, sig))
+        fk = _f_undeformed(cone, sig)
+    out = fk / cone.deformation_scale
     return out if np.ndim(out) else float(out)
 
 
@@ -326,6 +425,9 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     gradient is the pair (df/da, df/db_i): the derivative along the one a
     entry and along any one of the n-1 b entries.
     """
+    lam = np.asarray(lam, dtype=float)
+    if _blocked(lam):
+        return _by_blocks(cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair))
     return _f_and_grad(cone, *_deformed_sigma(cone, lam))
 
 
@@ -335,6 +437,10 @@ def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
     For a pair (a, b) it is the pair (df/da, df/db_i), see
     _f_and_grad_unchecked.  Raises ConeDomainError where f_eval does.
     """
+    lam = np.asarray(lam, dtype=float)
+    if _blocked(lam):
+        return _inside_by_blocks(
+            cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair)[1])
     mu, sig, pair = _deformed_sigma(cone, lam)
     _check_inside(_margin(cone, mu, sig))
     return _f_and_grad(cone, mu, sig, pair)[1]

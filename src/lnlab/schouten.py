@@ -28,13 +28,20 @@ def _radial_stencil(u, r):
 
     Central differences at interior nodes, one-sided second-order stencils
     at the ends; a grid starting at r = 0 is a ball centre and uses the even
-    extension u(-h) = u(h).
+    extension u(-h) = u(h).  The interior rows are written through out=, in
+    the operation order of (u[2:] - u[:-2]) / (2h) and
+    (u[2:] - 2 u[1:-1] + u[:-2]) / h^2.
     """
     h = r[1] - r[0]
     du = np.empty_like(u)
     d2u = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    d2u[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
+    slope, curv = du[1:-1], d2u[1:-1]
+    np.subtract(u[2:], u[:-2], out=slope)
+    slope /= 2 * h
+    np.multiply(u[1:-1], 2, out=curv)
+    np.subtract(u[2:], curv, out=curv)
+    curv += u[:-2]
+    curv /= h**2
     if r[0] == 0.0:
         du[0] = 0.0
         d2u[0] = 2.0 * (u[1] - u[0]) / h**2
@@ -47,15 +54,28 @@ def _radial_stencil(u, r):
 
 
 def _eigenpair(v, v_r, v_rr, r):
-    """(radial, tangential) eigenvalues in polynomial form, unchecked.
+    """(radial, tangential) eigenvalues in polynomial form, unchecked, as
+    one array of shape (2,) + the inputs' broadcast shape.
 
     r = 0 entries use the even-profile centre rule v_r / r -> v_rr.  Zero v
-    is allowed: the polynomial forms extend continuously to it.
+    is allowed: the polynomial forms extend continuously to it.  The buffer
+    is filled in the operation order of half_slope_sq - v * v_rr and
+    half_slope_sq - v * slope_over_r, half_slope_sq = 0.5 * v_r**2.
     """
-    half_slope_sq = 0.5 * v_r**2
+    shape = np.broadcast_shapes(np.shape(v), np.shape(v_r), np.shape(v_rr),
+                                np.shape(r))
+    pair = np.empty((2,) + shape)
+    radial, tangential = pair[0, ...], pair[1, ...]
+    half_slope_sq = np.square(v_r)
+    half_slope_sq *= 0.5
+    np.multiply(v, v_rr, out=radial)
+    np.subtract(half_slope_sq, radial, out=radial)
     off_centre = r > 0
-    slope_over_r = np.where(off_centre, v_r / np.where(off_centre, r, 1.0), v_rr)
-    return half_slope_sq - v * v_rr, half_slope_sq - v * slope_over_r
+    np.divide(v_r, r, out=tangential, where=off_centre)
+    np.copyto(tangential, v_rr, where=~off_centre)
+    tangential *= v
+    np.subtract(half_slope_sq, tangential, out=tangential)
+    return pair
 
 
 @dataclass(frozen=True)

@@ -211,13 +211,14 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
 
 
 def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
-    """Residual vector, per-node margins (PDE rows) and cached state."""
+    """Residual vector, per-node margins (PDE rows) and cached state: the
+    PDE rows' (u, u_r, u_rr) and f-gradients, then the full-grid u_r."""
     rows = _pde_rows(spec)
-    du, d2u = _radial_stencil(u, r)
-    val, du, d2u = u[rows], du[rows], d2u[rows]
+    du_full, d2u = _radial_stencil(u, r)
+    val, du, d2u = u[rows], du_full[rows], d2u[rows]
     # (radial, tangential) pairs stand for the spectra (a, b, ..., b),
     # stored column by column for the pair kernels.
-    lam = np.stack(_eigenpair(val, du, d2u, r[rows])).T
+    lam = _eigenpair(val, du, d2u, r[rows]).T
     margins = np.atleast_1d(cone_margin(cone, lam))
 
     F = u - spec.delta
@@ -227,13 +228,19 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     else:
         grads = None
         F[rows] = np.nan
-    return F, margins, (val, du, d2u, grads)
+    return F, margins, (val, du, d2u, grads, du_full)
 
 
 def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     """Tridiagonal Jacobian in solve_banded layout (3, m): ab[0, i + 1] is
-    J[i, i+1], ab[1, i] is J[i, i] and ab[2, i - 1] is J[i, i-1]."""
-    val, du, d2u, grads = state
+    J[i, i+1], ab[1, i] is J[i, i] and ab[2, i - 1] is J[i, i-1].
+
+    The bands are built in place, in the operation order of
+    diag = gR * (-d2u + 2 val / h^2) + gT * (-du / r),
+    sup = gR * (du / 2h - val / h^2) + gT * ((du - val / r) / 2h) and
+    sub = gR * (-du / 2h - val / h^2) - the same tangential term.
+    """
+    val, du, d2u, grads, _ = state
     h = r[1] - r[0]
     rows = _pde_rows(spec)
     gR = grads[:, 0]
@@ -256,14 +263,28 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     rr = r[1:stop]
     diag, sup, sub = ab[1, 1:stop], ab[0, 2:stop + 1], ab[2, :stop - 1]
     # Radial eigenvalue through (u, u_r, u_rr), tangential through (u, u_r).
-    np.multiply(gR, -d2u + 2.0 * val / h**2, out=diag)
-    diag += gT * (-du / rr)
-    du_2h, val_h2 = du / (2 * h), val / h**2
-    np.multiply(gR, du_2h - val_h2, out=sup)
-    np.multiply(gR, -du_2h - val_h2, out=sub)
-    tangential = gT * ((du - val / rr) / (2 * h))
-    sup += tangential
-    sub -= tangential
+    # Two scratch rows: val_h2 = val / h^2 and one for each term in turn.
+    val_h2 = np.divide(val, h**2)
+    term = np.multiply(val, 2.0)                # -d2u + 2.0 * val / h^2
+    term /= h**2
+    term -= d2u
+    np.multiply(gR, term, out=diag)
+    np.negative(du, out=term)
+    term /= rr
+    term *= gT
+    diag += term
+    np.divide(du, 2 * h, out=term)              # du_2h
+    np.subtract(term, val_h2, out=sup)
+    sup *= gR
+    np.negative(term, out=sub)
+    sub -= val_h2
+    sub *= gR
+    np.divide(val, rr, out=term)                # tangential
+    np.subtract(du, term, out=term)
+    term /= 2 * h
+    term *= gT
+    sup += term
+    sub -= term
     return ab
 
 
@@ -338,8 +359,9 @@ def _torsion_scalars(spec: ProblemSpec) -> dict:
             "Q": Q, "slope |w'(b)|": 2.0 * b + (n - 2) * Q * b**(1 - n)}
 
 
-def _make_report(u, spec, r, F, margins, iters, converged):
-    du = _radial_stencil(u, r)[0]
+def _make_report(u, spec, r, F, margins, state, iters, converged):
+    """The report of iterate u, whose _evaluate gave F, margins and state."""
+    du = state[-1]
     profile = RadialProfile(r=r, u=np.maximum(u, 0.0))
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
@@ -384,9 +406,10 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     res = float(np.max(np.abs(F)))
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
-            return _make_report(u, spec, r, F, margins, it - 1, True)
+            return _make_report(u, spec, r, F, margins, state, it - 1, True)
         ab = _analytic_jacobian(u, spec, r, cone, state)
-        step = solve_banded((1, 1), ab, -F)
+        # ab and -F are temporaries: the solve may overwrite both.
+        step = solve_banded((1, 1), ab, -F, overwrite_ab=True, overwrite_b=True)
 
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
@@ -400,8 +423,8 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
                     break
             t *= 0.5
         else:
-            return _make_report(u, spec, r, F, margins, it, False)
-    return _make_report(u, spec, r, F, margins,
+            return _make_report(u, spec, r, F, margins, state, it, False)
+    return _make_report(u, spec, r, F, margins, state,
                         MAX_NEWTON_ITERATIONS, res <= opts.tol)
 
 

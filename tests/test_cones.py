@@ -591,3 +591,105 @@ class TestOnePass:
             lam = np.repeat(lam, [1, 4], axis=1)
         fn(cone, lam)
         assert calls == {"tau_deform": 1, "sigma_all": 1}
+
+
+CONE_FUNCTIONS = (cone_margin, in_cone, f_eval, grad_f, _f_and_grad_unchecked)
+# The block size the blocked-path tests patch in: small enough that a
+# handful of rows spans several blocks.
+BLOCK = 3
+BLOCK_ROWS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2)
+
+
+def outcome(fn, cone, lam, block_rows=None):
+    """fn(cone, lam), or the ConeDomainError it raises, with _BLOCK_ROWS
+    patched to block_rows if given."""
+    with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+        if block_rows is not None:
+            m.setattr(cones, "_BLOCK_ROWS", block_rows)
+        try:
+            return fn(cone, lam)
+        except ConeDomainError as err:
+            return err
+
+
+def assert_same_outcome(got, want):
+    """Equal results bit for bit, or errors with the same margin and text."""
+    if isinstance(want, ConeDomainError):
+        assert isinstance(got, ConeDomainError)
+        assert np.float64(got.margin).tobytes() == np.float64(want.margin).tobytes()
+        assert str(got) == str(want)
+    else:
+        assert_same_bits(got, want)
+
+
+@st.composite
+def blocked_inputs(draw):
+    """(cone, lam): pairs or full spectra with 1, B-1, B, B+1 or 3B+2 rows,
+    or a leading shape (a, b); all inside the cone or of both signs."""
+    n = draw(st.integers(3, 8))
+    cone = ConeSpec(n, draw(st.integers(1, n)),
+                    draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])))
+    lead = draw(st.sampled_from([(rows,) for rows in BLOCK_ROWS])
+                | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    width = draw(st.sampled_from([2, n]))
+    size = math.prod(lead) * width
+    entries = draw(st.lists(st.floats(-20.0, 20.0), min_size=size, max_size=size))
+    lam = np.array(entries).reshape(lead + (width,))
+    return cone, np.abs(lam) + 0.5 if draw(st.booleans()) else lam
+
+
+class TestRowBlocks:
+    """Past _BLOCK_ROWS rows the cone functions make their pass block by
+    block, with the bits, result types and errors of one pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=blocked_inputs())
+    def test_blocks_give_the_bits_of_one_pass(self, case):
+        cone, lam = case
+        for fn in CONE_FUNCTIONS:
+            assert_same_outcome(outcome(fn, cone, lam, BLOCK), outcome(fn, cone, lam))
+
+    @pytest.mark.parametrize("form", ["pair", "full"])
+    @pytest.mark.parametrize("fn", [f_eval, grad_f])
+    def test_outside_point_in_the_last_block_only(self, fn, form):
+        """The error comes after every block and carries the worst margin of
+        all of them, with the text of one pass."""
+        cone = ConeSpec(5, 3, 0.9)
+        rows = 3 * BLOCK + 2
+        lam = np.tile([1.0, 2.0], (rows, 1))
+        lam[-1] = (-9.0, 1.0)
+        if form == "full":
+            lam = np.repeat(lam, [1, 4], axis=1)
+        got = outcome(fn, cone, lam, BLOCK)
+        assert isinstance(got, ConeDomainError)
+        assert got.margin == float(np.min(cone_margin(cone, lam))) < 0.0
+        assert_same_outcome(got, outcome(fn, cone, lam))
+        lam[0] = lam[-1] * 2.0            # a worse point in the first block
+        got = outcome(fn, cone, lam, BLOCK)
+        assert got.margin == float(np.min(cone_margin(cone, lam)))
+        assert_same_outcome(got, outcome(fn, cone, lam))
+
+    @pytest.mark.parametrize("fn", CONE_FUNCTIONS)
+    @pytest.mark.parametrize("form", ["pair", "full"])
+    def test_one_deformation_and_one_sigma_pass_per_block(self, monkeypatch,
+                                                          fn, form):
+        calls = {"tau_deform": 0, "sigma_all": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cones, name, counted(name, getattr(cones, name)))
+        monkeypatch.setattr(cones, "_BLOCK_ROWS", BLOCK)
+        cone = ConeSpec(5, 3, 0.9)
+        for rows in BLOCK_ROWS:
+            lam = np.tile([1.0, 2.0], (rows, 1))
+            if form == "full":
+                lam = np.repeat(lam, [1, 4], axis=1)
+            calls.update(tau_deform=0, sigma_all=0)
+            fn(cone, lam)
+            blocks = -(-rows // BLOCK)
+            assert calls == {"tau_deform": blocks, "sigma_all": blocks}

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnlab import (RadialProfile, barrier_profile, halfspace_schouten_spectrum,
                    hyperbolic_ball_profile, radial_schouten_spectrum,
                    ricci_spectrum_from_schouten, spectrum_field)
-from lnlab.schouten import rescaled_metric_spectrum_bound
+from lnlab.schouten import (_eigenpair, _radial_stencil,
+                            rescaled_metric_spectrum_bound)
 from lnlab.errors import (CriticalPointError, InvalidArgumentError,
                           InvalidProfileError)
 
@@ -173,3 +176,81 @@ class TestRescaledBound:
                 rescaled_metric_spectrum_bound(N, np.ones(3), np.ones(3), 1, 0, 0)
         with pytest.raises(InvalidArgumentError):
             rescaled_metric_spectrum_bound(1.0, 0.5 * np.ones(3), np.ones(3), 1, 0, 0)
+
+
+# The stencil and the eigenvalue pair as they were before they wrote through
+# out= into buffers of their own.  The rewrites keep the operation order,
+# so they must give the same bits.
+def pre_inplace_stencil(u, r):
+    h = r[1] - r[0]
+    du = np.empty_like(u)
+    d2u = np.empty_like(u)
+    du[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    d2u[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
+    if r[0] == 0.0:
+        du[0] = 0.0
+        d2u[0] = 2.0 * (u[1] - u[0]) / h**2
+    else:
+        du[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+        d2u[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2
+    du[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+    d2u[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / h**2
+    return du, d2u
+
+
+def pre_inplace_eigenpair(v, v_r, v_rr, r):
+    half_slope_sq = 0.5 * v_r**2
+    off_centre = r > 0
+    slope_over_r = np.where(off_centre, v_r / np.where(off_centre, r, 1.0), v_rr)
+    return half_slope_sq - v * v_rr, half_slope_sq - v * slope_over_r
+
+
+def assert_same_bits(got, want):
+    """Equal types, shapes and bytes, element by element for tuples."""
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestInPlaceStages:
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=st.integers(4, 40), start=st.just(0.0) | st.floats(1e-3, 5.0),
+           span=st.floats(1e-2, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_stencil_and_eigenpair_keep_their_bits(self, nodes, start, span, seed):
+        """Ball grids (centre row at r = 0) and annulus grids, on profiles of
+        both signs and of very different sizes."""
+        rng = np.random.default_rng(seed)
+        r = np.linspace(start, start + span, nodes)
+        u = rng.normal(size=nodes) * 10.0 ** rng.integers(-3, 4, size=nodes)
+        du, d2u = _radial_stencil(u, r)
+        assert_same_bits((du, d2u), pre_inplace_stencil(u, r))
+        pair = _eigenpair(u, du, d2u, r)
+        assert_same_bits(pair, np.stack(pre_inplace_eigenpair(u, du, d2u, r)))
+        prof = RadialProfile(r=r, u=np.abs(u) + 1.0)
+        du, d2u = pre_inplace_stencil(prof.u, r)
+        assert_same_bits(spectrum_field(prof), np.stack(
+            pre_inplace_eigenpair(prof.u, du, d2u, r), axis=-1))
+
+    @pytest.mark.parametrize("shapes", [
+        ((), (), (), ()),
+        ((5,), (5,), (5,), (5,)),
+        ((3, 1), (1, 4), (4,), (3, 1)),
+        ((2, 3), (3,), (), (1, 3)),
+    ], ids=["0-d", "1-d", "broadcast", "scalar-v_rr"])
+    def test_radial_schouten_spectrum_keeps_its_bits(self, shapes):
+        """Broadcast inputs (r = 0 entries among them) and 0-d inputs, which
+        come back as floats."""
+        rng = np.random.default_rng(3)
+        v, v_r, v_rr, r = (rng.uniform(0.1, 3.0, size=shape) for shape in shapes)
+        r = np.where(rng.uniform(size=np.shape(r)) < 0.3, 0.0, r)
+        got = radial_schouten_spectrum(v, v_r, v_rr, r)
+        want = pre_inplace_eigenpair(v, v_r, v_rr, r)
+        if not shapes[0]:
+            want = tuple(float(x) for x in want)
+        assert_same_bits(got, want)

@@ -13,11 +13,12 @@ import pytest
 from lnlab import (Annulus, Ball, ConeSpec, ProblemSpec, RadialProfile,
                    boundary_slope, comparison_check, continuation_delta,
                    continuation_tau, initial_profile, newton_solve, residual)
-from lnlab import solver
+from lnlab import cones, solver
 from lnlab.cli import _format17
 from lnlab.solver import (DELTA_END, DELTA_START, MARGIN_FLOOR, NEWTON_TOL,
                           NewtonOptions, SolveReport, _analytic_jacobian,
                           _evaluate, default_delta_schedule)
+from lnlab.schouten import _radial_stencil
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError,
                           LnlabError)
@@ -241,6 +242,105 @@ class TestJacobian:
             assert len(calls) == 12     # three colours, four evaluations each
             scale = np.max(np.abs(jf))
             assert np.max(np.abs(ja - jf)) / scale < 1e-6, (n, k, grid)
+
+
+# _analytic_jacobian as it was before it built its bands in place.  The
+# rewrite keeps the operation order, so it must give the same bits.
+def pre_inplace_jacobian(u, spec, r, cone, state):
+    val, du, d2u, grads = state[:4]
+    h = r[1] - r[0]
+    rows = solver._pde_rows(spec)
+    gR = grads[:, 0]
+    gT = (cone.n - 1) * grads[:, 1]
+    ab = np.zeros((3, u.size))
+    ab[1, 0] = ab[1, -1] = 1.0
+    if rows.start == 0:
+        gsum = gR[0] + gT[0]
+        ab[1, 0] = gsum * (-d2u[0] + 2.0 * val[0] / h**2)
+        ab[0, 1] = gsum * (-2.0 * val[0] / h**2)
+    stop = rows.stop
+    s = slice(1 - rows.start, None)
+    val, du, d2u, gR, gT = val[s], du[s], d2u[s], gR[s], gT[s]
+    rr = r[1:stop]
+    diag, sup, sub = ab[1, 1:stop], ab[0, 2:stop + 1], ab[2, :stop - 1]
+    np.multiply(gR, -d2u + 2.0 * val / h**2, out=diag)
+    diag += gT * (-du / rr)
+    du_2h, val_h2 = du / (2 * h), val / h**2
+    np.multiply(gR, du_2h - val_h2, out=sup)
+    np.multiply(gR, -du_2h - val_h2, out=sub)
+    tangential = gT * ((du - val / rr) / (2 * h))
+    sup += tangential
+    sub -= tangential
+    return ab
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+class TestInPlaceStages:
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.2)],
+                             ids=["ball", "annulus"])
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
+    def test_jacobian_keeps_its_bits(self, domain, n, k):
+        """The ball's centre row at r = 0 and every annulus row."""
+        for grid in (8, 24, 200):
+            spec = ProblemSpec(cone=ConeSpec(n, k), tau=0.8, domain=domain,
+                               delta=0.1, grid=grid)
+            u = continuation_tau(spec).profile.u
+            r = spec.radii()
+            cone = spec.solve_cone()
+            state = _evaluate(u, spec, r, cone)[2]
+            assert_same_arrays([_analytic_jacobian(u, spec, r, cone, state)],
+                               [pre_inplace_jacobian(u, spec, r, cone, state)])
+
+    @pytest.mark.parametrize("domain, tau", [(Ball(1.0), 0.9),
+                                             (Annulus(0.5, 1.0), 0.0)],
+                             ids=["ball", "annulus"])
+    def test_grid_1e5_evaluation_is_one_blocked_pass(self, domain, tau,
+                                                     monkeypatch):
+        """At 1e5 rows the cone calls run in blocks: still one cone_margin
+        and one _f_and_grad_unchecked call per evaluation, and the bits of
+        the single-block pass, through the Jacobian."""
+        spec = ProblemSpec(cone=ConeSpec(5, 2), tau=tau, domain=domain,
+                           delta=0.05, grid=100_000)
+        r = spec.radii()
+        cone = spec.solve_cone()
+        u = initial_profile(spec).u
+        with monkeypatch.context() as m:
+            m.setattr(cones, "_BLOCK_ROWS", u.size)
+            want = _evaluate(u, spec, r, cone)
+        calls = {"cone_margin": 0, "_f_and_grad_unchecked": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(solver, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(solver, name, counted)
+        got = _evaluate(u, spec, r, cone)
+        assert calls == {"cone_margin": 1, "_f_and_grad_unchecked": 1}
+        assert u.size > 6 * cones._BLOCK_ROWS
+        F, margins, state = got
+        assert np.all(margins > 0) and state[3] is not None
+        assert_same_arrays((F, margins) + state[:3] + state[4:],
+                           want[:2] + want[2][:3] + want[2][4:])
+        assert_same_arrays([state[3]], [want[2][3]])
+        assert_same_arrays([_analytic_jacobian(u, spec, r, cone, state)],
+                           [pre_inplace_jacobian(u, spec, r, cone, want[2])])
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    def test_grad_sup_is_the_stencil_of_the_reported_iterate(self, domain):
+        """The report reuses the u_r of the iterate's evaluation: the same
+        bits as a stencil of its own."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9, domain=domain,
+                           delta=0.05, grid=300)
+        rep = continuation_tau(spec)
+        du = _radial_stencil(rep.profile.u, spec.radii())[0]
+        assert rep.grad_sup == float(np.max(np.abs(du)))
 
 
 class TestDirichletRows:
