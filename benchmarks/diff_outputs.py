@@ -18,13 +18,15 @@ on PYTHONPATH, and writes into a per-checkout directory:
 - `lnlab cone` at (4,2,1), (3,1,0.7), (6,3,0.5) and (5,5,0.3) (stdout);
 - the stdout of each script in demos/.
 
-Every exit code goes into `exit_codes.txt`, and a nonzero one is also
-reported on stderr.  The two trees are compared file by file; each file that
-differs, or exists on one side only, is printed.  A leg CSV present on both
-sides also gets its largest relative |Δu| (|u_change − u_parent| / |u_parent|
-over the nodes), and a solve JSON the δ-sweep legs whose
-`newton_iterations` changed.  Exits 1 if any file differs, 0 if the trees are
-identical.  Progress goes to stderr.
+Every exit code goes into `exit_codes.txt`.  Every command is expected to
+exit 0: one that does not is printed with its checkout and code, since a
+command that fails the same way in both checkouts leaves identical trees.
+The two trees are compared file by file; each file that differs, or exists
+on one side only, is printed.  A leg CSV present on both sides also gets its
+largest relative |Δu| (|u_change − u_parent| / |u_parent| over the nodes),
+and a solve JSON the δ-sweep legs whose `newton_iterations` changed.  Exits
+1 if any file differs or any command exited nonzero, 0 if the trees are
+identical and every command exited 0.  Progress goes to stderr.
 """
 
 import filecmp
@@ -95,7 +97,8 @@ def commands(checkout: Path, out: Path):
                out / f"demo_{demo}.txt")
 
 
-def run_checkout(checkout: Path, out: Path):
+def run_checkout(checkout: Path, out: Path) -> list:
+    """Run every command of checkout into out; [(name, exit code), ...]."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -106,10 +109,17 @@ def run_checkout(checkout: Path, out: Path):
                               text=True)
         if stdout is not None:
             stdout.write_text(proc.stdout)
-        codes.append(f"{name} {proc.returncode}\n")
-        if proc.returncode:
-            print(f"{checkout}: {name} exited {proc.returncode}", file=sys.stderr)
-    (out / "exit_codes.txt").write_text("".join(codes))
+        codes.append((name, proc.returncode))
+    (out / "exit_codes.txt").write_text("".join(f"{name} {code}\n"
+                                                for name, code in codes))
+    return codes
+
+
+def nonzero_exits(codes: dict) -> list:
+    """"side: name exited code" for every nonzero code in codes, a map from
+    each side to its [(name, exit code), ...]."""
+    return [f"{side}: {name} exited {code}" for side, side_codes in codes.items()
+            for name, code in side_codes if code]
 
 
 def files(tree: Path) -> set:
@@ -146,9 +156,10 @@ def main(argv) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        codes = {}
         for side, checkout in (("parent", parent), ("change", ROOT)):
             trees[side].mkdir()
-            run_checkout(checkout, trees[side])
+            codes[side] = run_checkout(checkout, trees[side])
         old, new = files(trees["parent"]), files(trees["change"])
         both = old & new
         differ = sorted((p for p in old | new if p not in both
@@ -159,8 +170,12 @@ def main(argv) -> int:
             detail = path in both and change_detail(trees["parent"] / path,
                                                     trees["change"] / path)
             print(f"differs: {path}" + (f" ({detail})" if detail else ""))
-        print(f"{len(old | new)} files, {len(differ)} differ")
-    return 1 if differ else 0
+        failed = nonzero_exits(codes)
+        for line in failed:
+            print(line)
+        print(f"{len(old | new)} files, {len(differ)} differ, "
+              f"{len(failed)} nonzero exits")
+    return 1 if differ or failed else 0
 
 
 if __name__ == "__main__":

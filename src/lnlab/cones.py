@@ -36,8 +36,11 @@ ones are split into blocks of _BLOCK_ROWS rows and a remainder, each
 block's results going into one preallocated output.  The readers work row
 by row, so blocks give the bits of a single pass.  f_eval and grad_f check
 membership on the margin of that same pass, after the last block.
-Pair-path kernels write their columns into one preallocated (columns, rows)
-buffer and return it viewed as (rows, columns).
+The sigma kernels of both forms, and the pair path's deformation and
+gradient, write their columns into one preallocated (columns, rows) buffer
+and return it viewed as (rows, columns).  The full path's gradient runs the
+same column recurrence over the sorted entries, skipping one position at a
+time, and puts the results back in entry order.
 """
 
 import numbers
@@ -118,8 +121,7 @@ def sigma_all(lam: np.ndarray, n: int | None = None,
     same bits whatever k is.
     """
     lam = np.asarray(lam, dtype=float)
-    if n is not None:
-        _check_pair(lam)
+    _check_form(lam, n)
     length = lam.shape[-1] if n is None else n
     if k is None:
         k = length
@@ -149,15 +151,55 @@ def sigma_all(lam: np.ndarray, n: int | None = None,
 
 
 def _sigma_full(lam: np.ndarray, k: int) -> np.ndarray:
-    """sigma_0..sigma_k of a full spectrum: the product recurrence on sorted
-    entries, updating columns <= k only."""
-    lam = np.sort(lam, axis=-1)
-    e = np.zeros(lam.shape[:-1] + (k + 1,))
-    e[..., 0] = 1.0
-    for i in range(lam.shape[-1]):
-        top = min(i + 1, k)
-        e[..., 1:top + 1] += lam[..., i:i + 1] * e[..., 0:top]
-    return e
+    """sigma_0..sigma_k of a full spectrum: the product recurrence over its
+    entries in sorted order, on one (k+1, rows) buffer whose row j holds
+    sigma_j of every spectrum contiguously (_product_step), returned
+    viewed as (rows, k+1).  Orders above k are never formed."""
+    e = np.zeros((k + 1,) + lam.shape[:-1])
+    e[0, ...] = 1.0
+    term = np.empty_like(e[1:])
+    for i, x in enumerate(np.moveaxis(np.sort(lam, axis=-1), -1, 0)):
+        _product_step(e, x, min(i + 1, k), term)
+    return _last_axis_outermost(e)
+
+
+def _product_step(e: np.ndarray, x: np.ndarray, top: int, term: np.ndarray):
+    """Multiply the polynomials in the (orders, rows) buffer e by (t + x):
+    e_j += x * e_{j-1} for 1 <= j <= top, each product formed from the old
+    e_{j-1} in the scratch rows of term before any e_j changes.  The same
+    operations, and so the same bits, as e[..., 1:top+1] += x[..., None] *
+    e[..., 0:top] on a (rows, orders) array, over whole rows of e."""
+    np.multiply(x, e[:top], out=term[:top])
+    e[1:top + 1] += term[:top]
+
+
+def _sigma_drop_one(mu: np.ndarray, m: int) -> np.ndarray:
+    """sigma_m of mu with entry i deleted, for every i, as an array shaped
+    like mu with the bits of _sigma_full on mu without entry i.
+
+    mu without entry i, sorted, is sorted mu without the position s that
+    holds it: the product recurrence runs over the sorted columns, skipping
+    each s in turn, and its values go back to the entries' own order.  The
+    state after the columns before s is the same for every later s, so it
+    is kept and extended instead of recomputed.
+    """
+    order = np.argsort(mu, axis=-1)
+    columns = np.moveaxis(np.take_along_axis(mu, order, axis=-1), -1, 0)
+    n = len(columns)
+    head = np.zeros((m + 1,) + mu.shape[:-1])    # columns 0..s-1
+    head[0, ...] = 1.0
+    e, term = np.empty_like(head), np.empty_like(head[1:])
+    dropped = np.empty((n,) + mu.shape[:-1])
+    for s in range(n):
+        np.copyto(e, head)
+        for t in range(s + 1, n):                # position t-1 without s
+            _product_step(e, columns[t], min(t, m), term)
+        dropped[s, ...] = e[m, ...]
+        if s + 1 < n:
+            _product_step(head, columns[s], min(s + 1, m), term)
+    drop = np.empty(mu.shape)
+    np.put_along_axis(drop, order, _last_axis_outermost(dropped), axis=-1)
+    return drop
 
 
 def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
@@ -169,8 +211,8 @@ def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgumentError(f"tau must lie in [0, 1], got {tau}")
     lam = np.asarray(lam, dtype=float)
+    _check_form(lam, n)
     if n is not None:
-        _check_pair(lam)
         a, b = lam[..., 0], lam[..., 1]
         out = np.empty((2,) + lam.shape[:-1])
         shift = np.multiply(b, n - 1)
@@ -189,17 +231,22 @@ def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
 def _last_axis_outermost(columns: np.ndarray) -> np.ndarray:
     """View of a (c, ...) array as (..., c).
 
-    Pair-path arrays keep each column contiguous: numpy loops over a short
+    Column buffers keep each column contiguous: numpy loops over a short
     last axis (or broadcast against one) run row by row, many times slower
     than the same work over whole columns.
     """
     return columns.transpose((*range(1, columns.ndim), 0))
 
 
-def _check_pair(lam: np.ndarray):
-    if lam.shape[-1:] != (2,):
+def _check_form(lam: np.ndarray, n: int | None):
+    """Refuse a spectrum whose shape does not fit its form: a pair (n given)
+    has a last axis of 2, a full spectrum (n None) at least one axis."""
+    if n is not None and lam.shape[-1:] != (2,):
         raise InvalidArgumentError(
             f"a pair spectrum has a last axis of 2, got shape {lam.shape}")
+    if n is None and not lam.ndim:
+        raise InvalidArgumentError(
+            f"a full spectrum has at least one axis, got shape {lam.shape}")
 
 
 def _pair_length(cone: ConeSpec, lam: np.ndarray) -> int | None:
@@ -286,11 +333,7 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
     # relative accuracy, which near the e1 ray is every digit.  Then the
     # chain rule through lam^tau: d mu_i / d lam_j = tau*delta_ij + (1-tau).
     if pair is None:
-        if k == 1:
-            drop = np.ones_like(mu)
-        else:
-            drop = np.stack([_sigma_full(np.delete(mu, i, axis=-1), k - 1)[..., k - 1]
-                             for i in range(n)], axis=-1)
+        drop = np.ones_like(mu) if k == 1 else _sigma_drop_one(mu, k - 1)
         grad_F = weight[..., None] * drop
         total = grad_F.sum(axis=-1, keepdims=True)
         return fk[()], (cone.tau * grad_F + (1.0 - cone.tau) * total) / s

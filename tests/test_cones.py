@@ -430,6 +430,14 @@ class TestPairForm:
                     sigma_all(lam, n, k)
         with pytest.raises(InvalidArgumentError):
             tau_deform(np.ones((5, 3)), 0.5, 4)
+        # A 0-d spectrum is neither form: refused with its shape, not with a
+        # numpy axis or index error.
+        for call in (lambda: tau_deform(np.float64(2.0), 0.5),
+                     lambda: sigma_all(np.float64(2.0)),
+                     lambda: tau_deform(2.0, 0.5, 4),
+                     lambda: sigma_all(2.0, 4)):
+            with pytest.raises(InvalidArgumentError, match=r"shape \(\)"):
+                call()
         for fn in (cone_margin, f_eval, grad_f):
             with pytest.raises(InvalidArgumentError):
                 fn(ConeSpec(4, 2), np.ones(3))
@@ -693,3 +701,124 @@ class TestRowBlocks:
             fn(cone, lam)
             blocks = -(-rows // BLOCK)
             assert calls == {"tau_deform": blocks, "sigma_all": blocks}
+
+
+# The full-path kernels as they were before they ran on contiguous columns:
+# the product recurrence across a short last axis, and each gradient entry's
+# sigma_{k-1} from an np.delete copy.  The column kernels must give the same
+# bits, result types and errors.
+def row_major_sigma_full(lam, k):
+    lam = np.sort(lam, axis=-1)
+    e = np.zeros(lam.shape[:-1] + (k + 1,))
+    e[..., 0] = 1.0
+    for i in range(lam.shape[-1]):
+        top = min(i + 1, k)
+        e[..., 1:top + 1] += lam[..., i:i + 1] * e[..., 0:top]
+    return e
+
+
+def delete_drop_one(mu, m):
+    return np.stack([row_major_sigma_full(np.delete(mu, i, axis=-1), m)[..., m]
+                     for i in range(mu.shape[-1])], axis=-1)
+
+
+def row_major_outcome(fn, cone, lam):
+    """outcome(fn, cone, lam) with the row-major kernels patched in."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cones, "_sigma_full", row_major_sigma_full)
+        m.setattr(cones, "_sigma_drop_one", delete_drop_one)
+        return outcome(fn, cone, lam)
+
+
+@st.composite
+def full_spectra(draw):
+    """(cone, lam, block_rows): a full spectrum of shape (n,), (rows, n) or
+    (a, b, n) with n up to 10; entries drawn partly from a few values, so
+    ties and (signed) zeros are common, and of both signs unless shifted
+    inside the positive cone; block_rows None or small enough to split."""
+    n = draw(st.integers(3, 10))
+    cone = ConeSpec(n, draw(st.integers(1, n)),
+                    draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    lead = draw(st.just(()) | st.tuples(st.integers(1, 12))
+                | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    size = math.prod(lead) * n
+    entry = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-20.0, 20.0)
+    lam = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    lam = lam.reshape(lead + (n,))
+    if draw(st.booleans()):
+        lam = np.abs(lam) + 0.5
+    return cone, lam, draw(st.sampled_from([None, 1, 2, 3]))
+
+
+class TestColumnKernels:
+    """The full path's product recurrence runs over contiguous columns, and
+    its gradient skips one sorted position at a time instead of deleting an
+    entry: the bits of the row-major kernels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=full_spectra())
+    def test_bit_identical_to_row_major(self, case):
+        cone, lam, block_rows = case
+        with np.errstate(all="ignore"):
+            for k in range(cone.n + 1):
+                assert_same_bits(sigma_all(lam, None, k), row_major_sigma_full(lam, k))
+            assert_same_bits(cones._sigma_drop_one(lam, cone.k - 1),
+                             delete_drop_one(lam, cone.k - 1))
+        for fn in CONE_FUNCTIONS:
+            assert_same_outcome(outcome(fn, cone, lam, block_rows),
+                                row_major_outcome(fn, cone, lam))
+
+
+def mp_elementary(values, j):
+    """sigma_j of mpf values, by the product recurrence on prod_i (t + x_i)
+    in the working precision."""
+    e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(values)
+    for x in values:
+        for i in range(len(e) - 1, 0, -1):
+            e[i] += x * e[i - 1]
+    return e[j]
+
+
+def mp_grad_f(cone, lam):
+    """grad f^tau at one full spectrum in 50-digit arithmetic, with the
+    size of each entry's rounding: sigma_{k-1} of each deleted vector, then
+    the chain rule through lam^tau, d mu_i / d lam_j = tau*delta_ij + 1-tau.
+    The size is the same sum with every term taken in absolute value."""
+    n, k = cone.n, cone.k
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(float(x)) for x in lam]
+        tau = mpmath.mpf(float(cone.tau))
+        s = tau + n * (1 - tau)
+        mu = [tau * x + (1 - tau) * sum(lam) for x in lam]
+        sig_k = mp_elementary(mu, k)
+        weight = (mpmath.mpf(comb(n, k)) ** (mpmath.mpf(-1) / k)
+                  * sig_k ** (mpmath.mpf(1) / k) / (k * sig_k))
+        rest = [mu[:i] + mu[i + 1:] for i in range(n)]
+        drop = [mp_elementary(r, k - 1) for r in rest]
+        size = [mp_elementary([abs(x) for x in r], k - 1) for r in rest]
+        grad = [weight * (tau * d + (1 - tau) * sum(drop)) / s for d in drop]
+        bound = [abs(weight) * (tau * b + (1 - tau) * sum(size)) / s for b in size]
+        return np.array(grad, dtype=float), np.array(bound, dtype=float)
+
+
+class TestGradientOracle:
+    """grad_f on full spectra against 50-digit arithmetic that shares no code
+    with the kernels."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_full_gradient_matches_mpmath(self, n):
+        rng = np.random.default_rng(1500 + n)
+        e1 = np.eye(n)[0]
+        for k in range(1, n + 1):
+            for tau in (0.0, 0.5, 1.0, rng.uniform()):
+                cone = ConeSpec(n, k, tau)
+                lam = rng.normal(size=(24, n)) + rng.uniform(0.0, 3.0, size=(24, 1))
+                # Well inside, so sigma_k's own rounding stays below 1e3 eps.
+                lam = lam[cone_margin(cone, lam) >= 1e-3][:6]
+                near_ray = e1 + 10.0 ** -rng.uniform(3, 8, size=(3, 1)) * np.abs(
+                    rng.normal(size=(3, n))) * (1.0 - e1)
+                for point in list(lam) + list(near_ray) + ([e1] if tau < 1 else []):
+                    got = grad_f(cone, point)
+                    want, size = mp_grad_f(cone, point)
+                    assert np.all(np.abs(got - want) <= 1e-13 * size), (
+                        f"k={k}, tau={tau}, lam={point!r}")
