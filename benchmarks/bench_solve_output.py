@@ -1,6 +1,6 @@
-"""Before/after numbers for the one-template CSV writer of `lnlab solve`.
+"""Before/after numbers for the CSV writer of `lnlab solve`, SolveReport.to_csv.
 
-    python3 benchmarks/bench_solve_output.py PARENT_CHECKOUT > BENCH_solve_output.json
+    python3 benchmarks/bench_solve_output.py PARENT_CHECKOUT > BENCH_name.json
 
 Compares this checkout with PARENT_CHECKOUT (another lnlab checkout, e.g. made
 with `git archive`), in three parts:
@@ -11,11 +11,14 @@ with `git archive`), in three parts:
    (a smooth profile, residuals near 1e-11, margins in (0, 1)), so both
    writers format the same floats.
 2. perfbench/run.py --trace 0 for alternating (parent, change) pairs, run by
-   `bench_pair_kernel.compare`: CLI_PAIRS pairs on cli-solve, the workload
-   that writes CSV, and OTHER_PAIRS pairs on solve-large and verify, which
-   never call `to_csv` and should not move.
-3. One perfbench/run.py --trace 1 cli-solve run on seed 1 per checkout, for
-   `solver.to_csv.*` and `cli.main.*`.
+   `bench_pair_kernel.compare` on seeds from FIRST_SEED: CLI_PAIRS pairs on
+   cli-solve, the workload that writes CSV, and OTHER_PAIRS pairs on
+   solve-large and verify, which never call `to_csv` and should not move.
+   The cli-solve `run_s` claim is summarised under "claim".
+3. One perfbench/run.py --trace 1 cli-solve run on seed 1 per checkout,
+   with every per-layer metric: `solver.to_csv.s` and
+   `schouten.RadialProfile.s` should fall while every `.calls` and `.rows`
+   count repeats.
 
 Progress goes to stderr; the summary is one JSON document on stdout.
 """
@@ -28,14 +31,15 @@ import sys
 import time
 from pathlib import Path
 
-from bench_pair_kernel import compare, traced
+from bench_pair_kernel import claim, compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 CSV_ROWS = {1_000: 50, 10_000: 20, 100_000: 5}     # rows: timed calls
 CLI_PAIRS = 10
 OTHER_PAIRS = 5
-FIRST_SEED = 201
-TRACED = ("solver.to_csv.", "cli.main.")
+FIRST_SEED = 1701
+# Every per-layer metric.
+TRACED = ("",)
 
 
 def to_csv_times(src: str) -> dict:
@@ -89,6 +93,7 @@ def main():
     summary = {
         "to_csv_ms": to_csv,
         "perfbench": perfbench,
+        "claim": claim(perfbench, "cli-solve"),
         "traced_cli_solve": traced(parent, change, "cli-solve", TRACED),
     }
     json.dump(summary, sys.stdout, indent=1)

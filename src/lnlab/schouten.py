@@ -16,6 +16,7 @@ At r = 0 (even profiles on a ball) v_r / r -> v_rr and both eigenvalues
 coincide at -v * v_rr.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,16 @@ class RadialProfile:
         dr = np.diff(r)
         if np.any(dr <= 0):
             raise InvalidArgumentError("grid radii must be strictly increasing")
+        # np.allclose(dr, h, rtol=1e-8, atol=...)'s verdict: a non-finite h
+        # (an overflowing first step) matches only an equal spacing.
         h = dr[0]
-        if not np.allclose(dr, h, rtol=1e-8, atol=1e-13 * max(1.0, abs(r[-1]))):
+        if math.isfinite(h):
+            tol = 1e-13 * max(1.0, abs(r[-1])) + 1e-8 * abs(h)
+            np.subtract(dr, h, out=dr)
+            uniform = np.all(np.abs(dr, out=dr) <= tol)
+        else:
+            uniform = np.all(dr == h)
+        if not uniform:
             raise InvalidArgumentError("grid spacing must be uniform")
         if np.any(u[1:-1] <= 0) or (r[0] > 0 and u[0] <= 0) or u[-1] < 0 or u[0] < 0:
             raise InvalidProfileError("conformal factor must be positive on the open domain")

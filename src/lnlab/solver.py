@@ -17,9 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import _csv17
 from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, cone_margin
 from .errors import (ContinuationStallError, GridMismatchError,
-                     InadmissibleIterateError, InvalidArgumentError)
+                     InadmissibleIterateError, InvalidArgumentError,
+                     InvalidProfileError)
 from .schouten import RadialProfile, _eigenpair, _radial_stencil
 
 NEWTON_TOL = 1e-10
@@ -167,12 +169,11 @@ class SolveReport:
 
     def to_csv(self) -> str:
         """CSV with columns r, u, residual, margin: one row per node, every
-        value to 17 significant digits, so it reads back bit for bit."""
+        value as format(x, ".17g") writes it (17 significant digits, so it
+        reads back bit for bit), from the vectorised writer _csv17.rows."""
         cols = np.stack((self.profile.r, self.profile.u,
                          self.residual_nodes, self.margin_nodes), axis=1)
-        template = ("r,u,residual,margin\n"
-                    + "{:.17g},{:.17g},{:.17g},{:.17g}\n" * len(cols))
-        return template.format(*cols.ravel().tolist())
+        return "r,u,residual,margin\n" + _csv17.rows(cols)
 
 
 @dataclass
@@ -334,14 +335,26 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
     = n u_r^2 / 2 + 2n u / |w'(b)| > 0: the start is admissible in the
     continuum, for every delta > 0 and every annulus.  On the grid the
     r^(2-n) term is resolved only when h is small against the inner radius;
-    newton_solve checks the discrete margins.
+    newton_solve checks the discrete margins.  A start that cancels to
+    u <= 0 in floats raises InvalidProfileError naming the cause.
     """
     r = spec.radii()
     scalars = _torsion_scalars(spec)
     w = scalars["b^2"] - r**2
     if isinstance(spec.domain, Annulus):
         w = w + scalars["Q"] * (r**(2 - spec.cone.n) - scalars["outer^(2-n)"])
-    return RadialProfile(r=r, u=w / scalars["slope |w'(b)|"] + spec.delta)
+    u = w / scalars["slope |w'(b)|"] + spec.delta
+    # The ball's start is at least delta; an annulus's can cancel below
+    # zero when delta is tiny against the radii.
+    node = int(np.argmin(u))
+    if u[node] <= 0.0:
+        raise InvalidProfileError(
+            f"the torsion start is not positive: annulus radii "
+            f"({spec.domain.inner:g}, {spec.domain.outer:g}), n = {spec.cone.n}, "
+            f"delta {spec.delta:g}, grid {spec.grid}: at node {node} "
+            f"(r = {r[node]:.6g}) b^2 - r^2 + Q (r^(2-n) - b^(2-n)) cancels "
+            f"in floats to a start value {u[node]:.3e}")
+    return RadialProfile(r=r, u=u)
 
 
 def _torsion_scalars(spec: ProblemSpec) -> dict:

@@ -110,6 +110,19 @@ class TestSolve:
         assert err.startswith("numerical failure: ")
         assert "bump b/2 rounds away against delta (ball radius 1e-150" in err
 
+    def test_cancelling_torsion_start_names_its_cause(self, capsys):
+        """A start that rounds to u <= 0 is a usage error that names the
+        radii, n, delta, the grid and the node, not only "conformal factor
+        must be positive"."""
+        assert main(["solve", "--n", "6", "--k", "1", "--domain", "annulus",
+                     "--inner", "2.3512740663052053e-58",
+                     "--outer", "3.7274598712693967e-44",
+                     "--delta-schedule", "1.0122155116797562e-241"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the torsion start is not positive: "
+                              "annulus radii (2.35127e-58, 3.72746e-44), n = 6, "
+                              "delta 1.01222e-241, grid 1000: at node 0")
+
     @pytest.mark.parametrize("flags, name", [
         (["--domain", "annulus", "--inner", "0.5", "--outer", "1",
           "--radius", "7"], "--radius"),

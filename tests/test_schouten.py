@@ -1,5 +1,7 @@
 """Schouten spectra: exact model metrics, convergence order, rescaling bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,55 @@ class TestRadialProfile:
         r = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
         with pytest.raises(InvalidArgumentError):
             RadialProfile(r=r, u=np.ones(5))
+
+    @settings(max_examples=400, deadline=None)
+    @given(start=st.floats(allow_nan=False), step=st.floats(min_value=0.0),
+           nodes=st.integers(4, 9), node=st.integers(0, 8),
+           jitter=st.sampled_from([0.0, 1e-16, 1e-9, 9.9e-9, 1e-8, 2e-8, 1e-6]),
+           end=st.sampled_from([None, np.inf, np.nan, 1e308]))
+    def test_spacing_check_refuses_what_allclose_refuses(
+            self, start, step, nodes, node, jitter, end):
+        """Grids near the 1e-8 relative tolerance, with steps and radii up to
+        overflow and a last radius that may be inf or nan."""
+        with np.errstate(all="ignore"):
+            r = start + step * np.arange(nodes)
+            r[node % nodes] *= 1.0 + jitter
+            if end is not None:
+                r[-1] = end
+            dr = np.diff(r)
+        self.assert_allclose_verdict(r, dr)
+
+    @pytest.mark.parametrize("r", [
+        [-1.7e308, 1.7e308, 1.75e308, 1.79e308],
+        [-np.inf, -1e308, 0.8e308, np.inf],
+        [-np.inf, 0.0, 1.0, 2.0],
+        [0.0, 1.0, 2.0, np.inf],
+        [np.nan, 0.0, 1.0, 2.0],
+    ], ids=["overflowing-first-step", "every-step-inf", "first-step-inf",
+            "last-step-inf", "nan-first"])
+    def test_spacing_check_on_non_finite_steps(self, r):
+        r = np.array(r)
+        with np.errstate(all="ignore"):
+            dr = np.diff(r)
+        self.assert_allclose_verdict(r, dr)
+
+    @staticmethod
+    def assert_allclose_verdict(r, dr):
+        """RadialProfile refuses the spacing of r exactly when the
+        np.allclose test it replaced does."""
+        if np.any(dr <= 0):
+            return
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            uniform = np.allclose(dr, dr[0], rtol=1e-8,
+                                  atol=1e-13 * max(1.0, abs(r[-1])))
+        with np.errstate(all="ignore"):
+            if uniform:
+                RadialProfile(r=r, u=np.ones(r.size))
+            else:
+                with pytest.raises(InvalidArgumentError,
+                                   match="^grid spacing must be uniform$"):
+                    RadialProfile(r=r, u=np.ones(r.size))
 
     def test_derivatives_exact_on_quadratics(self):
         r = np.linspace(0.5, 1.5, 33)

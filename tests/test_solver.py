@@ -6,14 +6,18 @@ import itertools
 import json
 import warnings
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnlab import (Annulus, Ball, ConeSpec, ProblemSpec, RadialProfile,
                    boundary_slope, comparison_check, continuation_delta,
                    continuation_tau, initial_profile, newton_solve, residual)
-from lnlab import cones, solver
+from lnlab import _csv17, cones, solver
 from lnlab.cli import _format17
 from lnlab.solver import (DELTA_END, DELTA_START, MARGIN_FLOOR, NEWTON_TOL,
                           NewtonOptions, SolveReport, _analytic_jacobian,
@@ -21,7 +25,7 @@ from lnlab.solver import (DELTA_END, DELTA_START, MARGIN_FLOOR, NEWTON_TOL,
 from lnlab.schouten import _radial_stencil
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError,
-                          LnlabError)
+                          InvalidProfileError, LnlabError)
 
 
 def ball_spec(n=3, k=1, tau=0.9, delta=0.05, grid=200):
@@ -478,6 +482,23 @@ class TestInitialProfile:
             continuation_tau(spec)
         assert err.value.worst_node == 0 and err.value.margin == 0.0
 
+    def test_cancelling_torsion_start_is_named(self):
+        """A thin annulus at a tiny datum: b^2 - r^2 + Q (r^(2-n) - b^(2-n))
+        cancels below zero in floats, and the error names the radii, n,
+        delta, the grid and the node with its start value."""
+        spec = ProblemSpec(ConeSpec(6, 1), 0.5,
+                           Annulus(2.3512740663052053e-58, 3.7274598712693967e-44),
+                           1.0122155116797562e-241, grid=1000)
+        with pytest.raises(InvalidProfileError,
+                           match=r"^the torsion start is not positive: annulus "
+                                 r"radii \(2.35127e-58, 3.72746e-44\), n = 6, "
+                                 r"delta 1.01222e-241, grid 1000: at node 0 "
+                                 r"\(r = 2.35127e-58\) .* cancels in floats to a "
+                                 r"start value -\d\.\d{3}e-\d+$"):
+            initial_profile(spec)
+        with pytest.raises(InvalidProfileError, match="torsion start"):
+            continuation_tau(spec)
+
     @pytest.mark.parametrize("n", [8, 3])
     def test_normal_ball_start_is_unaffected(self, n):
         spec = ProblemSpec(ConeSpec(n, 1), 0.5, Ball(1.0), 0.1, grid=50)
@@ -716,3 +737,93 @@ class TestReport:
             assert np.array_equal(np.isnan(back), nan)
             assert np.array_equal(back.view(np.int64)[~nan],
                                   written.view(np.int64)[~nan])
+
+
+def format17_rows(table):
+    """The CSV rows of a float table through CPython's correctly rounded
+    format(x, ".17g"), value by value: the oracle of _csv17.rows."""
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n"
+                   for row in table)
+
+
+def assert_rows_match_format(values, cols=4):
+    """values (padded with 1.0 to whole rows) written by _csv17.rows are
+    format()'s bytes."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    table = np.concatenate((values, np.ones(-values.size % cols))).reshape(-1, cols)
+    assert _csv17.rows(table) == format17_rows(table)
+
+
+def ties():
+    """Doubles with 18 significant digits ending in 5, which format() rounds
+    half to even at 17: 10^d + k 2^(d-17) for odd k, d = 0 .. 4 (each has
+    17 - d decimals after d + 1 integer digits), and their negatives."""
+    out = [10.0**d + k * 2.0**(d - 17) for d in range(5)
+           for k in (1, 3, 5, 7, 9, 11, 2**15 + 1, 2**16 - 1)]
+    for x in out:
+        digits = Decimal(x).as_tuple().digits       # exact
+        assert len(digits) == 18 and digits[-1] == 5
+    return out + [-x for x in out]
+
+
+class TestCsvDigits:
+    """_csv17.rows, the text of SolveReport.to_csv, against format()."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40),
+           cols=st.integers(1, 4))
+    def test_any_float(self, values, cols):
+        """nan, +-inf, subnormals and -0.0 included."""
+        assert_rows_match_format(values, cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, bits):
+        assert_rows_match_format(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        """k 10^j and 10^j +- 1 ulp at every decimal exponent, inside and
+        outside the double-double window."""
+        tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+        multiples = np.array([float(f"{k}e{j}") for j in range(-320, 308)
+                              for k in (1, 2, 5, 9, 12, 99, 125, 999)])
+        for values in (tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                       multiples, -multiples):
+            assert_rows_match_format(values)
+
+    def test_exact_ties_round_half_even(self):
+        assert_rows_match_format(ties())
+        assert _csv17.rows(np.array([[1 + 2**-17, 1 + 3 * 2**-17]])) == (
+            "1.0000076293945312,1.0000228881835938\n")
+
+    @pytest.mark.parametrize("start, stop", [(0.0, 1.0), (0.5, 1.0), (1e-3, 7.0),
+                                             (-3.0, 1e5)])
+    def test_linspace_grids(self, start, stop):
+        for nodes in (11, 1001, 4097):
+            r = np.linspace(start, stop, nodes)
+            assert_rows_match_format(np.stack((r, r**2, r / 3, -r), axis=1))
+
+    @pytest.mark.parametrize("rows", [2, 3, 4, 11])
+    def test_row_blocks(self, monkeypatch, rows):
+        """B - 1, B, B + 1 and 3B + 2 rows with the block constant B = 3;
+        every block holds zeros and non-finite values that format() writes."""
+        monkeypatch.setattr(_csv17, "_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(rows)
+        table = rng.normal(size=(rows, 4)) * 10.0 ** rng.integers(-30, 30, (rows, 4))
+        table[:, 1] = np.resize([0.0, -np.inf, np.nan], rows)
+        table[::2, 2] = 5e-324
+        assert _csv17.rows(table) == format17_rows(table)
+
+    def test_power_table_is_correctly_rounded(self):
+        """Column i holds 10^(16 - p), p = _P_MIN - 1 + i, as the correctly
+        rounded hi, its Veltkamp split hi1 + hi2 and the correctly rounded
+        remainder lo, and 10^(p + 1) rounded; one ulp off in any lo fails
+        here."""
+        hi, hi1, hi2, lo = _csv17._POW10_PARTS
+        assert hi.size == _csv17._P_MAX - _csv17._P_MIN + 3
+        for i, p in enumerate(range(_csv17._P_MIN - 1, _csv17._P_MAX + 2)):
+            exact = Fraction(10)**(16 - p)
+            assert hi[i] == float(exact)
+            assert Fraction(hi[i]) == Fraction(hi1[i]) + Fraction(hi2[i])
+            assert lo[i] == float(exact - Fraction(hi[i]))
+            assert _csv17._POW10_NEXT[i] == float(Fraction(10)**(p + 1))
