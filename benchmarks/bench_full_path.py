@@ -33,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_pair_kernel import claim, compare, traced
+from bench_pair_kernel import call_rounds, claim, compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_PAIRS = 10
@@ -79,20 +79,6 @@ def run_calls(checkout: Path) -> dict:
     return result
 
 
-def call_rounds(parent: Path, change: Path) -> dict:
-    runs = {"parent": [], "change": []}
-    for i in range(CALL_ROUNDS):
-        sides = [("parent", parent), ("change", change)]
-        for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
-            runs[side].append(run_calls(checkout))
-    out = {}
-    for key in runs["parent"][0]:
-        p, c = (statistics.median(r[key] for r in runs[side])
-                for side in ("parent", "change"))
-        out[key] = {"parent_ms": p, "change_ms": c, "speedup": p / c}
-    return out
-
-
 def traced_counts(traced_run: dict) -> dict:
     p, c = (traced_run[side]["metrics"] for side in ("parent", "change"))
     names = sorted(name for name in p if name.endswith((".calls", ".rows"))
@@ -118,7 +104,7 @@ def main():
         "perfbench": runs,
         "traced_verify": traced_verify,
         "traced_counts": traced_counts(traced_verify),
-        "call_ms": call_rounds(parent, change),
+        "call_ms": call_rounds(parent, change, run_calls, CALL_ROUNDS),
     }
     json.dump(summary, sys.stdout, indent=1)
     sys.stdout.write("\n")

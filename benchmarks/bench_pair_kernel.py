@@ -134,6 +134,24 @@ def compare(parent: Path, change: Path, workloads=None, pairs=PAIRS,
     return out
 
 
+def call_rounds(parent: Path, change: Path, run, rounds: int) -> dict:
+    """Medians over `rounds` alternating (parent, change) rounds of
+    run(checkout), which returns milliseconds per key: {key: {"parent_ms",
+    "change_ms", "speedup"}}.  The side that runs first alternates, so
+    host drift between rounds falls on both sides alike."""
+    runs = {"parent": [], "change": []}
+    for i in range(rounds):
+        sides = [("parent", parent), ("change", change)]
+        for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
+            runs[side].append(run(checkout))
+    out = {}
+    for key in runs["parent"][0]:
+        p, c = (statistics.median(r[key] for r in runs[side])
+                for side in ("parent", "change"))
+        out[key] = {"parent_ms": p, "change_ms": c, "speedup": p / c}
+    return out
+
+
 def claim(runs: dict, workload: str) -> dict:
     """Whether `compare`'s pairs on workload show a `run_s` gain: the change
     wins at least 9 in 10 pairs, and its median lies below the parent's by

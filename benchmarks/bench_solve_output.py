@@ -6,10 +6,12 @@ Compares this checkout with PARENT_CHECKOUT (another lnlab checkout, e.g. made
 with `git archive`), in three parts:
 
 1. `SolveReport.to_csv` wall time at 1e3, 1e4 and 1e5 rows: the median of
-   repeated calls after 2 untimed ones, in a fresh interpreter per checkout.
-   The report is built by hand with full-precision values in every column
-   (a smooth profile, residuals near 1e-11, margins in (0, 1)), so both
-   writers format the same floats.
+   repeated calls after 2 untimed ones, in a fresh interpreter per checkout,
+   over CSV_ROUNDS alternating (parent, change) rounds run by
+   `bench_pair_kernel.call_rounds`; the summary holds the median over
+   rounds.  The report is built by hand with full-precision values in
+   every column (a smooth profile, residuals near 1e-11, margins in
+   (0, 1)), so both writers format the same floats.
 2. perfbench/run.py --trace 0 for alternating (parent, change) pairs, run by
    `bench_pair_kernel.compare` on seeds from FIRST_SEED: CLI_PAIRS pairs on
    cli-solve, the workload that writes CSV, and OTHER_PAIRS pairs on
@@ -24,17 +26,17 @@ Progress goes to stderr; the summary is one JSON document on stdout.
 """
 
 import json
-import os
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from bench_pair_kernel import claim, compare, traced
+from bench_pair_kernel import call_rounds, claim, compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 CSV_ROWS = {1_000: 50, 10_000: 20, 100_000: 5}     # rows: timed calls
+CSV_ROUNDS = 5
 CLI_PAIRS = 10
 OTHER_PAIRS = 5
 FIRST_SEED = 1701
@@ -84,9 +86,10 @@ def main():
     if len(sys.argv) != 2:
         raise SystemExit(__doc__.split("\n\n")[1])
     parent, change = Path(sys.argv[1]).resolve(), ROOT
-    to_csv = {"parent": run_to_csv(parent), "change": run_to_csv(change)}
-    to_csv["speedup"] = {key: to_csv["parent"][key] / to_csv["change"][key]
-                         for key in to_csv["parent"]}
+    rounds = call_rounds(parent, change, run_to_csv, CSV_ROUNDS)
+    to_csv = {side: {key: ms[f"{side}_ms"] for key, ms in rounds.items()}
+              for side in ("parent", "change")}
+    to_csv["speedup"] = {key: ms["speedup"] for key, ms in rounds.items()}
     perfbench = compare(parent, change, ["cli-solve"], CLI_PAIRS, FIRST_SEED)
     perfbench.update(compare(parent, change, ["solve-large", "verify"],
                              OTHER_PAIRS, FIRST_SEED))

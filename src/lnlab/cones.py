@@ -28,14 +28,15 @@ f and the cone Gamma_k read sigma_j for j <= k only, so sigma_all returns the
 orders up to the k it is asked for (every order when k is None), with the
 same bits for each of them whatever k is; the cone functions ask for cone.k.
 Every cone function (cone_margin, in_cone, f_eval, grad_f and the solver's
-_f_and_grad_unchecked) reads one _deformed_sigma pass per row block: one
-tau_deform and one sigma_all call, whose output private readers turn into
-the margin, f and the gradient.  A row is one spectrum of the flattened
-leading axes; inputs of at most _BLOCK_ROWS rows are one block, larger
-ones are split into blocks of _BLOCK_ROWS rows and a remainder, each
-block's results going into one preallocated output.  The readers work row
-by row, so blocks give the bits of a single pass.  f_eval and grad_f check
-membership on the margin of that same pass, after the last block.
+_f_and_grad_unchecked) is one call into one driver, _by_blocks, which makes
+one _deformed_sigma pass per row block: one tau_deform and one sigma_all
+call, whose output private readers turn into the margin, f and the
+gradient.  A row is one spectrum of the flattened leading axes; inputs of
+at most _BLOCK_ROWS rows are one pass over the input as given, larger ones
+are split into blocks of _BLOCK_ROWS rows and a remainder, each block's
+results going into one preallocated output.  The readers work row by row,
+so blocks give the bits of a single pass.  f_eval and grad_f read the
+margin of that same pass too, and _inside checks it after the last block.
 The sigma kernels of both forms, and the pair path's deformation and
 gradient, write their columns into one preallocated (columns, rows) buffer
 and return it viewed as (rows, columns).  The full path's gradient runs the
@@ -264,7 +265,6 @@ def _deformed_sigma(cone: ConeSpec, lam: np.ndarray):
     """The one deformation and sigma pass that every cone function reads:
     (mu, sig, pair) with mu = lam^tau, sig = sigma_0..sigma_k(mu) and pair
     = cone.n for a pair spectrum, None for a full one."""
-    lam = np.asarray(lam, dtype=float)
     pair = _pair_length(cone, lam)
     mu = tau_deform(lam, cone.tau, pair)
     return mu, sigma_all(mu, pair, cone.k), pair
@@ -275,32 +275,18 @@ def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray) -> np.ndarray | flo
     # Column-wise max and min: exact like the axis reductions, and much
     # cheaper than them on a short last axis.  The scale is built in place
     # in column 0 of |mu|; [()] makes one spectrum's scale the scalar a
-    # ufunc would return, so its powers take the scalar path as before.
+    # ufunc would return, so its powers take numpy's scalar path.
     abs_mu = np.abs(mu)
     scale = abs_mu[..., 0]
     for i in range(1, mu.shape[-1]):
         np.maximum(scale, abs_mu[..., i], out=scale)
     np.maximum(scale, 1.0, out=scale)
     scale = scale[()]
-    if not scale.ndim:
-        out = None
-        for j in range(1, cone.k + 1):
-            margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
-            out = margin_j if out is None else np.minimum(out, margin_j)
-        return float(out)
-    # The same operations in two buffers; scale **= j takes the path of
-    # scale ** j, and comb * x is x * comb.
-    out, denom = np.empty_like(scale), np.empty_like(scale)
+    out = None
     for j in range(1, cone.k + 1):
-        np.copyto(denom, scale)
-        denom **= j
-        denom *= comb(cone.n, j)
-        if j == 1:
-            np.divide(sig[..., j], denom, out=out)
-        else:
-            np.divide(sig[..., j], denom, out=denom)
-            np.minimum(out, denom, out=out)
-    return out
+        margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
+        out = margin_j if out is None else np.minimum(out, margin_j)
+    return out if out.ndim else float(out)
 
 
 def _f_undeformed(cone: ConeSpec, sig: np.ndarray) -> np.ndarray:
@@ -368,32 +354,25 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
     return fk[()], _last_axis_outermost(g)
 
 
-def _check_inside(margin: np.ndarray | float):
-    """Raise ConeDomainError unless every margin is positive."""
-    if not np.all(np.asarray(margin) > 0.0):
-        worst = float(np.min(margin))
-        raise ConeDomainError(
-            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
+def _by_blocks(cone: ConeSpec, lam, read) -> tuple:
+    """read(mu, sig, pair) on the _deformed_sigma pass of lam, the one
+    driver of every cone function.
 
-
-def _blocked(lam: np.ndarray) -> bool:
-    """Whether lam has more than _BLOCK_ROWS spectra (rows of its flattened
-    leading axes), so the cone functions pass over it by _by_blocks."""
-    return prod(lam.shape[:-1]) > _BLOCK_ROWS
-
-
-def _by_blocks(cone: ConeSpec, lam: np.ndarray, read) -> tuple:
-    """read(mu, sig, pair) on the _deformed_sigma pass of each block of at
-    most _BLOCK_ROWS rows of lam's flattened leading axes.
-
-    read returns a tuple of per-row results, each of shape (rows,) or
-    (rows, columns).  Each result goes into one output allocated at the
-    first block, a (columns, rows) buffer for one with columns, and comes
-    back with lam's leading shape.  Every read is row by row, so the
-    outputs have the bits of one pass over all of lam.
+    read returns a tuple of per-row results.  lam of at most _BLOCK_ROWS
+    rows (spectra of its flattened leading axes) is one pass over lam as
+    given, whose results come back as read gives them, so one spectrum
+    keeps numpy's scalar path.  Larger lam is passed over in blocks of
+    _BLOCK_ROWS rows and a remainder: each result, of shape (rows,) or
+    (rows, columns) per block, goes into one output allocated at the first
+    block, a (columns, rows) buffer for one with columns, and comes back
+    with lam's leading shape.  Every read is row by row, so the outputs
+    have the bits of one pass over all of lam.
     """
+    lam = np.asarray(lam, dtype=float)
     lead = lam.shape[:-1]
     rows = prod(lead)
+    if rows <= _BLOCK_ROWS:
+        return read(*_deformed_sigma(cone, lam))
     flat = lam.reshape(rows, lam.shape[-1])
     outs = None
     for start in range(0, rows, _BLOCK_ROWS):
@@ -408,15 +387,18 @@ def _by_blocks(cone: ConeSpec, lam: np.ndarray, read) -> tuple:
                  for out in outs)
 
 
-def _inside_by_blocks(cone: ConeSpec, lam: np.ndarray, read) -> np.ndarray:
-    """read(mu, sig, pair) by _by_blocks, returned once the margins of every
-    block are checked positive.  Until then a point outside reads NaN or inf
-    without a warning, as the single pass, which checks first, never reads
-    it at all."""
+def _inside(cone: ConeSpec, lam, read):
+    """read(mu, sig, pair) by _by_blocks, returned once every margin of the
+    pass is checked positive; ConeDomainError with the worst margin
+    otherwise.  Until then a point outside reads NaN or inf without a
+    warning."""
     with np.errstate(divide="ignore", invalid="ignore"):
         margin, out = _by_blocks(cone, lam, lambda mu, sig, pair: (
             _margin(cone, mu, sig), read(mu, sig, pair)))
-    _check_inside(margin)
+    if not np.all(np.asarray(margin) > 0.0):
+        worst = float(np.min(margin))
+        raise ConeDomainError(
+            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
     return out
 
 
@@ -428,11 +410,7 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     normalization makes margins comparable across j.  lam may be a full
     spectrum or a pair (see the module docstring).
     """
-    lam = np.asarray(lam, dtype=float)
-    if _blocked(lam):
-        return _by_blocks(cone, lam, lambda mu, sig, pair: (_margin(cone, mu, sig),))[0]
-    mu, sig, _ = _deformed_sigma(cone, lam)
-    return _margin(cone, mu, sig)
+    return _by_blocks(cone, lam, lambda mu, sig, pair: (_margin(cone, mu, sig),))[0]
 
 
 def in_cone(cone: ConeSpec, lam: np.ndarray) -> Membership:
@@ -447,14 +425,7 @@ def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
     a pair.  Raises ConeDomainError if any point lies outside the cone.
     """
-    lam = np.asarray(lam, dtype=float)
-    if _blocked(lam):
-        fk = _inside_by_blocks(cone, lam,
-                               lambda mu, sig, pair: _f_undeformed(cone, sig))
-    else:
-        mu, sig, _ = _deformed_sigma(cone, lam)
-        _check_inside(_margin(cone, mu, sig))
-        fk = _f_undeformed(cone, sig)
+    fk = _inside(cone, lam, lambda mu, sig, pair: _f_undeformed(cone, sig))
     out = fk / cone.deformation_scale
     return out if np.ndim(out) else float(out)
 
@@ -468,10 +439,7 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     gradient is the pair (df/da, df/db_i): the derivative along the one a
     entry and along any one of the n-1 b entries.
     """
-    lam = np.asarray(lam, dtype=float)
-    if _blocked(lam):
-        return _by_blocks(cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair))
-    return _f_and_grad(cone, *_deformed_sigma(cone, lam))
+    return _by_blocks(cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair))
 
 
 def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
@@ -480,13 +448,7 @@ def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
     For a pair (a, b) it is the pair (df/da, df/db_i), see
     _f_and_grad_unchecked.  Raises ConeDomainError where f_eval does.
     """
-    lam = np.asarray(lam, dtype=float)
-    if _blocked(lam):
-        return _inside_by_blocks(
-            cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair)[1])
-    mu, sig, pair = _deformed_sigma(cone, lam)
-    _check_inside(_margin(cone, mu, sig))
-    return _f_and_grad(cone, mu, sig, pair)[1]
+    return _inside(cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair)[1])
 
 
 def _mu_plus_exact(cone: ConeSpec) -> Fraction:

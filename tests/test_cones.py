@@ -633,11 +633,12 @@ def assert_same_outcome(got, want):
 @st.composite
 def blocked_inputs(draw):
     """(cone, lam): pairs or full spectra with 1, B-1, B, B+1 or 3B+2 rows,
-    or a leading shape (a, b); all inside the cone or of both signs."""
+    a leading shape (a, b), or one spectrum (leading shape ()), whose
+    results are scalars; all inside the cone or of both signs."""
     n = draw(st.integers(3, 8))
     cone = ConeSpec(n, draw(st.integers(1, n)),
                     draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])))
-    lead = draw(st.sampled_from([(rows,) for rows in BLOCK_ROWS])
+    lead = draw(st.just(()) | st.sampled_from([(rows,) for rows in BLOCK_ROWS])
                 | st.tuples(st.integers(1, 4), st.integers(1, 4)))
     width = draw(st.sampled_from([2, n]))
     size = math.prod(lead) * width

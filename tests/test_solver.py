@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import re
 import warnings
 from dataclasses import replace
 from decimal import Decimal
@@ -569,6 +570,23 @@ class TestContinuationTau:
                                  r"iterations, above tol 1.0e-10 "
                                  r"\(iteration limit reached\)"):
             continuation_tau(spec)
+
+    def test_small_ball_stop_names_the_rounding_floor(self):
+        """On Ball(1e-3) the operator's size grows as 1/b^2, and so does the
+        rounding floor eps*max(u)^2/h^2 of its residual: the start problem
+        stops above the default tol, and the message names a floor above
+        tol, within a factor of 10 of the residual it stopped at."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.95, domain=Ball(1e-3),
+                           delta=0.1, grid=50)
+        with pytest.raises(ContinuationStallError) as err:
+            continuation_tau(spec)
+        found = re.search(r"residual_sup (\S+) .*\); "
+                          r"rounding floor eps\*max\(u\)\^2/h\^2 = (\S+)$",
+                          str(err.value))
+        assert found, str(err.value)
+        res, floor = (float(x) for x in found.groups())
+        assert floor > NEWTON_TOL
+        assert floor / 10 < res < 10 * floor
 
     def test_stall_names_the_refused_tau_and_the_cause(self):
         """(8, 8) on [0.1, 1] reaches the cone boundary before tau = 0.9."""
