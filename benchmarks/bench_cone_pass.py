@@ -37,7 +37,7 @@ from bench_pair_kernel import claim, compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_PAIRS = 10
-OTHER_PAIRS = 5
+OTHER_PAIRS = 6
 FIRST_SEED = 1301
 TRACED_VERIFY = ("cones.", "acceptance.", "cli.main.")
 TRACED_SOLVE = ("cones.", "solver.")

@@ -37,7 +37,7 @@ from bench_pair_kernel import call_rounds, claim, compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_PAIRS = 10
-OTHER_PAIRS = 5
+OTHER_PAIRS = 6
 FIRST_SEED = 1501
 TRACED = ("cones.", "acceptance.", "cli.", "solver.")
 ROWS = 2000

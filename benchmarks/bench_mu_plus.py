@@ -34,7 +34,7 @@ from bench_pair_kernel import claim, compare, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_PAIRS = 10
-OTHER_PAIRS = 5
+OTHER_PAIRS = 6
 FIRST_SEED = 701
 TRACED = ("cones.mu_plus.", "cones.cone_margin.", "cli.main.", "acceptance.")
 CONE_TAUS = (0.0, 0.1, 0.25, 0.5, 0.7, 0.75, 0.8, 0.9, 0.95, 0.99,

@@ -108,7 +108,13 @@ def summarise(values: list) -> dict:
 def compare(parent: Path, change: Path, workloads=None, pairs=PAIRS,
             first_seed=FIRST_SEED) -> dict:
     """End-to-end metrics of `pairs` alternating (parent, change) untraced
-    runs per workload (default: every workload BENCHMARK.json lists)."""
+    runs per workload (default: every workload BENCHMARK.json lists).
+
+    pairs must be even and positive: the side that runs first alternates,
+    and an odd count lets the parent run first once more than the change.
+    """
+    if pairs < 2 or pairs % 2:
+        raise ValueError(f"pairs must be a positive even number, got {pairs}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     out = {}
     for workload in workloads or [w["name"] for w in bench["workloads"]]:

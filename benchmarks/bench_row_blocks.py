@@ -43,8 +43,8 @@ from bench_pair_kernel import claim, compare, summarise, traced
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVE_LARGE_PAIRS = 10
-OTHER_PAIRS = 5
-PASS_PAIRS = 5
+OTHER_PAIRS = 6
+PASS_PAIRS = 6
 FIRST_SEED = 1401
 BLOCK_SWEEP = (2048, 4096, 8192, 16384, 32768, 131072)
 SWEEP_ROUNDS = 3

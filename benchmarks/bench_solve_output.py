@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CSV_ROWS = {1_000: 50, 10_000: 20, 100_000: 5}     # rows: timed calls
 CSV_ROUNDS = 5
 CLI_PAIRS = 10
-OTHER_PAIRS = 5
+OTHER_PAIRS = 6
 FIRST_SEED = 1701
 # Every per-layer metric.
 TRACED = ("",)

@@ -99,7 +99,7 @@ class RadialProfile:
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
             raise InvalidArgumentError("profile needs matching 1-d grids with >= 4 nodes")
         dr = np.diff(r)
-        if np.any(dr <= 0):
+        if (dr <= 0).any():
             raise InvalidArgumentError("grid radii must be strictly increasing")
         # np.allclose(dr, h, rtol=1e-8, atol=...)'s verdict: a non-finite h
         # (an overflowing first step) matches only an equal spacing.
@@ -107,12 +107,12 @@ class RadialProfile:
         if math.isfinite(h):
             tol = 1e-13 * max(1.0, abs(r[-1])) + 1e-8 * abs(h)
             np.subtract(dr, h, out=dr)
-            uniform = np.all(np.abs(dr, out=dr) <= tol)
+            uniform = (np.abs(dr, out=dr) <= tol).all()
         else:
-            uniform = np.all(dr == h)
+            uniform = (dr == h).all()
         if not uniform:
             raise InvalidArgumentError("grid spacing must be uniform")
-        if np.any(u[1:-1] <= 0) or (r[0] > 0 and u[0] <= 0) or u[-1] < 0 or u[0] < 0:
+        if (u[1:-1] <= 0).any() or (r[0] > 0 and u[0] <= 0) or u[-1] < 0 or u[0] < 0:
             raise InvalidProfileError("conformal factor must be positive on the open domain")
 
     @property

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from . import _csv17
 from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, cone_margin
@@ -205,7 +206,7 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
         # |profile.r - r| in one buffer: at 1e5 nodes a second temporary
         # made the check 5x slower, its pages faulting in on every call.
         gap = np.subtract(profile.r, r)
-        if np.all(np.abs(gap, out=gap) <= 1e-12 * max(1.0, abs(r[-1]))):
+        if (np.abs(gap, out=gap) <= 1e-12 * max(1.0, abs(r[-1]))).all():
             return r
     raise GridMismatchError("profile grid does not match the problem grid")
 
@@ -222,7 +223,7 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     margins = np.atleast_1d(cone_margin(cone, lam))
 
     F = u - spec.delta
-    if np.all(margins > 0.0):
+    if (margins > 0.0).all():
         fvals, grads = _f_and_grad_unchecked(cone, lam)
         F[rows] = fvals - RHS
     else:
@@ -286,6 +287,28 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     sup += term
     sub -= term
     return ab
+
+
+def solve_banded(ab, b):
+    """Solve the tridiagonal system with bands ab (layout of
+    _analytic_jacobian) and right-hand side b; both are overwritten.
+
+    This is LAPACK gtsv on ab[2, :-1], ab[1] and ab[0, 1:], the call and
+    inputs scipy.linalg.solve_banded((1, 1), ...) makes, so the solution
+    is the same to the bit, without scipy's per-call wrapper.  It keeps
+    scipy's refusals: ValueError for a NaN or an inf in ab or b, LinAlgError
+    for an exactly singular system.  The name stays solve_banded because
+    newton_solve calls it through this module global, the binding
+    perfbench's tracer wraps.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
@@ -380,11 +403,11 @@ def _make_report(u, spec, r, F, margins, state, iters, converged):
     margin_full[_pde_rows(spec)] = margins
     return SolveReport(
         profile=profile,
-        residual_sup=float(np.max(res_nodes)),
-        admissibility_margin_min=float(np.min(margins)),
+        residual_sup=float(res_nodes.max()),
+        admissibility_margin_min=float(margins.min()),
         boundary_slope=boundary_slope(profile),
         c0_bounds=(float(u.min()), float(u.max())),
-        grad_sup=float(np.max(np.abs(du))),
+        grad_sup=float(np.abs(du).max()),
         newton_iterations=iters,
         continuation_steps=0,
         converged=converged,
@@ -412,27 +435,27 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
 
     u = init.u.copy()
     F, margins, state = _evaluate(u, spec, r, cone)
-    if not np.all(margins > MARGIN_FLOOR):
+    if not (margins > MARGIN_FLOOR).all():
         raise _inadmissible(spec, margins, "initial profile inadmissible")
 
-    res = float(np.max(np.abs(F)))
+    res = float(np.abs(F).max())
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return _make_report(u, spec, r, F, margins, state, it - 1, True)
         ab = _analytic_jacobian(u, spec, r, cone, state)
-        # ab and -F are temporaries: the solve may overwrite both.
-        step = solve_banded((1, 1), ab, -F, overwrite_ab=True, overwrite_b=True)
+        # ab and -F are temporaries: the solve overwrites both.
+        step = solve_banded(ab, -F)
 
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             u_try = u + t * step
-            if np.all(u_try > 0.0):
+            if (u_try > 0.0).all():
                 F_try, m_try, s_try = _evaluate(u_try, spec, r, cone)
-                if (np.all(m_try > MARGIN_FLOOR)
-                        and float(np.max(np.abs(F_try))) < res):
-                    u, F, margins, state = u_try, F_try, m_try, s_try
-                    res = float(np.max(np.abs(F)))
-                    break
+                if (m_try > MARGIN_FLOOR).all():
+                    res_try = float(np.abs(F_try).max())
+                    if res_try < res:
+                        u, F, margins, state, res = u_try, F_try, m_try, s_try, res_try
+                        break
             t *= 0.5
         else:
             return _make_report(u, spec, r, F, margins, state, it, False)
@@ -571,6 +594,22 @@ def _blend_boundary(profile: RadialProfile, spec_next: ProblemSpec) -> RadialPro
     return RadialProfile(r=r, u=u)
 
 
+def _check_delta_schedule(schedule: list):
+    """Refuse a schedule that is not strictly decreasing, positive and
+    finite, naming its first bad entry: index, value and which rule it
+    breaks."""
+    for i, d in enumerate(schedule):
+        if not 0 < d < math.inf:
+            fault = "is not positive and finite"
+        elif i and d >= schedule[i - 1]:
+            fault = f"is not below the entry before it ({float(schedule[i - 1])!r})"
+        else:
+            continue
+        raise InvalidArgumentError(
+            "delta schedule must be strictly decreasing, positive and finite: "
+            f"entry {i} ({float(d)!r}) {fault}")
+
+
 def continuation_delta(spec: ProblemSpec, delta_schedule=None) -> DeltaContinuationResult:
     """Sweep the boundary datum down a strictly decreasing schedule.
 
@@ -582,10 +621,7 @@ def continuation_delta(spec: ProblemSpec, delta_schedule=None) -> DeltaContinuat
     if delta_schedule is None:
         delta_schedule = default_delta_schedule()
     delta_schedule = list(delta_schedule)
-    if any(d2 >= d1 for d1, d2 in zip(delta_schedule, delta_schedule[1:])) or \
-            any(not 0 < d < math.inf for d in delta_schedule):
-        raise InvalidArgumentError(
-            "delta schedule must be strictly decreasing, positive and finite")
+    _check_delta_schedule(delta_schedule)
 
     result = DeltaContinuationResult(deltas=[], reports=[])
     prev_report = None

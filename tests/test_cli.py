@@ -174,6 +174,12 @@ class TestSolve:
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_increasing_schedule_names_the_entry(self, capsys):
+        assert main(["solve", "--delta-schedule", "0.1,0.2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: delta schedule must be strictly decreasing, positive and "
+            "finite: entry 1 (0.2) is not below the entry before it (0.1)\n")
+
     def test_bad_schedule_text(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["solve", "--delta-schedule", "0.1,abc"])

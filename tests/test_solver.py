@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -413,6 +414,72 @@ class TestNewton:
         # one iteration from a rough start cannot reach 1e-10
         assert not rep.converged
 
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    def test_one_banded_solve_per_iteration_through_the_module_global(
+            self, domain, monkeypatch):
+        """newton_solve reaches the banded solve through lnlab.solver's
+        global solve_banded, the binding perfbench's tracer wraps."""
+        calls = []
+        solve = solver.solve_banded
+
+        def counted(ab, b):
+            calls.append(ab.shape)
+            return solve(ab, b)
+
+        monkeypatch.setattr(solver, "solve_banded", counted)
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.0, domain=domain,
+                           delta=0.05, grid=200)
+        rep = newton_solve(initial_profile(spec), spec)
+        assert rep.converged and rep.newton_iterations > 0
+        assert calls == [(3, 201)] * rep.newton_iterations
+
+
+def random_tridiagonal(m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, m)), rng.standard_normal(m)
+
+
+class TestBandedSolve:
+    """solver.solve_banded against scipy.linalg.solve_banded((1, 1), ...)."""
+
+    @staticmethod
+    def assert_same_as_scipy(ab, b):
+        want = scipy.linalg.solve_banded((1, 1), ab, b)
+        got = solver.solve_banded(ab.copy(), b.copy())
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_to_the_bit(self, m, seed):
+        self.assert_same_as_scipy(*random_tridiagonal(m, seed))
+
+    def test_matches_scipy_at_1e5_rows(self):
+        self.assert_same_as_scipy(*random_tridiagonal(100_000, 7))
+
+    def test_solves_in_place(self):
+        ab, b = random_tridiagonal(50, 1)
+        assert solver.solve_banded(ab, b) is b
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["ab", "b"])
+    def test_non_finite_input_is_refused(self, bad, where):
+        ab, b = random_tridiagonal(20, 2)
+        (ab[1] if where == "ab" else b)[5] = bad
+        for solve in (lambda: solver.solve_banded(ab, b),
+                      lambda: scipy.linalg.solve_banded((1, 1), ab, b)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve()
+
+    def test_singular_matrix_is_refused(self):
+        ab, b = random_tridiagonal(5, 3)
+        ab[1, 2] = ab[0, 3] = ab[2, 1] = 0.0        # row 2 of the matrix is zero
+        for solve in (lambda: solver.solve_banded(ab.copy(), b.copy()),
+                      lambda: scipy.linalg.solve_banded((1, 1), ab, b)):
+            with pytest.raises(scipy.linalg.LinAlgError, match="singular matrix"):
+                solve()
+
 
 def annulus_spec(n, k, tau, inner, delta=0.1, grid=200):
     return ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=Annulus(inner, 1.0),
@@ -625,11 +692,20 @@ class TestContinuationDelta:
         assert final.boundary_slope == boundary_slope(final.profile)
 
     def test_bad_schedule(self):
+        """The error names the first bad entry and the rule it breaks."""
         spec = ball_spec(grid=50)
-        with pytest.raises(InvalidArgumentError):
-            continuation_delta(spec, delta_schedule=[0.1, 0.2])
-        with pytest.raises(InvalidArgumentError):
-            continuation_delta(spec, delta_schedule=[0.1, -0.05])
+        for schedule, fault in [
+                ([0.1, 0.2], "entry 1 (0.2) is not below the entry before it (0.1)"),
+                ([0.1, 0.05, 0.05],
+                 "entry 2 (0.05) is not below the entry before it (0.05)"),
+                ([0.1, -0.05], "entry 1 (-0.05) is not positive and finite"),
+                ([0.0, -0.05], "entry 0 (0.0) is not positive and finite"),
+                ([0.1, np.inf, 0.2], "entry 1 (inf) is not positive and finite"),
+                ([0.1, 0.05, np.nan], "entry 2 (nan) is not positive and finite")]:
+            with pytest.raises(InvalidArgumentError) as err:
+                continuation_delta(spec, delta_schedule=schedule)
+            assert str(err.value) == ("delta schedule must be strictly decreasing, "
+                                      f"positive and finite: {fault}")
 
     def test_schedule_helper(self):
         sched = default_delta_schedule()
