@@ -9,7 +9,7 @@ Run:  python demos/cone_geometry_tour.py
 
 import numpy as np
 
-from lnlab import ConeSpec, contains_ray_e1, f_eval, in_cone, mu_plus, tau_deform
+from lnlab import ConeSpec, cone_margin, contains_ray_e1, f_eval, mu_plus, tau_deform
 
 
 def main():
@@ -30,9 +30,9 @@ def main():
     print("=== trace deformation opens the cone back up ===")
     lam = np.array([1.0, 0.0, 0.0, 0.0])
     for tau in (1.0, 0.9, 0.5, 0.0):
-        member, margin = in_cone(ConeSpec(4, 2, tau), lam)
+        margin = cone_margin(ConeSpec(4, 2, tau), lam)
         print("  tau=%.1f: lam^tau = %s  member=%s  margin=%.3e"
-              % (tau, np.round(tau_deform(lam, tau), 3), bool(member), margin))
+              % (tau, np.round(tau_deform(lam, tau), 3), bool(margin > 0), margin))
 
     print()
     print("=== normalization: f^tau(e) = 1 for every cone ===")

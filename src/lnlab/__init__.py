@@ -1,7 +1,7 @@
 """Numerical laboratory for sigma-k Loewner-Nirenberg problems."""
 
 from .cones import (ConeSpec, contains_ray_e1, cone_margin, f_eval, grad_f,
-                    in_cone, mu_plus, tau_deform)
+                    mu_plus, tau_deform)
 from .schouten import (RadialProfile, barrier_profile,
                        halfspace_schouten_spectrum, hyperbolic_ball_profile,
                        radial_schouten_spectrum,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConeSpec", "contains_ray_e1", "cone_margin", "f_eval", "grad_f",
-    "in_cone", "mu_plus", "tau_deform",
+    "mu_plus", "tau_deform",
     "RadialProfile", "barrier_profile",
     "halfspace_schouten_spectrum", "hyperbolic_ball_profile",
     "radial_schouten_spectrum", "rescaled_metric_spectrum_bound",

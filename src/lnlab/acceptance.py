@@ -331,16 +331,19 @@ CRITERIA = {
 
 
 def run_acceptance(only=None, seed: int = 0):
-    """Run all (or the named subset of) acceptance criteria.
+    """Run all (only = None) or the named subset of the acceptance criteria.
 
-    Every name in only is checked before any criterion runs.
+    Every name in only is checked before any criterion runs; an empty only
+    names none and is refused.
     """
-    names = list(CRITERIA) if not only else list(only)
+    choices = "; choices: " + ", ".join(CRITERIA)
+    names = list(CRITERIA) if only is None else list(only)
+    if not names:
+        raise InvalidArgumentError("no criterion named" + choices)
     unknown = [name for name in names if name not in CRITERIA]
     if unknown:
         raise InvalidArgumentError(
-            f"unknown criterion {', '.join(map(repr, unknown))}; choices: "
-            + ", ".join(CRITERIA))
+            f"unknown criterion {', '.join(map(repr, unknown))}" + choices)
     results = []
     for name in names:
         fn = CRITERIA[name]

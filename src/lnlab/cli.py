@@ -3,8 +3,12 @@
 Subcommands:
 
   cone    cone diagnostics (mu+, ray membership, normalization) as JSON
-  solve   tau continuation followed by a delta sweep; JSON report + CSV profiles
+  solve   tau continuation followed by the fixed delta sweep (DELTA_SCHEDULE,
+          0.1 * 2^-i for i < 10, then 1e-4); JSON report + CSV profiles
   verify  run the acceptance suite, one pass/fail line per criterion
+
+--out names a file (solve: the stem of its files); missing directories are
+made, and a path that cannot be written is a usage error.
 
 All floating-point output is printed with 17 significant digits so reports
 are byte-reproducible.  Exit codes: 0 success, 1 numerical failure, 2 invalid
@@ -21,8 +25,8 @@ from .acceptance import CRITERIA, RUNTIME_LIMITS, run_acceptance
 from .cones import ConeSpec, contains_ray_e1, f_eval, mu_plus
 from .errors import (ContinuationStallError, InadmissibleIterateError,
                      LnlabError, NoCertificateError)
-from .solver import (RHS, Annulus, Ball, ProblemSpec, continuation_delta,
-                     continuation_tau, default_delta_schedule)
+from .solver import (DELTA_SCHEDULE, RHS, Annulus, Ball, ProblemSpec,
+                     continuation_delta, continuation_tau)
 
 import numpy as np
 
@@ -52,21 +56,17 @@ def _format17(obj) -> str:
 
 
 def _emit(text: str, out: str | None):
+    """Write text to the file out, making its directory, or else to stdout
+    ending in a newline.  A path that cannot be written is a usage error."""
     if out:
-        Path(out).write_text(text)
+        path = Path(out)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise LnlabError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _parse_schedule(text):
-    try:
-        values = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad schedule {text!r}: "
-                                         "expected comma-separated floats")
-    if not values:
-        raise argparse.ArgumentTypeError("schedule must be non-empty")
-    return values
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -104,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "annulus [inner, outer] (default %(default)s)")
     p_solve.add_argument("--grid", type=int, default=1000,
                          help="number of radial intervals (default %(default)s)")
-    p_solve.add_argument("--delta-schedule", type=_parse_schedule,
-                         default=default_delta_schedule(),
-                         help="comma-separated decreasing boundary data "
-                              "(default geometric 1e-1 .. 1e-4)")
     _add_common(p_solve)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
@@ -150,24 +146,23 @@ def _solve_spec(args) -> ProblemSpec:
         cone=ConeSpec(args.n, args.k),
         tau=args.tau,
         domain=domain,
-        delta=args.delta_schedule[0],
+        delta=DELTA_SCHEDULE[0],
         grid=args.grid,
     )
 
 
 def cmd_solve(args) -> int:
-    schedule = args.delta_schedule
     spec = _solve_spec(args)
 
     head = continuation_tau(spec)
-    sweep = continuation_delta(spec, delta_schedule=schedule)
+    sweep = continuation_delta(spec)
 
     summary = {
         "spec": {
             "n": spec.cone.n, "k": spec.cone.k, "tau": spec.tau,
             "domain": ("ball" if isinstance(spec.domain, Ball) else "annulus"),
             "grid": spec.grid, "rhs": RHS,
-            "delta_schedule": [float(d) for d in schedule],
+            "delta_schedule": list(DELTA_SCHEDULE),
         },
         "tau_continuation": head.to_dict(),
         "delta_sweep": {
@@ -182,24 +177,23 @@ def cmd_solve(args) -> int:
     if sweep.reports:
         summary["final"] = sweep.reports[-1].to_dict()
 
+    text = _format17(summary) + "\n"
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         stem = out.with_suffix("") if out.suffix else out
-        Path(f"{stem}.json").write_text(_format17(summary) + "\n")
+        _emit(text, f"{stem}.json")
         for i, rep in enumerate(sweep.reports):
-            Path(f"{stem}_leg{i:02d}.csv").write_text(rep.to_csv())
+            _emit(rep.to_csv(), f"{stem}_leg{i:02d}.csv")
     else:
-        sys.stdout.write(_format17(summary) + "\n")
+        _emit(text, None)
     return 0 if head.converged and sweep.ok else 1
 
 
 def cmd_verify(args) -> int:
     only = None
-    if args.only:
-        only = []
-        for item in args.only:
-            only.extend(t.strip() for t in item.split(",") if t.strip())
+    if args.only is not None:
+        only = [t.strip() for item in args.only for t in item.split(",")
+                if t.strip()]
     results = run_acceptance(only=only, seed=args.seed)
     for res in results:
         print(res.line())
@@ -211,7 +205,7 @@ def cmd_verify(args) -> int:
         payload = [{"name": r.name, "passed": r.passed, "measured": r.measured,
                     "expected": r.expected, "detail": r.detail}
                    for r in results]
-        Path(args.out).write_text(_format17(payload) + "\n")
+        _emit(_format17(payload) + "\n", args.out)
     print("acceptance: " + ("PASS" if all_pass else "FAIL")
           + f" ({sum(r.passed for r in results)}/{len(results)})")
     return 0 if all_pass and not over_budget else 1

@@ -15,7 +15,7 @@ of two forms:
 - full: shape (..., n), one eigenvalue per entry;
 - pair: shape (..., 2), a row (a, b) standing for the n-vector (a, b, ..., b).
 
-The cone functions (cone_margin, in_cone, f_eval, grad_f) take either form
+The cone functions (cone_margin, f_eval, grad_f) take either form
 and tell them apart by the last axis: a cone has n >= 3, so a last axis of 2
 is never a full spectrum.  sigma_all and tau_deform cannot know n from a pair
 and take it as an argument.  Every spectrum lnlab builds has the form
@@ -27,7 +27,7 @@ oracle for the pair one.
 f and the cone Gamma_k read sigma_j for j <= k only, so sigma_all returns the
 orders up to the k it is asked for (every order when k is None), with the
 same bits for each of them whatever k is; the cone functions ask for cone.k.
-Every cone function (cone_margin, in_cone, f_eval, grad_f and the solver's
+Every cone function (cone_margin, f_eval, grad_f and the solver's
 _f_and_grad_unchecked) is one call into one driver, _by_blocks, which makes
 one _deformed_sigma pass per row block: one tau_deform and one sigma_all
 call, whose output private readers turn into the margin, f and the
@@ -48,7 +48,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,11 +99,6 @@ class ConeSpec:
 # a 1e5-row pass are handed back to the OS when freed and fault in again on
 # the next call.
 _BLOCK_ROWS = 16384
-
-
-class Membership(NamedTuple):
-    member: np.ndarray | bool
-    margin: np.ndarray | float
 
 
 def sigma_all(lam: np.ndarray, n: int | None = None,
@@ -411,12 +405,6 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     spectrum or a pair (see the module docstring).
     """
     return _by_blocks(cone, lam, lambda mu, sig, pair: (_margin(cone, mu, sig),))[0]
-
-
-def in_cone(cone: ConeSpec, lam: np.ndarray) -> Membership:
-    """Strict membership of lam in the (deformed) cone, with its margin."""
-    margin = cone_margin(cone, lam)
-    return Membership(margin > 0.0, margin)
 
 
 def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:

@@ -119,10 +119,6 @@ class RadialProfile:
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    def derivatives(self):
-        """Second-order discrete (u_r, u_rr); see _radial_stencil."""
-        return _radial_stencil(self.u, self.r)
-
 
 def radial_schouten_spectrum(v, v_r, v_rr, r):
     """Eigenvalues (radial, tangential) of -g_v^{-1} A_{g_v} for g_v = v^-2*delta.
@@ -162,7 +158,7 @@ def spectrum_field(profile: RadialProfile) -> np.ndarray:
     Derivatives come from the profile's second-order stencils, so for profiles
     with smooth closed forms the eigenvalues are O(h^2)-accurate.
     """
-    du, d2u = profile.derivatives()
+    du, d2u = _radial_stencil(profile.u, profile.r)
     return np.stack(_eigenpair(profile.u, du, d2u, profile.r), axis=-1)
 
 

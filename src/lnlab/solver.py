@@ -32,9 +32,8 @@ MARGIN_FLOOR = 1e-12
 MAX_HALVINGS = 40
 TAU_STEP = 0.05
 MIN_TAU_STEP = 1e-6
-DELTA_RATIO = 0.5
-DELTA_START = 1e-1
-DELTA_END = 1e-4
+# The boundary data continuation_delta sweeps, in order: 11 legs down to 1e-4.
+DELTA_SCHEDULE = tuple(0.1 * 0.5**i for i in range(10)) + (1e-4,)
 # Delta legs are compared on this inner share of the span, off the boundary layer.
 INTERIOR_FRACTION = 0.5
 # The paper's right-hand side.  Any constant c > 0 reduces to it: the Schouten
@@ -568,17 +567,6 @@ class DeltaContinuationResult:
         return self.failed_delta is None
 
 
-def default_delta_schedule():
-    """Geometric schedule from DELTA_START down to (exactly) DELTA_END."""
-    out = []
-    d = DELTA_START
-    while d > DELTA_END * (1 + 1e-12):
-        out.append(d)
-        d *= DELTA_RATIO
-    out.append(DELTA_END)
-    return out
-
-
 def _blend_boundary(profile: RadialProfile, spec_next: ProblemSpec) -> RadialProfile:
     """Warm start: shift the previous solution smoothly onto the new boundary data."""
     r = profile.r
@@ -594,35 +582,14 @@ def _blend_boundary(profile: RadialProfile, spec_next: ProblemSpec) -> RadialPro
     return RadialProfile(r=r, u=u)
 
 
-def _check_delta_schedule(schedule: list):
-    """Refuse a schedule that is not strictly decreasing, positive and
-    finite, naming its first bad entry: index, value and which rule it
-    breaks."""
-    for i, d in enumerate(schedule):
-        if not 0 < d < math.inf:
-            fault = "is not positive and finite"
-        elif i and d >= schedule[i - 1]:
-            fault = f"is not below the entry before it ({float(schedule[i - 1])!r})"
-        else:
-            continue
-        raise InvalidArgumentError(
-            "delta schedule must be strictly decreasing, positive and finite: "
-            f"entry {i} ({float(d)!r}) {fault}")
-
-
-def continuation_delta(spec: ProblemSpec, delta_schedule=None) -> DeltaContinuationResult:
-    """Sweep the boundary datum down a strictly decreasing schedule.
+def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
+    """Sweep the boundary datum down DELTA_SCHEDULE; spec.delta is not read.
 
     The first leg runs the full tau continuation; later legs warm-start from
     the previous solution (falling back to a fresh tau continuation if the
     warm start fails).  Records pointwise monotonicity violations beyond h^2
     and the successive interior sup-differences (stabilization diagnostic).
     """
-    if delta_schedule is None:
-        delta_schedule = default_delta_schedule()
-    delta_schedule = list(delta_schedule)
-    _check_delta_schedule(delta_schedule)
-
     result = DeltaContinuationResult(deltas=[], reports=[])
     prev_report = None
     r = spec.radii()
@@ -630,7 +597,7 @@ def continuation_delta(spec: ProblemSpec, delta_schedule=None) -> DeltaContinuat
     interior = r <= half
     tol = (r[1] - r[0])**2
 
-    for d in delta_schedule:
+    for d in DELTA_SCHEDULE:
         spec_d = replace(spec, delta=d)
         report = None
         if prev_report is not None:

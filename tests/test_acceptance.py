@@ -34,3 +34,13 @@ def test_unknown_only_name_refused_before_any_criterion_runs(monkeypatch):
     with pytest.raises(InvalidArgumentError, match="'bogus'.*choices: .*barrier"):
         run_acceptance(only=["barrier", "bogus"])
     assert ran == []
+
+
+def test_empty_only_refused_with_the_choices(monkeypatch):
+    """only = [] names no criterion: refused, not read as "run them all"."""
+    ran = []
+    monkeypatch.setitem(CRITERIA, "barrier", lambda: ran.append("barrier"))
+    with pytest.raises(InvalidArgumentError,
+                       match="^no criterion named; choices: .*barrier"):
+        run_acceptance(only=[])
+    assert ran == []

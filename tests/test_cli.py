@@ -9,7 +9,7 @@ import pytest
 import lnlab.acceptance as acceptance
 import lnlab.cones as cones
 from lnlab.cli import _format17, main
-from lnlab.solver import DeltaContinuationResult
+from lnlab.solver import DELTA_SCHEDULE, DeltaContinuationResult
 
 
 class TestCone:
@@ -47,6 +47,23 @@ class TestCone:
         assert main(["cone", "--n", "4", "--k", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["n"] == 4
 
+    def test_out_file_in_missing_directory(self, tmp_path, capsys):
+        """--out makes the directories it names, with the bytes of a write
+        into an existing one."""
+        flags = ["cone", "--n", "4", "--k", "2", "--out"]
+        assert main(flags + [str(tmp_path / "cone.json")]) == 0
+        out = tmp_path / "new" / "dir" / "cone.json"
+        assert main(flags + [str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "cone.json").read_bytes()
+
+    @pytest.mark.parametrize("out", ["", "cone.json/x.json"],
+                             ids=["directory", "under-a-file"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, out):
+        (tmp_path / "cone.json").write_text("")
+        path = tmp_path / out
+        assert main(["cone", "--n", "4", "--k", "2", "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
     def test_determinism(self, capsys):
         main(["cone", "--n", "6", "--k", "3", "--tau", "0.7"])
         first = capsys.readouterr().out
@@ -55,8 +72,7 @@ class TestCone:
 
 
 class TestSolve:
-    ARGS = ["solve", "--n", "3", "--k", "1", "--tau", "0.9", "--grid", "150",
-            "--delta-schedule", "0.1,0.05,0.01"]
+    ARGS = ["solve", "--n", "3", "--k", "1", "--tau", "0.9", "--grid", "150"]
 
     def test_ball_run_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -65,8 +81,9 @@ class TestSolve:
         assert summary["delta_sweep"]["converged"] is True
         assert summary["final"]["converged"] is True
         assert abs(summary["final"]["boundary_slope"] - 1.0) < 0.05
+        assert summary["delta_sweep"]["deltas"] == list(DELTA_SCHEDULE)
         legs = sorted(tmp_path.glob("run_leg*.csv"))
-        assert len(legs) == 3
+        assert len(legs) == len(summary["delta_sweep"]["legs"]) == 11
         header = legs[0].read_text().split("\n")[0]
         assert header == "r,u,residual,margin"
 
@@ -83,7 +100,7 @@ class TestSolve:
         assert rc == 2
 
     @pytest.mark.parametrize("flags, name", [
-        (["--delta-schedule", "nan"], "delta"),
+        (["--tau", "nan"], "tau"),
         (["--outer", "inf"], "outer"),
         (["--domain", "annulus", "--inner", "0.5", "--outer", "inf"], "outer"),
     ])
@@ -104,8 +121,7 @@ class TestSolve:
     def test_tiny_ball_names_the_rounded_bump(self, capsys):
         """Radii that stay in float range but fall below delta's rounding:
         a numerical failure that names its cause."""
-        assert main(["solve", "--n", "8", "--outer", "1e-150", "--grid", "50",
-                     "--delta-schedule", "0.1"]) == 1
+        assert main(["solve", "--n", "8", "--outer", "1e-150", "--grid", "50"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert "bump b/2 rounds away against delta (ball radius 1e-150" in err
@@ -113,15 +129,14 @@ class TestSolve:
     def test_cancelling_torsion_start_names_its_cause(self, capsys):
         """A start that rounds to u <= 0 is a usage error that names the
         radii, n, delta, the grid and the node, not only "conformal factor
-        must be positive"."""
-        assert main(["solve", "--n", "6", "--k", "1", "--domain", "annulus",
-                     "--inner", "2.3512740663052053e-58",
-                     "--outer", "3.7274598712693967e-44",
-                     "--delta-schedule", "1.0122155116797562e-241"]) == 2
+        must be positive".  At radii this large the cancellation outweighs
+        the first datum, 0.1."""
+        assert main(["solve", "--n", "3", "--k", "1", "--domain", "annulus",
+                     "--inner", "1e24", "--outer", "1.5e24"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the torsion start is not positive: "
-                              "annulus radii (2.35127e-58, 3.72746e-44), n = 6, "
-                              "delta 1.01222e-241, grid 1000: at node 0")
+                              "annulus radii (1e+24, 1.5e+24), n = 3, "
+                              "delta 0.1, grid 1000: at node 0")
 
     @pytest.mark.parametrize("flags, name", [
         (["--domain", "annulus", "--inner", "0.5", "--outer", "1",
@@ -141,7 +156,7 @@ class TestSolve:
     def test_ball_outer_radius(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["solve", "--domain", "ball", "--outer", "2", "--grid", "50",
-                     "--delta-schedule", "0.1", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         r = np.loadtxt(tmp_path / "run_leg00.csv", delimiter=",", skiprows=1,
                        usecols=0)
         assert r[0] == 0.0 and r[-1] == 2.0
@@ -152,7 +167,7 @@ class TestSolve:
     def test_annulus_run(self, capsys):
         rc = main(["solve", "--n", "3", "--k", "2", "--tau", "0.8",
                    "--domain", "annulus", "--inner", "0.5", "--outer", "1.0",
-                   "--grid", "100", "--delta-schedule", "0.1,0.05"])
+                   "--grid", "100"])
         assert rc == 0
 
     @pytest.mark.parametrize("domain", [
@@ -167,23 +182,13 @@ class TestSolve:
     @pytest.mark.parametrize("flag, value", [("--tau-schedule", "0.5"),
                                              ("--rhs", "0.5"),
                                              ("--radius", "1"),
-                                             ("--config", "cfg.json")])
+                                             ("--config", "cfg.json"),
+                                             ("--delta-schedule", "0.1")])
     def test_removed_flag_is_not_an_option(self, capsys, flag, value):
         with pytest.raises(SystemExit) as err:
             main(self.ARGS + [flag, value])
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-    def test_increasing_schedule_names_the_entry(self, capsys):
-        assert main(["solve", "--delta-schedule", "0.1,0.2"]) == 2
-        assert capsys.readouterr().err == (
-            "error: delta schedule must be strictly decreasing, positive and "
-            "finite: entry 1 (0.2) is not below the entry before it (0.1)\n")
-
-    def test_bad_schedule_text(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--delta-schedule", "0.1,abc"])
-        assert err.value.code == 2
 
 
 class TestVerify:
@@ -202,12 +207,32 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "'bogus'" in captured.err and "[PASS]" not in captured.out
 
+    @pytest.mark.parametrize("names", [",", "", " , "])
+    def test_only_without_a_name_is_usage_error(self, capsys, monkeypatch,
+                                                names):
+        """--only that names no criterion is refused with the choices, not
+        read as "run them all"."""
+        ran = []
+        monkeypatch.setitem(acceptance.CRITERIA, "barrier",
+                            lambda: ran.append("barrier"))
+        assert main(["verify", "--only", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: no criterion named; choices: "
+                                + ", ".join(acceptance.CRITERIA) + "\n")
+        assert captured.out == "" and ran == []
+
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         assert main(self.FAST + ["--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert {rec["name"] for rec in payload} == {"barrier", "mu-plus-table"}
         assert all(rec["passed"] for rec in payload)
+
+    def test_report_file_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "verify.json"
+        assert main(self.FAST + ["--out", str(out)]) == 0
+        names = [rec["name"] for rec in json.loads(out.read_text())]
+        assert names == ["barrier", "mu-plus-table"]
 
     def test_failed_ln_limit_report_is_valid_json(self, tmp_path, capsys,
                                                    monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnlab import (ConeSpec, cone_margin, contains_ray_e1, f_eval, grad_f,
-                   in_cone, mu_plus, tau_deform)
+                   mu_plus, tau_deform)
 from lnlab import cones
 from lnlab.cones import _f_and_grad_unchecked, sigma_all
 from lnlab.errors import ConeDomainError, InvalidArgumentError
@@ -99,23 +99,22 @@ class TestTauDeform:
 class TestMembership:
     def test_interior_and_exterior(self):
         cone = ConeSpec(3, 2)
-        assert in_cone(cone, np.array([1.0, 1.0, 1.0])).member
-        assert not in_cone(cone, np.array([1.0, 1.0, -2.0])).member
+        assert cone_margin(cone, np.array([1.0, 1.0, 1.0])) > 0
+        assert cone_margin(cone, np.array([1.0, 1.0, -2.0])) <= 0
         # sigma_2(1,1,-0.4) = 1 - 0.8 > 0 but deeper k would fail; margin sign
-        assert in_cone(cone, np.array([1.0, 1.0, -0.4])).member
+        assert cone_margin(cone, np.array([1.0, 1.0, -0.4])) > 0
 
     def test_margin_sign_matches_membership(self):
         rng = np.random.default_rng(9)
         cone = ConeSpec(4, 2)
         lam = rng.normal(size=(500, 4))
-        member, margin = in_cone(cone, lam)
+        margin = cone_margin(cone, lam)
         sig1 = lam.sum(axis=1)
         sig2 = np.array([sigma_by_enumeration(row, 2) for row in lam])
         truth = (sig1 > 0) & (sig2 > 0)
-        assert np.array_equal(member, margin > 0)
         # strict interior / exterior points agree with the enumeration oracle
         clear = np.abs(margin) > 1e-12
-        assert np.array_equal(member[clear], truth[clear])
+        assert np.array_equal((margin > 0)[clear], truth[clear])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -270,8 +269,8 @@ class TestMuPlus:
         inside[0] = -(mu - 1e-8)
         outside = np.ones(5)
         outside[0] = -(mu + 1e-8)
-        assert in_cone(cone, inside).member
-        assert not in_cone(cone, outside).member
+        assert cone_margin(cone, inside) > 0
+        assert cone_margin(cone, outside) <= 0
 
 
 class TestRayE1:
@@ -407,7 +406,7 @@ class TestPairForm:
                 assert abs(sig[row, j] - exact) <= 1e-14 * size[row, j] + 1e-300
 
     def test_public_functions_take_pairs(self):
-        """f_eval, grad_f and in_cone read a last axis of 2 as a pair, never
+        """f_eval, grad_f and cone_margin read a last axis of 2 as a pair, never
         as a 2-vector: the same answers as the full spectrum."""
         cone = ConeSpec(4, 2, 0.9)
         pair, full = np.array([1.0, 2.0]), np.array([1.0, 2.0, 2.0, 2.0])
@@ -415,9 +414,9 @@ class TestPairForm:
         assert f_eval(cone, pair) == pytest.approx(1.7414202188725805, rel=1e-14)
         np.testing.assert_allclose(grad_f(cone, pair), grad_f(cone, full)[:2],
                                    rtol=1e-14)
-        assert in_cone(cone, pair).member
+        assert cone_margin(cone, pair) > 0
         outside = np.array([-5.0, 1.0])     # a / b = -5 < -mu+ = -(n - k) / k = -1
-        assert not in_cone(ConeSpec(4, 2), outside).member
+        assert cone_margin(ConeSpec(4, 2), outside) <= 0
         with pytest.raises(ConeDomainError):
             f_eval(ConeSpec(4, 2), outside)
 
@@ -561,9 +560,6 @@ class TestOnePass:
         cone, lam = case
         margin = pre_split_margin(cone, lam)
         assert_same_bits(cone_margin(cone, lam), margin)
-        member = in_cone(cone, lam)
-        assert_same_bits(member.member, margin > 0.0)
-        assert_same_bits(member.margin, margin)
         with np.errstate(all="ignore"):
             assert_same_bits(_f_and_grad_unchecked(cone, lam),
                              pre_split_f_and_grad(cone, lam))
@@ -579,7 +575,7 @@ class TestOnePass:
             else:
                 assert_same_bits(fn(cone, lam), want)
 
-    @pytest.mark.parametrize("fn", [cone_margin, in_cone, f_eval, grad_f,
+    @pytest.mark.parametrize("fn", [cone_margin, f_eval, grad_f,
                                     _f_and_grad_unchecked])
     @pytest.mark.parametrize("form", ["pair", "full"])
     def test_one_deformation_and_one_sigma_pass(self, monkeypatch, fn, form):
@@ -601,7 +597,7 @@ class TestOnePass:
         assert calls == {"tau_deform": 1, "sigma_all": 1}
 
 
-CONE_FUNCTIONS = (cone_margin, in_cone, f_eval, grad_f, _f_and_grad_unchecked)
+CONE_FUNCTIONS = (cone_margin, f_eval, grad_f, _f_and_grad_unchecked)
 # The block size the blocked-path tests patch in: small enough that a
 # handful of rows spans several blocks.
 BLOCK = 3

@@ -21,9 +21,9 @@ from lnlab import (Annulus, Ball, ConeSpec, ProblemSpec, RadialProfile,
                    continuation_tau, initial_profile, newton_solve, residual)
 from lnlab import _csv17, cones, solver
 from lnlab.cli import _format17
-from lnlab.solver import (DELTA_END, DELTA_START, MARGIN_FLOOR, NEWTON_TOL,
+from lnlab.solver import (DELTA_SCHEDULE, MARGIN_FLOOR, NEWTON_TOL,
                           NewtonOptions, SolveReport, _analytic_jacobian,
-                          _evaluate, default_delta_schedule)
+                          _evaluate)
 from lnlab.schouten import _radial_stencil
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError,
@@ -60,8 +60,6 @@ class TestProblemSpec:
                            (lambda: ball_spec(delta=bad), "delta")):
             with pytest.raises(InvalidArgumentError, match=name):
                 make()
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            continuation_delta(ball_spec(grid=50), delta_schedule=[0.1, bad])
 
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
                              ids=["ball", "annulus"])
@@ -683,7 +681,7 @@ class TestContinuationDelta:
         spec = ball_spec(grid=300)
         sweep = continuation_delta(spec)
         assert sweep.ok
-        assert sweep.deltas == default_delta_schedule()
+        assert sweep.deltas == list(DELTA_SCHEDULE)
         assert sweep.monotonicity_max_violation == 0.0
         # interior values stabilize as delta -> 0
         assert sweep.interior_sup_diffs[-1] < sweep.interior_sup_diffs[0]
@@ -691,26 +689,15 @@ class TestContinuationDelta:
         assert abs(final.boundary_slope - 1.0) < 0.01
         assert final.boundary_slope == boundary_slope(final.profile)
 
-    def test_bad_schedule(self):
-        """The error names the first bad entry and the rule it breaks."""
-        spec = ball_spec(grid=50)
-        for schedule, fault in [
-                ([0.1, 0.2], "entry 1 (0.2) is not below the entry before it (0.1)"),
-                ([0.1, 0.05, 0.05],
-                 "entry 2 (0.05) is not below the entry before it (0.05)"),
-                ([0.1, -0.05], "entry 1 (-0.05) is not positive and finite"),
-                ([0.0, -0.05], "entry 0 (0.0) is not positive and finite"),
-                ([0.1, np.inf, 0.2], "entry 1 (inf) is not positive and finite"),
-                ([0.1, 0.05, np.nan], "entry 2 (nan) is not positive and finite")]:
-            with pytest.raises(InvalidArgumentError) as err:
-                continuation_delta(spec, delta_schedule=schedule)
-            assert str(err.value) == ("delta schedule must be strictly decreasing, "
-                                      f"positive and finite: {fault}")
-
-    def test_schedule_helper(self):
-        sched = default_delta_schedule()
-        assert sched[0] == DELTA_START and sched[-1] == DELTA_END
-        assert all(b < a for a, b in zip(sched, sched[1:]))
+    def test_sweeps_the_fixed_schedule(self):
+        """Every sweep runs the same 11 legs: 0.1 * 2^-i for i < 10, then
+        1e-4, whatever spec.delta is."""
+        sweep = continuation_delta(ball_spec(delta=0.7, grid=50))
+        assert sweep.ok
+        assert sweep.deltas == [0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125,
+                                0.0015625, 0.00078125, 0.000390625,
+                                0.0001953125, 1e-4]
+        assert [rep.profile.u[-1] for rep in sweep.reports] == sweep.deltas
 
 
 class TestDiagnostics:
