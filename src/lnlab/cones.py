@@ -45,6 +45,7 @@ time, and puts the results back in entry order.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -81,6 +82,13 @@ class ConeSpec:
         _check_real(self.tau, "tau")
         if not (0.0 <= self.tau <= 1.0):
             raise InvalidArgumentError(f"tau must lie in [0, 1], got {self.tau}")
+        # The sigma and margin arithmetic takes C(n, j), j <= k, as floats.
+        j = min(self.k, self.n // 2)
+        largest = comb(self.n, j)
+        if largest > sys.float_info.max:
+            raise InvalidArgumentError(
+                f"order k = {self.k} is too large for n = {self.n}: C({self.n}, {j})"
+                f" >= 2^{largest.bit_length() - 1} overflows a float")
 
     @property
     def normalization(self) -> float:

@@ -71,7 +71,7 @@ def _eigenpair(v, v_r, v_rr, r):
     half_slope_sq *= 0.5
     np.multiply(v, v_rr, out=radial)
     np.subtract(half_slope_sq, radial, out=radial)
-    off_centre = r > 0
+    off_centre = np.greater(r, 0)
     np.divide(v_r, r, out=tangential, where=off_centre)
     np.copyto(tangential, v_rr, where=~off_centre)
     tangential *= v
@@ -146,8 +146,8 @@ def halfspace_schouten_spectrum(w, w_prime, w_doubleprime) -> np.ndarray:
     """
     if np.any(np.asarray(w) <= 0):
         raise InvalidProfileError("conformal factor must be positive")
-    tangential = 0.5 * np.asarray(w_prime, dtype=float)**2
-    return np.stack((tangential - w * w_doubleprime, tangential), axis=-1)
+    # The r -> infinity limit of the radial pair, where v_r / r -> 0.
+    return np.stack(_eigenpair(w, w_prime, w_doubleprime, np.inf), axis=-1)
 
 
 def spectrum_field(profile: RadialProfile) -> np.ndarray:

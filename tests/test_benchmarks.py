@@ -1,7 +1,9 @@
 """The scripts in benchmarks/ are run by hand against another checkout, so
-nothing else exercises them: each must at least import cleanly."""
+nothing else exercises them: each must at least import cleanly, and the
+parts of compare.py that need no second checkout run here."""
 
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -9,11 +11,17 @@ import pytest
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-@pytest.mark.parametrize("script", sorted(p.stem for p in BENCHMARKS.glob("*.py")))
+@pytest.mark.parametrize("script", ["compare", "diff_outputs"])
 def test_imports_without_running(monkeypatch, script):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     module = importlib.import_module(script)
     assert callable(module.main)
+
+
+@pytest.fixture
+def compare(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return importlib.import_module("compare")
 
 
 def test_diff_outputs_fails_on_a_nonzero_exit(monkeypatch, tmp_path, capsys):
@@ -40,26 +48,67 @@ def test_diff_outputs_fails_on_a_nonzero_exit(monkeypatch, tmp_path, capsys):
         assert f"0 files, 0 differ, {2 * exit_code} nonzero exits" in stdout
 
 
-@pytest.mark.parametrize("pairs", [5, 1, 0])
-def test_compare_refuses_an_uneven_pair_count_before_any_run(monkeypatch, tmp_path,
-                                                             pairs):
-    """compare alternates which side runs first, so only an even count gives
-    both sides the first slot equally often."""
-    monkeypatch.syspath_prepend(str(BENCHMARKS))
-    bench_pair_kernel = importlib.import_module("bench_pair_kernel")
-
-    def no_run(*args):
-        raise AssertionError("compare started a perfbench run")
-
-    monkeypatch.setattr(bench_pair_kernel, "run_perfbench", no_run)
-    with pytest.raises(ValueError, match=f"positive even number, got {pairs}"):
-        bench_pair_kernel.compare(tmp_path, tmp_path, ["cli-solve"], pairs)
+def test_pair_and_round_counts_are_even(compare):
+    """The side that runs first alternates, so only an even count gives both
+    sides the first slot equally often; a gain needs at least 10 pairs."""
+    assert compare.PAIRS >= 10
+    assert compare.PAIRS % 2 == 0 and compare.STAGE_ROUNDS % 2 == 0
 
 
-@pytest.mark.parametrize("script", sorted(p.stem for p in BENCHMARKS.glob("bench_*.py")))
-def test_pair_counts_are_even(monkeypatch, script):
-    monkeypatch.syspath_prepend(str(BENCHMARKS))
-    module = importlib.import_module(script)
-    counts = {name: value for name, value in vars(module).items()
-              if name.endswith("PAIRS")}
-    assert counts and all(value % 2 == 0 for value in counts.values()), counts
+LOWER = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.15}
+
+
+def test_verdict_on_synthetic_runs(compare):
+    parent = [10.0 + 0.1 * i for i in range(10)]
+
+    gain = compare.verdict(LOWER, parent, [v - 2.0 for v in parent])
+    assert gain["change_wins"] == 10 and gain["gain"] and not gain["regressed"]
+    assert gain["worse_by"] < 0
+
+    slower = compare.verdict(LOWER, parent, [v * 1.2 for v in parent])
+    assert slower["change_wins"] == 0 and slower["regressed"] and not slower["gain"]
+    assert slower["worse_by"] == pytest.approx(0.2)
+
+    # Ties are wins for neither side.
+    tie = compare.verdict(LOWER, parent, list(parent))
+    assert tie["change_wins"] == 0 and tie["worse_by"] == 0
+    assert not tie["gain"] and not tie["regressed"]
+
+    # Nine wins and one loss in ten is still a gain; eight is not.
+    nine = [v - 2.0 for v in parent[:9]] + [parent[9] + 1.0]
+    assert compare.verdict(LOWER, parent, nine)["gain"]
+    eight = [v - 2.0 for v in parent[:8]] + [v + 1.0 for v in parent[8:]]
+    assert not compare.verdict(LOWER, parent, eight)["gain"]
+
+    # ok_frac is higher-is-better: a lower fraction is the regression.
+    ok_frac = {"name": "ok_frac", "unit": "frac", "better": "higher", "bound": 0.005}
+    ones = [1.0] * 10
+    lost = compare.verdict(ok_frac, ones, [0.98] * 10)
+    assert lost["regressed"] and lost["worse_by"] == pytest.approx(0.02)
+    assert lost["change_wins"] == 0
+    kept = compare.verdict(ok_frac, [0.98] * 10, ones)
+    assert kept["change_wins"] == 10 and not kept["regressed"]
+
+
+def test_differing_counts_lists_only_counts_that_moved(compare):
+    parent = {"cones.sigma_all.calls": 642, "cones.f_and_grad.rows": 10,
+              "solver.evals": 321, "cones.sigma_all.s": 1.0}
+    change = dict(parent, **{"cones.sigma_all.s": 0.5, "solver.evals": 300})
+    assert compare.differing_counts(parent, change) == {
+        "solver.evals": {"parent": 321, "change": 300}}
+    del change["cones.f_and_grad.rows"]
+    assert compare.differing_counts(parent, change)["cones.f_and_grad.rows"] == {
+        "parent": 10, "change": None}
+
+
+def test_stage_probe_runs_every_stage_and_restores_the_iteration_limit(monkeypatch,
+                                                                        compare):
+    from lnlab import solver
+    monkeypatch.setattr(compare, "STAGE_GRIDS", (200,))
+    times = compare.stage_times(str(Path(solver.__file__).parent.parent))
+    stages = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
+              "banded_solve", "line_search_trial", "make_report",
+              "newton_solve_1_iteration")
+    assert sorted(times) == sorted(f"{name},grid=200" for name in stages)
+    assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
+    assert solver.MAX_NEWTON_ITERATIONS == 60

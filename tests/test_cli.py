@@ -35,6 +35,15 @@ class TestCone:
         assert main(["cone", "--n", "4", "--k", "5"]) == 2
         assert main(["cone", "--n", "4", "--k", "2", "--tau", "1.5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["cone", "--n", "2000", "--k", "1000"],
+        ["solve", "--n", "1100", "--k", "550", "--tau", "0.5", "--grid", "20"],
+    ], ids=["cone", "solve"])
+    def test_binomial_beyond_the_float_range_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows a float" in err
+
     def test_missing_required(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["cone"])

@@ -61,6 +61,16 @@ class TestConeSpec:
         with pytest.raises(InvalidArgumentError):
             ConeSpec(4, 2, 1.5)
 
+    def test_binomials_beyond_the_float_range_refused(self):
+        """sigma_all and the margin take C(n, j), j <= k, as floats; n = 1030
+        is the first dimension where one of them overflows."""
+        ConeSpec(1029, 514)
+        ConeSpec(2000, 2)
+        with pytest.raises(InvalidArgumentError, match=r"n = 1030: C\(1030, 515\)"):
+            ConeSpec(1030, 515)
+        with pytest.raises(InvalidArgumentError, match=r"C\(2000, 1000\)"):
+            ConeSpec(2000, 1999)
+
     def test_normalization(self):
         assert ConeSpec(4, 2).normalization == pytest.approx(6 ** -0.5)
         assert ConeSpec(3, 1).normalization == pytest.approx(1 / 3)
@@ -235,6 +245,10 @@ def bisected_mu_plus(cone):
     return 0.5 * (lo + hi)
 
 
+MU_PLUS_TAUS = (0.0, 0.1, 0.25, 0.5, 0.7, 0.75, 0.8, 0.9, 0.95, 0.99,
+                0.99999, 0.9999999, 1.0)
+
+
 class TestMuPlus:
     def test_closed_form_undeformed(self):
         for n in range(3, 9):
@@ -261,6 +275,16 @@ class TestMuPlus:
         assert mu_plus(ConeSpec(6, 3, 0.5)) == 11 / 3
         assert mu_plus(ConeSpec(7, 6)) == 1 / 6
         assert mu_plus(ConeSpec(5, 5, 0.7)) == float(4 * (1 - Fraction(0.7)))
+        # The nearest float to the closed form at 40 digits, from the float tau.
+        for n in range(3, 9):
+            for k in range(1, n + 1):
+                for tau in MU_PLUS_TAUS:
+                    with mpmath.workdps(40):
+                        t = mpmath.mpf(tau)
+                        s = 1 - t
+                        exact = ((k * s * (n - 1) + (n - k) * (t + s * (n - 1)))
+                                 / (k + (n - k) * s))
+                    assert mu_plus(ConeSpec(n, k, tau)) == float(exact), (n, k, tau)
 
     def test_boundary_flip(self):
         cone = ConeSpec(5, 2)

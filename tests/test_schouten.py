@@ -288,6 +288,27 @@ class TestInPlaceStages:
         assert_same_bits(spectrum_field(prof), np.stack(
             pre_inplace_eigenpair(prof.u, du, d2u, r), axis=-1))
 
+    @pytest.mark.parametrize("r, want", [(2.0, (-1.0, 1.0)), (0.0, (-1.0, -1.0)),
+                                         (np.inf, (-1.0, 2.0))],
+                             ids=["off-centre", "centre", "half-space"])
+    def test_eigenpair_of_a_python_float_radius(self, r, want):
+        """A Python-float r picks its rule like a 0-d array r does."""
+        got = _eigenpair(1.0, 2.0, 3.0, r)
+        assert got.tolist() == list(want)
+        assert_same_bits(got, _eigenpair(1.0, 2.0, 3.0, np.array(r)))
+
+    def test_halfspace_spectrum_keeps_its_bits(self):
+        """The r -> infinity eigenpair against the half-space closed form
+        (w'^2/2 - w w'', w'^2/2)."""
+        rng = np.random.default_rng(5)
+        for size in (1, 7, 300):
+            w = rng.uniform(1e-3, 1e3, size)
+            w_p, w_pp = (rng.normal(size=size) * 10.0 ** rng.integers(-4, 5, size)
+                         for _ in range(2))
+            tangential = 0.5 * w_p**2
+            want = np.stack((tangential - w * w_pp, tangential), axis=-1)
+            assert_same_bits(halfspace_schouten_spectrum(w, w_p, w_pp), want)
+
     @pytest.mark.parametrize("shapes", [
         ((), (), (), ()),
         ((5,), (5,), (5,), (5,)),
