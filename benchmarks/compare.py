@@ -75,7 +75,10 @@ def run_perfbench(checkout: Path, workload: str, seed: int, trace: int,
 
 def alternate(parent: Path, change: Path, rounds: int, run) -> dict:
     """run(checkout, i) for i < rounds on both sides, the side that runs
-    first alternating: {"parent": [...], "change": [...]}."""
+    first alternating: {"parent": [...], "change": [...]}.  rounds must be
+    even, or one side would run first more often."""
+    if rounds <= 0 or rounds % 2:
+        raise ValueError(f"rounds must be a positive even number, got {rounds}")
     runs = {"parent": [], "change": []}
     for i in range(rounds):
         sides = [("parent", parent), ("change", change)]

@@ -10,12 +10,29 @@ import pytest
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
+# The per-change scripts folded into compare.py, each with the compare.py
+# names that now do its work: every one's alternating perfbench pairs and
+# traced counts, bench_pair_kernel's claim (now `verdict`) and
+# bench_newton_step's stage probe.
+FOLDED = {
+    "bench_pair_kernel": ("PAIRS", "compare_workload", "verdict", "differing_counts"),
+    "bench_solve_output": ("PAIRS", "compare_workload", "differing_counts"),
+    "bench_mu_plus": ("PAIRS", "compare_workload", "differing_counts"),
+    "bench_cone_pass": ("PAIRS", "compare_workload", "differing_counts"),
+    "bench_row_blocks": ("PAIRS", "compare_workload", "differing_counts"),
+    "bench_full_path": ("PAIRS", "compare_workload", "differing_counts"),
+    "bench_newton_step": ("PAIRS", "compare_workload", "differing_counts",
+                          "STAGE_ROUNDS", "stage_times", "stage_medians"),
+}
 
-@pytest.mark.parametrize("script", ["compare", "diff_outputs"])
+
+@pytest.mark.parametrize("script", ["compare", "diff_outputs", *FOLDED])
 def test_imports_without_running(monkeypatch, script):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
-    module = importlib.import_module(script)
+    module = importlib.import_module("compare" if script in FOLDED else script)
     assert callable(module.main)
+    missing = [name for name in FOLDED.get(script, ()) if not hasattr(module, name)]
+    assert not missing, missing
 
 
 @pytest.fixture
@@ -48,11 +65,24 @@ def test_diff_outputs_fails_on_a_nonzero_exit(monkeypatch, tmp_path, capsys):
         assert f"0 files, 0 differ, {2 * exit_code} nonzero exits" in stdout
 
 
-def test_pair_and_round_counts_are_even(compare):
-    """The side that runs first alternates, so only an even count gives both
-    sides the first slot equally often; a gain needs at least 10 pairs."""
+@pytest.mark.parametrize("pairs", [5, 1, 0])
+def test_compare_refuses_an_uneven_pair_count_before_any_run(compare, tmp_path, pairs):
+    """compare alternates which side runs first, so only an even count gives
+    both sides the first slot equally often."""
+    def no_run(*args):
+        raise AssertionError("compare started a run")
+
+    with pytest.raises(ValueError, match=f"positive even number, got {pairs}"):
+        compare.alternate(tmp_path, tmp_path, pairs, no_run)
+
+
+@pytest.mark.parametrize("script", sorted(FOLDED))
+def test_pair_counts_are_even(compare, script):
+    """The counts that replaced each script's *_PAIRS (and *_ROUNDS) are
+    even, for the reason above; a gain needs at least 10 pairs."""
     assert compare.PAIRS >= 10
-    assert compare.PAIRS % 2 == 0 and compare.STAGE_ROUNDS % 2 == 0
+    counts = {name: getattr(compare, name) for name in FOLDED[script] if name.isupper()}
+    assert counts and all(value % 2 == 0 for value in counts.values()), counts
 
 
 LOWER = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.15}
