@@ -241,6 +241,12 @@ def main(argv=None):
     if len(argv) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
     parent, change = Path(argv[0]).resolve(), ROOT
+    missing = [part for part in ("src/lnlab", "perfbench/run.py")
+               if not (parent / part).exists()]
+    if missing:
+        print(f"{parent} is not an lnlab checkout with a benchmark: "
+              f"no {' or '.join(missing)}", file=sys.stderr)
+        return 2
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seed = first_seed(change / "src")
     stages = stage_medians(alternate(parent, change, STAGE_ROUNDS, run_stages))
@@ -252,7 +258,8 @@ def main(argv=None):
     json.dump({**flagged, "pairs": PAIRS, "workloads": workloads, "stage_ms": stages},
               sys.stdout, indent=1)
     sys.stdout.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

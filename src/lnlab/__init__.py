@@ -2,8 +2,7 @@
 
 from .cones import (ConeSpec, contains_ray_e1, cone_margin, f_eval, grad_f,
                     mu_plus, tau_deform)
-from .schouten import (RadialProfile, barrier_profile,
-                       halfspace_schouten_spectrum, hyperbolic_ball_profile,
+from .schouten import (RadialProfile, barrier_profile, hyperbolic_ball_profile,
                        radial_schouten_spectrum,
                        rescaled_metric_spectrum_bound,
                        ricci_spectrum_from_schouten, spectrum_field)
@@ -19,8 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConeSpec", "contains_ray_e1", "cone_margin", "f_eval", "grad_f",
     "mu_plus", "tau_deform",
-    "RadialProfile", "barrier_profile",
-    "halfspace_schouten_spectrum", "hyperbolic_ball_profile",
+    "RadialProfile", "barrier_profile", "hyperbolic_ball_profile",
     "radial_schouten_spectrum", "rescaled_metric_spectrum_bound",
     "ricci_spectrum_from_schouten", "spectrum_field",
     "AdmissibilityCertificate", "BackgroundData", "find_N",

@@ -32,7 +32,8 @@ import numpy as np
 
 
 def _format17(obj) -> str:
-    """JSON text with every float rendered to 17 significant digits."""
+    """JSON text with every float (np.float64 among them) rendered to 17
+    significant digits."""
     if isinstance(obj, float):
         # json spells non-finite floats NaN, Infinity and -Infinity.
         return format(obj, ".17g") if math.isfinite(obj) else json.dumps(obj)
@@ -46,12 +47,6 @@ def _format17(obj) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_format17(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _format17(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _format17(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return json.dumps(int(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

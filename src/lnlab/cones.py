@@ -25,8 +25,8 @@ tau-deformation keeps the form.  The full form is the general path and the
 oracle for the pair one.
 
 f and the cone Gamma_k read sigma_j for j <= k only, so sigma_all returns the
-orders up to the k it is asked for (every order when k is None), with the
-same bits for each of them whatever k is; the cone functions ask for cone.k.
+orders up to the k it is asked for, with the same bits for each of them
+whatever k is; the cone functions ask for cone.k.
 Every cone function (cone_margin, f_eval, grad_f and the solver's
 _f_and_grad_unchecked) is one call into one driver, _by_blocks, which makes
 one _deformed_sigma pass per row block: one tau_deform and one sigma_all
@@ -109,15 +109,13 @@ class ConeSpec:
 _BLOCK_ROWS = 16384
 
 
-def sigma_all(lam: np.ndarray, n: int | None = None,
-              k: int | None = None) -> np.ndarray:
+def sigma_all(lam: np.ndarray, n: int | None, k: int) -> np.ndarray:
     """Elementary symmetric polynomials of lam, up to order k.
 
     Returns an array of shape lam.shape[:-1] + (k+1,) whose entry [..., j]
-    is sigma_j(lam), with sigma_0 = 1; k = None means every order, up to
-    the length of the spectrum.  A full spectrum (n = None) uses the stable
-    product recurrence (coefficients of prod_i (t + lam_i)) rather than
-    subset enumeration, on entries sorted first so permutations give
+    is sigma_j(lam), with sigma_0 = 1.  A full spectrum (n = None) uses the
+    stable product recurrence (coefficients of prod_i (t + lam_i)) rather
+    than subset enumeration, on entries sorted first so permutations give
     bit-identical results.  A pair (a, b) standing for (a, b, ..., b) of
     length n uses the closed form (C(n-1,j)*b + C(n-1,j-1)*a) * b^(j-1).
     Column j depends on columns < j only, so every order up to k has the
@@ -126,10 +124,8 @@ def sigma_all(lam: np.ndarray, n: int | None = None,
     lam = np.asarray(lam, dtype=float)
     _check_form(lam, n)
     length = lam.shape[-1] if n is None else n
-    if k is None:
-        k = length
-    elif (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
-          or not 0 <= k <= length):
+    if (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+            or not 0 <= k <= length):
         raise InvalidArgumentError(
             f"order k must be an integer in [0, {length}], got {k!r}")
     if n is None:
@@ -321,8 +317,7 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
     # relative accuracy, which near the e1 ray is every digit.  Then the
     # chain rule through lam^tau: d mu_i / d lam_j = tau*delta_ij + (1-tau).
     if pair is None:
-        drop = np.ones_like(mu) if k == 1 else _sigma_drop_one(mu, k - 1)
-        grad_F = weight[..., None] * drop
+        grad_F = weight[..., None] * _sigma_drop_one(mu, k - 1)
         total = grad_F.sum(axis=-1, keepdims=True)
         return fk[()], (cone.tau * grad_F + (1.0 - cone.tau) * total) / s
 

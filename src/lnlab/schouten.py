@@ -84,8 +84,9 @@ class RadialProfile:
     """A conformal factor sampled on a uniform radial grid.
 
     The grid spans [0, b] for a ball (first node at r = 0, even profile) or
-    [a, b] for an annulus.  Values must be positive on the open domain;
-    endpoint values may vanish (zero Dirichlet data).
+    [a, b] for an annulus.  Values must be positive on the open domain,
+    which holds a ball's centre; boundary values may vanish (zero Dirichlet
+    data).
     """
 
     r: np.ndarray
@@ -112,7 +113,8 @@ class RadialProfile:
             uniform = (dr == h).all()
         if not uniform:
             raise InvalidArgumentError("grid spacing must be uniform")
-        if (u[1:-1] <= 0).any() or (r[0] > 0 and u[0] <= 0) or u[-1] < 0 or u[0] < 0:
+        centre = r[0] == 0.0
+        if (u[1:-1] <= 0).any() or u[-1] < 0 or (u[0] <= 0 if centre else u[0] < 0):
             raise InvalidProfileError("conformal factor must be positive on the open domain")
 
     @property
@@ -120,11 +122,13 @@ class RadialProfile:
         return float(self.r[1] - self.r[0])
 
 
-def radial_schouten_spectrum(v, v_r, v_rr, r):
-    """Eigenvalues (radial, tangential) of -g_v^{-1} A_{g_v} for g_v = v^-2*delta.
+def radial_schouten_spectrum(v, v_r, v_rr, r) -> np.ndarray:
+    """Eigenvalues of -g_v^{-1} A_{g_v} for g_v = v^-2*delta, as the pairs
+    (radial, tangential) along a new last axis, like spectrum_field.
 
     Inputs broadcast; r = 0 entries are evaluated with the even-profile center
-    rule (v_r / r -> v_rr).
+    rule (v_r / r -> v_rr).  r = inf gives the half-space factor v(x_n), whose
+    pair is the limit (v'^2/2 - v v'', v'^2/2) with v'' along the normal.
     """
     v = np.asarray(v, dtype=float)
     v_r = np.asarray(v_r, dtype=float)
@@ -132,22 +136,7 @@ def radial_schouten_spectrum(v, v_r, v_rr, r):
     r = np.asarray(r, dtype=float)
     if np.any(v <= 0):
         raise InvalidProfileError("conformal factor must be positive")
-    radial, tangential = _eigenpair(v, v_r, v_rr, r)
-    if radial.ndim:
-        return radial, tangential
-    return float(radial), float(tangential)
-
-
-def halfspace_schouten_spectrum(w, w_prime, w_doubleprime) -> np.ndarray:
-    """Spectrum of -g_w^{-1} A_{g_w} for g_w = w(x_n)^-2 * delta on a half-space.
-
-    Returns the pair (w'^2/2 - w*w'', w'^2/2) along a new last axis: the
-    normal eigenvalue, then the one shared by the n-1 tangential directions.
-    """
-    if np.any(np.asarray(w) <= 0):
-        raise InvalidProfileError("conformal factor must be positive")
-    # The r -> infinity limit of the radial pair, where v_r / r -> 0.
-    return np.stack(_eigenpair(w, w_prime, w_doubleprime, np.inf), axis=-1)
+    return np.stack(_eigenpair(v, v_r, v_rr, r), axis=-1)
 
 
 def spectrum_field(profile: RadialProfile) -> np.ndarray:
@@ -162,14 +151,15 @@ def spectrum_field(profile: RadialProfile) -> np.ndarray:
     return np.stack(_eigenpair(profile.u, du, d2u, profile.r), axis=-1)
 
 
-def ricci_spectrum_from_schouten(schouten: np.ndarray, n: int) -> np.ndarray:
-    """lam(-g^{-1} Ric) from lam(-g^{-1} A): (n-2)*lam + sigma_1(lam)*e.
+def ricci_spectrum_from_schouten(schouten: np.ndarray) -> np.ndarray:
+    """lam(-g^{-1} Ric) from a full spectrum lam(-g^{-1} A) of n entries:
+    (n-2)*lam + sigma_1(lam)*e.
 
     Inverts the trace adjustment A = (Ric - R g / (2(n-1))) / (n-2) at the
     eigenvalue level.
     """
     lam = np.asarray(schouten, dtype=float)
-    return (n - 2) * lam + lam.sum(axis=-1, keepdims=True)
+    return (lam.shape[-1] - 2) * lam + lam.sum(axis=-1, keepdims=True)
 
 
 def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):

@@ -148,6 +148,9 @@ class SolveReport:
     delta: float
     residual_nodes: np.ndarray = field(repr=False)
     margin_nodes: np.ndarray = field(repr=False)
+    # The rule that stopped Newton, kept out of to_dict(): "tolerance" or
+    # "rounding floor" (converged), "line search" or "iteration limit".
+    newton_stop: str
 
     def to_dict(self) -> dict:
         """The scalar fields; the profile goes out through to_csv."""
@@ -393,8 +396,9 @@ def _torsion_scalars(spec: ProblemSpec) -> dict:
             "Q": Q, "slope |w'(b)|": 2.0 * b + (n - 2) * Q * b**(1 - n)}
 
 
-def _make_report(u, spec, r, F, margins, state, iters, converged):
-    """The report of iterate u, whose _evaluate gave F, margins and state."""
+def _make_report(u, spec, r, F, margins, state, iters, stop):
+    """The report of iterate u, whose _evaluate gave F, margins and state,
+    stopped by the rule stop (see SolveReport.newton_stop)."""
     du = state[-1]
     profile = RadialProfile(r=r, u=np.maximum(u, 0.0))
     res_nodes = np.abs(F)
@@ -409,12 +413,26 @@ def _make_report(u, spec, r, F, margins, state, iters, converged):
         grad_sup=float(np.abs(du).max()),
         newton_iterations=iters,
         continuation_steps=0,
-        converged=converged,
+        converged=stop in ("tolerance", "rounding floor"),
         tau=spec.tau,
         delta=spec.delta,
         residual_nodes=res_nodes,
         margin_nodes=margin_full,
+        newton_stop=stop,
     )
+
+
+def _rounding_floor(u_max: float, h: float) -> float:
+    """4*eps*max(u)^2/h^2: the residual that rounding alone can leave.
+
+    The radial eigenvalue carries u * u_rr, and the second difference
+    (u[i+1] - 2u[i] + u[i-1]) / h^2 rounds its terms, whose |coefficients|
+    sum to 4, by up to eps*u each: 4 units eps*max(u)^2/h^2.  The profiles
+    perfbench checks (the unit ball and [0.5, 1], delta <= 0.1) have
+    max(u) <= 0.56, so a stop accepted at this floor is within 1.26 units
+    eps/h^2, inside that oracle's limit tol + 2*eps/h^2.
+    """
+    return 4 * np.finfo(float).eps * (u_max / h) ** 2
 
 
 def newton_solve(init: RadialProfile, spec: ProblemSpec,
@@ -423,8 +441,10 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
 
     The line search halves the step until the iterate is positive, fully
     admissible (margin above the floor) and the residual decreases.  The
-    report has converged = False after MAX_NEWTON_ITERATIONS or on line-search
-    failure.
+    solve converges at residual <= opts.tol, or where the line search finds
+    no descent step with the residual at the rounding floor (see
+    _rounding_floor).  The report has converged = False after
+    MAX_NEWTON_ITERATIONS or on any other line-search failure.
     """
     opts = opts or NewtonOptions()
     if spec.tau >= 1.0:
@@ -440,7 +460,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     res = float(np.abs(F).max())
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
-            return _make_report(u, spec, r, F, margins, state, it - 1, True)
+            return _make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
         ab = _analytic_jacobian(u, spec, r, cone, state)
         # ab and -F are temporaries: the solve overwrites both.
         step = solve_banded(ab, -F)
@@ -457,24 +477,24 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
                         break
             t *= 0.5
         else:
-            return _make_report(u, spec, r, F, margins, state, it, False)
-    return _make_report(u, spec, r, F, margins, state,
-                        MAX_NEWTON_ITERATIONS, res <= opts.tol)
+            at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
+            return _make_report(u, spec, r, F, margins, state, it,
+                                "rounding floor" if at_floor else "line search")
+    return _make_report(u, spec, r, F, margins, state, MAX_NEWTON_ITERATIONS,
+                        "tolerance" if res <= opts.tol else "iteration limit")
 
 
 def _newton_stop(report: SolveReport, opts: NewtonOptions) -> str:
-    """Why a Newton solve stopped short of opts.tol: newton_solve returns
-    before MAX_NEWTON_ITERATIONS only when the line search fails.  The
-    message ends with the residual's rounding floor eps*max(u)^2/h^2, one
-    rounding error of the second difference times u: a tol below it is out
-    of reach."""
-    cause = ("iteration limit reached"
-             if report.newton_iterations >= MAX_NEWTON_ITERATIONS
+    """Why a Newton solve stopped short of opts.tol, from the rule that
+    stopped it.  The message ends with the residual's rounding floor
+    4*eps*max(u)^2/h^2 (see _rounding_floor), which a line-search stop has
+    not reached."""
+    cause = ("iteration limit reached" if report.newton_stop == "iteration limit"
              else "line search found no admissible descent step")
-    floor = np.finfo(float).eps * np.square(report.c0_bounds[1] / report.profile.h)
+    floor = _rounding_floor(report.c0_bounds[1], report.profile.h)
     return (f"Newton stopped at residual_sup {report.residual_sup:.3e} after "
             f"{report.newton_iterations} iterations, above tol {opts.tol:.1e} "
-            f"({cause}); rounding floor eps*max(u)^2/h^2 = {floor:.1e}")
+            f"({cause}); rounding floor 4*eps*max(u)^2/h^2 = {floor:.1e}")
 
 
 def _inadmissible_start(spec: ProblemSpec,

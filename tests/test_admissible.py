@@ -8,9 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from lnlab import (BackgroundData, ConeSpec, find_N,
-                   halfspace_schouten_spectrum, linear_auxiliary,
-                   verify_admissible)
+from lnlab import (BackgroundData, ConeSpec, find_N, linear_auxiliary,
+                   radial_schouten_spectrum, verify_admissible)
 from lnlab.admissible import N_SCAN, _certificate_at
 from lnlab.cones import cone_margin, mu_plus
 from lnlab.errors import (CriticalPointError, InvalidArgumentError,
@@ -137,7 +136,7 @@ class TestVerify:
         w = np.exp(-E)                       # conformal factor
         wp = -N * E * w                      # d/dx with v = 1 + x
         wpp = (N**2 * E**2 - N**2 * E) * w   # product rule
-        spec = halfspace_schouten_spectrum(w, wp, wpp) / (w**2)[:, None]
+        spec = radial_schouten_spectrum(w, wp, wpp, np.inf) / (w**2)[:, None]
         bound = np.exp(cert.log_scale)[:, None] * np.stack((cert.chi1, cert.chi2), axis=-1)
         assert np.allclose(spec, bound, rtol=1e-12)
         assert np.all(cone_margin(ConeSpec(n, k), spec) > 0)

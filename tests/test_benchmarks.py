@@ -65,6 +65,28 @@ def test_diff_outputs_fails_on_a_nonzero_exit(monkeypatch, tmp_path, capsys):
         assert f"0 files, 0 differ, {2 * exit_code} nonzero exits" in stdout
 
 
+@pytest.mark.parametrize("parts, missing", [
+    ((), "src/lnlab or perfbench/run.py"),
+    (("src/lnlab",), "perfbench/run.py"),
+    (("perfbench/run.py",), "src/lnlab")], ids=["empty", "no-perfbench", "no-src"])
+def test_compare_refuses_a_path_that_is_not_a_checkout(compare, monkeypatch, tmp_path,
+                                                       capsys, parts, missing):
+    """Exit status 2 and the missing parts named, before any subprocess."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("compare started a subprocess")
+
+    monkeypatch.setattr(compare.subprocess, "run", no_run)
+    for part in parts:
+        path = tmp_path / part
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.suffix:
+            path.touch()
+        else:
+            path.mkdir()
+    assert compare.main([str(tmp_path)]) == 2
+    assert capsys.readouterr().err.endswith(f"no {missing}\n")
+
+
 @pytest.mark.parametrize("pairs", [5, 1, 0])
 def test_compare_refuses_an_uneven_pair_count_before_any_run(compare, tmp_path, pairs):
     """compare alternates which side runs first, so only an even count gives

@@ -188,6 +188,20 @@ class TestSolve:
         summary = json.loads(capsys.readouterr().out)
         assert summary["tau_continuation"] == summary["delta_sweep"]["legs"][0]
 
+    @pytest.mark.parametrize("grid", [2000, 4000])
+    @pytest.mark.parametrize("domain", [[], ["--domain", "annulus", "--inner", "0.5"]],
+                             ids=["ball", "annulus"])
+    def test_threshold_cone_converges_on_fine_grids(self, tmp_path, capsys,
+                                                    domain, grid):
+        """Above grid 1000 the tau = 0 start stalls above NEWTON_TOL at its
+        rounding floor, where newton_solve accepts it: every leg converges."""
+        out = tmp_path / "run"
+        assert main(["solve", "--n", "4", "--k", "2", "--tau", "0.95",
+                     "--grid", str(grid), "--out", str(out)] + domain) == 0
+        sweep = json.loads((tmp_path / "run.json").read_text())["delta_sweep"]
+        assert len(sweep["legs"]) == 11
+        assert all(leg["converged"] for leg in sweep["legs"])
+
     @pytest.mark.parametrize("flag, value", [("--tau-schedule", "0.5"),
                                              ("--rhs", "0.5"),
                                              ("--radius", "1"),

@@ -26,7 +26,7 @@ def sigma_by_enumeration(lam, j):
 class TestSigma:
     def test_examples(self):
         lam = np.array([1.0, 2.0, 3.0])
-        assert sigma_all(lam).tolist() == [1.0, 6.0, 11.0, 6.0]
+        assert sigma_all(lam, None, 3).tolist() == [1.0, 6.0, 11.0, 6.0]
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(7)
@@ -34,20 +34,20 @@ class TestSigma:
             lam = rng.normal(size=n) * rng.uniform(0.5, 3.0)
             for j in range(1, n + 1):
                 expected = sigma_by_enumeration(lam, j)
-                assert sigma_all(lam)[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                assert sigma_all(lam, None, n)[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_sigma_all_shape_and_sigma0(self):
         lam = np.ones((4, 5, 3))
-        s = sigma_all(lam)
+        s = sigma_all(lam, None, 3)
         assert s.shape == (4, 5, 4)
         assert np.all(s[..., 0] == 1.0)
 
     def test_permutation_bit_exact(self):
         rng = np.random.default_rng(11)
         lam = rng.normal(size=6)
-        base = sigma_all(lam)
+        base = sigma_all(lam, None, 6)
         for perm in itertools.islice(itertools.permutations(lam), 100):
-            assert np.array_equal(sigma_all(np.array(perm)), base)
+            assert np.array_equal(sigma_all(np.array(perm), None, 6), base)
 
 
 class TestConeSpec:
@@ -313,7 +313,7 @@ class TestRayE1:
         """e1 deforms to the pair (1, 1 - tau), strictly inside for tau < 1
         although its margin, about (1 - tau)^(k-1), is far below 1e-12."""
         assert contains_ray_e1(cone)
-        assert sigma_all(tau_deform(np.eye(cone.n)[0], cone.tau))[cone.k] > 0.0
+        assert sigma_all(tau_deform(np.eye(cone.n)[0], cone.tau), None, cone.k)[cone.k] > 0.0
 
 
 # Verbatim copies of the full-spectrum kernels before the pair form existed:
@@ -352,7 +352,7 @@ class TestGeneralPathUnchanged:
         rng = np.random.default_rng(100 + n)
         for shape in [(n,), (200, n), (3, 40, n)]:
             lam = rng.normal(size=shape) * rng.uniform(0.01, 50.0, size=shape)
-            full = sigma_all(lam)
+            full = sigma_all(lam, None, n)
             assert np.array_equal(full, reference_sigma_all(lam))
             for k in range(n + 1):
                 assert np.array_equal(sigma_all(lam, None, k), full[..., :k + 1])
@@ -415,14 +415,14 @@ class TestPairForm:
     @settings(max_examples=15, deadline=None)
     @given(lam=pairs(8))
     def test_sigma_all_matches_mpmath(self, n, lam):
-        sig = sigma_all(lam, n)
+        sig = sigma_all(lam, n, n)
         assert sig.shape == (lam.shape[0], n + 1)
         assert np.all(sig[:, 0] == 1.0)
         for k in range(n + 1):
             assert np.array_equal(sigma_all(lam, n, k), sig[:, :k + 1])
         # Rounding is relative to sigma_j of the absolute values, down to
         # the subnormal range.
-        size = sigma_all(np.abs(lam), n)
+        size = sigma_all(np.abs(lam), n, n)
         for row in range(lam.shape[0]):
             full = [lam[row, 0]] + [lam[row, 1]] * (n - 1)
             for j in range(1, n + 1):
@@ -446,7 +446,7 @@ class TestPairForm:
 
     def test_shape_errors(self):
         with pytest.raises(InvalidArgumentError):
-            sigma_all(np.ones(3), 4)
+            sigma_all(np.ones(3), 4, 2)
         for lam, n in ((np.ones((5, 2)), 4), (np.ones((5, 4)), None)):
             for k in (-1, 5, 1.5, True):
                 with pytest.raises(InvalidArgumentError, match="order k"):
@@ -456,9 +456,9 @@ class TestPairForm:
         # A 0-d spectrum is neither form: refused with its shape, not with a
         # numpy axis or index error.
         for call in (lambda: tau_deform(np.float64(2.0), 0.5),
-                     lambda: sigma_all(np.float64(2.0)),
+                     lambda: sigma_all(np.float64(2.0), None, 0),
                      lambda: tau_deform(2.0, 0.5, 4),
-                     lambda: sigma_all(2.0, 4)):
+                     lambda: sigma_all(2.0, 4, 2)):
             with pytest.raises(InvalidArgumentError, match=r"shape \(\)"):
                 call()
         for fn in (cone_margin, f_eval, grad_f):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnlab import (RadialProfile, barrier_profile, halfspace_schouten_spectrum,
-                   hyperbolic_ball_profile, radial_schouten_spectrum,
+from lnlab import (RadialProfile, barrier_profile, hyperbolic_ball_profile,
+                   radial_schouten_spectrum,
                    ricci_spectrum_from_schouten, spectrum_field)
 from lnlab.schouten import (_eigenpair, _radial_stencil,
                             rescaled_metric_spectrum_bound)
@@ -27,6 +27,14 @@ class TestRadialProfile:
             RadialProfile(r=r, u=np.linspace(1, -0.1, 11))
         # zero at the endpoint is allowed (Dirichlet data)
         RadialProfile(r=r, u=(1 - r**2))
+        # a ball's centre is interior: zero there is refused
+        with pytest.raises(InvalidProfileError):
+            RadialProfile(r=r, u=(1 - r**2)[::-1])
+        # an annulus's inner end is a boundary: zero there is allowed
+        annulus = np.linspace(0.5, 1.0, 11)
+        RadialProfile(r=annulus, u=(annulus - 0.5) * (1.5 - annulus))
+        with pytest.raises(InvalidProfileError):
+            RadialProfile(r=annulus, u=annulus - 0.55)
 
     def test_nonuniform_rejected(self):
         r = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
@@ -122,21 +130,20 @@ class TestModelSpectra:
     def test_halfspace_exponential(self):
         # w = e^{-x}: w' = -w, w'' = w, so normal = -w^2/2, tangential = w^2/2
         w = 0.7
-        spec = halfspace_schouten_spectrum(w, -w, w)
+        spec = radial_schouten_spectrum(w, -w, w, np.inf)
         assert spec.shape == (2,)
         assert spec[0] == pytest.approx(-0.5 * w**2)
         assert spec[1] == pytest.approx(0.5 * w**2)
 
     def test_positive_factor_required(self):
-        with pytest.raises(InvalidProfileError):
-            halfspace_schouten_spectrum(-1.0, 0.0, 0.0)
-        with pytest.raises(InvalidProfileError):
-            radial_schouten_spectrum(-1.0, 0.0, 0.0, 1.0)
+        for r in (1.0, np.inf):
+            with pytest.raises(InvalidProfileError):
+                radial_schouten_spectrum(-1.0, 0.0, 0.0, r)
 
     def test_center_rule(self):
-        rad, tan = radial_schouten_spectrum(2.0, 0.0, -1.5, 0.0)
-        assert rad == pytest.approx(3.0)
-        assert tan == pytest.approx(3.0)
+        pair = radial_schouten_spectrum(2.0, 0.0, -1.5, 0.0)
+        assert pair.shape == (2,)
+        assert pair.tolist() == pytest.approx([3.0, 3.0])
 
 
 class TestConvergenceOrder:
@@ -163,7 +170,7 @@ class TestRicci:
     def test_linear_relation(self):
         rng = np.random.default_rng(12)
         lam = rng.normal(size=(50, 5))
-        ric = ricci_spectrum_from_schouten(lam, 5)
+        ric = ricci_spectrum_from_schouten(lam)
         assert np.allclose(ric, 3 * lam + lam.sum(axis=1, keepdims=True))
 
     def test_trace_consistency(self):
@@ -171,7 +178,7 @@ class TestRicci:
         rng = np.random.default_rng(13)
         for n in (3, 4, 6):
             lam = rng.normal(size=(20, n))
-            ric = ricci_spectrum_from_schouten(lam, n)
+            ric = ricci_spectrum_from_schouten(lam)
             assert np.allclose(ric.sum(axis=1), 2 * (n - 1) * lam.sum(axis=1))
 
 
@@ -298,8 +305,8 @@ class TestInPlaceStages:
         assert_same_bits(got, _eigenpair(1.0, 2.0, 3.0, np.array(r)))
 
     def test_halfspace_spectrum_keeps_its_bits(self):
-        """The r -> infinity eigenpair against the half-space closed form
-        (w'^2/2 - w w'', w'^2/2)."""
+        """The r = inf pair of radial_schouten_spectrum against the half-space
+        closed form (w'^2/2 - w w'', w'^2/2)."""
         rng = np.random.default_rng(5)
         for size in (1, 7, 300):
             w = rng.uniform(1e-3, 1e3, size)
@@ -307,7 +314,7 @@ class TestInPlaceStages:
                          for _ in range(2))
             tangential = 0.5 * w_p**2
             want = np.stack((tangential - w * w_pp, tangential), axis=-1)
-            assert_same_bits(halfspace_schouten_spectrum(w, w_p, w_pp), want)
+            assert_same_bits(radial_schouten_spectrum(w, w_p, w_pp, np.inf), want)
 
     @pytest.mark.parametrize("shapes", [
         ((), (), (), ()),
@@ -316,13 +323,10 @@ class TestInPlaceStages:
         ((2, 3), (3,), (), (1, 3)),
     ], ids=["0-d", "1-d", "broadcast", "scalar-v_rr"])
     def test_radial_schouten_spectrum_keeps_its_bits(self, shapes):
-        """Broadcast inputs (r = 0 entries among them) and 0-d inputs, which
-        come back as floats."""
+        """Broadcast inputs (r = 0 entries among them) and 0-d inputs, each
+        coming back as pairs along a new last axis."""
         rng = np.random.default_rng(3)
         v, v_r, v_rr, r = (rng.uniform(0.1, 3.0, size=shape) for shape in shapes)
         r = np.where(rng.uniform(size=np.shape(r)) < 0.3, 0.0, r)
         got = radial_schouten_spectrum(v, v_r, v_rr, r)
-        want = pre_inplace_eigenpair(v, v_r, v_rr, r)
-        if not shapes[0]:
-            want = tuple(float(x) for x in want)
-        assert_same_bits(got, want)
+        assert_same_bits(got, np.stack(pre_inplace_eigenpair(v, v_r, v_rr, r), axis=-1))

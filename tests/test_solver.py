@@ -21,9 +21,8 @@ from lnlab import (Annulus, Ball, ConeSpec, ProblemSpec, RadialProfile,
                    continuation_tau, initial_profile, newton_solve, residual)
 from lnlab import _csv17, cones, solver
 from lnlab.cli import _format17
-from lnlab.solver import (DELTA_SCHEDULE, MARGIN_FLOOR, NEWTON_TOL,
-                          NewtonOptions, SolveReport, _analytic_jacobian,
-                          _evaluate)
+from lnlab.solver import (DELTA_SCHEDULE, MARGIN_FLOOR, NEWTON_TOL, SolveReport,
+                          _analytic_jacobian, _evaluate)
 from lnlab.schouten import _radial_stencil
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError,
@@ -412,6 +411,29 @@ class TestNewton:
         # one iteration from a rough start cannot reach 1e-10
         assert not rep.converged
 
+    def test_report_names_the_rule_that_stopped_newton(self, monkeypatch):
+        """newton_stop is one of four rules, and to_dict() leaves it out.
+        On Ball(1e-3) the line search stalls below the rounding floor but
+        above NEWTON_TOL: a converged stop at the floor."""
+        spec = ball_spec(tau=0.0, grid=100)
+        start = initial_profile(spec)
+        rep = newton_solve(start, spec)
+        assert (rep.converged, rep.newton_stop) == (True, "tolerance")
+        assert "newton_stop" not in rep.to_dict()
+        small = ProblemSpec(cone=ConeSpec(4, 2), tau=0.0, domain=Ball(1e-3),
+                            delta=0.1, grid=50)
+        rep = newton_solve(initial_profile(small), small)
+        assert (rep.converged, rep.newton_stop) == (True, "rounding floor")
+        floor = 4 * np.finfo(float).eps * (rep.c0_bounds[1] / rep.profile.h) ** 2
+        assert NEWTON_TOL < rep.residual_sup <= floor
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "solve_banded", lambda ab, b: np.full_like(b, np.nan))
+            rep = newton_solve(start, spec)
+        assert (rep.converged, rep.newton_stop) == (False, "line search")
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 1)
+        rep = newton_solve(start, spec)
+        assert (rep.converged, rep.newton_stop) == (False, "iteration limit")
+
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
                              ids=["ball", "annulus"])
     def test_one_banded_solve_per_iteration_through_the_module_global(
@@ -624,10 +646,16 @@ class TestContinuationTau:
                 assert any(cause in str(err) for cause in CAUSES), (config, err)
 
     def test_start_problem_failure_names_the_newton_stop(self, monkeypatch):
+        """A banded solve that returns NaN leaves no positive trial step, so
+        the line search fails at the start's residual, far above the
+        rounding floor; then a cut at one iteration."""
         spec = ball_spec(grid=100)
-        with pytest.raises(ContinuationStallError,
-                           match=r"line search found no admissible descent step"):
-            continuation_tau(spec, NewtonOptions(tol=1e-30))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "solve_banded", lambda ab, b: np.full_like(b, np.nan))
+            with pytest.raises(ContinuationStallError,
+                               match=r"after 1 iterations, above tol 1.0e-10 \(line "
+                                     r"search found no admissible descent step\)"):
+                continuation_tau(spec)
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 1)
         with pytest.raises(ContinuationStallError,
                            match=r"the tau = 0 start problem did not converge: "
@@ -636,17 +664,19 @@ class TestContinuationTau:
                                  r"\(iteration limit reached\)"):
             continuation_tau(spec)
 
-    def test_small_ball_stop_names_the_rounding_floor(self):
+    def test_small_ball_stop_names_the_rounding_floor(self, monkeypatch):
         """On Ball(1e-3) the operator's size grows as 1/b^2, and so does the
-        rounding floor eps*max(u)^2/h^2 of its residual: the start problem
+        rounding floor 4*eps*max(u)^2/h^2 of its residual.  Cut at two
+        iterations, which the floor does not rescue, the start problem
         stops above the default tol, and the message names a floor above
         tol, within a factor of 10 of the residual it stopped at."""
         spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.95, domain=Ball(1e-3),
-                           delta=0.1, grid=50)
+                           delta=0.1, grid=1000)
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 2)
         with pytest.raises(ContinuationStallError) as err:
             continuation_tau(spec)
         found = re.search(r"residual_sup (\S+) .*\); "
-                          r"rounding floor eps\*max\(u\)\^2/h\^2 = (\S+)$",
+                          r"rounding floor 4\*eps\*max\(u\)\^2/h\^2 = (\S+)$",
                           str(err.value))
         assert found, str(err.value)
         res, floor = (float(x) for x in found.groups())
@@ -698,6 +728,61 @@ class TestContinuationDelta:
                                 0.0015625, 0.00078125, 0.000390625,
                                 0.0001953125, 1e-4]
         assert [rep.profile.u[-1] for rep in sweep.reports] == sweep.deltas
+
+
+def same_report(a, b):
+    """Equal scalar fields, Newton stops and node arrays, bit for bit."""
+    return (a.to_dict() == b.to_dict() and a.newton_stop == b.newton_stop
+            and all(np.array_equal(x, y) for x, y in (
+                (a.profile.u, b.profile.u), (a.residual_nodes, b.residual_nodes),
+                (a.margin_nodes, b.margin_nodes))))
+
+
+class TestDeltaFallback:
+    """continuation_delta falls back to a fresh tau continuation when a
+    leg's warm start fails, and records the first leg where that fails too."""
+
+    SPEC = ball_spec(grid=50)
+    LEG = 3
+
+    @pytest.fixture
+    def inadmissible_blend(self, monkeypatch):
+        """_blend_boundary hands leg LEG a constant start, whose spectra are
+        0: newton_solve refuses it as inadmissible."""
+        blend = solver._blend_boundary
+
+        def patched(profile, spec_next):
+            if spec_next.delta == DELTA_SCHEDULE[self.LEG]:
+                return RadialProfile(r=profile.r, u=np.ones_like(profile.u))
+            return blend(profile, spec_next)
+
+        monkeypatch.setattr(solver, "_blend_boundary", patched)
+
+    def test_failed_warm_start_falls_back_to_tau_continuation(self, inadmissible_blend):
+        sweep = continuation_delta(self.SPEC)
+        assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
+        leg_spec = replace(self.SPEC, delta=DELTA_SCHEDULE[self.LEG])
+        fresh = continuation_tau(leg_spec)
+        assert same_report(sweep.reports[self.LEG], fresh)
+        assert fresh.continuation_steps > 0
+
+    def test_failed_fallback_ends_the_sweep_at_that_leg(self, inadmissible_blend,
+                                                        monkeypatch):
+        clean = continuation_delta(self.SPEC)
+        fallback = solver.continuation_tau
+
+        def stalled(spec, opts=None):
+            if spec.delta == DELTA_SCHEDULE[self.LEG]:
+                raise ContinuationStallError("stalled")
+            return fallback(spec, opts)
+
+        monkeypatch.setattr(solver, "continuation_tau", stalled)
+        sweep = continuation_delta(self.SPEC)
+        assert not sweep.ok and sweep.failed_delta == DELTA_SCHEDULE[self.LEG]
+        assert sweep.deltas == list(DELTA_SCHEDULE[:self.LEG])
+        assert len(sweep.reports) == self.LEG
+        assert all(same_report(a, b) for a, b in zip(sweep.reports, clean.reports))
+        assert sweep.interior_sup_diffs == clean.interior_sup_diffs[:self.LEG - 1]
 
 
 class TestDiagnostics:
@@ -772,7 +857,8 @@ def special_values_report():
                        newton_iterations=0, continuation_steps=0,
                        converged=False, tau=0.5, delta=0.1,
                        residual_nodes=np.array(odd),
-                       margin_nodes=-np.array(odd[::-1]))
+                       margin_nodes=-np.array(odd[::-1]),
+                       newton_stop="line search")
 
 
 class TestReport:
