@@ -191,7 +191,7 @@ def stage_times(src: str) -> dict:
 
             def trial():
                 u_try = u + 1.0 * step
-                if (u_try > 0.0).all():
+                if (u_try[rows] > 0.0).all():
                     F_try, m_try, _ = solver._evaluate(u_try, spec, r, cone)
                     if (m_try > solver.MARGIN_FLOOR).all():
                         return float(np.abs(F_try).max())
@@ -206,7 +206,7 @@ def stage_times(src: str) -> dict:
                 "banded_solve": lambda: solver.solve_banded(ab.copy(), -F),
                 "line_search_trial": trial,
                 "make_report": lambda: solver._make_report(u, spec, r, F, margins,
-                                                           state, 1, True),
+                                                           state, 1, "tolerance"),
                 "newton_solve_1_iteration": lambda: solver.newton_solve(
                     init, spec, solver.NewtonOptions(tol=0.0)),
             }

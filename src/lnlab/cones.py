@@ -62,6 +62,11 @@ def _check_real(value, name: str):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """A Garding cone Gamma_k^+ in dimension n, optionally tau-deformed.
@@ -75,9 +80,9 @@ class ConeSpec:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 3):
+        if not (_is_int(self.n) and self.n >= 3):
             raise InvalidArgumentError(f"dimension n must be an integer >= 3, got {self.n}")
-        if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= self.n):
+        if not (_is_int(self.k) and 1 <= self.k <= self.n):
             raise InvalidArgumentError(f"order k must satisfy 1 <= k <= n, got {self.k}")
         _check_real(self.tau, "tau")
         if not (0.0 <= self.tau <= 1.0):
@@ -124,8 +129,7 @@ def sigma_all(lam: np.ndarray, n: int | None, k: int) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     _check_form(lam, n)
     length = lam.shape[-1] if n is None else n
-    if (not isinstance(k, (int, np.integer)) or isinstance(k, bool)
-            or not 0 <= k <= length):
+    if not (_is_int(k) and 0 <= k <= length):
         raise InvalidArgumentError(
             f"order k must be an integer in [0, {length}], got {k!r}")
     if n is None:

@@ -21,7 +21,7 @@ class ConeDomainError(LnlabError, ValueError):
 
 
 class InvalidProfileError(LnlabError, ValueError):
-    """A conformal factor is non-positive where it must be positive."""
+    """A conformal factor is not finite, or not positive where it must be."""
 
 
 class CriticalPointError(LnlabError, ValueError):

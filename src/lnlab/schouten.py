@@ -16,7 +16,6 @@ At r = 0 (even profiles on a ball) v_r / r -> v_rr and both eigenvalues
 coincide at -v * v_rr.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +83,9 @@ class RadialProfile:
     """A conformal factor sampled on a uniform radial grid.
 
     The grid spans [0, b] for a ball (first node at r = 0, even profile) or
-    [a, b] for an annulus.  Values must be positive on the open domain,
-    which holds a ball's centre; boundary values may vanish (zero Dirichlet
-    data).
+    [a, b] for an annulus, with finite radii.  Values must be finite and
+    positive on the open domain, which holds a ball's centre; boundary
+    values may vanish (zero Dirichlet data).  NaN is refused everywhere.
     """
 
     r: np.ndarray
@@ -99,23 +98,20 @@ class RadialProfile:
         object.__setattr__(self, "u", u)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
             raise InvalidArgumentError("profile needs matching 1-d grids with >= 4 nodes")
+        # Ends first, before np.diff overflows on them; positive steps then keep h finite.
+        if not (r[0] >= 0 and r[-1] < np.inf):
+            raise InvalidArgumentError("grid radii must be finite and nonnegative")
         dr = np.diff(r)
-        if (dr <= 0).any():
+        if not (dr > 0).all():
             raise InvalidArgumentError("grid radii must be strictly increasing")
-        # np.allclose(dr, h, rtol=1e-8, atol=...)'s verdict: a non-finite h
-        # (an overflowing first step) matches only an equal spacing.
         h = dr[0]
-        if math.isfinite(h):
-            tol = 1e-13 * max(1.0, abs(r[-1])) + 1e-8 * abs(h)
-            np.subtract(dr, h, out=dr)
-            uniform = (np.abs(dr, out=dr) <= tol).all()
-        else:
-            uniform = (dr == h).all()
-        if not uniform:
+        np.subtract(dr, h, out=dr)
+        if not (np.abs(dr, out=dr) <= 1e-13 * max(1.0, r[-1]) + 1e-8 * h).all():
             raise InvalidArgumentError("grid spacing must be uniform")
-        centre = r[0] == 0.0
-        if (u[1:-1] <= 0).any() or u[-1] < 0 or (u[0] <= 0 if centre else u[0] < 0):
-            raise InvalidProfileError("conformal factor must be positive on the open domain")
+        ends = u[-1] >= 0 and (u[0] > 0 if r[0] == 0.0 else u[0] >= 0)
+        if not (ends and (u[1:-1] > 0).all() and (u < np.inf).all()):
+            raise InvalidProfileError(
+                "conformal factor must be finite and positive on the open domain")
 
     @property
     def h(self) -> float:
@@ -134,7 +130,7 @@ def radial_schouten_spectrum(v, v_r, v_rr, r) -> np.ndarray:
     v_r = np.asarray(v_r, dtype=float)
     v_rr = np.asarray(v_rr, dtype=float)
     r = np.asarray(r, dtype=float)
-    if np.any(v <= 0):
+    if not np.all(v > 0):
         raise InvalidProfileError("conformal factor must be positive")
     return np.stack(_eigenpair(v, v_r, v_rr, r), axis=-1)
 

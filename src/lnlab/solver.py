@@ -19,7 +19,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from . import _csv17
-from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, cone_margin
+from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, _is_int, cone_margin
 from .errors import (ContinuationStallError, GridMismatchError,
                      InadmissibleIterateError, InvalidArgumentError,
                      InvalidProfileError)
@@ -88,7 +88,7 @@ class ProblemSpec:
             raise InvalidArgumentError("base cone must be undeformed (tau = 1); "
                                        "set the deformation on the problem itself")
         self.solve_cone()                   # ConeSpec's checks of tau
-        if not isinstance(self.grid, (int, np.integer)) or isinstance(self.grid, bool):
+        if not _is_int(self.grid):
             raise InvalidArgumentError(f"grid must be an integer, got {self.grid!r}")
         if self.grid < 8:
             raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
@@ -400,7 +400,7 @@ def _make_report(u, spec, r, F, margins, state, iters, stop):
     """The report of iterate u, whose _evaluate gave F, margins and state,
     stopped by the rule stop (see SolveReport.newton_stop)."""
     du = state[-1]
-    profile = RadialProfile(r=r, u=np.maximum(u, 0.0))
+    profile = RadialProfile(r=r, u=u)
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
     margin_full[_pde_rows(spec)] = margins
@@ -439,7 +439,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
                  opts: NewtonOptions | None = None) -> SolveReport:
     """Damped Newton iteration on the discrete system.
 
-    The line search halves the step until the iterate is positive, fully
+    The line search halves the step until the PDE rows are positive, fully
     admissible (margin above the floor) and the residual decreases.  The
     solve converges at residual <= opts.tol, or where the line search finds
     no descent step with the residual at the rounding floor (see
@@ -453,6 +453,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     cone = spec.solve_cone()
 
     u = init.u.copy()
+    rows = _pde_rows(spec)
     F, margins, state = _evaluate(u, spec, r, cone)
     if not (margins > MARGIN_FLOOR).all():
         raise _inadmissible(spec, margins, "initial profile inadmissible")
@@ -468,7 +469,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             u_try = u + t * step
-            if (u_try > 0.0).all():
+            if (u_try[rows] > 0.0).all():
                 F_try, m_try, s_try = _evaluate(u_try, spec, r, cone)
                 if (m_try > MARGIN_FLOOR).all():
                     res_try = float(np.abs(F_try).max())
@@ -624,7 +625,7 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
             try:
                 warm = _blend_boundary(prev_report.profile, spec_d)
                 report = newton_solve(warm, spec_d)
-            except (InadmissibleIterateError, InvalidArgumentError):
+            except InadmissibleIterateError:
                 report = None
         if report is None or not report.converged:
             try:

@@ -6,6 +6,7 @@ captured output on failure).
 
 import pytest
 
+from lnlab import acceptance
 from lnlab.acceptance import CRITERIA, RUNTIME_LIMITS, run_acceptance
 from lnlab.errors import InvalidArgumentError
 
@@ -44,3 +45,14 @@ def test_empty_only_refused_with_the_choices(monkeypatch):
                        match="^no criterion named; choices: .*barrier"):
         run_acceptance(only=[])
     assert ran == []
+
+
+def test_ordering_tau_half_compares_distinct_solves(monkeypatch):
+    """With comparison_check's arguments swapped, both tau legs fail: u_tau
+    rises above u_0 by more than h^2, so the tau half can catch a reversed
+    ordering."""
+    check = acceptance.comparison_check
+    monkeypatch.setattr(acceptance, "comparison_check",
+                        lambda lower, upper: check(upper, lower))
+    result = acceptance.check_ordering()
+    assert not result.passed and result.measured == 2.0

@@ -164,3 +164,23 @@ def test_stage_probe_runs_every_stage_and_restores_the_iteration_limit(monkeypat
     assert sorted(times) == sorted(f"{name},grid=200" for name in stages)
     assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
     assert solver.MAX_NEWTON_ITERATIONS == 60
+
+
+def test_stage_probe_builds_reports_with_a_stop_rule_name(monkeypatch, compare):
+    """The make_report stage passes one of SolveReport.newton_stop's rule
+    names, the same argument newton_solve passes."""
+    from lnlab import solver
+    monkeypatch.setattr(compare, "STAGE_GRIDS", (50,))
+    monkeypatch.setattr(compare, "SAMPLES", 1)
+    monkeypatch.setattr(compare, "SAMPLE_S", 0.0)
+    stops = []
+    make_report = solver._make_report
+
+    def recording(*args):
+        stops.append(args[-1])
+        return make_report(*args)
+
+    monkeypatch.setattr(solver, "_make_report", recording)
+    compare.stage_times(str(Path(solver.__file__).parent.parent))
+    assert stops and set(stops) <= {"tolerance", "rounding floor", "line search",
+                                    "iteration limit"}, stops

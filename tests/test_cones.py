@@ -60,6 +60,10 @@ class TestConeSpec:
             ConeSpec(4, 0)
         with pytest.raises(InvalidArgumentError):
             ConeSpec(4, 2, 1.5)
+        with pytest.raises(InvalidArgumentError, match="^order k must satisfy"):
+            ConeSpec(3, True)
+        with pytest.raises(InvalidArgumentError, match="^dimension n must be an integer"):
+            ConeSpec(True, 1)
 
     def test_binomials_beyond_the_float_range_refused(self):
         """sigma_all and the margin take C(n, j), j <= k, as floats; n = 1030

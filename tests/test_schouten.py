@@ -41,6 +41,13 @@ class TestRadialProfile:
         with pytest.raises(InvalidArgumentError):
             RadialProfile(r=r, u=np.ones(5))
 
+    def test_non_finite_factors_refused(self):
+        r = np.linspace(0, 1, 5)
+        for u in ([np.nan, 1, np.nan, 1, np.inf], [1, 1, 1, 1, np.nan],
+                  [1, 1, np.inf, 1, 0], [1, 1, -np.inf, 1, 0], [1, 1, 1, 1, -np.inf]):
+            with pytest.raises(InvalidProfileError, match="^conformal factor must be finite"):
+                RadialProfile(r=r, u=u)
+
     @settings(max_examples=400, deadline=None)
     @given(start=st.floats(allow_nan=False), step=st.floats(min_value=0.0),
            nodes=st.integers(4, 9), node=st.integers(0, 8),
@@ -64,31 +71,42 @@ class TestRadialProfile:
         [-np.inf, 0.0, 1.0, 2.0],
         [0.0, 1.0, 2.0, np.inf],
         [np.nan, 0.0, 1.0, 2.0],
+        np.linspace(-1, 1, 9),
     ], ids=["overflowing-first-step", "every-step-inf", "first-step-inf",
-            "last-step-inf", "nan-first"])
+            "last-step-inf", "nan-first", "negative-radii"])
     def test_spacing_check_on_non_finite_steps(self, r):
+        """Radii that are negative or not finite are refused before any
+        step is taken, so no overflow warning is printed either."""
         r = np.array(r)
-        with np.errstate(all="ignore"):
-            dr = np.diff(r)
-        self.assert_allclose_verdict(r, dr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError,
+                               match="^grid radii must be finite and nonnegative$"):
+                RadialProfile(r=r, u=np.ones(r.size))
 
     @staticmethod
     def assert_allclose_verdict(r, dr):
-        """RadialProfile refuses the spacing of r exactly when the
-        np.allclose test it replaced does."""
-        if np.any(dr <= 0):
+        """RadialProfile refuses radii that are negative, not finite or not
+        increasing, and on every other grid refuses the spacing exactly when
+        the np.allclose test it replaced does."""
+        with np.errstate(all="ignore"):
+            valid = bool(np.isfinite(r).all() and r[0] >= 0 and (dr > 0).all())
+        if not valid:
+            # Between valid ends, np.diff can still meet inf - inf or overflow.
+            with np.errstate(all="ignore"), pytest.raises(InvalidArgumentError,
+                                                          match="^grid radii must"):
+                RadialProfile(r=r, u=np.ones(r.size))
             return
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             uniform = np.allclose(dr, dr[0], rtol=1e-8,
                                   atol=1e-13 * max(1.0, abs(r[-1])))
-        with np.errstate(all="ignore"):
-            if uniform:
+        if uniform:
+            RadialProfile(r=r, u=np.ones(r.size))
+        else:
+            with pytest.raises(InvalidArgumentError,
+                               match="^grid spacing must be uniform$"):
                 RadialProfile(r=r, u=np.ones(r.size))
-            else:
-                with pytest.raises(InvalidArgumentError,
-                                   match="^grid spacing must be uniform$"):
-                    RadialProfile(r=r, u=np.ones(r.size))
 
     def test_derivatives_exact_on_quadratics(self):
         r = np.linspace(0.5, 1.5, 33)
@@ -137,8 +155,9 @@ class TestModelSpectra:
 
     def test_positive_factor_required(self):
         for r in (1.0, np.inf):
-            with pytest.raises(InvalidProfileError):
-                radial_schouten_spectrum(-1.0, 0.0, 0.0, r)
+            for v in (-1.0, np.nan, [1.0, np.nan]):
+                with pytest.raises(InvalidProfileError):
+                    radial_schouten_spectrum(v, 0.0, 0.0, r)
 
     def test_center_rule(self):
         pair = radial_schouten_spectrum(2.0, 0.0, -1.5, 0.0)

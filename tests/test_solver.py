@@ -729,6 +729,12 @@ class TestContinuationDelta:
                                 0.0001953125, 1e-4]
         assert [rep.profile.u[-1] for rep in sweep.reports] == sweep.deltas
 
+    def test_rejects_target_one(self):
+        """The first leg's tau continuation refuses tau = 1; the sweep does
+        not swallow that as a failed leg."""
+        with pytest.raises(InvalidArgumentError, match="target tau must be < 1"):
+            continuation_delta(ball_spec(tau=1.0, grid=24))
+
 
 def same_report(a, b):
     """Equal scalar fields, Newton stops and node arrays, bit for bit."""
