@@ -132,21 +132,26 @@ def _digit_pairs(high: np.ndarray, low: np.ndarray):
     Pairs of digits are floor(v / 100^k) - 100 floor(v / 100^(k+1)): high
     gives a lead digit and four pairs, low four pairs.  v times 100^-k
     rounded up has the floor of v / 100^k, as 10^9 * 2^-52 is far below
-    100^-k.
+    100^-k.  The quotients of high and of low are separate arrays, the
+    pairs bytes and the counts int8, so at to_csv's 4 columns (2048 values
+    a block) every temporary stays under glibc's 128 KiB mmap threshold
+    and is not faulted in afresh block after block.
     """
-    quotients = np.empty((9, high.size))
-    np.multiply(high, _HUNDREDTHS[4::-1], out=quotients[:5])
-    np.multiply(low, _HUNDREDTHS[3::-1], out=quotients[5:])
-    np.floor(quotients, out=quotients)
-    quotients[1:5] -= quotients[:4] * 100.0
-    quotients[6:] -= quotients[5:8] * 100.0
+    lead = np.multiply(high, _HUNDREDTHS[4::-1])
+    np.floor(lead, out=lead)
+    lead[1:] -= lead[:4] * 100.0
+    tail = np.multiply(low, _HUNDREDTHS[3::-1])
+    np.floor(tail, out=tail)
+    tail[1:] -= tail[:3] * 100.0
     digits = np.empty((17, high.size), np.uint8)
-    np.add(quotients[0], ord("0"), out=digits[0], casting="unsafe")
-    pairs = quotients[1:].astype(np.intp)
-    del quotients
+    np.add(lead[0], ord("0"), out=digits[0], casting="unsafe")
+    pairs = np.empty((8, high.size), np.uint8)
+    pairs[:4] = lead[1:]
+    pairs[4:] = tail
+    del lead, tail
     count = np.take(_PAIR_DIGITS, pairs)
     count += _PAIR_START
-    count = np.maximum(count.max(axis=0), 1.0).astype(np.intp)
+    count = np.maximum(count.max(axis=0), 1)
     text = np.take(_PAIRS, pairs).view(np.uint8)
     digits[1::2] = text[:, 0::2]
     digits[2::2] = text[:, 1::2]
@@ -239,8 +244,9 @@ _ROW_BELOW = np.array([math.floor(e * math.log10(2.0)) - (_P_MIN - 1)
 # 100^-k rounded up, k = 0 .. 4.
 _HUNDREDTHS = np.array([[math.nextafter(100.0**-k, 1.0)] for k in range(5)])
 # The two ASCII digits of 0 .. 99 as one uint16; how many of them are
-# significant ("00": none); the slot where each of the eight pairs starts.
+# significant ("00": none, and -16 keeps its pair's last slot below 1); the
+# slot where each of the eight pairs starts.
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
                        np.uint16)
-_PAIR_DIGITS = np.array([2.0 if i % 10 else 1.0 if i else -np.inf for i in range(100)])
-_PAIR_START = np.arange(1.0, 17.0, 2.0)[:, None]
+_PAIR_DIGITS = np.array([2 if i % 10 else 1 if i else -16 for i in range(100)], np.int8)
+_PAIR_START = np.arange(1, 17, 2, dtype=np.int8)[:, None]

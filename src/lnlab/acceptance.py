@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import ConeSpec, cone_margin, f_eval, grad_f, mu_plus, tau_deform
+from .cones import ConeSpec, _is_int, cone_margin, f_eval, grad_f, mu_plus, tau_deform
 from .schouten import (barrier_profile, hyperbolic_ball_profile,
                        radial_schouten_spectrum,
                        ricci_spectrum_from_schouten, spectrum_field)
@@ -326,8 +326,9 @@ CRITERIA = {
 def run_acceptance(only=None, seed: int = 0):
     """Run all (only = None) or the named subset of the acceptance criteria.
 
-    Every name in only is checked before any criterion runs; an empty only
-    names none and is refused.
+    Every name in only, and the seed of the randomized criteria (a
+    non-negative integer), is checked before any criterion runs; an empty
+    only names none and is refused.
     """
     choices = "; choices: " + ", ".join(CRITERIA)
     names = list(CRITERIA) if only is None else list(only)
@@ -337,6 +338,8 @@ def run_acceptance(only=None, seed: int = 0):
     if unknown:
         raise InvalidArgumentError(
             f"unknown criterion {', '.join(map(repr, unknown))}" + choices)
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     results = []
     for name in names:
         fn = CRITERIA[name]

@@ -98,12 +98,13 @@ class RadialProfile:
         object.__setattr__(self, "u", u)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
             raise InvalidArgumentError("profile needs matching 1-d grids with >= 4 nodes")
-        # Ends first, before np.diff overflows on them; positive steps then keep h finite.
+        # Ends and order first, by comparisons, which neither overflow nor
+        # warn: increasing radii between finite ends have finite steps.
         if not (r[0] >= 0 and r[-1] < np.inf):
             raise InvalidArgumentError("grid radii must be finite and nonnegative")
-        dr = np.diff(r)
-        if not (dr > 0).all():
+        if not (r[1:] > r[:-1]).all():
             raise InvalidArgumentError("grid radii must be strictly increasing")
+        dr = np.diff(r)
         h = dr[0]
         np.subtract(dr, h, out=dr)
         if not (np.abs(dr, out=dr) <= 1e-13 * max(1.0, r[-1]) + 1e-8 * h).all():

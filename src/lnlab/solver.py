@@ -11,12 +11,13 @@ fully nonlinear operator) and in the boundary datum delta (downward, toward
 the zero-boundary problem whose solutions satisfy u / dist -> 1).
 """
 
+import ctypes
 import math
+import pathlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
 from . import _csv17
 from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, _is_int, cone_margin
@@ -92,6 +93,9 @@ class ProblemSpec:
             raise InvalidArgumentError(f"grid must be an integer, got {self.grid!r}")
         if self.grid < 8:
             raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
+        if (int(self.grid) + 1) * 8 > np.iinfo(np.intp).max:
+            raise InvalidArgumentError(
+                f"grid {self.grid} is too large: numpy cannot create its {self.grid + 1} radii")
         _check_real(self.delta, "boundary datum delta")
         if not 0 < self.delta < math.inf:
             raise InvalidArgumentError(
@@ -293,24 +297,75 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
 
 def solve_banded(ab, b):
     """Solve the tridiagonal system with bands ab (layout of
-    _analytic_jacobian) and right-hand side b; both are overwritten.
+    _analytic_jacobian) and right-hand side b in place: both are
+    overwritten, and b, the solution, is returned.
 
-    This is LAPACK gtsv on ab[2, :-1], ab[1] and ab[0, 1:], the call and
-    inputs scipy.linalg.solve_banded((1, 1), ...) makes, so the solution
-    is the same to the bit, without scipy's per-call wrapper.  It keeps
+    This is LAPACK gtsv on ab[2, :-1], ab[1] and ab[0, 1:], the routine and
+    inputs scipy.linalg.solve_banded((1, 1), ...) uses, so the solution is
+    the same to the bit, without scipy's per-call wrapper.  It keeps
     scipy's refusals: ValueError for a NaN or an inf in ab or b, LinAlgError
-    for an exactly singular system.  The name stays solve_banded because
-    newton_solve calls it through this module global, the binding
-    perfbench's tracer wraps.
+    for an exactly singular system.  ab (3, m) and b (m,) must be writable
+    C-contiguous float64 arrays, which gtsv overwrites where they lie.  The
+    name stays solve_banded because newton_solve calls it through this
+    module global, the binding perfbench's tracer wraps.
     """
+    if not (_is_float_buffer(ab) and _is_float_buffer(b)
+            and ab.shape == (3,) + b.shape):
+        raise ValueError("solve_banded needs writable C-contiguous float64 "
+                         "arrays ab of shape (3, m) and b of shape (m,)")
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, True, True, True, True)
+    info = _gtsv(ab, b)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
+    return b
+
+
+def _is_float_buffer(a) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.writeable)
+
+
+def _numpy_gtsv():
+    """LAPACK dgtsv from the OpenBLAS that numpy's wheel ships and has
+    already loaded (numpy.libs/ beside the package, or numpy/.dylibs/), as
+    a function (ab, b) -> info like _scipy_gtsv.  None where numpy ships
+    no such library, as under conda or a distro's numpy.  That OpenBLAS is
+    built with 64-bit integers and prefixes its symbols with scipy_."""
+    package = pathlib.Path(np.__file__).parent
+    libraries = sorted([*package.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                        *package.glob(".dylibs/libscipy_openblas64_*")])
+    for library in libraries:
+        try:
+            routine = ctypes.CDLL(str(library)).scipy_dgtsv_64_
+        except (OSError, AttributeError):
+            continue
+        integer, real = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        # n, nrhs, dl, d, du, b, ldb, info, all by reference.
+        routine.argtypes = [integer, integer, real, real, real, real, integer, integer]
+        routine.restype = None
+        one, at = ctypes.c_int64(1), ctypes.c_double.from_buffer
+
+        def gtsv(ab, b):
+            m, row = b.shape[0], ab.strides[0]
+            n, ldb, info = ctypes.c_int64(m), ctypes.c_int64(max(m, 1)), ctypes.c_int64()
+            routine(n, one, at(ab, 2 * row), at(ab, row), at(ab, ab.itemsize), at(b),
+                    ldb, info)
+            return info.value
+        return gtsv
+    return None
+
+
+def _scipy_gtsv(ab, b):
+    """LAPACK dgtsv through scipy.linalg.lapack, in place; returns info."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, True, True, True, True)[-1]
+
+
+# numpy's own LAPACK where there is one: scipy's import is most of lnlab's start-up.
+_gtsv = _numpy_gtsv() or _scipy_gtsv
 
 
 def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:

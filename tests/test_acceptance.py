@@ -47,6 +47,18 @@ def test_empty_only_refused_with_the_choices(monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_seed_that_is_not_a_non_negative_int_is_refused(monkeypatch, seed):
+    """The seed reaches np.random.default_rng; it is refused by name
+    before any criterion runs."""
+    ran = []
+    monkeypatch.setitem(CRITERIA, "cone-properties", lambda seed: ran.append(seed))
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^seed must be a non-negative integer, got {seed!r}$"):
+        run_acceptance(only=["cone-properties"], seed=seed)
+    assert ran == []
+
+
 def test_ordering_tau_half_compares_distinct_solves(monkeypatch):
     """With comparison_check's arguments swapped, both tau legs fail: u_tau
     rises above u_0 by more than h^2, so the tau half can catch a reversed

@@ -127,6 +127,10 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "out of float range" in err
 
+    def test_grid_numpy_cannot_allocate_is_usage_error(self, capsys):
+        assert main(["solve", "--grid", str(10**20)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: grid {10**20} is too large")
+
     def test_tiny_ball_names_the_rounded_bump(self, capsys):
         """Radii that stay in float range but fall below delta's rounding:
         a numerical failure that names its cause."""
@@ -302,6 +306,17 @@ class TestVerify:
 
     def test_seed_changes_nothing_for_deterministic_criteria(self, capsys):
         assert main(self.FAST + ["--seed", "5"]) == 0
+
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch):
+        """default_rng refuses a negative seed; verify refuses it first, by
+        name, before any criterion runs."""
+        ran = []
+        monkeypatch.setitem(acceptance.CRITERIA, "cone-properties",
+                            lambda seed: ran.append(seed))
+        assert main(["verify", "--only", "cone-properties", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == "" and ran == []
 
 
 class TestFormat17:

@@ -84,6 +84,21 @@ class TestRadialProfile:
                                match="^grid radii must be finite and nonnegative$"):
                 RadialProfile(r=r, u=np.ones(r.size))
 
+    @pytest.mark.parametrize("r", [
+        [8.98e307, np.inf, np.inf, 1e308],
+        [0.0, -1.8e308, 1.7e308, 1.0],
+        [0.0, np.nan, 2.0, 3.0],
+    ], ids=["inf-interior", "overflowing-interior-step", "nan-interior"])
+    def test_bad_interior_radii_are_refused_without_a_warning(self, r):
+        """Between valid ends, radii that np.diff would meet as inf - inf or
+        as an overflowing step are refused by the order check, silently."""
+        r = np.array(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError,
+                               match="^grid radii must be strictly increasing$"):
+                RadialProfile(r=r, u=np.ones(r.size))
+
     @staticmethod
     def assert_allclose_verdict(r, dr):
         """RadialProfile refuses radii that are negative, not finite or not
@@ -92,9 +107,11 @@ class TestRadialProfile:
         with np.errstate(all="ignore"):
             valid = bool(np.isfinite(r).all() and r[0] >= 0 and (dr > 0).all())
         if not valid:
-            # Between valid ends, np.diff can still meet inf - inf or overflow.
-            with np.errstate(all="ignore"), pytest.raises(InvalidArgumentError,
+            # Between valid ends, the order check meets inf - inf and
+            # overflowing steps without a warning.
+            with warnings.catch_warnings(), pytest.raises(InvalidArgumentError,
                                                           match="^grid radii must"):
+                warnings.simplefilter("error")
                 RadialProfile(r=r, u=np.ones(r.size))
             return
         with np.errstate(all="ignore"), warnings.catch_warnings():

@@ -4,11 +4,15 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,15 @@ class TestProblemSpec:
             Annulus(1.0, 0.5)
         with pytest.raises(InvalidArgumentError):
             Ball(-1.0)
+
+    def test_grid_numpy_cannot_allocate_is_refused(self):
+        """A grid whose (grid + 1) radii of 8 bytes pass the largest intp is
+        refused by name.  Only specs are built: no radii are allocated."""
+        largest = np.iinfo(np.intp).max // 8 - 1
+        assert ball_spec(grid=largest).grid == largest
+        for grid in (largest + 1, np.int64(largest + 1), 10**20):
+            with pytest.raises(InvalidArgumentError, match=f"^grid {grid} is too large"):
+                ball_spec(grid=grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_by_name(self, bad):
@@ -461,7 +474,17 @@ def random_tridiagonal(m, seed):
 
 
 class TestBandedSolve:
-    """solver.solve_banded against scipy.linalg.solve_banded((1, 1), ...)."""
+    """solver.solve_banded, with the dgtsv binding GTSV (lnlab's own choice
+    here: numpy's OpenBLAS where numpy's wheel ships one), against
+    scipy.linalg.solve_banded((1, 1), ...)."""
+
+    GTSV = solver._gtsv
+
+    @pytest.fixture(autouse=True, scope="class")
+    def bound(self, request):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "_gtsv", request.cls.GTSV)
+            yield
 
     @staticmethod
     def assert_same_as_scipy(ab, b):
@@ -477,6 +500,15 @@ class TestBandedSolve:
 
     def test_matches_scipy_at_1e5_rows(self):
         self.assert_same_as_scipy(*random_tridiagonal(100_000, 7))
+
+    @pytest.mark.parametrize("grid", [1000, 100_000])
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)])
+    def test_matches_scipy_on_newton_jacobians(self, domain, grid):
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.5, domain=domain,
+                           delta=0.05, grid=grid)
+        u, r, cone = initial_profile(spec).u, spec.radii(), spec.solve_cone()
+        F, _, state = _evaluate(u, spec, r, cone)
+        self.assert_same_as_scipy(_analytic_jacobian(u, spec, r, cone, state), -F)
 
     def test_solves_in_place(self):
         ab, b = random_tridiagonal(50, 1)
@@ -497,8 +529,64 @@ class TestBandedSolve:
         ab[1, 2] = ab[0, 3] = ab[2, 1] = 0.0        # row 2 of the matrix is zero
         for solve in (lambda: solver.solve_banded(ab.copy(), b.copy()),
                       lambda: scipy.linalg.solve_banded((1, 1), ab, b)):
-            with pytest.raises(scipy.linalg.LinAlgError, match="singular matrix"):
+            with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
                 solve()
+        assert np.linalg.LinAlgError is scipy.linalg.LinAlgError
+
+    @pytest.mark.parametrize("change", [
+        lambda ab, b: (ab[:, :-1], b),
+        lambda ab, b: (ab, b.astype(np.float32)),
+        lambda ab, b: (np.asfortranarray(ab), b),
+        lambda ab, b: (ab, np.stack((b, b), axis=1)[:, 0]),
+    ], ids=["shapes-disagree", "float32", "fortran-order", "strided"])
+    def test_arrays_it_cannot_solve_in_place_are_refused(self, change):
+        """gtsv writes the bands and b where they lie, so anything but
+        C-contiguous float64 of shapes (3, m) and (m,) is refused."""
+        ab, b = change(*random_tridiagonal(20, 4))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            solver.solve_banded(ab, b)
+
+    def test_read_only_arrays_are_refused(self):
+        ab, b = random_tridiagonal(20, 5)
+        b.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            solver.solve_banded(ab, b)
+
+
+class TestBandedSolveOnScipy(TestBandedSolve):
+    """The same checks on scipy's dgtsv, the fallback binding."""
+
+    GTSV = solver._scipy_gtsv
+
+    # hypothesis runs a @given test from one class only, so this one has its own.
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_to_the_bit(self, m, seed):
+        self.assert_same_as_scipy(*random_tridiagonal(m, seed))
+
+
+def test_numpy_lapack_lookup_finds_nothing_outside_a_wheel(tmp_path, monkeypatch):
+    """A numpy without the wheel's OpenBLAS beside it (conda, a distro
+    package) binds nothing, and solve_banded keeps scipy's dgtsv."""
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert solver._numpy_gtsv() is None
+
+
+@pytest.mark.skipif(solver._numpy_gtsv() is None,
+                    reason="numpy ships no OpenBLAS with dgtsv")
+def test_cli_starts_without_scipy():
+    """Where numpy's own dgtsv is bound, importing lnlab.cli loads no scipy
+    module: its import was most of every command's start-up."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, lnlab.cli; from lnlab import solver; "
+            "print(solver._gtsv is not solver._scipy_gtsv, "
+            "sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "[]"]
 
 
 def annulus_spec(n, k, tau, inner, delta=0.1, grid=200):
