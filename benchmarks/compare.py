@@ -165,7 +165,7 @@ def stage_times(src: str) -> dict:
     `cone_margin`, `_f_and_grad_unchecked`, the Jacobian, the banded solve
     (with the copy of the bands it overwrites), one line-search trial at
     t = 1, `_make_report`, and one whole `newton_solve` iteration
-    (MAX_NEWTON_ITERATIONS set to 1 for the probe, tol 0)."""
+    (MAX_NEWTON_ITERATIONS set to 1 for the probe)."""
     sys.path.insert(0, src)
     import numpy as np
     from lnlab import solver
@@ -207,8 +207,7 @@ def stage_times(src: str) -> dict:
                 "line_search_trial": trial,
                 "make_report": lambda: solver._make_report(u, spec, r, F, margins,
                                                            state, 1, "tolerance"),
-                "newton_solve_1_iteration": lambda: solver.newton_solve(
-                    init, spec, solver.NewtonOptions(tol=0.0)),
+                "newton_solve_1_iteration": lambda: solver.newton_solve(init, spec),
             }
             for name, call in stages.items():
                 out[f"{name},grid={grid}"] = per_call_ms(call)

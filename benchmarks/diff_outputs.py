@@ -11,9 +11,7 @@ on PYTHONPATH, and writes into a per-checkout directory:
 - library `continuation_tau` at grid 40000 for two cones on the ball and on
   the annulus (the report's `to_csv()` and `to_dict()`): their 40000 and
   39999 PDE rows span two whole cone row blocks and a remainder, so the
-  blocked cone pass is compared too.  Newton stops at the solve-large
-  tolerance eps/h^2, since the default one is below the rounding floor at
-  this grid;
+  blocked cone pass is compared too.  Newton stops by its default rule;
 - `lnlab verify --seed 0 --out` (the JSON report; its stdout holds timings);
 - `lnlab cone` at (4,2,1), (3,1,0.7), (6,3,0.5) and (5,5,0.3) (stdout);
 - the stdout of each script in demos/.
@@ -24,7 +22,8 @@ command that fails the same way in both checkouts leaves identical trees.
 The two trees are compared file by file; each file that differs, or exists
 on one side only, is printed.  A leg CSV present on both sides also gets its
 largest relative |Δu| (|u_change − u_parent| / |u_parent| over the nodes),
-and a solve JSON the δ-sweep legs whose `newton_iterations` changed.  Exits
+a solve JSON the δ-sweep legs whose `newton_iterations` changed, and a
+large run's report JSON its `newton_iterations` change.  Exits
 1 if any file differs or any command exited nonzero, 0 if the trees are
 identical and every command exited 0.  Progress goes to stderr.
 """
@@ -41,26 +40,23 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-from oracle import rounding_floor  # noqa: E402
-from workloads import (ANNULUS, CLI_CONES, DOMAINS, LARGE_DELTA,  # noqa: E402
-                       grid_spacing)
+from workloads import ANNULUS, CLI_CONES, DOMAINS, LARGE_DELTA  # noqa: E402
 
 CONES = ((4, 2, 1), (3, 1, 0.7), (6, 3, 0.5), (5, 5, 0.3))
 LARGE_CONES = ((4, 2, 0.95), (5, 3, 0.5))
 LARGE_GRID = 40_000
-# argv: out directory, n, k, tau, domain, delta, Newton tolerance.
+# argv: out directory, n, k, tau, domain, delta.
 LARGE_RUN = """
 import json, sys
 from pathlib import Path
 from lnlab.cones import ConeSpec
-from lnlab.solver import (Annulus, Ball, NewtonOptions, ProblemSpec,
-                          continuation_tau)
-out, n, k, tau, domain, delta, tol = sys.argv[1:]
+from lnlab.solver import Annulus, Ball, ProblemSpec, continuation_tau
+out, n, k, tau, domain, delta = sys.argv[1:]
 inner, outer = %r
 spec = ProblemSpec(cone=ConeSpec(int(n), int(k)), tau=float(tau),
                    domain=Ball(1.0) if domain == "ball" else Annulus(inner, outer),
                    delta=float(delta), grid=%d)
-report = continuation_tau(spec, NewtonOptions(tol=float(tol)))
+report = continuation_tau(spec)
 Path(out).mkdir(parents=True)
 (Path(out) / "report.csv").write_text(report.to_csv())
 (Path(out) / "report.json").write_text(json.dumps(report.to_dict(), indent=1))
@@ -82,10 +78,8 @@ def commands(checkout: Path, out: Path):
     for n, k, tau in LARGE_CONES:
         for domain in DOMAINS:
             name = f"large/{n}_{k}_{tau}_{domain}"
-            tol = rounding_floor(grid_spacing(domain, LARGE_GRID))
             yield (name, [sys.executable, "-c", LARGE_RUN, str(out / name), str(n),
-                          str(k), str(tau), domain, repr(LARGE_DELTA), repr(tol)],
-                   None)
+                          str(k), str(tau), domain, repr(LARGE_DELTA)], None)
     yield ("verify", lnlab + ["verify", "--seed", "0",
                               "--out", str(out / "verify.json")], None)
     for n, k, tau in CONES:
@@ -127,7 +121,8 @@ def files(tree: Path) -> set:
 
 
 def change_detail(old: Path, new: Path) -> str | None:
-    """The size of a change in a leg CSV or a solve JSON, or None."""
+    """The size of a change in a leg CSV, a solve JSON or a large run's
+    report JSON, or None."""
     if old.suffix == ".csv":
         u_old, u_new = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, 1]
                         for p in (old, new))
@@ -143,6 +138,11 @@ def change_detail(old: Path, new: Path) -> str | None:
         if len(legs_old) != len(legs_new):
             changed.append(f"leg count {len(legs_old)} -> {len(legs_new)}")
         return "newton_iterations " + ("; ".join(changed) or "unchanged")
+    if old.name == "report.json":
+        before, after = (json.loads(p.read_text())["newton_iterations"]
+                         for p in (old, new))
+        return "newton_iterations " + (f"{before} -> {after}" if before != after
+                                       else "unchanged")
     return None
 
 

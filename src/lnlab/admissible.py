@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import ConeSpec, _mu_plus_exact, cone_margin
+from .cones import ConeSpec, _check_real, _mu_plus_exact, cone_margin
 from .errors import CriticalPointError, InvalidArgumentError, NoCertificateError
 from .schouten import rescaled_metric_spectrum_bound
 
@@ -48,6 +48,8 @@ class BackgroundData:
         object.__setattr__(self, "dv_sq", dv_sq)
         if v.shape != dv_sq.shape or v.ndim != 1 or v.size == 0:
             raise InvalidArgumentError("v and dv_sq must be matching non-empty 1-d arrays")
+        for name in ("C0", "C2", "C3"):
+            _check_real(getattr(self, name), name)
         for name in ("v", "dv_sq", "C0", "C2", "C3"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidArgumentError(f"{name} must be finite")

@@ -211,6 +211,7 @@ def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
     With n given, lam is a pair (a, b) standing for (a, b, ..., b) of length
     n, and the result is the deformed pair.
     """
+    _check_real(tau, "tau")
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgumentError(f"tau must lie in [0, 1], got {tau}")
     lam = np.asarray(lam, dtype=float)
@@ -243,11 +244,16 @@ def _last_axis_outermost(columns: np.ndarray) -> np.ndarray:
 
 def _check_form(lam: np.ndarray, n: int | None):
     """Refuse a spectrum whose shape does not fit its form: a pair (n given)
-    has a last axis of 2, a full spectrum (n None) at least one axis."""
-    if n is not None and lam.shape[-1:] != (2,):
-        raise InvalidArgumentError(
-            f"a pair spectrum has a last axis of 2, got shape {lam.shape}")
-    if n is None and not lam.ndim:
+    has a last axis of 2 and a length n that is a positive integer, a full
+    spectrum (n None) at least one axis."""
+    if n is not None:
+        if not (_is_int(n) and n >= 1):
+            raise InvalidArgumentError(
+                f"pair length n must be a positive integer, got {n!r}")
+        if lam.shape[-1:] != (2,):
+            raise InvalidArgumentError(
+                f"a pair spectrum has a last axis of 2, got shape {lam.shape}")
+    elif not lam.ndim:
         raise InvalidArgumentError(
             f"a full spectrum has at least one axis, got shape {lam.shape}")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import _check_real
 from .errors import CriticalPointError, InvalidArgumentError, InvalidProfileError
 
 
@@ -182,6 +183,8 @@ def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):
     |dv|^2 is measured in the flat reference metric; the C0 in the scale
     converts it to a lower bound for the metric norm.
     """
+    for name, value in (("N", N), ("C0", C0), ("C2", C2), ("C3", C3)):
+        _check_real(value, name)
     v = np.asarray(v, dtype=float)
     dv_sq = np.asarray(dv_sq, dtype=float)
     if np.any(dv_sq <= 0):

@@ -496,10 +496,10 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
 
     The line search halves the step until the PDE rows are positive, fully
     admissible (margin above the floor) and the residual decreases.  The
-    solve converges at residual <= opts.tol, or where the line search finds
-    no descent step with the residual at the rounding floor (see
-    _rounding_floor).  The report has converged = False after
-    MAX_NEWTON_ITERATIONS or on any other line-search failure.
+    solve converges at residual <= opts.tol, or at the rounding floor (see
+    _rounding_floor): there the line search tries the full step only, and
+    Newton stops if that step is refused.  The report has converged = False
+    after MAX_NEWTON_ITERATIONS or on any other line-search failure.
     """
     opts = opts or NewtonOptions()
     if spec.tau >= 1.0:
@@ -521,8 +521,11 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         # ab and -F are temporaries: the solve overwrites both.
         step = solve_banded(ab, -F)
 
+        # At the rounding floor a halved step's decrease is rounding noise:
+        # only the full step is tried.
+        at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
         t = 1.0
-        for _ in range(MAX_HALVINGS + 1):
+        for _ in range(1 if at_floor else MAX_HALVINGS + 1):
             u_try = u + t * step
             if (u_try[rows] > 0.0).all():
                 F_try, m_try, s_try = _evaluate(u_try, spec, r, cone)
@@ -533,7 +536,6 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
                         break
             t *= 0.5
         else:
-            at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
             return _make_report(u, spec, r, F, margins, state, it,
                                 "rounding floor" if at_floor else "line search")
     return _make_report(u, spec, r, F, margins, state, MAX_NEWTON_ITERATIONS,

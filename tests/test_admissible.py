@@ -43,6 +43,13 @@ class TestBackgroundData:
         with pytest.raises(InvalidArgumentError, match=f"^{field} must be finite"):
             BackgroundData(**values)
 
+    @pytest.mark.parametrize("field", ["C0", "C2", "C3"])
+    @pytest.mark.parametrize("bad", ["2", None, True])
+    def test_non_real_bound_rejected_by_name(self, field, bad):
+        values = {"v": np.ones(4), "dv_sq": np.ones(4), field: bad}
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be a real number"):
+            BackgroundData(**values)
+
     def test_linear_auxiliary(self):
         data = linear_auxiliary(np.array([0.0, 0.5, 1.0]))
         assert np.array_equal(data.v, [1.0, 1.5, 2.0])

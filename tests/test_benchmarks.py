@@ -3,6 +3,7 @@ nothing else exercises them: each must at least import cleanly, and the
 parts of compare.py that need no second checkout run here."""
 
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -63,6 +64,32 @@ def test_diff_outputs_fails_on_a_nonzero_exit(monkeypatch, tmp_path, capsys):
         stdout = capsys.readouterr().out
         assert ("cone_4_2_1 exited 1" in stdout) == bool(exit_code)
         assert f"0 files, 0 differ, {2 * exit_code} nonzero exits" in stdout
+
+
+def test_diff_outputs_names_the_newton_iteration_changes(monkeypatch, tmp_path):
+    """A solve JSON gets the δ-sweep legs whose newton_iterations changed,
+    and a large run's report JSON its own newton_iterations change."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    diff_outputs = importlib.import_module("diff_outputs")
+
+    def write(side, name, document):
+        path = tmp_path / side / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(document))
+        return path
+
+    def sweep(*iterations):
+        return {"delta_sweep": {"legs": [{"newton_iterations": i} for i in iterations]}}
+
+    solve = [write(side, "solve.json", sweep(*legs))
+             for side, legs in (("parent", (3, 15, 2)), ("change", (3, 3, 2)))]
+    assert diff_outputs.change_detail(*solve) == "newton_iterations leg 1: 15 -> 3"
+    report = [write(side, "report.json", {"newton_iterations": i, "residual_sup": r})
+              for side, i, r in (("parent", 23, 1e-9), ("change", 4, 2e-9))]
+    assert diff_outputs.change_detail(*report) == "newton_iterations 23 -> 4"
+    same = write("change", "same/report.json", {"newton_iterations": 23})
+    assert diff_outputs.change_detail(report[0], same) == "newton_iterations unchanged"
+    assert diff_outputs.change_detail(tmp_path / "a.txt", tmp_path / "b.txt") is None
 
 
 @pytest.mark.parametrize("parts, missing", [

@@ -457,6 +457,16 @@ class TestPairForm:
                     sigma_all(lam, n, k)
         with pytest.raises(InvalidArgumentError):
             tau_deform(np.ones((5, 3)), 0.5, 4)
+        # The pair length and tau are refused by name, bools included.
+        pair = np.array([1.0, 2.0])
+        for n in (True, 0, -4, 2.0, 3.5, "4"):
+            for call in (lambda: sigma_all(pair, n, 1),
+                         lambda: tau_deform(pair, 0.5, n)):
+                with pytest.raises(InvalidArgumentError, match="pair length n"):
+                    call()
+        for tau in ("0.5", True, None):
+            with pytest.raises(InvalidArgumentError, match="tau must be a real"):
+                tau_deform(pair, tau, 3)
         # A 0-d spectrum is neither form: refused with its shape, not with a
         # numpy axis or index error.
         for call in (lambda: tau_deform(np.float64(2.0), 0.5),

@@ -270,6 +270,14 @@ class TestRescaledBound:
                 rescaled_metric_spectrum_bound(N, np.ones(3), np.ones(3), 1, 0, 0)
         with pytest.raises(InvalidArgumentError):
             rescaled_metric_spectrum_bound(1.0, 0.5 * np.ones(3), np.ones(3), 1, 0, 0)
+        # Scalars are refused by name, bools included.
+        for i, name in enumerate(("N", "C0", "C2", "C3")):
+            for bad in (True, "1", None):
+                args = [1.0, 1, 0, 0]
+                args[i] = bad
+                with pytest.raises(InvalidArgumentError, match=f"^{name} must be a real"):
+                    rescaled_metric_spectrum_bound(args[0], np.ones(3), np.ones(3),
+                                                   *args[1:])
 
 
 # The stencil and the eigenvalue pair as they were before they wrote through

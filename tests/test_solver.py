@@ -449,6 +449,35 @@ class TestNewton:
 
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
                              ids=["ball", "annulus"])
+    def test_a_stop_at_the_rounding_floor_costs_one_trial(self, domain, monkeypatch):
+        """At grid 4000 the default tolerance is below the rounding floor, so
+        every solve of a default tau continuation stops at the floor.  There
+        the line search tries the full step only: one evaluation for the
+        start and one per iteration, the refused last one included (a search
+        of every halving made 1005 and 1112 evaluations here, not 44 and
+        105)."""
+        evaluations, reports = [], []
+        evaluate, solve = solver._evaluate, solver.newton_solve
+
+        def counted(*args):
+            evaluations.append(None)
+            return evaluate(*args)
+
+        def recorded(*args):
+            reports.append(solve(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(solver, "_evaluate", counted)
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.95, domain=domain,
+                           delta=0.1, grid=4000)
+        assert continuation_tau(spec).converged
+        assert {rep.newton_stop for rep in reports} == {"rounding floor"}
+        assert len(evaluations) == len(reports) + sum(rep.newton_iterations
+                                                      for rep in reports)
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
     def test_one_banded_solve_per_iteration_through_the_module_global(
             self, domain, monkeypatch):
         """newton_solve reaches the banded solve through lnlab.solver's
