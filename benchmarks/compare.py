@@ -15,6 +15,9 @@ same benchmark.  For every workload in BENCHMARK.json:
    per-layer metric, and under "differing_counts" every `.calls` and `.rows`
    count and `solver.evals` that differs between the sides.
 
+The record also holds each side's line count per src/lnlab/*.py file and
+their total, under "src_lines" (see `src_lines`).
+
 Then the stages of one Newton step (see `stage_times`), in a fresh
 interpreter per checkout with BLAS pinned to one thread, over STAGE_ROUNDS
 alternating rounds; the record holds the median over rounds.  The probe is
@@ -54,6 +57,14 @@ def first_seed(src: Path) -> int:
         digest.update(f"{path.relative_to(src)}\0".encode())
         digest.update(path.read_bytes())
     return int.from_bytes(digest.digest()[:4], "big") % 100_000 + 1
+
+
+def src_lines(checkout: Path) -> dict:
+    """Lines (newlines, as `wc -l` counts them) of each src/lnlab/*.py file
+    of checkout, by file name, and their "total"."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((checkout / "src" / "lnlab").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, trace: int,
@@ -254,8 +265,10 @@ def main(argv=None):
     flagged = {flag: [f"{name}/{metric}" for name, w in workloads.items()
                       for metric, v in w["end_to_end"].items() if v[flag]]
                for flag in ("regressed", "gain")}
-    json.dump({**flagged, "pairs": PAIRS, "workloads": workloads, "stage_ms": stages},
-              sys.stdout, indent=1)
+    lines = {side: src_lines(checkout)
+             for side, checkout in (("parent", parent), ("change", change))}
+    json.dump({**flagged, "pairs": PAIRS, "src_lines": lines, "workloads": workloads,
+               "stage_ms": stages}, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
 

@@ -39,7 +39,7 @@ def main():
     print("  smallest N on the scan grid: %g" % cert.N)
     print("  required cone aperture mu+ >= %.4f" % cert.mu_required)
     for (n, k) in ((4, 2), (6, 3), (4, 3)):
-        ok, margin = verify_admissible(data, cert, ConeSpec(n, k))
+        ok, margin = verify_admissible(cert, ConeSpec(n, k))
         print("  Gamma_%d^+ in R^%d (mu+ = %.3f): admissible=%s margin=%.3e"
               % (k, n, (n - k) / k, ok, margin))
 

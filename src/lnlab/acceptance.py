@@ -133,7 +133,7 @@ def check_certificate_constructor() -> CriterionResult:
     passed = float(np.max(np.abs(direct - bound) / np.abs(bound))) < 1e-12
     worst_margin = np.inf
     for (n, k) in ((4, 2), (6, 3)):
-        ok, margin = verify_admissible(data, cert, ConeSpec(n, k))
+        ok, margin = verify_admissible(cert, ConeSpec(n, k))
         passed = passed and ok and margin > 0
         margins = cone_margin(ConeSpec(n, k), direct)
         passed = passed and bool(np.all(margins > 0))

@@ -10,7 +10,7 @@ The certificate is valid when, at every node,
 
 which is chi1 > -chi2 + e^{-N v} multiplied through by e^{N v}, and implies
 chi2 > 1/2.  A valid bound lies in any cone whose mu+ is at least
-1 - e^{-N max(v)}.
+1 - e^{-N max(v)}; verify_admissible checks a certificate against a cone.
 """
 
 from dataclasses import dataclass
@@ -18,47 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import ConeSpec, _check_real, _mu_plus_exact, cone_margin
-from .errors import CriticalPointError, InvalidArgumentError, NoCertificateError
-from .schouten import rescaled_metric_spectrum_bound
+from .cones import ConeSpec, _mu_plus_exact, _real_array, cone_margin
+from .errors import InvalidArgumentError, NoCertificateError
+from .schouten import BackgroundData, rescaled_metric_spectrum_bound
 
 # Geometric scan N in {2^j / 8 : j = 0..40}; smallest valid value is returned.
 N_SCAN = [2.0**j / 8.0 for j in range(41)]
-
-
-@dataclass(frozen=True)
-class BackgroundData:
-    """Per-node auxiliary data plus global background bounds.
-
-    v >= 1 everywhere, |dv|^2 > 0 everywhere (no critical points); C0 >= 1
-    bounds the metric equivalence and Christoffel symbols, C2 the Schouten
-    tensor from above, C3 the Hessian of v.  All values must be finite.
-    """
-
-    v: np.ndarray
-    dv_sq: np.ndarray
-    C0: float = 1.0
-    C2: float = 0.0
-    C3: float = 0.0
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        dv_sq = np.asarray(self.dv_sq, dtype=float)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "dv_sq", dv_sq)
-        if v.shape != dv_sq.shape or v.ndim != 1 or v.size == 0:
-            raise InvalidArgumentError("v and dv_sq must be matching non-empty 1-d arrays")
-        for name in ("C0", "C2", "C3"):
-            _check_real(getattr(self, name), name)
-        for name in ("v", "dv_sq", "C0", "C2", "C3"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidArgumentError(f"{name} must be finite")
-        if np.any(v < 1.0):
-            raise InvalidArgumentError("auxiliary function must satisfy v >= 1 everywhere")
-        if np.any(dv_sq <= 0.0):
-            raise CriticalPointError("auxiliary function has a critical point (|dv|^2 <= 0)")
-        if self.C0 < 1.0 or self.C2 < 0.0 or self.C3 < 0.0:
-            raise InvalidArgumentError("need C0 >= 1, C2 >= 0, C3 >= 0")
 
 
 @dataclass(frozen=True)
@@ -92,8 +57,7 @@ class AdmissibilityCertificate:
 
 
 def _certificate_at(data: BackgroundData, N: float) -> AdmissibilityCertificate:
-    t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(
-        N, data.v, data.dv_sq, data.C0, data.C2, data.C3)
+    t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(N, data)
     return AdmissibilityCertificate(N=N, t=t, e_neg=e_neg, log_scale=log_scale,
                                     q=q, mu_required=1.0 - float(e_neg.min()))
 
@@ -110,8 +74,7 @@ def find_N(data: BackgroundData) -> AdmissibilityCertificate:
         worst_node=worst)
 
 
-def verify_admissible(data: BackgroundData, cert: AdmissibilityCertificate,
-                      cone: ConeSpec):
+def verify_admissible(cert: AdmissibilityCertificate, cone: ConeSpec):
     """Check a certificate against a concrete cone.
 
     ok iff mu+(cone) >= mu_required and the certified lower bound lies in the
@@ -130,8 +93,6 @@ def verify_admissible(data: BackgroundData, cert: AdmissibilityCertificate,
     cone_margin of the pairs (chi1, chi2), capped at 0 when a node fails the
     test above, so its sign never contradicts that test.
     """
-    if cert.q.shape != data.v.shape:
-        raise InvalidArgumentError("certificate was not produced for this data")
     mu = _mu_plus_exact(cone)
     chi1, chi2 = cert.chi1, cert.chi2
     lead = float(mu - 1) * chi2
@@ -154,7 +115,7 @@ def linear_auxiliary(coords: np.ndarray) -> BackgroundData:
     Guarantees v >= 1 and |dv|^2 = 1 everywhere, standing in for a general
     critical-point-free function on the supported geometries.
     """
-    x = np.asarray(coords, dtype=float)
+    x = _real_array(coords, "coords")
     if np.any(x < 0):
         raise InvalidArgumentError("scan coordinates must be nonnegative")
     return BackgroundData(v=1.0 + x, dv_sq=np.ones_like(x))

@@ -62,6 +62,17 @@ def _check_real(value, name: str):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """value as a float64 array, float64 input without a copy.  Integer and
+    float dtypes convert; bool, string and every other dtype raise
+    InvalidArgumentError naming the argument."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(
+            f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _is_int(value) -> bool:
     """Whether value is a Python or NumPy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -126,7 +137,7 @@ def sigma_all(lam: np.ndarray, n: int | None, k: int) -> np.ndarray:
     Column j depends on columns < j only, so every order up to k has the
     same bits whatever k is.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_array(lam, "lam")
     _check_form(lam, n)
     length = lam.shape[-1] if n is None else n
     if not (_is_int(k) and 0 <= k <= length):
@@ -214,7 +225,7 @@ def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
     _check_real(tau, "tau")
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgumentError(f"tau must lie in [0, 1], got {tau}")
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_array(lam, "lam")
     _check_form(lam, n)
     if n is not None:
         a, b = lam[..., 0], lam[..., 1]
@@ -375,7 +386,7 @@ def _by_blocks(cone: ConeSpec, lam, read) -> tuple:
     with lam's leading shape.  Every read is row by row, so the outputs
     have the bits of one pass over all of lam.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _real_array(lam, "lam")
     lead = lam.shape[:-1]
     rows = prod(lead)
     if rows <= _BLOCK_ROWS:

@@ -13,14 +13,15 @@ which simplify to the polynomial forms used below:
     radial     = v_r^2 / 2 - v * v_rr.
 
 At r = 0 (even profiles on a ball) v_r / r -> v_rr and both eigenvalues
-coincide at -v * v_rr.
+coincide at -v * v_rr.  radial_schouten_spectrum builds every pair, for v
+finite and >= 0; BackgroundData checks the input of the certified bound.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import _check_real
+from .cones import _check_form, _check_real, _is_int, _real_array
 from .errors import CriticalPointError, InvalidArgumentError, InvalidProfileError
 
 
@@ -93,8 +94,8 @@ class RadialProfile:
     u: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        u = np.asarray(self.u, dtype=float)
+        r = _real_array(self.r, "r")
+        u = _real_array(self.u, "u")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "u", u)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
@@ -127,13 +128,14 @@ def radial_schouten_spectrum(v, v_r, v_rr, r) -> np.ndarray:
     Inputs broadcast; r = 0 entries are evaluated with the even-profile center
     rule (v_r / r -> v_rr).  r = inf gives the half-space factor v(x_n), whose
     pair is the limit (v'^2/2 - v v'', v'^2/2) with v'' along the normal.
+    v must be finite and >= 0, as at a RadialProfile's boundary ends.
     """
-    v = np.asarray(v, dtype=float)
-    v_r = np.asarray(v_r, dtype=float)
-    v_rr = np.asarray(v_rr, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if not np.all(v > 0):
-        raise InvalidProfileError("conformal factor must be positive")
+    v = _real_array(v, "v")
+    v_r = _real_array(v_r, "v_r")
+    v_rr = _real_array(v_rr, "v_rr")
+    r = _real_array(r, "r")
+    if not ((v >= 0) & (v < np.inf)).all():
+        raise InvalidProfileError("conformal factor must be finite and >= 0")
     return np.stack(_eigenpair(v, v_r, v_rr, r), axis=-1)
 
 
@@ -145,8 +147,8 @@ def spectrum_field(profile: RadialProfile) -> np.ndarray:
     Derivatives come from the profile's second-order stencils, so for profiles
     with smooth closed forms the eigenvalues are O(h^2)-accurate.
     """
-    du, d2u = _radial_stencil(profile.u, profile.r)
-    return np.stack(_eigenpair(profile.u, du, d2u, profile.r), axis=-1)
+    return radial_schouten_spectrum(profile.u, *_radial_stencil(profile.u, profile.r),
+                                    profile.r)
 
 
 def ricci_spectrum_from_schouten(schouten: np.ndarray) -> np.ndarray:
@@ -156,11 +158,47 @@ def ricci_spectrum_from_schouten(schouten: np.ndarray) -> np.ndarray:
     Inverts the trace adjustment A = (Ric - R g / (2(n-1))) / (n-2) at the
     eigenvalue level.
     """
-    lam = np.asarray(schouten, dtype=float)
+    lam = _real_array(schouten, "schouten")
+    _check_form(lam, None)
     return (lam.shape[-1] - 2) * lam + lam.sum(axis=-1, keepdims=True)
 
 
-def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):
+@dataclass(frozen=True)
+class BackgroundData:
+    """Per-node auxiliary data plus global background bounds.
+
+    v >= 1 everywhere, |dv|^2 > 0 everywhere (no critical points); C0 >= 1
+    bounds the metric equivalence and Christoffel symbols, C2 the Schouten
+    tensor from above, C3 the Hessian of v.  All values must be finite.
+    """
+
+    v: np.ndarray
+    dv_sq: np.ndarray
+    C0: float = 1.0
+    C2: float = 0.0
+    C3: float = 0.0
+
+    def __post_init__(self):
+        v = _real_array(self.v, "v")
+        dv_sq = _real_array(self.dv_sq, "dv_sq")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "dv_sq", dv_sq)
+        if v.shape != dv_sq.shape or v.ndim != 1 or v.size == 0:
+            raise InvalidArgumentError("v and dv_sq must be matching non-empty 1-d arrays")
+        for name in ("C0", "C2", "C3"):
+            _check_real(getattr(self, name), name)
+        for name in ("v", "dv_sq", "C0", "C2", "C3"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidArgumentError(f"{name} must be finite")
+        if np.any(v < 1.0):
+            raise InvalidArgumentError("auxiliary function must satisfy v >= 1 everywhere")
+        if np.any(dv_sq <= 0.0):
+            raise CriticalPointError("auxiliary function has a critical point (|dv|^2 <= 0)")
+        if self.C0 < 1.0 or self.C2 < 0.0 or self.C3 < 0.0:
+            raise InvalidArgumentError("need C0 >= 1, C2 >= 0, C3 >= 0")
+
+
+def rescaled_metric_spectrum_bound(N, data: BackgroundData):
     """Certified lower bound for the spectrum of g^N = e^{2 e^{Nv}} g.
 
     The guaranteed bound is lam(-g^{-1} A_{g^N}) >= scale * (chi1, chi2, ..., chi2)
@@ -183,16 +221,12 @@ def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):
     |dv|^2 is measured in the flat reference metric; the C0 in the scale
     converts it to a lower bound for the metric norm.
     """
-    for name, value in (("N", N), ("C0", C0), ("C2", C2), ("C3", C3)):
-        _check_real(value, name)
-    v = np.asarray(v, dtype=float)
-    dv_sq = np.asarray(dv_sq, dtype=float)
-    if np.any(dv_sq <= 0):
-        raise CriticalPointError("auxiliary function has a critical point (|dv|^2 <= 0)")
+    _check_real(N, "N")
     if not 0 < N < np.inf:
         raise InvalidArgumentError(f"N must be positive and finite, got {N}")
-    if np.any(v < 1):
-        raise InvalidArgumentError("auxiliary function must satisfy v >= 1")
+    if not isinstance(data, BackgroundData):
+        raise InvalidArgumentError(f"data must be a BackgroundData, got {type(data).__name__}")
+    v, dv_sq, C0, C2, C3 = data.v, data.dv_sq, data.C0, data.C2, data.C3
     e_neg = np.exp(-N * v)
     # Rounded up by 2^-48, more than exp and four roundings lose when N*v is
     # exact (N a power of two, as on the scan), so q < 1 holds exactly too.
@@ -201,9 +235,15 @@ def rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3):
     return 0.5 * q * e_neg, e_neg, log_scale, q
 
 
+def _check_grid(grid):
+    if not (_is_int(grid) and grid >= 3):
+        raise InvalidArgumentError(f"grid must be an integer >= 3, got {grid!r}")
+
+
 def hyperbolic_ball_profile(grid: int) -> RadialProfile:
     """u(r) = (1 - r^2) / 2 on the unit ball: the Poincare-ball conformal
     factor, with all Schouten eigenvalues equal to 1/2."""
+    _check_grid(grid)
     r = np.linspace(0.0, 1.0, grid + 1)
     return RadialProfile(r=r, u=(1.0 - r**2) / 2.0)
 
@@ -214,7 +254,13 @@ def barrier_profile(R: float, delta: float, m: float, grid: int) -> RadialProfil
     Over a Euclidean background every eigenvalue equals 2/R^2 exactly, so the
     profile is a supersolution whenever 2/R^2 >= 1/2.
     """
-    if not 0 < delta < m:
-        raise InvalidArgumentError(f"need 0 < delta < m, got delta={delta}, m={m}")
+    for name, value in (("R", R), ("delta", delta), ("m", m)):
+        _check_real(value, name)
+    if not 0 < R < np.inf:
+        raise InvalidArgumentError(f"R must be positive and finite, got {R}")
+    if not 0 < delta < m < np.inf:
+        raise InvalidArgumentError(
+            f"need 0 < delta < m < inf, got delta={delta}, m={m}")
+    _check_grid(grid)
     r = np.linspace(R * np.sqrt(1.0 + delta), R * np.sqrt(1.0 + m), grid + 1)
     return RadialProfile(r=r, u=(r**2 - R**2) / R**2)

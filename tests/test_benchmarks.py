@@ -114,6 +114,43 @@ def test_compare_refuses_a_path_that_is_not_a_checkout(compare, monkeypatch, tmp
     assert capsys.readouterr().err.endswith(f"no {missing}\n")
 
 
+def write_tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_src_lines_counts_each_module_of_each_side(compare, monkeypatch, tmp_path,
+                                                   capsys):
+    """Per src/lnlab/*.py file and in total, as `wc -l` counts them; files
+    elsewhere in the tree are not counted.  main writes both sides' counts
+    into the record."""
+    parent = write_tree(tmp_path / "parent", {
+        "src/lnlab/__init__.py": "", "src/lnlab/a.py": "x = 1\ny = 2\n",
+        "src/lnlab/b.py": "z = 3", "src/lnlab/sub/c.py": "w = 4\n",
+        "tests/test_a.py": "assert True\n", "perfbench/run.py": ""})
+    change = write_tree(tmp_path / "change", {
+        "src/lnlab/__init__.py": "", "src/lnlab/a.py": "x = 1\n",
+        "src/lnlab/d.py": "\n\n\n"})
+    assert compare.src_lines(parent) == {"__init__.py": 0, "a.py": 2, "b.py": 0,
+                                         "total": 2}
+    assert compare.src_lines(change) == {"__init__.py": 0, "a.py": 1, "d.py": 3,
+                                         "total": 4}
+    monkeypatch.setattr(compare, "alternate",
+                        lambda *args: {"parent": [{}], "change": [{}]})
+    monkeypatch.setattr(compare, "compare_workload",
+                        lambda *args: {"end_to_end": {}})
+    assert compare.main([str(parent)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["src_lines"] == {"parent": compare.src_lines(parent),
+                                   "change": compare.src_lines(compare.ROOT)}
+    assert record["src_lines"]["change"]["total"] == sum(
+        path.read_bytes().count(b"\n")
+        for path in (compare.ROOT / "src" / "lnlab").glob("*.py"))
+
+
 @pytest.mark.parametrize("pairs", [5, 1, 0])
 def test_compare_refuses_an_uneven_pair_count_before_any_run(compare, tmp_path, pairs):
     """compare alternates which side runs first, so only an even count gives

@@ -478,6 +478,26 @@ class TestPairForm:
         for fn in (cone_margin, f_eval, grad_f):
             with pytest.raises(InvalidArgumentError):
                 fn(ConeSpec(4, 2), np.ones(3))
+        # Spectra of bools, strings or objects are refused by name, not
+        # converted to numbers; integer spectra convert.
+        for lam in ([True, True], ["1", "2"], [[True, False, True]],
+                    [["1", "2", "3"]], [None, 1.0], [1j, 2j]):
+            for call in (lambda: cone_margin(ConeSpec(3, 1), lam),
+                         lambda: f_eval(ConeSpec(3, 1), lam),
+                         lambda: grad_f(ConeSpec(3, 1), lam),
+                         lambda: sigma_all(lam, None if len(lam) != 2 else 3, 2),
+                         lambda: tau_deform(lam, 0.5, None if len(lam) != 2 else 3)):
+                with pytest.raises(InvalidArgumentError,
+                                   match="^lam must be an array of real numbers"):
+                    call()
+        assert sigma_all([1, 2, 3], None, 2).tolist() == [1.0, 6.0, 11.0]
+        assert sigma_all(np.array([1, 2, 3], dtype=np.uint8), None, 2).tolist() == [
+            1.0, 6.0, 11.0]
+        assert cone_margin(ConeSpec(3, 1), [1, 2]) == cone_margin(ConeSpec(3, 1),
+                                                                   [1.0, 2.0])
+        # Float64 input is used as given, with no copy.
+        lam = np.array([[1.0, 2.0]])
+        assert cones._real_array(lam, "lam") is lam
 
 
 # The cone functions as they were before they shared one _deformed_sigma

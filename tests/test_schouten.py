@@ -1,19 +1,20 @@
 """Schouten spectra: exact model metrics, convergence order, rescaling bounds."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnlab import (RadialProfile, barrier_profile, hyperbolic_ball_profile,
-                   radial_schouten_spectrum,
+from lnlab import (BackgroundData, RadialProfile, barrier_profile,
+                   hyperbolic_ball_profile, radial_schouten_spectrum,
                    ricci_spectrum_from_schouten, spectrum_field)
+from lnlab.admissible import N_SCAN
 from lnlab.schouten import (_eigenpair, _radial_stencil,
                             rescaled_metric_spectrum_bound)
-from lnlab.errors import (CriticalPointError, InvalidArgumentError,
-                          InvalidProfileError)
+from lnlab.errors import InvalidArgumentError, InvalidProfileError
 
 
 class TestRadialProfile:
@@ -35,6 +36,16 @@ class TestRadialProfile:
         RadialProfile(r=annulus, u=(annulus - 0.5) * (1.5 - annulus))
         with pytest.raises(InvalidProfileError):
             RadialProfile(r=annulus, u=annulus - 0.55)
+        # Arrays of strings, bools or objects are refused by name; integer
+        # arrays convert.
+        for bad in (["0", "0.5", "1", "1.5"], [False, True, True, True],
+                    [None, 0.5, 1.0, 1.5]):
+            with pytest.raises(InvalidArgumentError, match="^r must be an array of real"):
+                RadialProfile(r=bad, u=[1, 1, 1, 0])
+            with pytest.raises(InvalidArgumentError, match="^u must be an array of real"):
+                RadialProfile(r=np.linspace(0, 1.5, 4), u=bad)
+        prof = RadialProfile(r=[0, 1, 2, 3], u=[3, 2, 1, 0])
+        assert prof.r.dtype == prof.u.dtype == np.float64
 
     def test_nonuniform_rejected(self):
         r = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
@@ -162,6 +173,35 @@ class TestModelSpectra:
         with pytest.raises(InvalidArgumentError):
             barrier_profile(1.0, delta=0.5, m=0.2, grid=10)
 
+    def test_builder_scalars_refused_by_name_before_any_arithmetic(self):
+        """No numpy error or RuntimeWarning first: each refusal names the
+        argument."""
+        cases = [
+            (lambda: hyperbolic_ball_profile(3.5), "^grid must be an integer"),
+            (lambda: hyperbolic_ball_profile(-5), "^grid must be an integer"),
+            (lambda: hyperbolic_ball_profile(True), "^grid must be an integer"),
+            (lambda: hyperbolic_ball_profile("10"), "^grid must be an integer"),
+            (lambda: hyperbolic_ball_profile(2), "^grid must be an integer"),
+            (lambda: barrier_profile(1.0, 0.1, 1.0, 2.5), "^grid must be an integer"),
+            (lambda: barrier_profile(1.0, 0.1, 1.0, True), "^grid must be an integer"),
+            (lambda: barrier_profile(1.0, True, 2.0, 10), "^delta must be a real"),
+            (lambda: barrier_profile("1", 0.1, 1.0, 10), "^R must be a real"),
+            (lambda: barrier_profile(1.0, 0.1, None, 10), "^m must be a real"),
+            (lambda: barrier_profile(0.0, 0.1, 1.0, 10), "^R must be positive"),
+            (lambda: barrier_profile(-1.0, 0.1, 1.0, 10), "^R must be positive"),
+            (lambda: barrier_profile(np.inf, 0.1, 1.0, 10), "^R must be positive"),
+            (lambda: barrier_profile(np.nan, 0.1, 1.0, 10), "^R must be positive"),
+            (lambda: barrier_profile(1.0, 0.1, np.inf, 10), "m < inf"),
+            (lambda: barrier_profile(1.0, np.nan, 1.0, 10), "delta < m"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, match in cases:
+                with pytest.raises(InvalidArgumentError, match=match):
+                    call()
+        assert hyperbolic_ball_profile(np.int64(3)).r.size == 4
+        assert barrier_profile(1, 0.1, 1, 3).r.size == 4
+
     def test_halfspace_exponential(self):
         # w = e^{-x}: w' = -w, w'' = w, so normal = -w^2/2, tangential = w^2/2
         w = 0.7
@@ -172,9 +212,33 @@ class TestModelSpectra:
 
     def test_positive_factor_required(self):
         for r in (1.0, np.inf):
-            for v in (-1.0, np.nan, [1.0, np.nan]):
+            for v in (-1.0, np.nan, [1.0, np.nan], np.inf, -np.inf, [1.0, np.inf]):
                 with pytest.raises(InvalidProfileError):
                     radial_schouten_spectrum(v, 0.0, 0.0, r)
+
+    def test_zero_factor_accepted(self):
+        """v = 0 is a boundary value a RadialProfile accepts; the polynomial
+        forms give (v_r^2/2, v_r^2/2) there."""
+        for r in (0.0, 1.0, np.inf):
+            assert radial_schouten_spectrum(0.0, 1.0, 5.0, r).tolist() == [0.5, 0.5]
+        # A valid annulus profile on [0.5, 1] vanishing at r = 1: the builder
+        # takes its stencil values and gives spectrum_field's pairs.
+        r = np.linspace(0.5, 1.0, 11)
+        prof = RadialProfile(r=r, u=(1.0 - r**2) / 2.0)
+        assert prof.u[-1] == 0.0
+        du, d2u = _radial_stencil(prof.u, r)
+        pairs = radial_schouten_spectrum(prof.u, du, d2u, r)
+        assert pairs[-1].tolist() == pytest.approx([0.5, 0.5])
+        assert_same_bits(spectrum_field(prof), pairs)
+
+    def test_non_real_arrays_refused_by_name(self):
+        args = dict(v=1.0, v_r=1.0, v_rr=1.0, r=1.0)
+        for name in args:
+            for bad in ("1", True, [1.0, None], ["1", "2"]):
+                with pytest.raises(InvalidArgumentError,
+                                   match=f"^{name} must be an array of real"):
+                    radial_schouten_spectrum(**dict(args, **{name: bad}))
+        assert radial_schouten_spectrum(1, 1, 1, 1).tolist() == [-0.5, -0.5]
 
     def test_center_rule(self):
         pair = radial_schouten_spectrum(2.0, 0.0, -1.5, 0.0)
@@ -217,12 +281,27 @@ class TestRicci:
             ric = ricci_spectrum_from_schouten(lam)
             assert np.allclose(ric.sum(axis=1), 2 * (n - 1) * lam.sum(axis=1))
 
+    def test_refusals(self):
+        """A 0-d spectrum is refused with its shape, as the cone functions
+        refuse it; spectra of bools or strings by name."""
+        for lam in (1.0, np.float64(2.0)):
+            with pytest.raises(InvalidArgumentError, match=r"shape \(\)"):
+                ricci_spectrum_from_schouten(lam)
+        for lam in ([True, False, True], ["1", "2", "3"], [None, 1.0, 2.0]):
+            with pytest.raises(InvalidArgumentError,
+                               match="^schouten must be an array of real"):
+                ricci_spectrum_from_schouten(lam)
+        assert ricci_spectrum_from_schouten([1, 2, 3]).tolist() == [7.0, 8.0, 9.0]
+
+
+def bound(N, v, dv_sq, C0, C2, C3):
+    return rescaled_metric_spectrum_bound(N, BackgroundData(v, dv_sq, C0, C2, C3))
+
 
 class TestRescaledBound:
     def test_flat_case(self):
         v = np.array([1.0, 1.5, 2.0])
-        t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(
-            2.0, v, np.ones(3), 1.0, 0.0, 0.0)
+        t, e_neg, log_scale, q = bound(2.0, v, np.ones(3), 1.0, 0.0, 0.0)
         assert np.array_equal(t, np.zeros(3))
         assert np.array_equal(q, np.zeros(3))
         assert np.allclose(e_neg, np.exp(-2.0 * v))
@@ -234,7 +313,7 @@ class TestRescaledBound:
         v = np.linspace(1.0, 2.0, 7)
         dv_sq = np.full(7, 0.8)
         N, C0, C2, C3 = 3.0, 1.4, 0.6, 0.9
-        t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(N, v, dv_sq, C0, C2, C3)
+        t, e_neg, log_scale, q = bound(N, v, dv_sq, C0, C2, C3)
         eNv = np.exp(N * v)
         t2 = 2 * C0 * C2 / (N**2 * eNv**2 * dv_sq)
         t3 = 2 * C0 * C3 / (N * eNv * dv_sq)
@@ -250,34 +329,80 @@ class TestRescaledBound:
         v = np.array([1.0, 1.2])
         dv_sq = np.ones(2)
         for N in (5.0, 10.0):
-            t, _, _, _ = rescaled_metric_spectrum_bound(N, v, dv_sq, 2.0, 1.0, 1.0)
+            t, _, _, _ = bound(N, v, dv_sq, 2.0, 1.0, 1.0)
             assert np.all(t > 0.0)
         # Past N v ~ 745, e^{-Nv} and t underflow to 0; q keeps its value
         # 4*C0*C3 / (N |dv|^2) + 4*C0*C2 e^{-Nv} / (N^2 |dv|^2) and log(scale)
         # stays finite, with no overflow on the way.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            t, e_neg, log_scale, q = rescaled_metric_spectrum_bound(
-                1e4, v, dv_sq, 2.0, 1.0, 1.0)
+            t, e_neg, log_scale, q = bound(1e4, v, dv_sq, 2.0, 1.0, 1.0)
         assert np.array_equal(t, np.zeros(2)) and np.array_equal(e_neg, np.zeros(2))
         assert np.allclose(q, 8e-4, rtol=1e-15)
         assert np.allclose(log_scale, 2 * np.log(1e4) + 2e4 * v - np.log(4.0))
 
     def test_validation(self):
-        with pytest.raises(CriticalPointError):
-            rescaled_metric_spectrum_bound(1.0, np.ones(3), np.zeros(3), 1, 0, 0)
+        data = BackgroundData(np.ones(3), np.ones(3))
         for N in (-1.0, 0.0, np.inf, np.nan):
-            with pytest.raises(InvalidArgumentError):
-                rescaled_metric_spectrum_bound(N, np.ones(3), np.ones(3), 1, 0, 0)
-        with pytest.raises(InvalidArgumentError):
-            rescaled_metric_spectrum_bound(1.0, 0.5 * np.ones(3), np.ones(3), 1, 0, 0)
-        # Scalars are refused by name, bools included.
-        for i, name in enumerate(("N", "C0", "C2", "C3")):
-            for bad in (True, "1", None):
-                args = [1.0, 1, 0, 0]
-                args[i] = bad
-                with pytest.raises(InvalidArgumentError, match=f"^{name} must be a real"):
-                    rescaled_metric_spectrum_bound(args[0], np.ones(3), np.ones(3),
-                                                   *args[1:])
+            with pytest.raises(InvalidArgumentError, match="^N must be positive"):
+                rescaled_metric_spectrum_bound(N, data)
+        # N is refused by name, bools included.
+        for bad in (True, "1", None):
+            with pytest.raises(InvalidArgumentError, match="^N must be a real"):
+                rescaled_metric_spectrum_bound(bad, data)
+        # The data must be a BackgroundData, which has checked it: arrays
+        # and look-alikes are refused by name.
+        look_alike = SimpleNamespace(v=np.ones(3), dv_sq=np.ones(3), C0=1.0,
+                                     C2=0.0, C3=0.0)
+        for bad in (look_alike, np.ones(3), (np.ones(3), np.ones(3), 1, 0, 0), None):
+            with pytest.raises(InvalidArgumentError,
+                               match="^data must be a BackgroundData"):
+                rescaled_metric_spectrum_bound(1.0, bad)
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(C0=0.5), "need C0 >= 1"),
+        (dict(C2=-5.0), "C2 >= 0"),
+        (dict(v=np.array([1.0, np.inf, 1.0])), "^v must be finite"),
+        (dict(dv_sq=np.array([1.0, np.nan, 1.0])), "^dv_sq must be finite"),
+        (dict(v=np.array([1.0, np.nan, 1.0])), "^v must be finite"),
+        (dict(v=np.ones((3, 1)), dv_sq=np.ones((3, 1))), "^v and dv_sq must be"),
+    ], ids=["C0-below-1", "negative-C2", "infinite-v", "nan-dv_sq", "nan-v", "2-d-v"])
+    def test_background_escapes_refused_by_name(self, fields, match):
+        """Inputs the bound used to check with a weaker rule of its own,
+        and turned into numbers: q = 0 for C0 = 0.5, a negative q for
+        C2 = -5, q = 0 with log(scale) = inf for v = inf, NaN arrays, a 2-d
+        bound.  The one way in is BackgroundData, which refuses each."""
+        values = dict(dict(v=np.ones(3), dv_sq=np.ones(3), C0=1.0, C2=0.0, C3=0.0),
+                      **fields)
+        with pytest.raises(InvalidArgumentError, match=match):
+            rescaled_metric_spectrum_bound(1.0, BackgroundData(**values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           N=st.sampled_from(N_SCAN) | st.floats(0.0, 1e4, exclude_min=True),
+           C0=st.floats(1.0, 1e6), C2=st.floats(0.0, 1e6) | st.just(0),
+           C3=st.floats(0.0, 1e6) | st.just(0))
+    def test_keeps_the_bits_of_the_checking_formula(self, nodes, seed, N, C0, C2, C3):
+        """The bound reads a BackgroundData and keeps the bits of the formula
+        that took (v, dv_sq, C0, C2, C3) and checked them itself."""
+        rng = np.random.default_rng(seed)
+        v = 1.0 + rng.uniform(0.0, 1.0, nodes) * 10.0 ** rng.integers(-3, 3, nodes)
+        dv_sq = rng.uniform(0.1, 1.0, nodes) * 10.0 ** rng.integers(-8, 8, nodes)
+        data = BackgroundData(v, dv_sq, C0, C2, C3)
+        with np.errstate(all="ignore"):
+            got = rescaled_metric_spectrum_bound(N, data)
+            want = checking_bound(N, v, dv_sq, C0, C2, C3)
+        assert_same_bits(got, want)
+
+
+def checking_bound(N, v, dv_sq, C0, C2, C3):
+    """rescaled_metric_spectrum_bound's arithmetic as it was when it took
+    the background data as six arguments, its checks left out."""
+    v = np.asarray(v, dtype=float)
+    dv_sq = np.asarray(dv_sq, dtype=float)
+    e_neg = np.exp(-N * v)
+    q = 4.0 * C0 * (C3 + C2 * e_neg / N) / (N * dv_sq) * (1.0 + 2.0**-48)
+    log_scale = 2.0 * np.log(N) + 2.0 * N * v + np.log(dv_sq) - np.log(2.0 * C0)
+    return 0.5 * q * e_neg, e_neg, log_scale, q
 
 
 # The stencil and the eigenvalue pair as they were before they wrote through
@@ -338,6 +463,26 @@ class TestInPlaceStages:
         du, d2u = pre_inplace_stencil(prof.u, r)
         assert_same_bits(spectrum_field(prof), np.stack(
             pre_inplace_eigenpair(prof.u, du, d2u, r), axis=-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=st.integers(4, 40), start=st.just(0.0) | st.floats(1e-3, 5.0),
+           span=st.floats(1e-2, 10.0), seed=st.integers(0, 2**32 - 1),
+           zero_ends=st.sampled_from(["none", "outer", "inner", "both"]))
+    def test_spectrum_field_keeps_its_bits(self, nodes, start, span, seed, zero_ends):
+        """spectrum_field, through radial_schouten_spectrum, against the
+        stack of _eigenpair it used to make itself, on ball and annulus
+        profiles whose boundary values may be 0."""
+        rng = np.random.default_rng(seed)
+        r = np.linspace(start, start + span, nodes)
+        u = rng.uniform(0.1, 1.0, nodes) * 10.0 ** rng.integers(-3, 4, nodes)
+        if zero_ends in ("outer", "both"):
+            u[-1] = 0.0
+        if zero_ends in ("inner", "both") and start > 0.0:
+            u[0] = 0.0
+        prof = RadialProfile(r=r, u=u)
+        du, d2u = _radial_stencil(prof.u, prof.r)
+        assert_same_bits(spectrum_field(prof),
+                         np.stack(_eigenpair(prof.u, du, d2u, prof.r), axis=-1))
 
     @pytest.mark.parametrize("r, want", [(2.0, (-1.0, 1.0)), (0.0, (-1.0, -1.0)),
                                          (np.inf, (-1.0, 2.0))],
