@@ -21,11 +21,15 @@ their total, under "src_lines" (see `src_lines`).
 Then the stages of one Newton step (see `stage_times`), in a fresh
 interpreter per checkout with BLAS pinned to one thread, over STAGE_ROUNDS
 alternating rounds; the record holds the median over rounds.  The probe is
-this script's code around each checkout's private solver names.
+this script's code around each checkout's private solver names.  As many
+more alternating rounds, each in a fresh interpreter, measure the memory of
+that step's whole newton_solve call (see `newton_peaks`); the record holds
+their medians under "stage_peak_mib".
 
 Progress goes to stderr; the record is one JSON document on stdout.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -46,8 +50,9 @@ SAMPLES = 7
 SAMPLE_S = 5e-3
 BLAS_PIN = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                  "MKL_NUM_THREADS")}
+# Runs the probe compare.<argv[2]> on the lnlab under argv[3].
 STAGE_PROBE = ("import json, sys; sys.path.insert(0, sys.argv[1]); import compare; "
-               "json.dump(compare.stage_times(sys.argv[2]), sys.stdout)")
+               "json.dump(getattr(compare, sys.argv[2])(sys.argv[3]), sys.stdout)")
 
 
 def first_seed(src: Path) -> int:
@@ -169,29 +174,44 @@ def per_call_ms(call) -> float:
     return statistics.median(samples) * 1e3
 
 
+def _stage_problem(solver, ConeSpec, grid):
+    """The spec and torsion start the stage probes solve at grid: the unit
+    ball, STAGE_CONE, delta 0.05."""
+    n, k, tau = STAGE_CONE
+    spec = solver.ProblemSpec(cone=ConeSpec(n, k), tau=tau,
+                              domain=solver.Ball(1.0), delta=0.05, grid=grid)
+    return spec, solver.initial_profile(spec)
+
+
+@contextlib.contextmanager
+def _one_newton_iteration(solver):
+    """MAX_NEWTON_ITERATIONS set to 1, as the newton_solve_1_iteration
+    stage runs, and restored after."""
+    iterations = solver.MAX_NEWTON_ITERATIONS
+    solver.MAX_NEWTON_ITERATIONS = 1
+    try:
+        yield
+    finally:
+        solver.MAX_NEWTON_ITERATIONS = iterations
+
+
 def stage_times(src: str) -> dict:
     """Milliseconds per call of each stage of one Newton step, per grid of
-    STAGE_GRIDS, lnlab from src: the unit ball, STAGE_CONE, delta 0.05, from
-    the torsion start.  The stages are the stencil, the eigenpair,
-    `cone_margin`, `_f_and_grad_unchecked`, the Jacobian, the banded solve
-    (with the copy of the bands it overwrites), one line-search trial at
-    t = 1, `_make_report`, and one whole `newton_solve` iteration
-    (MAX_NEWTON_ITERATIONS set to 1 for the probe)."""
+    STAGE_GRIDS, lnlab from src, on _stage_problem.  The stages are the
+    stencil, the eigenpair, `cone_margin`, `_f_and_grad_unchecked`, the
+    Jacobian, the banded solve (with the copy of the bands it overwrites),
+    one line-search trial at t = 1, `_make_report`, and one whole
+    `newton_solve` iteration (MAX_NEWTON_ITERATIONS set to 1 for the probe)."""
     sys.path.insert(0, src)
     import numpy as np
     from lnlab import solver
     from lnlab.cones import ConeSpec, _f_and_grad_unchecked, cone_margin
     from lnlab.schouten import _eigenpair, _radial_stencil
-    n, k, tau = STAGE_CONE
     out = {}
-    iterations = solver.MAX_NEWTON_ITERATIONS
-    try:
-        solver.MAX_NEWTON_ITERATIONS = 1
+    with _one_newton_iteration(solver):
         for grid in STAGE_GRIDS:
-            spec = solver.ProblemSpec(cone=ConeSpec(n, k), tau=tau,
-                                      domain=solver.Ball(1.0), delta=0.05, grid=grid)
+            spec, init = _stage_problem(solver, ConeSpec, grid)
             r, cone = spec.radii(), spec.solve_cone()
-            init = solver.initial_profile(spec)
             u = init.u
             rows = solver._pde_rows(spec)
             du, d2u = _radial_stencil(u, r)
@@ -222,28 +242,62 @@ def stage_times(src: str) -> dict:
             }
             for name, call in stages.items():
                 out[f"{name},grid={grid}"] = per_call_ms(call)
-    finally:
-        solver.MAX_NEWTON_ITERATIONS = iterations
     return out
 
 
-def run_stages(checkout: Path, _round: int) -> dict:
-    cmd = [sys.executable, "-c", STAGE_PROBE, str(Path(__file__).resolve().parent),
-           str(checkout / "src")]
-    result = json.loads(subprocess.run(cmd, env=dict(os.environ, **BLAS_PIN),
-                                       check=True, capture_output=True,
-                                       text=True).stdout)
-    print(f"{checkout.name} stages done", file=sys.stderr, flush=True)
-    return result
+def newton_peaks(src: str) -> dict:
+    """MiB that tracemalloc traces, above its start, at the peak of one
+    call of the newton_solve_1_iteration stage, per grid of STAGE_GRIDS,
+    lnlab from src.  The call allocates the same arrays on every repeat,
+    so one call per grid measures it."""
+    sys.path.insert(0, src)
+    import tracemalloc
+    from lnlab import solver
+    from lnlab.cones import ConeSpec
+    out = {}
+    with _one_newton_iteration(solver):
+        for grid in STAGE_GRIDS:
+            spec, init = _stage_problem(solver, ConeSpec, grid)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                solver.newton_solve(init, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out[f"newton_solve_1_iteration,grid={grid}"] = (peak - start) / 2**20
+    return out
+
+
+def run_probe(probe: str):
+    """A run for `alternate`: probe ("stage_times" or "newton_peaks") on
+    the checkout's lnlab, in a fresh interpreter with BLAS pinned."""
+    def run(checkout: Path, _round: int) -> dict:
+        cmd = [sys.executable, "-c", STAGE_PROBE, str(Path(__file__).resolve().parent),
+               probe, str(checkout / "src")]
+        result = json.loads(subprocess.run(cmd, env=dict(os.environ, **BLAS_PIN),
+                                           check=True, capture_output=True,
+                                           text=True).stdout)
+        print(f"{checkout.name} {probe} done", file=sys.stderr, flush=True)
+        return result
+    return run
+
+
+def _medians(runs: dict) -> dict:
+    """(parent, change) medians over rounds of each key of the runs."""
+    return {key: tuple(statistics.median(r[key] for r in runs[side])
+                       for side in ("parent", "change"))
+            for key in runs["parent"][0]}
 
 
 def stage_medians(runs: dict) -> dict:
-    out = {}
-    for key in runs["parent"][0]:
-        p, c = (statistics.median(r[key] for r in runs[side])
-                for side in ("parent", "change"))
-        out[key] = {"parent_ms": p, "change_ms": c, "speedup": p / c}
-    return out
+    return {key: {"parent_ms": p, "change_ms": c, "speedup": p / c}
+            for key, (p, c) in _medians(runs).items()}
+
+
+def peak_medians(runs: dict) -> dict:
+    return {key: {"parent_mib": p, "change_mib": c, "saved_mib": p - c}
+            for key, (p, c) in _medians(runs).items()}
 
 
 def main(argv=None):
@@ -259,7 +313,10 @@ def main(argv=None):
         return 2
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seed = first_seed(change / "src")
-    stages = stage_medians(alternate(parent, change, STAGE_ROUNDS, run_stages))
+    stages = stage_medians(alternate(parent, change, STAGE_ROUNDS,
+                                     run_probe("stage_times")))
+    peaks = peak_medians(alternate(parent, change, STAGE_ROUNDS,
+                                   run_probe("newton_peaks")))
     workloads = {w["name"]: compare_workload(parent, change, w["name"], seed, bench)
                  for w in bench["workloads"]}
     flagged = {flag: [f"{name}/{metric}" for name, w in workloads.items()
@@ -268,7 +325,7 @@ def main(argv=None):
     lines = {side: src_lines(checkout)
              for side, checkout in (("parent", parent), ("change", change))}
     json.dump({**flagged, "pairs": PAIRS, "src_lines": lines, "workloads": workloads,
-               "stage_ms": stages}, sys.stdout, indent=1)
+               "stage_ms": stages, "stage_peak_mib": peaks}, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
 

@@ -128,7 +128,8 @@ def radial_schouten_spectrum(v, v_r, v_rr, r) -> np.ndarray:
     Inputs broadcast; r = 0 entries are evaluated with the even-profile center
     rule (v_r / r -> v_rr).  r = inf gives the half-space factor v(x_n), whose
     pair is the limit (v'^2/2 - v v'', v'^2/2) with v'' along the normal.
-    v must be finite and >= 0, as at a RadialProfile's boundary ends.
+    v must be finite and >= 0, as at a RadialProfile's boundary ends, and r
+    must be >= 0: a negative or NaN radius is refused by name.
     """
     v = _real_array(v, "v")
     v_r = _real_array(v_r, "v_r")
@@ -136,6 +137,10 @@ def radial_schouten_spectrum(v, v_r, v_rr, r) -> np.ndarray:
     r = _real_array(r, "r")
     if not ((v >= 0) & (v < np.inf)).all():
         raise InvalidProfileError("conformal factor must be finite and >= 0")
+    if not (r >= 0).all():
+        bad = float(r[~(r >= 0)].flat[0])
+        raise InvalidArgumentError(
+            f"radius r must be >= 0 (inf allowed, NaN refused), got {bad!r}")
     return np.stack(_eigenpair(v, v_r, v_rr, r), axis=-1)
 
 
@@ -235,15 +240,26 @@ def rescaled_metric_spectrum_bound(N, data: BackgroundData):
     return 0.5 * q * e_neg, e_neg, log_scale, q
 
 
-def _check_grid(grid):
+def _check_grid(grid) -> int:
+    """grid as a Python int, so that grid + 1 cannot wrap around in a NumPy
+    integer type, after checking that it is an integer >= 3."""
     if not (_is_int(grid) and grid >= 3):
         raise InvalidArgumentError(f"grid must be an integer >= 3, got {grid!r}")
+    return int(grid)
+
+
+def _square(x):
+    """x^2 in the float type the builders compute it in (float64 unless x
+    is a NumPy float), inf where it overflows, without a warning."""
+    ftype = type(x) if isinstance(x, np.floating) else np.float64
+    with np.errstate(all="ignore"):
+        return np.square(ftype(min(x, float(np.finfo(ftype).max))))
 
 
 def hyperbolic_ball_profile(grid: int) -> RadialProfile:
     """u(r) = (1 - r^2) / 2 on the unit ball: the Poincare-ball conformal
     factor, with all Schouten eigenvalues equal to 1/2."""
-    _check_grid(grid)
+    grid = _check_grid(grid)
     r = np.linspace(0.0, 1.0, grid + 1)
     return RadialProfile(r=r, u=(1.0 - r**2) / 2.0)
 
@@ -252,7 +268,9 @@ def barrier_profile(R: float, delta: float, m: float, grid: int) -> RadialProfil
     """v(r) = (r^2 - R^2)/R^2 on the annulus [R*sqrt(1+delta), R*sqrt(1+m)].
 
     Over a Euclidean background every eigenvalue equals 2/R^2 exactly, so the
-    profile is a supersolution whenever 2/R^2 >= 1/2.
+    profile is a supersolution whenever 2/R^2 >= 1/2.  R^2 and the outer
+    radius squared, R^2 (1 + m), must lie in the normal float range; an R
+    or m that takes them out is refused by name before the profile is built.
     """
     for name, value in (("R", R), ("delta", delta), ("m", m)):
         _check_real(value, name)
@@ -261,6 +279,17 @@ def barrier_profile(R: float, delta: float, m: float, grid: int) -> RadialProfil
     if not 0 < delta < m < np.inf:
         raise InvalidArgumentError(
             f"need 0 < delta < m < inf, got delta={delta}, m={m}")
-    _check_grid(grid)
+    grid = _check_grid(grid)
+    R_sq = _square(R)
+    if not np.finfo(R_sq.dtype).tiny <= R_sq < np.inf:
+        raise InvalidArgumentError(
+            f"R = {R!r} is out of float range: R^2 "
+            f"{'overflows' if R_sq == np.inf else 'underflows'} ({R_sq:.3g})")
+    with np.errstate(all="ignore"):
+        outer = R * np.sqrt(1.0 + m)
+    if _square(outer) == np.inf:
+        raise InvalidArgumentError(
+            f"R = {R!r} and m = {m!r} are out of float range: the outer "
+            f"radius squared R^2 (1 + m) overflows")
     r = np.linspace(R * np.sqrt(1.0 + delta), R * np.sqrt(1.0 + m), grid + 1)
     return RadialProfile(r=r, u=(r**2 - R**2) / R**2)

@@ -91,9 +91,11 @@ class ProblemSpec:
         self.solve_cone()                   # ConeSpec's checks of tau
         if not _is_int(self.grid):
             raise InvalidArgumentError(f"grid must be an integer, got {self.grid!r}")
+        # A Python int: grid + 1 must not wrap around in a NumPy integer type.
+        object.__setattr__(self, "grid", int(self.grid))
         if self.grid < 8:
             raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
-        if (int(self.grid) + 1) * 8 > np.iinfo(np.intp).max:
+        if (self.grid + 1) * 8 > np.iinfo(np.intp).max:
             raise InvalidArgumentError(
                 f"grid {self.grid} is too large: numpy cannot create its {self.grid + 1} radii")
         _check_real(self.delta, "boundary datum delta")
@@ -206,9 +208,13 @@ def _inadmissible(spec: ProblemSpec, margins: np.ndarray,
 
 
 def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
-    """spec.radii(), after checking that the profile lives on that grid."""
+    """spec.radii(), after checking that the profile lives on that grid.
+    Where profile.r holds the same bits, it is returned in place of a new
+    array, so the reports of a continuation share one grid array."""
     r = spec.radii()
     if profile.r.shape == r.shape:
+        if np.array_equal(profile.r.view(np.int64), r.view(np.int64)):
+            return profile.r
         # |profile.r - r| in one buffer: at 1e5 nodes a second temporary
         # made the check 5x slower, its pages faulting in on every call.
         gap = np.subtract(profile.r, r)
@@ -218,8 +224,15 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
 
 
 def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
-    """Residual vector, per-node margins (PDE rows) and cached state: the
-    PDE rows' (u, u_r, u_rr) and f-gradients, then the full-grid u_r."""
+    """Residual vector, per-node margins (PDE rows) and the iterate's state
+    (val, du, d2u, grads, grad_sup): the PDE rows' u, u_r and u_rr (views
+    of u and of the full-grid stencil, which they keep alive), their
+    f-gradients (None outside the cone) and max|u_r| over the grid.
+
+    Only _analytic_jacobian reads the four arrays, and _make_report reads
+    only grad_sup, a float: newton_solve keeps the stencil and gradients
+    until the Jacobian is built, and grad_sup alone after that.
+    """
     rows = _pde_rows(spec)
     du_full, d2u = _radial_stencil(u, r)
     val, du, d2u = u[rows], du_full[rows], d2u[rows]
@@ -231,11 +244,11 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     F = u - spec.delta
     if (margins > 0.0).all():
         fvals, grads = _f_and_grad_unchecked(cone, lam)
-        F[rows] = fvals - RHS
+        np.subtract(fvals, RHS, out=F[rows])
     else:
         grads = None
         F[rows] = np.nan
-    return F, margins, (val, du, d2u, grads, du_full)
+    return F, margins, (val, du, d2u, grads, float(np.abs(du_full).max()))
 
 
 def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
@@ -247,7 +260,7 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     sup = gR * (du / 2h - val / h^2) + gT * ((du - val / r) / 2h) and
     sub = gR * (-du / 2h - val / h^2) - the same tangential term.
     """
-    val, du, d2u, grads, _ = state
+    val, du, d2u, grads = state[:4]
     h = r[1] - r[0]
     rows = _pde_rows(spec)
     gR = grads[:, 0]
@@ -453,8 +466,8 @@ def _torsion_scalars(spec: ProblemSpec) -> dict:
 
 def _make_report(u, spec, r, F, margins, state, iters, stop):
     """The report of iterate u, whose _evaluate gave F, margins and state,
-    stopped by the rule stop (see SolveReport.newton_stop)."""
-    du = state[-1]
+    stopped by the rule stop (see SolveReport.newton_stop).  Of the state
+    it reads only the last entry, grad_sup."""
     profile = RadialProfile(r=r, u=u)
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
@@ -465,7 +478,7 @@ def _make_report(u, spec, r, F, margins, state, iters, stop):
         admissibility_margin_min=float(margins.min()),
         boundary_slope=boundary_slope(profile),
         c0_bounds=(float(u.min()), float(u.max())),
-        grad_sup=float(np.abs(du).max()),
+        grad_sup=state[-1],
         newton_iterations=iters,
         continuation_steps=0,
         converged=stop in ("tolerance", "rounding floor"),
@@ -490,6 +503,28 @@ def _rounding_floor(u_max: float, h: float) -> float:
     return 4 * np.finfo(float).eps * (u_max / h) ** 2
 
 
+def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
+    """The first trial u + t*step, t = 1, 1/2, ..., 2^-MAX_HALVINGS (t = 1
+    alone at the rounding floor), whose PDE rows are positive, whose margins
+    exceed MARGIN_FLOOR and whose residual is below res, as (u, F, margins,
+    state, res) from its _evaluate; None if no trial qualifies.  A refused
+    trial's evaluation is freed before the next trial is evaluated."""
+    rows = _pde_rows(spec)
+    t = 1.0
+    for _ in range(1 if at_floor else MAX_HALVINGS + 1):
+        u_try = step * t            # u + t * step, in one buffer
+        u_try += u
+        if (u_try[rows] > 0.0).all():
+            F, margins, state = _evaluate(u_try, spec, r, cone)
+            if (margins > MARGIN_FLOOR).all():
+                res_try = float(np.abs(F).max())
+                if res_try < res:
+                    return u_try, F, margins, state, res_try
+            del F, margins, state
+        t *= 0.5
+    return None
+
+
 def newton_solve(init: RadialProfile, spec: ProblemSpec,
                  opts: NewtonOptions | None = None) -> SolveReport:
     """Damped Newton iteration on the discrete system.
@@ -500,6 +535,14 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     _rounding_floor): there the line search tries the full step only, and
     Newton stops if that step is refused.  The report has converged = False
     after MAX_NEWTON_ITERATIONS or on any other line-search failure.
+
+    One iterate is held at a time: u, its residual F and margins, and its
+    _evaluate state.  The Jacobian bands live only through the banded
+    solve, which overwrites them, and the state's stencil and gradients
+    only until the Jacobian is built; the state is then cut to grad_sup.
+    A line-search trial's arrays live only through that trial (see
+    _line_search), so the peak is one trial's evaluation beside u, F,
+    margins and the step.
     """
     opts = opts or NewtonOptions()
     if spec.tau >= 1.0:
@@ -508,7 +551,6 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     cone = spec.solve_cone()
 
     u = init.u.copy()
-    rows = _pde_rows(spec)
     F, margins, state = _evaluate(u, spec, r, cone)
     if not (margins > MARGIN_FLOOR).all():
         raise _inadmissible(spec, margins, "initial profile inadmissible")
@@ -517,27 +559,20 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return _make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
-        ab = _analytic_jacobian(u, spec, r, cone, state)
-        # ab and -F are temporaries: the solve overwrites both.
-        step = solve_banded(ab, -F)
+        # The bands and -F are temporaries: the solve overwrites both, and
+        # the bands are freed when it returns.
+        step = solve_banded(_analytic_jacobian(u, spec, r, cone, state), -F)
+        state = state[-1:]          # grad_sup, all _make_report reads
 
         # At the rounding floor a halved step's decrease is rounding noise:
         # only the full step is tried.
         at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
-        t = 1.0
-        for _ in range(1 if at_floor else MAX_HALVINGS + 1):
-            u_try = u + t * step
-            if (u_try[rows] > 0.0).all():
-                F_try, m_try, s_try = _evaluate(u_try, spec, r, cone)
-                if (m_try > MARGIN_FLOOR).all():
-                    res_try = float(np.abs(F_try).max())
-                    if res_try < res:
-                        u, F, margins, state, res = u_try, F_try, m_try, s_try, res_try
-                        break
-            t *= 0.5
-        else:
+        accepted = _line_search(u, step, res, at_floor, spec, r, cone)
+        if accepted is None:
             return _make_report(u, spec, r, F, margins, state, it,
                                 "rounding floor" if at_floor else "line search")
+        u, F, margins, state, res = accepted
+        del accepted                # else it holds the state past the Jacobian
     return _make_report(u, spec, r, F, margins, state, MAX_NEWTON_ITERATIONS,
                         "tolerance" if res <= opts.tol else "iteration limit")
 

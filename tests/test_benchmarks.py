@@ -248,3 +248,35 @@ def test_stage_probe_builds_reports_with_a_stop_rule_name(monkeypatch, compare):
     compare.stage_times(str(Path(solver.__file__).parent.parent))
     assert stops and set(stops) <= {"tolerance", "rounding floor", "line search",
                                     "iteration limit"}, stops
+
+
+def test_newton_peak_probe_measures_one_iteration_per_grid(monkeypatch, compare):
+    """newton_peaks traces one newton_solve call of one iteration per grid,
+    reports its peak in MiB above its start, and leaves neither the
+    iteration limit changed nor tracemalloc tracing."""
+    import tracemalloc
+    from lnlab import solver
+    monkeypatch.setattr(compare, "STAGE_GRIDS", (2000, 4000))
+    reports = []
+    solve = solver.newton_solve
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda *args: reports.append(solve(*args)) or reports[-1])
+    peaks = compare.newton_peaks(str(Path(solver.__file__).parent.parent))
+    assert sorted(peaks) == ["newton_solve_1_iteration,grid=2000",
+                             "newton_solve_1_iteration,grid=4000"]
+    assert [rep.newton_iterations for rep in reports] == [1, 1]
+    for grid, rep in zip((2000, 4000), reports):
+        arrays = peaks[f"newton_solve_1_iteration,grid={grid}"] * 2**20 / (8 * (grid + 1))
+        # The iterate, its residual, the step and a trial's stencil at least.
+        assert 4 < arrays < 40, (grid, arrays)
+    assert solver.MAX_NEWTON_ITERATIONS == 60
+    assert not tracemalloc.is_tracing()
+
+
+def test_peak_medians_are_per_side_medians_over_rounds(compare):
+    runs = {"parent": [{"a": 3.0}, {"a": 1.0}, {"a": 2.0}],
+            "change": [{"a": 1.0}, {"a": 1.5}, {"a": 0.5}]}
+    assert compare.peak_medians(runs) == {
+        "a": {"parent_mib": 2.0, "change_mib": 1.0, "saved_mib": 1.0}}
+    assert compare.stage_medians(runs) == {
+        "a": {"parent_ms": 2.0, "change_ms": 1.0, "speedup": 2.0}}

@@ -202,6 +202,47 @@ class TestModelSpectra:
         assert hyperbolic_ball_profile(np.int64(3)).r.size == 4
         assert barrier_profile(1, 0.1, 1, 3).r.size == 4
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint16])
+    def test_numpy_integer_grid_at_its_largest_value(self, dtype):
+        """grid + 1 is formed on a Python int: int8(127) gives 128 radii,
+        not a wrapped-around sample count, and no overflow warning."""
+        grid = dtype(np.iinfo(dtype).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hyperbolic_ball_profile(grid).r.size == int(grid) + 1
+            assert barrier_profile(1.0, 0.1, 1.0, grid).r.size == int(grid) + 1
+
+    @pytest.mark.parametrize("R, m, match", [
+        (1e200, 1.0, r"^R = 1e\+200 is out of float range: R\^2 overflows"),
+        (10**400, 1.0, r"R\^2 overflows"),
+        (np.float32(1e20), 1.0, r"^R = np.float32\(1e\+20\) .*R\^2 overflows"),
+        (1e-200, 1.0, r"^R = 1e-200 is out of float range: R\^2 underflows"),
+        (1e-154, 1.0, r"^R = 1e-154 .*R\^2 underflows"),
+        (1e154, 1.0, r"^R = 1e\+154 and m = 1.0 .*R\^2 \(1 \+ m\) overflows"),
+        (2.0, 1e308, r"^R = 2.0 and m = 1e\+308 .*R\^2 \(1 \+ m\) overflows"),
+    ], ids=["huge", "huge-int", "huge-float32", "tiny", "subnormal-square",
+            "huge-outer", "huge-m"])
+    def test_barrier_out_of_float_range_refused_by_name(self, R, m, match):
+        """An R whose square, or an outer radius whose square, leaves the
+        normal float range is refused before any arithmetic, without a
+        warning: it used to raise a bare OverflowError or a refusal of the
+        conformal factor, after a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=match):
+                barrier_profile(R, 0.1, m, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.5e-154, 1e153), st.sampled_from([0.1, 0.5]),
+           st.sampled_from([1.0, 3.0]))
+    def test_barrier_keeps_its_bits(self, R, delta, m):
+        """Every R in range gives the bits of the builder's arithmetic as it
+        was before the range check."""
+        prof = barrier_profile(R, delta, m, 16)
+        r = np.linspace(R * np.sqrt(1.0 + delta), R * np.sqrt(1.0 + m), 17)
+        assert prof.r.tobytes() == r.tobytes()
+        assert prof.u.tobytes() == ((r**2 - R**2) / R**2).tobytes()
+
     def test_halfspace_exponential(self):
         # w = e^{-x}: w' = -w, w'' = w, so normal = -w^2/2, tangential = w^2/2
         w = 0.7
@@ -215,6 +256,25 @@ class TestModelSpectra:
             for v in (-1.0, np.nan, [1.0, np.nan], np.inf, -np.inf, [1.0, np.inf]):
                 with pytest.raises(InvalidProfileError):
                     radial_schouten_spectrum(v, 0.0, 0.0, r)
+
+    @pytest.mark.parametrize("r", [-1.0, np.nan, -np.inf, -0.5e-300,
+                                   [0.0, 1.0, np.nan], [np.inf, -2.0]],
+                             ids=["minus-one", "nan", "minus-inf", "tiny-negative",
+                                  "nan-in-array", "negative-in-array"])
+    def test_negative_or_nan_radius_refused_by_name(self, r):
+        """They used to get the r = 0 centre rule: (-1.875, -1.875) here."""
+        with pytest.raises(InvalidArgumentError, match="^radius r must be >= 0"):
+            radial_schouten_spectrum(1.0, 0.5, 2.0, r)
+
+    def test_centre_and_halfspace_radii_keep_their_bits(self):
+        """r = 0 (and -0.0, which compares equal) is the centre rule and
+        r = inf the half-space limit, as _eigenpair computes them."""
+        for r in (0.0, -0.0, np.inf, [0.0, 0.25, np.inf]):
+            want = np.stack(_eigenpair(1.0, 0.5, 2.0, np.asarray(r, dtype=float)),
+                            axis=-1)
+            assert_same_bits(radial_schouten_spectrum(1.0, 0.5, 2.0, r), want)
+        assert radial_schouten_spectrum(1.0, 0.5, 2.0, 0.0).tolist() == [-1.875, -1.875]
+        assert radial_schouten_spectrum(1.0, 0.5, 2.0, np.inf).tolist() == [-1.875, 0.125]
 
     def test_zero_factor_accepted(self):
         """v = 0 is a boundary value a RadialProfile accepts; the polynomial
