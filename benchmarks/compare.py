@@ -175,8 +175,8 @@ def per_call_ms(call) -> float:
 
 
 def _stage_problem(solver, ConeSpec, grid):
-    """The spec and torsion start the stage probes solve at grid: the unit
-    ball, STAGE_CONE, delta 0.05."""
+    """The spec and the tau = 0 start the stage probes solve at grid: the
+    unit ball, STAGE_CONE, delta 0.05."""
     n, k, tau = STAGE_CONE
     spec = solver.ProblemSpec(cone=ConeSpec(n, k), tau=tau,
                               domain=solver.Ball(1.0), delta=0.05, grid=grid)

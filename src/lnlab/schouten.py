@@ -240,12 +240,17 @@ def rescaled_metric_spectrum_bound(N, data: BackgroundData):
     return 0.5 * q * e_neg, e_neg, log_scale, q
 
 
-def _check_grid(grid) -> int:
+def _check_grid(grid, least: int = 3) -> int:
     """grid as a Python int, so that grid + 1 cannot wrap around in a NumPy
-    integer type, after checking that it is an integer >= 3."""
-    if not (_is_int(grid) and grid >= 3):
-        raise InvalidArgumentError(f"grid must be an integer >= 3, got {grid!r}")
-    return int(grid)
+    integer type, after checking that it is an integer >= least whose
+    grid + 1 radii numpy can create (8 bytes each, at most the largest intp)."""
+    if not (_is_int(grid) and grid >= least):
+        raise InvalidArgumentError(f"grid must be an integer >= {least}, got {grid!r}")
+    grid = int(grid)
+    if (grid + 1) * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(
+            f"grid {grid} is too large: numpy cannot create its {grid + 1} radii")
+    return grid
 
 
 def _square(x):

@@ -20,11 +20,11 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import _csv17
-from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, _is_int, cone_margin
+from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, cone_margin
 from .errors import (ContinuationStallError, GridMismatchError,
                      InadmissibleIterateError, InvalidArgumentError,
                      InvalidProfileError)
-from .schouten import RadialProfile, _eigenpair, _radial_stencil
+from .schouten import RadialProfile, _check_grid, _eigenpair, _radial_stencil
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERATIONS = 60
@@ -40,8 +40,6 @@ INTERIOR_FRACTION = 0.5
 # The paper's right-hand side.  Any constant c > 0 reduces to it: the Schouten
 # tensor is scale-invariant, so u -> sqrt(2c) u multiplies lam by 2c.
 RHS = 0.5
-# Scalars of the torsion start that may underflow to 0 (see _check_float_range).
-_MAY_VANISH = ("outer^(2-n)", "Q")
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,13 @@ class Annulus:
                 f"annulus needs 0 < inner < outer < inf, got ({self.inner}, {self.outer})")
 
 
+def _radii_text(domain: Ball | Annulus) -> str:
+    """The domain's radii, as the refusals name them."""
+    if isinstance(domain, Ball):
+        return f"ball outer radius {domain.radius:g}"
+    return f"annulus radii ({domain.inner:g}, {domain.outer:g})"
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full radial problem statement.
@@ -89,15 +94,7 @@ class ProblemSpec:
             raise InvalidArgumentError("base cone must be undeformed (tau = 1); "
                                        "set the deformation on the problem itself")
         self.solve_cone()                   # ConeSpec's checks of tau
-        if not _is_int(self.grid):
-            raise InvalidArgumentError(f"grid must be an integer, got {self.grid!r}")
-        # A Python int: grid + 1 must not wrap around in a NumPy integer type.
-        object.__setattr__(self, "grid", int(self.grid))
-        if self.grid < 8:
-            raise InvalidArgumentError(f"grid must have at least 8 intervals, got {self.grid}")
-        if (self.grid + 1) * 8 > np.iinfo(np.intp).max:
-            raise InvalidArgumentError(
-                f"grid {self.grid} is too large: numpy cannot create its {self.grid + 1} radii")
+        object.__setattr__(self, "grid", _check_grid(self.grid, 8))
         _check_real(self.delta, "boundary datum delta")
         if not 0 < self.delta < math.inf:
             raise InvalidArgumentError(
@@ -106,27 +103,16 @@ class ProblemSpec:
         self._check_float_range()
 
     def _check_float_range(self):
-        """Refuse radii for which h^2, or a scalar of initial_profile's
-        torsion start, overflows, or underflows to 0 where the start divides
-        by it: past this check the stencils divide by a nonzero h^2 and the
-        start is finite.  (Q and outer^(2-n) may vanish: the start then
-        keeps its finite b^2 - r^2 part.)"""
-        ball = isinstance(self.domain, Ball)
-        span = (np.float64(self.domain.radius) if ball else
+        """Refuse radii for which h^2 overflows, or underflows to 0: past
+        this check the stencils divide by a finite, nonzero h^2."""
+        span = (np.float64(self.domain.radius) if isinstance(self.domain, Ball) else
                 np.float64(self.domain.outer) - np.float64(self.domain.inner))
         with np.errstate(all="ignore"):
-            scalars = {"h^2": (span / self.grid) ** 2, **_torsion_scalars(self)}
-        for name, value in scalars.items():
-            vanishes = value == 0.0 and name not in _MAY_VANISH
-            if vanishes or not math.isfinite(value):
-                radii = (f"ball outer radius {self.domain.radius:g}" if ball else
-                         f"annulus radii ({self.domain.inner:g}, {self.domain.outer:g})")
-                if name != "h^2":
-                    name = f"the torsion start's {name}"
-                raise InvalidArgumentError(
-                    f"{radii} out of float range at n = {self.cone.n}, "
-                    f"grid {self.grid}: {name} "
-                    f"{'underflows' if vanishes else 'overflows'} ({value:.3g})")
+            h_sq = (span / self.grid) ** 2
+        if h_sq == 0.0 or not math.isfinite(h_sq):
+            raise InvalidArgumentError(
+                f"{_radii_text(self.domain)} out of float range at grid {self.grid}: "
+                f"h^2 {'underflows' if h_sq == 0.0 else 'overflows'} ({h_sq:.3g})")
 
     def radii(self) -> np.ndarray:
         if isinstance(self.domain, Ball):
@@ -417,51 +403,59 @@ def comparison_check(lower: RadialProfile, upper: RadialProfile) -> bool:
 
 
 def initial_profile(spec: ProblemSpec) -> RadialProfile:
-    """Starting profile for the tau = 0 problem: u = delta + w / |w'(b)|.
-
-    w = P - r^2 + Q r^(2-n) is the domain's torsion function, Delta w = -2n
-    with w = 0 on the boundary (Q = 0 and P = b^2 on the ball, where u is
-    the hyperbolic model (b^2 - r^2) / (2b) shifted to the datum).  Scaling
-    by |w'(b)| gives u a unit slope at the outer radius.  At tau = 0 the
-    cone is sigma_1 > 0, and sigma_1 = n u_r^2 / 2 - u Delta u
-    = n u_r^2 / 2 + 2n u / |w'(b)| > 0: the start is admissible in the
-    continuum, for every delta > 0 and every annulus.  On the grid the
-    r^(2-n) term is resolved only when h is small against the inner radius;
-    newton_solve checks the discrete margins.  A start that cancels to
-    u <= 0 in floats raises InvalidProfileError naming the cause.
+    """Starting profile for the tau = 0 problem: u = delta + w / |D1 w(b)|
+    with w the discrete torsion function (see _torsion_bump).  At tau = 0
+    the cone is sigma_1 > 0, and the pair identity a + (n-1) b = n u_r^2 / 2
+    - u L_h u with L_h u = -2n / |D1 w(b)| gives sigma_1 > 0 on the grid at
+    every PDE row where u > 0.  A start that is not finite and positive on
+    the PDE rows raises InvalidProfileError naming the radii, n, delta, the
+    grid, the node and h/r there.
     """
     r = spec.radii()
-    scalars = _torsion_scalars(spec)
-    w = scalars["b^2"] - r**2
-    if isinstance(spec.domain, Annulus):
-        w = w + scalars["Q"] * (r**(2 - spec.cone.n) - scalars["outer^(2-n)"])
-    u = w / scalars["slope |w'(b)|"] + spec.delta
-    # The ball's start is at least delta; an annulus's can cancel below
-    # zero when delta is tiny against the radii.
-    node = int(np.argmin(u))
-    if u[node] <= 0.0:
+    u = _torsion_bump(spec, r)
+    u += spec.delta
+    rows = _pde_rows(spec)
+    ok = np.isfinite(u[rows]) & (u[rows] > 0.0)
+    if not ok.all():
+        node, n = rows.start + int(np.argmin(ok)), spec.cone.n
         raise InvalidProfileError(
-            f"the torsion start is not positive: annulus radii "
-            f"({spec.domain.inner:g}, {spec.domain.outer:g}), n = {spec.cone.n}, "
-            f"delta {spec.delta:g}, grid {spec.grid}: at node {node} "
-            f"(r = {r[node]:.6g}) b^2 - r^2 + Q (r^(2-n) - b^(2-n)) cancels "
-            f"in floats to a start value {u[node]:.3e}")
+            f"the tau = 0 start is not finite and positive: {_radii_text(spec.domain)}, "
+            f"n = {n}, delta {spec.delta:g}, grid {spec.grid}: at node {node} "
+            f"(r = {r[node]:.6g}) it is {u[node]:.3e}, where h/r = "
+            f"{(r[1] - r[0]) / r[node]:.3g} against 2/(n - 1) = {2 / (n - 1):.3g} "
+            f"(L_h is an M-matrix, so w >= 0, when h/r < 2/(n - 1) at every PDE row)")
     return RadialProfile(r=r, u=u)
 
 
-def _torsion_scalars(spec: ProblemSpec) -> dict:
-    """The scalars of initial_profile's start by name: b^2, the slope
-    |w'(b)| and, on an annulus, r^(2-n) at both radii and Q.  Each may be 0
-    or inf for radii out of float range, which ProblemSpec refuses."""
-    if isinstance(spec.domain, Ball):
-        b = np.float64(spec.domain.radius)
-        return {"b^2": b**2, "slope |w'(b)|": 2.0 * b}
+def _torsion_bump(spec: ProblemSpec, r: np.ndarray) -> np.ndarray:
+    """w / |D1 w(b)| on the grid r.  w solves L_h w = -2n on the PDE rows,
+    w = 0 at the Dirichlet rows, in one solve_banded call; L_h = D2 +
+    (n-1)/r D1 has _radial_stencil's central stencils and centre rule, and
+    D1 w(b) is its one-sided slope at b.  L_h is an M-matrix, so w >= 0,
+    when h < 2r / (n - 1) at every PDE row; on a ball the stencils are exact
+    on quadratics and w / |D1 w(b)| = (b^2 - r^2) / (2b) to rounding.  The
+    rows are h^2 L_h, whose coefficients depend on h/r only, solved for
+    w / h^2: the quotient is formed from grid-sized numbers at any radii.
+    """
     n = spec.cone.n
-    a, b = np.float64(spec.domain.inner), np.float64(spec.domain.outer)
-    inner_pow, outer_pow = a**(2 - n), b**(2 - n)
-    Q = (b**2 - a**2) / (outer_pow - inner_pow)
-    return {"b^2": b**2, "inner^(2-n)": inner_pow, "outer^(2-n)": outer_pow,
-            "Q": Q, "slope |w'(b)|": 2.0 * b + (n - 2) * Q * b**(1 - n)}
+    rows = _pde_rows(spec)
+    ab = np.zeros((3, r.size))          # layout of _analytic_jacobian
+    ab[1] = 1.0                         # Dirichlet rows: w = 0
+    w = np.zeros(r.size)
+    w[rows] = -2.0 * n
+    if rows.start == 0:                 # centre row: n * 2 (w1 - w0)
+        ab[1, 0], ab[0, 1] = -2.0 * n, 2.0 * n
+    # Rows 1 .. grid - 1: (1 - c) w[i-1] - 2 w[i] + (1 + c) w[i+1].
+    c = (n - 1) * (r[1] - r[0]) / (2.0 * r[1:-1])
+    ab[1, 1:-1] = -2.0
+    ab[0, 2:] = 1.0 + c
+    ab[2, :-2] = 1.0 - c
+    w = solve_banded(ab, w)
+    # gtsv can pivot a Dirichlet row against its neighbour and return it
+    # with a rounding error; w = 0 there exactly.
+    w[:rows.start] = w[rows.stop:] = 0.0
+    w /= abs(_radial_stencil(w, r)[0][-1])
+    return w
 
 
 def _make_report(u, spec, r, F, margins, state, iters, stop):
@@ -505,15 +499,17 @@ def _rounding_floor(u_max: float, h: float) -> float:
 
 def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
     """The first trial u + t*step, t = 1, 1/2, ..., 2^-MAX_HALVINGS (t = 1
-    alone at the rounding floor), whose PDE rows are positive, whose margins
-    exceed MARGIN_FLOOR and whose residual is below res, as (u, F, margins,
-    state, res) from its _evaluate; None if no trial qualifies.  A refused
-    trial's evaluation is freed before the next trial is evaluated."""
+    alone at the rounding floor), with its Dirichlet rows set to delta
+    exactly, whose PDE rows are positive, whose margins exceed MARGIN_FLOOR
+    and whose residual is below res, as (u, F, margins, state, res) from its
+    _evaluate; None if no trial qualifies.  A refused trial's evaluation is
+    freed before the next trial is evaluated."""
     rows = _pde_rows(spec)
     t = 1.0
     for _ in range(1 if at_floor else MAX_HALVINGS + 1):
         u_try = step * t            # u + t * step, in one buffer
         u_try += u
+        u_try[:rows.start] = u_try[rows.stop:] = spec.delta
         if (u_try[rows] > 0.0).all():
             F, margins, state = _evaluate(u_try, spec, r, cone)
             if (margins > MARGIN_FLOOR).all():
@@ -559,9 +555,13 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return _make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
-        # The bands and -F are temporaries: the solve overwrites both, and
-        # the bands are freed when it returns.
-        step = solve_banded(_analytic_jacobian(u, spec, r, cone, state), -F)
+        # The bands and -F are temporaries: the solve overwrites both.  Row 1
+        # of an annulus drops its entry for u[0], held at delta: gtsv would
+        # pivot the unit row 0 against it and pass u[0]'s step error to row 1.
+        ab = _analytic_jacobian(u, spec, r, cone, state)
+        ab[2, :_pde_rows(spec).start] = 0.0
+        step = solve_banded(ab, -F)
+        del ab
         state = state[-1:]          # grad_sup, all _make_report reads
 
         # At the rounding floor a halved step's decrease is rounding noise:
@@ -592,24 +592,17 @@ def _newton_stop(report: SolveReport, opts: NewtonOptions) -> str:
 
 def _inadmissible_start(spec: ProblemSpec,
                         err: InadmissibleIterateError) -> InadmissibleIterateError:
-    """The error for a tau = 0 start that is not admissible on the grid.
-    The start is admissible in the continuum, so the cause is the grid's.
-    On a ball the stencil differentiates the quadratic start exactly, and
-    the one cause is a bump b/2 that rounds away against delta.  On an
-    annulus it is an inner radius the grid does not resolve."""
-    node = err.worst_node
-    if isinstance(spec.domain, Ball):
-        b = spec.domain.radius
-        cause = (f"its bump b/2 rounds away against delta (ball radius {b:g}, "
-                 f"delta {spec.delta:g}, b/(2 delta) = {b / (2 * spec.delta):.3g}, "
-                 f"worst node {node}, margin {err.margin:.3e})")
-    else:
-        r = spec.radii()
-        cause = (f"the grid does not resolve the inner radius (worst node {node}, "
-                 f"r = {r[node]:.6g}, margin {err.margin:.3e}, "
-                 f"h/inner = {(r[1] - r[0]) / r[0]:.3g})")
-    return InadmissibleIterateError(f"the tau = 0 start is inadmissible: {cause}",
-                                    worst_node=node, margin=err.margin)
+    """The error for a tau = 0 start that newton_solve refuses.  The start
+    is positive on the PDE rows, where sigma_1 > 0 by the pair identity
+    (see initial_profile), so on either domain the one cause is a bump
+    max(w) / |D1 w(b)| that rounds away against delta."""
+    bump = float(_torsion_bump(spec, spec.radii()).max())
+    return InadmissibleIterateError(
+        f"the tau = 0 start is inadmissible: its bump max(w)/|w'(b)| = {bump:.3g} "
+        f"rounds away against delta ({_radii_text(spec.domain)}, n = {spec.cone.n}, "
+        f"delta {spec.delta:g}, grid {spec.grid}, worst node {err.worst_node}, "
+        f"margin {err.margin:.3e})",
+        worst_node=err.worst_node, margin=err.margin)
 
 
 def continuation_tau(spec: ProblemSpec,

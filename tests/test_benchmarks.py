@@ -27,13 +27,26 @@ FOLDED = {
 }
 
 
-@pytest.mark.parametrize("script", ["compare", "diff_outputs", *FOLDED])
+@pytest.mark.parametrize("script", ["compare", "diff_outputs", "census", *FOLDED])
 def test_imports_without_running(monkeypatch, script):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     module = importlib.import_module("compare" if script in FOLDED else script)
     assert callable(module.main)
     missing = [name for name in FOLDED.get(script, ()) if not hasattr(module, name)]
     assert not missing, missing
+
+
+def test_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
+    """The first 20 specs of the census sample, whatever their outcome:
+    each converges or fails with an error that names its cause, and none
+    warns (run_specs turns warnings into errors)."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    specs = census.sample()[:20]
+    results = census.run_specs(specs)
+    assert len(results) == 20
+    assert [(r, spec) for r, spec in zip(results, specs)
+            if r["outcome"] == "foreign"] == []
 
 
 @pytest.fixture

@@ -120,7 +120,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("flags", [
         ["--outer", "1e200"],
-        ["--domain", "annulus", "--inner", "1e-60", "--outer", "1", "--n", "8"],
+        ["--domain", "annulus", "--inner", "1e-200", "--outer", "2e-200"],
     ], ids=["ball", "annulus"])
     def test_radius_out_of_float_range_is_usage_error(self, capsys, flags):
         assert main(["solve", "--grid", "50"] + flags) == 2
@@ -137,19 +137,24 @@ class TestSolve:
         assert main(["solve", "--n", "8", "--outer", "1e-150", "--grid", "50"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
-        assert "bump b/2 rounds away against delta (ball radius 1e-150" in err
+        assert ("bump max(w)/|w'(b)| = 5e-151 rounds away against delta "
+                "(ball outer radius 1e-150" in err)
 
     def test_cancelling_torsion_start_names_its_cause(self, capsys):
-        """A start that rounds to u <= 0 is a usage error that names the
+        """A start that cancels to u <= 0 is a usage error that names the
         radii, n, delta, the grid and the node, not only "conformal factor
-        must be positive".  At radii this large the cancellation outweighs
-        the first datum, 0.1."""
-        assert main(["solve", "--n", "3", "--k", "1", "--domain", "annulus",
-                     "--inner", "1e24", "--outer", "1.5e24"]) == 2
+        must be positive": here n = 100 on a grid of 9 intervals, where the
+        discrete torsion function dips below zero.  The 1e24 annulus, whose
+        continuum start cancelled, now solves."""
+        assert main(["solve", "--n", "100", "--domain", "annulus", "--inner", "1e-5",
+                     "--outer", "10", "--grid", "9"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: the torsion start is not positive: "
-                              "annulus radii (1e+24, 1.5e+24), n = 3, "
-                              "delta 0.1, grid 1000: at node 0")
+        assert err.startswith("error: the tau = 0 start is not finite and positive: "
+                              "annulus radii (1e-05, 10), n = 100, delta 0.1, "
+                              "grid 9: at node 8")
+        assert main(["solve", "--n", "3", "--k", "1", "--domain", "annulus",
+                     "--inner", "1e24", "--outer", "1.5e24"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta_sweep"]["converged"]
 
     @pytest.mark.parametrize("flags, name", [
         (["--domain", "annulus", "--inner", "0.5", "--outer", "1",

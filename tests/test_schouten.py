@@ -212,6 +212,20 @@ class TestModelSpectra:
             assert hyperbolic_ball_profile(grid).r.size == int(grid) + 1
             assert barrier_profile(1.0, 0.1, 1.0, grid).r.size == int(grid) + 1
 
+    @pytest.mark.parametrize("grid", [10**20, 2**62])
+    def test_grid_numpy_cannot_create_is_refused(self, grid):
+        """Refused by name before any allocation, with ProblemSpec's words:
+        numpy's own errors were "Maximum allowed size exceeded" (10**20) and
+        "array is too big" (2**62).  No warning either."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: hyperbolic_ball_profile(grid),
+                          lambda: barrier_profile(1.0, 0.1, 1.0, grid)):
+                with pytest.raises(InvalidArgumentError,
+                                   match=f"^grid {grid} is too large: numpy cannot "
+                                         f"create its {grid + 1} radii$"):
+                    build()
+
     @pytest.mark.parametrize("R, m, match", [
         (1e200, 1.0, r"^R = 1e\+200 is out of float range: R\^2 overflows"),
         (10**400, 1.0, r"R\^2 overflows"),
