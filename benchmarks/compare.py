@@ -26,7 +26,13 @@ more alternating rounds, each in a fresh interpreter, measure the memory of
 that step's whole newton_solve call (see `newton_peaks`); the record holds
 their medians under "stage_peak_mib".
 
-Progress goes to stderr; the record is one JSON document on stdout.
+Last, each side runs the robustness census of benchmarks/census.py on the
+same sample; under "census" the record holds each side's count per outcome
+class and its foreign exceptions and warnings (see `census_summary`).
+
+Progress goes to stderr; the record is one JSON document on stdout.  Exits
+1, after writing the record, if either side's census shows a foreign
+exception or warning.
 """
 
 import contextlib
@@ -37,7 +43,10 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
+
+import census
 
 ROOT = Path(__file__).resolve().parent.parent
 # Even, so each side runs first in half the pairs (or rounds).
@@ -218,10 +227,15 @@ def stage_times(src: str) -> dict:
             lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
             F, margins, state = solver._evaluate(u, spec, r, cone)
             ab = solver._analytic_jacobian(u, spec, r, cone, state)
-            step = solver.solve_banded(ab.copy(), -F)
+            # The probe also runs on checkouts whose bands hold a unit row
+            # per Dirichlet row, one column per node: there the step spans
+            # the grid, elsewhere the PDE rows only.
+            unknowns = slice(None) if ab.shape[1] == u.size else rows
+            step = solver.solve_banded(ab.copy(), -F[unknowns])
 
             def trial():
-                u_try = u + 1.0 * step
+                u_try = u.copy()
+                u_try[unknowns] += step
                 if (u_try[rows] > 0.0).all():
                     F_try, m_try, _ = solver._evaluate(u_try, spec, r, cone)
                     if (m_try > solver.MARGIN_FLOOR).all():
@@ -234,7 +248,7 @@ def stage_times(src: str) -> dict:
                 "cone_margin": lambda: cone_margin(cone, lam),
                 "f_and_grad": lambda: _f_and_grad_unchecked(cone, lam),
                 "jacobian": lambda: solver._analytic_jacobian(u, spec, r, cone, state),
-                "banded_solve": lambda: solver.solve_banded(ab.copy(), -F),
+                "banded_solve": lambda: solver.solve_banded(ab.copy(), -F[unknowns]),
                 "line_search_trial": trial,
                 "make_report": lambda: solver._make_report(u, spec, r, F, margins,
                                                            state, 1, "tolerance"),
@@ -300,6 +314,21 @@ def peak_medians(runs: dict) -> dict:
             for key, (p, c) in _medians(runs).items()}
 
 
+def census_summary(specs: list, results: list) -> dict:
+    """One side's census (census.census results on specs): the count per
+    outcome class, and each foreign exception or warning with its spec."""
+    return {"counts": dict(sorted(Counter(r["outcome"] for r in results).items())),
+            "foreign": [{"error": r["error"], "spec": spec}
+                        for r, spec in zip(results, specs) if r["outcome"] == "foreign"]}
+
+
+def run_census(checkout: Path) -> dict:
+    """census_summary of checkout on census.sample(), in a fresh interpreter."""
+    specs = census.sample()
+    print(f"{checkout.name} census", file=sys.stderr, flush=True)
+    return census_summary(specs, census.census(checkout, specs))
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -322,12 +351,14 @@ def main(argv=None):
     flagged = {flag: [f"{name}/{metric}" for name, w in workloads.items()
                       for metric, v in w["end_to_end"].items() if v[flag]]
                for flag in ("regressed", "gain")}
-    lines = {side: src_lines(checkout)
-             for side, checkout in (("parent", parent), ("change", change))}
+    sides = (("parent", parent), ("change", change))
+    lines = {side: src_lines(checkout) for side, checkout in sides}
+    censuses = {side: run_census(checkout) for side, checkout in sides}
     json.dump({**flagged, "pairs": PAIRS, "src_lines": lines, "workloads": workloads,
-               "stage_ms": stages, "stage_peak_mib": peaks}, sys.stdout, indent=1)
+               "stage_ms": stages, "stage_peak_mib": peaks, "census": censuses},
+              sys.stdout, indent=1)
     sys.stdout.write("\n")
-    return 0
+    return 1 if any(side["foreign"] for side in censuses.values()) else 0
 
 
 if __name__ == "__main__":

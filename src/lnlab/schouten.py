@@ -109,7 +109,7 @@ class RadialProfile:
         dr = np.diff(r)
         h = dr[0]
         np.subtract(dr, h, out=dr)
-        if not (np.abs(dr, out=dr) <= 1e-13 * max(1.0, r[-1]) + 1e-8 * h).all():
+        if not (np.abs(dr, out=dr) <= 1e-13 * r[-1] + 1e-8 * h).all():
             raise InvalidArgumentError("grid spacing must be uniform")
         ends = u[-1] >= 0 and (u[0] > 0 if r[0] == 0.0 else u[0] >= 0)
         if not (ends and (u[1:-1] > 0).all() and (u < np.inf).all()):

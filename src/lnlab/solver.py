@@ -2,9 +2,10 @@
 
 Unknowns are conformal-factor values u_i on a uniform radial grid.  Interior
 rows impose f^tau(lam(-g_u^{-1} A_{g_u})) = RHS via second-order stencils;
-boundary rows impose u = delta.  The Jacobian is tridiagonal (chain rule of
-the f-gradient through the eigenvalue stencils) and every accepted Newton
-iterate keeps all interior spectra strictly inside the deformed cone.
+the boundary values u = delta are data, not unknowns.  The Jacobian is
+tridiagonal (chain rule of the f-gradient through the eigenvalue stencils)
+and every accepted Newton iterate keeps all interior spectra strictly inside
+the deformed cone.
 
 Continuation runs in tau (from the semilinear tau = 0 problem toward the
 fully nonlinear operator) and in the boundary datum delta (downward, toward
@@ -175,8 +176,10 @@ class NewtonOptions:
 
 
 def _pde_rows(spec: ProblemSpec):
-    """Indices of the PDE rows.  Every other row is a Dirichlet row,
-    u - delta; no other code decides which rows are which."""
+    """Indices of the PDE rows, the unknowns of the banded systems.  Every
+    other row is a Dirichlet row, whose value delta is data: newton_solve
+    sets it once and steps the PDE rows only, and the residual there is
+    u - delta.  No other code decides which rows are which."""
     if isinstance(spec.domain, Ball):
         return slice(0, spec.grid)      # center node carries a PDE row
     return slice(1, spec.grid)
@@ -204,7 +207,7 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
         # |profile.r - r| in one buffer: at 1e5 nodes a second temporary
         # made the check 5x slower, its pages faulting in on every call.
         gap = np.subtract(profile.r, r)
-        if (np.abs(gap, out=gap) <= 1e-12 * max(1.0, abs(r[-1]))).all():
+        if (np.abs(gap, out=gap) <= 1e-12 * r[-1]).all():
             return r
     raise GridMismatchError("profile grid does not match the problem grid")
 
@@ -237,66 +240,63 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     return F, margins, (val, du, d2u, grads, float(np.abs(du_full).max()))
 
 
-def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
-    """Tridiagonal Jacobian in solve_banded layout (3, m): ab[0, i + 1] is
-    J[i, i+1], ab[1, i] is J[i, i] and ab[2, i - 1] is J[i, i-1].
+def _stencil_bands(p, q, s, rows: slice):
+    """diag(p) D1 + diag(q) D2 + diag(s) on the PDE rows `rows`, in their
+    own unknowns, in solve_banded layout (3, m): ab[0, j + 1] is J[j, j+1],
+    ab[1, j] is J[j, j] and ab[2, j - 1] is J[j, j-1].
 
-    The bands are built in place, in the operation order of
-    diag = gR * (-d2u + 2 val / h^2) + gT * (-du / r),
-    sup = gR * (du / 2h - val / h^2) + gT * ((du - val / r) / 2h) and
-    sub = gR * (-du / 2h - val / h^2) - the same tangential term.
+    D1 and D2 are _radial_stencil's central stencils times 2h and h^2,
+    (-1, 0, 1) and (1, -2, 1); a ball's centre row (rows.start == 0) has its
+    centre rule, D1 = 0 and D2 = (-2, 2), and does not read p[0].  Entries
+    that would multiply a Dirichlet value are left out: the Dirichlet values
+    are data, not unknowns.  The corners gtsv ignores, ab[0, 0] and
+    ab[2, -1], are zero, since solve_banded checks every entry.
+    """
+    ab = np.zeros((3, q.size))
+    np.add(p[:-1], q[:-1], out=ab[0, 1:])
+    np.multiply(q, -2.0, out=ab[1])
+    ab[1] += s
+    np.subtract(q[1:], p[1:], out=ab[2, :-1])
+    if rows.start == 0:
+        ab[0, 1] = 2.0 * q[0]
+    return ab
+
+
+def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
+    """Tridiagonal Jacobian of the PDE rows in the PDE-row unknowns, from
+    _stencil_bands.  With gR and gT = (n-1) g_T the f-gradient's weights of
+    the radial and tangential eigenvalues, row i is p D1 + q D2 + s with
+
+    p = (gR u_r + gT (u_r - u/r)) / 2h,  q = -gR u / h^2,
+    s = -(gR u_rr + gT u_r / r);
+
+    at a ball's centre both eigenvalues are -u u_rr (see _eigenpair), so
+    there q = -(gR + gT) u / h^2 and s = -(gR + gT) u_rr.
     """
     val, du, d2u, grads = state[:4]
     h = r[1] - r[0]
     rows = _pde_rows(spec)
     gR = grads[:, 0]
     gT = (cone.n - 1) * grads[:, 1]
-
-    ab = np.zeros((3, u.size))
-    ab[1, 0] = ab[1, -1] = 1.0      # Dirichlet rows: d(u - delta)/du = 1
+    # Three arrays, not one (3, m) block: at grid 1e5 the block took 710
+    # minor page faults a call in a tau continuation, three arrays 350.
+    p, q, s = np.empty(val.size), np.empty(val.size), np.empty(val.size)
     if rows.start == 0:
-        # Center row: both eigenvalues equal -u0 * d2u0 with d2u0 = 2(u1-u0)/h^2.
         gsum = gR[0] + gT[0]
-        ab[1, 0] = gsum * (-d2u[0] + 2.0 * val[0] / h**2)
-        ab[0, 1] = gsum * (-2.0 * val[0] / h**2)
-
-    # PDE rows with full central stencils, i = 1 .. rows.stop - 1: all but a
-    # centre row 0.  The state arrays hold PDE rows only, so row i sits at
-    # i - rows.start.
-    stop = rows.stop
-    s = slice(1 - rows.start, None)
-    val, du, d2u, gR, gT = val[s], du[s], d2u[s], gR[s], gT[s]
-    rr = r[1:stop]
-    diag, sup, sub = ab[1, 1:stop], ab[0, 2:stop + 1], ab[2, :stop - 1]
-    # Radial eigenvalue through (u, u_r, u_rr), tangential through (u, u_r).
-    # Two scratch rows: val_h2 = val / h^2 and one for each term in turn.
-    val_h2 = np.divide(val, h**2)
-    term = np.multiply(val, 2.0)                # -d2u + 2.0 * val / h^2
-    term /= h**2
-    term -= d2u
-    np.multiply(gR, term, out=diag)
-    np.negative(du, out=term)
-    term /= rr
-    term *= gT
-    diag += term
-    np.divide(du, 2 * h, out=term)              # du_2h
-    np.subtract(term, val_h2, out=sup)
-    sup *= gR
-    np.negative(term, out=sub)
-    sub -= val_h2
-    sub *= gR
-    np.divide(val, rr, out=term)                # tangential
-    np.subtract(du, term, out=term)
-    term /= 2 * h
-    term *= gT
-    sup += term
-    sub -= term
-    return ab
+        p[0], q[0], s[0] = 0.0, -gsum * val[0] / h**2, -gsum * d2u[0]
+    # Rows off the centre, i = 1 .. rows.stop - 1, at i - rows.start.
+    off = slice(1 - rows.start, None)
+    val, du, d2u, gR, gT = val[off], du[off], d2u[off], gR[off], gT[off]
+    rr = r[1:rows.stop]
+    p[off] = (gR * du + gT * (du - val / rr)) / (2 * h)
+    q[off] = -gR * val / h**2
+    s[off] = -(gR * d2u + gT * du / rr)
+    return _stencil_bands(p, q, s, rows)
 
 
 def solve_banded(ab, b):
     """Solve the tridiagonal system with bands ab (layout of
-    _analytic_jacobian) and right-hand side b in place: both are
+    _stencil_bands) and right-hand side b in place: both are
     overwritten, and b, the solution, is returned.
 
     This is LAPACK gtsv on ab[2, :-1], ab[1] and ab[0, 1:], the routine and
@@ -429,31 +429,26 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
 
 def _torsion_bump(spec: ProblemSpec, r: np.ndarray) -> np.ndarray:
     """w / |D1 w(b)| on the grid r.  w solves L_h w = -2n on the PDE rows,
-    w = 0 at the Dirichlet rows, in one solve_banded call; L_h = D2 +
-    (n-1)/r D1 has _radial_stencil's central stencils and centre rule, and
-    D1 w(b) is its one-sided slope at b.  L_h is an M-matrix, so w >= 0,
-    when h < 2r / (n - 1) at every PDE row; on a ball the stencils are exact
-    on quadratics and w / |D1 w(b)| = (b^2 - r^2) / (2b) to rounding.  The
-    rows are h^2 L_h, whose coefficients depend on h/r only, solved for
-    w / h^2: the quotient is formed from grid-sized numbers at any radii.
+    with the Dirichlet values w = 0 as data, in one solve_banded call; L_h
+    = D2 + (n-1)/r D1 has _radial_stencil's central stencils and centre
+    rule, and D1 w(b) is its one-sided slope at b.  L_h is an M-matrix, so
+    w >= 0, when h < 2r / (n - 1) at every PDE row; on a ball the stencils
+    are exact on quadratics and w / |D1 w(b)| = (b^2 - r^2) / (2b) to
+    rounding.  The rows are h^2 L_h, whose coefficients depend on h/r only
+    (p = (n-1) h / 2r, q = 1; q = n at a ball's centre), solved for w / h^2:
+    the quotient is formed from grid-sized numbers at any radii.
     """
     n = spec.cone.n
     rows = _pde_rows(spec)
-    ab = np.zeros((3, r.size))          # layout of _analytic_jacobian
-    ab[1] = 1.0                         # Dirichlet rows: w = 0
+    rr = r[rows]
+    p = np.zeros(rr.size)
+    np.divide((n - 1) * (r[1] - r[0]), 2.0 * rr, out=p, where=rr > 0.0)
+    q = np.ones(rr.size)
+    if rows.start == 0:
+        q[0] = n                        # centre rule: L_h = n D2 / h^2
     w = np.zeros(r.size)
-    w[rows] = -2.0 * n
-    if rows.start == 0:                 # centre row: n * 2 (w1 - w0)
-        ab[1, 0], ab[0, 1] = -2.0 * n, 2.0 * n
-    # Rows 1 .. grid - 1: (1 - c) w[i-1] - 2 w[i] + (1 + c) w[i+1].
-    c = (n - 1) * (r[1] - r[0]) / (2.0 * r[1:-1])
-    ab[1, 1:-1] = -2.0
-    ab[0, 2:] = 1.0 + c
-    ab[2, :-2] = 1.0 - c
-    w = solve_banded(ab, w)
-    # gtsv can pivot a Dirichlet row against its neighbour and return it
-    # with a rounding error; w = 0 there exactly.
-    w[:rows.start] = w[rows.stop:] = 0.0
+    w[rows] = solve_banded(_stencil_bands(p, q, np.zeros(rr.size), rows),
+                           np.full(rr.size, -2.0 * n))
     w /= abs(_radial_stencil(w, r)[0][-1])
     return w
 
@@ -498,18 +493,17 @@ def _rounding_floor(u_max: float, h: float) -> float:
 
 
 def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
-    """The first trial u + t*step, t = 1, 1/2, ..., 2^-MAX_HALVINGS (t = 1
-    alone at the rounding floor), with its Dirichlet rows set to delta
-    exactly, whose PDE rows are positive, whose margins exceed MARGIN_FLOOR
-    and whose residual is below res, as (u, F, margins, state, res) from its
-    _evaluate; None if no trial qualifies.  A refused trial's evaluation is
-    freed before the next trial is evaluated."""
+    """The first trial u + t*step on the PDE rows, t = 1, 1/2, ...,
+    2^-MAX_HALVINGS (t = 1 alone at the rounding floor), whose PDE rows are
+    positive, whose margins exceed MARGIN_FLOOR and whose residual is below
+    res, as (u, F, margins, state, res) from its _evaluate; None if no trial
+    qualifies.  step is halved in place, so t*step needs no buffer of its
+    own, and a refused trial's evaluation is freed before the next trial is
+    evaluated."""
     rows = _pde_rows(spec)
-    t = 1.0
     for _ in range(1 if at_floor else MAX_HALVINGS + 1):
-        u_try = step * t            # u + t * step, in one buffer
-        u_try += u
-        u_try[:rows.start] = u_try[rows.stop:] = spec.delta
+        u_try = u.copy()
+        u_try[rows] += step
         if (u_try[rows] > 0.0).all():
             F, margins, state = _evaluate(u_try, spec, r, cone)
             if (margins > MARGIN_FLOOR).all():
@@ -517,7 +511,7 @@ def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
                 if res_try < res:
                     return u_try, F, margins, state, res_try
             del F, margins, state
-        t *= 0.5
+        step *= 0.5
     return None
 
 
@@ -532,7 +526,9 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     Newton stops if that step is refused.  The report has converged = False
     after MAX_NEWTON_ITERATIONS or on any other line-search failure.
 
-    One iterate is held at a time: u, its residual F and margins, and its
+    The Dirichlet rows of newton_solve's copy of init are set to delta
+    once; each step solves for the PDE rows only.  One iterate is held at
+    a time: u, its residual F and margins, and its
     _evaluate state.  The Jacobian bands live only through the banded
     solve, which overwrites them, and the state's stencil and gradients
     only until the Jacobian is built; the state is then cut to grad_sup.
@@ -546,7 +542,9 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     r = _problem_grid(init, spec)
     cone = spec.solve_cone()
 
+    rows = _pde_rows(spec)
     u = init.u.copy()
+    u[:rows.start] = u[rows.stop:] = spec.delta
     F, margins, state = _evaluate(u, spec, r, cone)
     if not (margins > MARGIN_FLOOR).all():
         raise _inadmissible(spec, margins, "initial profile inadmissible")
@@ -555,12 +553,9 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return _make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
-        # The bands and -F are temporaries: the solve overwrites both.  Row 1
-        # of an annulus drops its entry for u[0], held at delta: gtsv would
-        # pivot the unit row 0 against it and pass u[0]'s step error to row 1.
+        # The bands and -F[rows] are temporaries: the solve overwrites both.
         ab = _analytic_jacobian(u, spec, r, cone, state)
-        ab[2, :_pde_rows(spec).start] = 0.0
-        step = solve_banded(ab, -F)
+        step = solve_banded(ab, -F[rows])
         del ab
         state = state[-1:]          # grad_sup, all _make_report reads
 

@@ -155,6 +155,8 @@ def test_src_lines_counts_each_module_of_each_side(compare, monkeypatch, tmp_pat
                         lambda *args: {"parent": [{}], "change": [{}]})
     monkeypatch.setattr(compare, "compare_workload",
                         lambda *args: {"end_to_end": {}})
+    monkeypatch.setattr(compare, "run_census",
+                        lambda checkout: {"counts": {}, "foreign": []})
     assert compare.main([str(parent)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["src_lines"] == {"parent": compare.src_lines(parent),
@@ -162,6 +164,49 @@ def test_src_lines_counts_each_module_of_each_side(compare, monkeypatch, tmp_pat
     assert record["src_lines"]["change"]["total"] == sum(
         path.read_bytes().count(b"\n")
         for path in (compare.ROOT / "src" / "lnlab").glob("*.py"))
+
+
+STUB_SPECS = [{"n": 3, "grid": 10}, {"n": 4, "grid": 20}, {"n": 5, "grid": 30}]
+
+
+def test_census_summary_counts_classes_and_names_foreign_errors(compare):
+    results = [{"outcome": "converged", "seconds": 0.1},
+               {"outcome": "foreign", "error": "RuntimeWarning: overflow", "seconds": 0.2},
+               {"outcome": "converged", "seconds": 0.3}]
+    assert compare.census_summary(STUB_SPECS, results) == {
+        "counts": {"converged": 2, "foreign": 1},
+        "foreign": [{"error": "RuntimeWarning: overflow", "spec": STUB_SPECS[1]}]}
+    assert compare.census_summary(STUB_SPECS, results[::2])["foreign"] == []
+
+
+@pytest.mark.parametrize("foreign_side", [None, "parent", "change"])
+def test_compare_records_both_censuses_and_fails_on_a_foreign_error(
+        compare, monkeypatch, tmp_path, capsys, foreign_side):
+    """Each side's census summary goes into the record under "census"; a
+    foreign exception or warning on either side makes main exit 1, after
+    the record is written.  The census itself is stubbed."""
+    parent = write_tree(tmp_path / "parent", {"src/lnlab/__init__.py": "",
+                                              "perfbench/run.py": ""})
+    sides = {parent.resolve(): "parent", compare.ROOT: "change"}
+
+    def stub_census(checkout):
+        results = [{"outcome": "converged", "seconds": 0.1}] * 3
+        if sides[checkout] == foreign_side:
+            results = results[:2] + [{"outcome": "foreign", "error": "ValueError: x",
+                                      "seconds": 0.1}]
+        return compare.census_summary(STUB_SPECS, results)
+
+    monkeypatch.setattr(compare, "alternate",
+                        lambda *args: {"parent": [{}], "change": [{}]})
+    monkeypatch.setattr(compare, "compare_workload", lambda *args: {"end_to_end": {}})
+    monkeypatch.setattr(compare, "run_census", stub_census)
+    assert compare.main([str(parent)]) == (0 if foreign_side is None else 1)
+    record = json.loads(capsys.readouterr().out)
+    for side in ("parent", "change"):
+        foreign = side == foreign_side
+        assert record["census"][side]["counts"] == (
+            {"converged": 2, "foreign": 1} if foreign else {"converged": 3})
+        assert bool(record["census"][side]["foreign"]) == foreign
 
 
 @pytest.mark.parametrize("pairs", [5, 1, 0])

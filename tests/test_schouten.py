@@ -52,6 +52,15 @@ class TestRadialProfile:
         with pytest.raises(InvalidArgumentError):
             RadialProfile(r=r, u=np.ones(5))
 
+    def test_spacing_floor_scales_with_the_outer_radius(self):
+        """Below radius 1 the absolute floor shrinks with the outer radius:
+        these radii, steps 1e-14 and 3e-14 apart, are not uniform, while a
+        grid a + h * arange on an annulus of outer radius 1e-6 still is."""
+        with pytest.raises(InvalidArgumentError, match="^grid spacing must be uniform$"):
+            RadialProfile(r=[1e-14, 2e-14, 5e-14, 6e-14, 7e-14], u=np.ones(5))
+        a, h = 5e-7, 5e-7 / 50
+        RadialProfile(r=a + h * np.arange(51), u=np.ones(51))
+
     def test_non_finite_factors_refused(self):
         r = np.linspace(0, 1, 5)
         for u in ([np.nan, 1, np.nan, 1, np.inf], [1, 1, 1, 1, np.nan],
@@ -114,7 +123,7 @@ class TestRadialProfile:
     def assert_allclose_verdict(r, dr):
         """RadialProfile refuses radii that are negative, not finite or not
         increasing, and on every other grid refuses the spacing exactly when
-        the np.allclose test it replaced does."""
+        np.allclose does, with its absolute floor scaled by the last radius."""
         with np.errstate(all="ignore"):
             valid = bool(np.isfinite(r).all() and r[0] >= 0 and (dr > 0).all())
         if not valid:
@@ -128,7 +137,7 @@ class TestRadialProfile:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             uniform = np.allclose(dr, dr[0], rtol=1e-8,
-                                  atol=1e-13 * max(1.0, abs(r[-1])))
+                                  atol=1e-13 * r[-1])
         if uniform:
             RadialProfile(r=r, u=np.ones(r.size))
         else:

@@ -228,6 +228,22 @@ class TestResidual:
             with pytest.raises(GridMismatchError):
                 residual(shifted, spec)
 
+    def test_tiny_radius_grids_are_told_apart(self):
+        """The tolerance scales with the outer radius below 1 too: a profile
+        on Annulus(1e-14, 2e-14) is not on the grid of Annulus(3e-14,
+        4e-14), while the grid of an annulus of outer radius 1e-6, each
+        radius moved by one ulp, still is."""
+        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.0, domain=Annulus(3e-14, 4e-14),
+                           delta=0.1, grid=50)
+        other = initial_profile(replace(spec, domain=Annulus(1e-14, 2e-14)))
+        for check in (residual, newton_solve):
+            with pytest.raises(GridMismatchError):
+                check(other, spec)
+        small = replace(spec, domain=Annulus(5e-7, 1e-6))
+        r = np.nextafter(small.radii(), 1.0)
+        assert np.array_equal(residual(RadialProfile(r=r, u=initial_profile(small).u), small),
+                              residual(initial_profile(small), small))
+
     def test_worst_node_agrees_with_newton(self):
         """On an annulus the PDE rows start at node 1; both errors must
         still name the node of the dent."""
@@ -291,14 +307,52 @@ class TestJacobian:
             _, _, state = _evaluate(prof.u, spec, r, cone)
             ja = _analytic_jacobian(prof.u, spec, r, cone, state)
             calls.clear()
-            jf = _fd_jacobian(prof.u, spec, r, cone)
+            # The PDE rows' block: a Dirichlet row's off-diagonal entries
+            # are 0, so the corners of the block's bands are 0 as well.
+            jf = _fd_jacobian(prof.u, spec, r, cone)[:, solver._pde_rows(spec)]
             assert len(calls) == 12     # three colours, four evaluations each
+            assert ja.shape == jf.shape
             scale = np.max(np.abs(jf))
             assert np.max(np.abs(ja - jf)) / scale < 1e-6, (n, k, grid)
 
 
-# _analytic_jacobian as it was before it built its bands in place.  The
-# rewrite keeps the operation order, so it must give the same bits.
+def dense_stencils(grid, ball):
+    """D1 and D2, _radial_stencil's central stencils times 2h and h^2, as
+    dense (grid + 1)^2 matrices, with the centre rule D1 = 0, D2 = (-2, 2)
+    in row 0 on a ball.  The boundary rows are left at 0."""
+    D1, D2 = np.zeros((2, grid + 1, grid + 1))
+    for i in range(1, grid):
+        D1[i, i - 1:i + 2] = (-1.0, 0.0, 1.0)
+        D2[i, i - 1:i + 2] = (1.0, -2.0, 1.0)
+    if ball:
+        D2[0, :2] = (-2.0, 2.0)
+    return D1, D2
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball=st.booleans(), grid=st.integers(8, 300), seed=st.integers(0, 2**32 - 1))
+def test_stencil_bands_are_the_dense_stencil_sum(ball, grid, seed):
+    """_stencil_bands(p, q, s, rows) is diag(p) D1 + diag(q) D2 + diag(s)
+    on the PDE rows and columns, value for value, on its three bands; the
+    corners gtsv ignores are 0."""
+    spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.0, delta=0.1, grid=grid,
+                       domain=Ball(1.0) if ball else Annulus(0.5, 1.0))
+    rows = solver._pde_rows(spec)
+    rng = np.random.default_rng(seed)
+    m = rows.stop - rows.start
+    p, q, s = rng.standard_normal((3, m)) * 10.0 ** rng.integers(-8, 9, (3, m))
+    D1, D2 = (D[rows, rows] for D in dense_stencils(grid, ball))
+    dense = p[:, None] * D1 + q[:, None] * D2 + np.diag(s)
+    ab = solver._stencil_bands(p, q, s, rows)
+    assert ab.shape == (3, m) and ab[0, 0] == ab[2, -1] == 0.0
+    assert np.array_equal(ab[0, 1:], np.diag(dense, 1))
+    assert np.array_equal(ab[1], np.diag(dense))
+    assert np.array_equal(ab[2, :-1], np.diag(dense, -1))
+
+
+# _analytic_jacobian as it was before it built its bands in place, with a unit
+# row per Dirichlet row.  Its PDE rows' block is the reference for today's
+# bands from _stencil_bands, which sum the same terms in another order.
 def pre_inplace_jacobian(u, spec, r, cone, state):
     val, du, d2u, grads = state[:4]
     h = r[1] - r[0]
@@ -340,7 +394,11 @@ class TestInPlaceStages:
                              ids=["ball", "annulus"])
     @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
     def test_jacobian_keeps_its_bits(self, domain, n, k):
-        """The ball's centre row at r = 0 and every annulus row."""
+        """The ball's centre row at r = 0 and every annulus row: the PDE
+        rows' block of the reference, up to rounding.  Every entry holds a
+        u/h^2 term, the size of its band's largest entry, and the two sum
+        their terms in different orders: each band is within 4 eps of its
+        largest entry (1.85 eps measured); zeros stay exact zeros."""
         for grid in (8, 24, 200):
             spec = ProblemSpec(cone=ConeSpec(n, k), tau=0.8, domain=domain,
                                delta=0.1, grid=grid)
@@ -348,8 +406,12 @@ class TestInPlaceStages:
             r = spec.radii()
             cone = spec.solve_cone()
             state = _evaluate(u, spec, r, cone)[2]
-            assert_same_arrays([_analytic_jacobian(u, spec, r, cone, state)],
-                               [pre_inplace_jacobian(u, spec, r, cone, state)])
+            got = _analytic_jacobian(u, spec, r, cone, state)
+            want = pre_inplace_jacobian(u, spec, r, cone, state)[:, solver._pde_rows(spec)]
+            assert got.shape == want.shape
+            assert np.array_equal(got == 0.0, want == 0.0)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 4 * np.finfo(float).eps * scale).all()
 
     @pytest.mark.parametrize("domain, tau", [(Ball(1.0), 0.9),
                                              (Annulus(0.5, 1.0), 0.0)],
@@ -382,7 +444,7 @@ class TestInPlaceStages:
                            want[:2] + want[2][:3] + want[2][4:])
         assert_same_arrays([state[3]], [want[2][3]])
         assert_same_arrays([_analytic_jacobian(u, spec, r, cone, state)],
-                           [pre_inplace_jacobian(u, spec, r, cone, want[2])])
+                           [_analytic_jacobian(u, spec, r, cone, want[2])])
 
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
                              ids=["ball", "annulus"])
@@ -401,9 +463,10 @@ class TestDirichletRows:
                                                (Annulus(0.5, 1.0), 2)],
                              ids=["ball", "annulus"])
     def test_rows_outside_pde_rows_impose_u_minus_delta(self, domain, count):
-        """F = u - delta bit for bit and a unit Jacobian row at every row
-        that _pde_rows leaves out: the outer node, and on an annulus the
-        inner one."""
+        """F = u - delta bit for bit at every row that _pde_rows leaves out:
+        the outer node, and on an annulus the inner one.  Those values are
+        data, so the Jacobian has no row or column for them: its bands are
+        (3, grid) on a ball and (3, grid - 1) on an annulus."""
         spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.8, domain=domain,
                            delta=0.1, grid=40)
         # Scaling by 1.1 scales every spectrum by 1.21, so u stays admissible
@@ -420,11 +483,7 @@ class TestDirichletRows:
         assert np.all(F[dirichlet] != 0)
 
         ab = _analytic_jacobian(u, spec, r, cone, state)
-        J = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-        for i in np.flatnonzero(dirichlet):
-            row = np.zeros(u.size)
-            row[i] = 1.0
-            assert np.array_equal(J[i], row), i
+        assert ab.shape == (3, spec.grid + 1 - count)
 
 
 class TestNewton:
@@ -532,7 +591,8 @@ class TestNewton:
         monkeypatch.setattr(solver, "solve_banded", counted)
         rep = newton_solve(start, spec)
         assert rep.converged and rep.newton_iterations > 0
-        assert calls == [(3, 201)] * rep.newton_iterations
+        pde_rows = 200 if isinstance(domain, Ball) else 199
+        assert calls == [(3, pde_rows)] * rep.newton_iterations
 
 
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
@@ -555,26 +615,50 @@ class TestNewton:
         assert newton_solve(RadialProfile(r=spec.radii(), u=u), spec).converged
         assert len(ends) > 2 and all((end == 0.05).all() for end in ends[1:])
 
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    def test_first_evaluation_sees_delta_at_the_dirichlet_rows(self, domain,
+                                                               monkeypatch):
+        """The Dirichlet values are data: newton_solve sets them to delta in
+        its copy of a start that is off delta there, before it evaluates
+        anything, and leaves the start itself alone."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.0, domain=domain,
+                           delta=0.05, grid=200)
+        start = initial_profile(spec)
+        rows = solver._pde_rows(spec)
+        u = start.u.copy()
+        u[:rows.start] = u[rows.stop:] = 0.07
+        off = RadialProfile(r=start.r, u=u)
+        ends, evaluate = [], solver._evaluate
+        monkeypatch.setattr(solver, "_evaluate", lambda u, *args: ends.append(
+            np.concatenate((u[:rows.start], u[rows.stop:]))) or evaluate(u, *args))
+        rep = newton_solve(off, spec)
+        assert rep.converged and ends
+        assert all((end == 0.05).all() for end in ends)
+        assert rep.profile.u[-1] == 0.05 and off.u[-1] == 0.07
+
     def test_steps_leave_the_dirichlet_rows_alone(self, monkeypatch):
-        """From a profile at delta on both spheres every Newton step is
-        exactly 0 at the Dirichlet rows.  With row 1's entry for u[0] left
-        in the bands, gtsv pivoted row 0 against it and returned steps of
-        about 1e-14 there, which pinning the trials handed on to row 1."""
+        """Every Newton step has one entry per PDE row, and every iterate
+        newton_solve evaluates is delta exactly at the Dirichlet rows."""
         spec = ProblemSpec(cone=ConeSpec(5, 3), tau=0.0, domain=Annulus(0.5, 1.0),
                            delta=0.05, grid=10_000)
         start = continuation_tau(spec).profile
-        solve, steps = solver.solve_banded, []
+        solve, steps, ends = solver.solve_banded, [], []
+        evaluate = solver._evaluate
         monkeypatch.setattr(solver, "solve_banded",
                             lambda ab, b: steps.append(solve(ab, b)) or steps[-1])
+        monkeypatch.setattr(solver, "_evaluate", lambda u, *args: ends.append(
+            (u[0], u[-1])) or evaluate(u, *args))
         assert newton_solve(start, replace(spec, tau=0.5)).converged
-        assert steps and all(step[0] == step[-1] == 0.0 for step in steps)
+        assert steps and all(step.shape == (spec.grid - 1,) for step in steps)
+        assert len(ends) > len(steps) and set(ends) == {(0.05, 0.05)}
 
 
 # newton_solve as it was before it held one iterate at a time, with the
 # _evaluate, _make_report and _problem_grid it called, verbatim but for the
-# solver. prefixes, the two lines that set a trial's Dirichlet rows to delta
-# and the line that drops row 1's entry for an annulus's u[0] from the
-# bands.  Every report of the rewrite must have the same bits.
+# solver. prefixes and its Newton step, which now solves -F[rows] for the PDE
+# rows and adds t * step to those rows only, the Dirichlet values being data.
+# Every report of the rewrite must have the same bits.
 def seed_problem_grid(profile, spec):
     r = spec.radii()
     if profile.r.shape == r.shape:
@@ -643,15 +727,13 @@ def seed_newton_solve(init, spec, opts=None):
         if res <= opts.tol:
             return seed_make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
         ab = _analytic_jacobian(u, spec, r, cone, state)
-        ab[2, :rows.start] = 0.0
-        step = solver.solve_banded(ab, -F)
+        step = solver.solve_banded(ab, -F[rows])
 
         at_floor = res <= solver._rounding_floor(u.max(), r[1] - r[0])
         t = 1.0
         for _ in range(1 if at_floor else solver.MAX_HALVINGS + 1):
-            u_try = u + t * step
-            u_try[:rows.start] = spec.delta
-            u_try[rows.stop:] = spec.delta
+            u_try = u.copy()
+            u_try[rows] += t * step
             if (u_try[rows] > 0.0).all():
                 F_try, m_try, s_try = seed_evaluate(u_try, spec, r, cone)
                 if (m_try > MARGIN_FLOOR).all():
@@ -801,7 +883,8 @@ class TestBandedSolve:
                            delta=0.05, grid=grid)
         u, r, cone = initial_profile(spec).u, spec.radii(), spec.solve_cone()
         F, _, state = _evaluate(u, spec, r, cone)
-        self.assert_same_as_scipy(_analytic_jacobian(u, spec, r, cone, state), -F)
+        self.assert_same_as_scipy(_analytic_jacobian(u, spec, r, cone, state),
+                                  -F[solver._pde_rows(spec)])
 
     def test_solves_in_place(self):
         ab, b = random_tridiagonal(50, 1)
