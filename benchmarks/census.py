@@ -1,5 +1,5 @@
 """A robustness census: of a fixed sample of accepted problem specs, how many
-converge, and how the others fail.
+converge, and how the others fail; and the same for the public builders.
 
     python3 benchmarks/census.py [CHECKOUT]
 
@@ -7,13 +7,18 @@ CHECKOUT is an lnlab checkout (this one by default).  `sample` draws SPECS
 specs from SEED over the box: n = 3..12, any k <= n, tau = 0, U[0, 1) or
 1 - 10^-U(1, 4) (a third each), a ball or an annulus (half each), outer
 radius b = 10^U(-3, 3), inner radius a with a/b = 10^U(-3, log10 0.99),
-delta/b = 10^U(-6, 1) and grid 8..400.  One fresh interpreter, with
-CHECKOUT's src/ first on sys.path, runs continuation_tau on each spec with
-warnings as errors, and stops a spec after SPEC_SECONDS (see `run_specs`).
+delta/b = 10^U(-6, 1) and grid 8..400.  `builder_sample` draws
+BUILDER_SPECS calls of the public builders from SEED, a third each:
+hyperbolic_ball_profile, barrier_profile, and the certificate chain
+linear_auxiliary -> find_N -> verify_admissible (see `builder_sample` for
+their boxes).  One fresh interpreter, with CHECKOUT's src/ first on
+sys.path, runs continuation_tau on each spec and each builder call, with
+warnings as errors, and stops one after SPEC_SECONDS (see `run_specs`).
 
-Printed: the count per outcome class (converged, or the cause the error
-names, see `outcome`), the SLOWEST slowest specs, and every foreign
-exception or warning with its spec.  Exits 1 if there was one.
+Printed, for the specs and for the builders: the count per outcome class
+(converged or built, or the cause the error names, see `outcome`), the
+SLOWEST slowest, and every foreign exception or warning with its spec.
+Exits 1 if there was one.
 """
 
 import json
@@ -23,6 +28,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +39,8 @@ SEED = 1
 # minutes, so each is stopped after SPEC_SECONDS.
 SPECS = 120
 SPEC_SECONDS = 10
+# A few seconds on one core.
+BUILDER_SPECS = 90
 SLOWEST = 5
 # The causes refusals name, in the words of this and earlier checkouts.  The
 # first one a message holds is its class; a start problem's Newton stop is
@@ -47,6 +55,7 @@ CAUSES = (
     "the step left the cone",
     "line search found no admissible descent step",
     "iteration limit reached",
+    "no valid certificate",
 )
 # Runs run_specs in the census module at argv[1] on the lnlab under argv[2].
 PROBE = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import census; "
@@ -81,6 +90,73 @@ def sample(count: int = SPECS) -> list:
     return specs
 
 
+def builder_sample(count: int = BUILDER_SPECS) -> list:
+    """count builder calls drawn from SEED, cycling over the builders, each
+    a dict with the builder's name under "builder" and its arguments.
+
+    hyperbolic_ball_profile: grid = 10^U(log10 3, 6), whose radii take at
+    most 8 MB.  barrier_profile: R = 10^U(-320, TOP), m = 10^U(-20, TOP),
+    delta = m 10^U(-20, -0.01) and grid 3..2000, TOP = log10 of the largest
+    float.  The certificate chain: coords = linspace(0, L, size) with L =
+    10^U(-3, TOP) and size 1..500 into linear_auxiliary, whose data take C0
+    = 10^U(0, TOP) and C2 and C3, each 0 or 10^U(-320, TOP), before find_N;
+    the certificate goes to verify_admissible with ConeSpec(n, k, tau), n =
+    3..12, any k <= n, tau = U[0, 1].
+    """
+    rng = np.random.default_rng([SEED, 1])
+    top = float(np.log10(np.finfo(float).max))
+
+    def power(low, high=top):
+        return 10.0**float(rng.uniform(low, high))
+
+    calls = []
+    for i in range(count):
+        kind = ("hyperbolic_ball_profile", "barrier_profile", "certificate")[i % 3]
+        if kind == "hyperbolic_ball_profile":
+            call = {"grid": int(power(np.log10(3.0), 6.0))}
+        elif kind == "barrier_profile":
+            m = power(-20.0)
+            call = {"R": power(-320.0), "m": m, "delta": m * power(-20.0, -0.01),
+                    "grid": int(rng.integers(3, 2001))}
+        else:
+            n = int(rng.integers(3, 13))
+            call = {"length": power(-3.0), "size": int(rng.integers(1, 501)),
+                    "C0": power(0.0),
+                    **{name: float(rng.integers(2)) * power(-320.0) for name in ("C2", "C3")},
+                    "n": n, "k": int(rng.integers(1, n + 1)),
+                    "tau": float(rng.uniform(0.0, 1.0))}
+        calls.append({"builder": kind, **call})
+    return calls
+
+
+def _solve(spec: dict) -> str:
+    """Run continuation_tau on one spec of sample(); its outcome when it
+    returns."""
+    from lnlab import Annulus, Ball, ConeSpec, ProblemSpec, continuation_tau
+    domain = (Ball(spec["outer"]) if spec["domain"] == "ball"
+              else Annulus(spec["inner"], spec["outer"]))
+    report = continuation_tau(ProblemSpec(ConeSpec(spec["n"], spec["k"]), spec["tau"],
+                                          domain, spec["delta"], spec["grid"]))
+    return "converged" if report.converged else "not converged"
+
+
+def _build(call: dict) -> str:
+    """Run one builder call of builder_sample; its outcome when it returns."""
+    import lnlab
+    kind = call["builder"]
+    if kind == "hyperbolic_ball_profile":
+        lnlab.hyperbolic_ball_profile(call["grid"])
+        return "built"
+    if kind == "barrier_profile":
+        lnlab.barrier_profile(call["R"], call["delta"], call["m"], call["grid"])
+        return "built"
+    data = lnlab.linear_auxiliary(np.linspace(0.0, call["length"], call["size"]))
+    data = replace(data, C0=call["C0"], C2=call["C2"], C3=call["C3"])
+    cert = lnlab.find_N(data)
+    ok, _ = lnlab.verify_admissible(cert, lnlab.ConeSpec(call["n"], call["k"], call["tau"]))
+    return "certified admissible" if ok else "certified, not admissible"
+
+
 def outcome(err: BaseException) -> str | None:
     """The class of a refusal: its type and the first of CAUSES its message
     holds, else its message; None for a foreign exception or a warning."""
@@ -96,10 +172,10 @@ def outcome(err: BaseException) -> str | None:
 
 def run_specs(specs: list) -> list:
     """Per spec, {"outcome", "seconds"} from continuation_tau on the lnlab
-    first on sys.path, with warnings as errors, stopped after SPEC_SECONDS
-    by SIGALRM; a foreign exception or a warning has outcome "foreign" and
+    first on sys.path, or from the builder call of a spec with a "builder"
+    (see `_build`), with warnings as errors, stopped after SPEC_SECONDS by
+    SIGALRM; a foreign exception or a warning has outcome "foreign" and
     its "error"."""
-    from lnlab import Annulus, Ball, ConeSpec, ProblemSpec, continuation_tau
     results = []
     handler = signal.signal(signal.SIGALRM, _over_time)
     for spec in specs:
@@ -108,13 +184,7 @@ def run_specs(specs: list) -> list:
             warnings.simplefilter("error")
             signal.setitimer(signal.ITIMER_REAL, SPEC_SECONDS)
             try:
-                domain = (Ball(spec["outer"]) if spec["domain"] == "ball"
-                          else Annulus(spec["inner"], spec["outer"]))
-                report = continuation_tau(ProblemSpec(
-                    ConeSpec(spec["n"], spec["k"]), spec["tau"], domain,
-                    spec["delta"], spec["grid"]))
-                result = {"outcome": "converged" if report.converged
-                          else "not converged"}
+                result = {"outcome": (_build if "builder" in spec else _solve)(spec)}
             except Exception as err:            # noqa: BLE001 - the census counts them
                 cls = outcome(err)
                 result = ({"outcome": cls} if cls else
@@ -159,10 +229,13 @@ def main(argv=None):
     if not (checkout / "src" / "lnlab").is_dir():
         print(f"{checkout} is not an lnlab checkout: no src/lnlab", file=sys.stderr)
         return 2
-    specs = sample()
-    lines, foreign = report(specs, census(checkout, specs))
+    specs, builders = sample(), builder_sample()
+    results = census(checkout, specs + builders)
+    lines, foreign = report(specs, results[:len(specs)])
+    builder_lines, builder_foreign = report(builders, results[len(specs):])
     print(f"census of {checkout}: " + "\n".join(lines))
-    return 1 if foreign else 0
+    print("builders: " + "\n".join(builder_lines))
+    return 1 if foreign or builder_foreign else 0
 
 
 if __name__ == "__main__":

@@ -18,17 +18,21 @@ same benchmark.  For every workload in BENCHMARK.json:
 The record also holds each side's line count per src/lnlab/*.py file and
 their total, under "src_lines" (see `src_lines`).
 
-Then the stages of one Newton step (see `stage_times`), in a fresh
-interpreter per checkout with BLAS pinned to one thread, over STAGE_ROUNDS
-alternating rounds; the record holds the median over rounds.  The probe is
-this script's code around each checkout's private solver names.  As many
-more alternating rounds, each in a fresh interpreter, measure the memory of
-that step's whole newton_solve call (see `newton_peaks`); the record holds
-their medians under "stage_peak_mib".
+Then the stages of one Newton step (see `stage_times`), each stage at each
+grid in a fresh interpreter with BLAS pinned to one thread, over
+STAGE_ROUNDS alternating rounds; the record holds the median over rounds.
+The probe is this script's code around each checkout's private solver
+names.  As many more alternating rounds, each in a fresh interpreter,
+measure the memory of that step's whole newton_solve call, of the stages
+in it and of one tau step (see `newton_peaks`); the record holds their
+medians under "stage_peak_mib" (MiB) and "stage_peak_arrays" (grid
+arrays).
 
 Last, each side runs the robustness census of benchmarks/census.py on the
-same sample; under "census" the record holds each side's count per outcome
-class and its foreign exceptions and warnings (see `census_summary`).
+same sample of specs and builder calls; under "census" the record holds
+each side's count per outcome class and its foreign exceptions and
+warnings, for the specs and, under "builders", for the builder calls (see
+`run_census`).
 
 Progress goes to stderr; the record is one JSON document on stdout.  Exits
 1, after writing the record, if either side's census shows a foreign
@@ -54,14 +58,23 @@ PAIRS = 10
 STAGE_ROUNDS = 6
 STAGE_GRIDS = (1_000, 10_000, 100_000)
 STAGE_CONE = (4, 2, 0.95)
+STAGES = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
+          "banded_solve", "line_search_trial", "make_report",
+          "newton_solve_1_iteration")
+# The tau step test_solver.TestOneIterate measures, (n, k, tau, next tau) on
+# Annulus(0.5, 1) at delta 0.05, at these grids.
+TAU_STEP = (4, 2, 0.9, 0.95)
+TAU_STEP_GRIDS = (20_000, 100_000)
 SAMPLES = 7
 # A sample repeats a call until it lasts at least this long.
 SAMPLE_S = 5e-3
 BLAS_PIN = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                  "MKL_NUM_THREADS")}
-# Runs the probe compare.<argv[2]> on the lnlab under argv[3].
+# Runs the probe compare.<argv[2]> on the lnlab under argv[3], with the
+# further arguments of the JSON list argv[4].
 STAGE_PROBE = ("import json, sys; sys.path.insert(0, sys.argv[1]); import compare; "
-               "json.dump(getattr(compare, sys.argv[2])(sys.argv[3]), sys.stdout)")
+               "json.dump(getattr(compare, sys.argv[2])(sys.argv[3], *json.loads(sys.argv[4])), "
+               "sys.stdout)")
 
 
 def first_seed(src: Path) -> int:
@@ -204,13 +217,23 @@ def _one_newton_iteration(solver):
         solver.MAX_NEWTON_ITERATIONS = iterations
 
 
-def stage_times(src: str) -> dict:
-    """Milliseconds per call of each stage of one Newton step, per grid of
-    STAGE_GRIDS, lnlab from src, on _stage_problem.  The stages are the
-    stencil, the eigenpair, `cone_margin`, `_f_and_grad_unchecked`, the
-    Jacobian, the banded solve (with the copy of the bands it overwrites),
-    one line-search trial at t = 1, `_make_report`, and one whole
-    `newton_solve` iteration (MAX_NEWTON_ITERATIONS set to 1 for the probe)."""
+def _fresh_gradients(state):
+    """state with its f-gradients (its one 2-d array) copied, in their own
+    memory layout: the Jacobian may scale them in place."""
+    import numpy as np
+    return tuple(np.copy(x, order="K") if np.ndim(x) == 2 else x for x in state)
+
+
+def stage_times(src: str, stages=STAGES, grids=None) -> dict:
+    """Milliseconds per call of each of stages, per grid of grids
+    (STAGE_GRIDS by default), lnlab from src, on _stage_problem.  The
+    stages (STAGES) are the stencil, the eigenpair, `cone_margin`,
+    `_f_and_grad_unchecked`, the Jacobian (with a copy of the gradients it
+    may consume), the banded solve (with the copy of the bands it
+    overwrites), one line-search trial at t = 1, `_make_report`, and one
+    whole `newton_solve` iteration (MAX_NEWTON_ITERATIONS set to 1 for the
+    probe).  `main` times each stage at each grid in its own interpreter
+    (see `run_stage_times`)."""
     sys.path.insert(0, src)
     import numpy as np
     from lnlab import solver
@@ -218,7 +241,7 @@ def stage_times(src: str) -> dict:
     from lnlab.schouten import _eigenpair, _radial_stencil
     out = {}
     with _one_newton_iteration(solver):
-        for grid in STAGE_GRIDS:
+        for grid in STAGE_GRIDS if grids is None else grids:
             spec, init = _stage_problem(solver, ConeSpec, grid)
             r, cone = spec.radii(), spec.solve_cone()
             u = init.u
@@ -226,7 +249,7 @@ def stage_times(src: str) -> dict:
             du, d2u = _radial_stencil(u, r)
             lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
             F, margins, state = solver._evaluate(u, spec, r, cone)
-            ab = solver._analytic_jacobian(u, spec, r, cone, state)
+            ab = solver._analytic_jacobian(u, spec, r, cone, _fresh_gradients(state))
             # The probe also runs on checkouts whose bands hold a unit row
             # per Dirichlet row, one column per node: there the step spans
             # the grid, elsewhere the PDE rows only.
@@ -242,59 +265,136 @@ def stage_times(src: str) -> dict:
                         return float(np.abs(F_try).max())
                 return None
 
-            stages = {
+            calls = {
                 "stencil": lambda: _radial_stencil(u, r),
                 "eigenpair": lambda: _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T,
                 "cone_margin": lambda: cone_margin(cone, lam),
                 "f_and_grad": lambda: _f_and_grad_unchecked(cone, lam),
-                "jacobian": lambda: solver._analytic_jacobian(u, spec, r, cone, state),
+                "jacobian": lambda: solver._analytic_jacobian(u, spec, r, cone,
+                                                              _fresh_gradients(state)),
                 "banded_solve": lambda: solver.solve_banded(ab.copy(), -F[unknowns]),
                 "line_search_trial": trial,
                 "make_report": lambda: solver._make_report(u, spec, r, F, margins,
                                                            state, 1, "tolerance"),
                 "newton_solve_1_iteration": lambda: solver.newton_solve(init, spec),
             }
-            for name, call in stages.items():
-                out[f"{name},grid={grid}"] = per_call_ms(call)
+            for name in stages:
+                out[f"{name},grid={grid}"] = per_call_ms(calls[name])
     return out
 
 
-def newton_peaks(src: str) -> dict:
-    """MiB that tracemalloc traces, above its start, at the peak of one
-    call of the newton_solve_1_iteration stage, per grid of STAGE_GRIDS,
-    lnlab from src.  The call allocates the same arrays on every repeat,
-    so one call per grid measures it."""
-    sys.path.insert(0, src)
+def _traced_peak(call) -> float:
+    """Bytes that tracemalloc traces, above its start, at the peak of
+    call()."""
     import tracemalloc
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _stage_peaks(solver, call) -> dict:
+    """Bytes above call()'s start at the peak of each stage of its one
+    newton_solve iteration: the line-search trials' `_evaluate` (every call
+    after the first, the start's), `_analytic_jacobian` and `solve_banded`,
+    each wrapped in the solver module with tracemalloc's peak reset around
+    it."""
+    import tracemalloc
+    stages = {"trial_evaluate": "_evaluate", "jacobian": "_analytic_jacobian",
+              "banded_solve": "solve_banded"}
+    originals = {name: getattr(solver, name) for name in stages.values()}
+    peaks = dict.fromkeys(stages, 0)
+    evaluations = []
+
+    def wrapped(stage, original):
+        def call_stage(*args):
+            tracemalloc.reset_peak()
+            result = original(*args)
+            if stage != "trial_evaluate" or evaluations:
+                peak = tracemalloc.get_traced_memory()[1] - start
+                peaks[stage] = max(peaks[stage], peak)
+            if stage == "trial_evaluate":
+                evaluations.append(None)
+            return result
+        return call_stage
+
+    for stage, name in stages.items():
+        setattr(solver, name, wrapped(stage, originals[name]))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+    finally:
+        tracemalloc.stop()
+        for name, original in originals.items():
+            setattr(solver, name, original)
+    return peaks
+
+
+def newton_peaks(src: str) -> dict:
+    """Memory that tracemalloc traces, above the start of each measured
+    call, lnlab from src.  Per grid of STAGE_GRIDS, the peak of one call of
+    the newton_solve_1_iteration stage in MiB, and in grid arrays (8 bytes
+    per node) the peak of each of its stages (see `_stage_peaks`) under
+    "<stage>,grid=G,arrays".  Per grid of TAU_STEP_GRIDS, in grid arrays,
+    the peak of the tau step test_solver.TestOneIterate measures: the
+    newton_solve from the converged profile at TAU_STEP's tau to its next
+    tau, under "tau_step,grid=G,arrays".  Each call allocates the same arrays on
+    every repeat, so one call measures it."""
+    sys.path.insert(0, src)
+    from dataclasses import replace
     from lnlab import solver
     from lnlab.cones import ConeSpec
     out = {}
     with _one_newton_iteration(solver):
         for grid in STAGE_GRIDS:
             spec, init = _stage_problem(solver, ConeSpec, grid)
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                solver.newton_solve(init, spec)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            out[f"newton_solve_1_iteration,grid={grid}"] = (peak - start) / 2**20
+            one_iteration = lambda: solver.newton_solve(init, spec)  # noqa: E731
+            out[f"newton_solve_1_iteration,grid={grid}"] = _traced_peak(one_iteration) / 2**20
+            for stage, peak in _stage_peaks(solver, one_iteration).items():
+                out[f"{stage},grid={grid},arrays"] = peak / (8 * (grid + 1))
+    n, k, tau, next_tau = TAU_STEP
+    for grid in TAU_STEP_GRIDS:
+        spec = solver.ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=solver.Annulus(0.5, 1.0),
+                                  delta=0.05, grid=grid)
+        start = solver.continuation_tau(spec).profile
+        step = replace(spec, tau=next_tau)
+        peak = _traced_peak(lambda: solver.newton_solve(start, step))
+        out[f"tau_step,grid={grid},arrays"] = peak / (8 * (grid + 1))
     return out
 
 
-def run_probe(probe: str):
+def run_probe(probe: str, *args):
     """A run for `alternate`: probe ("stage_times" or "newton_peaks") on
-    the checkout's lnlab, in a fresh interpreter with BLAS pinned."""
+    the checkout's lnlab with the further arguments args, in a fresh
+    interpreter with BLAS pinned."""
     def run(checkout: Path, _round: int) -> dict:
         cmd = [sys.executable, "-c", STAGE_PROBE, str(Path(__file__).resolve().parent),
-               probe, str(checkout / "src")]
+               probe, str(checkout / "src"), json.dumps(args)]
         result = json.loads(subprocess.run(cmd, env=dict(os.environ, **BLAS_PIN),
                                            check=True, capture_output=True,
                                            text=True).stdout)
-        print(f"{checkout.name} {probe} done", file=sys.stderr, flush=True)
+        print(f"{checkout.name} {probe}{list(args) if args else ''} done",
+              file=sys.stderr, flush=True)
         return result
     return run
+
+
+def run_stage_times(checkout: Path, round_: int) -> dict:
+    """A run for `alternate`: stage_times of every stage at every grid of
+    STAGE_GRIDS, each in a fresh interpreter (see `run_probe`), so that no
+    stage's time follows the heap state that other stages left.  The 27
+    interpreters of a round take about 10 s per side on a 2-core host,
+    against about 2 s for one interpreter that runs every stage: about a
+    minute and a half more over STAGE_ROUNDS rounds of both sides."""
+    out = {}
+    for grid in STAGE_GRIDS:
+        for stage in STAGES:
+            out.update(run_probe("stage_times", [stage], [grid])(checkout, round_))
+    return out
 
 
 def _medians(runs: dict) -> dict:
@@ -310,23 +410,32 @@ def stage_medians(runs: dict) -> dict:
 
 
 def peak_medians(runs: dict) -> dict:
-    return {key: {"parent_mib": p, "change_mib": c, "saved_mib": p - c}
-            for key, (p, c) in _medians(runs).items()}
+    """Per key, the sides' medians and the saving, in MiB, or in grid
+    arrays for a key that ends in ",arrays"."""
+    out = {}
+    for key, (p, c) in _medians(runs).items():
+        unit = "arrays" if key.endswith(",arrays") else "mib"
+        out[key] = {f"parent_{unit}": p, f"change_{unit}": c, f"saved_{unit}": p - c}
+    return out
 
 
 def census_summary(specs: list, results: list) -> dict:
     """One side's census (census.census results on specs): the count per
-    outcome class, and each foreign exception or warning with its spec."""
+    outcome class, and each foreign exception or warning with its spec.
+    run_census adds the summary of the builder calls under "builders"."""
     return {"counts": dict(sorted(Counter(r["outcome"] for r in results).items())),
             "foreign": [{"error": r["error"], "spec": spec}
                         for r, spec in zip(results, specs) if r["outcome"] == "foreign"]}
 
 
 def run_census(checkout: Path) -> dict:
-    """census_summary of checkout on census.sample(), in a fresh interpreter."""
-    specs = census.sample()
+    """census_summary of checkout on census.sample(), with that of
+    census.builder_sample() under "builders", from one fresh interpreter."""
+    specs, builders = census.sample(), census.builder_sample()
     print(f"{checkout.name} census", file=sys.stderr, flush=True)
-    return census_summary(specs, census.census(checkout, specs))
+    results = census.census(checkout, specs + builders)
+    return {**census_summary(specs, results[:len(specs)]),
+            "builders": census_summary(builders, results[len(specs):])}
 
 
 def main(argv=None):
@@ -342,8 +451,7 @@ def main(argv=None):
         return 2
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seed = first_seed(change / "src")
-    stages = stage_medians(alternate(parent, change, STAGE_ROUNDS,
-                                     run_probe("stage_times")))
+    stages = stage_medians(alternate(parent, change, STAGE_ROUNDS, run_stage_times))
     peaks = peak_medians(alternate(parent, change, STAGE_ROUNDS,
                                    run_probe("newton_peaks")))
     workloads = {w["name"]: compare_workload(parent, change, w["name"], seed, bench)
@@ -355,10 +463,14 @@ def main(argv=None):
     lines = {side: src_lines(checkout) for side, checkout in sides}
     censuses = {side: run_census(checkout) for side, checkout in sides}
     json.dump({**flagged, "pairs": PAIRS, "src_lines": lines, "workloads": workloads,
-               "stage_ms": stages, "stage_peak_mib": peaks, "census": censuses},
+               "stage_ms": stages,
+               "stage_peak_mib": {k: v for k, v in peaks.items() if "parent_mib" in v},
+               "stage_peak_arrays": {k: v for k, v in peaks.items() if "parent_arrays" in v},
+               "census": censuses},
               sys.stdout, indent=1)
     sys.stdout.write("\n")
-    return 1 if any(side["foreign"] for side in censuses.values()) else 0
+    return 1 if any(side["foreign"] or side["builders"]["foreign"]
+                    for side in censuses.values()) else 0
 
 
 if __name__ == "__main__":

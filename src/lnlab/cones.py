@@ -293,12 +293,12 @@ def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray) -> np.ndarray | flo
     """cone_margin from a _deformed_sigma pass."""
     # Column-wise max and min: exact like the axis reductions, and much
     # cheaper than them on a short last axis.  The scale is built in place
-    # in column 0 of |mu|; [()] makes one spectrum's scale the scalar a
-    # ufunc would return, so its powers take numpy's scalar path.
-    abs_mu = np.abs(mu)
-    scale = abs_mu[..., 0]
+    # in one column of its own, from |mu| a column at a time; [()] makes one
+    # spectrum's scale the scalar a ufunc would return, so its powers take
+    # numpy's scalar path.
+    scale = np.abs(mu[..., 0], out=np.empty(mu.shape[:-1]))
     for i in range(1, mu.shape[-1]):
-        np.maximum(scale, abs_mu[..., i], out=scale)
+        np.maximum(scale, np.abs(mu[..., i]), out=scale)
     np.maximum(scale, 1.0, out=scale)
     scale = scale[()]
     out = None
@@ -319,16 +319,18 @@ def _f_undeformed(cone: ConeSpec, sig: np.ndarray) -> np.ndarray:
 
 
 def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
-    """_f_and_grad_unchecked from a _deformed_sigma pass.
+    """_f_and_grad_unchecked from a _deformed_sigma pass, whose sigma_k it
+    consumes: the weight df / dsigma_k is formed in its place.
 
-    Works in buffers of its own with in-place ufuncs, in the operation order
-    (and so with the bits) of the plain expressions in the comments; [()]
-    turns one spectrum's 0-d f into the scalar those expressions give.
+    Works in its own output buffers and in sig's with in-place ufuncs, in
+    the operation order (and so with the bits) of the plain expressions in
+    the comments; [()] turns one spectrum's 0-d f into the scalar those
+    expressions give.
     """
     n, k = cone.n, cone.k
     s = cone.deformation_scale
     fk = _f_undeformed(cone, sig)
-    weight = np.multiply(sig[..., k], k, out=np.empty_like(fk))
+    weight = np.multiply(sig[..., k], k, out=sig[..., k])
     np.divide(fk, weight, out=weight)   # df / dsigma_k = fk / (k * sigma_k)
     fk /= s
 
@@ -342,33 +344,35 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
         total = grad_F.sum(axis=-1, keepdims=True)
         return fk[()], (cone.tau * grad_F + (1.0 - cone.tau) * total) / s
 
-    # A pair, column by column.  Deleting a leaves b n-1 times; deleting a b
-    # leaves (a, b, ..., b) of length n-1.  Both in the closed form of
-    # sigma_all.
+    # A pair, column by column, each formed in its row of the output block
+    # g.  Deleting a leaves b n-1 times; deleting a b leaves (a, b, ..., b)
+    # of length n-1.  Both in the closed form of sigma_all.
+    g = np.empty((2,) + fk.shape)
+    grad_a, grad_b = g[0, ...], g[1, ...]
     if k == 1:
-        grad_a = grad_b = weight
+        grad_a[...] = grad_b[...] = weight
     else:
         a, b = mu[..., 0], mu[..., 1]
-        b_pow = b ** (k - 2)
+        b_pow = b ** (k - 2) if k > 2 else None     # None standing for b^0 = 1
+        # grad_b = weight * ((C(n-2,k-1) * b + C(n-2,k-2) * a) * b_pow), its
+        # a term in grad_a's row until grad_a is formed
+        np.multiply(b, comb(n - 2, k - 1), out=grad_b)
+        grad_b += np.multiply(a, comb(n - 2, k - 2), out=grad_a)
         # grad_a = weight * (C(n-1,k-1) * b * b_pow)
-        grad_a = np.multiply(b, comb(n - 1, k - 1), out=np.empty_like(fk))
-        grad_a *= b_pow
-        grad_a *= weight
-        # grad_b = weight * ((C(n-2,k-1) * b + C(n-2,k-2) * a) * b_pow)
-        grad_b = np.multiply(b, comb(n - 2, k - 1), out=np.empty_like(fk))
-        grad_b += a * comb(n - 2, k - 2)
-        grad_b *= b_pow
-        grad_b *= weight
-    # shift = (1 - tau) * (grad_a + (n-1) * grad_b)
-    shift = np.multiply(grad_b, n - 1, out=np.empty_like(fk))
+        np.multiply(b, comb(n - 1, k - 1), out=grad_a)
+        for grad in (grad_a, grad_b):
+            if b_pow is not None:
+                grad *= b_pow
+            grad *= weight
+    # shift = (1 - tau) * (grad_a + (n-1) * grad_b), in weight's place
+    shift = np.multiply(grad_b, n - 1, out=weight)
     shift += grad_a
     shift *= 1.0 - cone.tau
-    g = np.empty((2,) + fk.shape)
-    for i, grad in enumerate((grad_a, grad_b)):
-        column = g[i, ...]
-        np.multiply(grad, cone.tau, out=column)
-        column += shift
-        column /= s
+    # g = (tau * grad + shift) / s, row by row
+    for grad in (grad_a, grad_b):
+        grad *= cone.tau
+        grad += shift
+        grad /= s
     return fk[()], _last_axis_outermost(g)
 
 

@@ -201,6 +201,10 @@ class BackgroundData:
             raise CriticalPointError("auxiliary function has a critical point (|dv|^2 <= 0)")
         if self.C0 < 1.0 or self.C2 < 0.0 or self.C3 < 0.0:
             raise InvalidArgumentError("need C0 >= 1, C2 >= 0, C3 >= 0")
+        if self.C0 > np.finfo(float).max / 4:
+            raise InvalidArgumentError(
+                f"C0 = {self.C0!r} is out of float range: 4*C0, a factor of q, "
+                f"overflows")
 
 
 def rescaled_metric_spectrum_bound(N, data: BackgroundData):
@@ -225,6 +229,11 @@ def rescaled_metric_spectrum_bound(N, data: BackgroundData):
 
     |dv|^2 is measured in the flat reference metric; the C0 in the scale
     converts it to a lower bound for the metric norm.
+
+    N*v, q and log(scale) past the float range are inf, without a warning:
+    a node whose q is inf cannot certify, as at any q >= 1, and its t is
+    inf, or NaN where e^{-Nv} underflows to 0 as well.  Inside the range
+    they have the bits of the plain formulas below.
     """
     _check_real(N, "N")
     if not 0 < N < np.inf:
@@ -232,12 +241,14 @@ def rescaled_metric_spectrum_bound(N, data: BackgroundData):
     if not isinstance(data, BackgroundData):
         raise InvalidArgumentError(f"data must be a BackgroundData, got {type(data).__name__}")
     v, dv_sq, C0, C2, C3 = data.v, data.dv_sq, data.C0, data.C2, data.C3
-    e_neg = np.exp(-N * v)
-    # Rounded up by 2^-48, more than exp and four roundings lose when N*v is
-    # exact (N a power of two, as on the scan), so q < 1 holds exactly too.
-    q = 4.0 * C0 * (C3 + C2 * e_neg / N) / (N * dv_sq) * (1.0 + 2.0**-48)
-    log_scale = 2.0 * np.log(N) + 2.0 * N * v + np.log(dv_sq) - np.log(2.0 * C0)
-    return 0.5 * q * e_neg, e_neg, log_scale, q
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_neg = np.exp(-N * v)
+        # Rounded up by 2^-48, more than exp and four roundings lose when
+        # N*v is exact (N a power of two, as on the scan), so q < 1 holds
+        # exactly too.
+        q = 4.0 * C0 * (C3 + C2 * e_neg / N) / (N * dv_sq) * (1.0 + 2.0**-48)
+        log_scale = 2.0 * np.log(N) + 2.0 * N * v + np.log(dv_sq) - np.log(2.0 * C0)
+        return 0.5 * q * e_neg, e_neg, log_scale, q
 
 
 def _check_grid(grid, least: int = 3) -> int:

@@ -214,30 +214,34 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
 
 def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     """Residual vector, per-node margins (PDE rows) and the iterate's state
-    (val, du, d2u, grads, grad_sup): the PDE rows' u, u_r and u_rr (views
-    of u and of the full-grid stencil, which they keep alive), their
-    f-gradients (None outside the cone) and max|u_r| over the grid.
+    (grads, grad_sup): the PDE rows' f-gradients (None outside the cone)
+    and max|u_r| over the grid.
 
-    Only _analytic_jacobian reads the four arrays, and _make_report reads
-    only grad_sup, a float: newton_solve keeps the stencil and gradients
-    until the Jacobian is built, and grad_sup alone after that.
+    Each stage holds only what the next one reads.  The full-grid stencil
+    lives until grad_sup and the eigenpairs lam are formed; lam lives
+    through the two cone passes (the margins, then f and its gradients);
+    F is allocated once lam is freed.  _analytic_jacobian reads grads and
+    forms the stencil again from u; _make_report reads grad_sup, a float.
     """
     rows = _pde_rows(spec)
-    du_full, d2u = _radial_stencil(u, r)
-    val, du, d2u = u[rows], du_full[rows], d2u[rows]
+    du, d2u = _radial_stencil(u, r)
+    grad_sup = float(np.abs(du).max())
     # (radial, tangential) pairs stand for the spectra (a, b, ..., b),
     # stored column by column for the pair kernels.
-    lam = _eigenpair(val, du, d2u, r[rows]).T
+    lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
+    del du, d2u
     margins = np.atleast_1d(cone_margin(cone, lam))
-
-    F = u - spec.delta
+    fvals = grads = None
     if (margins > 0.0).all():
         fvals, grads = _f_and_grad_unchecked(cone, lam)
-        np.subtract(fvals, RHS, out=F[rows])
-    else:
-        grads = None
+    del lam
+
+    F = u - spec.delta
+    if grads is None:
         F[rows] = np.nan
-    return F, margins, (val, du, d2u, grads, float(np.abs(du_full).max()))
+    else:
+        np.subtract(fvals, RHS, out=F[rows])
+    return F, margins, (grads, grad_sup)
 
 
 def _stencil_bands(p, q, s, rows: slice):
@@ -263,35 +267,68 @@ def _stencil_bands(p, q, s, rows: slice):
 
 
 def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
-    """Tridiagonal Jacobian of the PDE rows in the PDE-row unknowns, from
-    _stencil_bands.  With gR and gT = (n-1) g_T the f-gradient's weights of
-    the radial and tangential eigenvalues, row i is p D1 + q D2 + s with
+    """Tridiagonal Jacobian of the PDE rows in the PDE-row unknowns, in
+    _stencil_bands' layout and with its sums.  With gR and gT = (n-1) g_T
+    the f-gradient's weights of the radial and tangential eigenvalues, row
+    i is p D1 + q D2 + s with
 
     p = (gR u_r + gT (u_r - u/r)) / 2h,  q = -gR u / h^2,
     s = -(gR u_rr + gT u_r / r);
 
     at a ball's centre both eigenvalues are -u u_rr (see _eigenpair), so
     there q = -(gR + gT) u / h^2 and s = -(gR + gT) u_rr.
+
+    It reads state[0], the gradients of u's _evaluate, and consumes them:
+    gT and s are formed in place in their rows.  It forms u's full-grid
+    stencil again, and p in one scratch array; q lives in the diagonal
+    band and gT (u_r - u/r) in the lower one until the bands are summed.
+    Its peak is the stencil, the bands and p beside newton_solve's u, F and
+    the gradients.
     """
-    val, du, d2u, grads = state[:4]
+    grads = state[0]
     h = r[1] - r[0]
     rows = _pde_rows(spec)
-    gR = grads[:, 0]
-    gT = (cone.n - 1) * grads[:, 1]
-    # Three arrays, not one (3, m) block: at grid 1e5 the block took 710
-    # minor page faults a call in a tau continuation, three arrays 350.
-    p, q, s = np.empty(val.size), np.empty(val.size), np.empty(val.size)
+    du, d2u = (d[rows] for d in _radial_stencil(u, r))
+    val = u[rows]
+    gR, gT = grads[:, 0], grads[:, 1]
+    gT *= cone.n - 1
+    ab = np.empty((3, val.size))
+    p, q = np.empty(val.size), ab[1]
     if rows.start == 0:
         gsum = gR[0] + gT[0]
-        p[0], q[0], s[0] = 0.0, -gsum * val[0] / h**2, -gsum * d2u[0]
+        p[0], q[0], s0 = 0.0, -gsum * val[0] / h**2, -gsum * d2u[0]
     # Rows off the centre, i = 1 .. rows.stop - 1, at i - rows.start.
     off = slice(1 - rows.start, None)
     val, du, d2u, gR, gT = val[off], du[off], d2u[off], gR[off], gT[off]
     rr = r[1:rows.stop]
-    p[off] = (gR * du + gT * (du - val / rr)) / (2 * h)
-    q[off] = -gR * val / h**2
-    s[off] = -(gR * d2u + gT * du / rr)
-    return _stencil_bands(p, q, s, rows)
+    # q in the diagonal band; p, its gT (u_r - u/r) term in the lower band.
+    np.negative(gR, out=q[off])
+    q[off] *= val
+    q[off] /= h**2
+    tangential = ab[2, off]
+    np.divide(val, rr, out=tangential)
+    np.subtract(du, tangential, out=tangential)
+    tangential *= gT
+    np.multiply(gR, du, out=p[off])
+    p[off] += tangential
+    p[off] /= 2 * h
+    # _stencil_bands' sums: p + q above the diagonal, q - p below, -2q + s on it.
+    np.add(p[:-1], q[:-1], out=ab[0, 1:])
+    np.subtract(q[1:], p[1:], out=ab[2, :-1])
+    ab[0, 0] = ab[2, -1] = 0.0
+    # s in gR's row: gR u_rr + (gT u_r) / r, negated.
+    gT *= du
+    gT /= rr
+    gR *= d2u
+    gR += gT
+    np.negative(gR, out=gR)
+    if rows.start == 0:
+        ab[0, 1] = 2.0 * q[0]
+    q *= -2.0
+    q[off] += gR
+    if rows.start == 0:
+        q[0] += s0
+    return ab
 
 
 def solve_banded(ab, b):
@@ -423,8 +460,26 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
             f"n = {n}, delta {spec.delta:g}, grid {spec.grid}: at node {node} "
             f"(r = {r[node]:.6g}) it is {u[node]:.3e}, where h/r = "
             f"{(r[1] - r[0]) / r[node]:.3g} against 2/(n - 1) = {2 / (n - 1):.3g} "
-            f"(L_h is an M-matrix, so w >= 0, when h/r < 2/(n - 1) at every PDE row)")
+            f"{_M_MATRIX_RULE}")
     return RadialProfile(r=r, u=u)
+
+
+# Why the tau = 0 start can fail where the grid is coarse against r.
+_M_MATRIX_RULE = "(L_h is an M-matrix, so w >= 0, when h/r < 2/(n - 1) at every PDE row)"
+
+
+def _coarse_inner_sphere(spec: ProblemSpec) -> str:
+    """For a tau = 0 start problem that stopped short: on an annulus with
+    h/a >= 2/(n - 1), a the inner radius, the clause that names h/a against
+    2/(n - 1), where the discrete start is not resolved; "" otherwise."""
+    if isinstance(spec.domain, Ball):
+        return ""
+    r, n = spec.radii(), spec.cone.n
+    h_a = (r[1] - r[0]) / r[0]
+    if h_a < 2 / (n - 1):
+        return ""
+    return (f"; the start is coarse at the inner sphere: h/a = {h_a:.3g} against "
+            f"2/(n - 1) = {2 / (n - 1):.3g} {_M_MATRIX_RULE}")
 
 
 def _torsion_bump(spec: ProblemSpec, r: np.ndarray) -> np.ndarray:
@@ -456,11 +511,20 @@ def _torsion_bump(spec: ProblemSpec, r: np.ndarray) -> np.ndarray:
 def _make_report(u, spec, r, F, margins, state, iters, stop):
     """The report of iterate u, whose _evaluate gave F, margins and state,
     stopped by the rule stop (see SolveReport.newton_stop).  Of the state
-    it reads only the last entry, grad_sup."""
-    profile = RadialProfile(r=r, u=u)
+    it reads only the last entry, grad_sup.
+
+    The profile holds a copy of u, made last.  A tau continuation holds only
+    that array between steps; made last, it lies above the step's freed
+    work arrays in the heap, so the allocator keeps their pages for the
+    next step.  With the solver's own u, made before them, the allocator
+    handed those pages back after every step and the next evaluation
+    faulted them in again: at grid 1e5 that doubled the minor page faults
+    of a solve-large pass and made its median op about a fifth slower.
+    """
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
     margin_full[_pde_rows(spec)] = margins
+    profile = RadialProfile(r=r, u=u.copy())
     return SolveReport(
         profile=profile,
         residual_sup=float(res_nodes.max()),
@@ -497,9 +561,10 @@ def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
     2^-MAX_HALVINGS (t = 1 alone at the rounding floor), whose PDE rows are
     positive, whose margins exceed MARGIN_FLOOR and whose residual is below
     res, as (u, F, margins, state, res) from its _evaluate; None if no trial
-    qualifies.  step is halved in place, so t*step needs no buffer of its
-    own, and a refused trial's evaluation is freed before the next trial is
-    evaluated."""
+    qualifies.  Only u and step live through it: step is halved in place,
+    so t*step needs no buffer of its own, and a trial's u, F, margins and
+    state are freed before the next trial is made.  Its peak is one
+    trial's _evaluate beside u, step and the trial."""
     rows = _pde_rows(spec)
     for _ in range(1 if at_floor else MAX_HALVINGS + 1):
         u_try = u.copy()
@@ -511,6 +576,7 @@ def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
                 if res_try < res:
                     return u_try, F, margins, state, res_try
             del F, margins, state
+        del u_try
         step *= 0.5
     return None
 
@@ -527,14 +593,15 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     after MAX_NEWTON_ITERATIONS or on any other line-search failure.
 
     The Dirichlet rows of newton_solve's copy of init are set to delta
-    once; each step solves for the PDE rows only.  One iterate is held at
-    a time: u, its residual F and margins, and its
-    _evaluate state.  The Jacobian bands live only through the banded
-    solve, which overwrites them, and the state's stencil and gradients
-    only until the Jacobian is built; the state is then cut to grad_sup.
-    A line-search trial's arrays live only through that trial (see
-    _line_search), so the peak is one trial's evaluation beside u, F,
-    margins and the step.
+    once; each step solves for the PDE rows only.  One iterate u is held
+    at a time, and each stage of an iteration keeps only what the next
+    one reads.  u's F, margins and state (see _evaluate) live until the
+    stop test; past it the margins are freed, the Jacobian (see
+    _analytic_jacobian) consumes the state's gradients, and the bands and
+    -F[rows], formed in F's own buffer, go into the banded solve, which
+    overwrites them with the step.  So only u and the step live through
+    the line search (see _line_search).  A stop after a refused trial
+    evaluates u again for its report.
     """
     opts = opts or NewtonOptions()
     if spec.tau >= 1.0:
@@ -553,21 +620,23 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return _make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
-        # The bands and -F[rows] are temporaries: the solve overwrites both.
+        del margins
         ab = _analytic_jacobian(u, spec, r, cone, state)
-        step = solve_banded(ab, -F[rows])
-        del ab
-        state = state[-1:]          # grad_sup, all _make_report reads
+        del state
+        step = solve_banded(ab, np.negative(F, out=F)[rows])
+        del ab, F
 
         # At the rounding floor a halved step's decrease is rounding noise:
         # only the full step is tried.
         at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
         accepted = _line_search(u, step, res, at_floor, spec, r, cone)
+        del step
         if accepted is None:
+            F, margins, state = _evaluate(u, spec, r, cone)
             return _make_report(u, spec, r, F, margins, state, it,
                                 "rounding floor" if at_floor else "line search")
         u, F, margins, state, res = accepted
-        del accepted                # else it holds the state past the Jacobian
+        del accepted                # else it holds the trial past the Jacobian
     return _make_report(u, spec, r, F, margins, state, MAX_NEWTON_ITERATIONS,
                         "tolerance" if res <= opts.tol else "iteration limit")
 
@@ -620,37 +689,40 @@ def continuation_tau(spec: ProblemSpec,
         raise _inadmissible_start(spec0, err) from err
     if not report.converged:
         raise ContinuationStallError(
-            f"the tau = 0 start problem did not converge: {_newton_stop(report, opts)}")
+            f"the tau = 0 start problem did not converge: {_newton_stop(report, opts)}"
+            f"{_coarse_inner_sphere(spec0)}")
     steps = 0
     if target == 0.0:
         return replace(report, continuation_steps=0)
 
     # Keep the steps inside (0, target) whatever arange's rounding gives,
-    # so that target is solved once, last.
+    # so that target is solved once, last.  Between steps only the accepted
+    # profile is held: no earlier step's report lives into the next solve.
     pending = [t for t in np.arange(TAU_STEP, target, TAU_STEP)
                if 0.0 < t < target] + [target]
-    current = 0.0
-    while pending:
+    profile, current = report.profile, 0.0
+    del report
+    while True:
         t_next = pending[0]
-        spec_t = replace(spec, tau=t_next)
         try:
-            trial = newton_solve(report.profile, spec_t, opts)
+            trial = newton_solve(profile, replace(spec, tau=t_next), opts)
             refusal = None if trial.converged else _newton_stop(trial, opts)
         except InadmissibleIterateError as err:
-            refusal = (f"the step left the cone (worst node {err.worst_node}, "
-                       f"margin {err.margin:.3e})")
+            trial, refusal = None, (f"the step left the cone (worst node {err.worst_node}, "
+                                    f"margin {err.margin:.3e})")
         if refusal is None:
-            report = trial
-            current = t_next
-            pending.pop(0)
             steps += 1
+            if t_next == target:
+                return replace(trial, continuation_steps=steps)
+            profile, current = trial.profile, t_next
+            pending.pop(0)
         else:
             if t_next - current < MIN_TAU_STEP:
                 raise ContinuationStallError(
                     f"tau continuation stalled at tau = {current:.6f}: "
                     f"tau = {t_next:.9f} refused, {refusal}")
             pending.insert(0, 0.5 * (current + t_next))
-    return replace(report, continuation_steps=steps)
+        del trial
 
 
 @dataclass

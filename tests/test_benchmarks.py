@@ -49,6 +49,20 @@ def test_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
             if r["outcome"] == "foreign"] == []
 
 
+def test_builder_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
+    """The first 30 builder calls of the census: each builds, certifies or
+    is refused with an error that names its cause, and none warns."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    calls = census.builder_sample()[:30]
+    assert {call["builder"] for call in calls} == {
+        "hyperbolic_ball_profile", "barrier_profile", "certificate"}
+    results = census.run_specs(calls)
+    assert len(results) == 30
+    assert [(r, call) for r, call in zip(results, calls)
+            if r["outcome"] == "foreign"] == []
+
+
 @pytest.fixture
 def compare(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
@@ -155,8 +169,8 @@ def test_src_lines_counts_each_module_of_each_side(compare, monkeypatch, tmp_pat
                         lambda *args: {"parent": [{}], "change": [{}]})
     monkeypatch.setattr(compare, "compare_workload",
                         lambda *args: {"end_to_end": {}})
-    monkeypatch.setattr(compare, "run_census",
-                        lambda checkout: {"counts": {}, "foreign": []})
+    monkeypatch.setattr(compare, "run_census", lambda checkout: {
+        "counts": {}, "foreign": [], "builders": {"counts": {}, "foreign": []}})
     assert compare.main([str(parent)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["src_lines"] == {"parent": compare.src_lines(parent),
@@ -182,16 +196,17 @@ def test_census_summary_counts_classes_and_names_foreign_errors(compare):
 @pytest.mark.parametrize("foreign_side", [None, "parent", "change"])
 def test_compare_records_both_censuses_and_fails_on_a_foreign_error(
         compare, monkeypatch, tmp_path, capsys, foreign_side):
-    """Each side's census summary goes into the record under "census"; a
-    foreign exception or warning on either side makes main exit 1, after
-    the record is written.  The census itself is stubbed."""
+    """Each side's census summary goes into the record under "census", the
+    builder calls' under "builders"; a foreign exception or warning in
+    either, on either side, makes main exit 1, after the record is
+    written.  The census itself is stubbed."""
     parent = write_tree(tmp_path / "parent", {"src/lnlab/__init__.py": "",
                                               "perfbench/run.py": ""})
     sides = {parent.resolve(): "parent", compare.ROOT: "change"}
 
-    def stub_census(checkout):
+    def summary(foreign):
         results = [{"outcome": "converged", "seconds": 0.1}] * 3
-        if sides[checkout] == foreign_side:
+        if foreign:
             results = results[:2] + [{"outcome": "foreign", "error": "ValueError: x",
                                       "seconds": 0.1}]
         return compare.census_summary(STUB_SPECS, results)
@@ -199,14 +214,22 @@ def test_compare_records_both_censuses_and_fails_on_a_foreign_error(
     monkeypatch.setattr(compare, "alternate",
                         lambda *args: {"parent": [{}], "change": [{}]})
     monkeypatch.setattr(compare, "compare_workload", lambda *args: {"end_to_end": {}})
-    monkeypatch.setattr(compare, "run_census", stub_census)
-    assert compare.main([str(parent)]) == (0 if foreign_side is None else 1)
-    record = json.loads(capsys.readouterr().out)
-    for side in ("parent", "change"):
-        foreign = side == foreign_side
-        assert record["census"][side]["counts"] == (
-            {"converged": 2, "foreign": 1} if foreign else {"converged": 3})
-        assert bool(record["census"][side]["foreign"]) == foreign
+    for foreign_in in ("specs", "builders"):
+        def stub_census(checkout, foreign_in=foreign_in):
+            foreign = sides[checkout] == foreign_side
+            return {**summary(foreign and foreign_in == "specs"),
+                    "builders": summary(foreign and foreign_in == "builders")}
+
+        monkeypatch.setattr(compare, "run_census", stub_census)
+        assert compare.main([str(parent)]) == (0 if foreign_side is None else 1)
+        record = json.loads(capsys.readouterr().out)
+        for side in ("parent", "change"):
+            for part, name in ((record["census"][side], "specs"),
+                               (record["census"][side]["builders"], "builders")):
+                foreign = side == foreign_side and foreign_in == name
+                assert part["counts"] == (
+                    {"converged": 2, "foreign": 1} if foreign else {"converged": 3})
+                assert bool(part["foreign"]) == foreign
 
 
 @pytest.mark.parametrize("pairs", [5, 1, 0])
@@ -309,26 +332,67 @@ def test_stage_probe_builds_reports_with_a_stop_rule_name(monkeypatch, compare):
 
 
 def test_newton_peak_probe_measures_one_iteration_per_grid(monkeypatch, compare):
-    """newton_peaks traces one newton_solve call of one iteration per grid,
-    reports its peak in MiB above its start, and leaves neither the
-    iteration limit changed nor tracemalloc tracing."""
+    """newton_peaks traces one newton_solve call of one iteration per grid
+    and reports its peak in MiB above its start, and in grid arrays the
+    peaks of its line-search evaluations, its Jacobian and its banded
+    solve, and of one tau step per TAU_STEP_GRIDS grid.  It leaves neither
+    the iteration limit changed nor tracemalloc tracing."""
     import tracemalloc
-    from lnlab import solver
-    monkeypatch.setattr(compare, "STAGE_GRIDS", (2000, 4000))
-    reports = []
+    from lnlab import Ball, solver
+    grids = (2000, 4000)
+    monkeypatch.setattr(compare, "STAGE_GRIDS", grids)
+    monkeypatch.setattr(compare, "TAU_STEP_GRIDS", (3000,))
+    solves = []
     solve = solver.newton_solve
     monkeypatch.setattr(solver, "newton_solve",
-                        lambda *args: reports.append(solve(*args)) or reports[-1])
+                        lambda *args: solves.append((args[1], solve(*args))) or solves[-1][1])
     peaks = compare.newton_peaks(str(Path(solver.__file__).parent.parent))
-    assert sorted(peaks) == ["newton_solve_1_iteration,grid=2000",
-                             "newton_solve_1_iteration,grid=4000"]
-    assert [rep.newton_iterations for rep in reports] == [1, 1]
-    for grid, rep in zip((2000, 4000), reports):
+    stages = ("trial_evaluate", "jacobian", "banded_solve")
+    assert sorted(peaks) == sorted(
+        [f"newton_solve_1_iteration,grid={grid}" for grid in grids]
+        + [f"{stage},grid={grid},arrays" for stage in stages for grid in grids]
+        + ["tau_step,grid=3000,arrays"])
+    # Two calls per grid: one for the whole peak, one for the stages'.
+    stage_problem = [rep for spec, rep in solves if spec.domain == Ball(1.0)]
+    assert [rep.newton_iterations for rep in stage_problem] == [1] * 4
+    for grid in grids:
         arrays = peaks[f"newton_solve_1_iteration,grid={grid}"] * 2**20 / (8 * (grid + 1))
         # The iterate, its residual, the step and a trial's stencil at least.
         assert 4 < arrays < 40, (grid, arrays)
+        stage_arrays = [peaks[f"{stage},grid={grid},arrays"] for stage in stages]
+        # Each stage runs inside the call, and some stage holds its peak; the
+        # wrappers around the stages add a few hundred bytes.
+        assert all(2 < peak <= arrays + 0.25 for peak in stage_arrays), (stage_arrays,
+                                                                          arrays)
+        assert max(stage_arrays) > arrays - 1.0, (stage_arrays, arrays)
+    spec, step = solves[-1]
+    assert (spec.grid, spec.tau, step.converged) == (3000, 0.95, True)
+    assert 4 < peaks["tau_step,grid=3000,arrays"] < 40
     assert solver.MAX_NEWTON_ITERATIONS == 60
     assert not tracemalloc.is_tracing()
+
+
+def test_stage_times_run_each_stage_at_each_grid_in_its_own_interpreter(
+        monkeypatch, compare):
+    """run_stage_times starts one probe per (stage, grid) and merges their
+    times; one real probe run times the one stage it is given."""
+    from lnlab import solver
+    monkeypatch.setattr(compare, "STAGE_GRIDS", (200, 300))
+    probes = []
+
+    def stub_probe(probe, stages, grids):
+        probes.append((probe, stages, grids))
+        return lambda checkout, round_: {f"{stages[0]},grid={grids[0]}": 1.0}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(compare, "run_probe", stub_probe)
+        times = compare.run_stage_times(compare.ROOT, 0)
+    pairs = [(stage, grid) for grid in (200, 300) for stage in compare.STAGES]
+    assert probes == [("stage_times", [stage], [grid]) for stage, grid in pairs]
+    assert times == {f"{stage},grid={grid}": 1.0 for stage, grid in pairs}
+    one = compare.run_probe("stage_times", ["stencil"], [200])(
+        Path(solver.__file__).parent.parent.parent, 0)
+    assert list(one) == ["stencil,grid=200"] and one["stencil,grid=200"] > 0
 
 
 def test_peak_medians_are_per_side_medians_over_rounds(compare):
@@ -336,5 +400,9 @@ def test_peak_medians_are_per_side_medians_over_rounds(compare):
             "change": [{"a": 1.0}, {"a": 1.5}, {"a": 0.5}]}
     assert compare.peak_medians(runs) == {
         "a": {"parent_mib": 2.0, "change_mib": 1.0, "saved_mib": 1.0}}
+    arrays = {side: [{"b,arrays": value["a"]} for value in values]
+              for side, values in runs.items()}
+    assert compare.peak_medians(arrays) == {
+        "b,arrays": {"parent_arrays": 2.0, "change_arrays": 1.0, "saved_arrays": 1.0}}
     assert compare.stage_medians(runs) == {
         "a": {"parent_ms": 2.0, "change_ms": 1.0, "speedup": 2.0}}

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from lnlab import (BackgroundData, RadialProfile, barrier_profile,
                    hyperbolic_ball_profile, radial_schouten_spectrum,
                    ricci_spectrum_from_schouten, spectrum_field)
-from lnlab.admissible import N_SCAN
+from lnlab.admissible import N_SCAN, find_N
 from lnlab.schouten import (_eigenpair, _radial_stencil,
                             rescaled_metric_spectrum_bound)
-from lnlab.errors import InvalidArgumentError, InvalidProfileError
+from lnlab.errors import InvalidArgumentError, InvalidProfileError, NoCertificateError
 
 
 class TestRadialProfile:
@@ -458,6 +458,40 @@ class TestRescaledBound:
                       **fields)
         with pytest.raises(InvalidArgumentError, match=match):
             rescaled_metric_spectrum_bound(1.0, BackgroundData(**values))
+
+    def test_C0_whose_quadruple_overflows_is_refused_by_name(self):
+        """q takes 4*C0: past a quarter of the largest float it is inf, and
+        q was NaN, with a warning, where C2 e^{-Nv} and C3 are 0."""
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^C0 = 1e\+308 is out of float range: 4\*C0"):
+            BackgroundData(np.ones(3), np.ones(3), C0=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = find_N(BackgroundData(np.ones(3), np.ones(3), C0=4e307))
+        assert cert.N == N_SCAN[0] and (cert.q == 0.0).all()
+        assert np.isfinite(cert.log_scale).all()
+
+    def test_arithmetic_past_the_float_range_saturates_without_a_warning(self):
+        """Builder census calls that warned.  On linspace(0, 2.6e179, 39)
+        with C0 = 9.6e203 and C3 = 2.1e227, q overflows at every N of the
+        scan: no certificate, by name.  On linspace(0, 1.2e269, 312) with
+        C0 = 1.7e109 and C2 = 2.8e197, q overflows at small N and vanishes
+        at large N: a certificate at N = 1024."""
+        coords = np.linspace(0.0, 2.6458706531233993e179, 39)
+        no_cert = BackgroundData(1.0 + coords, np.ones(39), 9.625644011656387e203,
+                                 0.0, 2.1045494310838803e227)
+        coords = np.linspace(0.0, 1.1603909682645186e269, 312)
+        late = BackgroundData(1.0 + coords, np.ones(312), 1.6658283171087807e109,
+                              2.769549729043412e197, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoCertificateError):
+                find_N(no_cert)
+            assert (rescaled_metric_spectrum_bound(N_SCAN[-1], no_cert)[3] == np.inf).all()
+            assert rescaled_metric_spectrum_bound(N_SCAN[0], late)[3][0] == np.inf
+            cert = find_N(late)
+        assert cert.N == 1024.0 and (cert.q == 0.0).all()
+        assert np.isfinite(cert.log_scale).all()
 
     @settings(max_examples=300, deadline=None)
     @given(nodes=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),

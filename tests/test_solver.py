@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -381,6 +382,28 @@ def pre_inplace_jacobian(u, spec, r, cone, state):
     return ab
 
 
+# _analytic_jacobian as it was before it wrote p, q and s into the band rows,
+# from the state the seed's _evaluate returned: three arrays that
+# _stencil_bands sums.  Today's bands must have its bits.
+def three_array_jacobian(u, spec, r, cone, state):
+    val, du, d2u, grads = state[:4]
+    h = r[1] - r[0]
+    rows = solver._pde_rows(spec)
+    gR = grads[:, 0]
+    gT = (cone.n - 1) * grads[:, 1]
+    p, q, s = np.empty(val.size), np.empty(val.size), np.empty(val.size)
+    if rows.start == 0:
+        gsum = gR[0] + gT[0]
+        p[0], q[0], s[0] = 0.0, -gsum * val[0] / h**2, -gsum * d2u[0]
+    off = slice(1 - rows.start, None)
+    val, du, d2u, gR, gT = val[off], du[off], d2u[off], gR[off], gT[off]
+    rr = r[1:rows.stop]
+    p[off] = (gR * du + gT * (du - val / rr)) / (2 * h)
+    q[off] = -gR * val / h**2
+    s[off] = -(gR * d2u + gT * du / rr)
+    return solver._stencil_bands(p, q, s, rows)
+
+
 def assert_same_arrays(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -405,13 +428,31 @@ class TestInPlaceStages:
             u = continuation_tau(spec).profile.u
             r = spec.radii()
             cone = spec.solve_cone()
-            state = _evaluate(u, spec, r, cone)[2]
-            got = _analytic_jacobian(u, spec, r, cone, state)
-            want = pre_inplace_jacobian(u, spec, r, cone, state)[:, solver._pde_rows(spec)]
+            got = _analytic_jacobian(u, spec, r, cone, _evaluate(u, spec, r, cone)[2])
+            want = pre_inplace_jacobian(u, spec, r, cone, seed_evaluate(u, spec, r, cone)[2])
+            want = want[:, solver._pde_rows(spec)]
             assert got.shape == want.shape
             assert np.array_equal(got == 0.0, want == 0.0)
             scale = np.abs(want).max(axis=1, keepdims=True)
             assert (np.abs(got - want) <= 4 * np.finfo(float).eps * scale).all()
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.2)],
+                             ids=["ball", "annulus"])
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
+    def test_band_rows_keep_the_bits_of_three_arrays(self, domain, n, k):
+        """p, q and s written into the band rows, with gT and s formed in
+        the gradients' own rows and the stencil formed again from u: the
+        bits of p, q and s as three arrays summed by _stencil_bands, from
+        the seed's state, at the ball's centre row too."""
+        for grid in (8, 24, 200):
+            spec = ProblemSpec(cone=ConeSpec(n, k), tau=0.8, domain=domain,
+                               delta=0.1, grid=grid)
+            u = continuation_tau(spec).profile.u
+            r = spec.radii()
+            cone = spec.solve_cone()
+            assert_same_arrays(
+                [_analytic_jacobian(u, spec, r, cone, _evaluate(u, spec, r, cone)[2])],
+                [three_array_jacobian(u, spec, r, cone, seed_evaluate(u, spec, r, cone)[2])])
 
     @pytest.mark.parametrize("domain, tau", [(Ball(1.0), 0.9),
                                              (Annulus(0.5, 1.0), 0.0)],
@@ -439,10 +480,9 @@ class TestInPlaceStages:
         assert calls == {"cone_margin": 1, "_f_and_grad_unchecked": 1}
         assert u.size > 6 * cones._BLOCK_ROWS
         F, margins, state = got
-        assert np.all(margins > 0) and state[3] is not None
-        assert_same_arrays((F, margins) + state[:3] + state[4:],
-                           want[:2] + want[2][:3] + want[2][4:])
-        assert_same_arrays([state[3]], [want[2][3]])
+        assert np.all(margins > 0) and state[0] is not None
+        assert_same_arrays((F, margins, state[1]), want[:2] + want[2][1:])
+        assert_same_arrays([state[0]], [want[2][0]])
         assert_same_arrays([_analytic_jacobian(u, spec, r, cone, state)],
                            [_analytic_jacobian(u, spec, r, cone, want[2])])
 
@@ -549,9 +589,10 @@ class TestNewton:
         """At grid 4000 the default tolerance is below the rounding floor, so
         every solve of a default tau continuation stops at the floor.  There
         the line search tries the full step only: one evaluation for the
-        start and one per iteration, the refused last one included (a search
-        of every halving made 1005 and 1112 evaluations here, not 44 and
-        105)."""
+        start and one per iteration, the refused last one included, and one
+        of the last iterate again for the report (a search of every halving
+        made 1005 and 1112 evaluations here, not 44 and 105 and the
+        reports')."""
         evaluations, reports = [], []
         evaluate, solve = solver._evaluate, solver.newton_solve
 
@@ -569,8 +610,8 @@ class TestNewton:
                            delta=0.1, grid=4000)
         assert continuation_tau(spec).converged
         assert {rep.newton_stop for rep in reports} == {"rounding floor"}
-        assert len(evaluations) == len(reports) + sum(rep.newton_iterations
-                                                      for rep in reports)
+        assert len(evaluations) == 2 * len(reports) + sum(rep.newton_iterations
+                                                          for rep in reports)
 
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
                              ids=["ball", "annulus"])
@@ -657,8 +698,9 @@ class TestNewton:
 # newton_solve as it was before it held one iterate at a time, with the
 # _evaluate, _make_report and _problem_grid it called, verbatim but for the
 # solver. prefixes and its Newton step, which now solves -F[rows] for the PDE
-# rows and adds t * step to those rows only, the Dirichlet values being data.
-# Every report of the rewrite must have the same bits.
+# rows and adds t * step to those rows only, the Dirichlet values being data,
+# and passes _analytic_jacobian the state's gradients in the state layout it
+# now reads, (grads, ...).  Every report of the rewrite must have the same bits.
 def seed_problem_grid(profile, spec):
     r = spec.radii()
     if profile.r.shape == r.shape:
@@ -726,7 +768,7 @@ def seed_newton_solve(init, spec, opts=None):
     for it in range(1, solver.MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return seed_make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
-        ab = _analytic_jacobian(u, spec, r, cone, state)
+        ab = _analytic_jacobian(u, spec, r, cone, state[3:])
         step = solver.solve_banded(ab, -F[rows])
 
         at_floor = res <= solver._rounding_floor(u.max(), r[1] - r[0])
@@ -759,10 +801,11 @@ def assert_same_reports(got, want):
 
 
 # One tau step at grid 2e4 holds at most this many full-length float64
-# arrays at its peak, above its start: 21.7 measured with one iterate held
-# at a time (29.7 when the bands, the accepted iterate's stencil and
-# gradients and the fvals - RHS temporary outlived their use).
-ONE_STEP_PEAK_ARRAYS = 23
+# arrays at its peak, above its start: 12.9 measured when each stage holds
+# only what the next one reads, in a line-search trial's f-gradient pass
+# (21.7 when the trial's stencil, the iterate's F and margins and the
+# pair kernel's gradient scratch outlived their use, 29.7 before that).
+ONE_STEP_PEAK_ARRAYS = 14
 
 
 class TestOneIterate:
@@ -1217,6 +1260,66 @@ class TestContinuationTau:
         res, floor = (float(x) for x in found.groups())
         assert floor > NEWTON_TOL
         assert floor / 10 < res < 10 * floor
+
+    def test_coarse_inner_sphere_start_names_h_over_a(self):
+        """(8, 8, tau = 0) on Annulus(0.11488, 33.828), delta 0.0042825,
+        grid 331, a census spec: h/a = 0.887 against 2/(n - 1) = 0.286, the
+        discrete start overshoots at node 1 and the start problem stops in
+        the line search.  The message keeps the prefix the census classes
+        it by and names h/a in initial_profile's words."""
+        spec = ProblemSpec(cone=ConeSpec(8, 8), tau=0.0, domain=Annulus(0.11488, 33.828),
+                           delta=0.0042825, grid=331)
+        with pytest.raises(ContinuationStallError) as err:
+            continuation_tau(spec)
+        message = str(err.value)
+        assert message.startswith("the tau = 0 start problem did not converge: "
+                                  "Newton stopped at residual_sup "), message
+        assert "(line search found no admissible descent step)" in message
+        assert message.endswith(
+            "; the start is coarse at the inner sphere: h/a = 0.887 against "
+            "2/(n - 1) = 0.286 (L_h is an M-matrix, so w >= 0, when h/r < "
+            "2/(n - 1) at every PDE row)"), message
+
+    def test_start_stop_on_a_resolved_annulus_names_no_h_over_a(self, monkeypatch):
+        """Where h/a < 2/(n - 1) the start problem's stop names the Newton
+        stop and the rounding floor only."""
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 1)
+        with pytest.raises(ContinuationStallError) as err:
+            continuation_tau(annulus_spec(8, 8, 0.5, 0.1))
+        assert re.fullmatch(r"the tau = 0 start problem did not converge: .*\(iteration "
+                            r"limit reached\); rounding floor 4\*eps\*max\(u\)\^2/h\^2 "
+                            r"= \S+", str(err.value)), str(err.value)
+
+    @pytest.mark.parametrize("case", ["refused reports", "left the cone"])
+    def test_no_earlier_step_report_lives_into_the_next_solve(self, case,
+                                                               monkeypatch):
+        """Between tau steps continuation_tau holds the accepted profile
+        only: while it solves a step, no report of an earlier one (the
+        start's, an accepted step's or a refused one's) is alive.  (4, 2,
+        0.95) on [0.5, 1] with 2 Newton iterations per step after the start
+        refuses steps with non-converged reports and converges; (8, 8) on
+        [0.1, 1] has steps leave the cone and stalls before tau = 0.9."""
+        refs, alive, stops = [], [], []
+        solve = solver.newton_solve
+
+        def tracked(*args):
+            alive.append([i for i, ref in enumerate(refs) if ref() is not None])
+            report = solve(*args)
+            refs.append(weakref.ref(report))
+            stops.append(report.converged)
+            if case == "refused reports":
+                solver.MAX_NEWTON_ITERATIONS = 2
+            return report
+
+        monkeypatch.setattr(solver, "newton_solve", tracked)
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", solver.MAX_NEWTON_ITERATIONS)
+        if case == "refused reports":
+            assert continuation_tau(annulus_spec(4, 2, 0.95, 0.5)).converged
+            assert False in stops
+        else:
+            with pytest.raises(ContinuationStallError):
+                continuation_tau(annulus_spec(8, 8, 0.9, 0.1))
+        assert len(alive) > 3 and alive == [[]] * len(alive)
 
     def test_stall_names_the_refused_tau_and_the_cause(self):
         """(8, 8) on [0.1, 1] reaches the cone boundary before tau = 0.9."""
