@@ -61,10 +61,12 @@ STAGE_CONE = (4, 2, 0.95)
 STAGES = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
           "banded_solve", "line_search_trial", "make_report",
           "newton_solve_1_iteration")
-# The tau step test_solver.TestOneIterate measures, (n, k, tau, next tau) on
-# Annulus(0.5, 1) at delta 0.05, at these grids.
-TAU_STEP = (4, 2, 0.9, 0.95)
-TAU_STEP_GRIDS = (20_000, 100_000)
+# The tau step newton_peaks and test_solver.TestOneIterate measure: the
+# newton_solve from the converged profile at tau to next_tau, on the annulus
+# (inner, outer) at delta; newton_peaks measures it at ONE_STEP_GRIDS.
+ONE_STEP_PROBLEM = {"n": 4, "k": 2, "tau": 0.9, "next_tau": 0.95,
+                    "annulus": (0.5, 1.0), "delta": 0.05}
+ONE_STEP_GRIDS = (20_000, 100_000)
 SAMPLES = 7
 # A sample repeats a call until it lasts at least this long.
 SAMPLE_S = 5e-3
@@ -339,11 +341,10 @@ def newton_peaks(src: str) -> dict:
     call, lnlab from src.  Per grid of STAGE_GRIDS, the peak of one call of
     the newton_solve_1_iteration stage in MiB, and in grid arrays (8 bytes
     per node) the peak of each of its stages (see `_stage_peaks`) under
-    "<stage>,grid=G,arrays".  Per grid of TAU_STEP_GRIDS, in grid arrays,
-    the peak of the tau step test_solver.TestOneIterate measures: the
-    newton_solve from the converged profile at TAU_STEP's tau to its next
-    tau, under "tau_step,grid=G,arrays".  Each call allocates the same arrays on
-    every repeat, so one call measures it."""
+    "<stage>,grid=G,arrays".  Per grid of ONE_STEP_GRIDS, in grid arrays,
+    the peak of ONE_STEP_PROBLEM's tau step under "tau_step,grid=G,arrays".
+    Each call allocates the same arrays on every repeat, so one call
+    measures it."""
     sys.path.insert(0, src)
     from dataclasses import replace
     from lnlab import solver
@@ -356,12 +357,13 @@ def newton_peaks(src: str) -> dict:
             out[f"newton_solve_1_iteration,grid={grid}"] = _traced_peak(one_iteration) / 2**20
             for stage, peak in _stage_peaks(solver, one_iteration).items():
                 out[f"{stage},grid={grid},arrays"] = peak / (8 * (grid + 1))
-    n, k, tau, next_tau = TAU_STEP
-    for grid in TAU_STEP_GRIDS:
-        spec = solver.ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=solver.Annulus(0.5, 1.0),
-                                  delta=0.05, grid=grid)
+    one = ONE_STEP_PROBLEM
+    for grid in ONE_STEP_GRIDS:
+        spec = solver.ProblemSpec(cone=ConeSpec(one["n"], one["k"]), tau=one["tau"],
+                                  domain=solver.Annulus(*one["annulus"]),
+                                  delta=one["delta"], grid=grid)
         start = solver.continuation_tau(spec).profile
-        step = replace(spec, tau=next_tau)
+        step = replace(spec, tau=one["next_tau"])
         peak = _traced_peak(lambda: solver.newton_solve(start, step))
         out[f"tau_step,grid={grid},arrays"] = peak / (8 * (grid + 1))
     return out

@@ -244,33 +244,35 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     return F, margins, (grads, grad_sup)
 
 
-def _stencil_bands(p, q, s, rows: slice):
+def _stencil_bands(ab, p, s, rows: slice):
     """diag(p) D1 + diag(q) D2 + diag(s) on the PDE rows `rows`, in their
-    own unknowns, in solve_banded layout (3, m): ab[0, j + 1] is J[j, j+1],
-    ab[1, j] is J[j, j] and ab[2, j - 1] is J[j, j-1].
+    own unknowns, summed in place into ab, a (3, m) array whose row 1 holds
+    q, in solve_banded layout: ab[0, j + 1] is J[j, j+1], ab[1, j] is J[j, j]
+    and ab[2, j - 1] is J[j, j-1].  Returns ab.
 
     D1 and D2 are _radial_stencil's central stencils times 2h and h^2,
     (-1, 0, 1) and (1, -2, 1); a ball's centre row (rows.start == 0) has its
     centre rule, D1 = 0 and D2 = (-2, 2), and does not read p[0].  Entries
     that would multiply a Dirichlet value are left out: the Dirichlet values
     are data, not unknowns.  The corners gtsv ignores, ab[0, 0] and
-    ab[2, -1], are zero, since solve_banded checks every entry.
+    ab[2, -1], are set to zero, since solve_banded checks every entry.
+    Rows 0 and 2 of ab are only written, so they may hold scratch on entry.
     """
-    ab = np.zeros((3, q.size))
+    q = ab[1]
     np.add(p[:-1], q[:-1], out=ab[0, 1:])
-    np.multiply(q, -2.0, out=ab[1])
-    ab[1] += s
     np.subtract(q[1:], p[1:], out=ab[2, :-1])
+    ab[0, 0] = ab[2, -1] = 0.0
     if rows.start == 0:
         ab[0, 1] = 2.0 * q[0]
+    q *= -2.0
+    q += s
     return ab
 
 
 def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
-    """Tridiagonal Jacobian of the PDE rows in the PDE-row unknowns, in
-    _stencil_bands' layout and with its sums.  With gR and gT = (n-1) g_T
-    the f-gradient's weights of the radial and tangential eigenvalues, row
-    i is p D1 + q D2 + s with
+    """Tridiagonal Jacobian of the PDE rows in the PDE-row unknowns, from
+    _stencil_bands.  With gR and gT = (n-1) g_T the f-gradient's weights of
+    the radial and tangential eigenvalues, row i is p D1 + q D2 + s with
 
     p = (gR u_r + gT (u_r - u/r)) / 2h,  q = -gR u / h^2,
     s = -(gR u_rr + gT u_r / r);
@@ -279,32 +281,34 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     there q = -(gR + gT) u / h^2 and s = -(gR + gT) u_rr.
 
     It reads state[0], the gradients of u's _evaluate, and consumes them:
-    gT and s are formed in place in their rows.  It forms u's full-grid
-    stencil again, and p in one scratch array; q lives in the diagonal
-    band and gT (u_r - u/r) in the lower one until the bands are summed.
-    Its peak is the stencil, the bands and p beside newton_solve's u, F and
-    the gradients.
+    gT is scaled in its own row and s is formed in gR's.  It forms u's
+    full-grid stencil again, and p in one scratch array; q is formed in the
+    diagonal band and gT (u_r - u/r) in the lower one, which _stencil_bands
+    overwrites.  Its peak is the stencil, the bands and p beside
+    newton_solve's u, F and the gradients (and u's margins at the rounding
+    floor).
     """
     grads = state[0]
     h = r[1] - r[0]
     rows = _pde_rows(spec)
     du, d2u = (d[rows] for d in _radial_stencil(u, r))
     val = u[rows]
-    gR, gT = grads[:, 0], grads[:, 1]
+    s, gT = grads[:, 0], grads[:, 1]
     gT *= cone.n - 1
     ab = np.empty((3, val.size))
     p, q = np.empty(val.size), ab[1]
     if rows.start == 0:
-        gsum = gR[0] + gT[0]
-        p[0], q[0], s0 = 0.0, -gsum * val[0] / h**2, -gsum * d2u[0]
+        gsum = s[0] + gT[0]
+        p[0], q[0], s[0] = 0.0, -gsum * val[0] / h**2, -gsum * d2u[0]
     # Rows off the centre, i = 1 .. rows.stop - 1, at i - rows.start.
     off = slice(1 - rows.start, None)
-    val, du, d2u, gR, gT = val[off], du[off], d2u[off], gR[off], gT[off]
+    val, du, d2u, gR, gT = val[off], du[off], d2u[off], s[off], gT[off]
     rr = r[1:rows.stop]
-    # q in the diagonal band; p, its gT (u_r - u/r) term in the lower band.
+    # q = -gR u / h^2
     np.negative(gR, out=q[off])
     q[off] *= val
     q[off] /= h**2
+    # p = (gR u_r + gT (u_r - u/r)) / 2h, its second term in the lower band
     tangential = ab[2, off]
     np.divide(val, rr, out=tangential)
     np.subtract(du, tangential, out=tangential)
@@ -312,23 +316,13 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     np.multiply(gR, du, out=p[off])
     p[off] += tangential
     p[off] /= 2 * h
-    # _stencil_bands' sums: p + q above the diagonal, q - p below, -2q + s on it.
-    np.add(p[:-1], q[:-1], out=ab[0, 1:])
-    np.subtract(q[1:], p[1:], out=ab[2, :-1])
-    ab[0, 0] = ab[2, -1] = 0.0
-    # s in gR's row: gR u_rr + (gT u_r) / r, negated.
+    # s = -(gR u_rr + gT u_r / r), in gR's place
     gT *= du
     gT /= rr
     gR *= d2u
     gR += gT
     np.negative(gR, out=gR)
-    if rows.start == 0:
-        ab[0, 1] = 2.0 * q[0]
-    q *= -2.0
-    q[off] += gR
-    if rows.start == 0:
-        q[0] += s0
-    return ab
+    return _stencil_bands(ab, p, s, rows)
 
 
 def solve_banded(ab, b):
@@ -498,11 +492,12 @@ def _torsion_bump(spec: ProblemSpec, r: np.ndarray) -> np.ndarray:
     rr = r[rows]
     p = np.zeros(rr.size)
     np.divide((n - 1) * (r[1] - r[0]), 2.0 * rr, out=p, where=rr > 0.0)
-    q = np.ones(rr.size)
+    ab = np.empty((3, rr.size))
+    ab[1] = 1.0                         # q
     if rows.start == 0:
-        q[0] = n                        # centre rule: L_h = n D2 / h^2
+        ab[1, 0] = n                    # centre rule: L_h = n D2 / h^2
     w = np.zeros(r.size)
-    w[rows] = solve_banded(_stencil_bands(p, q, np.zeros(rr.size), rows),
+    w[rows] = solve_banded(_stencil_bands(ab, p, 0.0, rows),
                            np.full(rr.size, -2.0 * n))
     w /= abs(_radial_stencil(w, r)[0][-1])
     return w
@@ -561,8 +556,9 @@ def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
     2^-MAX_HALVINGS (t = 1 alone at the rounding floor), whose PDE rows are
     positive, whose margins exceed MARGIN_FLOOR and whose residual is below
     res, as (u, F, margins, state, res) from its _evaluate; None if no trial
-    qualifies.  Only u and step live through it: step is halved in place,
-    so t*step needs no buffer of its own, and a trial's u, F, margins and
+    qualifies.  Only u and step live through it (and, at the rounding
+    floor, newton_solve's F and margins of u): step is halved in place, so
+    t*step needs no buffer of its own, and a trial's u, F, margins and
     state are freed before the next trial is made.  Its peak is one
     trial's _evaluate beside u, step and the trial."""
     rows = _pde_rows(spec)
@@ -596,12 +592,14 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     once; each step solves for the PDE rows only.  One iterate u is held
     at a time, and each stage of an iteration keeps only what the next
     one reads.  u's F, margins and state (see _evaluate) live until the
-    stop test; past it the margins are freed, the Jacobian (see
-    _analytic_jacobian) consumes the state's gradients, and the bands and
-    -F[rows], formed in F's own buffer, go into the banded solve, which
-    overwrites them with the step.  So only u and the step live through
-    the line search (see _line_search).  A stop after a refused trial
-    evaluates u again for its report.
+    stop test; past it the Jacobian (see _analytic_jacobian) consumes the
+    state's gradients, and the bands and -F[rows] go into the banded solve,
+    which overwrites them with the step.  Off the rounding floor -F[rows]
+    is formed in F's own buffer and the margins are freed, so only u and
+    the step live through the line search (see _line_search), and a
+    line-search stop evaluates u again for its report.  At the floor the
+    line search makes one trial, and F and the margins live through it
+    for the report of a "rounding floor" stop.
     """
     opts = opts or NewtonOptions()
     if spec.tau >= 1.0:
@@ -620,23 +618,25 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     for it in range(1, MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return _make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
+        # At the rounding floor a halved step's decrease is rounding noise:
+        # only the full step is tried, and u's F and margins are kept for
+        # the report of a refused one.
+        at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
+        kept = (F, margins, state[-1:]) if at_floor else None
         del margins
         ab = _analytic_jacobian(u, spec, r, cone, state)
         del state
-        step = solve_banded(ab, np.negative(F, out=F)[rows])
+        step = solve_banded(ab, -F[rows] if at_floor else np.negative(F, out=F)[rows])
         del ab, F
-
-        # At the rounding floor a halved step's decrease is rounding noise:
-        # only the full step is tried.
-        at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
         accepted = _line_search(u, step, res, at_floor, spec, r, cone)
         del step
         if accepted is None:
-            F, margins, state = _evaluate(u, spec, r, cone)
-            return _make_report(u, spec, r, F, margins, state, it,
+            if not at_floor:
+                kept = _evaluate(u, spec, r, cone)
+            return _make_report(u, spec, r, *kept, it,
                                 "rounding floor" if at_floor else "line search")
         u, F, margins, state, res = accepted
-        del accepted                # else it holds the trial past the Jacobian
+        del accepted, kept          # else they live past the next Jacobian
     return _make_report(u, spec, r, F, margins, state, MAX_NEWTON_ITERATIONS,
                         "tolerance" if res <= opts.tol else "iteration limit")
 

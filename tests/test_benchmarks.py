@@ -335,13 +335,13 @@ def test_newton_peak_probe_measures_one_iteration_per_grid(monkeypatch, compare)
     """newton_peaks traces one newton_solve call of one iteration per grid
     and reports its peak in MiB above its start, and in grid arrays the
     peaks of its line-search evaluations, its Jacobian and its banded
-    solve, and of one tau step per TAU_STEP_GRIDS grid.  It leaves neither
+    solve, and of one tau step per ONE_STEP_GRIDS grid.  It leaves neither
     the iteration limit changed nor tracemalloc tracing."""
     import tracemalloc
     from lnlab import Ball, solver
     grids = (2000, 4000)
     monkeypatch.setattr(compare, "STAGE_GRIDS", grids)
-    monkeypatch.setattr(compare, "TAU_STEP_GRIDS", (3000,))
+    monkeypatch.setattr(compare, "ONE_STEP_GRIDS", (3000,))
     solves = []
     solve = solver.newton_solve
     monkeypatch.setattr(solver, "newton_solve",

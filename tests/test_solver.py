@@ -1,6 +1,7 @@
 """Solver: residual oracles, Newton, Jacobian, continuation, comparison tools."""
 
 import csv
+import importlib
 import io
 import itertools
 import json
@@ -333,9 +334,10 @@ def dense_stencils(grid, ball):
 @settings(max_examples=60, deadline=None)
 @given(ball=st.booleans(), grid=st.integers(8, 300), seed=st.integers(0, 2**32 - 1))
 def test_stencil_bands_are_the_dense_stencil_sum(ball, grid, seed):
-    """_stencil_bands(p, q, s, rows) is diag(p) D1 + diag(q) D2 + diag(s)
-    on the PDE rows and columns, value for value, on its three bands; the
-    corners gtsv ignores are 0."""
+    """_stencil_bands(ab, p, s, rows), with q in ab's row 1 and scratch in
+    its other rows, is diag(p) D1 + diag(q) D2 + diag(s) on the PDE rows
+    and columns, value for value, on its three bands; the corners gtsv
+    ignores are 0."""
     spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.0, delta=0.1, grid=grid,
                        domain=Ball(1.0) if ball else Annulus(0.5, 1.0))
     rows = solver._pde_rows(spec)
@@ -344,7 +346,9 @@ def test_stencil_bands_are_the_dense_stencil_sum(ball, grid, seed):
     p, q, s = rng.standard_normal((3, m)) * 10.0 ** rng.integers(-8, 9, (3, m))
     D1, D2 = (D[rows, rows] for D in dense_stencils(grid, ball))
     dense = p[:, None] * D1 + q[:, None] * D2 + np.diag(s)
-    ab = solver._stencil_bands(p, q, s, rows)
+    ab = np.full((3, m), np.nan)
+    ab[1] = q
+    assert solver._stencil_bands(ab, p, s, rows) is ab
     assert ab.shape == (3, m) and ab[0, 0] == ab[2, -1] == 0.0
     assert np.array_equal(ab[0, 1:], np.diag(dense, 1))
     assert np.array_equal(ab[1], np.diag(dense))
@@ -383,8 +387,9 @@ def pre_inplace_jacobian(u, spec, r, cone, state):
 
 
 # _analytic_jacobian as it was before it wrote p, q and s into the band rows,
-# from the state the seed's _evaluate returned: three arrays that
-# _stencil_bands sums.  Today's bands must have its bits.
+# from the state the seed's _evaluate returned: three arrays, summed by
+# _stencil_bands as it was then, into bands from np.zeros.  Today's bands
+# must have its bits.
 def three_array_jacobian(u, spec, r, cone, state):
     val, du, d2u, grads = state[:4]
     h = r[1] - r[0]
@@ -401,7 +406,14 @@ def three_array_jacobian(u, spec, r, cone, state):
     p[off] = (gR * du + gT * (du - val / rr)) / (2 * h)
     q[off] = -gR * val / h**2
     s[off] = -(gR * d2u + gT * du / rr)
-    return solver._stencil_bands(p, q, s, rows)
+    ab = np.zeros((3, q.size))
+    np.add(p[:-1], q[:-1], out=ab[0, 1:])
+    np.multiply(q, -2.0, out=ab[1])
+    ab[1] += s
+    np.subtract(q[1:], p[1:], out=ab[2, :-1])
+    if rows.start == 0:
+        ab[0, 1] = 2.0 * q[0]
+    return ab
 
 
 def assert_same_arrays(got, want):
@@ -589,10 +601,9 @@ class TestNewton:
         """At grid 4000 the default tolerance is below the rounding floor, so
         every solve of a default tau continuation stops at the floor.  There
         the line search tries the full step only: one evaluation for the
-        start and one per iteration, the refused last one included, and one
-        of the last iterate again for the report (a search of every halving
-        made 1005 and 1112 evaluations here, not 44 and 105 and the
-        reports')."""
+        start and one per iteration, the refused last one included (a search
+        of every halving made 1005 and 1112 evaluations here, not 44 and
+        105)."""
         evaluations, reports = [], []
         evaluate, solve = solver._evaluate, solver.newton_solve
 
@@ -610,8 +621,8 @@ class TestNewton:
                            delta=0.1, grid=4000)
         assert continuation_tau(spec).converged
         assert {rep.newton_stop for rep in reports} == {"rounding floor"}
-        assert len(evaluations) == 2 * len(reports) + sum(rep.newton_iterations
-                                                          for rep in reports)
+        assert len(evaluations) == len(reports) + sum(rep.newton_iterations
+                                                      for rep in reports)
 
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
                              ids=["ball", "annulus"])
@@ -801,11 +812,21 @@ def assert_same_reports(got, want):
 
 
 # One tau step at grid 2e4 holds at most this many full-length float64
-# arrays at its peak, above its start: 12.9 measured when each stage holds
-# only what the next one reads, in a line-search trial's f-gradient pass
-# (21.7 when the trial's stencil, the iterate's F and margins and the
-# pair kernel's gradient scratch outlived their use, 29.7 before that).
-ONE_STEP_PEAK_ARRAYS = 14
+# arrays at its peak, above its start: 14.9 measured when each stage holds
+# only what the next one reads, in the f-gradient pass of the one trial made
+# at the rounding floor, through which the iterate's F and margins live for
+# the report (12.9 in a trial off the floor; 21.7 when the trial's stencil,
+# the iterate's F and margins and the pair kernel's gradient scratch
+# outlived their use in every trial, 29.7 before that).
+ONE_STEP_PEAK_ARRAYS = 16
+
+
+def one_step_problem():
+    """benchmarks/compare.py's ONE_STEP_PROBLEM, the tau step that
+    compare.py's newton_peaks measures too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        return importlib.import_module("compare").ONE_STEP_PROBLEM
 
 
 class TestOneIterate:
@@ -813,13 +834,15 @@ class TestOneIterate:
 
     @pytest.fixture(scope="class")
     def tau_step(self):
-        """The converged tau = 0.9 profile on [0.5, 1] at (4, 2), and the
-        spec of the next step, tau = 0.95."""
-        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9, domain=Annulus(0.5, 1.0),
-                           delta=0.05, grid=self.GRID)
+        """ONE_STEP_PROBLEM's converged profile at its tau, and the spec of
+        its next step."""
+        one = one_step_problem()
+        spec = ProblemSpec(cone=ConeSpec(one["n"], one["k"]), tau=one["tau"],
+                           domain=Annulus(*one["annulus"]), delta=one["delta"],
+                           grid=self.GRID)
         start = continuation_tau(spec)
         assert start.converged
-        return start.profile, replace(spec, tau=0.95)
+        return start.profile, replace(spec, tau=one["next_tau"])
 
     def test_peak_memory_of_one_tau_step(self, tau_step):
         import tracemalloc
