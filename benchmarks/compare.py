@@ -28,6 +28,11 @@ in it and of one tau step (see `newton_peaks`); the record holds their
 medians under "stage_peak_mib" (MiB) and "stage_peak_arrays" (grid
 arrays).
 
+Each side also runs IMPORT_COMMANDS, each in a fresh interpreter; under
+"imports" the record holds, per side and command, the modules it imported
+beyond those of `import numpy` and the process's ru_maxrss (see
+`command_imports`), so a change that brings back a heavy import shows there.
+
 Last, each side runs the robustness census of benchmarks/census.py on the
 same sample of specs and builder calls; under "census" the record holds
 each side's count per outcome class and its foreign exceptions and
@@ -78,6 +83,27 @@ STAGE_PROBE = ("import json, sys; sys.path.insert(0, sys.argv[1]); import compar
                "json.dump(getattr(compare, sys.argv[2])(sys.argv[3], *json.loads(sys.argv[4])), "
                "sys.stdout)")
 
+# The commands command_imports runs, by name: the two randomized criteria,
+# the only verify code that draws numbers, and a small solve.
+IMPORT_COMMANDS = {
+    "verify": ["verify", "--only", "cone-properties,ricci-identity"],
+    "solve": ["solve", "--grid", "100"],
+}
+# Runs lnlab.cli.main on the JSON list argv[1] after `import numpy`, its
+# output to a scratch directory, and prints the exit code, the modules
+# imported beyond numpy's and ru_maxrss (KiB) as one JSON object.
+IMPORT_PROBE = """\
+import contextlib, io, json, os, resource, sys, tempfile
+import numpy
+base = set(sys.modules)
+from lnlab.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]) + ["--out", os.path.join(out, "probe")])
+json.dump({"exit": code, "modules": sorted(set(sys.modules) - base),
+           "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},
+          sys.stdout)
+"""
+
 
 def first_seed(src: Path) -> int:
     """The first perfbench seed, from a SHA-256 of the .py files under src."""
@@ -94,6 +120,17 @@ def src_lines(checkout: Path) -> dict:
     counts = {path.name: path.read_bytes().count(b"\n")
               for path in sorted((checkout / "src" / "lnlab").glob("*.py"))}
     return {**counts, "total": sum(counts.values())}
+
+
+def command_imports(checkout: Path) -> dict:
+    """Per command of IMPORT_COMMANDS, run in a fresh interpreter on the
+    lnlab under checkout/src: its exit code, the sorted modules it imported
+    beyond those of `import numpy`, and the process's ru_maxrss in KiB."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return {name: json.loads(subprocess.run(
+                [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], env=env,
+                check=True, capture_output=True, text=True).stdout)
+            for name, argv in IMPORT_COMMANDS.items()}
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, trace: int,
@@ -463,8 +500,10 @@ def main(argv=None):
                for flag in ("regressed", "gain")}
     sides = (("parent", parent), ("change", change))
     lines = {side: src_lines(checkout) for side, checkout in sides}
+    imports = {side: command_imports(checkout) for side, checkout in sides}
     censuses = {side: run_census(checkout) for side, checkout in sides}
-    json.dump({**flagged, "pairs": PAIRS, "src_lines": lines, "workloads": workloads,
+    json.dump({**flagged, "pairs": PAIRS, "src_lines": lines, "imports": imports,
+               "workloads": workloads,
                "stage_ms": stages,
                "stage_peak_mib": {k: v for k, v in peaks.items() if "parent_mib" in v},
                "stage_peak_arrays": {k: v for k, v in peaks.items() if "parent_arrays" in v},

@@ -55,9 +55,14 @@ import numpy as np
 from .errors import ConeDomainError, InvalidArgumentError
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _check_real(value, name: str):
     """Raise InvalidArgumentError naming the field unless value is one real
     number.  A bool is refused although Python counts it as an int."""
+    if type(value) is float:
+        return
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
 
@@ -66,6 +71,8 @@ def _real_array(value, name: str) -> np.ndarray:
     """value as a float64 array, float64 input without a copy.  Integer and
     float dtypes convert; bool, string and every other dtype raise
     InvalidArgumentError naming the argument."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT64:
+        return value
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise InvalidArgumentError(

@@ -308,4 +308,9 @@ def barrier_profile(R: float, delta: float, m: float, grid: int) -> RadialProfil
             f"R = {R!r} and m = {m!r} are out of float range: the outer "
             f"radius squared R^2 (1 + m) overflows")
     r = np.linspace(R * np.sqrt(1.0 + delta), R * np.sqrt(1.0 + m), grid + 1)
+    if not (r[1:] > r[:-1]).all():
+        raise InvalidArgumentError(
+            f"m = {m!r} is too close to delta = {delta!r} for grid {grid}: the "
+            f"radii R*sqrt(1 + delta) = {r[0]!r} to R*sqrt(1 + m) = {r[-1]!r} "
+            f"do not give {grid + 1} strictly increasing floats")
     return RadialProfile(r=r, u=(r**2 - R**2) / R**2)

@@ -4,10 +4,17 @@ Each criterion prints one pass/fail line (run pytest with -s or check the
 captured output on failure).
 """
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from lnlab import acceptance
-from lnlab.acceptance import CRITERIA, RUNTIME_LIMITS, run_acceptance
+from lnlab.acceptance import CRITERIA, RUNTIME_LIMITS, _Draws, run_acceptance
 from lnlab.errors import InvalidArgumentError
 
 RESULTS = {}
@@ -49,8 +56,8 @@ def test_empty_only_refused_with_the_choices(monkeypatch):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
 def test_seed_that_is_not_a_non_negative_int_is_refused(monkeypatch, seed):
-    """The seed reaches np.random.default_rng; it is refused by name
-    before any criterion runs."""
+    """The seed keys the randomized criteria's draws; anything but a
+    non-negative integer is refused by name before any criterion runs."""
     ran = []
     monkeypatch.setitem(CRITERIA, "cone-properties", lambda seed: ran.append(seed))
     with pytest.raises(InvalidArgumentError,
@@ -68,3 +75,73 @@ def test_ordering_tau_half_compares_distinct_solves(monkeypatch):
                         lambda lower, upper: check(upper, lower))
     result = acceptance.check_ordering()
     assert not result.passed and result.measured == 2.0
+
+
+def test_verify_process_never_imports_numpy_random():
+    """A fresh `lnlab verify --seed 0` runs every criterion without loading
+    numpy.random, whose import brings in secrets, hashlib and OpenSSL."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import contextlib, io, sys; from lnlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--seed', '0'])\n"
+            "print(code, sorted(m for m in ('numpy.random', 'secrets', 'hashlib')"
+            " if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "[]"]
+
+
+def draws(seed):
+    """Every kind of draw the randomized criteria make, from one _Draws."""
+    rng = _Draws(seed)
+    return (rng.uniform(size=(40, 3)), rng.uniform(0.1, 10.0, size=40),
+            rng.exponential(0.5, size=(40, 3)), rng.normal(size=(40, 3)),
+            rng.normal(size=7))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**64, 2**100, np.int64(7)])
+def test_draws_repeat_per_seed_and_stay_in_range(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, again = draws(seed), draws(seed)
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+    unit, spread, expo, normal, odd = first
+    assert unit.shape == (40, 3) and spread.shape == (40,) and odd.shape == (7,)
+    assert ((unit >= 0.0) & (unit < 1.0)).all()
+    assert ((spread >= 0.1) & (spread < 10.0)).all()
+    assert (np.isfinite(expo) & (expo > 0.0)).all()
+    assert np.isfinite(normal).all() and np.isfinite(odd).all()
+
+
+def test_different_seeds_give_different_draws():
+    seeds = [0, 1, 2, 2**31 - 1, 2**64, 2**64 + 1, 2**100]
+    streams = [draws(seed)[0].tobytes() for seed in seeds]
+    assert len(set(streams)) == len(seeds)
+
+
+def test_a_stream_continues_across_calls():
+    """Successive calls take successive counters: no draw repeats."""
+    rng = _Draws(0)
+    a, b = rng.uniform(size=100), rng.uniform(size=100)
+    assert len(set(np.concatenate((a, b)))) == 200
+
+
+@pytest.mark.parametrize("kind, mean, var, fourth", [
+    ("uniform", 0.5, 1 / 12, 1 / 80),
+    ("exponential", 0.5, 0.25, 9 * 0.5**4),
+    ("normal", 0.0, 1.0, 3.0),
+])
+def test_draw_moments_within_five_sigma(kind, mean, var, fourth):
+    """Over 10^5 draws the sample mean and variance sit within 5 sigma of
+    the exact values; sigma of the variance from the fourth central moment."""
+    count = 100_000
+    rng = _Draws(0)
+    x = {"uniform": lambda: rng.uniform(size=count),
+         "exponential": lambda: rng.exponential(0.5, size=count),
+         "normal": lambda: rng.normal(size=count)}[kind]()
+    assert abs(x.mean() - mean) <= 5 * np.sqrt(var / count)
+    assert abs(x.var() - var) <= 5 * np.sqrt((fourth - var**2) / count)

@@ -171,6 +171,7 @@ def test_src_lines_counts_each_module_of_each_side(compare, monkeypatch, tmp_pat
                         lambda *args: {"end_to_end": {}})
     monkeypatch.setattr(compare, "run_census", lambda checkout: {
         "counts": {}, "foreign": [], "builders": {"counts": {}, "foreign": []}})
+    monkeypatch.setattr(compare, "command_imports", lambda checkout: {})
     assert compare.main([str(parent)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["src_lines"] == {"parent": compare.src_lines(parent),
@@ -178,6 +179,36 @@ def test_src_lines_counts_each_module_of_each_side(compare, monkeypatch, tmp_pat
     assert record["src_lines"]["change"]["total"] == sum(
         path.read_bytes().count(b"\n")
         for path in (compare.ROOT / "src" / "lnlab").glob("*.py"))
+
+
+def test_command_imports_lists_what_each_command_loads_beyond_numpy(compare):
+    """Each of IMPORT_COMMANDS exits 0 in a fresh interpreter and reports the
+    modules it imported beyond numpy's, with its ru_maxrss: lnlab's own, and
+    no numpy.random or hashlib from the verify of the randomized criteria."""
+    imports = compare.command_imports(compare.ROOT)
+    assert set(imports) == set(compare.IMPORT_COMMANDS) == {"verify", "solve"}
+    for record in imports.values():
+        assert record["exit"] == 0 and record["ru_maxrss_kib"] > 0
+        assert "lnlab.cli" in record["modules"] and "numpy" not in record["modules"]
+        assert record["modules"] == sorted(record["modules"])
+        assert not {"numpy.random", "secrets", "hashlib"} & set(record["modules"])
+
+
+def test_compare_records_each_sides_imports(compare, monkeypatch, tmp_path, capsys):
+    """main writes command_imports of both sides under "imports"."""
+    parent = write_tree(tmp_path / "parent", {"src/lnlab/__init__.py": "",
+                                              "perfbench/run.py": ""})
+    monkeypatch.setattr(compare, "alternate",
+                        lambda *args: {"parent": [{}], "change": [{}]})
+    monkeypatch.setattr(compare, "compare_workload", lambda *args: {"end_to_end": {}})
+    monkeypatch.setattr(compare, "run_census", lambda checkout: {
+        "counts": {}, "foreign": [], "builders": {"counts": {}, "foreign": []}})
+    monkeypatch.setattr(compare, "command_imports",
+                        lambda checkout: {"verify": {"checkout": checkout.name}})
+    assert compare.main([str(parent)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["imports"] == {"parent": {"verify": {"checkout": "parent"}},
+                                 "change": {"verify": {"checkout": compare.ROOT.name}}}
 
 
 STUB_SPECS = [{"n": 3, "grid": 10}, {"n": 4, "grid": 20}, {"n": 5, "grid": 30}]
@@ -214,6 +245,7 @@ def test_compare_records_both_censuses_and_fails_on_a_foreign_error(
     monkeypatch.setattr(compare, "alternate",
                         lambda *args: {"parent": [{}], "change": [{}]})
     monkeypatch.setattr(compare, "compare_workload", lambda *args: {"end_to_end": {}})
+    monkeypatch.setattr(compare, "command_imports", lambda checkout: {})
     for foreign_in in ("specs", "builders"):
         def stub_census(checkout, foreign_in=foreign_in):
             foreign = sides[checkout] == foreign_side

@@ -313,8 +313,8 @@ class TestVerify:
         assert main(self.FAST + ["--seed", "5"]) == 0
 
     def test_negative_seed_is_usage_error(self, capsys, monkeypatch):
-        """default_rng refuses a negative seed; verify refuses it first, by
-        name, before any criterion runs."""
+        """The randomized criteria's draws take a non-negative seed; verify
+        refuses a negative one by name, before any criterion runs."""
         ran = []
         monkeypatch.setitem(acceptance.CRITERIA, "cone-properties",
                             lambda seed: ran.append(seed))

@@ -1,7 +1,9 @@
 """Cone algebra: example values, independent oracles, structural properties."""
 
+import hashlib
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from math import comb
 
@@ -877,3 +879,70 @@ class TestGradientOracle:
                     want, size = mp_grad_f(cone, point)
                     assert np.all(np.abs(got - want) <= 1e-13 * size), (
                         f"k={k}, tau={tau}, lam={point!r}")
+
+
+# The argument checks as they were before their fast paths for a float64
+# ndarray and a Python float: every input goes through np.asarray and the
+# numbers.Real test.  The fast paths must give the same bits.
+def checked_real(value, name):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+
+
+def checked_real_array(value, name):
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(
+            f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+class TestCheckFastPaths:
+    def test_float64_array_passes_as_is(self):
+        x = np.linspace(0.0, 1.0, 6).reshape(3, 2)
+        assert cones._real_array(x, "lam") is x is checked_real_array(x, "lam")
+
+    @pytest.mark.parametrize("value", [
+        np.arange(4), np.arange(4, dtype=np.float32), np.zeros(3, dtype=">f8"),
+        np.zeros(3).view(type("Sub", (np.ndarray,), {})),
+        [1.0, 2.0], 2.5, np.float64(2.5)])
+    def test_other_arrays_convert_as_before(self, value):
+        got, want = cones._real_array(value, "lam"), checked_real_array(value, "lam")
+        assert type(got) is type(want) is np.ndarray
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, 1j])
+    def test_non_reals_still_refused(self, value):
+        with pytest.raises(InvalidArgumentError, match="^tau must be a real number"):
+            cones._check_real(value, "tau")
+        with pytest.raises(InvalidArgumentError, match="^tau must be a real number"):
+            checked_real(value, "tau")
+
+    def test_delta_sweeps_keep_their_bits(self, monkeypatch):
+        """8 continuation_delta sweeps at grid 300, four cones on the ball
+        and the annulus [0.5, 1], give the same u, residuals, margins and
+        CSV text with the fast paths as with the checks before them."""
+        from lnlab import admissible, schouten, solver
+
+        def sweeps():
+            digest = hashlib.sha256()
+            for n, k, tau in ((3, 1, 0.5), (4, 2, 0.95), (5, 3, 0.7), (6, 2, 0.9)):
+                for domain in (solver.Ball(1.0), solver.Annulus(0.5, 1.0)):
+                    spec = solver.ProblemSpec(cone=ConeSpec(n, k), tau=tau,
+                                              domain=domain, delta=0.1, grid=300)
+                    sweep = solver.continuation_delta(spec)
+                    assert sweep.ok
+                    for rep in sweep.reports:
+                        for a in (rep.profile.u, rep.residual_nodes, rep.margin_nodes):
+                            digest.update(a.tobytes())
+                        digest.update(rep.to_csv().encode())
+            return digest.hexdigest()
+
+        fast = sweeps()
+        for module in (cones, schouten, solver, admissible):
+            for name, check in (("_check_real", checked_real),
+                                ("_real_array", checked_real_array)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, check)
+        assert sweeps() == fast

@@ -1,5 +1,6 @@
 """Schouten spectra: exact model metrics, convergence order, rescaling bounds."""
 
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -254,6 +255,39 @@ class TestModelSpectra:
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match=match):
                 barrier_profile(R, 0.1, m, 10)
+
+    # The 11 barrier_profile calls of benchmarks/census.py's
+    # builder_sample(3000) whose radii do not increase: (R, delta, m, grid).
+    CROWDED = [
+        (1.0286944047066015e-112, 4.376785937220198e-21, 5.6053269384687626e-14, 358),
+        (5.516291742804235e-112, 1.3633484797705796e-33, 1.2628800247829188e-15, 1621),
+        (2.094712856537005e+57, 3.359368817182622e-24, 6.168372077192432e-19, 1061),
+        (1.4292288956970921e-95, 2.3843678973018265e-21, 4.943594486908859e-15, 1920),
+        (6.528001257084402e-64, 3.246239680238469e-22, 7.58289461579618e-16, 1650),
+        (3375519237.5360365, 3.922479543322061e-29, 1.473008865125229e-20, 1680),
+        (5.609869521694266e+38, 7.338041948842928e-21, 2.059618433766494e-16, 143),
+        (2.4581053504929245e+48, 3.4884708103979504e-29, 8.793109425033911e-20, 1090),
+        (3.951524012188811e-123, 1.2573337123603335e-36, 3.6827516106325464e-19, 704),
+        (3.496934326853172e-61, 1.8616705818098988e-20, 1.3586504705769383e-18, 1989),
+        (4.7019420642077415e-20, 1.5812742381966846e-18, 1.1808352486024295e-15, 727),
+    ]
+
+    @pytest.mark.parametrize("R, delta, m, grid", CROWDED)
+    def test_barrier_radii_too_close_refused_by_name(self, R, delta, m, grid):
+        """An m so close to delta that the grid's radii round to equal or
+        decreasing floats is refused naming m, delta and the grid, not by
+        RadialProfile's "grid radii must be strictly increasing"."""
+        match = (rf"^m = {re.escape(repr(m))} is too close to delta = "
+                 rf"{re.escape(repr(delta))} for grid {grid}: .* strictly increasing floats$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=match):
+                barrier_profile(R, delta, m, grid)
+
+    def test_barrier_radii_few_floats_apart_accepted(self):
+        """Radii a few floats apart that still increase build a profile."""
+        prof = barrier_profile(1.0, 1e-14, 1e-12, 10)
+        assert (np.diff(prof.r) > 0).all()
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1.5e-154, 1e153), st.sampled_from([0.1, 0.5]),
