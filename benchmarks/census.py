@@ -7,7 +7,8 @@ CHECKOUT is an lnlab checkout (this one by default).  `sample` draws SPECS
 specs from SEED over the box: n = 3..12, any k <= n, tau = 0, U[0, 1) or
 1 - 10^-U(1, 4) (a third each), a ball or an annulus (half each), outer
 radius b = 10^U(-3, 3), inner radius a with a/b = 10^U(-3, log10 0.99),
-delta/b = 10^U(-6, 1) and grid 8..400.  `builder_sample` draws
+delta/b = 10^U(-6, 1) and grid 8..400, then appends a copy at delta = 0
+of every ZERO_DELTA_EVERY-th drawn spec.  `builder_sample` draws
 BUILDER_SPECS calls of the public builders from SEED, a third each:
 hyperbolic_ball_profile, barrier_profile, and the certificate chain
 linear_auxiliary -> find_N -> verify_admissible (see `builder_sample` for
@@ -39,6 +40,9 @@ SEED = 1
 # minutes, so each is stopped after SPEC_SECONDS.
 SPECS = 120
 SPEC_SECONDS = 10
+# Every tenth drawn spec is solved again at delta = 0, the Loewner-Nirenberg
+# datum itself: 12 more specs.
+ZERO_DELTA_EVERY = 10
 # A few seconds on one core.
 BUILDER_SPECS = 90
 SLOWEST = 5
@@ -48,9 +52,7 @@ SLOWEST = 5
 CAUSES = (
     "the tau = 0 start problem did not converge",
     "rounds away against delta",
-    "does not resolve the inner radius",
     "not finite and positive",
-    "the torsion start is not positive",
     "out of float range",
     "the step left the cone",
     "line search found no admissible descent step",
@@ -71,7 +73,10 @@ def _over_time(signum, frame):
 
 
 def sample(count: int = SPECS) -> list:
-    """count spec dicts drawn from SEED over the box of the module doc."""
+    """count spec dicts drawn from SEED over the box of the module doc,
+    then a copy at delta = 0 of every ZERO_DELTA_EVERY-th of them; the
+    drawn specs come first, so a slice of the first ones is the same at
+    any count."""
     rng = np.random.default_rng(SEED)
     specs = []
     for _ in range(count):
@@ -87,7 +92,7 @@ def sample(count: int = SPECS) -> list:
                       "inner": None if ball else inner, "outer": outer,
                       "delta": outer * 10.0**float(rng.uniform(-6.0, 1.0)),
                       "grid": int(rng.integers(8, 401))})
-    return specs
+    return specs + [dict(spec, delta=0.0) for spec in specs[::ZERO_DELTA_EVERY]]
 
 
 def builder_sample(count: int = BUILDER_SPECS) -> list:

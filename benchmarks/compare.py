@@ -289,20 +289,12 @@ def stage_times(src: str, stages=STAGES, grids=None) -> dict:
             lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
             F, margins, state = solver._evaluate(u, spec, r, cone)
             ab = solver._analytic_jacobian(u, spec, r, cone, _fresh_gradients(state))
-            # The probe also runs on checkouts whose bands hold a unit row
-            # per Dirichlet row, one column per node: there the step spans
-            # the grid, elsewhere the PDE rows only.
-            unknowns = slice(None) if ab.shape[1] == u.size else rows
-            step = solver.solve_banded(ab.copy(), -F[unknowns])
-
-            def trial():
-                u_try = u.copy()
-                u_try[unknowns] += step
-                if (u_try[rows] > 0.0).all():
-                    F_try, m_try, _ = solver._evaluate(u_try, spec, r, cone)
-                    if (m_try > solver.MARGIN_FLOOR).all():
-                        return float(np.abs(F_try).max())
-                return None
+            step = solver.solve_banded(ab.copy(), -F[rows])
+            # The solver's own trial at t = 1, the one it makes at the
+            # rounding floor; res = inf leaves the decision to its
+            # admissibility rule.  An accepted trial leaves step as it is.
+            if solver._line_search(u, step, np.inf, True, spec, r, cone) is None:
+                raise RuntimeError(f"the stage probe's trial is refused at grid {grid}")
 
             calls = {
                 "stencil": lambda: _radial_stencil(u, r),
@@ -311,8 +303,9 @@ def stage_times(src: str, stages=STAGES, grids=None) -> dict:
                 "f_and_grad": lambda: _f_and_grad_unchecked(cone, lam),
                 "jacobian": lambda: solver._analytic_jacobian(u, spec, r, cone,
                                                               _fresh_gradients(state)),
-                "banded_solve": lambda: solver.solve_banded(ab.copy(), -F[unknowns]),
-                "line_search_trial": trial,
+                "banded_solve": lambda: solver.solve_banded(ab.copy(), -F[rows]),
+                "line_search_trial": lambda: solver._line_search(u, step, np.inf, True,
+                                                                 spec, r, cone),
                 "make_report": lambda: solver._make_report(u, spec, r, F, margins,
                                                            state, 1, "tolerance"),
                 "newton_solve_1_iteration": lambda: solver.newton_solve(init, spec),

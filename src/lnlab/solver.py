@@ -24,7 +24,7 @@ from . import _csv17
 from .cones import ConeSpec, _check_real, _f_and_grad_unchecked, cone_margin
 from .errors import (ContinuationStallError, GridMismatchError,
                      InadmissibleIterateError, InvalidArgumentError,
-                     InvalidProfileError)
+                     InvalidProfileError, LnlabError)
 from .schouten import RadialProfile, _check_grid, _eigenpair, _radial_stencil
 
 NEWTON_TOL = 1e-10
@@ -80,8 +80,8 @@ class ProblemSpec:
 
     cone is the base Garding cone (undeformed); tau is the deformation the
     solver works at.  delta is the Dirichlet datum u = delta on every
-    boundary component: one positive, finite real number, stored as a float.
-    The equation solved is f^tau(lam) = RHS.
+    boundary component: a finite real >= 0, as RadialProfile's boundary
+    values, stored as a float (-0.0 as +0.0).  The equation is f^tau(lam) = RHS.
     """
 
     cone: ConeSpec
@@ -97,10 +97,10 @@ class ProblemSpec:
         self.solve_cone()                   # ConeSpec's checks of tau
         object.__setattr__(self, "grid", _check_grid(self.grid, 8))
         _check_real(self.delta, "boundary datum delta")
-        if not 0 < self.delta < math.inf:
+        if not 0 <= self.delta < math.inf:
             raise InvalidArgumentError(
-                f"boundary datum delta must be positive and finite, got {self.delta}")
-        object.__setattr__(self, "delta", float(self.delta))
+                f"boundary datum delta must be finite and >= 0, got {self.delta}")
+        object.__setattr__(self, "delta", float(self.delta) + 0.0)
         self._check_float_range()
 
     def _check_float_range(self):
@@ -185,10 +185,12 @@ def _pde_rows(spec: ProblemSpec):
     return slice(1, spec.grid)
 
 
-def _inadmissible(spec: ProblemSpec, margins: np.ndarray,
-                  what: str) -> InadmissibleIterateError:
-    """The error for an iterate whose PDE-row margins are too small, naming
-    the grid node of the smallest one."""
+def _inadmissible(spec: ProblemSpec, margins, what: str) -> LnlabError:
+    """The error for an iterate _evaluate refuses, naming the node of its
+    smallest margin; for one not positive on a PDE row, InvalidProfileError
+    (a RadialProfile's u can be changed after its checks)."""
+    if margins is None:
+        return InvalidProfileError(f"{what}: u is not positive on a PDE row")
     worst = _pde_rows(spec).start + int(np.argmin(margins))
     margin = float(margins.min())
     return InadmissibleIterateError(
@@ -213,9 +215,11 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
 
 
 def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
-    """Residual vector, per-node margins (PDE rows) and the iterate's state
-    (grads, grad_sup): the PDE rows' f-gradients (None outside the cone)
-    and max|u_r| over the grid.
+    """Residual vector F, PDE-row margins and state (grads, grad_sup): the
+    PDE rows' f-gradients and max|u_r|.  The one admissibility rule: u is
+    admissible when its PDE rows are positive and every margin exceeds
+    MARGIN_FLOOR; else F and state are None, and the margins too if a PDE
+    row is not positive (no RadialProfile is, as built).
 
     Each stage holds only what the next one reads.  The full-grid stencil
     lives until grad_sup and the eigenpairs lam are formed; lam lives
@@ -224,6 +228,8 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     forms the stencil again from u; _make_report reads grad_sup, a float.
     """
     rows = _pde_rows(spec)
+    if not (u[rows] > 0.0).all():
+        return None, None, None
     du, d2u = _radial_stencil(u, r)
     grad_sup = float(np.abs(du).max())
     # (radial, tangential) pairs stand for the spectra (a, b, ..., b),
@@ -231,16 +237,13 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
     del du, d2u
     margins = np.atleast_1d(cone_margin(cone, lam))
-    fvals = grads = None
-    if (margins > 0.0).all():
-        fvals, grads = _f_and_grad_unchecked(cone, lam)
+    if not (margins > MARGIN_FLOOR).all():
+        return None, margins, None
+    fvals, grads = _f_and_grad_unchecked(cone, lam)
     del lam
 
     F = u - spec.delta
-    if grads is None:
-        F[rows] = np.nan
-    else:
-        np.subtract(fvals, RHS, out=F[rows])
+    np.subtract(fvals, RHS, out=F[rows])
     return F, margins, (grads, grad_sup)
 
 
@@ -401,13 +404,13 @@ _gtsv = _numpy_gtsv() or _scipy_gtsv
 def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     """Per-node residual: f^tau(lam_i) - RHS at PDE rows, u - delta at boundaries.
 
-    Raises InadmissibleIterateError (with the worst node index) if the
-    spectrum leaves the cone at any PDE row.
+    Raises InadmissibleIterateError (with the worst node index) for a
+    profile that _evaluate finds inadmissible, as newton_solve does.
     """
     r = _problem_grid(profile, spec)
     F, margins, _ = _evaluate(profile.u, spec, r, spec.solve_cone())
-    if not np.all(margins > 0.0):
-        raise _inadmissible(spec, margins, "spectrum outside the cone")
+    if F is None:
+        raise _inadmissible(spec, margins, "spectrum not inside the cone by the margin floor")
     return F
 
 
@@ -553,26 +556,23 @@ def _rounding_floor(u_max: float, h: float) -> float:
 
 def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
     """The first trial u + t*step on the PDE rows, t = 1, 1/2, ...,
-    2^-MAX_HALVINGS (t = 1 alone at the rounding floor), whose PDE rows are
-    positive, whose margins exceed MARGIN_FLOOR and whose residual is below
-    res, as (u, F, margins, state, res) from its _evaluate; None if no trial
-    qualifies.  Only u and step live through it (and, at the rounding
-    floor, newton_solve's F and margins of u): step is halved in place, so
-    t*step needs no buffer of its own, and a trial's u, F, margins and
-    state are freed before the next trial is made.  Its peak is one
-    trial's _evaluate beside u, step and the trial."""
+    2^-MAX_HALVINGS (t = 1 alone at the rounding floor), admissible by
+    _evaluate with a residual below res, as (u, F, margins, state, res);
+    None if no trial qualifies.  Only u and step live through it (and, at
+    the rounding floor, newton_solve's F and margins of u): step is halved
+    in place, so t*step needs no buffer of its own, and a trial's arrays
+    are freed before the next trial is made.  Its peak is one trial's
+    _evaluate beside u, step and the trial."""
     rows = _pde_rows(spec)
     for _ in range(1 if at_floor else MAX_HALVINGS + 1):
         u_try = u.copy()
         u_try[rows] += step
-        if (u_try[rows] > 0.0).all():
-            F, margins, state = _evaluate(u_try, spec, r, cone)
-            if (margins > MARGIN_FLOOR).all():
-                res_try = float(np.abs(F).max())
-                if res_try < res:
-                    return u_try, F, margins, state, res_try
-            del F, margins, state
-        del u_try
+        F, margins, state = _evaluate(u_try, spec, r, cone)
+        if F is not None:
+            res_try = float(np.abs(F).max())
+            if res_try < res:
+                return u_try, F, margins, state, res_try
+        del F, margins, state, u_try
         step *= 0.5
     return None
 
@@ -581,12 +581,12 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
                  opts: NewtonOptions | None = None) -> SolveReport:
     """Damped Newton iteration on the discrete system.
 
-    The line search halves the step until the PDE rows are positive, fully
-    admissible (margin above the floor) and the residual decreases.  The
-    solve converges at residual <= opts.tol, or at the rounding floor (see
-    _rounding_floor): there the line search tries the full step only, and
-    Newton stops if that step is refused.  The report has converged = False
-    after MAX_NEWTON_ITERATIONS or on any other line-search failure.
+    A start that _evaluate finds inadmissible is refused; the line search
+    halves the step until a trial is admissible and the residual decreases.
+    The solve converges at residual <= opts.tol, or at the rounding floor
+    (see _rounding_floor): there the line search tries the full step only,
+    and Newton stops if that step is refused.  The report has converged =
+    False after MAX_NEWTON_ITERATIONS or on any other line-search failure.
 
     The Dirichlet rows of newton_solve's copy of init are set to delta
     once; each step solves for the PDE rows only.  One iterate u is held
@@ -611,7 +611,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     u = init.u.copy()
     u[:rows.start] = u[rows.stop:] = spec.delta
     F, margins, state = _evaluate(u, spec, r, cone)
-    if not (margins > MARGIN_FLOOR).all():
+    if F is None:
         raise _inadmissible(spec, margins, "initial profile inadmissible")
 
     res = float(np.abs(F).max())
@@ -784,7 +784,7 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
                 report = continuation_tau(spec_d)
             except (ContinuationStallError, InadmissibleIterateError):
                 report = None
-        if report is None or not report.converged:
+        if report is None:
             result.failed_delta = d
             break
         if prev_report is not None:

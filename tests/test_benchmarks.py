@@ -49,6 +49,21 @@ def test_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
             if r["outcome"] == "foreign"] == []
 
 
+def test_census_sample_ends_with_zero_datum_copies(monkeypatch):
+    """The SPECS drawn specs come first, each at a positive delta, then a
+    copy at delta = 0 of every tenth of them.  The first three copies, two
+    balls and an annulus, converge."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    specs = census.sample()
+    drawn, copies = specs[:census.SPECS], specs[census.SPECS:]
+    assert all(spec["delta"] > 0 for spec in drawn)
+    assert copies == [dict(spec, delta=0.0) for spec in drawn[::10]]
+    assert len(copies) == 12
+    assert {spec["domain"] for spec in copies[:3]} == {"ball", "annulus"}
+    assert [r["outcome"] for r in census.run_specs(copies[:3])] == ["converged"] * 3
+
+
 def test_builder_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
     """The first 30 builder calls of the census: each builds, certifies or
     is refused with an error that names its cause, and none warns."""

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -29,7 +30,7 @@ from lnlab import _csv17, cones, solver
 from lnlab.cli import _format17
 from lnlab.solver import (DELTA_SCHEDULE, MARGIN_FLOOR, NEWTON_TOL, SolveReport,
                           _analytic_jacobian, _evaluate)
-from lnlab.schouten import _radial_stencil
+from lnlab.schouten import _eigenpair, _radial_stencil
 from lnlab.errors import (ContinuationStallError, GridMismatchError,
                           InadmissibleIterateError, InvalidArgumentError,
                           InvalidProfileError, LnlabError)
@@ -96,6 +97,30 @@ class TestProblemSpec:
     def test_fields_must_be_real_numbers(self, make, name, bad):
         with pytest.raises(InvalidArgumentError, match=name):
             make(bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, -1e-300, -np.inf, np.nan, np.inf],
+                             ids=["negative", "tiny-negative", "-inf", "nan", "inf"])
+    def test_delta_must_be_finite_and_nonnegative(self, bad):
+        """RadialProfile's rule for boundary values: finite and >= 0."""
+        for domain in (Ball(1.0), Annulus(0.5, 1.0)):
+            with pytest.raises(InvalidArgumentError,
+                               match="^boundary datum delta must be finite and >= 0"):
+                ProblemSpec(cone=ConeSpec(3, 1), tau=0.5, domain=domain, delta=bad)
+
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0, np.float64(-0.0), np.float32(-0.0)],
+                             ids=["int", "float", "-float", "-float64", "-float32"])
+    def test_zero_delta_is_stored_as_positive_zero(self, zero):
+        """delta = -0.0 is stored as +0.0, so no report, JSON or CSV of a
+        solve at that datum prints -0."""
+        spec = ball_spec(tau=0.5, delta=zero, grid=40)
+        assert type(spec.delta) is float and spec.delta == 0.0
+        assert not np.signbit(spec.delta)
+        rep = continuation_tau(spec)
+        assert rep.converged and not np.signbit(rep.delta)
+        assert not np.signbit(rep.profile.u).any()
+        assert not np.signbit(rep.residual_nodes).any()
+        text = rep.to_csv() + json.dumps(rep.to_dict())
+        assert "-0" not in text.replace("e-0", "e")
 
     @pytest.mark.parametrize("delta", [1, np.float32(0.5), np.float64(0.1)],
                              ids=["int", "float32", "float64"])
@@ -245,6 +270,51 @@ class TestResidual:
         r = np.nextafter(small.radii(), 1.0)
         assert np.array_equal(residual(RadialProfile(r=r, u=initial_profile(small).u), small),
                               residual(initial_profile(small), small))
+
+    def test_margin_at_or_below_the_floor_is_refused(self):
+        """The one admissibility rule: a profile whose smallest PDE-row
+        margin lies in (0, MARGIN_FLOOR] is refused, by residual() as by
+        newton_solve, and both name its node.  A solution with a dent at
+        node 9, scaled by c, whose square scales its spectra, at the datum
+        c * delta: node 9's margin is 5e-13 and every other one above the
+        floor."""
+        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.9,
+                           domain=Annulus(0.5, 1.0), delta=0.05, grid=32)
+        r, cone = spec.radii(), spec.solve_cone()
+        u = continuation_tau(spec).profile.u
+        u[9] *= 0.995
+        rows = solver._pde_rows(spec)
+
+        def margins(u):
+            du, d2u = _radial_stencil(u, r)
+            lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
+            return np.atleast_1d(cones.cone_margin(cone, lam))
+
+        c = np.sqrt(5e-13 / margins(u).min())
+        u *= c
+        spec = replace(spec, delta=c * spec.delta)
+        assert u[0] == u[-1] == spec.delta
+        low = margins(u)
+        assert (rows.start + np.flatnonzero(low <= MARGIN_FLOOR)).tolist() == [9]
+        assert 0.0 < low.min() <= MARGIN_FLOOR
+        prof = RadialProfile(r=r, u=u)
+        for check in (residual, newton_solve):
+            with pytest.raises(InadmissibleIterateError) as err:
+                check(prof, spec)
+            assert (err.value.worst_node, err.value.margin) == (9, low.min())
+
+    def test_profile_changed_to_non_positive_is_refused_by_name(self):
+        """A RadialProfile's u set to <= 0 on a PDE row after its checks:
+        residual() and newton_solve refuse it as an invalid profile, since
+        it has no spectrum to name a margin from."""
+        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.5, domain=Annulus(0.5, 1.0),
+                           delta=0.1, grid=20)
+        for value in (0.0, -1.0):
+            prof = initial_profile(spec)
+            prof.u[5] = value
+            for check in (residual, newton_solve):
+                with pytest.raises(InvalidProfileError, match="not positive on a PDE row"):
+                    check(prof, spec)
 
     def test_worst_node_agrees_with_newton(self):
         """On an annulus the PDE rows start at node 1; both errors must
@@ -508,6 +578,48 @@ class TestInPlaceStages:
         rep = continuation_tau(spec)
         du = _radial_stencil(rep.profile.u, spec.radii())[0]
         assert rep.grad_sup == float(np.max(np.abs(du)))
+
+
+class TestOneGate:
+    """_evaluate alone decides whether an iterate is admissible: its PDE
+    rows positive and every PDE-row margin above MARGIN_FLOOR.  Any other
+    iterate gets no residual and no gradients."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.8, domain=Annulus(0.5, 1.0),
+                           delta=0.1, grid=40)
+        return spec, continuation_tau(spec).profile.u
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-4, 9e-4],
+                             ids=["zero-spectra", "margins-6e-17", "margins-4e-13"])
+    def test_inadmissible_iterate_has_no_residual(self, solved, scale):
+        """A constant iterate (zero spectra, margins 0), and the solution
+        scaled by 1e-4 or 9e-4: its spectra fall below 1 and its margins to
+        about 0.64 scale^4 (sigma_2 is quartic in u), 6e-17 and 4e-13,
+        inside (0, MARGIN_FLOOR]."""
+        spec, u = solved
+        u = np.full_like(u, 0.1) if scale == 0.0 else scale * u
+        F, margins, state = _evaluate(u, spec, spec.radii(), spec.solve_cone())
+        assert F is None and state is None
+        assert margins.size == spec.grid - 1 and margins.min() <= MARGIN_FLOOR
+        if scale:
+            assert margins.min() > 0.0
+
+    @pytest.mark.parametrize("value", [0.0, -1e-300, -0.05, np.nan],
+                             ids=["zero", "tiny-negative", "negative", "nan"])
+    def test_iterate_with_a_non_positive_pde_row_has_no_residual(self, solved, value):
+        """No stencil is formed for it, so there are no margins either;
+        the Dirichlet rows are not tested (delta may be 0)."""
+        spec, u = solved
+        r, cone = spec.radii(), spec.solve_cone()
+        for node in (1, 17, spec.grid - 1):
+            bad = u.copy()
+            bad[node] = value
+            assert _evaluate(bad, spec, r, cone) == (None, None, None)
+        ends = u.copy()
+        ends[0] = ends[-1] = 0.0
+        assert _evaluate(ends, spec, r, cone)[0] is not None
 
 
 class TestDirichletRows:
@@ -1403,6 +1515,45 @@ def same_report(a, b):
             and all(np.array_equal(x, y) for x, y in (
                 (a.profile.u, b.profile.u), (a.residual_nodes, b.residual_nodes),
                 (a.margin_nodes, b.margin_nodes))))
+
+
+def load_perfbench_oracle():
+    """perfbench/oracle.py, the ball's closed form and the limit the
+    benchmark's output checks hold a profile to."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+class TestZeroDatum:
+    """delta = 0, the Loewner-Nirenberg problem itself, is an ordinary
+    datum: a cold tau continuation converges, u is +0.0 at every Dirichlet
+    row, and on the ball the profile is (1 - r^2)/2."""
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0), Annulus(0.1, 1.0)],
+                             ids=["ball", "annulus-0.5", "annulus-0.1"])
+    @pytest.mark.parametrize("n, k, tau", [(3, 1, 0.9), (4, 2, 0.95), (5, 4, 0.9)])
+    def test_tau_continuation_at_zero_datum(self, domain, n, k, tau):
+        spec = ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=domain,
+                           delta=0.0, grid=250)
+        rep = continuation_tau(spec)
+        assert rep.converged and rep.newton_stop in ("tolerance", "rounding floor")
+        assert rep.delta == 0.0 and rep.admissibility_margin_min > MARGIN_FLOOR
+        rows = solver._pde_rows(spec)
+        ends = np.concatenate((rep.profile.u[:rows.start], rep.profile.u[rows.stop:]))
+        assert ends.size == (1 if isinstance(domain, Ball) else 2)
+        assert (ends == 0.0).all() and not np.signbit(ends).any()
+        assert (rep.profile.u[rows] > 0.0).all()
+        if isinstance(domain, Ball):
+            oracle = load_perfbench_oracle()
+            r, u = rep.profile.r, rep.profile.u
+            ok, err, limit = oracle.check_profile(r, u, domain="ball", n=n, k=k,
+                                                  tau=tau, delta=0.0, tol=NEWTON_TOL)
+            assert ok, (err, limit)
+            assert np.abs(u - (1 - r**2) / 2).max() <= limit
+            assert abs(rep.boundary_slope - 1.0) <= 1e-9
 
 
 class TestDeltaFallback:
