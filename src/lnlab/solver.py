@@ -740,31 +740,31 @@ class DeltaContinuationResult:
         return self.failed_delta is None
 
 
-def _blend_boundary(profile: RadialProfile, spec_next: ProblemSpec) -> RadialProfile:
-    """Warm start: shift the previous solution smoothly onto the new boundary data."""
-    r = profile.r
-    delta = spec_next.delta
-    u = profile.u.copy()
-    if isinstance(spec_next.domain, Ball):
-        shift = delta - u[-1]
-        u = u + shift * (r / r[-1])**2
-    else:
-        a, b = r[0], r[-1]
-        w = (r - a) / (b - a)
-        u = u + (delta - u[0]) * (1 - w) + (delta - u[-1]) * w
-    return RadialProfile(r=r, u=u)
+def _leg_start(reports: list, delta: float) -> RadialProfile:
+    """The start of the warm delta leg at datum delta: the last converged
+    profile u_1 plus (delta - delta_1) times du/ddelta, taken as 1 after
+    one leg and as the secant (u_1 - u_0) / (delta_1 - delta_0) through the
+    last two after more.  RadialProfile refuses a start that is not
+    positive on the open domain (InvalidProfileError)."""
+    last = reports[-1]
+    slope = 1.0
+    if len(reports) > 1:
+        slope = (last.profile.u - reports[-2].profile.u) / (last.delta - reports[-2].delta)
+    return RadialProfile(r=last.profile.r, u=last.profile.u + (delta - last.delta) * slope)
 
 
 def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
     """Sweep the boundary datum down DELTA_SCHEDULE; spec.delta is not read.
 
-    The first leg runs the full tau continuation; later legs warm-start from
-    the previous solution (falling back to a fresh tau continuation if the
-    warm start fails).  Records pointwise monotonicity violations beyond h^2
-    and the successive interior sup-differences (stabilization diagnostic).
+    The first leg runs the full tau continuation.  Each later leg runs
+    Newton from the last profile moved along the secant through the last
+    two legs (after one leg, by the change in the datum; see _leg_start),
+    and falls back to a fresh tau continuation if RadialProfile or Newton
+    refuses that start or Newton stops short.  Records pointwise
+    monotonicity violations beyond h^2 and the successive interior
+    sup-differences (stabilization diagnostic).
     """
     result = DeltaContinuationResult(deltas=[], reports=[])
-    prev_report = None
     r = spec.radii()
     half = r[0] + INTERIOR_FRACTION * (r[-1] - r[0])
     interior = r <= half
@@ -773,11 +773,10 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
     for d in DELTA_SCHEDULE:
         spec_d = replace(spec, delta=d)
         report = None
-        if prev_report is not None:
+        if result.reports:
             try:
-                warm = _blend_boundary(prev_report.profile, spec_d)
-                report = newton_solve(warm, spec_d)
-            except InadmissibleIterateError:
+                report = newton_solve(_leg_start(result.reports, d), spec_d)
+            except (InadmissibleIterateError, InvalidProfileError):
                 report = None
         if report is None or not report.converged:
             try:
@@ -787,15 +786,14 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
         if report is None:
             result.failed_delta = d
             break
-        if prev_report is not None:
-            excess = float(np.max(report.profile.u - prev_report.profile.u))
+        if result.reports:
+            prev_u = result.reports[-1].profile.u
+            excess = float(np.max(report.profile.u - prev_u))
             if excess > tol:
                 result.monotonicity_max_violation = max(
                     result.monotonicity_max_violation, excess)
-            diff = float(np.max(np.abs(
-                report.profile.u[interior] - prev_report.profile.u[interior])))
+            diff = float(np.max(np.abs(report.profile.u[interior] - prev_u[interior])))
             result.interior_sup_diffs.append(diff)
         result.deltas.append(d)
         result.reports.append(report)
-        prev_report = report
     return result

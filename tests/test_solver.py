@@ -1415,6 +1415,22 @@ class TestContinuationTau:
             "2/(n - 1) = 0.286 (L_h is an M-matrix, so w >= 0, when h/r < "
             "2/(n - 1) at every PDE row)"), message
 
+    def test_tiny_annulus_at_a_tiny_datum_converges(self):
+        """Annulus(2.3513e-58, 3.7275e-44), n = 6, delta = 1.0122e-241 at
+        grid 1000, the spec of an old torsion-start refusal: the discrete
+        start is positive and admissible, the tau = 0 problem converges by
+        tolerance in 5 Newton iterations (residual 1.94e-11), and so does
+        the tau continuation of (6, 1, .9)."""
+        spec = ProblemSpec(cone=ConeSpec(6, 1), tau=0.0,
+                           domain=Annulus(2.3512740663052053e-58, 3.7274598712693967e-44),
+                           delta=1.0122155116797562e-241, grid=1000)
+        rep = continuation_tau(spec)
+        assert rep.converged and rep.newton_stop == "tolerance"
+        assert rep.newton_iterations == 5 and rep.residual_sup <= 2e-11
+        rep = continuation_tau(replace(spec, tau=0.9))
+        assert rep.converged and rep.newton_stop == "tolerance"
+        assert rep.continuation_steps == 18 and rep.residual_sup <= NEWTON_TOL
+
     def test_start_stop_on_a_resolved_annulus_names_no_h_over_a(self, monkeypatch):
         """Where h/a < 2/(n - 1) the start problem's stop names the Newton
         stop and the rounding floor only."""
@@ -1502,11 +1518,81 @@ class TestContinuationDelta:
                                 0.0001953125, 1e-4]
         assert [rep.profile.u[-1] for rep in sweep.reports] == sweep.deltas
 
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    def test_warm_legs_start_on_the_secant(self, domain, monkeypatch):
+        """Leg 1 starts at u_0 + (delta_1 - delta_0); leg i >= 2 at
+        u_{i-1} + (delta_i - delta_{i-1}) / (delta_{i-1} - delta_{i-2})
+        (u_{i-1} - u_{i-2}), from the converged legs' reports, and Newton
+        takes every such start without a fallback."""
+        starts, calls = [], []
+        leg_start, fallback = solver._leg_start, solver.continuation_tau
+
+        def recorded(reports, delta):
+            start = leg_start(reports, delta)
+            starts.append((len(reports), delta, start.u))
+            return start
+
+        def counted(spec, opts=None):
+            calls.append(spec.delta)
+            return fallback(spec, opts)
+
+        monkeypatch.setattr(solver, "_leg_start", recorded)
+        monkeypatch.setattr(solver, "continuation_tau", counted)
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9, domain=domain, delta=0.1, grid=60)
+        sweep = continuation_delta(spec)
+        d = DELTA_SCHEDULE
+        assert sweep.ok and calls == [d[0]]
+        assert [(legs, delta) for legs, delta, _ in starts] == [(i, d[i]) for i in range(1, 11)]
+        u = [rep.profile.u for rep in sweep.reports]
+        assert np.array_equal(starts[0][2], u[0] + (d[1] - d[0]))
+        for i in range(2, 11):
+            want = u[i - 1] + (d[i] - d[i - 1]) / (d[i - 1] - d[i - 2]) * (u[i - 1] - u[i - 2])
+            got = starts[i - 1][2]
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * u[i - 1].max()
+            assert got[-1] == pytest.approx(d[i], rel=1e-12)
+
+    @pytest.mark.parametrize("domain, most", [(Ball(1.0), 16), (Annulus(0.5, 1.0), 22)],
+                             ids=["ball", "annulus"])
+    def test_warm_leg_newton_iterations(self, domain, most):
+        """(4, 2, .95) at grid 200: the ten warm legs take 16 Newton
+        iterations on the ball and 22 on [0.5, 1] from the secant start; a
+        start that only moves the boundary values takes 24 and 28."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.95, domain=domain, delta=0.1, grid=200)
+        sweep = continuation_delta(spec)
+        assert sweep.ok
+        assert all(rep.continuation_steps == 0 for rep in sweep.reports[1:])
+        assert sum(rep.newton_iterations for rep in sweep.reports[1:]) <= most
+
     def test_rejects_target_one(self):
         """The first leg's tau continuation refuses tau = 1; the sweep does
         not swallow that as a failed leg."""
         with pytest.raises(InvalidArgumentError, match="target tau must be < 1"):
             continuation_delta(ball_spec(tau=1.0, grid=24))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 8), data=st.data(), tau=st.floats(0.0, 0.95),
+       inner=st.one_of(st.none(), st.floats(0.1, 0.9)), grid=st.integers(8, 60))
+def test_delta_sweep_completes_or_names_its_leg(n, data, tau, inner, grid):
+    """With warnings as errors, a delta sweep on a ball or an annulus [a, 1]
+    with a in [0.1, 0.9] raises nothing: it runs every leg of
+    DELTA_SCHEDULE, or names in failed_delta the leg after its last
+    converged one."""
+    k = data.draw(st.integers(1, n), label="k")
+    domain = Ball(1.0) if inner is None else Annulus(inner, 1.0)
+    spec = ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=domain, delta=0.1, grid=grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = continuation_delta(spec)
+    done = len(sweep.reports)
+    assert sweep.deltas == list(DELTA_SCHEDULE[:done])
+    assert all(rep.converged for rep in sweep.reports)
+    assert len(sweep.interior_sup_diffs) == max(done - 1, 0)
+    if sweep.ok:
+        assert done == len(DELTA_SCHEDULE)
+    else:
+        assert sweep.failed_delta == DELTA_SCHEDULE[done]
 
 
 def same_report(a, b):
@@ -1564,19 +1650,20 @@ class TestDeltaFallback:
     LEG = 3
 
     @pytest.fixture
-    def inadmissible_blend(self, monkeypatch):
-        """_blend_boundary hands leg LEG a constant start, whose spectra are
-        0: newton_solve refuses it as inadmissible."""
-        blend = solver._blend_boundary
+    def inadmissible_start(self, monkeypatch):
+        """_leg_start hands leg LEG a constant start, whose spectra are 0:
+        newton_solve refuses it as inadmissible."""
+        leg_start = solver._leg_start
 
-        def patched(profile, spec_next):
-            if spec_next.delta == DELTA_SCHEDULE[self.LEG]:
-                return RadialProfile(r=profile.r, u=np.ones_like(profile.u))
-            return blend(profile, spec_next)
+        def patched(reports, delta):
+            if delta == DELTA_SCHEDULE[self.LEG]:
+                r = reports[-1].profile.r
+                return RadialProfile(r=r, u=np.ones_like(r))
+            return leg_start(reports, delta)
 
-        monkeypatch.setattr(solver, "_blend_boundary", patched)
+        monkeypatch.setattr(solver, "_leg_start", patched)
 
-    def test_failed_warm_start_falls_back_to_tau_continuation(self, inadmissible_blend):
+    def test_failed_warm_start_falls_back_to_tau_continuation(self, inadmissible_start):
         sweep = continuation_delta(self.SPEC)
         assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
         leg_spec = replace(self.SPEC, delta=DELTA_SCHEDULE[self.LEG])
@@ -1584,7 +1671,29 @@ class TestDeltaFallback:
         assert same_report(sweep.reports[self.LEG], fresh)
         assert fresh.continuation_steps > 0
 
-    def test_failed_fallback_ends_the_sweep_at_that_leg(self, inadmissible_blend,
+    def test_start_refused_by_radial_profile_falls_back(self, monkeypatch):
+        """Leg LEG's start is the secant rule run to a datum far below 0,
+        which is negative inside: RadialProfile refuses it, and the leg is
+        a fresh tau continuation."""
+        leg_start, refused = solver._leg_start, []
+
+        def patched(reports, delta):
+            if delta == DELTA_SCHEDULE[self.LEG]:
+                try:
+                    return leg_start(reports, -10.0)
+                except InvalidProfileError:
+                    refused.append(delta)
+                    raise
+            return leg_start(reports, delta)
+
+        monkeypatch.setattr(solver, "_leg_start", patched)
+        sweep = continuation_delta(self.SPEC)
+        assert refused == [DELTA_SCHEDULE[self.LEG]]
+        assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
+        fresh = continuation_tau(replace(self.SPEC, delta=DELTA_SCHEDULE[self.LEG]))
+        assert same_report(sweep.reports[self.LEG], fresh)
+
+    def test_failed_fallback_ends_the_sweep_at_that_leg(self, inadmissible_start,
                                                         monkeypatch):
         clean = continuation_delta(self.SPEC)
         fallback = solver.continuation_tau
