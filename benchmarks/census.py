@@ -15,11 +15,14 @@ linear_auxiliary -> find_N -> verify_admissible (see `builder_sample` for
 their boxes).  One fresh interpreter, with CHECKOUT's src/ first on
 sys.path, runs continuation_tau on each spec and each builder call, with
 warnings as errors, and stops one after SPEC_SECONDS (see `run_specs`).
+It counts each spec's newton_solve calls and the refused ones among them,
+so the cost of the tau step halvings shows whatever the machine's load.
 
 Printed, for the specs and for the builders: the count per outcome class
-(converged or built, or the cause the error names, see `outcome`), the
-SLOWEST slowest, and every foreign exception or warning with its spec.
-Exits 1 if there was one.
+(converged or built, or the cause the error names, see `outcome`) with the
+class's newton_solve calls and refused calls, the SLOWEST slowest, and
+every foreign exception or warning with its spec.  Exits 1 if there was
+one.
 """
 
 import json
@@ -175,31 +178,73 @@ def outcome(err: BaseException) -> str | None:
         (cause for cause in CAUSES if cause in message), message)
 
 
+def _count_newton(counts: list):
+    """Wrap lnlab.solver.newton_solve, the module global continuation_tau
+    calls, so that each call adds 1 to counts[0] and each refused one (an
+    lnlab error, or a report that did not converge) 1 to counts[1].
+    Returns a function that restores it."""
+    from lnlab import solver
+    from lnlab.errors import LnlabError
+    solve = solver.newton_solve
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        try:
+            report = solve(*args, **kwargs)
+        except LnlabError:
+            counts[1] += 1
+            raise
+        counts[1] += not report.converged
+        return report
+
+    solver.newton_solve = counted
+    return lambda: setattr(solver, "newton_solve", solve)
+
+
 def run_specs(specs: list) -> list:
-    """Per spec, {"outcome", "seconds"} from continuation_tau on the lnlab
-    first on sys.path, or from the builder call of a spec with a "builder"
-    (see `_build`), with warnings as errors, stopped after SPEC_SECONDS by
-    SIGALRM; a foreign exception or a warning has outcome "foreign" and
-    its "error"."""
+    """Per spec, {"outcome", "seconds", "newton_calls", "newton_refused"}
+    from continuation_tau on the lnlab first on sys.path, or from the
+    builder call of a spec with a "builder" (see `_build`), with warnings
+    as errors, stopped after SPEC_SECONDS by SIGALRM; a foreign exception
+    or a warning has outcome "foreign" and its "error".  The counts are
+    the spec's newton_solve calls and refused calls (see `_count_newton`)."""
     results = []
+    counts = [0, 0]
+    restore = _count_newton(counts)
     handler = signal.signal(signal.SIGALRM, _over_time)
-    for spec in specs:
-        start = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            signal.setitimer(signal.ITIMER_REAL, SPEC_SECONDS)
-            try:
-                result = {"outcome": (_build if "builder" in spec else _solve)(spec)}
-            except Exception as err:            # noqa: BLE001 - the census counts them
-                cls = outcome(err)
-                result = ({"outcome": cls} if cls else
-                          {"outcome": "foreign", "error": f"{type(err).__name__}: {err}"})
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-        result["seconds"] = time.perf_counter() - start
-        results.append(result)
-    signal.signal(signal.SIGALRM, handler)
+    try:
+        for spec in specs:
+            counts[:] = [0, 0]
+            start = time.perf_counter()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                signal.setitimer(signal.ITIMER_REAL, SPEC_SECONDS)
+                try:
+                    result = {"outcome": (_build if "builder" in spec else _solve)(spec)}
+                except Exception as err:            # noqa: BLE001 - the census counts them
+                    cls = outcome(err)
+                    result = ({"outcome": cls} if cls else
+                              {"outcome": "foreign", "error": f"{type(err).__name__}: {err}"})
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+            result["seconds"] = time.perf_counter() - start
+            result["newton_calls"], result["newton_refused"] = counts
+            results.append(result)
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+        restore()
     return results
+
+
+def newton_totals(results: list) -> dict:
+    """Per outcome class, the newton_solve calls and refused calls of its
+    results: {class: {"calls": ..., "refused": ...}}."""
+    totals = {}
+    for result in results:
+        total = totals.setdefault(result["outcome"], {"calls": 0, "refused": 0})
+        total["calls"] += result["newton_calls"]
+        total["refused"] += result["newton_refused"]
+    return totals
 
 
 def census(checkout: Path, specs: list) -> list:
@@ -213,8 +258,10 @@ def census(checkout: Path, specs: list) -> list:
 def report(specs: list, results: list) -> tuple:
     """The printed census, as lines, and whether it found anything foreign."""
     counts = Counter(result["outcome"] for result in results)
+    newton = newton_totals(results)
     lines = [f"{len(specs)} specs in {sum(r['seconds'] for r in results):.1f} s"]
-    lines += [f"  {count:4d}  {name}" for name, count in counts.most_common()]
+    lines += [f"  {count:4d}  {name}  ({newton[name]['calls']} newton_solve calls, "
+              f"{newton[name]['refused']} refused)" for name, count in counts.most_common()]
     lines.append("slowest:")
     ranked = sorted(zip(results, specs), key=lambda pair: -pair[0]["seconds"])
     lines += [f"  {result['seconds']:7.2f} s  {result['outcome']}  {json.dumps(spec)}"

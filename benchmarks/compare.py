@@ -35,9 +35,9 @@ beyond those of `import numpy` and the process's ru_maxrss (see
 
 Last, each side runs the robustness census of benchmarks/census.py on the
 same sample of specs and builder calls; under "census" the record holds
-each side's count per outcome class and its foreign exceptions and
-warnings, for the specs and, under "builders", for the builder calls (see
-`run_census`).
+each side's count per outcome class, the class's newton_solve calls and
+refused calls, and its foreign exceptions and warnings, for the specs and,
+under "builders", for the builder calls (see `run_census`).
 
 Progress goes to stderr; the record is one JSON document on stdout.  Exits
 1, after writing the record, if either side's census shows a foreign
@@ -453,9 +453,12 @@ def peak_medians(runs: dict) -> dict:
 
 def census_summary(specs: list, results: list) -> dict:
     """One side's census (census.census results on specs): the count per
-    outcome class, and each foreign exception or warning with its spec.
-    run_census adds the summary of the builder calls under "builders"."""
+    outcome class, its newton_solve calls and refused calls under "newton"
+    (see census.newton_totals), and each foreign exception or warning with
+    its spec.  run_census adds the summary of the builder calls under
+    "builders"."""
     return {"counts": dict(sorted(Counter(r["outcome"] for r in results).items())),
+            "newton": dict(sorted(census.newton_totals(results).items())),
             "foreign": [{"error": r["error"], "spec": spec}
                         for r, spec in zip(results, specs) if r["outcome"] == "foreign"]}
 

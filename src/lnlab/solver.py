@@ -9,7 +9,12 @@ the deformed cone.
 
 Continuation runs in tau (from the semilinear tau = 0 problem toward the
 fully nonlinear operator) and in the boundary datum delta (downward, toward
-the zero-boundary problem whose solutions satisfy u / dist -> 1).
+the zero-boundary problem whose solutions satisfy u / dist -> 1).  Both
+are predictor-corrector continuations: Newton starts from the secant
+through the last two solutions (see _secant).  The tau steps follow a fixed
+schedule that halves a refused step, retry a refused prediction from the
+last solution, and solve the waypoints short of the target only to
+WAYPOINT_TOL (see continuation_tau).
 """
 
 import ctypes
@@ -34,6 +39,17 @@ MARGIN_FLOOR = 1e-12
 MAX_HALVINGS = 40
 TAU_STEP = 0.05
 MIN_TAU_STEP = 1e-6
+# The residual at which continuation_tau accepts a waypoint, a tau short of
+# its target: the waypoint only starts the next step.  The residual is
+# f - RHS, so 1e-3 is 0.2% of the right-hand side.  Chosen from a sweep of
+# the Newton iterations of `lnlab verify --seed 0` (189 newton_solve calls
+# at every value): 296 with every waypoint solved to the target's
+# tolerance, 178 at 1e-4, 137 at 1e-3, 129 at 3e-3 and 112 at 1e-2.  A
+# looser waypoint saves little more, and the error it leaves would pass
+# the residual jump of most steps: from the last profile, the tau steps of
+# (4, 2, .95) on [0.5, 1] start at 5e-5 (tau = 0.05), 1.1e-3 (0.3), 8.8e-3
+# (0.65) and 0.16 (0.95).
+WAYPOINT_TOL = 1e-3
 # The boundary data continuation_delta sweeps, in order: 11 legs down to 1e-4.
 DELTA_SCHEDULE = tuple(0.1 * 0.5**i for i in range(10)) + (1e-4,)
 # Delta legs are compared on this inner share of the span, off the boundary layer.
@@ -512,7 +528,8 @@ def _make_report(u, spec, r, F, margins, state, iters, stop):
     it reads only the last entry, grad_sup.
 
     The profile holds a copy of u, made last.  A tau continuation holds only
-    that array between steps; made last, it lies above the step's freed
+    that array, and the one of the step before, between steps; made last,
+    it lies above the step's freed
     work arrays in the heap, so the allocator keeps their pages for the
     next step.  With the solver's own u, made before them, the allocator
     handed those pages back after every step and the next evaluation
@@ -589,7 +606,9 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     False after MAX_NEWTON_ITERATIONS or on any other line-search failure.
 
     The Dirichlet rows of newton_solve's copy of init are set to delta
-    once; each step solves for the PDE rows only.  One iterate u is held
+    once; each step solves for the PDE rows only.  init is dropped once it
+    is copied, so a start the caller builds in the call's argument list
+    (continuation_tau's prediction) is freed then.  One iterate u is held
     at a time, and each stage of an iteration keeps only what the next
     one reads.  u's F, margins and state (see _evaluate) live until the
     stop test; past it the Jacobian (see _analytic_jacobian) consumes the
@@ -609,6 +628,7 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
 
     rows = _pde_rows(spec)
     u = init.u.copy()
+    del init                    # so a caller's temporary start is freed here
     u[:rows.start] = u[rows.stop:] = spec.delta
     F, margins, state = _evaluate(u, spec, r, cone)
     if F is None:
@@ -643,9 +663,10 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
 
 def _newton_stop(report: SolveReport, opts: NewtonOptions) -> str:
     """Why a Newton solve stopped short of opts.tol, from the rule that
-    stopped it.  The message ends with the residual's rounding floor
-    4*eps*max(u)^2/h^2 (see _rounding_floor), which a line-search stop has
-    not reached."""
+    stopped it; opts are the options that solve ran with, so a waypoint's
+    stop names WAYPOINT_TOL.  The message ends with the residual's rounding
+    floor 4*eps*max(u)^2/h^2 (see _rounding_floor), which a line-search
+    stop has not reached."""
     cause = ("iteration limit reached" if report.newton_stop == "iteration limit"
              else "line search found no admissible descent step")
     floor = _rounding_floor(report.c0_bounds[1], report.profile.h)
@@ -669,13 +690,65 @@ def _inadmissible_start(spec: ProblemSpec,
         worst_node=err.worst_node, margin=err.margin)
 
 
+def _secant(x: float, x1: float, u1, x0: float, u0) -> np.ndarray:
+    """The secant predictor at x through (x0, u0) and (x1, u1): u1 plus
+    (x - x1) times the slope (u1 - u0) / (x1 - x0), formed in one new
+    array.  Continuation in delta (see _leg_start) and in tau (see
+    _tau_step) start Newton from it once two solutions are known."""
+    u = np.subtract(u1, u0)
+    u /= x1 - x0
+    u *= x - x1
+    u += u1
+    return u
+
+
+def _tau_step(profile: RadialProfile, current: float, before, spec: ProblemSpec,
+              opts: NewtonOptions):
+    """One tau step of continuation_tau, from the accepted profile at tau =
+    current to spec.tau: (report, None) for a converged Newton solve, or
+    (None, the refusal) if the step is refused.
+
+    Newton starts from the secant prediction at spec.tau through
+    (current, profile.u) and before, the (tau, u) of the profile accepted
+    before it (see _secant); with before None, from profile itself.  If RadialProfile
+    refuses the prediction, or Newton refuses it or stops short from it,
+    the step is solved again from profile, and that solve's refusal is the
+    step's.  The prediction is built in newton_solve's argument list, so it
+    is freed once newton_solve has copied it."""
+    if before is not None:
+        try:
+            trial = newton_solve(
+                RadialProfile(r=profile.r, u=_secant(spec.tau, current, profile.u, *before)),
+                spec, opts)
+        except (InadmissibleIterateError, InvalidProfileError):
+            trial = None
+        if trial is not None and trial.converged:
+            return trial, None
+        del trial                   # no refused report lives into the next solve
+    try:
+        trial = newton_solve(profile, spec, opts)
+    except InadmissibleIterateError as err:
+        return None, (f"the step left the cone (worst node {err.worst_node}, "
+                      f"margin {err.margin:.3e})")
+    return (trial, None) if trial.converged else (None, _newton_stop(trial, opts))
+
+
 def continuation_tau(spec: ProblemSpec,
                      opts: NewtonOptions | None = None) -> SolveReport:
-    """Continuation in tau from the semilinear start to spec.tau.
+    """Continuation in tau from the semilinear start to spec.tau, by
+    predictor-corrector steps on a fixed schedule.
 
-    Solves at tau = 0 first, then advances by TAU_STEP up to spec.tau,
-    reusing each solution as the next initial guess and halving the step on
-    Newton failure.  Stalls below MIN_TAU_STEP raise.
+    Solves at tau = 0 first, then steps by TAU_STEP up to spec.tau, halving
+    a refused step; a step below MIN_TAU_STEP that is refused stalls the
+    continuation (ContinuationStallError, naming the refusal).  Each step
+    (see _tau_step) predicts its start by the secant through the last two
+    accepted profiles, the tau = 0 solution among them, and starts from the
+    last profile while only one is accepted; a predicted start that is
+    refused, or from which Newton stops short, is solved again from the
+    last profile before the step counts as refused.  The corrector accepts
+    a waypoint, a step short of spec.tau, at residual <= max(WAYPOINT_TOL,
+    opts.tol): it only starts the next step.  After the first refused step,
+    and at spec.tau always, Newton runs to opts.tol.
     """
     if spec.tau >= 1.0:
         raise InvalidArgumentError("continuation target tau must be < 1")
@@ -696,27 +769,28 @@ def continuation_tau(spec: ProblemSpec,
         return replace(report, continuation_steps=0)
 
     # Keep the steps inside (0, target) whatever arange's rounding gives,
-    # so that target is solved once, last.  Between steps only the accepted
-    # profile is held: no earlier step's report lives into the next solve.
+    # so that target is solved once, last.  Between steps only the last two
+    # accepted profiles are held (one u array more than the last profile):
+    # no earlier step's report lives into the next solve.
     pending = [t for t in np.arange(TAU_STEP, target, TAU_STEP)
                if 0.0 < t < target] + [target]
-    profile, current = report.profile, 0.0
+    waypoint = replace(opts, tol=max(WAYPOINT_TOL, opts.tol))
+    refused = False
+    profile, current, before = report.profile, 0.0, None
     del report
     while True:
         t_next = pending[0]
-        try:
-            trial = newton_solve(profile, replace(spec, tau=t_next), opts)
-            refusal = None if trial.converged else _newton_stop(trial, opts)
-        except InadmissibleIterateError as err:
-            trial, refusal = None, (f"the step left the cone (worst node {err.worst_node}, "
-                                    f"margin {err.margin:.3e})")
+        trial, refusal = _tau_step(profile, current, before, replace(spec, tau=t_next),
+                                   opts if refused or t_next == target else waypoint)
         if refusal is None:
             steps += 1
             if t_next == target:
                 return replace(trial, continuation_steps=steps)
+            before = (current, profile.u)
             profile, current = trial.profile, t_next
             pending.pop(0)
         else:
+            refused = True
             if t_next - current < MIN_TAU_STEP:
                 raise ContinuationStallError(
                     f"tau continuation stalled at tau = {current:.6f}: "
@@ -743,14 +817,14 @@ class DeltaContinuationResult:
 def _leg_start(reports: list, delta: float) -> RadialProfile:
     """The start of the warm delta leg at datum delta: the last converged
     profile u_1 plus (delta - delta_1) times du/ddelta, taken as 1 after
-    one leg and as the secant (u_1 - u_0) / (delta_1 - delta_0) through the
-    last two after more.  RadialProfile refuses a start that is not
-    positive on the open domain (InvalidProfileError)."""
+    one leg, and after more the secant prediction through the last two
+    (see _secant).  RadialProfile refuses a start that is not positive on
+    the open domain (InvalidProfileError)."""
     last = reports[-1]
-    slope = 1.0
-    if len(reports) > 1:
-        slope = (last.profile.u - reports[-2].profile.u) / (last.delta - reports[-2].delta)
-    return RadialProfile(r=last.profile.r, u=last.profile.u + (delta - last.delta) * slope)
+    if len(reports) == 1:
+        return RadialProfile(r=last.profile.r, u=last.profile.u + (delta - last.delta))
+    return RadialProfile(r=last.profile.r, u=_secant(delta, last.delta, last.profile.u,
+                                                     reports[-2].delta, reports[-2].profile.u))
 
 
 def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:

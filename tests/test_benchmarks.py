@@ -49,6 +49,26 @@ def test_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
             if r["outcome"] == "foreign"] == []
 
 
+def test_census_counts_each_specs_newton_solves(monkeypatch):
+    """run_specs records each spec's newton_solve calls and refused calls,
+    counted at lnlab.solver's module global, which it restores after.  A
+    ball at tau = 0.1 takes the start and two steps, none refused; a tau =
+    0 spec one call; a builder call none."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    from lnlab import solver
+    solve = solver.newton_solve
+    ball = {"n": 4, "k": 2, "tau": 0.1, "domain": "ball", "inner": None,
+            "outer": 1.0, "delta": 0.05, "grid": 50}
+    results = census.run_specs([ball, dict(ball, tau=0.0),
+                                census.builder_sample()[0]])
+    assert solver.newton_solve is solve
+    assert [(r["outcome"], r["newton_calls"], r["newton_refused"]) for r in results] == [
+        ("converged", 3, 0), ("converged", 1, 0), ("built", 0, 0)]
+    assert census.newton_totals(results) == {"converged": {"calls": 4, "refused": 0},
+                                             "built": {"calls": 0, "refused": 0}}
+
+
 def test_census_sample_ends_with_zero_datum_copies(monkeypatch):
     """The SPECS drawn specs come first, each at a positive delta, then a
     copy at delta = 0 of every tenth of them.  The first three copies, two
@@ -229,12 +249,19 @@ def test_compare_records_each_sides_imports(compare, monkeypatch, tmp_path, caps
 STUB_SPECS = [{"n": 3, "grid": 10}, {"n": 4, "grid": 20}, {"n": 5, "grid": 30}]
 
 
+def stub_result(outcome, calls=1, refused=0, **more):
+    return {"outcome": outcome, "seconds": 0.1, "newton_calls": calls,
+            "newton_refused": refused, **more}
+
+
 def test_census_summary_counts_classes_and_names_foreign_errors(compare):
-    results = [{"outcome": "converged", "seconds": 0.1},
-               {"outcome": "foreign", "error": "RuntimeWarning: overflow", "seconds": 0.2},
-               {"outcome": "converged", "seconds": 0.3}]
+    results = [stub_result("converged", 20),
+               stub_result("foreign", 7, 2, error="RuntimeWarning: overflow"),
+               stub_result("converged", 22, 1)]
     assert compare.census_summary(STUB_SPECS, results) == {
         "counts": {"converged": 2, "foreign": 1},
+        "newton": {"converged": {"calls": 42, "refused": 1},
+                   "foreign": {"calls": 7, "refused": 2}},
         "foreign": [{"error": "RuntimeWarning: overflow", "spec": STUB_SPECS[1]}]}
     assert compare.census_summary(STUB_SPECS, results[::2])["foreign"] == []
 
@@ -251,10 +278,9 @@ def test_compare_records_both_censuses_and_fails_on_a_foreign_error(
     sides = {parent.resolve(): "parent", compare.ROOT: "change"}
 
     def summary(foreign):
-        results = [{"outcome": "converged", "seconds": 0.1}] * 3
+        results = [stub_result("converged")] * 3
         if foreign:
-            results = results[:2] + [{"outcome": "foreign", "error": "ValueError: x",
-                                      "seconds": 0.1}]
+            results = results[:2] + [stub_result("foreign", error="ValueError: x")]
         return compare.census_summary(STUB_SPECS, results)
 
     monkeypatch.setattr(compare, "alternate",

@@ -711,11 +711,12 @@ class TestNewton:
                              ids=["ball", "annulus"])
     def test_a_stop_at_the_rounding_floor_costs_one_trial(self, domain, monkeypatch):
         """At grid 4000 the default tolerance is below the rounding floor, so
-        every solve of a default tau continuation stops at the floor.  There
-        the line search tries the full step only: one evaluation for the
-        start and one per iteration, the refused last one included (a search
-        of every halving made 1005 and 1112 evaluations here, not 44 and
-        105)."""
+        the tau = 0 start and the target of a default tau continuation stop
+        at the floor; the waypoints between stop at WAYPOINT_TOL.  At the
+        floor the line search tries the full step only: one evaluation for
+        the start and one per iteration, the refused last one included (when
+        every solve here stopped at the floor, a search of every halving
+        made 1005 and 1112 evaluations, against 44 and 105 with one trial)."""
         evaluations, reports = [], []
         evaluate, solve = solver._evaluate, solver.newton_solve
 
@@ -732,7 +733,9 @@ class TestNewton:
         spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.95, domain=domain,
                            delta=0.1, grid=4000)
         assert continuation_tau(spec).converged
-        assert {rep.newton_stop for rep in reports} == {"rounding floor"}
+        stops = [rep.newton_stop for rep in reports]
+        assert stops[0] == stops[-1] == "rounding floor"
+        assert set(stops[1:-1]) == {"tolerance"}
         assert len(evaluations) == len(reports) + sum(rep.newton_iterations
                                                       for rep in reports)
 
@@ -1493,6 +1496,215 @@ class TestContinuationTau:
                            delta=0.1, grid=24)
         with pytest.raises(InvalidArgumentError):
             continuation_tau(spec)
+
+
+def recorded_solves(monkeypatch):
+    """Wrap solver.newton_solve: the returned list gets, per call, the tau,
+    a copy of the start's u, the tol it ran with and the report (None if
+    it raised)."""
+    calls, solve = [], solver.newton_solve
+
+    def recorded(init, spec, opts=None):
+        call = {"tau": spec.tau, "start": init.u.copy(), "tol": opts.tol, "report": None}
+        calls.append(call)
+        call["report"] = solve(init, spec, opts)
+        return call["report"]
+
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    return calls
+
+
+def refused(call) -> bool:
+    return call["report"] is None or not call["report"].converged
+
+
+# Found by the census: on this annulus (6, 1) converges, and k >= 2 stalls
+# for any target tau.  Before the predictor-corrector steps, continuation_tau
+# stalled here after 458 (k = 2) and 508 (k = 3) newton_solve calls at every
+# target; loose waypoints through the whole halving chain made up to 8,979.
+TINY_ANNULUS = Annulus(2.3512740663052053e-58, 3.7274598712693967e-44)
+TINY_DATUM = 1.0122155116797562e-241
+TINY_ANNULUS_K2 = ProblemSpec(ConeSpec(6, 2), 0.4, TINY_ANNULUS, TINY_DATUM, grid=1000)
+PARENT_NEWTON_CALLS = {2: 458, 3: 508}
+
+
+class TestPredictorCorrector:
+    """continuation_tau's steps: the secant predictor, the fallback to the
+    last profile, and the loose corrector at waypoints."""
+
+    SPEC = annulus_spec(4, 2, 0.95, 0.5, delta=0.05, grid=100)
+
+    def test_each_step_starts_from_the_secant_through_the_last_two(self, monkeypatch):
+        """Nothing is refused on (4, 2, .95) over [0.5, 1]: one solve per
+        tau of the fixed schedule.  The first step starts from the tau = 0
+        solution; each later one from the secant through the last two
+        accepted profiles, the very array _secant gives."""
+        calls = recorded_solves(monkeypatch)
+        rep = continuation_tau(self.SPEC)
+        assert rep.converged and rep.continuation_steps == 19
+        assert [c["tau"] for c in calls] == [0.0] + [t for t in np.arange(0.05, 0.95, 0.05)
+                                                     if t < 0.95] + [0.95]
+        assert not any(refused(c) for c in calls)
+        accepted = [(c["tau"], c["report"].profile.u) for c in calls]
+        assert np.array_equal(calls[1]["start"], accepted[0][1])
+        for i in range(2, len(calls)):
+            (t0, u0), (t1, u1) = accepted[i - 2], accepted[i - 1]
+            assert np.array_equal(calls[i]["start"],
+                                  solver._secant(calls[i]["tau"], t1, u1, t0, u0)), i
+
+    def test_secant_is_one_array_and_exact_on_a_line(self):
+        """u1 + (x - x1)(u1 - u0)/(x1 - x0): exact on profiles linear in x,
+        and equal to u1, bit for bit, where u0 == u1 (the ball's tau steps)."""
+        u0, u1 = np.array([1.0, 2.0, 4.0]), np.array([1.5, 2.5, 5.0])
+        assert np.array_equal(solver._secant(0.3, 0.2, u1, 0.1, u0), [2.0, 3.0, 6.0])
+        assert np.array_equal(solver._secant(0.95, 0.9, u1, 0.85, u1.copy()), u1)
+
+    @pytest.mark.parametrize("bad", ["negative", "dip", "spike"])
+    def test_a_refused_prediction_is_solved_again_from_the_last_profile(
+            self, bad, monkeypatch):
+        """A prediction that RadialProfile refuses (negative), that Newton
+        refuses (a dip that leaves the cone) or from which Newton stops
+        short (a spike) is followed by a solve of the same tau from the
+        last profile, and the step is not counted as refused: the schedule
+        and the step count are unchanged."""
+        def spoiled(x, x1, u1, x0, u0):
+            u = u1.copy()
+            if bad == "negative":
+                return np.negative(u, out=u)
+            u[u.size // 2] *= 0.1 if bad == "dip" else 10.0
+            return u
+
+        schedule = [t for t in np.arange(0.05, 0.95, 0.05) if t < 0.95] + [0.95]
+        calls = recorded_solves(monkeypatch)
+        monkeypatch.setattr(solver, "_secant", spoiled)
+        rep = continuation_tau(self.SPEC)
+        assert rep.converged and rep.continuation_steps == 19
+        if bad != "negative":   # RadialProfile refuses that before newton_solve
+            predicted, calls[2:] = calls[2::2], calls[3::2]
+            assert [c["tau"] for c in predicted] == schedule[1:]
+            assert all(refused(c) for c in predicted)
+            assert all((c["report"] is None) == (bad == "dip") for c in predicted)
+        assert [c["tau"] for c in calls] == [0.0] + schedule
+        for before, call in zip(calls, calls[1:]):
+            assert np.array_equal(call["start"], before["report"].profile.u)
+
+    def test_waypoints_stop_at_waypoint_tol_and_the_target_at_tol(self, monkeypatch):
+        """The tau = 0 start and the target run to opts.tol, every waypoint
+        between to WAYPOINT_TOL, and stops there: one report per tau, each
+        at "tolerance" with a residual within its own tol.  With opts.tol
+        above WAYPOINT_TOL every solve runs to opts.tol."""
+        calls = recorded_solves(monkeypatch)
+        continuation_tau(self.SPEC)
+        tols = [c["tol"] for c in calls]
+        assert tols == [NEWTON_TOL] + [solver.WAYPOINT_TOL] * 18 + [NEWTON_TOL]
+        for c in calls:
+            assert c["report"].newton_stop == "tolerance"
+            assert c["report"].residual_sup <= c["tol"]
+        calls.clear()
+        continuation_tau(self.SPEC, solver.NewtonOptions(tol=1e-2))
+        assert {c["tol"] for c in calls} == {1e-2}
+
+    @pytest.mark.parametrize("spec", [annulus_spec(8, 8, 0.9, 0.1), TINY_ANNULUS_K2],
+                             ids=["8-8-annulus-0.1", "tiny-annulus-6-2"])
+    def test_after_the_first_refused_step_every_solve_runs_to_tol(self, spec,
+                                                                 monkeypatch):
+        """Waypoints run to WAYPOINT_TOL until a step is refused (its
+        solve from the last profile refused), and every later solve to
+        opts.tol: loose waypoints crept on through the halving chain (6, 3,
+        .4) on the tiny annulus made 8,979 newton_solve calls that way."""
+        calls = recorded_solves(monkeypatch)
+        with pytest.raises(ContinuationStallError):
+            continuation_tau(spec)
+        tols = [c["tol"] for c in calls]
+        first = tols.index(NEWTON_TOL, 1)
+        assert set(tols[1:first]) == {solver.WAYPOINT_TOL}
+        assert set(tols[first:]) == {NEWTON_TOL}
+        # The refused solve from the last profile, then the halved step.
+        assert refused(calls[first - 1]) and calls[first]["tau"] < calls[first - 1]["tau"]
+
+    def test_a_refused_waypoint_names_the_tol_it_ran_with(self, monkeypatch):
+        """A waypoint solve stopped short names WAYPOINT_TOL, not opts.tol:
+        from the tau = 0 solution the residual at tau = 0.9 is 0.18, and
+        Newton is cut at 0 iterations."""
+        spec = replace(self.SPEC, tau=0.0)
+        start = newton_solve(initial_profile(spec), spec).profile
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 0)
+        trial, refusal = solver._tau_step(start, 0.0, None, replace(spec, tau=0.9),
+                                          solver.NewtonOptions(tol=solver.WAYPOINT_TOL))
+        assert trial is None
+        assert "after 0 iterations, above tol 1.0e-03 (iteration limit reached)" in refusal
+
+    def test_the_prediction_is_freed_once_newton_copies_it(self, monkeypatch):
+        """Between tau steps continuation_tau holds one u array beyond the
+        last profile: the prediction it builds for a step is gone before
+        newton_solve's first evaluation."""
+        refs, alive = [], []
+        secant, evaluate = solver._secant, solver._evaluate
+
+        def tracked_secant(*args):
+            u = secant(*args)
+            refs.append(weakref.ref(u))
+            return u
+
+        def tracked_evaluate(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return evaluate(*args)
+
+        monkeypatch.setattr(solver, "_secant", tracked_secant)
+        monkeypatch.setattr(solver, "_evaluate", tracked_evaluate)
+        assert continuation_tau(self.SPEC).converged
+        assert len(refs) == 18 and set(alive) == {0}
+
+
+@pytest.mark.parametrize("tau", [0.4, 0.5, 0.9])
+@pytest.mark.parametrize("k", [2, 3])
+def test_tiny_annulus_stalls_within_the_parents_newton_calls(k, tau, monkeypatch):
+    """(6, k) on the tiny annulus stalls, naming its cause, in at most as
+    many newton_solve calls as the fixed schedule made before the
+    predictor-corrector steps (75 and 98 with them), counted at the module
+    global.  A call past
+    that bound fails the test at once, so a creep fails in a fraction of a
+    second, not after minutes."""
+    calls, solve = [], solver.newton_solve
+
+    def bounded(*args):
+        calls.append(None)
+        assert len(calls) <= PARENT_NEWTON_CALLS[k], "newton_solve calls past the bound"
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "newton_solve", bounded)
+    spec = ProblemSpec(ConeSpec(6, k), tau, TINY_ANNULUS, TINY_DATUM, grid=1000)
+    with pytest.raises(ContinuationStallError, match="tau continuation stalled at") as err:
+        continuation_tau(spec)
+    assert any(cause in str(err.value) for cause in CAUSES), str(err.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 8), data=st.data(), tau=st.floats(0.0, 0.95),
+       inner=st.one_of(st.none(), st.floats(0.1, 0.9)), grid=st.integers(8, 60),
+       delta=st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+def test_cold_tau_continuation_converges_or_names_its_cause(n, data, tau, inner,
+                                                            grid, delta):
+    """With warnings as errors, a cold continuation_tau on a ball or an
+    annulus [a, 1] with a in [0.1, 0.9] converges, its target report
+    stopped at "tolerance" or "rounding floor", or raises an error that
+    names one of CAUSES.  On a ball the solution does not depend on tau, so
+    every tau step after the start takes 0 Newton iterations (perfbench
+    pins the same for (4, 2, .95) at grid 200)."""
+    k = data.draw(st.integers(1, n), label="k")
+    domain = Ball(1.0) if inner is None else Annulus(inner, 1.0)
+    spec = ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=domain, delta=delta, grid=grid)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calls = recorded_solves(patch)
+        try:
+            rep = continuation_tau(spec)
+        except LnlabError as err:
+            assert any(cause in str(err) for cause in CAUSES), str(err)
+            return
+    assert rep.converged and rep.newton_stop in ("tolerance", "rounding floor")
+    if inner is None:
+        assert [c["report"].newton_iterations for c in calls[1:]] == [0] * (len(calls) - 1)
 
 
 class TestContinuationDelta:
