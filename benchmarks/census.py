@@ -16,7 +16,9 @@ their boxes).  One fresh interpreter, with CHECKOUT's src/ first on
 sys.path, runs continuation_tau on each spec and each builder call, with
 warnings as errors, and stops one after SPEC_SECONDS (see `run_specs`).
 It counts each spec's newton_solve calls and the refused ones among them,
-so the cost of the tau step halvings shows whatever the machine's load.
+so the cost of the tau step halvings shows whatever the machine's load:
+a tau step is one newton_solve call, from its predicted start, and a
+refused one is halved.
 
 Printed, for the specs and for the builders: the count per outcome class
 (converged or built, or the cause the error names, see `outcome`) with the
@@ -181,7 +183,8 @@ def outcome(err: BaseException) -> str | None:
 def _count_newton(counts: list):
     """Wrap lnlab.solver.newton_solve, the module global continuation_tau
     calls, so that each call adds 1 to counts[0] and each refused one (an
-    lnlab error, or a report that did not converge) 1 to counts[1].
+    lnlab error, or a report that did not converge) 1 to counts[1].  A
+    predicted start that RadialProfile refuses makes no call.
     Returns a function that restores it."""
     from lnlab import solver
     from lnlab.errors import LnlabError

@@ -18,9 +18,10 @@ same benchmark.  For every workload in BENCHMARK.json:
 The record also holds each side's line count per src/lnlab/*.py file and
 their total, under "src_lines" (see `src_lines`).
 
-Then the stages of one Newton step (see `stage_times`), each stage at each
-grid in a fresh interpreter with BLAS pinned to one thread, over
-STAGE_ROUNDS alternating rounds; the record holds the median over rounds.
+Then the stages of one Newton step and the CSV of its report (see
+`stage_times`), each stage at each grid in a fresh interpreter with BLAS
+pinned to one thread, over STAGE_ROUNDS alternating rounds; the record
+holds the median over rounds.
 The probe is this script's code around each checkout's private solver
 names.  As many more alternating rounds, each in a fresh interpreter,
 measure the memory of that step's whole newton_solve call, of the stages
@@ -64,7 +65,7 @@ STAGE_ROUNDS = 6
 STAGE_GRIDS = (1_000, 10_000, 100_000)
 STAGE_CONE = (4, 2, 0.95)
 STAGES = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
-          "banded_solve", "line_search_trial", "make_report",
+          "banded_solve", "line_search_trial", "make_report", "to_csv",
           "newton_solve_1_iteration")
 # The tau step newton_peaks and test_solver.TestOneIterate measure: the
 # newton_solve from the converged profile at tau to next_tau, on the annulus
@@ -269,10 +270,11 @@ def stage_times(src: str, stages=STAGES, grids=None) -> dict:
     stages (STAGES) are the stencil, the eigenpair, `cone_margin`,
     `_f_and_grad_unchecked`, the Jacobian (with a copy of the gradients it
     may consume), the banded solve (with the copy of the bands it
-    overwrites), one line-search trial at t = 1, `_make_report`, and one
-    whole `newton_solve` iteration (MAX_NEWTON_ITERATIONS set to 1 for the
-    probe).  `main` times each stage at each grid in its own interpreter
-    (see `run_stage_times`)."""
+    overwrites), one line-search trial at t = 1, `_make_report`,
+    `SolveReport.to_csv` of that report, and one whole `newton_solve`
+    iteration (MAX_NEWTON_ITERATIONS set to 1 for the probe).  `main`
+    times each stage at each grid in its own interpreter (see
+    `run_stage_times`)."""
     sys.path.insert(0, src)
     import numpy as np
     from lnlab import solver
@@ -295,6 +297,7 @@ def stage_times(src: str, stages=STAGES, grids=None) -> dict:
             # admissibility rule.  An accepted trial leaves step as it is.
             if solver._line_search(u, step, np.inf, True, spec, r, cone) is None:
                 raise RuntimeError(f"the stage probe's trial is refused at grid {grid}")
+            report = solver._make_report(u, spec, r, F, margins, state, 1, "tolerance")
 
             calls = {
                 "stencil": lambda: _radial_stencil(u, r),
@@ -308,6 +311,7 @@ def stage_times(src: str, stages=STAGES, grids=None) -> dict:
                                                                  spec, r, cone),
                 "make_report": lambda: solver._make_report(u, spec, r, F, margins,
                                                            state, 1, "tolerance"),
+                "to_csv": report.to_csv,
                 "newton_solve_1_iteration": lambda: solver.newton_solve(init, spec),
             }
             for name in stages:
@@ -418,10 +422,10 @@ def run_probe(probe: str, *args):
 def run_stage_times(checkout: Path, round_: int) -> dict:
     """A run for `alternate`: stage_times of every stage at every grid of
     STAGE_GRIDS, each in a fresh interpreter (see `run_probe`), so that no
-    stage's time follows the heap state that other stages left.  The 27
-    interpreters of a round take about 10 s per side on a 2-core host,
-    against about 2 s for one interpreter that runs every stage: about a
-    minute and a half more over STAGE_ROUNDS rounds of both sides."""
+    stage's time follows the heap state that other stages left.  The 30
+    interpreters of a round take about 13 s per side on a 2-core host,
+    against about 2 s for one interpreter that runs every stage: about
+    two minutes more over STAGE_ROUNDS rounds of both sides."""
     out = {}
     for grid in STAGE_GRIDS:
         for stage in STAGES:

@@ -100,19 +100,22 @@ class RadialProfile:
         object.__setattr__(self, "u", u)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
             raise InvalidArgumentError("profile needs matching 1-d grids with >= 4 nodes")
-        # Ends and order first, by comparisons, which neither overflow nor
-        # warn: increasing radii between finite ends have finite steps.
+        # Ends first, by comparisons.  Then order and spacing from the
+        # extremes of the steps (fl(x - h) is monotone in x, so they decide
+        # every node); out of order, an inf - inf or overflowing step is a
+        # silenced NaN or inf that fails the order test.
         if not (r[0] >= 0 and r[-1] < np.inf):
             raise InvalidArgumentError("grid radii must be finite and nonnegative")
-        if not (r[1:] > r[:-1]).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            dr = np.subtract(r[1:], r[:-1])
+        lo = dr.min()
+        if not lo > 0:
             raise InvalidArgumentError("grid radii must be strictly increasing")
-        dr = np.diff(r)
-        h = dr[0]
-        np.subtract(dr, h, out=dr)
-        if not (np.abs(dr, out=dr) <= 1e-13 * r[-1] + 1e-8 * h).all():
+        h, tol = dr[0], 1e-13 * r[-1] + 1e-8 * dr[0]
+        if not (dr.max() - h <= tol and h - lo <= tol):
             raise InvalidArgumentError("grid spacing must be uniform")
         ends = u[-1] >= 0 and (u[0] > 0 if r[0] == 0.0 else u[0] >= 0)
-        if not (ends and (u[1:-1] > 0).all() and (u < np.inf).all()):
+        if not (ends and u[1:-1].min() > 0 and u.max() < np.inf):
             raise InvalidProfileError(
                 "conformal factor must be finite and positive on the open domain")
 

@@ -11,10 +11,10 @@ Continuation runs in tau (from the semilinear tau = 0 problem toward the
 fully nonlinear operator) and in the boundary datum delta (downward, toward
 the zero-boundary problem whose solutions satisfy u / dist -> 1).  Both
 are predictor-corrector continuations: Newton starts from the secant
-through the last two solutions (see _secant).  The tau steps follow a fixed
-schedule that halves a refused step, retry a refused prediction from the
-last solution, and solve the waypoints short of the target only to
-WAYPOINT_TOL (see continuation_tau).
+through the last two solutions (see _secant), one Newton solve per step
+(see _corrector).  A refused tau step is halved, a refused delta leg
+falls back to a fresh tau continuation, and tau waypoints short of the
+target are solved only to WAYPOINT_TOL (see continuation_tau).
 """
 
 import ctypes
@@ -702,35 +702,36 @@ def _secant(x: float, x1: float, u1, x0: float, u0) -> np.ndarray:
     return u
 
 
-def _tau_step(profile: RadialProfile, current: float, before, spec: ProblemSpec,
-              opts: NewtonOptions):
-    """One tau step of continuation_tau, from the accepted profile at tau =
-    current to spec.tau: (report, None) for a converged Newton solve, or
-    (None, the refusal) if the step is refused.
-
-    Newton starts from the secant prediction at spec.tau through
-    (current, profile.u) and before, the (tau, u) of the profile accepted
-    before it (see _secant); with before None, from profile itself.  If RadialProfile
-    refuses the prediction, or Newton refuses it or stops short from it,
-    the step is solved again from profile, and that solve's refusal is the
-    step's.  The prediction is built in newton_solve's argument list, so it
-    is freed once newton_solve has copied it."""
-    if before is not None:
-        try:
-            trial = newton_solve(
-                RadialProfile(r=profile.r, u=_secant(spec.tau, current, profile.u, *before)),
-                spec, opts)
-        except (InadmissibleIterateError, InvalidProfileError):
-            trial = None
-        if trial is not None and trial.converged:
-            return trial, None
-        del trial                   # no refused report lives into the next solve
+def _corrector(predict, spec: ProblemSpec, opts: NewtonOptions):
+    """A continuation step's one Newton solve, from the start predict()
+    builds: (report, None) if it converges, else (None, the cause).  It
+    refuses a start that RadialProfile refuses (InvalidProfileError) or
+    Newton refuses (InadmissibleIterateError), or from which Newton stops
+    short.  The start is built in newton_solve's argument list, so it is
+    freed once newton_solve has copied it."""
     try:
-        trial = newton_solve(profile, spec, opts)
+        report = newton_solve(predict(), spec, opts)
+    except InvalidProfileError:
+        return None, "the predicted start is not finite and positive"
     except InadmissibleIterateError as err:
         return None, (f"the step left the cone (worst node {err.worst_node}, "
                       f"margin {err.margin:.3e})")
-    return (trial, None) if trial.converged else (None, _newton_stop(trial, opts))
+    return (report, None) if report.converged else (None, _newton_stop(report, opts))
+
+
+def _tau_step(profile: RadialProfile, current: float, before, spec: ProblemSpec,
+              opts: NewtonOptions):
+    """One tau step of continuation_tau, from the accepted profile at tau =
+    current to spec.tau: one Newton solve (see _corrector), as (report,
+    None) if it converges, or (None, the refusal) if the step is refused.
+
+    Newton starts from the secant prediction at spec.tau through
+    (current, profile.u) and before, the (tau, u) of the profile accepted
+    before it (see _secant); with before None, from profile itself."""
+    if before is None:
+        return _corrector(lambda: profile, spec, opts)
+    return _corrector(lambda: RadialProfile(
+        r=profile.r, u=_secant(spec.tau, current, profile.u, *before)), spec, opts)
 
 
 def continuation_tau(spec: ProblemSpec,
@@ -743,9 +744,9 @@ def continuation_tau(spec: ProblemSpec,
     continuation (ContinuationStallError, naming the refusal).  Each step
     (see _tau_step) predicts its start by the secant through the last two
     accepted profiles, the tau = 0 solution among them, and starts from the
-    last profile while only one is accepted; a predicted start that is
-    refused, or from which Newton stops short, is solved again from the
-    last profile before the step counts as refused.  The corrector accepts
+    last profile while only one is accepted.  A step is one Newton solve:
+    a predicted start that is refused, or from which Newton stops short,
+    refuses the step, and the schedule halves it.  The corrector accepts
     a waypoint, a step short of spec.tau, at residual <= max(WAYPOINT_TOL,
     opts.tol): it only starts the next step.  After the first refused step,
     and at spec.tau always, Newton runs to opts.tol.
@@ -831,10 +832,10 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
     """Sweep the boundary datum down DELTA_SCHEDULE; spec.delta is not read.
 
     The first leg runs the full tau continuation.  Each later leg runs
-    Newton from the last profile moved along the secant through the last
-    two legs (after one leg, by the change in the datum; see _leg_start),
-    and falls back to a fresh tau continuation if RadialProfile or Newton
-    refuses that start or Newton stops short.  Records pointwise
+    one Newton solve (see _corrector) from the last profile moved along
+    the secant through the last two legs (after one leg, by the change in
+    the datum; see _leg_start); a refused leg, unlike a refused tau step,
+    falls back to a fresh tau continuation.  Records pointwise
     monotonicity violations beyond h^2 and the successive interior
     sup-differences (stabilization diagnostic).
     """
@@ -848,11 +849,9 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
         spec_d = replace(spec, delta=d)
         report = None
         if result.reports:
-            try:
-                report = newton_solve(_leg_start(result.reports, d), spec_d)
-            except (InadmissibleIterateError, InvalidProfileError):
-                report = None
-        if report is None or not report.converged:
+            report, _ = _corrector(lambda: _leg_start(result.reports, d), spec_d,
+                                   NewtonOptions())
+        if report is None:
             try:
                 report = continuation_tau(spec_d)
             except (ContinuationStallError, InadmissibleIterateError):

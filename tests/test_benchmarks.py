@@ -377,7 +377,7 @@ def test_stage_probe_runs_every_stage_and_restores_the_iteration_limit(monkeypat
     monkeypatch.setattr(compare, "STAGE_GRIDS", (200,))
     times = compare.stage_times(str(Path(solver.__file__).parent.parent))
     stages = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
-              "banded_solve", "line_search_trial", "make_report",
+              "banded_solve", "line_search_trial", "make_report", "to_csv",
               "newton_solve_1_iteration")
     assert sorted(times) == sorted(f"{name},grid=200" for name in stages)
     assert all(math.isfinite(ms) and ms > 0 for ms in times.values())

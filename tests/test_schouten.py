@@ -15,7 +15,8 @@ from lnlab import (BackgroundData, RadialProfile, barrier_profile,
 from lnlab.admissible import N_SCAN, find_N
 from lnlab.schouten import (_eigenpair, _radial_stencil,
                             rescaled_metric_spectrum_bound)
-from lnlab.errors import InvalidArgumentError, InvalidProfileError, NoCertificateError
+from lnlab.errors import (InvalidArgumentError, InvalidProfileError, LnlabError,
+                          NoCertificateError)
 
 
 class TestRadialProfile:
@@ -120,6 +121,57 @@ class TestRadialProfile:
                                match="^grid radii must be strictly increasing$"):
                 RadialProfile(r=r, u=np.ones(r.size))
 
+    @settings(max_examples=600, deadline=None)
+    @given(nodes=st.integers(4, 12), start=st.just(0.0) | st.floats(1e-300, 1e300),
+           step=st.floats(1e-300, 1e300), value=st.floats(1e-300, 1e300),
+           data=st.data())
+    def test_one_pass_checks_decide_as_the_per_node_checks(self, nodes, start, step,
+                                                          value, data):
+        """On grids with NaN, +-inf, repeated, swapped or nudged radii (a
+        few ulps, or about the spacing tolerance either way) and factors
+        that are 0, negative or not finite at an end or inside,
+        RadialProfile refuses with the type and message of
+        pre_one_pass_checks, or accepts where it does, without a warning."""
+        with np.errstate(all="ignore"):
+            r = start + step * np.arange(nodes)
+        u = np.full(nodes, value)
+        index = st.integers(0, nodes - 1)
+        for kind, i in data.draw(st.lists(st.tuples(st.sampled_from(
+                ["nan", "inf", "-inf", "repeat", "swap", "ulps", "tol"]), index),
+                max_size=3), label="grid edits"):
+            j = max(i - 1, 0)
+            if kind in ("nan", "inf", "-inf"):
+                r[i] = float(kind)
+            elif kind == "repeat":
+                r[i] = r[j]
+            elif kind == "swap":
+                r[i], r[j] = r[j], r[i]
+            elif kind == "ulps":
+                for _ in range(data.draw(st.integers(1, 4), label="ulps")):
+                    with np.errstate(all="ignore"):
+                        r[i] = np.nextafter(r[i], data.draw(st.sampled_from([-np.inf,
+                                                                              np.inf])))
+            else:
+                scale = data.draw(st.sampled_from([-3.0, -1.001, -1.0, -0.999, 0.5,
+                                                   0.999, 1.0, 1.001, 3.0]), label="tols")
+                with np.errstate(all="ignore"):
+                    r[i] += scale * (1e-13 * r[-1] + 1e-8 * (r[1] - r[0]))
+        for i, bad in data.draw(st.lists(st.tuples(st.sampled_from([0, -1, nodes // 2]),
+                                                   st.sampled_from([0.0, -0.0, -1.0, 5e-324,
+                                                                    np.nan, np.inf, -np.inf])),
+                                         max_size=2), label="factor edits"):
+            u[i] = bad
+        with np.errstate(all="ignore"):
+            want = pre_one_pass_checks(r, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                RadialProfile(r=r, u=u)
+                return
+            with pytest.raises(LnlabError) as err:
+                RadialProfile(r=r, u=u)
+        assert (type(err.value), str(err.value)) == want
+
     @staticmethod
     def assert_allclose_verdict(r, dr):
         """RadialProfile refuses radii that are negative, not finite or not
@@ -160,6 +212,26 @@ class TestRadialProfile:
         du, d2u = _radial_stencil(prof.u, prof.r)
         assert du[0] == 0.0
         assert d2u[0] == pytest.approx(-2.0, abs=1e-12)
+
+
+def pre_one_pass_checks(r, u):
+    """RadialProfile's checks of r and u, node by node, before each took
+    one pass: the (type, message) of the refusal, or None.  The reference
+    of test_one_pass_checks_decide_as_the_per_node_checks."""
+    if not (r[0] >= 0 and r[-1] < np.inf):
+        return InvalidArgumentError, "grid radii must be finite and nonnegative"
+    if not (r[1:] > r[:-1]).all():
+        return InvalidArgumentError, "grid radii must be strictly increasing"
+    dr = np.diff(r)
+    h = dr[0]
+    np.subtract(dr, h, out=dr)
+    if not (np.abs(dr, out=dr) <= 1e-13 * r[-1] + 1e-8 * h).all():
+        return InvalidArgumentError, "grid spacing must be uniform"
+    ends = u[-1] >= 0 and (u[0] > 0 if r[0] == 0.0 else u[0] >= 0)
+    if not (ends and (u[1:-1] > 0).all() and (u < np.inf).all()):
+        return (InvalidProfileError,
+                "conformal factor must be finite and positive on the open domain")
+    return None
 
 
 class TestModelSpectra:

@@ -1292,7 +1292,8 @@ class TestInitialProfile:
 
 # Every refusal of continuation_tau names one of these causes.
 CAUSES = ("the tau = 0 start is inadmissible",
-          "the tau = 0 start is not finite and positive", "the step left the cone",
+          "the tau = 0 start is not finite and positive",
+          "the predicted start is not finite and positive", "the step left the cone",
           "line search found no admissible descent step",
           "iteration limit reached")
 
@@ -1529,8 +1530,8 @@ PARENT_NEWTON_CALLS = {2: 458, 3: 508}
 
 
 class TestPredictorCorrector:
-    """continuation_tau's steps: the secant predictor, the fallback to the
-    last profile, and the loose corrector at waypoints."""
+    """continuation_tau's steps: the secant predictor, one Newton solve
+    from it per step, and the loose corrector at waypoints."""
 
     SPEC = annulus_spec(4, 2, 0.95, 0.5, delta=0.05, grid=100)
 
@@ -1559,14 +1560,18 @@ class TestPredictorCorrector:
         assert np.array_equal(solver._secant(0.3, 0.2, u1, 0.1, u0), [2.0, 3.0, 6.0])
         assert np.array_equal(solver._secant(0.95, 0.9, u1, 0.85, u1.copy()), u1)
 
-    @pytest.mark.parametrize("bad", ["negative", "dip", "spike"])
-    def test_a_refused_prediction_is_solved_again_from_the_last_profile(
-            self, bad, monkeypatch):
-        """A prediction that RadialProfile refuses (negative), that Newton
-        refuses (a dip that leaves the cone) or from which Newton stops
-        short (a spike) is followed by a solve of the same tau from the
-        last profile, and the step is not counted as refused: the schedule
-        and the step count are unchanged."""
+    @pytest.mark.parametrize("bad, cause", [
+        ("negative", "the predicted start is not finite and positive"),
+        ("dip", "the step left the cone"),
+        ("spike", "line search found no admissible descent step")],
+        ids=["negative", "dip", "spike"])
+    def test_a_refused_prediction_refuses_the_step(self, bad, cause, monkeypatch):
+        """A step is one Newton solve, from its prediction.  With every
+        prediction spoiled, one that RadialProfile refuses (negative), that
+        Newton refuses (a dip that leaves the cone) or from which Newton
+        stops short (a spike) refuses its step: no solve after the first
+        step starts from the last profile, each refused tau is halved, and
+        the continuation stalls at tau = 0.05 naming the spoil's cause."""
         def spoiled(x, x1, u1, x0, u0):
             u = u1.copy()
             if bad == "negative":
@@ -1574,19 +1579,22 @@ class TestPredictorCorrector:
             u[u.size // 2] *= 0.1 if bad == "dip" else 10.0
             return u
 
-        schedule = [t for t in np.arange(0.05, 0.95, 0.05) if t < 0.95] + [0.95]
         calls = recorded_solves(monkeypatch)
         monkeypatch.setattr(solver, "_secant", spoiled)
-        rep = continuation_tau(self.SPEC)
-        assert rep.converged and rep.continuation_steps == 19
-        if bad != "negative":   # RadialProfile refuses that before newton_solve
-            predicted, calls[2:] = calls[2::2], calls[3::2]
-            assert [c["tau"] for c in predicted] == schedule[1:]
-            assert all(refused(c) for c in predicted)
-            assert all((c["report"] is None) == (bad == "dip") for c in predicted)
-        assert [c["tau"] for c in calls] == [0.0] + schedule
-        for before, call in zip(calls, calls[1:]):
-            assert np.array_equal(call["start"], before["report"].profile.u)
+        with pytest.raises(ContinuationStallError,
+                           match=r"stalled at tau = 0\.050000: tau = 0\.0500\d* "
+                                 r"refused, .*" + re.escape(cause)):
+            continuation_tau(self.SPEC)
+        assert [c["tau"] for c in calls[:2]] == [0.0, 0.05]
+        assert np.array_equal(calls[1]["start"], calls[0]["report"].profile.u)
+        last = calls[1]["report"].profile.u
+        # RadialProfile refuses a negative start before newton_solve.
+        assert len(calls) == 2 if bad == "negative" else len(calls) > 2
+        assert all(refused(c) for c in calls[2:])
+        assert all((c["report"] is None) == (bad == "dip") for c in calls[2:])
+        assert not any(np.array_equal(c["start"], last) for c in calls[2:])
+        assert [c["tau"] for c in calls[2:]] == [0.05 + 0.05 * 0.5**i
+                                                 for i in range(len(calls) - 2)]
 
     def test_waypoints_stop_at_waypoint_tol_and_the_target_at_tol(self, monkeypatch):
         """The tau = 0 start and the target run to opts.tol, every waypoint
@@ -1608,8 +1616,8 @@ class TestPredictorCorrector:
                              ids=["8-8-annulus-0.1", "tiny-annulus-6-2"])
     def test_after_the_first_refused_step_every_solve_runs_to_tol(self, spec,
                                                                  monkeypatch):
-        """Waypoints run to WAYPOINT_TOL until a step is refused (its
-        solve from the last profile refused), and every later solve to
+        """Waypoints run to WAYPOINT_TOL until a step is refused (its one
+        solve, from the prediction, refused), and every later solve to
         opts.tol: loose waypoints crept on through the halving chain (6, 3,
         .4) on the tiny annulus made 8,979 newton_solve calls that way."""
         calls = recorded_solves(monkeypatch)
@@ -1619,7 +1627,7 @@ class TestPredictorCorrector:
         first = tols.index(NEWTON_TOL, 1)
         assert set(tols[1:first]) == {solver.WAYPOINT_TOL}
         assert set(tols[first:]) == {NEWTON_TOL}
-        # The refused solve from the last profile, then the halved step.
+        # The refused solve from the prediction, then the halved step.
         assert refused(calls[first - 1]) and calls[first]["tau"] < calls[first - 1]["tau"]
 
     def test_a_refused_waypoint_names_the_tol_it_ran_with(self, monkeypatch):
@@ -1904,6 +1912,26 @@ class TestDeltaFallback:
         assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
         fresh = continuation_tau(replace(self.SPEC, delta=DELTA_SCHEDULE[self.LEG]))
         assert same_report(sweep.reports[self.LEG], fresh)
+
+    def test_census_sweep_completes_through_the_fallback(self, monkeypatch):
+        """(9, 2, .99374) on Annulus(0.10576, 0.12769) at grid 272, a census
+        spec: Newton refuses leg 2's warm start, outside the cone, and the
+        fresh tau continuation that leg falls back to (20 steps) lets the
+        sweep run all 11 legs."""
+        spec = ProblemSpec(cone=ConeSpec(9, 2), tau=0.9937400982564466,
+                           domain=Annulus(0.10575345310665919, 0.1276859687484653),
+                           delta=0.1, grid=272)
+        calls, fallback = [], solver.continuation_tau
+
+        def counted(spec, opts=None):
+            calls.append(spec.delta)
+            return fallback(spec, opts)
+
+        monkeypatch.setattr(solver, "continuation_tau", counted)
+        sweep = continuation_delta(spec)
+        assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
+        assert calls == [DELTA_SCHEDULE[0], DELTA_SCHEDULE[2]]
+        assert [rep.continuation_steps for rep in sweep.reports[1:]] == [0, 20] + [0] * 8
 
     def test_failed_fallback_ends_the_sweep_at_that_leg(self, inadmissible_start,
                                                         monkeypatch):
