@@ -19,15 +19,16 @@ The record also holds each side's line count per src/lnlab/*.py file and
 their total, under "src_lines" (see `src_lines`).
 
 Then the stages of one Newton step and the CSV of its report (see
-`stage_times`), each stage at each grid in a fresh interpreter with BLAS
+`stage_times`), each timed inside that checkout's own newton_solve
+iteration as it calls them, each grid in a fresh interpreter with BLAS
 pinned to one thread, over STAGE_ROUNDS alternating rounds; the record
-holds the median over rounds.
-The probe is this script's code around each checkout's private solver
-names.  As many more alternating rounds, each in a fresh interpreter,
-measure the memory of that step's whole newton_solve call, of the stages
-in it and of one tau step (see `newton_peaks`); the record holds their
-medians under "stage_peak_mib" (MiB) and "stage_peak_arrays" (grid
-arrays).
+holds the median over rounds.  The probe calls only lnlab's public solver
+names and wraps the stages by their names in lnlab.solver, skipping a
+name a checkout lacks.  As many more alternating rounds, each in a fresh
+interpreter, measure the memory of that step's whole newton_solve call,
+of the stages in it and of one tau step (see `newton_peaks`); the record
+holds their medians under "stage_peak_mib" (MiB) and "stage_peak_arrays"
+(grid arrays).
 
 Each side also runs IMPORT_COMMANDS, each in a fresh interpreter; under
 "imports" the record holds, per side and command, the modules it imported
@@ -46,6 +47,7 @@ exception or warning.
 """
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -64,9 +66,12 @@ PAIRS = 10
 STAGE_ROUNDS = 6
 STAGE_GRIDS = (1_000, 10_000, 100_000)
 STAGE_CONE = (4, 2, 0.95)
-STAGES = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
-          "banded_solve", "line_search_trial", "make_report", "to_csv",
-          "newton_solve_1_iteration")
+# The stages of one Newton iteration that stage_times wraps, each by the
+# name through which newton_solve reaches it in lnlab.solver.
+STAGES = {"stencil": "_radial_stencil", "eigenpair": "_eigenpair",
+          "cone_margin": "cone_margin", "f_and_grad": "_f_and_grad_unchecked",
+          "jacobian": "_analytic_jacobian", "banded_solve": "solve_banded",
+          "line_search": "_line_search", "make_report": "_make_report"}
 # The tau step newton_peaks and test_solver.TestOneIterate measure: the
 # newton_solve from the converged profile at tau to next_tau, on the annulus
 # (inner, outer) at delta; newton_peaks measures it at ONE_STEP_GRIDS.
@@ -216,8 +221,23 @@ def compare_workload(parent: Path, change: Path, workload: str, seed: int,
                                                  traced["change"]["metrics"])}
 
 
-def per_call_ms(call) -> float:
-    """Median milliseconds per call over SAMPLES samples of `number` calls."""
+def _clock(clock: dict, stage: str, function):
+    """function, each call's seconds added to clock[stage], a (seconds,
+    calls) pair."""
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        result = function(*args, **kwargs)
+        seconds, calls = clock.get(stage, (0.0, 0))
+        clock[stage] = (seconds + time.perf_counter() - start, calls + 1)
+        return result
+    return timed
+
+
+def per_call_ms(call, clock: dict) -> dict:
+    """Milliseconds per call of each stage that clock times (see `_clock`)
+    while call() runs, the median over SAMPLES samples of `number` calls of
+    call().  After one warm-up call, `number` doubles from 1 until a sample
+    lasts at least SAMPLE_S."""
     call()
     number = 1
     while True:
@@ -229,11 +249,12 @@ def per_call_ms(call) -> float:
         number *= 2
     samples = []
     for _ in range(SAMPLES):
-        start = time.perf_counter()
+        clock.clear()
         for _ in range(number):
             call()
-        samples.append((time.perf_counter() - start) / number)
-    return statistics.median(samples) * 1e3
+        samples.append({stage: seconds / calls for stage, (seconds, calls) in clock.items()})
+    return {stage: statistics.median(sample[stage] for sample in samples) * 1e3
+            for stage in samples[0]}
 
 
 def _stage_problem(solver, ConeSpec, grid):
@@ -257,65 +278,47 @@ def _one_newton_iteration(solver):
         solver.MAX_NEWTON_ITERATIONS = iterations
 
 
-def _fresh_gradients(state):
-    """state with its f-gradients (its one 2-d array) copied, in their own
-    memory layout: the Jacobian may scale them in place."""
-    import numpy as np
-    return tuple(np.copy(x, order="K") if np.ndim(x) == 2 else x for x in state)
+@contextlib.contextmanager
+def _wrapping(solver, stages: dict, wrap):
+    """Each function that stages names (stage: its name in lnlab.solver)
+    replaced in the solver module by wrap(stage, function), so newton_solve
+    calls the wrapper, and restored after, also when the body raises.  A
+    name the checkout lacks is skipped."""
+    originals = {stage: (name, getattr(solver, name))
+                 for stage, name in stages.items() if hasattr(solver, name)}
+    try:
+        for stage, (name, original) in originals.items():
+            setattr(solver, name, wrap(stage, original))
+        yield
+    finally:
+        for name, original in originals.values():
+            setattr(solver, name, original)
 
 
-def stage_times(src: str, stages=STAGES, grids=None) -> dict:
-    """Milliseconds per call of each of stages, per grid of grids
-    (STAGE_GRIDS by default), lnlab from src, on _stage_problem.  The
-    stages (STAGES) are the stencil, the eigenpair, `cone_margin`,
-    `_f_and_grad_unchecked`, the Jacobian (with a copy of the gradients it
-    may consume), the banded solve (with the copy of the bands it
-    overwrites), one line-search trial at t = 1, `_make_report`,
-    `SolveReport.to_csv` of that report, and one whole `newton_solve`
-    iteration (MAX_NEWTON_ITERATIONS set to 1 for the probe).  `main`
-    times each stage at each grid in its own interpreter (see
-    `run_stage_times`)."""
+def stage_times(src: str, grids=None) -> dict:
+    """Milliseconds per call of each stage, per grid of grids (STAGE_GRIDS
+    by default), lnlab from src, inside one-iteration newton_solve calls on
+    _stage_problem (MAX_NEWTON_ITERATIONS set to 1 for the probe).  The
+    stages of STAGES are wrapped (see `_wrapping`) and timed per call as
+    that iteration calls them; a stage it does not reach, as one whose
+    name the checkout lacks, gets no key.  Unwrapped, `SolveReport.to_csv`
+    of that iteration's report and the whole call are timed as "to_csv"
+    and "newton_solve_1_iteration".  `main` runs each grid in its own
+    interpreter (see `run_stage_times`)."""
     sys.path.insert(0, src)
-    import numpy as np
     from lnlab import solver
-    from lnlab.cones import ConeSpec, _f_and_grad_unchecked, cone_margin
-    from lnlab.schouten import _eigenpair, _radial_stencil
-    out = {}
+    from lnlab.cones import ConeSpec
+    out, clock = {}, {}
     with _one_newton_iteration(solver):
         for grid in STAGE_GRIDS if grids is None else grids:
             spec, init = _stage_problem(solver, ConeSpec, grid)
-            r, cone = spec.radii(), spec.solve_cone()
-            u = init.u
-            rows = solver._pde_rows(spec)
-            du, d2u = _radial_stencil(u, r)
-            lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
-            F, margins, state = solver._evaluate(u, spec, r, cone)
-            ab = solver._analytic_jacobian(u, spec, r, cone, _fresh_gradients(state))
-            step = solver.solve_banded(ab.copy(), -F[rows])
-            # The solver's own trial at t = 1, the one it makes at the
-            # rounding floor; res = inf leaves the decision to its
-            # admissibility rule.  An accepted trial leaves step as it is.
-            if solver._line_search(u, step, np.inf, True, spec, r, cone) is None:
-                raise RuntimeError(f"the stage probe's trial is refused at grid {grid}")
-            report = solver._make_report(u, spec, r, F, margins, state, 1, "tolerance")
-
-            calls = {
-                "stencil": lambda: _radial_stencil(u, r),
-                "eigenpair": lambda: _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T,
-                "cone_margin": lambda: cone_margin(cone, lam),
-                "f_and_grad": lambda: _f_and_grad_unchecked(cone, lam),
-                "jacobian": lambda: solver._analytic_jacobian(u, spec, r, cone,
-                                                              _fresh_gradients(state)),
-                "banded_solve": lambda: solver.solve_banded(ab.copy(), -F[rows]),
-                "line_search_trial": lambda: solver._line_search(u, step, np.inf, True,
-                                                                 spec, r, cone),
-                "make_report": lambda: solver._make_report(u, spec, r, F, margins,
-                                                           state, 1, "tolerance"),
-                "to_csv": report.to_csv,
-                "newton_solve_1_iteration": lambda: solver.newton_solve(init, spec),
-            }
-            for name in stages:
-                out[f"{name},grid={grid}"] = per_call_ms(calls[name])
+            one_iteration = lambda: solver.newton_solve(init, spec)  # noqa: E731
+            with _wrapping(solver, STAGES, functools.partial(_clock, clock)):
+                times = per_call_ms(one_iteration, clock)
+            for stage, call in (("to_csv", one_iteration().to_csv),
+                                ("newton_solve_1_iteration", one_iteration)):
+                times.update(per_call_ms(_clock(clock, stage, call), clock))
+            out.update((f"{stage},grid={grid}", ms) for stage, ms in times.items())
     return out
 
 
@@ -336,37 +339,32 @@ def _stage_peaks(solver, call) -> dict:
     """Bytes above call()'s start at the peak of each stage of its one
     newton_solve iteration: the line-search trials' `_evaluate` (every call
     after the first, the start's), `_analytic_jacobian` and `solve_banded`,
-    each wrapped in the solver module with tracemalloc's peak reset around
-    it."""
+    each wrapped (see `_wrapping`) with tracemalloc's peak reset around
+    it.  A stage the iteration does not reach gets no key."""
     import tracemalloc
     stages = {"trial_evaluate": "_evaluate", "jacobian": "_analytic_jacobian",
               "banded_solve": "solve_banded"}
-    originals = {name: getattr(solver, name) for name in stages.values()}
-    peaks = dict.fromkeys(stages, 0)
-    evaluations = []
+    peaks, evaluations = {}, []
 
-    def wrapped(stage, original):
+    def traced(stage, original):
         def call_stage(*args):
             tracemalloc.reset_peak()
             result = original(*args)
             if stage != "trial_evaluate" or evaluations:
                 peak = tracemalloc.get_traced_memory()[1] - start
-                peaks[stage] = max(peaks[stage], peak)
+                peaks[stage] = max(peaks.get(stage, 0), peak)
             if stage == "trial_evaluate":
                 evaluations.append(None)
             return result
         return call_stage
 
-    for stage, name in stages.items():
-        setattr(solver, name, wrapped(stage, originals[name]))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-    finally:
-        tracemalloc.stop()
-        for name, original in originals.items():
-            setattr(solver, name, original)
+    with _wrapping(solver, stages, traced):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+        finally:
+            tracemalloc.stop()
     return peaks
 
 
@@ -420,24 +418,22 @@ def run_probe(probe: str, *args):
 
 
 def run_stage_times(checkout: Path, round_: int) -> dict:
-    """A run for `alternate`: stage_times of every stage at every grid of
-    STAGE_GRIDS, each in a fresh interpreter (see `run_probe`), so that no
-    stage's time follows the heap state that other stages left.  The 30
-    interpreters of a round take about 13 s per side on a 2-core host,
-    against about 2 s for one interpreter that runs every stage: about
-    two minutes more over STAGE_ROUNDS rounds of both sides."""
+    """A run for `alternate`: stage_times at each grid of STAGE_GRIDS, each
+    grid in a fresh interpreter (see `run_probe`), so that no grid's times
+    follow the heap state that another grid left.  The 3 interpreters of a
+    round take about 4 s per side on a 2-core host."""
     out = {}
     for grid in STAGE_GRIDS:
-        for stage in STAGES:
-            out.update(run_probe("stage_times", [stage], [grid])(checkout, round_))
+        out.update(run_probe("stage_times", [grid])(checkout, round_))
     return out
 
 
 def _medians(runs: dict) -> dict:
-    """(parent, change) medians over rounds of each key of the runs."""
+    """(parent, change) medians over rounds of each key that both sides'
+    runs hold."""
     return {key: tuple(statistics.median(r[key] for r in runs[side])
                        for side in ("parent", "change"))
-            for key in runs["parent"][0]}
+            for key in runs["parent"][0] if key in runs["change"][0]}
 
 
 def stage_medians(runs: dict) -> dict:

@@ -635,9 +635,10 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         raise _inadmissible(spec, margins, "initial profile inadmissible")
 
     res = float(np.abs(F).max())
-    for it in range(1, MAX_NEWTON_ITERATIONS + 1):
-        if res <= opts.tol:
-            return _make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
+    for it in range(MAX_NEWTON_ITERATIONS + 1):
+        if res <= opts.tol or it == MAX_NEWTON_ITERATIONS:
+            return _make_report(u, spec, r, F, margins, state, it,
+                                "tolerance" if res <= opts.tol else "iteration limit")
         # At the rounding floor a halved step's decrease is rounding noise:
         # only the full step is tried, and u's F and margins are kept for
         # the report of a refused one.
@@ -653,12 +654,10 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
         if accepted is None:
             if not at_floor:
                 kept = _evaluate(u, spec, r, cone)
-            return _make_report(u, spec, r, *kept, it,
+            return _make_report(u, spec, r, *kept, it + 1,
                                 "rounding floor" if at_floor else "line search")
         u, F, margins, state, res = accepted
         del accepted, kept          # else they live past the next Jacobian
-    return _make_report(u, spec, r, F, margins, state, MAX_NEWTON_ITERATIONS,
-                        "tolerance" if res <= opts.tol else "iteration limit")
 
 
 def _newton_stop(report: SolveReport, opts: NewtonOptions) -> str:
@@ -694,7 +693,7 @@ def _secant(x: float, x1: float, u1, x0: float, u0) -> np.ndarray:
     """The secant predictor at x through (x0, u0) and (x1, u1): u1 plus
     (x - x1) times the slope (u1 - u0) / (x1 - x0), formed in one new
     array.  Continuation in delta (see _leg_start) and in tau (see
-    _tau_step) start Newton from it once two solutions are known."""
+    continuation_tau) start Newton from it once two solutions are known."""
     u = np.subtract(u1, u0)
     u /= x1 - x0
     u *= x - x1
@@ -719,21 +718,6 @@ def _corrector(predict, spec: ProblemSpec, opts: NewtonOptions):
     return (report, None) if report.converged else (None, _newton_stop(report, opts))
 
 
-def _tau_step(profile: RadialProfile, current: float, before, spec: ProblemSpec,
-              opts: NewtonOptions):
-    """One tau step of continuation_tau, from the accepted profile at tau =
-    current to spec.tau: one Newton solve (see _corrector), as (report,
-    None) if it converges, or (None, the refusal) if the step is refused.
-
-    Newton starts from the secant prediction at spec.tau through
-    (current, profile.u) and before, the (tau, u) of the profile accepted
-    before it (see _secant); with before None, from profile itself."""
-    if before is None:
-        return _corrector(lambda: profile, spec, opts)
-    return _corrector(lambda: RadialProfile(
-        r=profile.r, u=_secant(spec.tau, current, profile.u, *before)), spec, opts)
-
-
 def continuation_tau(spec: ProblemSpec,
                      opts: NewtonOptions | None = None) -> SolveReport:
     """Continuation in tau from the semilinear start to spec.tau, by
@@ -742,14 +726,15 @@ def continuation_tau(spec: ProblemSpec,
     Solves at tau = 0 first, then steps by TAU_STEP up to spec.tau, halving
     a refused step; a step below MIN_TAU_STEP that is refused stalls the
     continuation (ContinuationStallError, naming the refusal).  Each step
-    (see _tau_step) predicts its start by the secant through the last two
-    accepted profiles, the tau = 0 solution among them, and starts from the
-    last profile while only one is accepted.  A step is one Newton solve:
-    a predicted start that is refused, or from which Newton stops short,
-    refuses the step, and the schedule halves it.  The corrector accepts
-    a waypoint, a step short of spec.tau, at residual <= max(WAYPOINT_TOL,
-    opts.tol): it only starts the next step.  After the first refused step,
-    and at spec.tau always, Newton runs to opts.tol.
+    predicts its start by the secant through the last two accepted
+    profiles, the tau = 0 solution among them (see _secant), and starts
+    from the last profile while only one is accepted.  A step is one Newton
+    solve (see _corrector): a predicted start that is refused, or from
+    which Newton stops short, refuses the step, and the schedule halves
+    it.  The corrector accepts a waypoint, a step short of spec.tau, at
+    residual <= max(WAYPOINT_TOL, opts.tol): it only starts the next step.
+    After the first refused step, and at spec.tau always, Newton runs to
+    opts.tol.
     """
     if spec.tau >= 1.0:
         raise InvalidArgumentError("continuation target tau must be < 1")
@@ -781,8 +766,10 @@ def continuation_tau(spec: ProblemSpec,
     del report
     while True:
         t_next = pending[0]
-        trial, refusal = _tau_step(profile, current, before, replace(spec, tau=t_next),
-                                   opts if refused or t_next == target else waypoint)
+        trial, refusal = _corrector(
+            lambda: profile if before is None else RadialProfile(
+                r=profile.r, u=_secant(t_next, current, profile.u, *before)),
+            replace(spec, tau=t_next), opts if refused or t_next == target else waypoint)
         if refusal is None:
             steps += 1
             if t_next == target:

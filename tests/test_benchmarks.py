@@ -373,45 +373,41 @@ def test_differing_counts_lists_only_counts_that_moved(compare):
 
 def test_stage_probe_runs_every_stage_and_restores_the_iteration_limit(monkeypatch,
                                                                         compare):
+    """Every stage gets a time, a wrapped one only if one newton_solve
+    iteration calls it (so a renamed solver function fails here), none
+    whose name the checkout lacks.  The wrapped names hold their functions
+    again after the probe, also after one whose iteration raises."""
     from lnlab import solver
+    src = str(Path(solver.__file__).parent.parent)
     monkeypatch.setattr(compare, "STAGE_GRIDS", (200,))
-    times = compare.stage_times(str(Path(solver.__file__).parent.parent))
+    originals = {name: getattr(solver, name) for name in compare.STAGES.values()}
+    monkeypatch.setattr(compare, "STAGES", {**compare.STAGES, "gone": "_no_such_stage"})
+    times = compare.stage_times(src)
     stages = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
-              "banded_solve", "line_search_trial", "make_report", "to_csv",
+              "banded_solve", "line_search", "make_report", "to_csv",
               "newton_solve_1_iteration")
     assert sorted(times) == sorted(f"{name},grid=200" for name in stages)
     assert all(math.isfinite(ms) and ms > 0 for ms in times.values())
+    originals["_make_report"] = lambda *args: 1 / 0
+    monkeypatch.setattr(solver, "_make_report", originals["_make_report"])
+    with pytest.raises(ZeroDivisionError):
+        compare.stage_times(src)
+    assert all(getattr(solver, name) is f for name, f in originals.items())
     assert solver.MAX_NEWTON_ITERATIONS == 60
-
-
-def test_stage_probe_builds_reports_with_a_stop_rule_name(monkeypatch, compare):
-    """The make_report stage passes one of SolveReport.newton_stop's rule
-    names, the same argument newton_solve passes."""
-    from lnlab import solver
-    monkeypatch.setattr(compare, "STAGE_GRIDS", (50,))
-    monkeypatch.setattr(compare, "SAMPLES", 1)
-    monkeypatch.setattr(compare, "SAMPLE_S", 0.0)
-    stops = []
-    make_report = solver._make_report
-
-    def recording(*args):
-        stops.append(args[-1])
-        return make_report(*args)
-
-    monkeypatch.setattr(solver, "_make_report", recording)
-    compare.stage_times(str(Path(solver.__file__).parent.parent))
-    assert stops and set(stops) <= {"tolerance", "rounding floor", "line search",
-                                    "iteration limit"}, stops
 
 
 def test_newton_peak_probe_measures_one_iteration_per_grid(monkeypatch, compare):
     """newton_peaks traces one newton_solve call of one iteration per grid
     and reports its peak in MiB above its start, and in grid arrays the
     peaks of its line-search evaluations, its Jacobian and its banded
-    solve, and of one tau step per ONE_STEP_GRIDS grid.  It leaves neither
-    the iteration limit changed nor tracemalloc tracing."""
+    solve (each only if the iteration calls it), and of one tau step per
+    ONE_STEP_GRIDS grid.  It leaves the iteration limit, tracemalloc and
+    the wrapped names as they were, also when the iteration raises."""
     import tracemalloc
     from lnlab import Ball, solver
+    src = str(Path(solver.__file__).parent.parent)
+    originals = {name: getattr(solver, name)
+                 for name in ("_evaluate", "_analytic_jacobian", "solve_banded")}
     grids = (2000, 4000)
     monkeypatch.setattr(compare, "STAGE_GRIDS", grids)
     monkeypatch.setattr(compare, "ONE_STEP_GRIDS", (3000,))
@@ -419,7 +415,7 @@ def test_newton_peak_probe_measures_one_iteration_per_grid(monkeypatch, compare)
     solve = solver.newton_solve
     monkeypatch.setattr(solver, "newton_solve",
                         lambda *args: solves.append((args[1], solve(*args))) or solves[-1][1])
-    peaks = compare.newton_peaks(str(Path(solver.__file__).parent.parent))
+    peaks = compare.newton_peaks(src)
     stages = ("trial_evaluate", "jacobian", "banded_solve")
     assert sorted(peaks) == sorted(
         [f"newton_solve_1_iteration,grid={grid}" for grid in grids]
@@ -441,31 +437,33 @@ def test_newton_peak_probe_measures_one_iteration_per_grid(monkeypatch, compare)
     spec, step = solves[-1]
     assert (spec.grid, spec.tau, step.converged) == (3000, 0.95, True)
     assert 4 < peaks["tau_step,grid=3000,arrays"] < 40
+    with pytest.raises(ZeroDivisionError):
+        compare._stage_peaks(solver, lambda: 1 / 0)
+    assert all(getattr(solver, name) is f for name, f in originals.items())
     assert solver.MAX_NEWTON_ITERATIONS == 60
     assert not tracemalloc.is_tracing()
 
 
-def test_stage_times_run_each_stage_at_each_grid_in_its_own_interpreter(
-        monkeypatch, compare):
-    """run_stage_times starts one probe per (stage, grid) and merges their
-    times; one real probe run times the one stage it is given."""
+def test_stage_times_run_each_grid_in_its_own_interpreter(monkeypatch, compare):
+    """run_stage_times starts one probe per grid and merges their times; one
+    real probe run times every stage at the one grid it is given."""
     from lnlab import solver
     monkeypatch.setattr(compare, "STAGE_GRIDS", (200, 300))
     probes = []
 
-    def stub_probe(probe, stages, grids):
-        probes.append((probe, stages, grids))
-        return lambda checkout, round_: {f"{stages[0]},grid={grids[0]}": 1.0}
+    def stub_probe(probe, grids):
+        probes.append((probe, grids))
+        return lambda checkout, round_: {f"stencil,grid={grids[0]}": 1.0}
 
     with monkeypatch.context() as patch:
         patch.setattr(compare, "run_probe", stub_probe)
         times = compare.run_stage_times(compare.ROOT, 0)
-    pairs = [(stage, grid) for grid in (200, 300) for stage in compare.STAGES]
-    assert probes == [("stage_times", [stage], [grid]) for stage, grid in pairs]
-    assert times == {f"{stage},grid={grid}": 1.0 for stage, grid in pairs}
-    one = compare.run_probe("stage_times", ["stencil"], [200])(
+    assert probes == [("stage_times", [200]), ("stage_times", [300])]
+    assert times == {"stencil,grid=200": 1.0, "stencil,grid=300": 1.0}
+    one = compare.run_probe("stage_times", [200])(
         Path(solver.__file__).parent.parent.parent, 0)
-    assert list(one) == ["stencil,grid=200"] and one["stencil,grid=200"] > 0
+    assert sorted(one) == sorted(f"{stage},grid=200" for stage in (
+        *compare.STAGES, "to_csv", "newton_solve_1_iteration"))
 
 
 def test_peak_medians_are_per_side_medians_over_rounds(compare):

@@ -1637,8 +1637,8 @@ class TestPredictorCorrector:
         spec = replace(self.SPEC, tau=0.0)
         start = newton_solve(initial_profile(spec), spec).profile
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERATIONS", 0)
-        trial, refusal = solver._tau_step(start, 0.0, None, replace(spec, tau=0.9),
-                                          solver.NewtonOptions(tol=solver.WAYPOINT_TOL))
+        trial, refusal = solver._corrector(lambda: start, replace(spec, tau=0.9),
+                                           solver.NewtonOptions(tol=solver.WAYPOINT_TOL))
         assert trial is None
         assert "after 0 iterations, above tol 1.0e-03 (iteration limit reached)" in refusal
 
