@@ -10,7 +10,9 @@ same benchmark.  For every workload in BENCHMARK.json:
    on seeds from first_seed(): a SHA-256 of this checkout's src/, so each
    change runs on seeds it was not written against.  Every end-to-end metric
    gets a verdict (see `verdict`): each side's median, quartiles and values,
-   the change's wins, worse_by against the metric's bound, and gain.
+   the change's wins, worse_by against the metric's bound, and gain.  Under
+   "minor_faults" each side's median of its runs' minor page faults (see
+   `run_perfbench`).
 2. One perfbench/run.py --trace 1 run per side on the first seed, with every
    per-layer metric, and under "differing_counts" every `.calls` and `.rows`
    count and `solver.evals` that differs between the sides.
@@ -51,6 +53,7 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -141,10 +144,16 @@ def command_imports(checkout: Path) -> dict:
 
 def run_perfbench(checkout: Path, workload: str, seed: int, trace: int,
                   seconds: float) -> dict:
+    """One perfbench/run.py run of checkout: its correctness, failures,
+    metrics and host, and under "minor_faults" the minor page faults of
+    the run's processes, perfbench's set-up probes included (the
+    RUSAGE_CHILDREN count before and after it)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
                          text=True).stdout.splitlines()
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     result = json.loads(out[-1])
     provenance = json.loads(out[-2].split(" ", 1)[1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
@@ -152,7 +161,7 @@ def run_perfbench(checkout: Path, workload: str, seed: int, trace: int,
           f"correct={result['correct']} run_s={metrics.get('run_s', '-')}",
           file=sys.stderr, flush=True)
     return {"correct": result["correct"], "failed": result["failed"],
-            "metrics": metrics,
+            "metrics": metrics, "minor_faults": faults,
             "host": {k: provenance[k] for k in ("cpu", "nproc", "python", "numpy")}}
 
 
@@ -216,6 +225,8 @@ def compare_workload(parent: Path, change: Path, workload: str, seed: int,
     return {"seeds": list(range(seed, seed + PAIRS)),
             "all_correct": all(r["correct"] for side in runs.values() for r in side),
             "end_to_end": end_to_end,
+            "minor_faults": {side: statistics.median(r["minor_faults"] for r in side_runs)
+                             for side, side_runs in runs.items()},
             "traced": traced,
             "differing_counts": differing_counts(traced["parent"]["metrics"],
                                                  traced["change"]["metrics"])}

@@ -125,10 +125,10 @@ class ConeSpec:
 
 
 # Above this many spectra (rows of the flattened leading axes) the cone
-# functions make their pass block by block.  A block's temporaries, 128 KiB
-# per column, stay in a 4 MiB L2 cache and in the allocator's heap; those of
-# a 1e5-row pass are handed back to the OS when freed and fault in again on
-# the next call.
+# functions make their pass block by block, so that a block's temporaries,
+# 128 KiB per column, stay in a 4 MiB L2 cache.  Freed, they stay in the
+# heap, as a whole pass's would under the solver's heap policy (see
+# solver._heap_policy).
 _BLOCK_ROWS = 16384
 
 

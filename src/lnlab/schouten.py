@@ -98,8 +98,7 @@ class RadialProfile:
         u = _real_array(self.u, "u")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "u", u)
-        if r.ndim != 1 or r.shape != u.shape or r.size < 4:
-            raise InvalidArgumentError("profile needs matching 1-d grids with >= 4 nodes")
+        _check_shape(r, u)
         # Ends first, by comparisons.  Then order and spacing from the
         # extremes of the steps (fl(x - h) is monotone in x, so they decide
         # every node); out of order, an inf - inf or overflowing step is a
@@ -114,14 +113,38 @@ class RadialProfile:
         h, tol = dr[0], 1e-13 * r[-1] + 1e-8 * dr[0]
         if not (dr.max() - h <= tol and h - lo <= tol):
             raise InvalidArgumentError("grid spacing must be uniform")
-        ends = u[-1] >= 0 and (u[0] > 0 if r[0] == 0.0 else u[0] >= 0)
-        if not (ends and u[1:-1].min() > 0 and u.max() < np.inf):
-            raise InvalidProfileError(
-                "conformal factor must be finite and positive on the open domain")
+        _check_values(r, u)
+
+    @classmethod
+    def _on_grid(cls, r: np.ndarray, u) -> "RadialProfile":
+        """The profile of u on r, a grid already checked (the solver's own,
+        see solver._grid): only u is checked, with the errors that
+        RadialProfile(r=r, u=u) raises for it."""
+        u = _real_array(u, "u")
+        _check_shape(r, u)
+        _check_values(r, u)
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "r", r)
+        object.__setattr__(profile, "u", u)
+        return profile
 
     @property
     def h(self) -> float:
         return float(self.r[1] - self.r[0])
+
+
+def _check_shape(r: np.ndarray, u: np.ndarray):
+    if r.ndim != 1 or r.shape != u.shape or r.size < 4:
+        raise InvalidArgumentError("profile needs matching 1-d grids with >= 4 nodes")
+
+
+def _check_values(r: np.ndarray, u: np.ndarray):
+    """u finite and positive on the open domain, a ball's centre included;
+    the boundary values may vanish."""
+    ends = u[-1] >= 0 and (u[0] > 0 if r[0] == 0.0 else u[0] >= 0)
+    if not (ends and u[1:-1].min() > 0 and u.max() < np.inf):
+        raise InvalidProfileError(
+            "conformal factor must be finite and positive on the open domain")
 
 
 def radial_schouten_spectrum(v, v_r, v_rr, r) -> np.ndarray:

@@ -18,6 +18,7 @@ target are solved only to WAYPOINT_TOL (see continuation_tau).
 """
 
 import ctypes
+import functools
 import math
 import pathlib
 from dataclasses import dataclass, field, replace
@@ -132,9 +133,8 @@ class ProblemSpec:
                 f"h^2 {'underflows' if h_sq == 0.0 else 'overflows'} ({h_sq:.3g})")
 
     def radii(self) -> np.ndarray:
-        if isinstance(self.domain, Ball):
-            return np.linspace(0.0, self.domain.radius, self.grid + 1)
-        return np.linspace(self.domain.inner, self.domain.outer, self.grid + 1)
+        """The grid, as a new array; the solver reads its own (see _grid)."""
+        return _grid(self.domain, self.grid).copy()
 
     def solve_cone(self) -> ConeSpec:
         return replace(self.cone, tau=self.tau)
@@ -191,6 +191,22 @@ class NewtonOptions:
     tol: float = NEWTON_TOL
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(domain: Ball | Annulus, grid: int) -> np.ndarray:
+    """The grid of `grid` steps on domain, formed once per (domain, grid)
+    and read-only: the r of every profile the solver forms.  A profile on
+    this array needs no grid check (see _problem_grid), and the solver
+    builds its profiles on it with only their u checked
+    (RadialProfile._on_grid).  Equal domains give the same bits, so any
+    domain equal to the spec's may be the key."""
+    if isinstance(domain, Ball):
+        r = np.linspace(0.0, domain.radius, grid + 1)
+    else:
+        r = np.linspace(domain.inner, domain.outer, grid + 1)
+    r.flags.writeable = False
+    return r
+
+
 def _pde_rows(spec: ProblemSpec):
     """Indices of the PDE rows, the unknowns of the banded systems.  Every
     other row is a Dirichlet row, whose value delta is data: newton_solve
@@ -215,15 +231,17 @@ def _inadmissible(spec: ProblemSpec, margins, what: str) -> LnlabError:
 
 
 def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
-    """spec.radii(), after checking that the profile lives on that grid.
-    Where profile.r holds the same bits, it is returned in place of a new
-    array, so the reports of a continuation share one grid array."""
-    r = spec.radii()
+    """The solver's grid of spec (see _grid), after checking that the
+    profile lives on it: at once when profile.r is that array, as it is
+    for every profile the solver forms, else node by node to within
+    1e-12 of the outer radius.  Every report is formed on the array
+    returned, so the reports of a continuation share one grid array."""
+    r = _grid(spec.domain, spec.grid)
+    if profile.r is r:
+        return r
     if profile.r.shape == r.shape:
-        if np.array_equal(profile.r.view(np.int64), r.view(np.int64)):
-            return profile.r
         # |profile.r - r| in one buffer: at 1e5 nodes a second temporary
-        # made the check 5x slower, its pages faulting in on every call.
+        # made the check 5x slower.
         gap = np.subtract(profile.r, r)
         if (np.abs(gap, out=gap) <= 1e-12 * r[-1]).all():
             return r
@@ -416,6 +434,36 @@ def _scipy_gtsv(ab, b):
 # numpy's own LAPACK where there is one: scipy's import is most of lnlab's start-up.
 _gtsv = _numpy_gtsv() or _scipy_gtsv
 
+# glibc's mallopt(3) parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _heap_policy():
+    """Fix glibc's malloc thresholds for the process: blocks below 32 MiB
+    come from the heap (M_MMAP_THRESHOLD), and free memory at the heap top
+    goes back to the OS only above 64 MiB (M_TRIM_THRESHOLD).  These are
+    the values glibc's own rule reaches at its 64-bit ceiling, where it
+    raises the mmap threshold to each freed mapped block and the trim
+    threshold to twice that.  With them, the grid-length work arrays
+    (0.8 MB each at 1e5 nodes) that every evaluation frees stay in the
+    heap, and Newton's next iterate reuses their pages instead of mapping
+    them and faulting them in again; with glibc's start values the
+    process's time at that grid depended on the order its arrays were
+    made in.  The cost is that freed heap pages stay resident, up to the
+    process's peak.  Where the C library has no mallopt (macOS, Windows)
+    it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_heap_policy()
+
 
 def residual(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
     """Per-node residual: f^tau(lam_i) - RHS at PDE rows, u - delta at boundaries.
@@ -461,7 +509,7 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
     the PDE rows raises InvalidProfileError naming the radii, n, delta, the
     grid, the node and h/r there.
     """
-    r = spec.radii()
+    r = _grid(spec.domain, spec.grid)
     u = _torsion_bump(spec, r)
     u += spec.delta
     rows = _pde_rows(spec)
@@ -474,7 +522,7 @@ def initial_profile(spec: ProblemSpec) -> RadialProfile:
             f"(r = {r[node]:.6g}) it is {u[node]:.3e}, where h/r = "
             f"{(r[1] - r[0]) / r[node]:.3g} against 2/(n - 1) = {2 / (n - 1):.3g} "
             f"{_M_MATRIX_RULE}")
-    return RadialProfile(r=r, u=u)
+    return RadialProfile._on_grid(r, u)
 
 
 # Why the tau = 0 start can fail where the grid is coarse against r.
@@ -487,7 +535,7 @@ def _coarse_inner_sphere(spec: ProblemSpec) -> str:
     2/(n - 1), where the discrete start is not resolved; "" otherwise."""
     if isinstance(spec.domain, Ball):
         return ""
-    r, n = spec.radii(), spec.cone.n
+    r, n = _grid(spec.domain, spec.grid), spec.cone.n
     h_a = (r[1] - r[0]) / r[0]
     if h_a < 2 / (n - 1):
         return ""
@@ -525,21 +573,13 @@ def _torsion_bump(spec: ProblemSpec, r: np.ndarray) -> np.ndarray:
 def _make_report(u, spec, r, F, margins, state, iters, stop):
     """The report of iterate u, whose _evaluate gave F, margins and state,
     stopped by the rule stop (see SolveReport.newton_stop).  Of the state
-    it reads only the last entry, grad_sup.
-
-    The profile holds a copy of u, made last.  A tau continuation holds only
-    that array, and the one of the step before, between steps; made last,
-    it lies above the step's freed
-    work arrays in the heap, so the allocator keeps their pages for the
-    next step.  With the solver's own u, made before them, the allocator
-    handed those pages back after every step and the next evaluation
-    faulted them in again: at grid 1e5 that doubled the minor page faults
-    of a solve-large pass and made its median op about a fifth slower.
+    it reads only the last entry, grad_sup.  The profile holds u itself,
+    newton_solve's own iterate, on the solver's grid r.
     """
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
     margin_full[_pde_rows(spec)] = margins
-    profile = RadialProfile(r=r, u=u.copy())
+    profile = RadialProfile._on_grid(r, u)
     return SolveReport(
         profile=profile,
         residual_sup=float(res_nodes.max()),
@@ -680,7 +720,7 @@ def _inadmissible_start(spec: ProblemSpec,
     is positive on the PDE rows, where sigma_1 > 0 by the pair identity
     (see initial_profile), so on either domain the one cause is a bump
     max(w) / |D1 w(b)| that rounds away against delta."""
-    bump = float(_torsion_bump(spec, spec.radii()).max())
+    bump = float(_torsion_bump(spec, _grid(spec.domain, spec.grid)).max())
     return InadmissibleIterateError(
         f"the tau = 0 start is inadmissible: its bump max(w)/|w'(b)| = {bump:.3g} "
         f"rounds away against delta ({_radii_text(spec.domain)}, n = {spec.cone.n}, "
@@ -767,8 +807,8 @@ def continuation_tau(spec: ProblemSpec,
     while True:
         t_next = pending[0]
         trial, refusal = _corrector(
-            lambda: profile if before is None else RadialProfile(
-                r=profile.r, u=_secant(t_next, current, profile.u, *before)),
+            lambda: profile if before is None else RadialProfile._on_grid(
+                profile.r, _secant(t_next, current, profile.u, *before)),
             replace(spec, tau=t_next), opts if refused or t_next == target else waypoint)
         if refusal is None:
             steps += 1
@@ -806,13 +846,13 @@ def _leg_start(reports: list, delta: float) -> RadialProfile:
     """The start of the warm delta leg at datum delta: the last converged
     profile u_1 plus (delta - delta_1) times du/ddelta, taken as 1 after
     one leg, and after more the secant prediction through the last two
-    (see _secant).  RadialProfile refuses a start that is not positive on
-    the open domain (InvalidProfileError)."""
+    (see _secant), on the solver's grid of the reports.  A start that is
+    not positive on the open domain is refused (InvalidProfileError)."""
     last = reports[-1]
     if len(reports) == 1:
-        return RadialProfile(r=last.profile.r, u=last.profile.u + (delta - last.delta))
-    return RadialProfile(r=last.profile.r, u=_secant(delta, last.delta, last.profile.u,
-                                                     reports[-2].delta, reports[-2].profile.u))
+        return RadialProfile._on_grid(last.profile.r, last.profile.u + (delta - last.delta))
+    return RadialProfile._on_grid(last.profile.r, _secant(
+        delta, last.delta, last.profile.u, reports[-2].delta, reports[-2].profile.u))
 
 
 def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
@@ -827,7 +867,7 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
     sup-differences (stabilization diagnostic).
     """
     result = DeltaContinuationResult(deltas=[], reports=[])
-    r = spec.radii()
+    r = _grid(spec.domain, spec.grid)
     half = r[0] + INTERIOR_FRACTION * (r[-1] - r[0])
     interior = r <= half
     tol = (r[1] - r[0])**2

@@ -371,6 +371,30 @@ def test_differing_counts_lists_only_counts_that_moved(compare):
         "parent": 10, "change": None}
 
 
+def test_perfbench_runs_record_their_minor_faults(compare, monkeypatch, tmp_path):
+    """Each run records the RUSAGE_CHILDREN minor faults it added, and the
+    workload record each side's median of them."""
+    faults = [5]  # the RUSAGE_CHILDREN count
+    host = {"cpu": "x", "nproc": 2, "python": "3", "numpy": "2"}
+    result = {"correct": True, "failed": 0, "metrics": {"run_s": {"value": 1.0}}}
+
+    def run(cmd, cwd, **kwargs):
+        faults[0] += 100 if cwd.name == "parent" else 10
+        return type("done", (), {
+            "stdout": f"provenance {json.dumps(host)}\n{json.dumps(result)}\n"})
+
+    monkeypatch.setattr(compare.subprocess, "run", run)
+    monkeypatch.setattr(compare.resource, "getrusage",
+                        lambda who: type("usage", (), {"ru_minflt": faults[0]}))
+    monkeypatch.setattr(compare, "PAIRS", 2)
+    bench = {"run_seconds": 1, "end_to_end": [LOWER]}
+    record = compare.compare_workload(tmp_path / "parent", tmp_path / "change",
+                                      "solve-large", 1, bench)
+    assert record["minor_faults"] == {"parent": 100, "change": 10}
+    assert [record["traced"][side]["minor_faults"] for side in ("parent", "change")] == [
+        100, 10]
+
+
 def test_stage_probe_runs_every_stage_and_restores_the_iteration_limit(monkeypatch,
                                                                         compare):
     """Every stage gets a time, a wrapped one only if one newton_solve

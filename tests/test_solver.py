@@ -1,6 +1,8 @@
 """Solver: residual oracles, Newton, Jacobian, continuation, comparison tools."""
 
 import csv
+import ctypes
+import functools
 import importlib
 import importlib.util
 import io
@@ -16,6 +18,7 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1011,9 +1014,9 @@ class TestOneIterate:
         assert_same_reports(got, want)
 
     def test_reports_share_the_grid_array_of_their_start(self, tau_step):
-        """A start on spec.radii() bit for bit lends its r to the report; a
-        grid that only matches within tolerance (here -0.0 at a ball's
-        centre) gets spec.radii()."""
+        """A start on the solver's grid gives the report that array; a grid
+        that only matches within tolerance (here -0.0 at a ball's centre)
+        gets the solver's grid too."""
         profile, spec = tau_step
         assert newton_solve(profile, spec).profile.r is profile.r
         ball = ball_spec(grid=100)
@@ -1144,6 +1147,66 @@ def test_cli_starts_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["True", "[]"]
+
+
+def glibc_mallinfo2():
+    """glibc's mallinfo2 through ctypes, or None where the C library has none."""
+    try:
+        return ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError, TypeError):
+        return None
+
+
+@pytest.mark.skipif(glibc_mallinfo2() is None, reason="the C library is not glibc")
+def test_grid_arrays_come_from_the_heap():
+    """After `import lnlab`, a 4 MiB array (about five grid arrays at 1e5 nodes)
+    is carved from the heap, not mapped on its own: mallinfo2's hblkhd,
+    the bytes in mapped blocks, does not grow while it is held.  With
+    glibc's start values it grows by 4.0 MiB.  A fresh interpreter, so no
+    earlier free has moved glibc's own threshold."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = """if True:
+        import ctypes
+        import numpy as np
+        import lnlab
+        class Mallinfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+        mallinfo2.restype = Mallinfo2
+        before = mallinfo2().hblkhd
+        held = np.ones(1 << 19)
+        print(mallinfo2().hblkhd - before, held.nbytes)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", str(4 << 20)]
+
+
+@pytest.mark.parametrize("refusal", [OSError("no C library by that name"),
+                                     TypeError("CDLL(None) is not supported"), None],
+                         ids=["OSError", "TypeError", "no-mallopt"])
+def test_heap_policy_is_skipped_where_there_is_no_mallopt(monkeypatch, refusal):
+    """Where the C library cannot be opened or has no mallopt (Windows,
+    macOS), the import-time helper returns without error; where it has
+    one, it sets glibc's M_MMAP_THRESHOLD (-3) to 32 MiB and
+    M_TRIM_THRESHOLD (-1) to 64 MiB."""
+    def library(name):
+        if refusal is not None:
+            raise refusal
+        return SimpleNamespace()
+
+    monkeypatch.setattr(solver.ctypes, "CDLL", library)
+    assert solver._heap_policy() is None
+    calls = []
+    monkeypatch.setattr(solver.ctypes, "CDLL", lambda name: SimpleNamespace(
+        mallopt=lambda *args: calls.append(args)))
+    solver._heap_policy()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 def annulus_spec(n, k, tau, inner, delta=0.1, grid=200):
@@ -1517,6 +1580,132 @@ def recorded_solves(monkeypatch):
 
 def refused(call) -> bool:
     return call["report"] is None or not call["report"].converged
+
+
+class TestSolverGrid:
+    """The solver forms one read-only grid array per (domain, grid), checks
+    a profile on it at once and builds its own profiles on it with only u
+    checked; every other array gets the full grid check."""
+
+    SPEC = annulus_spec(4, 2, 0.95, 0.5, delta=0.05, grid=100)
+
+    def test_reports_of_one_continuation_share_one_read_only_grid(self, monkeypatch):
+        """Every start and report of continuation_tau, and of each delta
+        leg, lies on the one array initial_profile gives, which refuses
+        writes; spec.radii() stays a new writable array of its values."""
+        grids, solve = [], solver.newton_solve
+
+        def recorded(init, spec, opts=None):
+            report = solve(init, spec, opts)
+            grids.append((spec.grid, init.r, report.profile.r))
+            return report
+
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        rep = continuation_tau(self.SPEC)
+        sweep = continuation_delta(replace(self.SPEC, grid=40))
+        assert rep.converged and sweep.ok and len(grids) > 30
+        solver_grids = {grid: initial_profile(replace(self.SPEC, grid=grid)).r
+                        for grid in (40, 100)}
+        assert all(start is end is solver_grids[grid] for grid, start, end in grids)
+        assert all(leg.profile.r is solver_grids[40] for leg in sweep.reports)
+        r = solver_grids[100]
+        assert rep.profile.r is r
+        with pytest.raises(ValueError, match="read-only"):
+            rep.profile.r[0] = 0.25
+        radii = self.SPEC.radii()
+        radii[0] = 0.25
+        assert radii is not r and r[0] == 0.5
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)], ids=["ball", "annulus"])
+    def test_a_fresh_array_of_the_same_values_gives_the_same_bits(self, domain):
+        """newton_solve and residual from a profile on a new array with the
+        grid's values give the bits they give on the solver's own, and the
+        report lies on the solver's grid."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.0, domain=domain, delta=0.05,
+                           grid=200)
+        start = initial_profile(spec)
+        fresh = RadialProfile(r=start.r.copy(), u=start.u.copy())
+        got, want = newton_solve(fresh, spec), newton_solve(start, spec)
+        assert got.newton_iterations > 1
+        assert_same_reports(got, want)
+        assert got.profile.r is want.profile.r is start.r
+        assert_same_arrays([residual(fresh, spec)], [residual(start, spec)])
+
+    def test_another_grid_is_still_refused(self):
+        """The solver's grid of another domain or grid, a new array a few
+        rounding units off, and one of another length: GridMismatchError
+        from newton_solve and residual alike."""
+        u = initial_profile(self.SPEC).u
+        grid = initial_profile(self.SPEC).r
+        for r in (initial_profile(replace(self.SPEC, domain=Annulus(0.5, 1.5))).r,
+                  np.nextafter(grid, 2.0) * (1 + 1e-11), grid[:-1]):
+            profile = RadialProfile(r=r, u=u[:r.size])
+            for call in (newton_solve, residual):
+                with pytest.raises(GridMismatchError,
+                                   match="^profile grid does not match the problem grid$"):
+                    call(profile, self.SPEC)
+        other = initial_profile(replace(self.SPEC, grid=101))
+        with pytest.raises(GridMismatchError):
+            newton_solve(other, self.SPEC)
+
+    @pytest.mark.parametrize("spoil", ["short", "negative", "nan", "inf", "zero-centre",
+                                       "negative-end"])
+    def test_profiles_on_the_grid_check_u_as_radial_profile_does(self, spoil):
+        """RadialProfile._on_grid refuses every u that RadialProfile refuses
+        on that grid, with the same error and message; _corrector refuses
+        such a prediction with its cause."""
+        ball = ball_spec(grid=50)
+        r, u = initial_profile(ball).r, initial_profile(ball).u.copy()
+        u = {"short": u[:-1], "negative": np.where(np.arange(u.size) == 7, -u, u),
+             "nan": np.where(np.arange(u.size) == 7, np.nan, u),
+             "inf": np.where(np.arange(u.size) == 7, np.inf, u),
+             "zero-centre": np.where(np.arange(u.size) == 0, 0.0, u),
+             "negative-end": np.where(np.arange(u.size) == u.size - 1, -1e-300, u)}[spoil]
+        with pytest.raises(LnlabError) as public:
+            RadialProfile(r=r, u=u)
+        with pytest.raises(type(public.value), match=f"^{re.escape(str(public.value))}$"):
+            RadialProfile._on_grid(r, u)
+        if spoil != "short":
+            assert solver._corrector(lambda: RadialProfile._on_grid(r, u), ball,
+                                     solver.NewtonOptions()) == (
+                None, "the predicted start is not finite and positive")
+
+
+# Cones (n, k, tau) and domains (as (inner, outer), inner None for a ball)
+# that the dilation test scales; its exponents m span the float range's
+# middle at grid 200.
+DILATION_CONES = [(3, 1, 0.9), (4, 2, 0.95), (6, 3, 0.9), (5, 4, 0.9)]
+DILATION_DOMAINS = [(None, 1.0), (0.5, 1.0), (0.1, 1.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def dilated_solve(cone, domain, m):
+    """continuation_tau at grid 200 and delta 0.05, with the domain and
+    delta dilated by 2^m."""
+    (n, k, tau), (inner, outer), scale = cone, domain, 2.0**m
+    region = Ball(outer * scale) if inner is None else Annulus(inner * scale, outer * scale)
+    return continuation_tau(ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=region,
+                                        delta=0.05 * scale, grid=200))
+
+
+@pytest.mark.parametrize("m", [-30, -7, 5, 40])
+@pytest.mark.parametrize("domain", DILATION_DOMAINS, ids=["ball", "annulus-0.5", "annulus-0.1"])
+@pytest.mark.parametrize("cone", DILATION_CONES, ids=lambda cone: "-".join(map(str, cone)))
+def test_continuation_tau_is_bit_covariant_under_dilation(cone, domain, m):
+    """x -> 2^m x maps the solution u to 2^m u(x / 2^m) with datum 2^m delta:
+    h scales by 2^m, the spectra and every tolerance are scale-free, and
+    floating point keeps powers of 2 exact.  So the dilated solve gives
+    2^m times the grid and the profile, the same residuals and margins,
+    and the same counts, bit for bit; with one grid cached for every
+    domain it would not."""
+    got, want = dilated_solve(cone, domain, m), dilated_solve(cone, domain, 0)
+    scale = 2.0**m
+    assert want.converged
+    assert_same_arrays([got.profile.r, got.profile.u, got.residual_nodes, got.margin_nodes],
+                       [want.profile.r * scale, want.profile.u * scale,
+                        want.residual_nodes, want.margin_nodes])
+    assert ((got.newton_iterations, got.continuation_steps, got.newton_stop)
+            == (want.newton_iterations, want.continuation_steps, want.newton_stop))
 
 
 # Found by the census: on this annulus (6, 1) converges, and k >= 2 stalls
