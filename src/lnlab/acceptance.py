@@ -222,28 +222,32 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX64 = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64's finaliser on a Python int below 2^64."""
-    z = (z ^ (z >> 30)) * _MIX64[0] & _MASK64
-    z = (z ^ (z >> 27)) * _MIX64[1] & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on a uint64 array, whose products
+    wrap without a warning; returns z."""
+    for shift, factor in zip((30, 27), _MIX64):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class _Draws:
     """The seeded draws of the randomized criteria: SplitMix64 (Steele, Lea
-    and Flood, 2014) over a running counter, vectorised on uint64 arrays,
-    whose products wrap without a warning.  Draw i of a seed is the
-    finaliser of key + (i + 1) * golden, so a verify process needs no
-    numpy.random, whose import brings in hashlib and OpenSSL.  The key is
-    mixed from the seed's 64-bit words in Python ints, so any non-negative
-    integer seed, 2^64 and above included, gives its own stream."""
+    and Flood, 2014) over a running counter, vectorised on uint64 arrays.
+    Draw i of a seed is the finaliser of key + (i + 1) * golden, so a
+    verify process needs no numpy.random, whose import brings in hashlib
+    and OpenSSL.  The key is mixed from the seed's 64-bit words by the same
+    finaliser, so any non-negative integer seed, 2^64 and above included,
+    gives its own stream."""
 
     def __init__(self, seed: int):
-        seed, key = int(seed), 0
+        seed, key = int(seed), np.zeros(1, dtype=np.uint64)
         for shift in range(0, max(seed.bit_length(), 1), 64):
-            word = (seed >> shift) & _MASK64
-            key = _mix64(((key ^ word) + _GOLDEN64) & _MASK64)
-        self._key = np.uint64(key)
+            key ^= np.uint64((seed >> shift) & _MASK64)
+            key += np.uint64(_GOLDEN64)
+            _mix64(key)
+        self._key = key[0]
         self._count = 0
 
     def _bits(self, count: int) -> np.ndarray:
@@ -251,11 +255,7 @@ class _Draws:
         self._count += count
         z *= np.uint64(_GOLDEN64)
         z += self._key
-        for shift, factor in zip((30, 27), _MIX64):
-            z ^= z >> np.uint64(shift)
-            z *= np.uint64(factor)
-        z ^= z >> np.uint64(31)
-        return z
+        return _mix64(z)
 
     def _open_unit(self, size) -> np.ndarray:
         """Uniforms in the open interval (0, 1): 52 random bits plus a

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=int, default=1,
                          help="cone order (default %(default)s)")
     p_solve.add_argument("--tau", type=float, default=0.9,
-                         help="target deformation, must be < 1 "
+                         help="target deformation in [0, 1] "
                               "(default %(default)s)")
     p_solve.add_argument("--domain", choices=("ball", "annulus"), default="ball",
                          help="radial domain (default %(default)s)")

@@ -661,8 +661,6 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     for the report of a "rounding floor" stop.
     """
     opts = opts or NewtonOptions()
-    if spec.tau >= 1.0:
-        raise InvalidArgumentError("the solver requires tau < 1 (ellipticity degenerates at 1)")
     r = _problem_grid(init, spec)
     cone = spec.solve_cone()
 
@@ -761,7 +759,9 @@ def _corrector(predict, spec: ProblemSpec, opts: NewtonOptions):
 def continuation_tau(spec: ProblemSpec,
                      opts: NewtonOptions | None = None) -> SolveReport:
     """Continuation in tau from the semilinear start to spec.tau, by
-    predictor-corrector steps on a fixed schedule.
+    predictor-corrector steps on a fixed schedule.  spec.tau may be any tau
+    in [0, 1], 1 (the undeformed cone) included: at every step the
+    margins of _evaluate decide admissibility.
 
     Solves at tau = 0 first, then steps by TAU_STEP up to spec.tau, halving
     a refused step; a step below MIN_TAU_STEP that is refused stalls the
@@ -776,8 +776,6 @@ def continuation_tau(spec: ProblemSpec,
     After the first refused step, and at spec.tau always, Newton runs to
     opts.tol.
     """
-    if spec.tau >= 1.0:
-        raise InvalidArgumentError("continuation target tau must be < 1")
     opts = opts or NewtonOptions()
     target = spec.tau
 

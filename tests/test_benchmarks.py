@@ -399,14 +399,29 @@ def test_stage_probe_runs_every_stage_and_restores_the_iteration_limit(monkeypat
                                                                         compare):
     """Every stage gets a time, a wrapped one only if one newton_solve
     iteration calls it (so a renamed solver function fails here), none
-    whose name the checkout lacks.  The wrapped names hold their functions
-    again after the probe, also after one whose iteration raises."""
+    whose name the checkout lacks.  Every newton_solve call comes before
+    the first to_csv call, so the whole call is not timed after a CSV is
+    made.  The wrapped names hold their functions again after the probe,
+    also after one whose iteration raises."""
     from lnlab import solver
     src = str(Path(solver.__file__).parent.parent)
     monkeypatch.setattr(compare, "STAGE_GRIDS", (200,))
     originals = {name: getattr(solver, name) for name in compare.STAGES.values()}
     monkeypatch.setattr(compare, "STAGES", {**compare.STAGES, "gone": "_no_such_stage"})
-    times = compare.stage_times(src)
+    calls, solve, to_csv = [], solver.newton_solve, solver.SolveReport.to_csv
+
+    def recorded(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "newton_solve", recorded("newton_solve", solve))
+        patch.setattr(solver.SolveReport, "to_csv", recorded("to_csv", to_csv))
+        times = compare.stage_times(src)
+    first_csv = calls.index("to_csv")
+    assert "newton_solve" in calls[:first_csv] and "newton_solve" not in calls[first_csv:]
     stages = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
               "banded_solve", "line_search", "make_report", "to_csv",
               "newton_solve_1_iteration")

@@ -233,6 +233,18 @@ class TestVerify:
         assert "[PASS] mu-plus-table" in out
         assert "acceptance: PASS (2/2)" in out
 
+    def test_over_runtime_budget_fails_with_the_criterion_named(self, capsys,
+                                                                 monkeypatch):
+        """A criterion that passes but takes longer than its RUNTIME_LIMITS
+        budget is named on an "over runtime budget" line, and verify exits 1
+        though every criterion passed."""
+        monkeypatch.setitem(acceptance.RUNTIME_LIMITS, "barrier", 0.0)
+        assert main(self.FAST) == 1
+        out = capsys.readouterr().out
+        assert "[PASS] barrier" in out and "[PASS] mu-plus-table" in out
+        assert "over runtime budget: barrier\n" in out
+        assert "acceptance: PASS (2/2)" in out
+
     def test_only_unknown_name(self, capsys):
         assert main(["verify", "--only", "nonsense"]) == 2
         assert main(["verify", "--only", "barrier,bogus"]) == 2

@@ -95,6 +95,11 @@ class TestTauDeform:
         assert np.array_equal(tau_deform(lam, 1.0), lam)
         assert np.allclose(tau_deform(lam, 0.0), np.full(3, 2.0))
 
+    @pytest.mark.parametrize("tau", [-0.1, 1.5, -np.inf, np.inf, np.nan])
+    def test_refuses_tau_outside_zero_one(self, tau):
+        with pytest.raises(InvalidArgumentError, match=r"tau must lie in \[0, 1\]"):
+            tau_deform(np.array([1.0, -2.0, 3.0]), tau)
+
     def test_tau_zero_collapses_to_trace(self):
         rng = np.random.default_rng(3)
         lam = rng.normal(size=(20, 4))

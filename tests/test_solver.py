@@ -665,11 +665,55 @@ class TestNewton:
         assert rep.newton_iterations <= 10
         assert rep.admissibility_margin_min > 0
 
-    def test_rejects_tau_one(self):
-        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=1.0, domain=Ball(1.0),
-                           delta=0.1, grid=24)
-        with pytest.raises(InvalidArgumentError):
-            newton_solve(initial_profile(spec), spec)
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
+    def test_solves_the_ball_at_tau_one(self, n, k):
+        """tau = 1, the undeformed cone, is a tau like any other: the start's
+        margins decide it.  From the tau = 0 start, the hyperbolic model to
+        rounding, the ball at delta = 0 and grid 1000 converges to within
+        1e-12 of (1 - r^2)/2."""
+        spec = ProblemSpec(cone=ConeSpec(n, k), tau=1.0, domain=Ball(1.0),
+                           delta=0.0, grid=1000)
+        rep = newton_solve(initial_profile(spec), spec)
+        assert rep.converged and rep.tau == 1.0
+        assert rep.admissibility_margin_min > MARGIN_FLOOR
+        r, u = rep.profile.r, rep.profile.u
+        assert np.abs(u - (1 - r**2) / 2).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 6), k=st.integers(1, 6),
+           inner=st.one_of(st.none(), st.floats(0.1, 0.9)),
+           delta=st.floats(0.0, 0.2), scale=st.floats(0.2, 5.0),
+           wiggle=st.floats(-0.5, 0.5), mode=st.integers(1, 4))
+    @example(n=4, k=2, inner=None, delta=0.1, scale=1.0, wiggle=0.0, mode=1)
+    @example(n=4, k=2, inner=0.5, delta=0.1, scale=1.0, wiggle=0.0, mode=1)
+    def test_residual_and_newton_decide_a_start_alike_at_tau_one(
+            self, n, k, inner, delta, scale, wiggle, mode):
+        """At tau = 1, residual raises InadmissibleIterateError for a start
+        exactly when newton_solve refuses it: both read _evaluate's margins.
+        The starts are the tau = 0 start (k capped at n) scaled about
+        delta, with a relative wiggle of at most a half that vanishes on the
+        boundary.  The two examples give both outcomes: the (4, 2) ball's
+        start is admissible at tau = 1, and the (4, 2) annulus's is not."""
+        k = min(k, n)
+        domain = Ball(1.0) if inner is None else Annulus(inner, 1.0)
+        spec = ProblemSpec(cone=ConeSpec(n, k), tau=1.0, domain=domain,
+                           delta=delta, grid=40)
+        r = spec.radii()
+        x = (r - r[0]) / (r[-1] - r[0])
+        bump = initial_profile(spec).u - delta
+        u = delta + bump * scale * (1.0 + wiggle * np.sin(mode * np.pi * x))
+        start = RadialProfile(r=r, u=u)
+        outcomes = []
+        for call in (residual, newton_solve):
+            try:
+                call(start, spec)
+                outcomes.append(False)
+            except InadmissibleIterateError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1]
+        if (n, k, inner, delta, scale, wiggle) in ((4, 2, None, 0.1, 1.0, 0.0),
+                                                  (4, 2, 0.5, 0.1, 1.0, 0.0)):
+            assert outcomes[0] == (inner is not None)
 
     def test_rejects_inadmissible_start(self):
         spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.9,
@@ -882,8 +926,6 @@ def seed_make_report(u, spec, r, F, margins, state, iters, stop):
 
 def seed_newton_solve(init, spec, opts=None):
     opts = opts or solver.NewtonOptions()
-    if spec.tau >= 1.0:
-        raise InvalidArgumentError("the solver requires tau < 1 (ellipticity degenerates at 1)")
     r = seed_problem_grid(init, spec)
     cone = spec.solve_cone()
 
@@ -1555,11 +1597,52 @@ class TestContinuationTau:
         rep = continuation_tau(spec)
         assert rep.converged and rep.continuation_steps == 4
 
-    def test_rejects_target_one(self):
-        spec = ProblemSpec(cone=ConeSpec(3, 1), tau=1.0, domain=Ball(1.0),
-                           delta=0.1, grid=24)
-        with pytest.raises(InvalidArgumentError):
-            continuation_tau(spec)
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
+    def test_target_one_on_the_ball(self, n, k, delta, monkeypatch):
+        """The schedule runs 0.05, ..., 0.95 and then tau = 1, the undeformed
+        cone.  The ball's solution does not depend on tau, so every step
+        after tau = 0 takes 0 iterations; at grid 1000 the profile passes
+        perfbench's closed-form check, and at delta = 0 it lies within
+        1e-12 of (1 - r^2)/2."""
+        spec = ProblemSpec(ConeSpec(n, k), 1.0, Ball(1.0), delta, grid=1000)
+        calls = recorded_solves(monkeypatch)
+        rep = continuation_tau(spec)
+        assert rep.converged and rep.continuation_steps == 20
+        assert [call["tau"] for call in calls[1:]] == [
+            *np.arange(solver.TAU_STEP, 1.0, solver.TAU_STEP), 1.0]
+        assert [call["report"].newton_iterations for call in calls[1:]] == [0] * 20
+        r, u = rep.profile.r, rep.profile.u
+        ok, err, limit = load_perfbench_oracle().check_profile(
+            r, u, domain="ball", n=n, k=k, tau=1.0, delta=delta, tol=NEWTON_TOL)
+        assert ok, (err, limit)
+        if delta == 0.0:
+            assert np.abs(u - (1 - r**2) / 2).max() <= 1e-12
+
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    @pytest.mark.parametrize("n, inner", [(3, 0.5), (3, 0.1), (5, 0.5), (5, 0.1)])
+    def test_k1_annulus_converges_at_target_one(self, n, inner, delta):
+        """For k = 1, f^tau = f at every tau, and the annulus converges at
+        tau = 1 with its margins off 0, to perfbench's independent residual."""
+        spec = annulus_spec(n, 1, 1.0, inner, delta=delta, grid=1000)
+        rep = continuation_tau(spec)
+        assert rep.converged and rep.admissibility_margin_min > 0.05
+        ok, err, limit = load_perfbench_oracle().check_profile(
+            rep.profile.r, rep.profile.u, domain="annulus", n=n, k=1, tau=1.0,
+            delta=delta, tol=NEWTON_TOL)
+        assert ok, (err, limit)
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 3), (5, 4)])
+    def test_annulus_with_k_above_1_stalls_short_of_target_one(self, n, k):
+        """k >= 2 on [0.5, 1] at grid 1000: the annulus solutions are only
+        Lipschitz at tau = 1 (YanYan Li and Luc Nguyen, 2021), their margins
+        go to 0 as tau -> 1, and the continuation stalls past tau = 0.999
+        with an error that names the tau and its cause."""
+        with pytest.raises(ContinuationStallError,
+                           match=r"tau continuation stalled at tau = 0\.999\d+: "
+                                 r"tau = 0\.999\d+ refused, ") as err:
+            continuation_tau(annulus_spec(n, k, 1.0, 0.5, grid=1000))
+        assert any(cause in str(err.value) for cause in CAUSES), str(err.value)
 
 
 def recorded_solves(monkeypatch):
@@ -1877,7 +1960,8 @@ def test_tiny_annulus_stalls_within_the_parents_newton_calls(k, tau, monkeypatch
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(3, 8), data=st.data(), tau=st.floats(0.0, 0.95),
+@given(n=st.integers(3, 8), data=st.data(),
+       tau=st.one_of(st.floats(0.0, 0.95), st.just(1.0)),
        inner=st.one_of(st.none(), st.floats(0.1, 0.9)), grid=st.integers(8, 60),
        delta=st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
 def test_cold_tau_continuation_converges_or_names_its_cause(n, data, tau, inner,
@@ -1973,15 +2057,30 @@ class TestContinuationDelta:
         assert all(rep.continuation_steps == 0 for rep in sweep.reports[1:])
         assert sum(rep.newton_iterations for rep in sweep.reports[1:]) <= most
 
-    def test_rejects_target_one(self):
-        """The first leg's tau continuation refuses tau = 1; the sweep does
-        not swallow that as a failed leg."""
-        with pytest.raises(InvalidArgumentError, match="target tau must be < 1"):
-            continuation_delta(ball_spec(tau=1.0, grid=24))
+    def test_target_one_on_the_ball_runs_every_leg(self):
+        """At tau = 1 the first leg's tau continuation converges on the
+        (4, 2) ball, and so do all 11 legs, each at tau = 1."""
+        sweep = continuation_delta(ball_spec(n=4, k=2, tau=1.0, grid=24))
+        assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
+        assert all(rep.converged and rep.tau == 1.0 for rep in sweep.reports)
+
+    def test_records_a_monotonicity_violation_above_h_squared(self, monkeypatch):
+        """A leg whose profile exceeds the last one's by more than h^2
+        somewhere is recorded: monotonicity_max_violation is the largest
+        such excess.  With the datum raised leg by leg, each profile lies
+        above the last, by the datum's rise at the boundary."""
+        monkeypatch.setattr(solver, "DELTA_SCHEDULE", (0.05, 0.1, 0.2))
+        sweep = continuation_delta(ball_spec(grid=50))
+        assert sweep.ok and sweep.deltas == [0.05, 0.1, 0.2]
+        u = [rep.profile.u for rep in sweep.reports]
+        excess = [float(np.max(b - a)) for a, b in zip(u, u[1:])]
+        assert min(excess) > (1 / 50)**2
+        assert sweep.monotonicity_max_violation == max(excess) >= 0.1
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(3, 8), data=st.data(), tau=st.floats(0.0, 0.95),
+@given(n=st.integers(3, 8), data=st.data(),
+       tau=st.one_of(st.floats(0.0, 0.95), st.just(1.0)),
        inner=st.one_of(st.none(), st.floats(0.1, 0.9)), grid=st.integers(8, 60))
 def test_delta_sweep_completes_or_names_its_leg(n, data, tau, inner, grid):
     """With warnings as errors, a delta sweep on a ball or an annulus [a, 1]
@@ -2152,6 +2251,15 @@ class TestDiagnostics:
         prof = RadialProfile(r=r, u=(1 - r**2) / 2)
         # u/(1-r) = (1+r)/2 -> 1 at the boundary; extrapolation is exact
         assert boundary_slope(prof) == pytest.approx(1.0, rel=1e-10)
+
+    def test_boundary_slope_refuses_fewer_than_five_nodes(self):
+        """The three interior nodes and the boundary node it reads, and one
+        more: four nodes are refused by name."""
+        r = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="at least 5 grid nodes"):
+            boundary_slope(RadialProfile(r=r, u=1.0 - r**2 / 2))
+        r = np.linspace(0.0, 1.0, 5)
+        assert boundary_slope(RadialProfile(r=r, u=1.0 - r)) == pytest.approx(1.0)
 
     def test_comparison_check(self):
         r = np.linspace(0.0, 1.0, 51)
