@@ -16,7 +16,10 @@ on PYTHONPATH, and writes into a per-checkout directory:
 - `lnlab cone` at (4,2,1), (3,1,0.7), (6,3,0.5) and (5,5,0.3) (stdout);
 - the stdout of each script in demos/.
 
-Every exit code goes into `exit_codes.txt`.  Every command is expected to
+Every exit code goes into `exit_codes.txt`, and each command's stderr, if
+it printed any, into `stderr/NAME.txt`, with the checkout's and the output
+directory's paths written as CHECKOUT and OUT: a changed refusal or a new
+warning shows as a differing file.  Every command is expected to
 exit 0: one that does not is printed with its checkout and code, since a
 command that fails the same way in both checkouts leaves identical trees.
 The two trees are compared file by file; each file that differs, or exists
@@ -103,6 +106,11 @@ def run_checkout(checkout: Path, out: Path) -> list:
                               text=True)
         if stdout is not None:
             stdout.write_text(proc.stdout)
+        if proc.stderr:
+            stderr = out / "stderr" / f"{name}.txt"
+            stderr.parent.mkdir(parents=True, exist_ok=True)
+            stderr.write_text(proc.stderr.replace(str(checkout), "CHECKOUT")
+                              .replace(str(out), "OUT"))
         codes.append((name, proc.returncode))
     (out / "exit_codes.txt").write_text("".join(f"{name} {code}\n"
                                                 for name, code in codes))

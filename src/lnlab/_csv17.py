@@ -18,7 +18,7 @@ The layout follows the 'g' rules: fixed notation for -4 <= p < 17, else
 d.ddd...e+XX, trailing zeros and a bare point dropped.  Each value gets a
 fixed plan of bytes, put together from rows of small byte tables, with NUL
 in unused bytes, and one bytes.translate drops the NULs.  Values go
-through in blocks of _BLOCK_ROWS rows, so the temporaries stay small.
+through in blocks of _BLOCK_ROWS rows: the temporaries are a block's size.
 """
 
 import math
@@ -31,7 +31,13 @@ import numpy as np
 _P_MIN, _P_MAX = -100, 99
 _GUARD = 2.0**-32
 _VELTKAMP = 2.0**27 + 1
-_BLOCK_ROWS = 512
+# Rows per block.  SolveReport.to_csv of (4, 2, .9) annulus reports, best
+# of 3 x 5 calls on a 2-core Xeon, the same bytes at every size: at grids
+# 1e3, 1e4 and 1e5, 0.62, 5.8 and 63 ms at 512 rows, 0.50, 4.7 and 54 ms
+# at 2048, and 1024 to 4096 rows within noise of 2048.  The writer runs
+# under solver._heap_policy, whose 32 MiB mmap threshold keeps a block's
+# temporaries, each well under 1 MiB at 2048 rows, in the heap.
+_BLOCK_ROWS = 2048
 # A value's plan of bytes: the sign and a "0.00" prefix first, the digit
 # block with its point in the 18 from _BODY, the exponent in the next 6,
 # the separator last.
@@ -133,9 +139,8 @@ def _digit_pairs(high: np.ndarray, low: np.ndarray):
     gives a lead digit and four pairs, low four pairs.  v times 100^-k
     rounded up has the floor of v / 100^k, as 10^9 * 2^-52 is far below
     100^-k.  The quotients of high and of low are separate arrays, the
-    pairs bytes and the counts int8, so at to_csv's 4 columns (2048 values
-    a block) every temporary stays under glibc's 128 KiB mmap threshold
-    and is not faulted in afresh block after block.
+    pairs bytes and the counts int8, so no temporary holds more than five
+    float64 values per input value.
     """
     lead = np.multiply(high, _HUNDREDTHS[4::-1])
     np.floor(lead, out=lead)

@@ -181,6 +181,9 @@ def cmd_solve(args) -> int:
             _emit(rep.to_csv(), f"{stem}_leg{i:02d}.csv")
     else:
         _emit(text, None)
+    if not sweep.ok:
+        print(f"numerical failure: delta sweep stopped at delta = {sweep.failed_delta}: "
+              f"{sweep.failure}", file=sys.stderr)
     return 0 if head.converged and sweep.ok else 1
 
 

@@ -142,14 +142,13 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Converged (or failed) state of one Newton solve."""
+    """Converged (or failed) state of one Newton solve.  grad_sup
+    (max|u_r|, by _radial_stencil), boundary_slope and the bounds of u are
+    read from the profile, so a copy with another holds no stale number."""
 
     profile: RadialProfile
     residual_sup: float
     admissibility_margin_min: float
-    boundary_slope: float
-    c0_bounds: tuple
-    grad_sup: float
     newton_iterations: int
     continuation_steps: int
     converged: bool
@@ -161,14 +160,22 @@ class SolveReport:
     # "rounding floor" (converged), "line search" or "iteration limit".
     newton_stop: str
 
+    @property
+    def grad_sup(self) -> float:
+        return float(np.abs(_radial_stencil(self.profile.u, self.profile.r)[0]).max())
+
+    @property
+    def boundary_slope(self) -> float:
+        return boundary_slope(self.profile)
+
     def to_dict(self) -> dict:
         """The scalar fields; the profile goes out through to_csv."""
         return {
             "residual_sup": self.residual_sup,
             "admissibility_margin_min": self.admissibility_margin_min,
             "boundary_slope": self.boundary_slope,
-            "c0_min": self.c0_bounds[0],
-            "c0_max": self.c0_bounds[1],
+            "c0_min": float(self.profile.u.min()),
+            "c0_max": float(self.profile.u.max()),
             "grad_sup": self.grad_sup,
             "newton_iterations": self.newton_iterations,
             "continuation_steps": self.continuation_steps,
@@ -249,23 +256,22 @@ def _problem_grid(profile: RadialProfile, spec: ProblemSpec) -> np.ndarray:
 
 
 def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
-    """Residual vector F, PDE-row margins and state (grads, grad_sup): the
-    PDE rows' f-gradients and max|u_r|.  The one admissibility rule: u is
-    admissible when its PDE rows are positive and every margin exceeds
-    MARGIN_FLOOR; else F and state are None, and the margins too if a PDE
-    row is not positive (no RadialProfile is, as built).
+    """Residual vector F, PDE-row margins and the PDE rows' f-gradients.
+    The one admissibility rule: u is admissible when its PDE rows are
+    positive and every margin exceeds MARGIN_FLOOR; else F and the
+    gradients are None, and the margins too if a PDE row is not positive
+    (no RadialProfile is, as built).
 
     Each stage holds only what the next one reads.  The full-grid stencil
-    lives until grad_sup and the eigenpairs lam are formed; lam lives
-    through the two cone passes (the margins, then f and its gradients);
-    F is allocated once lam is freed.  _analytic_jacobian reads grads and
-    forms the stencil again from u; _make_report reads grad_sup, a float.
+    lives until the eigenpairs lam are formed; lam lives through the two
+    cone passes (the margins, then f and its gradients); F is allocated
+    once lam is freed.  _analytic_jacobian reads the gradients and forms
+    the stencil again from u.
     """
     rows = _pde_rows(spec)
     if not (u[rows] > 0.0).all():
         return None, None, None
     du, d2u = _radial_stencil(u, r)
-    grad_sup = float(np.abs(du).max())
     # (radial, tangential) pairs stand for the spectra (a, b, ..., b),
     # stored column by column for the pair kernels.
     lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
@@ -278,7 +284,7 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
 
     F = u - spec.delta
     np.subtract(fvals, RHS, out=F[rows])
-    return F, margins, (grads, grad_sup)
+    return F, margins, grads
 
 
 def _stencil_bands(ab, p, s, rows: slice):
@@ -306,7 +312,7 @@ def _stencil_bands(ab, p, s, rows: slice):
     return ab
 
 
-def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
+def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, grads):
     """Tridiagonal Jacobian of the PDE rows in the PDE-row unknowns, from
     _stencil_bands.  With gR and gT = (n-1) g_T the f-gradient's weights of
     the radial and tangential eigenvalues, row i is p D1 + q D2 + s with
@@ -317,7 +323,7 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     at a ball's centre both eigenvalues are -u u_rr (see _eigenpair), so
     there q = -(gR + gT) u / h^2 and s = -(gR + gT) u_rr.
 
-    It reads state[0], the gradients of u's _evaluate, and consumes them:
+    It reads grads, the gradients of u's _evaluate, and consumes them:
     gT is scaled in its own row and s is formed in gR's.  It forms u's
     full-grid stencil again, and p in one scratch array; q is formed in the
     diagonal band and gT (u_r - u/r) in the lower one, which _stencil_bands
@@ -325,7 +331,6 @@ def _analytic_jacobian(u, spec: ProblemSpec, r, cone: ConeSpec, state):
     newton_solve's u, F and the gradients (and u's margins at the rounding
     floor).
     """
-    grads = state[0]
     h = r[1] - r[0]
     rows = _pde_rows(spec)
     du, d2u = (d[rows] for d in _radial_stencil(u, r))
@@ -570,23 +575,18 @@ def _torsion_bump(spec: ProblemSpec, r: np.ndarray) -> np.ndarray:
     return w
 
 
-def _make_report(u, spec, r, F, margins, state, iters, stop):
-    """The report of iterate u, whose _evaluate gave F, margins and state,
-    stopped by the rule stop (see SolveReport.newton_stop).  Of the state
-    it reads only the last entry, grad_sup.  The profile holds u itself,
-    newton_solve's own iterate, on the solver's grid r.
+def _make_report(u, spec, r, F, margins, iters, stop):
+    """The report of iterate u, whose _evaluate gave F and margins,
+    stopped by the rule stop (see SolveReport.newton_stop).  The profile
+    holds u itself, newton_solve's own iterate, on the solver's grid r.
     """
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
     margin_full[_pde_rows(spec)] = margins
-    profile = RadialProfile._on_grid(r, u)
     return SolveReport(
-        profile=profile,
+        profile=RadialProfile._on_grid(r, u),
         residual_sup=float(res_nodes.max()),
         admissibility_margin_min=float(margins.min()),
-        boundary_slope=boundary_slope(profile),
-        c0_bounds=(float(u.min()), float(u.max())),
-        grad_sup=state[-1],
         newton_iterations=iters,
         continuation_steps=0,
         converged=stop in ("tolerance", "rounding floor"),
@@ -614,7 +614,7 @@ def _rounding_floor(u_max: float, h: float) -> float:
 def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
     """The first trial u + t*step on the PDE rows, t = 1, 1/2, ...,
     2^-MAX_HALVINGS (t = 1 alone at the rounding floor), admissible by
-    _evaluate with a residual below res, as (u, F, margins, state, res);
+    _evaluate with a residual below res, as (u, F, margins, grads, res);
     None if no trial qualifies.  Only u and step live through it (and, at
     the rounding floor, newton_solve's F and margins of u): step is halved
     in place, so t*step needs no buffer of its own, and a trial's arrays
@@ -624,12 +624,12 @@ def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
     for _ in range(1 if at_floor else MAX_HALVINGS + 1):
         u_try = u.copy()
         u_try[rows] += step
-        F, margins, state = _evaluate(u_try, spec, r, cone)
+        F, margins, grads = _evaluate(u_try, spec, r, cone)
         if F is not None:
             res_try = float(np.abs(F).max())
             if res_try < res:
-                return u_try, F, margins, state, res_try
-        del F, margins, state, u_try
+                return u_try, F, margins, grads, res_try
+        del F, margins, grads, u_try
         step *= 0.5
     return None
 
@@ -650,15 +650,15 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     is copied, so a start the caller builds in the call's argument list
     (continuation_tau's prediction) is freed then.  One iterate u is held
     at a time, and each stage of an iteration keeps only what the next
-    one reads.  u's F, margins and state (see _evaluate) live until the
-    stop test; past it the Jacobian (see _analytic_jacobian) consumes the
-    state's gradients, and the bands and -F[rows] go into the banded solve,
+    one reads.  u's F, margins and gradients (see _evaluate) live until
+    the stop test; past it the Jacobian (see _analytic_jacobian) consumes
+    the gradients, and the bands and -F[rows] go into the banded solve,
     which overwrites them with the step.  Off the rounding floor -F[rows]
     is formed in F's own buffer and the margins are freed, so only u and
     the step live through the line search (see _line_search), and a
-    line-search stop evaluates u again for its report.  At the floor the
-    line search makes one trial, and F and the margins live through it
-    for the report of a "rounding floor" stop.
+    line-search stop evaluates u again.  At the floor the line search
+    makes one trial, and F and the margins live through it for the
+    report, which reads the rest from u's profile (see SolveReport).
     """
     opts = opts or NewtonOptions()
     r = _problem_grid(init, spec)
@@ -668,33 +668,33 @@ def newton_solve(init: RadialProfile, spec: ProblemSpec,
     u = init.u.copy()
     del init                    # so a caller's temporary start is freed here
     u[:rows.start] = u[rows.stop:] = spec.delta
-    F, margins, state = _evaluate(u, spec, r, cone)
+    F, margins, grads = _evaluate(u, spec, r, cone)
     if F is None:
         raise _inadmissible(spec, margins, "initial profile inadmissible")
 
     res = float(np.abs(F).max())
     for it in range(MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol or it == MAX_NEWTON_ITERATIONS:
-            return _make_report(u, spec, r, F, margins, state, it,
+            return _make_report(u, spec, r, F, margins, it,
                                 "tolerance" if res <= opts.tol else "iteration limit")
         # At the rounding floor a halved step's decrease is rounding noise:
         # only the full step is tried, and u's F and margins are kept for
         # the report of a refused one.
         at_floor = res <= _rounding_floor(u.max(), r[1] - r[0])
-        kept = (F, margins, state[-1:]) if at_floor else None
+        kept = (F, margins) if at_floor else None
         del margins
-        ab = _analytic_jacobian(u, spec, r, cone, state)
-        del state
+        ab = _analytic_jacobian(u, spec, r, cone, grads)
+        del grads
         step = solve_banded(ab, -F[rows] if at_floor else np.negative(F, out=F)[rows])
         del ab, F
         accepted = _line_search(u, step, res, at_floor, spec, r, cone)
         del step
         if accepted is None:
             if not at_floor:
-                kept = _evaluate(u, spec, r, cone)
+                kept = _evaluate(u, spec, r, cone)[:2]
             return _make_report(u, spec, r, *kept, it + 1,
                                 "rounding floor" if at_floor else "line search")
-        u, F, margins, state, res = accepted
+        u, F, margins, grads, res = accepted
         del accepted, kept          # else they live past the next Jacobian
 
 
@@ -706,7 +706,7 @@ def _newton_stop(report: SolveReport, opts: NewtonOptions) -> str:
     stop has not reached."""
     cause = ("iteration limit reached" if report.newton_stop == "iteration limit"
              else "line search found no admissible descent step")
-    floor = _rounding_floor(report.c0_bounds[1], report.profile.h)
+    floor = _rounding_floor(report.profile.u.max(), report.profile.h)
     return (f"Newton stopped at residual_sup {report.residual_sup:.3e} after "
             f"{report.newton_iterations} iterations, above tol {opts.tol:.1e} "
             f"({cause}); rounding floor 4*eps*max(u)^2/h^2 = {floor:.1e}")
@@ -790,7 +790,7 @@ def continuation_tau(spec: ProblemSpec,
             f"{_coarse_inner_sphere(spec0)}")
     steps = 0
     if target == 0.0:
-        return replace(report, continuation_steps=0)
+        return report
 
     # Keep the steps inside (0, target) whatever arange's rounding gives,
     # so that target is solved once, last.  Between steps only the last two
@@ -832,6 +832,9 @@ class DeltaContinuationResult:
     deltas: list
     reports: list
     failed_delta: float | None = None
+    # Why the leg at failed_delta failed: its warm start's refusal, if it
+    # had one, and the error of its fresh tau continuation.
+    failure: str | None = None
     monotonicity_max_violation: float = 0.0
     interior_sup_diffs: list = field(default_factory=list)
 
@@ -860,9 +863,10 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
     one Newton solve (see _corrector) from the last profile moved along
     the secant through the last two legs (after one leg, by the change in
     the datum; see _leg_start); a refused leg, unlike a refused tau step,
-    falls back to a fresh tau continuation.  Records pointwise
-    monotonicity violations beyond h^2 and the successive interior
-    sup-differences (stabilization diagnostic).
+    falls back to a fresh tau continuation; if that fails too, the sweep
+    stops there, with the leg's delta and both causes kept.  Records
+    pointwise monotonicity violations beyond h^2 and the successive
+    interior sup-differences (stabilization diagnostic).
     """
     result = DeltaContinuationResult(deltas=[], reports=[])
     r = _grid(spec.domain, spec.grid)
@@ -872,18 +876,18 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
 
     for d in DELTA_SCHEDULE:
         spec_d = replace(spec, delta=d)
-        report = None
+        report, refusal = None, None
         if result.reports:
-            report, _ = _corrector(lambda: _leg_start(result.reports, d), spec_d,
-                                   NewtonOptions())
+            report, refusal = _corrector(lambda: _leg_start(result.reports, d), spec_d,
+                                         NewtonOptions())
         if report is None:
             try:
                 report = continuation_tau(spec_d)
-            except (ContinuationStallError, InadmissibleIterateError):
-                report = None
-        if report is None:
-            result.failed_delta = d
-            break
+            except (ContinuationStallError, InadmissibleIterateError) as err:
+                warm = "" if refusal is None else f"warm start refused: {refusal}; "
+                result.failed_delta = d
+                result.failure = f"{warm}fresh tau continuation failed: {err}"
+                break
         if result.reports:
             prev_u = result.reports[-1].profile.u
             excess = float(np.max(report.profile.u - prev_u))

@@ -5,6 +5,7 @@ parts of compare.py that need no second checkout run here."""
 import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,24 @@ def test_diff_outputs_fails_on_a_nonzero_exit(monkeypatch, tmp_path, capsys):
         stdout = capsys.readouterr().out
         assert ("cone_4_2_1 exited 1" in stdout) == bool(exit_code)
         assert f"0 files, 0 differ, {2 * exit_code} nonzero exits" in stdout
+
+
+def test_diff_outputs_keeps_each_commands_stderr(monkeypatch, tmp_path):
+    """A command's stderr goes into stderr/NAME.txt, with the checkout's and
+    the output directory's paths spelled CHECKOUT and OUT, so both sides
+    write the same bytes; a command that printed none leaves no file."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    diff_outputs = importlib.import_module("diff_outputs")
+    checkout, out = tmp_path / "checkout", tmp_path / "out"
+    (checkout / "src").mkdir(parents=True)
+    out.mkdir()
+    warn = "import sys; sys.stderr.write(' '.join(sys.argv[1:]) + ' warned\\n')"
+    monkeypatch.setattr(diff_outputs, "commands", lambda checkout, out: [
+        ("solve/loud", [sys.executable, "-c", warn, str(checkout / "src"), str(out)], None),
+        ("quiet", [sys.executable, "-c", "pass"], None)])
+    assert diff_outputs.run_checkout(checkout, out) == [("solve/loud", 0), ("quiet", 0)]
+    assert (out / "stderr" / "solve" / "loud.txt").read_text() == "CHECKOUT/src OUT warned\n"
+    assert diff_outputs.files(out / "stderr") == {Path("solve/loud.txt")}
 
 
 def test_diff_outputs_names_the_newton_iteration_changes(monkeypatch, tmp_path):

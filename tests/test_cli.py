@@ -8,7 +8,9 @@ import pytest
 
 import lnlab.acceptance as acceptance
 import lnlab.cones as cones
+import lnlab.solver as solver
 from lnlab.cli import _format17, main
+from lnlab.errors import ContinuationStallError, InvalidProfileError
 from lnlab.solver import DELTA_SCHEDULE, DeltaContinuationResult
 
 
@@ -196,6 +198,34 @@ class TestSolve:
         assert main(self.ARGS + domain) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["tau_continuation"] == summary["delta_sweep"]["legs"][0]
+
+    def test_stopped_delta_sweep_names_its_leg_and_both_causes(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """A warm delta leg whose start is refused, and whose fresh tau
+        continuation stalls, stops the sweep: the reports are still
+        written, the exit code is 1, and stderr names that leg's delta and
+        both causes."""
+        leg, fallback = DELTA_SCHEDULE[1], solver.continuation_tau
+
+        def refused(reports, delta):
+            raise InvalidProfileError("u is not positive")
+
+        def stalled(spec, opts=None):
+            if spec.delta == leg:
+                raise ContinuationStallError("tau continuation stalled at tau = 0.5")
+            return fallback(spec, opts)
+
+        monkeypatch.setattr(solver, "_leg_start", refused)
+        monkeypatch.setattr(solver, "continuation_tau", stalled)
+        assert main(self.ARGS + ["--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"numerical failure: delta sweep stopped at delta = {leg}: "
+            "warm start refused: the predicted start is not finite and positive; "
+            "fresh tau continuation failed: tau continuation stalled at tau = 0.5\n")
+        sweep = json.loads((tmp_path / "run.json").read_text())["delta_sweep"]
+        assert (sweep["converged"], sweep["failed_delta"]) == (False, leg)
+        assert sweep["deltas"] == [DELTA_SCHEDULE[0]] and len(sweep["legs"]) == 1
+        assert [p.name for p in tmp_path.glob("run_leg*.csv")] == ["run_leg00.csv"]
 
     @pytest.mark.parametrize("grid", [2000, 4000])
     @pytest.mark.parametrize("domain", [[], ["--domain", "annulus", "--inner", "0.5"]],

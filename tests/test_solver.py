@@ -379,8 +379,8 @@ class TestJacobian:
             prof = continuation_tau(spec).profile
             r = spec.radii()
             cone = spec.solve_cone()
-            _, _, state = _evaluate(prof.u, spec, r, cone)
-            ja = _analytic_jacobian(prof.u, spec, r, cone, state)
+            _, _, grads = _evaluate(prof.u, spec, r, cone)
+            ja = _analytic_jacobian(prof.u, spec, r, cone, grads)
             calls.clear()
             # The PDE rows' block: a Dirichlet row's off-diagonal entries
             # are 0, so the corners of the block's bands are 0 as well.
@@ -564,18 +564,17 @@ class TestInPlaceStages:
         got = _evaluate(u, spec, r, cone)
         assert calls == {"cone_margin": 1, "_f_and_grad_unchecked": 1}
         assert u.size > 6 * cones._BLOCK_ROWS
-        F, margins, state = got
-        assert np.all(margins > 0) and state[0] is not None
-        assert_same_arrays((F, margins, state[1]), want[:2] + want[2][1:])
-        assert_same_arrays([state[0]], [want[2][0]])
-        assert_same_arrays([_analytic_jacobian(u, spec, r, cone, state)],
+        F, margins, grads = got
+        assert np.all(margins > 0) and grads is not None
+        assert_same_arrays((F, margins, grads), want)
+        assert_same_arrays([_analytic_jacobian(u, spec, r, cone, grads)],
                            [_analytic_jacobian(u, spec, r, cone, want[2])])
 
     @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
                              ids=["ball", "annulus"])
     def test_grad_sup_is_the_stencil_of_the_reported_iterate(self, domain):
-        """The report reuses the u_r of the iterate's evaluation: the same
-        bits as a stencil of its own."""
+        """The report's grad_sup is max|u_r| of its profile's stencil, the
+        stencil _evaluate forms on the solver's grid."""
         spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9, domain=domain,
                            delta=0.05, grid=300)
         rep = continuation_tau(spec)
@@ -603,8 +602,8 @@ class TestOneGate:
         inside (0, MARGIN_FLOOR]."""
         spec, u = solved
         u = np.full_like(u, 0.1) if scale == 0.0 else scale * u
-        F, margins, state = _evaluate(u, spec, spec.radii(), spec.solve_cone())
-        assert F is None and state is None
+        F, margins, grads = _evaluate(u, spec, spec.radii(), spec.solve_cone())
+        assert F is None and grads is None
         assert margins.size == spec.grid - 1 and margins.min() <= MARGIN_FLOOR
         if scale:
             assert margins.min() > 0.0
@@ -641,7 +640,7 @@ class TestDirichletRows:
         u = 1.1 * continuation_tau(spec).profile.u
         r = spec.radii()
         cone = spec.solve_cone()
-        F, margins, state = _evaluate(u, spec, r, cone)
+        F, margins, grads = _evaluate(u, spec, r, cone)
         assert np.all(margins > 0)
         dirichlet = np.ones(u.size, dtype=bool)
         dirichlet[solver._pde_rows(spec)] = False
@@ -649,7 +648,7 @@ class TestDirichletRows:
         assert F[dirichlet].tobytes() == (u[dirichlet] - spec.delta).tobytes()
         assert np.all(F[dirichlet] != 0)
 
-        ab = _analytic_jacobian(u, spec, r, cone, state)
+        ab = _analytic_jacobian(u, spec, r, cone, grads)
         assert ab.shape == (3, spec.grid + 1 - count)
 
 
@@ -744,7 +743,7 @@ class TestNewton:
                             delta=0.1, grid=50)
         rep = newton_solve(initial_profile(small), small)
         assert (rep.converged, rep.newton_stop) == (True, "rounding floor")
-        floor = 4 * np.finfo(float).eps * (rep.c0_bounds[1] / rep.profile.h) ** 2
+        floor = 4 * np.finfo(float).eps * (rep.to_dict()["c0_max"] / rep.profile.h) ** 2
         assert NEWTON_TOL < rep.residual_sup <= floor
         with monkeypatch.context() as patch:
             patch.setattr(solver, "solve_banded", lambda ab, b: np.full_like(b, np.nan))
@@ -872,8 +871,9 @@ class TestNewton:
 # _evaluate, _make_report and _problem_grid it called, verbatim but for the
 # solver. prefixes and its Newton step, which now solves -F[rows] for the PDE
 # rows and adds t * step to those rows only, the Dirichlet values being data,
-# and passes _analytic_jacobian the state's gradients in the state layout it
-# now reads, (grads, ...).  Every report of the rewrite must have the same bits.
+# and passes _analytic_jacobian the state's gradients, all it now reads.  Every
+# report of the rewrite must have the same bits; the seed's own max|u_r|, u
+# bounds and boundary slope must be what the report reads from its profile.
 def seed_problem_grid(profile, spec):
     r = spec.radii()
     if profile.r.shape == r.shape:
@@ -906,13 +906,10 @@ def seed_make_report(u, spec, r, F, margins, state, iters, stop):
     res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
     margin_full[solver._pde_rows(spec)] = margins
-    return SolveReport(
+    report = SolveReport(
         profile=profile,
         residual_sup=float(res_nodes.max()),
         admissibility_margin_min=float(margins.min()),
-        boundary_slope=boundary_slope(profile),
-        c0_bounds=(float(u.min()), float(u.max())),
-        grad_sup=float(np.abs(du).max()),
         newton_iterations=iters,
         continuation_steps=0,
         converged=stop in ("tolerance", "rounding floor"),
@@ -922,6 +919,11 @@ def seed_make_report(u, spec, r, F, margins, state, iters, stop):
         margin_nodes=margin_full,
         newton_stop=stop,
     )
+    summary = report.to_dict()
+    assert report.grad_sup == summary["grad_sup"] == float(np.abs(du).max())
+    assert report.boundary_slope == summary["boundary_slope"] == boundary_slope(profile)
+    assert (summary["c0_min"], summary["c0_max"]) == (float(u.min()), float(u.max()))
+    return report
 
 
 def seed_newton_solve(init, spec, opts=None):
@@ -939,7 +941,7 @@ def seed_newton_solve(init, spec, opts=None):
     for it in range(1, solver.MAX_NEWTON_ITERATIONS + 1):
         if res <= opts.tol:
             return seed_make_report(u, spec, r, F, margins, state, it - 1, "tolerance")
-        ab = _analytic_jacobian(u, spec, r, cone, state[3:])
+        ab = _analytic_jacobian(u, spec, r, cone, state[3])
         step = solver.solve_banded(ab, -F[rows])
 
         at_floor = res <= solver._rounding_floor(u.max(), r[1] - r[0])
@@ -1108,8 +1110,8 @@ class TestBandedSolve:
         spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.5, domain=domain,
                            delta=0.05, grid=grid)
         u, r, cone = initial_profile(spec).u, spec.radii(), spec.solve_cone()
-        F, _, state = _evaluate(u, spec, r, cone)
-        self.assert_same_as_scipy(_analytic_jacobian(u, spec, r, cone, state),
+        F, _, grads = _evaluate(u, spec, r, cone)
+        self.assert_same_as_scipy(_analytic_jacobian(u, spec, r, cone, grads),
                                   -F[solver._pde_rows(spec)])
 
     def test_solves_in_place(self):
@@ -2098,9 +2100,11 @@ def test_delta_sweep_completes_or_names_its_leg(n, data, tau, inner, grid):
     assert all(rep.converged for rep in sweep.reports)
     assert len(sweep.interior_sup_diffs) == max(done - 1, 0)
     if sweep.ok:
-        assert done == len(DELTA_SCHEDULE)
+        assert done == len(DELTA_SCHEDULE) and sweep.failure is None
     else:
         assert sweep.failed_delta == DELTA_SCHEDULE[done]
+        assert ("warm start refused: " in sweep.failure) == (done > 0)
+        assert "fresh tau continuation failed: " in sweep.failure
 
 
 def same_report(a, b):
@@ -2234,6 +2238,9 @@ class TestDeltaFallback:
         monkeypatch.setattr(solver, "continuation_tau", stalled)
         sweep = continuation_delta(self.SPEC)
         assert not sweep.ok and sweep.failed_delta == DELTA_SCHEDULE[self.LEG]
+        assert re.fullmatch(r"warm start refused: the step left the cone \(worst node "
+                            r"\d+, margin \S+\); fresh tau continuation failed: stalled",
+                            sweep.failure)
         assert sweep.deltas == list(DELTA_SCHEDULE[:self.LEG])
         assert len(sweep.reports) == self.LEG
         assert all(same_report(a, b) for a, b in zip(sweep.reports, clean.reports))
@@ -2316,10 +2323,8 @@ def special_values_report():
     profile = RadialProfile(r=np.linspace(0.0, 1.0, 6),
                             u=[1 / 3, 1e22, 5e-324, 0.1, 2 / 3, -0.0])
     return SolveReport(profile=profile, residual_sup=np.inf,
-                       admissibility_margin_min=-np.inf, boundary_slope=np.nan,
-                       c0_bounds=(0.0, 1e22), grad_sup=np.inf,
-                       newton_iterations=0, continuation_steps=0,
-                       converged=False, tau=0.5, delta=0.1,
+                       admissibility_margin_min=-np.inf, newton_iterations=0,
+                       continuation_steps=0, converged=False, tau=0.5, delta=0.1,
                        residual_nodes=np.array(odd),
                        margin_nodes=-np.array(odd[::-1]),
                        newton_stop="line search")
@@ -2344,6 +2349,25 @@ class TestReport:
         rep = continuation_tau(ball_spec(delta=delta, grid=100))
         A = (delta + np.sqrt(delta**2 + 1)) / 2
         assert rep.grad_sup == pytest.approx(1 / (2 * A), abs=1e-12)
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    def test_profile_summaries_follow_a_replaced_profile(self, domain):
+        """grad_sup, boundary_slope, c0_min and c0_max are read from the
+        profile, so a copy with another profile reports that profile's.
+        Doubling u doubles each of them exactly: every stencil, difference
+        quotient and bound scales by 2 without rounding."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9, domain=domain,
+                           delta=0.05, grid=100)
+        rep = continuation_tau(spec)
+        before = rep.to_dict()
+        doubled = replace(rep, profile=RadialProfile(r=rep.profile.r, u=2 * rep.profile.u))
+        after = doubled.to_dict()
+        for name in ("grad_sup", "boundary_slope", "c0_min", "c0_max"):
+            assert after[name] == 2 * before[name] != before[name], name
+        assert (doubled.grad_sup, doubled.boundary_slope) == (after["grad_sup"],
+                                                              after["boundary_slope"])
+        assert rep.to_dict() == before
 
     def test_csv_columns(self):
         spec = ball_spec(grid=50)
