@@ -18,13 +18,16 @@ warnings as errors, and stops one after SPEC_SECONDS (see `run_specs`).
 It counts each spec's newton_solve calls and the refused ones among them,
 so the cost of the tau step halvings shows whatever the machine's load:
 a tau step is one newton_solve call, from its predicted start, and a
-refused one is halved.
+refused one is halved.  Each spec then runs continuation_delta, the sweep
+`lnlab solve` runs, the same way: its class is "complete" or the leg it
+stopped at with its cause, and its fallbacks are its continuation_tau
+calls after the first leg's.
 
 Printed, for the specs and for the builders: the count per outcome class
 (converged or built, or the cause the error names, see `outcome`) with the
-class's newton_solve calls and refused calls, the SLOWEST slowest, and
-every foreign exception or warning with its spec.  Exits 1 if there was
-one.
+class's newton_solve calls and refused calls, the count per sweep class
+and the fallbacks, the SLOWEST slowest, and every foreign exception or
+warning with its spec.  Exits 1 if there was one.
 """
 
 import json
@@ -139,15 +142,35 @@ def builder_sample(count: int = BUILDER_SPECS) -> list:
     return calls
 
 
+def _problem(spec: dict):
+    """The ProblemSpec of one spec of sample()."""
+    from lnlab import Annulus, Ball, ConeSpec, ProblemSpec
+    domain = (Ball(spec["outer"]) if spec["domain"] == "ball"
+              else Annulus(spec["inner"], spec["outer"]))
+    return ProblemSpec(ConeSpec(spec["n"], spec["k"]), spec["tau"], domain, spec["delta"],
+                       spec["grid"])
+
+
 def _solve(spec: dict) -> str:
     """Run continuation_tau on one spec of sample(); its outcome when it
     returns."""
-    from lnlab import Annulus, Ball, ConeSpec, ProblemSpec, continuation_tau
-    domain = (Ball(spec["outer"]) if spec["domain"] == "ball"
-              else Annulus(spec["inner"], spec["outer"]))
-    report = continuation_tau(ProblemSpec(ConeSpec(spec["n"], spec["k"]), spec["tau"],
-                                          domain, spec["delta"], spec["grid"]))
+    from lnlab import continuation_tau
+    report = continuation_tau(_problem(spec))
     return "converged" if report.converged else "not converged"
+
+
+def _sweep(spec: dict) -> str:
+    """Run continuation_delta on one spec of sample(), which does not read
+    its delta; its class when it returns: "complete", or the leg it
+    stopped at and the first of CAUSES that the error of that leg's fresh
+    tau continuation holds (else that error)."""
+    from lnlab import continuation_delta
+    sweep = continuation_delta(_problem(spec))
+    if sweep.ok:
+        return "complete"
+    fresh = sweep.failure.rpartition("fresh tau continuation failed: ")[2]
+    cause = next((cause for cause in CAUSES if cause in fresh), fresh)
+    return f"stopped at leg {len(sweep.reports)}: {cause}"
 
 
 def _build(call: dict) -> str:
@@ -204,38 +227,73 @@ def _count_newton(counts: list):
     return lambda: setattr(solver, "newton_solve", solve)
 
 
+def _count_tau(calls: list):
+    """Wrap lnlab.solver.continuation_tau, the module global
+    continuation_delta calls for its first leg and for each fallback, so
+    that each call adds 1 to calls[0].  Returns a function that restores
+    it."""
+    from lnlab import solver
+    continuation_tau = solver.continuation_tau
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return continuation_tau(*args, **kwargs)
+
+    solver.continuation_tau = counted
+    return lambda: setattr(solver, "continuation_tau", continuation_tau)
+
+
+def _run_one(run, spec: dict) -> dict:
+    """{"outcome", "seconds"} of run(spec), with warnings as errors, stopped
+    after SPEC_SECONDS by SIGALRM: its outcome, or the class of its error
+    (see `outcome`); a foreign exception or a warning has outcome
+    "foreign" and its "error"."""
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signal.setitimer(signal.ITIMER_REAL, SPEC_SECONDS)
+        try:
+            result = {"outcome": run(spec)}
+        except Exception as err:            # noqa: BLE001 - the census counts them
+            cls = outcome(err)
+            result = ({"outcome": cls} if cls else
+                      {"outcome": "foreign", "error": f"{type(err).__name__}: {err}"})
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    result["seconds"] = time.perf_counter() - start
+    return result
+
+
 def run_specs(specs: list) -> list:
     """Per spec, {"outcome", "seconds", "newton_calls", "newton_refused"}
     from continuation_tau on the lnlab first on sys.path, or from the
-    builder call of a spec with a "builder" (see `_build`), with warnings
-    as errors, stopped after SPEC_SECONDS by SIGALRM; a foreign exception
-    or a warning has outcome "foreign" and its "error".  The counts are
-    the spec's newton_solve calls and refused calls (see `_count_newton`)."""
+    builder call of a spec with a "builder" (see `_build`), by `_run_one`.
+    The counts are the spec's newton_solve calls and refused calls (see
+    `_count_newton`).  A problem spec then runs its delta sweep by
+    `_run_one` too, with its own SPEC_SECONDS, which adds "sweep" (its
+    class, see `_sweep`), "sweep_seconds", "fallbacks" (its continuation_tau
+    calls after the first) and, for a foreign one, "sweep_error"."""
     results = []
-    counts = [0, 0]
-    restore = _count_newton(counts)
+    counts, taus = [0, 0], [0]
+    restore = [_count_newton(counts), _count_tau(taus)]
     handler = signal.signal(signal.SIGALRM, _over_time)
     try:
         for spec in specs:
             counts[:] = [0, 0]
-            start = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                signal.setitimer(signal.ITIMER_REAL, SPEC_SECONDS)
-                try:
-                    result = {"outcome": (_build if "builder" in spec else _solve)(spec)}
-                except Exception as err:            # noqa: BLE001 - the census counts them
-                    cls = outcome(err)
-                    result = ({"outcome": cls} if cls else
-                              {"outcome": "foreign", "error": f"{type(err).__name__}: {err}"})
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
-            result["seconds"] = time.perf_counter() - start
+            result = _run_one(_build if "builder" in spec else _solve, spec)
             result["newton_calls"], result["newton_refused"] = counts
+            if "builder" not in spec:
+                taus[0] = 0
+                sweep = _run_one(_sweep, spec)
+                result.update(sweep=sweep["outcome"], sweep_seconds=sweep["seconds"],
+                              fallbacks=max(taus[0] - 1, 0))
+                if "error" in sweep:
+                    result["sweep_error"] = sweep["error"]
             results.append(result)
     finally:
         signal.signal(signal.SIGALRM, handler)
-        restore()
+        for undo in restore:
+            undo()
     return results
 
 
@@ -248,6 +306,20 @@ def newton_totals(results: list) -> dict:
         total["calls"] += result["newton_calls"]
         total["refused"] += result["newton_refused"]
     return totals
+
+
+def sweep_totals(results: list) -> dict:
+    """The delta sweeps of problem-spec results: the count per class (see
+    `_sweep`) and the fallbacks of them all."""
+    return {"counts": dict(sorted(Counter(r["sweep"] for r in results).items())),
+            "fallbacks": sum(r["fallbacks"] for r in results)}
+
+
+def foreign_errors(results: list, specs: list) -> list:
+    """(error, spec) of each foreign exception or warning, in a spec's
+    solve, build or delta sweep."""
+    return [(error, spec) for result, spec in zip(results, specs)
+            for error in (result.get("error"), result.get("sweep_error")) if error]
 
 
 def census(checkout: Path, specs: list) -> list:
@@ -265,14 +337,21 @@ def report(specs: list, results: list) -> tuple:
     lines = [f"{len(specs)} specs in {sum(r['seconds'] for r in results):.1f} s"]
     lines += [f"  {count:4d}  {name}  ({newton[name]['calls']} newton_solve calls, "
               f"{newton[name]['refused']} refused)" for name, count in counts.most_common()]
+    swept = [result for result in results if "sweep" in result]
+    if swept:
+        sweeps = sweep_totals(swept)
+        lines.append(f"{len(swept)} delta sweeps in "
+                     f"{sum(r['sweep_seconds'] for r in swept):.1f} s, "
+                     f"{sweeps['fallbacks']} fallbacks:")
+        lines += [f"  {count:4d}  {name}" for name, count in
+                  sorted(sweeps["counts"].items(), key=lambda item: -item[1])]
     lines.append("slowest:")
     ranked = sorted(zip(results, specs), key=lambda pair: -pair[0]["seconds"])
     lines += [f"  {result['seconds']:7.2f} s  {result['outcome']}  {json.dumps(spec)}"
               for result, spec in ranked[:SLOWEST]]
-    foreign = [(result, spec) for result, spec in zip(results, specs)
-               if result["outcome"] == "foreign"]
+    foreign = foreign_errors(results, specs)
     lines.append(f"foreign exceptions and warnings: {len(foreign)}")
-    lines += [f"  {result['error']}  {json.dumps(spec)}" for result, spec in foreign]
+    lines += [f"  {error}  {json.dumps(spec)}" for error, spec in foreign]
     return lines, bool(foreign)
 
 

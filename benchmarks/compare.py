@@ -41,7 +41,8 @@ Last, each side runs the robustness census of benchmarks/census.py on the
 same sample of specs and builder calls; under "census" the record holds
 each side's count per outcome class, the class's newton_solve calls and
 refused calls, and its foreign exceptions and warnings, for the specs and,
-under "builders", for the builder calls (see `run_census`).
+under "builders", for the builder calls; under "sweeps", the count per
+class of the specs' delta sweeps and their fallbacks (see `run_census`).
 
 Progress goes to stderr; the record is one JSON document on stdout.  Exits
 1, after writing the record, if either side's census shows a foreign
@@ -468,21 +469,24 @@ def census_summary(specs: list, results: list) -> dict:
     """One side's census (census.census results on specs): the count per
     outcome class, its newton_solve calls and refused calls under "newton"
     (see census.newton_totals), and each foreign exception or warning with
-    its spec.  run_census adds the summary of the builder calls under
-    "builders"."""
+    its spec, in a solve, a build or a delta sweep (see
+    census.foreign_errors).  run_census adds the delta sweeps under
+    "sweeps" and the summary of the builder calls under "builders"."""
     return {"counts": dict(sorted(Counter(r["outcome"] for r in results).items())),
             "newton": dict(sorted(census.newton_totals(results).items())),
-            "foreign": [{"error": r["error"], "spec": spec}
-                        for r, spec in zip(results, specs) if r["outcome"] == "foreign"]}
+            "foreign": [{"error": error, "spec": spec}
+                        for error, spec in census.foreign_errors(results, specs)]}
 
 
 def run_census(checkout: Path) -> dict:
-    """census_summary of checkout on census.sample(), with that of
+    """census_summary of checkout on census.sample(), with its delta sweeps
+    under "sweeps" (see census.sweep_totals) and census_summary of
     census.builder_sample() under "builders", from one fresh interpreter."""
     specs, builders = census.sample(), census.builder_sample()
     print(f"{checkout.name} census", file=sys.stderr, flush=True)
     results = census.census(checkout, specs + builders)
     return {**census_summary(specs, results[:len(specs)]),
+            "sweeps": census.sweep_totals(results[:len(specs)]),
             "builders": census_summary(builders, results[len(specs):])}
 
 

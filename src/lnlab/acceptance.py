@@ -201,8 +201,8 @@ def check_ordering() -> CriterionResult:
     with k = 2: for k = 1, or on a ball, every tau gives the same solve."""
     spec = ProblemSpec(cone=ConeSpec(3, 1), tau=0.9, domain=Ball(1.0),
                        delta=0.1, grid=500)
-    # The sweep records legs that rise above the previous one by more than
-    # h^2, comparison_check's allowance.
+    # The sweep records the legs that comparison_check refuses against the
+    # leg before, past its allowance h^2/b.
     sweep = continuation_delta(spec)
     violations = int(not sweep.ok) + int(sweep.monotonicity_max_violation > 0.0)
 

@@ -4,7 +4,8 @@ Subcommands:
 
   cone    cone diagnostics (mu+, ray membership, normalization) as JSON
   solve   tau continuation followed by the fixed delta sweep (DELTA_SCHEDULE,
-          0.1 * 2^-i for i < 10, then 1e-4); JSON report + CSV profiles
+          0.1 * 2^-i for i < 10, then 1e-4, times the outer radius); JSON
+          report + CSV profiles
   verify  run the acceptance suite, one pass/fail line per criterion
 
 --out names a file (solve: the stem of its files); missing directories are
@@ -25,7 +26,7 @@ from .acceptance import CRITERIA, RUNTIME_LIMITS, run_acceptance
 from .cones import ConeSpec, contains_ray_e1, f_eval, mu_plus
 from .errors import (ContinuationStallError, InadmissibleIterateError,
                      LnlabError, NoCertificateError)
-from .solver import (DELTA_SCHEDULE, RHS, Annulus, Ball, ProblemSpec,
+from .solver import (RHS, Annulus, Ball, ProblemSpec, _delta_legs,
                      continuation_delta, continuation_tau)
 
 import numpy as np
@@ -141,7 +142,7 @@ def _solve_spec(args) -> ProblemSpec:
         cone=ConeSpec(args.n, args.k),
         tau=args.tau,
         domain=domain,
-        delta=DELTA_SCHEDULE[0],
+        delta=_delta_legs(domain)[0],
         grid=args.grid,
     )
 
@@ -157,7 +158,7 @@ def cmd_solve(args) -> int:
             "n": spec.cone.n, "k": spec.cone.k, "tau": spec.tau,
             "domain": ("ball" if isinstance(spec.domain, Ball) else "annulus"),
             "grid": spec.grid, "rhs": RHS,
-            "delta_schedule": list(DELTA_SCHEDULE),
+            "delta_schedule": _delta_legs(spec.domain),
         },
         "tau_continuation": head.to_dict(),
         "delta_sweep": {

@@ -51,9 +51,11 @@ MIN_TAU_STEP = 1e-6
 # (4, 2, .95) on [0.5, 1] start at 5e-5 (tau = 0.05), 1.1e-3 (0.3), 8.8e-3
 # (0.65) and 0.16 (0.95).
 WAYPOINT_TOL = 1e-3
-# The boundary data continuation_delta sweeps, in order: 11 legs down to 1e-4.
+# The boundary data continuation_delta sweeps, in order, as multiples of the
+# outer radius (see _delta_legs): 11 legs down to 1e-4.
 DELTA_SCHEDULE = tuple(0.1 * 0.5**i for i in range(10)) + (1e-4,)
-# Delta legs are compared on this inner share of the span, off the boundary layer.
+# Successive delta legs are compared on this share of the span next to its
+# start, r = 0 or the inner sphere (see interior_sup_diffs).
 INTERIOR_FRACTION = 0.5
 # The paper's right-hand side.  Any constant c > 0 reduces to it: the Schouten
 # tensor is scale-invariant, so u -> sqrt(2c) u multiplies lam by 2c.
@@ -142,23 +144,40 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Converged (or failed) state of one Newton solve.  grad_sup
-    (max|u_r|, by _radial_stencil), boundary_slope and the bounds of u are
-    read from the profile, so a copy with another holds no stale number."""
+    """Converged (or failed) state of one Newton solve of spec.  It
+    stores what the solve produced; every summary is read from those
+    fields (grad_sup by _radial_stencil, the bounds of u from the
+    profile), so a copy with another field holds no stale number."""
 
+    spec: ProblemSpec
     profile: RadialProfile
-    residual_sup: float
-    admissibility_margin_min: float
     newton_iterations: int
     continuation_steps: int
-    converged: bool
-    tau: float
-    delta: float
     residual_nodes: np.ndarray = field(repr=False)
     margin_nodes: np.ndarray = field(repr=False)
     # The rule that stopped Newton, kept out of to_dict(): "tolerance" or
     # "rounding floor" (converged), "line search" or "iteration limit".
     newton_stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.newton_stop in ("tolerance", "rounding floor")
+
+    @property
+    def tau(self) -> float:
+        return self.spec.tau
+
+    @property
+    def delta(self) -> float:
+        return self.spec.delta
+
+    @property
+    def residual_sup(self) -> float:
+        return float(self.residual_nodes.max())
+
+    @property
+    def admissibility_margin_min(self) -> float:
+        return float(self.margin_nodes[_pde_rows(self.spec)].min())
 
     @property
     def grad_sup(self) -> float:
@@ -499,10 +518,13 @@ def boundary_slope(profile: RadialProfile) -> float:
 
 
 def comparison_check(lower: RadialProfile, upper: RadialProfile) -> bool:
-    """Pointwise ordering lower <= upper + h^2 on a shared grid."""
+    """Pointwise ordering lower <= upper + h^2/b on a shared grid, b the
+    outer radius: the allowance is a length, as u is, so it scales with a
+    dilation.  The one ordering rule: continuation_delta's monotonicity
+    record reads it too."""
     if lower.r.shape != upper.r.shape or not np.array_equal(lower.r, upper.r):
         raise GridMismatchError("profiles live on different grids")
-    return bool(np.all(lower.u <= upper.u + lower.h**2))
+    return bool(np.all(lower.u <= upper.u + lower.h**2 / lower.r[-1]))
 
 
 def initial_profile(spec: ProblemSpec) -> RadialProfile:
@@ -580,22 +602,12 @@ def _make_report(u, spec, r, F, margins, iters, stop):
     stopped by the rule stop (see SolveReport.newton_stop).  The profile
     holds u itself, newton_solve's own iterate, on the solver's grid r.
     """
-    res_nodes = np.abs(F)
     margin_full = np.zeros(r.size)
     margin_full[_pde_rows(spec)] = margins
-    return SolveReport(
-        profile=RadialProfile._on_grid(r, u),
-        residual_sup=float(res_nodes.max()),
-        admissibility_margin_min=float(margins.min()),
-        newton_iterations=iters,
-        continuation_steps=0,
-        converged=stop in ("tolerance", "rounding floor"),
-        tau=spec.tau,
-        delta=spec.delta,
-        residual_nodes=res_nodes,
-        margin_nodes=margin_full,
-        newton_stop=stop,
-    )
+    return SolveReport(spec=spec, profile=RadialProfile._on_grid(r, u),
+                       newton_iterations=iters, continuation_steps=0,
+                       residual_nodes=np.abs(F), margin_nodes=margin_full,
+                       newton_stop=stop)
 
 
 def _rounding_floor(u_max: float, h: float) -> float:
@@ -827,20 +839,46 @@ def continuation_tau(spec: ProblemSpec,
 
 @dataclass
 class DeltaContinuationResult:
-    """Outcome of a decreasing-delta sweep."""
+    """Outcome of a decreasing-delta sweep: the reports of its converged
+    legs, in order, and where and why it stopped, if it did.  Every
+    summary is read from the reports."""
 
-    deltas: list
     reports: list
     failed_delta: float | None = None
     # Why the leg at failed_delta failed: its warm start's refusal, if it
     # had one, and the error of its fresh tau continuation.
     failure: str | None = None
-    monotonicity_max_violation: float = 0.0
-    interior_sup_diffs: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.failed_delta is None
+
+    @property
+    def deltas(self) -> list:
+        return [rep.delta for rep in self.reports]
+
+    @property
+    def monotonicity_max_violation(self) -> float:
+        """The largest rise of a leg above the leg before, over the legs
+        comparison_check refuses against it; 0.0 if it refuses none."""
+        pairs = zip(self.reports[1:], self.reports)
+        return max((float(np.max(leg.profile.u - prev.profile.u)) for leg, prev in pairs
+                    if not comparison_check(leg.profile, prev.profile)), default=0.0)
+
+    @property
+    def interior_sup_diffs(self) -> list:
+        """max|u_i - u_{i-1}| of successive legs over r <= a +
+        INTERIOR_FRACTION (b - a), a = 0 on a ball: the stabilization
+        diagnostic.  On an annulus that window starts at the inner sphere,
+        so it holds the inner boundary layer, where the legs differ most
+        (r = 0.52 to 0.63 on [0.5, 1] at grid 1000); on a ball the largest
+        difference lies at the window's edge, r = b/2."""
+        if not self.reports:
+            return []
+        r = self.reports[0].profile.r
+        interior = r <= r[0] + INTERIOR_FRACTION * (r[-1] - r[0])
+        return [float(np.max(np.abs(leg.profile.u[interior] - prev.profile.u[interior])))
+                for prev, leg in zip(self.reports, self.reports[1:])]
 
 
 def _leg_start(reports: list, delta: float) -> RadialProfile:
@@ -856,25 +894,27 @@ def _leg_start(reports: list, delta: float) -> RadialProfile:
         delta, last.delta, last.profile.u, reports[-2].delta, reports[-2].profile.u))
 
 
+def _delta_legs(domain: Ball | Annulus) -> list:
+    """The boundary data of continuation_delta's legs, in order:
+    DELTA_SCHEDULE times the outer radius b, so that a dilated domain runs
+    the dilated legs (u scales as a length)."""
+    b = domain.radius if isinstance(domain, Ball) else domain.outer
+    return [float(d * b) for d in DELTA_SCHEDULE]
+
+
 def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
-    """Sweep the boundary datum down DELTA_SCHEDULE; spec.delta is not read.
+    """Sweep the boundary datum down the legs of _delta_legs, DELTA_SCHEDULE
+    times the outer radius; spec.delta is not read.
 
     The first leg runs the full tau continuation.  Each later leg runs
     one Newton solve (see _corrector) from the last profile moved along
     the secant through the last two legs (after one leg, by the change in
     the datum; see _leg_start); a refused leg, unlike a refused tau step,
     falls back to a fresh tau continuation; if that fails too, the sweep
-    stops there, with the leg's delta and both causes kept.  Records
-    pointwise monotonicity violations beyond h^2 and the successive
-    interior sup-differences (stabilization diagnostic).
+    stops there, with the leg's delta and both causes kept.
     """
-    result = DeltaContinuationResult(deltas=[], reports=[])
-    r = _grid(spec.domain, spec.grid)
-    half = r[0] + INTERIOR_FRACTION * (r[-1] - r[0])
-    interior = r <= half
-    tol = (r[1] - r[0])**2
-
-    for d in DELTA_SCHEDULE:
+    result = DeltaContinuationResult(reports=[])
+    for d in _delta_legs(spec.domain):
         spec_d = replace(spec, delta=d)
         report, refusal = None, None
         if result.reports:
@@ -888,14 +928,5 @@ def continuation_delta(spec: ProblemSpec) -> DeltaContinuationResult:
                 result.failed_delta = d
                 result.failure = f"{warm}fresh tau continuation failed: {err}"
                 break
-        if result.reports:
-            prev_u = result.reports[-1].profile.u
-            excess = float(np.max(report.profile.u - prev_u))
-            if excess > tol:
-                result.monotonicity_max_violation = max(
-                    result.monotonicity_max_violation, excess)
-            diff = float(np.max(np.abs(report.profile.u[interior] - prev_u[interior])))
-            result.interior_sup_diffs.append(diff)
-        result.deltas.append(d)
         result.reports.append(report)
     return result

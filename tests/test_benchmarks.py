@@ -40,7 +40,8 @@ def test_imports_without_running(monkeypatch, script):
 def test_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
     """The first 20 specs of the census sample, whatever their outcome:
     each converges or fails with an error that names its cause, and none
-    warns (run_specs turns warnings into errors)."""
+    warns (run_specs turns warnings into errors), in its tau continuation
+    or in its delta sweep."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     census = importlib.import_module("census")
     specs = census.sample()[:20]
@@ -48,6 +49,7 @@ def test_census_slice_has_no_foreign_exception_or_warning(monkeypatch):
     assert len(results) == 20
     assert [(r, spec) for r, spec in zip(results, specs)
             if r["outcome"] == "foreign"] == []
+    assert census.foreign_errors(results, specs) == []
 
 
 def test_census_counts_each_specs_newton_solves(monkeypatch):
@@ -68,6 +70,34 @@ def test_census_counts_each_specs_newton_solves(monkeypatch):
         ("converged", 3, 0), ("converged", 1, 0), ("built", 0, 0)]
     assert census.newton_totals(results) == {"converged": {"calls": 4, "refused": 0},
                                              "built": {"calls": 0, "refused": 0}}
+
+
+def test_census_runs_each_specs_delta_sweep(monkeypatch):
+    """run_specs runs continuation_delta on each problem spec after its tau
+    continuation, and restores lnlab.solver.continuation_tau after.  Census
+    specs 91, 73 and 24: on the first Newton refuses leg 2's warm start and
+    the fresh tau continuation it falls back to completes the sweep; on
+    the second that fallback's tau = 0 start problem stops short; the
+    third stops at leg 0, outside the cone.  A builder call runs no sweep."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    from lnlab import solver
+    continuation_tau = solver.continuation_tau
+    specs = census.sample()
+    results = census.run_specs([specs[91], specs[73], specs[24],
+                                census.builder_sample()[0]])
+    assert solver.continuation_tau is continuation_tau
+    assert [(r["sweep"], r["fallbacks"]) for r in results[:3]] == [
+        ("complete", 1),
+        ("stopped at leg 2: the tau = 0 start problem did not converge", 1),
+        ("stopped at leg 0: the step left the cone", 0)]
+    assert all(r["sweep_seconds"] > 0 for r in results[:3])
+    assert "sweep" not in results[3]
+    assert census.sweep_totals(results[:3]) == {
+        "counts": {"complete": 1,
+                   "stopped at leg 0: the step left the cone": 1,
+                   "stopped at leg 2: the tau = 0 start problem did not converge": 1},
+        "fallbacks": 2}
 
 
 def test_census_sample_ends_with_zero_datum_copies(monkeypatch):
@@ -283,6 +313,25 @@ def test_census_summary_counts_classes_and_names_foreign_errors(compare):
                    "foreign": {"calls": 7, "refused": 2}},
         "foreign": [{"error": "RuntimeWarning: overflow", "spec": STUB_SPECS[1]}]}
     assert compare.census_summary(STUB_SPECS, results[::2])["foreign"] == []
+
+
+def test_run_census_records_the_sweeps_and_their_foreign_errors(compare, monkeypatch):
+    """run_census holds the specs' delta sweeps under "sweeps", and a
+    foreign error in a sweep among the specs' foreign errors, with its
+    spec.  census.census is stubbed."""
+    specs, builders = STUB_SPECS[:2], STUB_SPECS[2:]
+    results = [stub_result("converged", sweep="complete", sweep_seconds=0.2, fallbacks=1),
+               stub_result("converged", sweep="foreign", sweep_seconds=0.1, fallbacks=0,
+                           sweep_error="RuntimeWarning: overflow"),
+               stub_result("built")]
+    monkeypatch.setattr(compare.census, "sample", lambda: specs)
+    monkeypatch.setattr(compare.census, "builder_sample", lambda: builders)
+    monkeypatch.setattr(compare.census, "census", lambda checkout, calls: results)
+    record = compare.run_census(compare.ROOT)
+    assert record["sweeps"] == {"counts": {"complete": 1, "foreign": 1}, "fallbacks": 1}
+    assert record["counts"] == {"converged": 2}
+    assert record["foreign"] == [{"error": "RuntimeWarning: overflow", "spec": specs[1]}]
+    assert record["builders"]["counts"] == {"built": 1} and "sweeps" not in record["builders"]
 
 
 @pytest.mark.parametrize("foreign_side", [None, "parent", "change"])

@@ -1,16 +1,20 @@
 """Command-line front-end: exit codes, determinism, filtering, mutation check."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lnlab.acceptance as acceptance
+import lnlab.cli as cli
 import lnlab.cones as cones
 import lnlab.solver as solver
+from lnlab import Ball, ConeSpec, ProblemSpec, continuation_tau
 from lnlab.cli import _format17, main
-from lnlab.errors import ContinuationStallError, InvalidProfileError
+from lnlab.errors import (ContinuationStallError, InadmissibleIterateError,
+                          InvalidProfileError)
 from lnlab.solver import DELTA_SCHEDULE, DeltaContinuationResult
 
 
@@ -134,22 +138,40 @@ class TestSolve:
         assert capsys.readouterr().err.startswith(f"error: grid {10**20} is too large")
 
     def test_tiny_ball_names_the_rounded_bump(self, capsys):
-        """Radii that stay in float range but fall below delta's rounding:
-        a numerical failure that names its cause."""
-        assert main(["solve", "--n", "8", "--outer", "1e-150", "--grid", "50"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: ")
-        assert ("bump max(w)/|w'(b)| = 5e-151 rounds away against delta "
-                "(ball outer radius 1e-150" in err)
+        """Radii that stay in float range but fall below the rounding of an
+        absolute datum.  The CLI's legs are multiples of the outer radius,
+        so it solves the 1e-150 ball; at the absolute datum 0.1 its start
+        is refused by a numerical failure that names the cause."""
+        assert main(["solve", "--n", "8", "--outer", "1e-150", "--grid", "50"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta_sweep"]["converged"]
+        spec = ProblemSpec(cone=ConeSpec(8, 1), tau=0.9, domain=Ball(1e-150), delta=0.1,
+                           grid=50)
+        with pytest.raises(InadmissibleIterateError,
+                           match=re.escape("bump max(w)/|w'(b)| = 5e-151 rounds away "
+                                           "against delta (ball outer radius 1e-150")):
+            continuation_tau(spec)
 
-    def test_cancelling_torsion_start_names_its_cause(self, capsys):
-        """A start that cancels to u <= 0 is a usage error that names the
-        radii, n, delta, the grid and the node, not only "conformal factor
-        must be positive": here n = 100 on a grid of 9 intervals, where the
-        discrete torsion function dips below zero.  The 1e24 annulus, whose
-        continuum start cancelled, now solves."""
-        assert main(["solve", "--n", "100", "--domain", "annulus", "--inner", "1e-5",
-                     "--outer", "10", "--grid", "9"]) == 2
+    def test_cancelling_torsion_start_names_its_cause(self, capsys, monkeypatch):
+        """n = 100 on a grid of 9 intervals, where the discrete torsion
+        function w dips below zero.  No CLI radii cancel the start: its
+        datum is 0.1 b, b the outer radius, and min w/|w'(b)| >= -0.05 b
+        at n <= 1e6 and grids 8 to 40 for a/b from 1e-12 to 0.9 and on the
+        ball.  On these radii the tau = 0 start problem stops short instead,
+        and the failure names the coarse inner sphere.  With the legs made
+        absolute again, the start cancels to u <= 0: a usage error that
+        names the radii, n, delta, the grid and the node, not only
+        "conformal factor must be positive".  The 1e24 annulus, whose
+        continuum start cancelled, solves."""
+        argv = ["solve", "--n", "100", "--domain", "annulus", "--inner", "1e-5",
+                "--outer", "10", "--grid", "9"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the tau = 0 start problem did not "
+                              "converge: ")
+        assert "; the start is coarse at the inner sphere: h/a = 1.11e+05 " in err
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_delta_legs", lambda domain: list(DELTA_SCHEDULE))
+            assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the tau = 0 start is not finite and positive: "
                               "annulus radii (1e-05, 10), n = 100, delta 0.1, "
@@ -312,8 +334,7 @@ class TestVerify:
                                                    monkeypatch):
         """A failed sweep measures nan, which the report must still spell as
         JSON."""
-        failed = DeltaContinuationResult(deltas=[0.1, 0.05], reports=[],
-                                         failed_delta=0.05)
+        failed = DeltaContinuationResult(reports=[], failed_delta=0.1)
         monkeypatch.setattr(acceptance, "_ln_limit_sweep",
                             lambda: (None, failed))
         out = tmp_path / "verify.json"

@@ -907,19 +907,22 @@ def seed_make_report(u, spec, r, F, margins, state, iters, stop):
     margin_full = np.zeros(r.size)
     margin_full[solver._pde_rows(spec)] = margins
     report = SolveReport(
+        spec=spec,
         profile=profile,
-        residual_sup=float(res_nodes.max()),
-        admissibility_margin_min=float(margins.min()),
         newton_iterations=iters,
         continuation_steps=0,
-        converged=stop in ("tolerance", "rounding floor"),
-        tau=spec.tau,
-        delta=spec.delta,
         residual_nodes=res_nodes,
         margin_nodes=margin_full,
         newton_stop=stop,
     )
     summary = report.to_dict()
+    assert report.residual_sup == summary["residual_sup"] == float(res_nodes.max())
+    assert (report.admissibility_margin_min == summary["admissibility_margin_min"]
+            == float(margins.min()))
+    assert report.converged is summary["converged"] is (stop in ("tolerance",
+                                                                 "rounding floor"))
+    assert (report.tau, report.delta) == (summary["tau"], summary["delta"]) == (spec.tau,
+                                                                               spec.delta)
     assert report.grad_sup == summary["grad_sup"] == float(np.abs(du).max())
     assert report.boundary_slope == summary["boundary_slope"] == boundary_slope(profile)
     assert (summary["c0_min"], summary["c0_max"]) == (float(u.min()), float(u.max()))
@@ -1793,6 +1796,71 @@ def test_continuation_tau_is_bit_covariant_under_dilation(cone, domain, m):
             == (want.newton_iterations, want.continuation_steps, want.newton_stop))
 
 
+def dilated(spec: ProblemSpec, m: int) -> ProblemSpec:
+    """spec with its radii and its datum multiplied by 2^m."""
+    d = spec.domain
+    domain = (Ball(np.ldexp(d.radius, m)) if isinstance(d, Ball)
+              else Annulus(np.ldexp(d.inner, m), np.ldexp(d.outer, m)))
+    return replace(spec, domain=domain, delta=float(np.ldexp(spec.delta, m)))
+
+
+def outcome_of(run, spec):
+    """run(spec), or for an lnlab error its scale-free part: its type, its
+    worst node and margin, and a stall's message, which names only
+    scale-free numbers (tau, the residual, the rounding floor, h/a)."""
+    try:
+        return run(spec)
+    except LnlabError as err:
+        return (type(err), getattr(err, "worst_node", None), getattr(err, "margin", None),
+                str(err) if isinstance(err, ContinuationStallError) else None)
+
+
+def assert_dilated_report(got, want, scale):
+    assert_same_arrays([got.profile.r, got.profile.u, got.residual_nodes, got.margin_nodes],
+                       [want.profile.r * scale, want.profile.u * scale,
+                        want.residual_nodes, want.margin_nodes])
+    assert ((got.newton_iterations, got.continuation_steps, got.newton_stop)
+            == (want.newton_iterations, want.continuation_steps, want.newton_stop))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 12), data=st.data(),
+       tau=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                     st.floats(1.0, 4.0).map(lambda e: 1.0 - 10.0**-e)),
+       outer=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+       ratio=st.one_of(st.none(), st.floats(-3.0, np.log10(0.99)).map(lambda e: 10.0**e)),
+       datum=st.one_of(st.just(0.0), st.floats(-6.0, 1.0).map(lambda e: 10.0**e)),
+       grid=st.integers(8, 100), m=st.integers(-60, 60))
+def test_both_continuations_are_bit_covariant_on_the_census_box(n, data, tau, outer, ratio,
+                                                                  datum, grid, m):
+    """The census box (benchmarks/census.py) at grids up to 100, dilated
+    by 2^m: continuation_tau and continuation_delta give 2^m times the
+    grid and every profile, the same residuals, margins, counts and
+    stops, bit for bit, and the same refusals; a stopped sweep stops at
+    2^m times the same datum, for the same warm-start refusal."""
+    k = data.draw(st.integers(1, n), label="k")
+    domain = Ball(outer) if ratio is None else Annulus(ratio * outer, outer)
+    spec = ProblemSpec(cone=ConeSpec(n, k), tau=tau, domain=domain, delta=datum * outer,
+                       grid=grid)
+    scale = 2.0**m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (continuation_tau, continuation_delta):
+            got, want = outcome_of(run, dilated(spec, m)), outcome_of(run, spec)
+            if isinstance(want, tuple):
+                assert got == want
+            elif run is continuation_tau:
+                assert_dilated_report(got, want, scale)
+            else:
+                assert len(got.reports) == len(want.reports)
+                for a, b in zip(got.reports, want.reports):
+                    assert_dilated_report(a, b, scale)
+                assert got.failed_delta == (None if want.ok else want.failed_delta * scale)
+                warm = [sweep.failure and sweep.failure.partition("fresh")[0]
+                        for sweep in (got, want)]
+                assert warm[0] == warm[1]
+
+
 # Found by the census: on this annulus (6, 1) converges, and k >= 2 stalls
 # for any target tau.  Before the predictor-corrector steps, continuation_tau
 # stalled here after 458 (k = 2) and 508 (k = 3) newton_solve calls at every
@@ -2066,6 +2134,39 @@ class TestContinuationDelta:
         assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
         assert all(rep.converged and rep.tau == 1.0 for rep in sweep.reports)
 
+    def test_summaries_follow_the_reports(self):
+        """deltas, interior_sup_diffs and monotonicity_max_violation are
+        read from the reports: a copy with the first 4 reads 4 deltas and 3
+        diffs, and its monotonicity over those legs alone."""
+        sweep = continuation_delta(ball_spec(grid=50))
+        short = replace(sweep, reports=sweep.reports[:4])
+        assert short.deltas == sweep.deltas[:4] == list(DELTA_SCHEDULE[:4])
+        assert short.interior_sup_diffs == sweep.interior_sup_diffs[:3]
+        assert len(short.interior_sup_diffs) == 3
+        rising = replace(sweep, reports=sweep.reports[:4] + sweep.reports[:1])
+        excess = float(np.max(sweep.reports[0].profile.u - sweep.reports[3].profile.u))
+        assert rising.monotonicity_max_violation == excess > 0.0
+        assert replace(rising, reports=rising.reports[:4]).monotonicity_max_violation == 0.0
+        assert sweep.monotonicity_max_violation == 0.0
+
+    def test_monotonicity_flags_the_legs_comparison_check_refuses(self):
+        """A leg is recorded exactly when comparison_check refuses it
+        against the leg before, past the allowance h^2/b: on the ball of
+        radius 2 at grid 50, a leg half that amount above the last is not,
+        one twice that amount above it is."""
+        sweep = continuation_delta(ProblemSpec(cone=ConeSpec(3, 1), tau=0.9,
+                                               domain=Ball(2.0), delta=0.1, grid=50))
+        first = sweep.reports[0]
+        allowance = first.profile.h**2 / 2.0
+        for rise, flagged in ((0.5 * allowance, False), (2.0 * allowance, True)):
+            raised = replace(first, profile=RadialProfile(r=first.profile.r,
+                                                          u=first.profile.u + rise))
+            refused = not comparison_check(raised.profile, first.profile)
+            record = replace(sweep, reports=[first, raised]).monotonicity_max_violation
+            assert refused == flagged
+            assert record == (float(np.max(raised.profile.u - first.profile.u))
+                              if flagged else 0.0)
+
     def test_records_a_monotonicity_violation_above_h_squared(self, monkeypatch):
         """A leg whose profile exceeds the last one's by more than h^2
         somewhere is recorded: monotonicity_max_violation is the largest
@@ -2206,13 +2307,13 @@ class TestDeltaFallback:
         assert same_report(sweep.reports[self.LEG], fresh)
 
     def test_census_sweep_completes_through_the_fallback(self, monkeypatch):
-        """(9, 2, .99374) on Annulus(0.10576, 0.12769) at grid 272, a census
+        """(7, 7, .98542) on Annulus(5.5610, 8.1530) at grid 324, a census
         spec: Newton refuses leg 2's warm start, outside the cone, and the
         fresh tau continuation that leg falls back to (20 steps) lets the
-        sweep run all 11 legs."""
-        spec = ProblemSpec(cone=ConeSpec(9, 2), tau=0.9937400982564466,
-                           domain=Annulus(0.10575345310665919, 0.1276859687484653),
-                           delta=0.1, grid=272)
+        sweep run all 11 legs, DELTA_SCHEDULE times the outer radius."""
+        spec = ProblemSpec(cone=ConeSpec(7, 7), tau=0.9854235510351995,
+                           domain=Annulus(5.5609770835545245, 8.153023285648048),
+                           delta=0.1, grid=324)
         calls, fallback = [], solver.continuation_tau
 
         def counted(spec, opts=None):
@@ -2221,8 +2322,9 @@ class TestDeltaFallback:
 
         monkeypatch.setattr(solver, "continuation_tau", counted)
         sweep = continuation_delta(spec)
-        assert sweep.ok and sweep.deltas == list(DELTA_SCHEDULE)
-        assert calls == [DELTA_SCHEDULE[0], DELTA_SCHEDULE[2]]
+        legs = [d * spec.domain.outer for d in DELTA_SCHEDULE]
+        assert sweep.ok and sweep.deltas == legs
+        assert calls == [legs[0], legs[2]]
         assert [rep.continuation_steps for rep in sweep.reports[1:]] == [0, 20] + [0] * 8
 
     def test_failed_fallback_ends_the_sweep_at_that_leg(self, inadmissible_start,
@@ -2319,12 +2421,12 @@ def reference_to_csv(self):
 
 def special_values_report():
     """A report whose columns hold values a float writer can get wrong."""
-    odd = [np.inf, np.nan, -0.0, 5e-324, 1e22, 1 / 3]
-    profile = RadialProfile(r=np.linspace(0.0, 1.0, 6),
-                            u=[1 / 3, 1e22, 5e-324, 0.1, 2 / 3, -0.0])
-    return SolveReport(profile=profile, residual_sup=np.inf,
-                       admissibility_margin_min=-np.inf, newton_iterations=0,
-                       continuation_steps=0, converged=False, tau=0.5, delta=0.1,
+    odd = [np.inf, np.nan, -0.0, 5e-324, 1e22, 1 / 3, 2.2250738585072014e-308,
+           -1e-300, 123456789.0]
+    profile = RadialProfile(r=np.linspace(0.0, 1.0, 9),
+                            u=[1 / 3, 1e22, 5e-324, 0.1, 2 / 3, 1e-310, 7e300, 0.5, -0.0])
+    return SolveReport(spec=ball_spec(delta=0.0, grid=8), profile=profile,
+                       newton_iterations=0, continuation_steps=0,
                        residual_nodes=np.array(odd),
                        margin_nodes=-np.array(odd[::-1]),
                        newton_stop="line search")
@@ -2368,6 +2470,46 @@ class TestReport:
         assert (doubled.grad_sup, doubled.boundary_slope) == (after["grad_sup"],
                                                               after["boundary_slope"])
         assert rep.to_dict() == before
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    def test_stored_summaries_follow_a_replaced_field(self, domain):
+        """converged is read from newton_stop, residual_sup from
+        residual_nodes, admissibility_margin_min from the PDE rows of
+        margin_nodes, and tau and delta from the spec: a copy with another
+        of them reports that one's."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9, domain=domain,
+                           delta=0.05, grid=100)
+        rep = continuation_tau(spec)
+        assert rep.converged and replace(rep, newton_stop="rounding floor").converged
+        assert not replace(rep, newton_stop="line search").converged
+        assert not replace(rep, newton_stop="iteration limit").converged
+        doubled = replace(rep, residual_nodes=2 * rep.residual_nodes)
+        assert doubled.residual_sup == 2 * rep.residual_sup != rep.residual_sup
+        rows = solver._pde_rows(spec)
+        margins = rep.margin_nodes.copy()
+        margins[-1] = -1.0                      # a Dirichlet row: not read
+        assert rep.admissibility_margin_min == float(rep.margin_nodes[rows].min())
+        assert (replace(rep, margin_nodes=margins).admissibility_margin_min
+                == rep.admissibility_margin_min)
+        margins[rows.stop - 1] = 1e-20
+        assert replace(rep, margin_nodes=margins).admissibility_margin_min == 1e-20
+        other = replace(rep, spec=replace(spec, tau=0.5, delta=0.01))
+        assert (other.tau, other.delta) == (0.5, 0.01)
+        assert (other.to_dict()["tau"], other.to_dict()["delta"]) == (0.5, 0.01)
+
+    @pytest.mark.parametrize("domain", [Ball(1.0), Annulus(0.5, 1.0)],
+                             ids=["ball", "annulus"])
+    def test_residual_nodes_are_the_residual_of_the_profile_and_spec(self, domain):
+        """A report carries the spec it solved, so residual() re-checks it
+        with no second argument: |residual(profile, spec)| is
+        residual_nodes bit for bit, for a tau continuation and every leg of
+        a delta sweep."""
+        spec = ProblemSpec(cone=ConeSpec(4, 2), tau=0.9, domain=domain,
+                           delta=0.05, grid=100)
+        for rep in [continuation_tau(spec), *continuation_delta(spec).reports]:
+            assert_same_arrays([np.abs(residual(rep.profile, rep.spec))],
+                               [rep.residual_nodes])
 
     def test_csv_columns(self):
         spec = ball_spec(grid=50)
