@@ -14,24 +14,27 @@ hyperbolic_ball_profile, barrier_profile, and the certificate chain
 linear_auxiliary -> find_N -> verify_admissible (see `builder_sample` for
 their boxes).  One fresh interpreter, with CHECKOUT's src/ first on
 sys.path, runs continuation_tau on each spec and each builder call, with
-warnings as errors, and stops one after SPEC_SECONDS (see `run_specs`).
-It counts each spec's newton_solve calls and the refused ones among them,
-so the cost of the tau step halvings shows whatever the machine's load:
-a tau step is one newton_solve call, from its predicted start, and a
-refused one is halved.  Each spec then runs continuation_delta, the sweep
-`lnlab solve` runs, the same way: its class is "complete" or the leg it
-stopped at with its cause, and its fallbacks are its continuation_tau
-calls after the first leg's.
+warnings as errors (see `run_specs`).  Each spec then runs
+continuation_delta, the sweep `lnlab solve` runs, the same way: its class
+is "complete" or the leg it stopped at with its cause, and its fallbacks
+are its continuation_tau calls after the first leg's.
+
+A run, a spec's tau continuation or its delta sweep, counts its
+newton_solve calls and the refused ones among them, and is stopped after
+SPEC_NEWTON_CALLS calls: a tau step or a warm delta leg is one
+newton_solve call, from its predicted start, and a refused tau step is
+halved.  So every class and count depends only on the code, not on the
+machine's load.
 
 Printed, for the specs and for the builders: the count per outcome class
 (converged or built, or the cause the error names, see `outcome`) with the
-class's newton_solve calls and refused calls, the count per sweep class
-and the fallbacks, the SLOWEST slowest, and every foreign exception or
-warning with its spec.  Exits 1 if there was one.
+class's newton_solve calls and refused calls, the same per sweep class
+with the fallbacks, the SLOWEST slowest, and every foreign exception or
+warning with its spec (see `summary`).  Exits 1 if there was one.
 """
 
+import contextlib
 import json
-import signal
 import subprocess
 import sys
 import time
@@ -44,10 +47,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
-# About a minute on one core: a few specs run tau step halvings for
-# minutes, so each is stopped after SPEC_SECONDS.
+# About 20 s on one core.
 SPECS = 120
-SPEC_SECONDS = 10
+# A run whose tau steps keep halving could take minutes, so each run is
+# stopped after this many newton_solve calls.  On this sample the largest
+# run, a delta sweep, makes 4,495 calls (3.5 s on one core of a Xeon), and
+# the largest tau continuation 2,928 (1.6 s); at about 0.65 ms a call,
+# 10,000 calls take about 6.5 s.
+SPEC_NEWTON_CALLS = 10_000
 # Every tenth drawn spec is solved again at delta = 0, the Loewner-Nirenberg
 # datum itself: 12 more specs.
 ZERO_DELTA_EVERY = 10
@@ -72,12 +79,8 @@ PROBE = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import census; "
          "json.dump(census.run_specs(json.load(sys.stdin)), sys.stdout)")
 
 
-class OverTime(Exception):
-    """Raised in a spec that has run for SPEC_SECONDS."""
-
-
-def _over_time(signum, frame):
-    raise OverTime
+class OverBudget(Exception):
+    """Raised at a run's newton_solve call after its SPEC_NEWTON_CALLS-th."""
 
 
 def sample(count: int = SPECS) -> list:
@@ -194,8 +197,8 @@ def outcome(err: BaseException) -> str | None:
     """The class of a refusal: its type and the first of CAUSES its message
     holds, else its message; None for a foreign exception or a warning."""
     from lnlab.errors import LnlabError
-    if isinstance(err, OverTime):
-        return f"stopped after {SPEC_SECONDS} s"
+    if isinstance(err, OverBudget):
+        return f"stopped after {SPEC_NEWTON_CALLS} newton_solve calls"
     if not isinstance(err, LnlabError):
         return None
     message = str(err)
@@ -203,64 +206,73 @@ def outcome(err: BaseException) -> str | None:
         (cause for cause in CAUSES if cause in message), message)
 
 
-def _count_newton(counts: list):
-    """Wrap lnlab.solver.newton_solve, the module global continuation_tau
-    calls, so that each call adds 1 to counts[0] and each refused one (an
-    lnlab error, or a report that did not converge) 1 to counts[1].  A
-    predicted start that RadialProfile refuses makes no call.
-    Returns a function that restores it."""
-    from lnlab import solver
+@contextlib.contextmanager
+def wrapping(module, wraps: dict):
+    """Each attribute of module that wraps names, a function or a constant,
+    replaced by wraps[name](its value), so that module's code reads the
+    replacement, and restored after, also when the body raises.  A name
+    module lacks is skipped."""
+    originals = {name: getattr(module, name) for name in wraps if hasattr(module, name)}
+    try:
+        for name, original in originals.items():
+            setattr(module, name, wraps[name](original))
+        yield
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+
+
+def _counting(counts: list, taus: list) -> dict:
+    """The wraps (see `wrapping`) of lnlab.solver's module globals that
+    continuation_tau and continuation_delta call.  Each newton_solve call
+    adds 1 to counts[0] and each refused one (an lnlab error, or a report
+    that did not converge) 1 to counts[1]; a call once counts[0] is
+    SPEC_NEWTON_CALLS raises OverBudget instead.  A predicted start that
+    RadialProfile refuses makes no call.  Each continuation_tau call, the
+    first leg's of a delta sweep or a fallback's, adds 1 to taus[0]."""
     from lnlab.errors import LnlabError
-    solve = solver.newton_solve
 
-    def counted(*args, **kwargs):
-        counts[0] += 1
-        try:
-            report = solve(*args, **kwargs)
-        except LnlabError:
-            counts[1] += 1
-            raise
-        counts[1] += not report.converged
-        return report
+    def count_newton(solve):
+        def counted(*args, **kwargs):
+            if counts[0] >= SPEC_NEWTON_CALLS:
+                raise OverBudget
+            counts[0] += 1
+            try:
+                report = solve(*args, **kwargs)
+            except LnlabError:
+                counts[1] += 1
+                raise
+            counts[1] += not report.converged
+            return report
+        return counted
 
-    solver.newton_solve = counted
-    return lambda: setattr(solver, "newton_solve", solve)
+    def count_tau(continuation_tau):
+        def counted(*args, **kwargs):
+            taus[0] += 1
+            return continuation_tau(*args, **kwargs)
+        return counted
 
-
-def _count_tau(calls: list):
-    """Wrap lnlab.solver.continuation_tau, the module global
-    continuation_delta calls for its first leg and for each fallback, so
-    that each call adds 1 to calls[0].  Returns a function that restores
-    it."""
-    from lnlab import solver
-    continuation_tau = solver.continuation_tau
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return continuation_tau(*args, **kwargs)
-
-    solver.continuation_tau = counted
-    return lambda: setattr(solver, "continuation_tau", continuation_tau)
+    return {"newton_solve": count_newton, "continuation_tau": count_tau}
 
 
-def _run_one(run, spec: dict) -> dict:
-    """{"outcome", "seconds"} of run(spec), with warnings as errors, stopped
-    after SPEC_SECONDS by SIGALRM: its outcome, or the class of its error
-    (see `outcome`); a foreign exception or a warning has outcome
-    "foreign" and its "error"."""
+def _run_one(run, spec: dict, counts: list) -> dict:
+    """{"outcome", "seconds", "newton_calls", "newton_refused"} of run(spec),
+    with warnings as errors and counts reset first (see `_counting`): its
+    outcome, or the class of its error (see `outcome`), and its
+    newton_solve calls and refused calls; a foreign exception or a warning
+    has outcome "foreign" and its "error"."""
+    counts[:] = [0, 0]
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        signal.setitimer(signal.ITIMER_REAL, SPEC_SECONDS)
         try:
             result = {"outcome": run(spec)}
         except Exception as err:            # noqa: BLE001 - the census counts them
             cls = outcome(err)
             result = ({"outcome": cls} if cls else
                       {"outcome": "foreign", "error": f"{type(err).__name__}: {err}"})
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
     result["seconds"] = time.perf_counter() - start
+    result["newton_calls"], result["newton_refused"] = counts
     return result
 
 
@@ -268,50 +280,45 @@ def run_specs(specs: list) -> list:
     """Per spec, {"outcome", "seconds", "newton_calls", "newton_refused"}
     from continuation_tau on the lnlab first on sys.path, or from the
     builder call of a spec with a "builder" (see `_build`), by `_run_one`.
-    The counts are the spec's newton_solve calls and refused calls (see
-    `_count_newton`).  A problem spec then runs its delta sweep by
-    `_run_one` too, with its own SPEC_SECONDS, which adds "sweep" (its
-    class, see `_sweep`), "sweep_seconds", "fallbacks" (its continuation_tau
-    calls after the first) and, for a foreign one, "sweep_error"."""
+    A problem spec then runs its delta sweep by `_run_one` too, with its
+    own count, which adds "sweep" (its class, see `_sweep`),
+    "sweep_seconds", "sweep_newton_calls", "sweep_newton_refused",
+    "fallbacks" (its continuation_tau calls after the first) and, for a
+    foreign one, "sweep_error"."""
+    from lnlab import solver
     results = []
     counts, taus = [0, 0], [0]
-    restore = [_count_newton(counts), _count_tau(taus)]
-    handler = signal.signal(signal.SIGALRM, _over_time)
-    try:
+    with wrapping(solver, _counting(counts, taus)):
         for spec in specs:
-            counts[:] = [0, 0]
-            result = _run_one(_build if "builder" in spec else _solve, spec)
-            result["newton_calls"], result["newton_refused"] = counts
+            result = _run_one(_build if "builder" in spec else _solve, spec, counts)
             if "builder" not in spec:
                 taus[0] = 0
-                sweep = _run_one(_sweep, spec)
-                result.update(sweep=sweep["outcome"], sweep_seconds=sweep["seconds"],
-                              fallbacks=max(taus[0] - 1, 0))
-                if "error" in sweep:
-                    result["sweep_error"] = sweep["error"]
+                sweep = _run_one(_sweep, spec, counts)
+                result.update({f"sweep_{key}": value for key, value in sweep.items()
+                               if key != "outcome"},
+                              sweep=sweep["outcome"], fallbacks=max(taus[0] - 1, 0))
             results.append(result)
-    finally:
-        signal.signal(signal.SIGALRM, handler)
-        for undo in restore:
-            undo()
     return results
 
 
-def newton_totals(results: list) -> dict:
-    """Per outcome class, the newton_solve calls and refused calls of its
-    results: {class: {"calls": ..., "refused": ...}}."""
+def newton_totals(results: list, key: str = "outcome", prefix: str = "") -> dict:
+    """Per class of results (under key), the newton_solve calls and refused
+    calls of its results (under prefix + "newton_calls" and prefix +
+    "newton_refused"): {class: {"calls": ..., "refused": ...}}."""
     totals = {}
     for result in results:
-        total = totals.setdefault(result["outcome"], {"calls": 0, "refused": 0})
-        total["calls"] += result["newton_calls"]
-        total["refused"] += result["newton_refused"]
-    return totals
+        total = totals.setdefault(result[key], {"calls": 0, "refused": 0})
+        total["calls"] += result[prefix + "newton_calls"]
+        total["refused"] += result[prefix + "newton_refused"]
+    return dict(sorted(totals.items()))
 
 
 def sweep_totals(results: list) -> dict:
     """The delta sweeps of problem-spec results: the count per class (see
-    `_sweep`) and the fallbacks of them all."""
+    `_sweep`), each class's newton_solve calls and refused calls under
+    "newton" (see `newton_totals`), and the fallbacks of them all."""
     return {"counts": dict(sorted(Counter(r["sweep"] for r in results).items())),
+            "newton": newton_totals(results, "sweep", "sweep_"),
             "fallbacks": sum(r["fallbacks"] for r in results)}
 
 
@@ -322,6 +329,22 @@ def foreign_errors(results: list, specs: list) -> list:
             for error in (result.get("error"), result.get("sweep_error")) if error]
 
 
+def summary(specs: list, results: list) -> dict:
+    """The census of results (run_specs on specs) without its seconds: the
+    count per outcome class, its newton_solve calls and refused calls under
+    "newton" (see `newton_totals`), each foreign exception or warning with
+    its spec under "foreign" (see `foreign_errors`) and, if results ran
+    delta sweeps, those sweeps under "sweeps" (see `sweep_totals`)."""
+    out = {"counts": dict(sorted(Counter(r["outcome"] for r in results).items())),
+           "newton": newton_totals(results),
+           "foreign": [{"error": error, "spec": spec}
+                       for error, spec in foreign_errors(results, specs)]}
+    swept = [result for result in results if "sweep" in result]
+    if swept:
+        out["sweeps"] = sweep_totals(swept)
+    return out
+
+
 def census(checkout: Path, specs: list) -> list:
     """run_specs on checkout's lnlab, in a fresh interpreter."""
     cmd = [sys.executable, "-c", PROBE, str(Path(__file__).resolve().parent),
@@ -330,29 +353,34 @@ def census(checkout: Path, specs: list) -> list:
                                      capture_output=True, text=True).stdout)
 
 
+def _class_lines(counts: dict, newton: dict) -> list:
+    """A line per class, the most frequent first: its count and its
+    newton_solve calls and refused calls."""
+    return [f"  {count:4d}  {name}  ({newton[name]['calls']} newton_solve calls, "
+            f"{newton[name]['refused']} refused)"
+            for name, count in sorted(counts.items(), key=lambda item: -item[1])]
+
+
 def report(specs: list, results: list) -> tuple:
-    """The printed census, as lines, and whether it found anything foreign."""
-    counts = Counter(result["outcome"] for result in results)
-    newton = newton_totals(results)
+    """The printed census, as lines: its summary (see `summary`) with the
+    seconds of the specs and of their sweeps and the SLOWEST slowest; and
+    whether it found anything foreign."""
+    census = summary(specs, results)
     lines = [f"{len(specs)} specs in {sum(r['seconds'] for r in results):.1f} s"]
-    lines += [f"  {count:4d}  {name}  ({newton[name]['calls']} newton_solve calls, "
-              f"{newton[name]['refused']} refused)" for name, count in counts.most_common()]
-    swept = [result for result in results if "sweep" in result]
-    if swept:
-        sweeps = sweep_totals(swept)
-        lines.append(f"{len(swept)} delta sweeps in "
-                     f"{sum(r['sweep_seconds'] for r in swept):.1f} s, "
+    lines += _class_lines(census["counts"], census["newton"])
+    if "sweeps" in census:
+        sweeps = census["sweeps"]
+        lines.append(f"{sum(sweeps['counts'].values())} delta sweeps in "
+                     f"{sum(r.get('sweep_seconds', 0.0) for r in results):.1f} s, "
                      f"{sweeps['fallbacks']} fallbacks:")
-        lines += [f"  {count:4d}  {name}" for name, count in
-                  sorted(sweeps["counts"].items(), key=lambda item: -item[1])]
+        lines += _class_lines(sweeps["counts"], sweeps["newton"])
     lines.append("slowest:")
     ranked = sorted(zip(results, specs), key=lambda pair: -pair[0]["seconds"])
     lines += [f"  {result['seconds']:7.2f} s  {result['outcome']}  {json.dumps(spec)}"
               for result, spec in ranked[:SLOWEST]]
-    foreign = foreign_errors(results, specs)
-    lines.append(f"foreign exceptions and warnings: {len(foreign)}")
-    lines += [f"  {error}  {json.dumps(spec)}" for error, spec in foreign]
-    return lines, bool(foreign)
+    lines.append(f"foreign exceptions and warnings: {len(census['foreign'])}")
+    lines += [f"  {f['error']}  {json.dumps(f['spec'])}" for f in census["foreign"]]
+    return lines, bool(census["foreign"])
 
 
 def main(argv=None):

@@ -39,17 +39,17 @@ beyond those of `import numpy` and the process's ru_maxrss (see
 
 Last, each side runs the robustness census of benchmarks/census.py on the
 same sample of specs and builder calls; under "census" the record holds
-each side's count per outcome class, the class's newton_solve calls and
-refused calls, and its foreign exceptions and warnings, for the specs and,
-under "builders", for the builder calls; under "sweeps", the count per
-class of the specs' delta sweeps and their fallbacks (see `run_census`).
+each side's census.summary: the count per outcome class, the class's
+newton_solve calls and refused calls, and its foreign exceptions and
+warnings, for the specs and, under "builders", for the builder calls;
+under "sweeps", the same counts and newton_solve calls per class of the
+specs' delta sweeps, and their fallbacks (see `run_census`).
 
 Progress goes to stderr; the record is one JSON document on stdout.  Exits
 1, after writing the record, if either side's census shows a foreign
 exception or warning.
 """
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -59,7 +59,6 @@ import statistics
 import subprocess
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import census
@@ -278,40 +277,11 @@ def _stage_problem(solver, ConeSpec, grid):
     return spec, solver.initial_profile(spec)
 
 
-@contextlib.contextmanager
-def _one_newton_iteration(solver):
-    """MAX_NEWTON_ITERATIONS set to 1, as the newton_solve_1_iteration
-    stage runs, and restored after."""
-    iterations = solver.MAX_NEWTON_ITERATIONS
-    solver.MAX_NEWTON_ITERATIONS = 1
-    try:
-        yield
-    finally:
-        solver.MAX_NEWTON_ITERATIONS = iterations
-
-
-@contextlib.contextmanager
-def _wrapping(solver, stages: dict, wrap):
-    """Each function that stages names (stage: its name in lnlab.solver)
-    replaced in the solver module by wrap(stage, function), so newton_solve
-    calls the wrapper, and restored after, also when the body raises.  A
-    name the checkout lacks is skipped."""
-    originals = {stage: (name, getattr(solver, name))
-                 for stage, name in stages.items() if hasattr(solver, name)}
-    try:
-        for stage, (name, original) in originals.items():
-            setattr(solver, name, wrap(stage, original))
-        yield
-    finally:
-        for name, original in originals.values():
-            setattr(solver, name, original)
-
-
 def stage_times(src: str, grids=None) -> dict:
     """Milliseconds per call of each stage, per grid of grids (STAGE_GRIDS
     by default), lnlab from src, inside one-iteration newton_solve calls on
     _stage_problem (MAX_NEWTON_ITERATIONS set to 1 for the probe).  The
-    stages of STAGES are wrapped (see `_wrapping`) and timed per call as
+    stages of STAGES are wrapped (see census.wrapping) and timed per call as
     that iteration calls them; a stage it does not reach, as one whose
     name the checkout lacks, gets no key.  Unwrapped, the whole call and
     then `SolveReport.to_csv` of that iteration's report are timed as
@@ -323,11 +293,12 @@ def stage_times(src: str, grids=None) -> dict:
     from lnlab import solver
     from lnlab.cones import ConeSpec
     out, clock = {}, {}
-    with _one_newton_iteration(solver):
+    with census.wrapping(solver, {"MAX_NEWTON_ITERATIONS": lambda limit: 1}):
         for grid in STAGE_GRIDS if grids is None else grids:
             spec, init = _stage_problem(solver, ConeSpec, grid)
             one_iteration = lambda: solver.newton_solve(init, spec)  # noqa: E731
-            with _wrapping(solver, STAGES, functools.partial(_clock, clock)):
+            with census.wrapping(solver, {name: functools.partial(_clock, clock, stage)
+                                          for stage, name in STAGES.items()}):
                 times = per_call_ms(one_iteration, clock)
             times.update(per_call_ms(
                 _clock(clock, "newton_solve_1_iteration", one_iteration), clock))
@@ -353,7 +324,7 @@ def _stage_peaks(solver, call) -> dict:
     """Bytes above call()'s start at the peak of each stage of its one
     newton_solve iteration: the line-search trials' `_evaluate` (every call
     after the first, the start's), `_analytic_jacobian` and `solve_banded`,
-    each wrapped (see `_wrapping`) with tracemalloc's peak reset around
+    each wrapped (see census.wrapping) with tracemalloc's peak reset around
     it.  A stage the iteration does not reach gets no key."""
     import tracemalloc
     stages = {"trial_evaluate": "_evaluate", "jacobian": "_analytic_jacobian",
@@ -372,7 +343,8 @@ def _stage_peaks(solver, call) -> dict:
             return result
         return call_stage
 
-    with _wrapping(solver, stages, traced):
+    with census.wrapping(solver, {name: functools.partial(traced, stage)
+                                  for stage, name in stages.items()}):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -396,7 +368,7 @@ def newton_peaks(src: str) -> dict:
     from lnlab import solver
     from lnlab.cones import ConeSpec
     out = {}
-    with _one_newton_iteration(solver):
+    with census.wrapping(solver, {"MAX_NEWTON_ITERATIONS": lambda limit: 1}):
         for grid in STAGE_GRIDS:
             spec, init = _stage_problem(solver, ConeSpec, grid)
             one_iteration = lambda: solver.newton_solve(init, spec)  # noqa: E731
@@ -465,29 +437,15 @@ def peak_medians(runs: dict) -> dict:
     return out
 
 
-def census_summary(specs: list, results: list) -> dict:
-    """One side's census (census.census results on specs): the count per
-    outcome class, its newton_solve calls and refused calls under "newton"
-    (see census.newton_totals), and each foreign exception or warning with
-    its spec, in a solve, a build or a delta sweep (see
-    census.foreign_errors).  run_census adds the delta sweeps under
-    "sweeps" and the summary of the builder calls under "builders"."""
-    return {"counts": dict(sorted(Counter(r["outcome"] for r in results).items())),
-            "newton": dict(sorted(census.newton_totals(results).items())),
-            "foreign": [{"error": error, "spec": spec}
-                        for error, spec in census.foreign_errors(results, specs)]}
-
-
 def run_census(checkout: Path) -> dict:
-    """census_summary of checkout on census.sample(), with its delta sweeps
-    under "sweeps" (see census.sweep_totals) and census_summary of
-    census.builder_sample() under "builders", from one fresh interpreter."""
+    """census.summary of checkout on census.sample(), with its delta sweeps
+    under "sweeps", and census.summary of census.builder_sample() under
+    "builders", from one fresh interpreter."""
     specs, builders = census.sample(), census.builder_sample()
     print(f"{checkout.name} census", file=sys.stderr, flush=True)
     results = census.census(checkout, specs + builders)
-    return {**census_summary(specs, results[:len(specs)]),
-            "sweeps": census.sweep_totals(results[:len(specs)]),
-            "builders": census_summary(builders, results[len(specs):])}
+    return {**census.summary(specs, results[:len(specs)]),
+            "builders": census.summary(builders, results[len(specs):])}
 
 
 def main(argv=None):

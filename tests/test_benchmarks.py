@@ -78,7 +78,10 @@ def test_census_runs_each_specs_delta_sweep(monkeypatch):
     specs 91, 73 and 24: on the first Newton refuses leg 2's warm start and
     the fresh tau continuation it falls back to completes the sweep; on
     the second that fallback's tau = 0 start problem stops short; the
-    third stops at leg 0, outside the cone.  A builder call runs no sweep."""
+    third stops at leg 0, outside the cone.  Each sweep counts its own
+    newton_solve calls and refused calls: on the second, one call for leg
+    0's tau = 0 solve, one per warm leg and one for the fallback's start.
+    A builder call runs no sweep."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     census = importlib.import_module("census")
     from lnlab import solver
@@ -87,17 +90,72 @@ def test_census_runs_each_specs_delta_sweep(monkeypatch):
     results = census.run_specs([specs[91], specs[73], specs[24],
                                 census.builder_sample()[0]])
     assert solver.continuation_tau is continuation_tau
-    assert [(r["sweep"], r["fallbacks"]) for r in results[:3]] == [
-        ("complete", 1),
-        ("stopped at leg 2: the tau = 0 start problem did not converge", 1),
-        ("stopped at leg 0: the step left the cone", 0)]
+    assert [(r["sweep"], r["fallbacks"], r["sweep_newton_calls"],
+             r["sweep_newton_refused"]) for r in results[:3]] == [
+        ("complete", 1, 52, 1),
+        ("stopped at leg 2: the tau = 0 start problem did not converge", 1, 4, 2),
+        ("stopped at leg 0: the step left the cone", 0, 41, 25)]
     assert all(r["sweep_seconds"] > 0 for r in results[:3])
     assert "sweep" not in results[3]
     assert census.sweep_totals(results[:3]) == {
         "counts": {"complete": 1,
                    "stopped at leg 0: the step left the cone": 1,
                    "stopped at leg 2: the tau = 0 start problem did not converge": 1},
+        "newton": {"complete": {"calls": 52, "refused": 1},
+                   "stopped at leg 0: the step left the cone": {"calls": 41, "refused": 25},
+                   "stopped at leg 2: the tau = 0 start problem did not converge": {
+                       "calls": 4, "refused": 2}},
         "fallbacks": 2}
+
+
+def test_census_stops_a_run_at_its_newton_call_budget(monkeypatch):
+    """With SPEC_NEWTON_CALLS at 3, a run that needs more calls is stopped
+    at its fourth and classed by the budget, and each run, a spec's tau
+    continuation or its delta sweep, has its own count.  A ball at tau =
+    0.2 needs 5 calls in each; at tau = 0 the continuation needs 1 and the
+    sweep 11, one per leg."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    monkeypatch.setattr(census, "SPEC_NEWTON_CALLS", 3)
+    ball = {"n": 4, "k": 2, "tau": 0.2, "domain": "ball", "inner": None,
+            "outer": 1.0, "delta": 0.05, "grid": 50}
+    results = census.run_specs([ball, dict(ball, tau=0.0)])
+    stopped = "stopped after 3 newton_solve calls"
+    assert [(r["outcome"], r["newton_calls"], r["sweep"], r["sweep_newton_calls"])
+            for r in results] == [(stopped, 3, stopped, 3), ("converged", 1, stopped, 3)]
+    assert census.foreign_errors(results, [ball, ball]) == []
+
+
+def test_census_restores_the_solver_when_a_run_raises(monkeypatch):
+    """run_specs puts lnlab.solver's newton_solve and continuation_tau back,
+    also when a run raises past the census."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    from lnlab import solver
+    originals = (solver.newton_solve, solver.continuation_tau)
+
+    def interrupted(spec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(census, "_sweep", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        census.run_specs(census.sample()[:1])
+    assert (solver.newton_solve, solver.continuation_tau) == originals
+
+
+def test_census_results_do_not_depend_on_the_clock(monkeypatch):
+    """Two run_specs runs on a slice of specs and builder calls give equal
+    results once their seconds are dropped."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    census = importlib.import_module("census")
+    specs = census.sample()[:6] + census.builder_sample()[:3]
+
+    def load_free():
+        return [{key: value for key, value in result.items()
+                 if key not in ("seconds", "sweep_seconds")}
+                for result in census.run_specs(specs)]
+
+    assert load_free() == load_free()
 
 
 def test_census_sample_ends_with_zero_datum_copies(monkeypatch):
@@ -307,12 +365,12 @@ def test_census_summary_counts_classes_and_names_foreign_errors(compare):
     results = [stub_result("converged", 20),
                stub_result("foreign", 7, 2, error="RuntimeWarning: overflow"),
                stub_result("converged", 22, 1)]
-    assert compare.census_summary(STUB_SPECS, results) == {
+    assert compare.census.summary(STUB_SPECS, results) == {
         "counts": {"converged": 2, "foreign": 1},
         "newton": {"converged": {"calls": 42, "refused": 1},
                    "foreign": {"calls": 7, "refused": 2}},
         "foreign": [{"error": "RuntimeWarning: overflow", "spec": STUB_SPECS[1]}]}
-    assert compare.census_summary(STUB_SPECS, results[::2])["foreign"] == []
+    assert compare.census.summary(STUB_SPECS, results[::2])["foreign"] == []
 
 
 def test_run_census_records_the_sweeps_and_their_foreign_errors(compare, monkeypatch):
@@ -320,15 +378,20 @@ def test_run_census_records_the_sweeps_and_their_foreign_errors(compare, monkeyp
     foreign error in a sweep among the specs' foreign errors, with its
     spec.  census.census is stubbed."""
     specs, builders = STUB_SPECS[:2], STUB_SPECS[2:]
-    results = [stub_result("converged", sweep="complete", sweep_seconds=0.2, fallbacks=1),
+    results = [stub_result("converged", sweep="complete", sweep_seconds=0.2, fallbacks=1,
+                           sweep_newton_calls=12, sweep_newton_refused=2),
                stub_result("converged", sweep="foreign", sweep_seconds=0.1, fallbacks=0,
+                           sweep_newton_calls=3, sweep_newton_refused=1,
                            sweep_error="RuntimeWarning: overflow"),
                stub_result("built")]
     monkeypatch.setattr(compare.census, "sample", lambda: specs)
     monkeypatch.setattr(compare.census, "builder_sample", lambda: builders)
     monkeypatch.setattr(compare.census, "census", lambda checkout, calls: results)
     record = compare.run_census(compare.ROOT)
-    assert record["sweeps"] == {"counts": {"complete": 1, "foreign": 1}, "fallbacks": 1}
+    assert record["sweeps"] == {"counts": {"complete": 1, "foreign": 1},
+                                "newton": {"complete": {"calls": 12, "refused": 2},
+                                           "foreign": {"calls": 3, "refused": 1}},
+                                "fallbacks": 1}
     assert record["counts"] == {"converged": 2}
     assert record["foreign"] == [{"error": "RuntimeWarning: overflow", "spec": specs[1]}]
     assert record["builders"]["counts"] == {"built": 1} and "sweeps" not in record["builders"]
@@ -349,7 +412,7 @@ def test_compare_records_both_censuses_and_fails_on_a_foreign_error(
         results = [stub_result("converged")] * 3
         if foreign:
             results = results[:2] + [stub_result("foreign", error="ValueError: x")]
-        return compare.census_summary(STUB_SPECS, results)
+        return compare.census.summary(STUB_SPECS, results)
 
     monkeypatch.setattr(compare, "alternate",
                         lambda *args: {"parent": [{}], "change": [{}]})

@@ -137,6 +137,16 @@ class TestSolve:
         assert main(["solve", "--grid", str(10**20)]) == 2
         assert capsys.readouterr().err.startswith(f"error: grid {10**20} is too large")
 
+    def test_grid_the_machine_cannot_hold_is_usage_error(self, capsys, monkeypatch):
+        """A grid numpy accepts but cannot allocate: one error line that names
+        the MemoryError, no traceback.  The allocation is stubbed."""
+        def no_memory(domain, grid):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(solver, "_grid", no_memory)
+        assert main(["solve", "--grid", "100"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 745. GiB\n"
+
     def test_tiny_ball_names_the_rounded_bump(self, capsys):
         """Radii that stay in float range but fall below the rounding of an
         absolute datum.  The CLI's legs are multiples of the outer radius,
