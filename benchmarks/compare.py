@@ -70,9 +70,12 @@ STAGE_ROUNDS = 6
 STAGE_GRIDS = (1_000, 10_000, 100_000)
 STAGE_CONE = (4, 2, 0.95)
 # The stages of one Newton iteration that stage_times wraps, each by the
-# name through which newton_solve reaches it in lnlab.solver.
+# name through which newton_solve reaches it in lnlab.solver.  "evaluate"
+# is one whole operator evaluation (the start's and each line-search
+# trial's), around its stencil, eigenpair, cone_margin and f_and_grad.
 STAGES = {"stencil": "_radial_stencil", "eigenpair": "_eigenpair",
           "cone_margin": "cone_margin", "f_and_grad": "_f_and_grad_unchecked",
+          "evaluate": "_evaluate",
           "jacobian": "_analytic_jacobian", "banded_solve": "solve_banded",
           "line_search": "_line_search", "make_report": "_make_report"}
 # The tau step newton_peaks and test_solver.TestOneIterate measure: the

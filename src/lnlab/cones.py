@@ -33,10 +33,11 @@ one _deformed_sigma pass per row block: one tau_deform and one sigma_all
 call, whose output private readers turn into the margin, f and the
 gradient.  A row is one spectrum of the flattened leading axes; inputs of
 at most _BLOCK_ROWS rows are one pass over the input as given, larger ones
-are split into blocks of _BLOCK_ROWS rows and a remainder, each block's
-results going into one preallocated output.  The readers work row by row,
-so blocks give the bits of a single pass.  f_eval and grad_f read the
-margin of that same pass too, and _inside checks it after the last block.
+are split into blocks of _BLOCK_ROWS rows and a remainder, whose readers
+write their results straight into their block of one output (the first
+block's are copied in, see _by_blocks).  The readers work row by row, so
+blocks give the bits of a single pass.  f_eval and grad_f read the margin
+of that same pass too, and _inside checks it after the last block.
 The sigma kernels of both forms, and the pair path's deformation and
 gradient, write their columns into one preallocated (columns, rows) buffer
 and return it viewed as (rows, columns).  The full path's gradient runs the
@@ -155,19 +156,18 @@ def sigma_all(lam: np.ndarray, n: int | None, k: int) -> np.ndarray:
     a, b = lam[..., 0], lam[..., 1]
     e = np.empty((k + 1,) + lam.shape[:-1])
     e[0, ...] = 1.0
-    b_pow = None                          # b^(j-1), None standing for 1
+    b_pow = b                             # b^(j-1) from j = 2 on
     term = np.empty_like(e[0, ...])
     for j in range(1, k + 1):
         row = e[j, ...]
         np.multiply(b, comb(n - 1, j), out=row)
-        np.multiply(a, comb(n - 1, j - 1), out=term)
-        row += term
-        if b_pow is not None:
-            row *= b_pow
-            if j < k:
-                b_pow *= b
-        elif j < k:
-            b_pow = b.copy()
+        if j == 1:
+            row += a                      # C(n-1, 0) = 1 and b^0 = 1
+            continue
+        row += np.multiply(a, comb(n - 1, j - 1), out=term)
+        row *= b_pow
+        if j < k:
+            b_pow = b_pow * b
     return _last_axis_outermost(e)
 
 
@@ -296,49 +296,59 @@ def _deformed_sigma(cone: ConeSpec, lam: np.ndarray):
     return mu, sigma_all(mu, pair, cone.k), pair
 
 
-def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray) -> np.ndarray | float:
-    """cone_margin from a _deformed_sigma pass."""
+def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray,
+            out=None) -> np.ndarray | float:
+    """cone_margin from a _deformed_sigma pass, written into out if given."""
     # Column-wise max and min: exact like the axis reductions, and much
     # cheaper than them on a short last axis.  The scale is built in place
     # in one column of its own, from |mu| a column at a time; [()] makes one
     # spectrum's scale the scalar a ufunc would return, so its powers take
-    # numpy's scalar path.
+    # numpy's scalar path.  scale ** 1 would be a copy of scale.
     scale = np.abs(mu[..., 0], out=np.empty(mu.shape[:-1]))
     for i in range(1, mu.shape[-1]):
         np.maximum(scale, np.abs(mu[..., i]), out=scale)
     np.maximum(scale, 1.0, out=scale)
     scale = scale[()]
-    out = None
+    # With out given, the last ufunc of the loop writes into it.
     for j in range(1, cone.k + 1):
-        margin_j = sig[..., j] / (comb(cone.n, j) * scale ** j)
-        out = margin_j if out is None else np.minimum(out, margin_j)
-    return out if out.ndim else float(out)
+        margin_j = np.divide(sig[..., j],
+                             comb(cone.n, j) * (scale ** j if j > 1 else scale),
+                             out=out if cone.k == 1 else None)
+        margin = margin_j if j == 1 else np.minimum(margin, margin_j, out=out)
+    return margin if margin.ndim else float(margin)
 
 
-def _f_undeformed(cone: ConeSpec, sig: np.ndarray) -> np.ndarray:
+def _f_undeformed(cone: ConeSpec, sig: np.ndarray, out=None) -> np.ndarray:
     """c_{n,k} * sigma_k^(1/k) from a _deformed_sigma pass, before the
-    division by the deformation scale, in a fresh buffer (0-d for one
-    spectrum).  x **= p takes the path of x ** p, and c * x is x * c."""
-    fk = sig[..., cone.k].copy()
-    fk **= 1.0 / cone.k
-    fk *= cone.normalization
-    return fk
+    division by the deformation scale, written into out if given, else
+    into a fresh buffer (a scalar for one spectrum).  x ** p takes the
+    path of x **= p, and c * x is x * c."""
+    fk = sig[..., cone.k]
+    if cone.k > 1:                      # x ** 1.0 would be a copy of x
+        fk = fk ** (1.0 / cone.k)
+        if out is None:
+            fk *= cone.normalization
+            return fk
+    return np.multiply(fk, cone.normalization, out=out)
 
 
-def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
+def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair,
+                f_out=None, g_out=None):
     """_f_and_grad_unchecked from a _deformed_sigma pass, whose sigma_k it
-    consumes: the weight df / dsigma_k is formed in its place.
+    consumes: the weight df / dsigma_k is formed in its place.  f and the
+    gradient are written into f_out and g_out where given.
 
-    Works in its own output buffers and in sig's with in-place ufuncs, in
-    the operation order (and so with the bits) of the plain expressions in
-    the comments; [()] turns one spectrum's 0-d f into the scalar those
-    expressions give.
+    Works in its output buffers and in sig's with in-place ufuncs, in the
+    operation order (and so with the bits) of the plain expressions in
+    the comments.
     """
     n, k = cone.n, cone.k
     s = cone.deformation_scale
-    fk = _f_undeformed(cone, sig)
-    weight = np.multiply(sig[..., k], k, out=sig[..., k])
-    np.divide(fk, weight, out=weight)   # df / dsigma_k = fk / (k * sigma_k)
+    fk = _f_undeformed(cone, sig, f_out)
+    weight = sig[..., k]                # df / dsigma_k = fk / (k * sigma_k)
+    if k > 1:
+        weight *= k
+    np.divide(fk, weight, out=weight)
     fk /= s
 
     # sigma_{k-1} of mu with entry i deleted, computed from the deleted
@@ -349,28 +359,36 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
     if pair is None:
         grad_F = weight[..., None] * _sigma_drop_one(mu, k - 1)
         total = grad_F.sum(axis=-1, keepdims=True)
-        return fk[()], (cone.tau * grad_F + (1.0 - cone.tau) * total) / s
+        return fk, np.divide(cone.tau * grad_F + (1.0 - cone.tau) * total, s, out=g_out)
 
     # A pair, column by column, each formed in its row of the output block
     # g.  Deleting a leaves b n-1 times; deleting a b leaves (a, b, ..., b)
     # of length n-1.  Both in the closed form of sigma_all.
-    g = np.empty((2,) + fk.shape)
+    g = np.empty((2,) + fk.shape) if g_out is None else g_out.T
     grad_a, grad_b = g[0, ...], g[1, ...]
     if k == 1:
-        grad_a[...] = grad_b[...] = weight
-    else:
-        a, b = mu[..., 0], mu[..., 1]
-        b_pow = b ** (k - 2) if k > 2 else None     # None standing for b^0 = 1
-        # grad_b = weight * ((C(n-2,k-1) * b + C(n-2,k-2) * a) * b_pow), its
-        # a term in grad_a's row until grad_a is formed
-        np.multiply(b, comb(n - 2, k - 1), out=grad_b)
-        grad_b += np.multiply(a, comb(n - 2, k - 2), out=grad_a)
-        # grad_a = weight * (C(n-1,k-1) * b * b_pow)
-        np.multiply(b, comb(n - 1, k - 1), out=grad_a)
-        for grad in (grad_a, grad_b):
-            if b_pow is not None:
-                grad *= b_pow
-            grad *= weight
+        # grad_a = grad_b = weight: one row, formed in grad_a's, while
+        # grad_b holds the shift until it is a copy of it
+        shift = np.multiply(weight, n - 1, out=grad_b)
+        shift += weight
+        shift *= 1.0 - cone.tau
+        np.multiply(weight, cone.tau, out=grad_a)
+        grad_a += shift
+        grad_a /= s
+        grad_b[...] = grad_a
+        return fk, _last_axis_outermost(g)
+    a, b = mu[..., 0], mu[..., 1]
+    b_pow = b ** (k - 2) if k > 2 else None     # None standing for b^0 = 1
+    # grad_b = weight * ((C(n-2,k-1) * b + C(n-2,k-2) * a) * b_pow), its
+    # a term in grad_a's row until grad_a is formed; C(n-2,0) = 1
+    np.multiply(b, comb(n - 2, k - 1), out=grad_b)
+    grad_b += a if k == 2 else np.multiply(a, comb(n - 2, k - 2), out=grad_a)
+    # grad_a = weight * (C(n-1,k-1) * b * b_pow)
+    np.multiply(b, comb(n - 1, k - 1), out=grad_a)
+    for grad in (grad_a, grad_b):
+        if b_pow is not None:
+            grad *= b_pow
+        grad *= weight
     # shift = (1 - tau) * (grad_a + (n-1) * grad_b), in weight's place
     shift = np.multiply(grad_b, n - 1, out=weight)
     shift += grad_a
@@ -380,22 +398,28 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair):
         grad *= cone.tau
         grad += shift
         grad /= s
-    return fk[()], _last_axis_outermost(g)
+    return fk, _last_axis_outermost(g)
 
 
 def _by_blocks(cone: ConeSpec, lam, read) -> tuple:
-    """read(mu, sig, pair) on the _deformed_sigma pass of lam, the one
-    driver of every cone function.
+    """read(mu, sig, pair, *out) on the _deformed_sigma pass of lam, the
+    one driver of every cone function.
 
-    read returns a tuple of per-row results.  lam of at most _BLOCK_ROWS
-    rows (spectra of its flattened leading axes) is one pass over lam as
-    given, whose results come back as read gives them, so one spectrum
-    keeps numpy's scalar path.  Larger lam is passed over in blocks of
-    _BLOCK_ROWS rows and a remainder: each result, of shape (rows,) or
-    (rows, columns) per block, goes into one output allocated at the first
-    block, a (columns, rows) buffer for one with columns, and comes back
-    with lam's leading shape.  Every read is row by row, so the outputs
-    have the bits of one pass over all of lam.
+    read returns a tuple of per-row results, in fresh buffers, or written
+    into out, one destination per result, where out is given.  lam of at
+    most _BLOCK_ROWS rows (spectra of its flattened leading axes) is one
+    pass over lam as given, whose results come back as read gives them,
+    so one spectrum keeps numpy's scalar path.  Larger lam is passed over
+    in blocks of _BLOCK_ROWS rows and a remainder, into outputs allocated
+    after the first block, (rows,) or (columns, rows) for a result of
+    shape (rows, columns) per block.  The first block's results are
+    copied in; every later read gets its block of the outputs as out and
+    writes straight into it, so at 1e5 rows (seven blocks) each result is
+    copied for one block, not seven.  The outputs never live beside the
+    first block's temporaries: preallocated, they made the tau step at
+    grid 2e4 (one block and a remainder) peak at 15.9 grid arrays, not
+    14.6.  The outputs come back with lam's leading shape.  Every read is
+    row by row, so they have the bits of one pass over all of lam.
     """
     lam = _real_array(lam, "lam")
     lead = lam.shape[:-1]
@@ -403,27 +427,28 @@ def _by_blocks(cone: ConeSpec, lam, read) -> tuple:
     if rows <= _BLOCK_ROWS:
         return read(*_deformed_sigma(cone, lam))
     flat = lam.reshape(rows, lam.shape[-1])
-    outs = None
+    outs = []
     for start in range(0, rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        results = read(*_deformed_sigma(cone, flat[block]))
-        if outs is None:
+        results = read(*_deformed_sigma(cone, flat[block]),
+                       *(_last_axis_outermost(out)[block] for out in outs))
+        if not outs:
             outs = [np.empty(res.shape[1:] + (rows,)) for res in results]
-        for out, res in zip(outs, results):
-            _last_axis_outermost(out)[block] = res
+            for out, res in zip(outs, results):
+                _last_axis_outermost(out)[block] = res
     return tuple(out.reshape(lead) if out.ndim == 1 else
                  _last_axis_outermost(out.reshape(out.shape[:1] + lead))
                  for out in outs)
 
 
 def _inside(cone: ConeSpec, lam, read):
-    """read(mu, sig, pair) by _by_blocks, returned once every margin of the
-    pass is checked positive; ConeDomainError with the worst margin
-    otherwise.  Until then a point outside reads NaN or inf without a
-    warning."""
+    """read(mu, sig, pair, out=None) by _by_blocks, returned once every
+    margin of the pass is checked positive; ConeDomainError with the worst
+    margin otherwise.  Until then a point outside reads NaN or inf without
+    a warning."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        margin, out = _by_blocks(cone, lam, lambda mu, sig, pair: (
-            _margin(cone, mu, sig), read(mu, sig, pair)))
+        margin, out = _by_blocks(cone, lam, lambda mu, sig, pair, *out: (
+            _margin(cone, mu, sig, *out[:1]), read(mu, sig, pair, *out[1:])))
     if not np.all(np.asarray(margin) > 0.0):
         worst = float(np.min(margin))
         raise ConeDomainError(
@@ -439,7 +464,8 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     normalization makes margins comparable across j.  lam may be a full
     spectrum or a pair (see the module docstring).
     """
-    return _by_blocks(cone, lam, lambda mu, sig, pair: (_margin(cone, mu, sig),))[0]
+    return _by_blocks(cone, lam, lambda mu, sig, pair, *out: (
+        _margin(cone, mu, sig, *out),))[0]
 
 
 def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
@@ -448,7 +474,7 @@ def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
     a pair.  Raises ConeDomainError if any point lies outside the cone.
     """
-    fk = _inside(cone, lam, lambda mu, sig, pair: _f_undeformed(cone, sig))
+    fk = _inside(cone, lam, lambda mu, sig, pair, *out: _f_undeformed(cone, sig, *out))
     out = fk / cone.deformation_scale
     return out if np.ndim(out) else float(out)
 
@@ -462,7 +488,8 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     gradient is the pair (df/da, df/db_i): the derivative along the one a
     entry and along any one of the n-1 b entries.
     """
-    return _by_blocks(cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair))
+    return _by_blocks(cone, lam, lambda mu, sig, pair, *out: _f_and_grad(
+        cone, mu, sig, pair, *out))
 
 
 def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
@@ -471,7 +498,8 @@ def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
     For a pair (a, b) it is the pair (df/da, df/db_i), see
     _f_and_grad_unchecked.  Raises ConeDomainError where f_eval does.
     """
-    return _inside(cone, lam, lambda mu, sig, pair: _f_and_grad(cone, mu, sig, pair)[1])
+    return _inside(cone, lam, lambda mu, sig, pair, *out: _f_and_grad(
+        cone, mu, sig, pair, None, *out)[1])
 
 
 def _mu_plus_exact(cone: ConeSpec) -> Fraction:

@@ -59,22 +59,27 @@ def _eigenpair(v, v_r, v_rr, r):
     """(radial, tangential) eigenvalues in polynomial form, unchecked, as
     one array of shape (2,) + the inputs' broadcast shape.
 
-    r = 0 entries use the even-profile centre rule v_r / r -> v_rr.  Zero v
-    is allowed: the polynomial forms extend continuously to it.  The buffer
+    r = 0 entries use the even-profile centre rule v_r / r -> v_rr, as
+    does any r that is not > 0 (this path checks no radius).  Zero v is
+    allowed: the polynomial forms extend continuously to it.  The buffer
     is filled in the operation order of half_slope_sq - v * v_rr and
-    half_slope_sq - v * slope_over_r, half_slope_sq = 0.5 * v_r**2.
+    half_slope_sq - v * slope_over_r, half_slope_sq = 0.5 * v_r**2.  With
+    every r > 0 the division takes no mask; else the centre rule
+    overwrites the quotients where r is not > 0.
     """
-    shape = np.broadcast_shapes(np.shape(v), np.shape(v_r), np.shape(v_rr),
-                                np.shape(r))
-    pair = np.empty((2,) + shape)
+    pair = np.empty((2,) + np.broadcast(v, v_r, v_rr, r).shape)
     radial, tangential = pair[0, ...], pair[1, ...]
     half_slope_sq = np.square(v_r)
     half_slope_sq *= 0.5
     np.multiply(v, v_rr, out=radial)
     np.subtract(half_slope_sq, radial, out=radial)
     off_centre = np.greater(r, 0)
-    np.divide(v_r, r, out=tangential, where=off_centre)
-    np.copyto(tangential, v_rr, where=~off_centre)
+    if off_centre.all():
+        np.divide(v_r, r, out=tangential)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(v_r, r, out=tangential)
+        np.copyto(tangential, v_rr, where=~off_centre)
     tangential *= v
     np.subtract(half_slope_sq, tangential, out=tangential)
     return pair

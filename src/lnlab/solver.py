@@ -288,21 +288,24 @@ def _evaluate(u, spec: ProblemSpec, r, cone: ConeSpec):
     the stencil again from u.
     """
     rows = _pde_rows(spec)
-    if not (u[rows] > 0.0).all():
+    if not u[rows].min() > 0.0:             # a NaN fails both tests
         return None, None, None
     du, d2u = _radial_stencil(u, r)
     # (radial, tangential) pairs stand for the spectra (a, b, ..., b),
     # stored column by column for the pair kernels.
     lam = _eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
     del du, d2u
-    margins = np.atleast_1d(cone_margin(cone, lam))
-    if not (margins > MARGIN_FLOOR).all():
+    margins = cone_margin(cone, lam)
+    if not margins.min() > MARGIN_FLOOR:
         return None, margins, None
     fvals, grads = _f_and_grad_unchecked(cone, lam)
     del lam
 
-    F = u - spec.delta
+    # f - RHS on the PDE rows, u - delta on the Dirichlet rows
+    F = np.empty_like(u)
     np.subtract(fvals, RHS, out=F[rows])
+    for edge in (slice(rows.start), slice(rows.stop, None)):
+        np.subtract(u[edge], spec.delta, out=F[edge])
     return F, margins, grads
 
 
@@ -602,8 +605,10 @@ def _make_report(u, spec, r, F, margins, iters, stop):
     stopped by the rule stop (see SolveReport.newton_stop).  The profile
     holds u itself, newton_solve's own iterate, on the solver's grid r.
     """
-    margin_full = np.zeros(r.size)
-    margin_full[_pde_rows(spec)] = margins
+    rows = _pde_rows(spec)
+    margin_full = np.empty(r.size)
+    margin_full[rows] = margins
+    margin_full[:rows.start] = margin_full[rows.stop:] = 0.0
     return SolveReport(spec=spec, profile=RadialProfile._on_grid(r, u),
                        newton_iterations=iters, continuation_steps=0,
                        residual_nodes=np.abs(F), margin_nodes=margin_full,
@@ -634,8 +639,9 @@ def _line_search(u, step, res, at_floor, spec: ProblemSpec, r, cone: ConeSpec):
     _evaluate beside u, step and the trial."""
     rows = _pde_rows(spec)
     for _ in range(1 if at_floor else MAX_HALVINGS + 1):
-        u_try = u.copy()
-        u_try[rows] += step
+        u_try = np.empty_like(u)
+        np.add(u[rows], step, out=u_try[rows])
+        u_try[:rows.start], u_try[rows.stop:] = u[:rows.start], u[rows.stop:]
         F, margins, grads = _evaluate(u_try, spec, r, cone)
         if F is not None:
             res_try = float(np.abs(F).max())

@@ -553,8 +553,8 @@ def test_stage_probe_runs_every_stage_and_restores_the_iteration_limit(monkeypat
         times = compare.stage_times(src)
     first_csv = calls.index("to_csv")
     assert "newton_solve" in calls[:first_csv] and "newton_solve" not in calls[first_csv:]
-    stages = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "jacobian",
-              "banded_solve", "line_search", "make_report", "to_csv",
+    stages = ("stencil", "eigenpair", "cone_margin", "f_and_grad", "evaluate",
+              "jacobian", "banded_solve", "line_search", "make_report", "to_csv",
               "newton_solve_1_iteration")
     assert sorted(times) == sorted(f"{name},grid=200" for name in stages)
     assert all(math.isfinite(ms) and ms > 0 for ms in times.values())

@@ -1,5 +1,6 @@
 """Schouten spectra: exact model metrics, convergence order, rescaling bounds."""
 
+import math
 import re
 import warnings
 from types import SimpleNamespace
@@ -742,3 +743,75 @@ class TestInPlaceStages:
         r = np.where(rng.uniform(size=np.shape(r)) < 0.3, 0.0, r)
         got = radial_schouten_spectrum(v, v_r, v_rr, r)
         assert_same_bits(got, np.stack(pre_inplace_eigenpair(v, v_r, v_rr, r), axis=-1))
+
+
+# _eigenpair as it was before its division went unmasked: a masked division
+# where r > 0, a masked copy of v_rr elsewhere, and the shape from
+# np.broadcast_shapes.  _eigenpair must give its bits and shape.
+def masked_eigenpair(v, v_r, v_rr, r):
+    shape = np.broadcast_shapes(np.shape(v), np.shape(v_r), np.shape(v_rr),
+                                np.shape(r))
+    pair = np.empty((2,) + shape)
+    radial, tangential = pair[0, ...], pair[1, ...]
+    half_slope_sq = np.square(v_r)
+    half_slope_sq *= 0.5
+    np.multiply(v, v_rr, out=radial)
+    np.subtract(half_slope_sq, radial, out=radial)
+    off_centre = np.greater(r, 0)
+    np.divide(v_r, r, out=tangential, where=off_centre)
+    np.copyto(tangential, v_rr, where=~off_centre)
+    tangential *= v
+    np.subtract(half_slope_sq, tangential, out=tangential)
+    return pair
+
+
+RADIUS_SHAPES = (((), (), (), ()), ((6,),) * 4, ((3, 1), (1, 4), (4,), (3, 1)),
+                 ((2, 3), (3,), (), (1, 3)), ((5,), (), (), (5,)),
+                 ((), (), (), (2, 2)), ((0,),) * 4)
+
+
+@st.composite
+def radius_cases(draw):
+    """(v, v_r, v_rr, r) of broadcast shapes (0-d and empty among them):
+    v >= 0 and slopes finite, and radii either all positive floats or
+    mixed with 0.0, -0.0, inf, NaN and -1.0 at any position."""
+    shapes = draw(st.sampled_from(RADIUS_SHAPES))
+
+    def array(shape, elements):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    finite = st.floats(-1e3, 1e3)
+    radii = st.floats(1e-300, 1e300)
+    if draw(st.booleans()):
+        radii |= st.sampled_from([0.0, -0.0, np.inf, np.nan, -1.0])
+    return (np.abs(array(shapes[0], finite)), array(shapes[1], finite),
+            array(shapes[2], finite), array(shapes[3], radii))
+
+
+class TestUnmaskedDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(case=radius_cases())
+    def test_eigenpair_keeps_the_masked_bits(self, case):
+        """The centre rule wherever r is not > 0 (0, -0, NaN, negative),
+        the quotient elsewhere (inf included), for array and scalar radii."""
+        with np.errstate(all="ignore"):
+            assert_same_bits(_eigenpair(*case), masked_eigenpair(*case))
+            if not case[3].ndim:
+                scalars = [float(x) for x in case]
+                assert_same_bits(_eigenpair(*scalars), masked_eigenpair(*scalars))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=radius_cases())
+    def test_spectrum_keeps_the_masked_bits(self, case):
+        """radial_schouten_spectrum: the stacked masked pair where every r
+        is >= 0, the refusal by name where one is NaN or negative."""
+        r = case[3]
+        with np.errstate(all="ignore"):
+            if not (r >= 0).all():
+                with pytest.raises(InvalidArgumentError, match="^radius r must be >= 0"):
+                    radial_schouten_spectrum(*case)
+                return
+            assert_same_bits(radial_schouten_spectrum(*case),
+                             np.stack(masked_eigenpair(*case), axis=-1))

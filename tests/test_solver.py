@@ -8,6 +8,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -608,11 +609,13 @@ class TestOneGate:
         if scale:
             assert margins.min() > 0.0
 
-    @pytest.mark.parametrize("value", [0.0, -1e-300, -0.05, np.nan],
-                             ids=["zero", "tiny-negative", "negative", "nan"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-300, -0.05, np.nan],
+                             ids=["zero", "negative-zero", "tiny-negative",
+                                  "negative", "nan"])
     def test_iterate_with_a_non_positive_pde_row_has_no_residual(self, solved, value):
         """No stencil is formed for it, so there are no margins either;
-        the Dirichlet rows are not tested (delta may be 0)."""
+        the Dirichlet rows are not tested (delta may be 0).  On a ball the
+        centre node is a PDE row too."""
         spec, u = solved
         r, cone = spec.radii(), spec.solve_cone()
         for node in (1, 17, spec.grid - 1):
@@ -622,6 +625,233 @@ class TestOneGate:
         ends = u.copy()
         ends[0] = ends[-1] = 0.0
         assert _evaluate(ends, spec, r, cone)[0] is not None
+        ball = replace(spec, domain=Ball(1.0), grid=16)
+        r = ball.radii()
+        for node in (0, 7, ball.grid - 1):
+            bad = (1.0 - r**2) / 2.0 + 0.05
+            bad[node] = value
+            assert _evaluate(bad, ball, r, cone) == (None, None, None)
+
+    def test_a_nan_margin_on_any_row_refuses_the_iterate(self, solved, monkeypatch):
+        """One NaN among the margins, at each PDE row in turn, fails the
+        margin test as a margin under MARGIN_FLOOR does: no residual and no
+        gradients, and the margins come back with the NaN in its row."""
+        spec, u = solved
+        r, cone = spec.radii(), spec.solve_cone()
+        margin_of, row = solver.cone_margin, [None]
+
+        def with_nan(cone, lam):
+            margins = margin_of(cone, lam)
+            margins[row[0]] = np.nan
+            return margins
+
+        monkeypatch.setattr(solver, "cone_margin", with_nan)
+        for row[0] in range(spec.grid - 1):
+            F, margins, grads = _evaluate(u, spec, r, cone)
+            assert F is None and grads is None
+            assert np.flatnonzero(np.isnan(margins)).tolist() == [row[0]]
+        monkeypatch.undo()
+        bad = u.copy()
+        bad[17] = np.inf                  # NaN spectra at the nodes beside it
+        with np.errstate(all="ignore"):
+            F, margins, grads = _evaluate(bad, spec, r, cone)
+        assert F is None and grads is None and np.isnan(margins).any()
+
+
+# _evaluate as it was before its passes were cut, with the _eigenpair and
+# the pair branches of the cone kernels it called, verbatim but for their
+# module prefixes: admissibility by elementwise tests, the masked
+# eigenpair, sigma_all's copy of b and its multiply by C(n-1, 0) = 1,
+# scale ** j for every j, the copy before **=, both gradient rows of k = 1
+# copied from the weight, the multiply by C(n-2, 0) = 1 for k = 2, each
+# block's results copied into the output, and F = u - delta overwritten on
+# the PDE rows.  _evaluate must give their bits.
+def head_eigenpair(v, v_r, v_rr, r):
+    shape = np.broadcast_shapes(np.shape(v), np.shape(v_r), np.shape(v_rr),
+                                np.shape(r))
+    pair = np.empty((2,) + shape)
+    radial, tangential = pair[0, ...], pair[1, ...]
+    half_slope_sq = np.square(v_r)
+    half_slope_sq *= 0.5
+    np.multiply(v, v_rr, out=radial)
+    np.subtract(half_slope_sq, radial, out=radial)
+    off_centre = np.greater(r, 0)
+    np.divide(v_r, r, out=tangential, where=off_centre)
+    np.copyto(tangential, v_rr, where=~off_centre)
+    tangential *= v
+    np.subtract(half_slope_sq, tangential, out=tangential)
+    return pair
+
+
+def head_sigma_pair(lam, n, k):
+    a, b = lam[..., 0], lam[..., 1]
+    e = np.empty((k + 1,) + lam.shape[:-1])
+    e[0, ...] = 1.0
+    b_pow = None
+    term = np.empty_like(e[0, ...])
+    for j in range(1, k + 1):
+        row = e[j, ...]
+        np.multiply(b, math.comb(n - 1, j), out=row)
+        np.multiply(a, math.comb(n - 1, j - 1), out=term)
+        row += term
+        if b_pow is not None:
+            row *= b_pow
+            if j < k:
+                b_pow *= b
+        elif j < k:
+            b_pow = b.copy()
+    return cones._last_axis_outermost(e)
+
+
+def head_margin(cone, mu, sig):
+    scale = np.abs(mu[..., 0], out=np.empty(mu.shape[:-1]))
+    for i in range(1, mu.shape[-1]):
+        np.maximum(scale, np.abs(mu[..., i]), out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    scale = scale[()]
+    out = None
+    for j in range(1, cone.k + 1):
+        margin_j = sig[..., j] / (math.comb(cone.n, j) * scale ** j)
+        out = margin_j if out is None else np.minimum(out, margin_j)
+    return out if out.ndim else float(out)
+
+
+def head_f_and_grad_pair(cone, mu, sig):
+    n, k = cone.n, cone.k
+    s = cone.deformation_scale
+    fk = sig[..., cone.k].copy()
+    fk **= 1.0 / cone.k
+    fk *= cone.normalization
+    weight = np.multiply(sig[..., k], k, out=sig[..., k])
+    np.divide(fk, weight, out=weight)
+    fk /= s
+    g = np.empty((2,) + fk.shape)
+    grad_a, grad_b = g[0, ...], g[1, ...]
+    if k == 1:
+        grad_a[...] = grad_b[...] = weight
+    else:
+        a, b = mu[..., 0], mu[..., 1]
+        b_pow = b ** (k - 2) if k > 2 else None
+        np.multiply(b, math.comb(n - 2, k - 1), out=grad_b)
+        grad_b += np.multiply(a, math.comb(n - 2, k - 2), out=grad_a)
+        np.multiply(b, math.comb(n - 1, k - 1), out=grad_a)
+        for grad in (grad_a, grad_b):
+            if b_pow is not None:
+                grad *= b_pow
+            grad *= weight
+    shift = np.multiply(grad_b, n - 1, out=weight)
+    shift += grad_a
+    shift *= 1.0 - cone.tau
+    for grad in (grad_a, grad_b):
+        grad *= cone.tau
+        grad += shift
+        grad /= s
+    return fk[()], cones._last_axis_outermost(g)
+
+
+def head_by_blocks(cone, lam, read):
+    lead = lam.shape[:-1]
+    rows = math.prod(lead)
+
+    def deformed_sigma(lam):
+        mu = cones.tau_deform(lam, cone.tau, cone.n)
+        return mu, head_sigma_pair(mu, cone.n, cone.k)
+
+    if rows <= cones._BLOCK_ROWS:
+        return read(*deformed_sigma(lam))
+    flat = lam.reshape(rows, lam.shape[-1])
+    outs = None
+    for start in range(0, rows, cones._BLOCK_ROWS):
+        block = slice(start, start + cones._BLOCK_ROWS)
+        results = read(*deformed_sigma(flat[block]))
+        if outs is None:
+            outs = [np.empty(res.shape[1:] + (rows,)) for res in results]
+        for out, res in zip(outs, results):
+            cones._last_axis_outermost(out)[block] = res
+    return tuple(out.reshape(lead) if out.ndim == 1 else
+                 cones._last_axis_outermost(out.reshape(out.shape[:1] + lead))
+                 for out in outs)
+
+
+def head_evaluate(u, spec, r, cone):
+    rows = solver._pde_rows(spec)
+    if not (u[rows] > 0.0).all():
+        return None, None, None
+    du, d2u = _radial_stencil(u, r)
+    lam = head_eigenpair(u[rows], du[rows], d2u[rows], r[rows]).T
+    del du, d2u
+    margins = np.atleast_1d(head_by_blocks(
+        cone, lam, lambda mu, sig: (head_margin(cone, mu, sig),))[0])
+    if not (margins > MARGIN_FLOOR).all():
+        return None, margins, None
+    fvals, grads = head_by_blocks(
+        cone, lam, lambda mu, sig: head_f_and_grad_pair(cone, mu, sig))
+    del lam
+
+    F = u - spec.delta
+    np.subtract(fvals, solver.RHS, out=F[rows])
+    return F, margins, grads
+
+
+def exact_spectrum_profile(domain, r):
+    """A profile whose spectra are all equal and positive: (1 - r^2)/2 +
+    0.05 on the ball (every eigenvalue 0.55) and (r^2 - R^2)/R^2 + 0.5,
+    R = 0.8 inner, on an annulus (every eigenvalue 1/R^2), so it lies
+    inside every cone, at every tau."""
+    if isinstance(domain, Ball):
+        return (1.0 - r**2) / 2.0 + 0.05
+    R = 0.8 * domain.inner
+    return (r**2 - R**2) / R**2 + 0.5
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(spec, u): a ball or an annulus, k in {1, 2, 3, n}, tau in {0, .5,
+    .95, 1}, grid 16, 1000 or 40000 (two cone row blocks and a
+    remainder), and u an exact-spectrum profile scaled by 10^[-2, 2] and
+    bent by a smooth wave of relative size up to 0.3, so that some draws
+    leave the cone; its Dirichlet rows are moved off delta."""
+    n = draw(st.integers(3, 8))
+    domain = draw(st.sampled_from([Ball(1.0), Annulus(0.5, 1.0)]))
+    spec = ProblemSpec(cone=ConeSpec(n, draw(st.sampled_from([1, 2, 3, n]))),
+                       tau=draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])),
+                       domain=domain, delta=0.05,
+                       grid=draw(st.sampled_from([16, 1000, 40_000])))
+    r = spec.radii()
+    wave = draw(st.floats(0.0, 0.3)) * np.cos(draw(st.floats(0.0, 12.0)) * r
+                                              + draw(st.floats(0.0, 6.3)))
+    u = 10.0 ** draw(st.floats(-2.0, 2.0)) * exact_spectrum_profile(domain, r)
+    u *= 1.0 + wave
+    rows = solver._pde_rows(spec)
+    u[:rows.start] = u[rows.stop:] = draw(st.floats(0.0, 1.0))
+    return spec, u
+
+
+class TestEvaluationPasses:
+    """_evaluate with its passes cut against the pipeline it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=evaluation_cases())
+    def test_evaluation_keeps_every_bit(self, case):
+        spec, u = case
+        r, cone = spec.radii(), spec.solve_cone()
+        got, want = _evaluate(u, spec, r, cone), head_evaluate(u, spec, r, cone)
+        assert [x is None for x in got] == [x is None for x in want]
+        assert_same_arrays([x for x in got if x is not None],
+                           [x for x in want if x is not None])
+        if got[2] is not None:
+            assert got[2].strides == want[2].strides
+
+    def test_exact_spectrum_profiles_are_admissible(self):
+        """Unbent, the profiles the cases start from are admissible at
+        every k and tau, so the draws reach f and its gradients."""
+        for domain in (Ball(1.0), Annulus(0.5, 1.0)):
+            for k, tau in itertools.product((1, 2, 3, 5), (0.0, 0.5, 0.95, 1.0)):
+                spec = ProblemSpec(cone=ConeSpec(5, k), tau=tau, domain=domain,
+                                   delta=0.05, grid=40_000)
+                r = spec.radii()
+                u = exact_spectrum_profile(domain, r)
+                assert _evaluate(u, spec, r, spec.solve_cone())[0] is not None
 
 
 class TestDirichletRows:
