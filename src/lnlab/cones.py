@@ -29,20 +29,27 @@ orders up to the k it is asked for, with the same bits for each of them
 whatever k is; the cone functions ask for cone.k.
 Every cone function (cone_margin, f_eval, grad_f and the solver's
 _f_and_grad_unchecked) is one call into one driver, _by_blocks, which makes
-one _deformed_sigma pass per row block: one tau_deform and one sigma_all
-call, whose output private readers turn into the margin, f and the
-gradient.  A row is one spectrum of the flattened leading axes; inputs of
-at most _BLOCK_ROWS rows are one pass over the input as given, larger ones
-are split into blocks of _BLOCK_ROWS rows and a remainder, whose readers
-write their results straight into their block of one output (the first
-block's are copied in, see _by_blocks).  The readers work row by row, so
-blocks give the bits of a single pass.  f_eval and grad_f read the margin
-of that same pass too, and _inside checks it after the last block.
+one _deformed_sigma pass per row block, whose output private readers turn
+into the margin, f and the gradient.  For pairs the pass is one tau_deform
+and one sigma_all call.  For full spectra it sorts each row once (an
+argsort for the gradient readers, which need the permutation), deforms
+the sorted rows, which the deformation keeps sorted, and runs the product
+recurrence on them as they are: the order contract of the full pass is
+rows sorted once, so a row's two ends hold its extremes.  Public
+tau_deform and sigma_all sort for themselves, through the same
+deformation and recurrence.  A row is one spectrum of the flattened
+leading axes; inputs of at most _BLOCK_ROWS rows are one pass over the
+input as given, larger ones are split into blocks of _BLOCK_ROWS rows and
+a remainder, whose readers write their results straight into their block
+of one output (the first block's are copied in, see _by_blocks).  The
+readers work row by row, so blocks give the bits of a single pass.
+f_eval and grad_f read the margin of that same pass too, and _inside
+checks it after the last block.
 The sigma kernels of both forms, and the pair path's deformation and
 gradient, write their columns into one preallocated (columns, rows) buffer
 and return it viewed as (rows, columns).  The full path's gradient runs the
-same column recurrence over the sorted entries, skipping one position at a
-time, and puts the results back in entry order.
+same column recurrence over the sorted rows, skipping one position at a
+time, and puts the results back in entry order before it sums them.
 """
 
 import numbers
@@ -152,7 +159,7 @@ def sigma_all(lam: np.ndarray, n: int | None, k: int) -> np.ndarray:
         raise InvalidArgumentError(
             f"order k must be an integer in [0, {length}], got {k!r}")
     if n is None:
-        return _sigma_full(lam, k)
+        return _sigma_sorted(np.sort(lam, axis=-1), k)
     a, b = lam[..., 0], lam[..., 1]
     e = np.empty((k + 1,) + lam.shape[:-1])
     e[0, ...] = 1.0
@@ -171,15 +178,16 @@ def sigma_all(lam: np.ndarray, n: int | None, k: int) -> np.ndarray:
     return _last_axis_outermost(e)
 
 
-def _sigma_full(lam: np.ndarray, k: int) -> np.ndarray:
-    """sigma_0..sigma_k of a full spectrum: the product recurrence over its
-    entries in sorted order, on one (k+1, rows) buffer whose row j holds
-    sigma_j of every spectrum contiguously (_product_step), returned
-    viewed as (rows, k+1).  Orders above k are never formed."""
+def _sigma_sorted(lam: np.ndarray, k: int) -> np.ndarray:
+    """sigma_0..sigma_k of full spectra whose rows are sorted: the product
+    recurrence over their entries in that order, on one (k+1, rows)
+    buffer whose row j holds sigma_j of every spectrum contiguously
+    (_product_step), returned viewed as (rows, k+1).  Orders above k are
+    never formed."""
     e = np.zeros((k + 1,) + lam.shape[:-1])
     e[0, ...] = 1.0
     term = np.empty_like(e[1:])
-    for i, x in enumerate(np.moveaxis(np.sort(lam, axis=-1), -1, 0)):
+    for i, x in enumerate(np.moveaxis(lam, -1, 0)):
         _product_step(e, x, min(i + 1, k), term)
     return _last_axis_outermost(e)
 
@@ -194,18 +202,19 @@ def _product_step(e: np.ndarray, x: np.ndarray, top: int, term: np.ndarray):
     e[1:top + 1] += term[:top]
 
 
-def _sigma_drop_one(mu: np.ndarray, m: int) -> np.ndarray:
-    """sigma_m of mu with entry i deleted, for every i, as an array shaped
-    like mu with the bits of _sigma_full on mu without entry i.
+def _sigma_drop_one(mu: np.ndarray, m: int, order: np.ndarray) -> np.ndarray:
+    """sigma_m of a full spectrum with entry i deleted, for every i, in entry
+    order, with the bits of _sigma_sorted on the spectrum without entry i.
+    mu holds the spectrum's rows sorted, and order the argsort that sorted
+    them: mu[..., s] is entry order[..., s].
 
-    mu without entry i, sorted, is sorted mu without the position s that
-    holds it: the product recurrence runs over the sorted columns, skipping
-    each s in turn, and its values go back to the entries' own order.  The
-    state after the columns before s is the same for every later s, so it
-    is kept and extended instead of recomputed.
+    The spectrum without entry i, sorted, is mu without the position s
+    that holds it: the product recurrence runs over the sorted columns,
+    skipping each s in turn, and its values go back to the entries' own
+    order.  The state after the columns before s is the same for every
+    later s, so it is kept and extended instead of recomputed.
     """
-    order = np.argsort(mu, axis=-1)
-    columns = np.moveaxis(np.take_along_axis(mu, order, axis=-1), -1, 0)
+    columns = np.moveaxis(mu, -1, 0)
     n = len(columns)
     head = np.zeros((m + 1,) + mu.shape[:-1])    # columns 0..s-1
     head[0, ...] = 1.0
@@ -245,9 +254,19 @@ def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
             np.multiply(x, tau, out=column)
             column += shift
         return _last_axis_outermost(out)
-    # Sum in sorted order so permutations of lam give bit-identical traces.
-    s1 = np.sort(lam, axis=-1).sum(axis=-1, keepdims=True)
-    return tau * lam + (1.0 - tau) * s1
+    return _deform_full(lam, tau, np.sort(lam, axis=-1))
+
+
+def _deform_full(lam: np.ndarray, tau: float, rows: np.ndarray,
+                 out=None) -> np.ndarray:
+    """tau*lam + (1-tau)*sigma_1(lam)*e for full spectra lam, whose rows
+    sorted are given as rows, written into out if given (lam itself may be
+    rows and out).  sigma_1 sums the sorted rows, so permutations of lam
+    give bit-identical traces."""
+    s1 = rows.sum(axis=-1, keepdims=True)
+    mu = np.multiply(lam, tau, out=out)
+    mu += (1.0 - tau) * s1
+    return mu
 
 
 def _last_axis_outermost(columns: np.ndarray) -> np.ndarray:
@@ -287,26 +306,52 @@ def _pair_length(cone: ConeSpec, lam: np.ndarray) -> int | None:
     return None
 
 
-def _deformed_sigma(cone: ConeSpec, lam: np.ndarray):
+def _deformed_sigma(cone: ConeSpec, lam: np.ndarray, argsort: bool = False):
     """The one deformation and sigma pass that every cone function reads:
-    (mu, sig, pair) with mu = lam^tau, sig = sigma_0..sigma_k(mu) and pair
-    = cone.n for a pair spectrum, None for a full one."""
+    (mu, sig, pair, order) with mu = lam^tau, sig = sigma_0..sigma_k(mu)
+    and pair = cone.n for a pair spectrum, None for a full one.
+
+    A pair goes through tau_deform and sigma_all.  A full spectrum's rows
+    are sorted once, by np.sort, or with argsort by np.argsort, whose
+    permutation comes back as order (None otherwise).  The deformation
+    x -> fl(fl(tau*x) + (1-tau)*s1) never decreases, so it keeps them
+    sorted: mu holds lam^tau with its rows in the order sigma_all would
+    sort them into, and the recurrence runs on them as they are.  Only
+    NaN can stand apart, and only at an end (0 * -inf at tau = 0 puts it
+    first, where a sort would put it last); a NaN anywhere in a row makes
+    the row's margin and every sigma_j, j >= 1, NaN.
+    """
     pair = _pair_length(cone, lam)
-    mu = tau_deform(lam, cone.tau, pair)
-    return mu, sigma_all(mu, pair, cone.k), pair
+    if pair is not None:
+        mu = tau_deform(lam, cone.tau, pair)
+        return mu, sigma_all(mu, pair, cone.k), pair, None
+    if argsort:
+        order = np.argsort(lam, axis=-1)
+        rows = np.take_along_axis(lam, order, axis=-1)
+        if not lam.flags.c_contiguous:
+            # np.sort keeps lam's memory order, which decides the order in
+            # which rows.sum adds the entries up.
+            laid_out = np.empty_like(lam)
+            laid_out[...] = rows
+            rows = laid_out
+    else:
+        order, rows = None, np.sort(lam, axis=-1)
+    mu = _deform_full(rows, cone.tau, rows, out=rows)
+    return mu, _sigma_sorted(mu, cone.k), None, order
 
 
 def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray,
             out=None) -> np.ndarray | float:
     """cone_margin from a _deformed_sigma pass, written into out if given."""
-    # Column-wise max and min: exact like the axis reductions, and much
-    # cheaper than them on a short last axis.  The scale is built in place
-    # in one column of its own, from |mu| a column at a time; [()] makes one
+    # max|mu| over a row is the larger |mu| at its two ends: a pair's two
+    # columns are its ends, and a full pass's rows are sorted, with any NaN
+    # at an end (see _deformed_sigma).  Column-wise max and min: exact like
+    # the axis reductions, and much cheaper than them on a short last axis.
+    # The scale is built in place in one column of its own; [()] makes one
     # spectrum's scale the scalar a ufunc would return, so its powers take
     # numpy's scalar path.  scale ** 1 would be a copy of scale.
     scale = np.abs(mu[..., 0], out=np.empty(mu.shape[:-1]))
-    for i in range(1, mu.shape[-1]):
-        np.maximum(scale, np.abs(mu[..., i]), out=scale)
+    np.maximum(scale, np.abs(mu[..., -1]), out=scale)
     np.maximum(scale, 1.0, out=scale)
     scale = scale[()]
     # With out given, the last ufunc of the loop writes into it.
@@ -332,7 +377,7 @@ def _f_undeformed(cone: ConeSpec, sig: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(fk, cone.normalization, out=out)
 
 
-def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair,
+def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair, order,
                 f_out=None, g_out=None):
     """_f_and_grad_unchecked from a _deformed_sigma pass, whose sigma_k it
     consumes: the weight df / dsigma_k is formed in its place.  f and the
@@ -357,7 +402,7 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair,
     # relative accuracy, which near the e1 ray is every digit.  Then the
     # chain rule through lam^tau: d mu_i / d lam_j = tau*delta_ij + (1-tau).
     if pair is None:
-        grad_F = weight[..., None] * _sigma_drop_one(mu, k - 1)
+        grad_F = weight[..., None] * _sigma_drop_one(mu, k - 1, order)
         total = grad_F.sum(axis=-1, keepdims=True)
         return fk, np.divide(cone.tau * grad_F + (1.0 - cone.tau) * total, s, out=g_out)
 
@@ -401,9 +446,9 @@ def _f_and_grad(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray, pair,
     return fk, _last_axis_outermost(g)
 
 
-def _by_blocks(cone: ConeSpec, lam, read) -> tuple:
-    """read(mu, sig, pair, *out) on the _deformed_sigma pass of lam, the
-    one driver of every cone function.
+def _by_blocks(cone: ConeSpec, lam, read, argsort: bool = False) -> tuple:
+    """read(mu, sig, pair, order, *out) on the _deformed_sigma pass of lam
+    (with argsort passed on), the one driver of every cone function.
 
     read returns a tuple of per-row results, in fresh buffers, or written
     into out, one destination per result, where out is given.  lam of at
@@ -425,12 +470,12 @@ def _by_blocks(cone: ConeSpec, lam, read) -> tuple:
     lead = lam.shape[:-1]
     rows = prod(lead)
     if rows <= _BLOCK_ROWS:
-        return read(*_deformed_sigma(cone, lam))
+        return read(*_deformed_sigma(cone, lam, argsort))
     flat = lam.reshape(rows, lam.shape[-1])
     outs = []
     for start in range(0, rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        results = read(*_deformed_sigma(cone, flat[block]),
+        results = read(*_deformed_sigma(cone, flat[block], argsort),
                        *(_last_axis_outermost(out)[block] for out in outs))
         if not outs:
             outs = [np.empty(res.shape[1:] + (rows,)) for res in results]
@@ -441,14 +486,15 @@ def _by_blocks(cone: ConeSpec, lam, read) -> tuple:
                  for out in outs)
 
 
-def _inside(cone: ConeSpec, lam, read):
-    """read(mu, sig, pair, out=None) by _by_blocks, returned once every
+def _inside(cone: ConeSpec, lam, read, argsort: bool = False):
+    """read(mu, sig, pair, order, out=None) by _by_blocks, returned once every
     margin of the pass is checked positive; ConeDomainError with the worst
     margin otherwise.  Until then a point outside reads NaN or inf without
     a warning."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        margin, out = _by_blocks(cone, lam, lambda mu, sig, pair, *out: (
-            _margin(cone, mu, sig, *out[:1]), read(mu, sig, pair, *out[1:])))
+        margin, out = _by_blocks(cone, lam, lambda mu, sig, pair, order, *out: (
+            _margin(cone, mu, sig, *out[:1]), read(mu, sig, pair, order, *out[1:])),
+            argsort)
     if not np.all(np.asarray(margin) > 0.0):
         worst = float(np.min(margin))
         raise ConeDomainError(
@@ -464,7 +510,7 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     normalization makes margins comparable across j.  lam may be a full
     spectrum or a pair (see the module docstring).
     """
-    return _by_blocks(cone, lam, lambda mu, sig, pair, *out: (
+    return _by_blocks(cone, lam, lambda mu, sig, pair, order, *out: (
         _margin(cone, mu, sig, *out),))[0]
 
 
@@ -474,7 +520,8 @@ def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     Degree-one homogeneous with f^tau(e) = 1.  lam may be a full spectrum or
     a pair.  Raises ConeDomainError if any point lies outside the cone.
     """
-    fk = _inside(cone, lam, lambda mu, sig, pair, *out: _f_undeformed(cone, sig, *out))
+    fk = _inside(cone, lam, lambda mu, sig, pair, order, *out: _f_undeformed(
+        cone, sig, *out))
     out = fk / cone.deformation_scale
     return out if np.ndim(out) else float(out)
 
@@ -488,8 +535,8 @@ def _f_and_grad_unchecked(cone: ConeSpec, lam: np.ndarray):
     gradient is the pair (df/da, df/db_i): the derivative along the one a
     entry and along any one of the n-1 b entries.
     """
-    return _by_blocks(cone, lam, lambda mu, sig, pair, *out: _f_and_grad(
-        cone, mu, sig, pair, *out))
+    return _by_blocks(cone, lam, lambda mu, sig, pair, order, *out: _f_and_grad(
+        cone, mu, sig, pair, order, *out), argsort=True)
 
 
 def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
@@ -498,8 +545,8 @@ def grad_f(cone: ConeSpec, lam: np.ndarray) -> np.ndarray:
     For a pair (a, b) it is the pair (df/da, df/db_i), see
     _f_and_grad_unchecked.  Raises ConeDomainError where f_eval does.
     """
-    return _inside(cone, lam, lambda mu, sig, pair, *out: _f_and_grad(
-        cone, mu, sig, pair, None, *out)[1])
+    return _inside(cone, lam, lambda mu, sig, pair, order, *out: _f_and_grad(
+        cone, mu, sig, pair, order, None, *out)[1], argsort=True)
 
 
 def _mu_plus_exact(cone: ConeSpec) -> Fraction:

@@ -55,6 +55,13 @@ def _radial_stencil(u, r):
     return du, d2u
 
 
+def _spread(x, shape: tuple) -> np.ndarray:
+    """x as an array of the given broadcast shape, a view of x; x itself
+    where it has that shape already (np.broadcast_to costs microseconds)."""
+    x = np.asarray(x)
+    return x if x.shape == shape else np.broadcast_to(x, shape)
+
+
 def _eigenpair(v, v_r, v_rr, r):
     """(radial, tangential) eigenvalues in polynomial form, unchecked, as
     one array of shape (2,) + the inputs' broadcast shape.
@@ -65,7 +72,8 @@ def _eigenpair(v, v_r, v_rr, r):
     is filled in the operation order of half_slope_sq - v * v_rr and
     half_slope_sq - v * slope_over_r, half_slope_sq = 0.5 * v_r**2.  With
     every r > 0 the division takes no mask; else the centre rule
-    overwrites the quotients where r is not > 0.
+    overwrites the quotients where r is not > 0, by index: a ball's one
+    centre row takes no masked copy over every row.
     """
     pair = np.empty((2,) + np.broadcast(v, v_r, v_rr, r).shape)
     radial, tangential = pair[0, ...], pair[1, ...]
@@ -79,7 +87,11 @@ def _eigenpair(v, v_r, v_rr, r):
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(v_r, r, out=tangential)
-        np.copyto(tangential, v_rr, where=~off_centre)
+        if tangential.ndim:
+            centre = np.nonzero(_spread(~off_centre, tangential.shape))
+            tangential[centre] = _spread(v_rr, tangential.shape)[centre]
+        else:
+            tangential[()] = v_rr
     tangential *= v
     np.subtract(half_slope_sq, tangential, out=tangential)
     return pair

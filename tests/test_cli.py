@@ -367,6 +367,22 @@ class TestVerify:
         assert "[FAIL] hyperbolic-exactness" in out
         assert "acceptance: FAIL" in out
 
+    def test_mutated_full_form_recurrence_fails_named_criterion(self, capsys,
+                                                               monkeypatch):
+        """The full form's recurrence runs in the cone pass itself, not
+        through sigma_all.  The same 10% error per step there must trip
+        cone-properties, whose spectra are full, by name: f grows by 1.1
+        and crosses the trace bound f <= sigma_1 / n."""
+        sigma_sorted = cones._sigma_sorted
+        monkeypatch.setattr(cones, "_sigma_sorted",
+                            lambda lam, k: sigma_sorted(1.1 * lam, k))
+        rc = main(["verify", "--only", "cone-properties"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[FAIL] cone-properties" in out
+        assert "trace-bound: " in out
+        assert "acceptance: FAIL" in out
+
     def test_mutated_mu_plus_closed_form_fails_named_criterion(self, capsys,
                                                                monkeypatch):
         """Swapping k and n - k in the closed form of mu+ (where n - k >= 1)

@@ -615,6 +615,45 @@ def cone_inputs(draw):
     return cone, lam if draw(st.booleans()) else np.array(lam)
 
 
+# What one cone pass calls, by form: a pair goes through the public
+# tau_deform and sigma_all, a full spectrum through one row sort (np.sort,
+# or np.argsort for the gradient readers), the deformation helper and the
+# sigma recurrence, both on the sorted rows.
+PASS_CALLS = {"pair": ("tau_deform", "sigma_all"),
+              "full": ("row sort", "_deform_full", "_sigma_sorted")}
+
+
+def assert_sorted_rows(lam, *args, **kwargs):
+    lam = np.asarray(lam)
+    assert np.all(lam[..., :-1] <= lam[..., 1:])
+
+
+def count_pass_calls(monkeypatch, form):
+    """The call counts of PASS_CALLS[form], kept up to date by wrappers
+    patched in for the rest of the test.  The full form's deformation and
+    recurrence must get rows already sorted."""
+    calls = dict.fromkeys(PASS_CALLS[form], 0)
+
+    def counted(name, original, check=None):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if check is not None:
+                check(*args, **kwargs)
+            return original(*args, **kwargs)
+        return wrapper
+
+    if form == "pair":
+        for name in calls:
+            monkeypatch.setattr(cones, name, counted(name, getattr(cones, name)))
+        return calls
+    for name in ("sort", "argsort"):
+        monkeypatch.setattr(np, name, counted("row sort", getattr(np, name)))
+    for name in ("_deform_full", "_sigma_sorted"):
+        monkeypatch.setattr(cones, name,
+                            counted(name, getattr(cones, name), assert_sorted_rows))
+    return calls
+
+
 class TestOnePass:
     """Each cone function makes one deformation and one sigma pass and gives
     the bits of the functions that made two."""
@@ -644,22 +683,13 @@ class TestOnePass:
                                     _f_and_grad_unchecked])
     @pytest.mark.parametrize("form", ["pair", "full"])
     def test_one_deformation_and_one_sigma_pass(self, monkeypatch, fn, form):
-        calls = {"tau_deform": 0, "sigma_all": 0}
-
-        def counted(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(cones, name, counted(name, getattr(cones, name)))
+        calls = count_pass_calls(monkeypatch, form)
         cone = ConeSpec(5, 3, 0.9)
         lam = np.array([[1.0, 2.0], [3.0, 0.5]])
         if form == "full":
             lam = np.repeat(lam, [1, 4], axis=1)
         fn(cone, lam)
-        assert calls == {"tau_deform": 1, "sigma_all": 1}
+        assert calls == dict.fromkeys(PASS_CALLS[form], 1)
 
 
 CONE_FUNCTIONS = (cone_margin, f_eval, grad_f, _f_and_grad_unchecked)
@@ -743,34 +773,26 @@ class TestRowBlocks:
     @pytest.mark.parametrize("form", ["pair", "full"])
     def test_one_deformation_and_one_sigma_pass_per_block(self, monkeypatch,
                                                           fn, form):
-        calls = {"tau_deform": 0, "sigma_all": 0}
-
-        def counted(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(cones, name, counted(name, getattr(cones, name)))
+        calls = count_pass_calls(monkeypatch, form)
         monkeypatch.setattr(cones, "_BLOCK_ROWS", BLOCK)
         cone = ConeSpec(5, 3, 0.9)
         for rows in BLOCK_ROWS:
             lam = np.tile([1.0, 2.0], (rows, 1))
             if form == "full":
                 lam = np.repeat(lam, [1, 4], axis=1)
-            calls.update(tau_deform=0, sigma_all=0)
+                lam[1::2] = lam[1::2, ::-1]     # rows in both orders
+            calls.update(dict.fromkeys(calls, 0))
             fn(cone, lam)
             blocks = -(-rows // BLOCK)
-            assert calls == {"tau_deform": blocks, "sigma_all": blocks}
+            assert calls == dict.fromkeys(PASS_CALLS[form], blocks)
 
 
 # The full-path kernels as they were before they ran on contiguous columns:
 # the product recurrence across a short last axis, and each gradient entry's
 # sigma_{k-1} from an np.delete copy.  The column kernels must give the same
-# bits, result types and errors.
-def row_major_sigma_full(lam, k):
-    lam = np.sort(lam, axis=-1)
+# bits, result types and errors.  The recurrence takes rows as they come
+# (the cone pass hands it sorted ones); row_major_sigma_full sorts first.
+def row_major_sigma_sorted(lam, k):
     e = np.zeros(lam.shape[:-1] + (k + 1,))
     e[..., 0] = 1.0
     for i in range(lam.shape[-1]):
@@ -779,16 +801,30 @@ def row_major_sigma_full(lam, k):
     return e
 
 
+def row_major_sigma_full(lam, k):
+    return row_major_sigma_sorted(np.sort(lam, axis=-1), k)
+
+
 def delete_drop_one(mu, m):
     return np.stack([row_major_sigma_full(np.delete(mu, i, axis=-1), m)[..., m]
                      for i in range(mu.shape[-1])], axis=-1)
 
 
+def sorted_delete_drop_one(mu, m, order):
+    """delete_drop_one for _sigma_drop_one's arguments: on the sorted rows
+    mu, deleting each position, then put back in entry order by order."""
+    dropped = np.stack([row_major_sigma_sorted(np.delete(mu, s, axis=-1), m)[..., m]
+                        for s in range(mu.shape[-1])], axis=-1)
+    drop = np.empty(mu.shape)
+    np.put_along_axis(drop, order, dropped, axis=-1)
+    return drop
+
+
 def row_major_outcome(fn, cone, lam):
     """outcome(fn, cone, lam) with the row-major kernels patched in."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cones, "_sigma_full", row_major_sigma_full)
-        m.setattr(cones, "_sigma_drop_one", delete_drop_one)
+        m.setattr(cones, "_sigma_sorted", row_major_sigma_sorted)
+        m.setattr(cones, "_sigma_drop_one", sorted_delete_drop_one)
         return outcome(fn, cone, lam)
 
 
@@ -824,11 +860,245 @@ class TestColumnKernels:
         with np.errstate(all="ignore"):
             for k in range(cone.n + 1):
                 assert_same_bits(sigma_all(lam, None, k), row_major_sigma_full(lam, k))
-            assert_same_bits(cones._sigma_drop_one(lam, cone.k - 1),
+            order = np.argsort(lam, axis=-1)
+            rows = np.take_along_axis(lam, order, axis=-1)
+            assert_same_bits(cones._sigma_drop_one(rows, cone.k - 1, order),
                              delete_drop_one(lam, cone.k - 1))
         for fn in CONE_FUNCTIONS:
             assert_same_outcome(outcome(fn, cone, lam, block_rows),
                                 row_major_outcome(fn, cone, lam))
+
+
+# The full-form pass as it was before it sorted each row once: tau_deform
+# sorted the rows for the trace, sigma_all sorted the deformed rows again
+# for the recurrence, the gradient argsorted them a third time, and the
+# margin's scale took |mu| of every column.  Kept here, blocks and all, as
+# the oracle of the one-sort pass.
+def two_sort_pass(cone, lam):
+    s1 = np.sort(lam, axis=-1).sum(axis=-1, keepdims=True)
+    mu = cone.tau * lam + (1.0 - cone.tau) * s1
+    k = cone.k
+    e = np.zeros((k + 1,) + mu.shape[:-1])
+    e[0, ...] = 1.0
+    term = np.empty_like(e[1:])
+    for i, x in enumerate(np.moveaxis(np.sort(mu, axis=-1), -1, 0)):
+        two_sort_step(e, x, min(i + 1, k), term)
+    return mu, np.moveaxis(e, 0, -1)
+
+
+def two_sort_step(e, x, top, term):
+    np.multiply(x, e[:top], out=term[:top])
+    e[1:top + 1] += term[:top]
+
+
+def two_sort_drop_one(mu, m):
+    order = np.argsort(mu, axis=-1)
+    columns = np.moveaxis(np.take_along_axis(mu, order, axis=-1), -1, 0)
+    n = len(columns)
+    head = np.zeros((m + 1,) + mu.shape[:-1])
+    head[0, ...] = 1.0
+    e, term = np.empty_like(head), np.empty_like(head[1:])
+    dropped = np.empty((n,) + mu.shape[:-1])
+    for s in range(n):
+        np.copyto(e, head)
+        for t in range(s + 1, n):
+            two_sort_step(e, columns[t], min(t, m), term)
+        dropped[s, ...] = e[m, ...]
+        if s + 1 < n:
+            two_sort_step(head, columns[s], min(s + 1, m), term)
+    drop = np.empty(mu.shape)
+    np.put_along_axis(drop, order, np.moveaxis(dropped, 0, -1), axis=-1)
+    return drop
+
+
+def two_sort_margin(cone, mu, sig):
+    scale = np.abs(mu[..., 0], out=np.empty(mu.shape[:-1]))
+    for i in range(1, mu.shape[-1]):
+        np.maximum(scale, np.abs(mu[..., i]), out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    scale = scale[()]
+    for j in range(1, cone.k + 1):
+        margin_j = np.divide(sig[..., j],
+                             comb(cone.n, j) * (scale ** j if j > 1 else scale))
+        margin = margin_j if j == 1 else np.minimum(margin, margin_j)
+    return margin if margin.ndim else float(margin)
+
+
+def two_sort_f_undeformed(cone, sig):
+    fk = sig[..., cone.k]
+    if cone.k > 1:
+        fk = fk ** (1.0 / cone.k)
+        fk *= cone.normalization
+        return fk
+    return np.multiply(fk, cone.normalization)
+
+
+def two_sort_f_and_grad(cone, mu, sig):
+    k, s = cone.k, cone.deformation_scale
+    fk = two_sort_f_undeformed(cone, sig)
+    weight = sig[..., k]
+    if k > 1:
+        weight *= k
+    np.divide(fk, weight, out=weight)
+    fk /= s
+    grad_F = weight[..., None] * two_sort_drop_one(mu, k - 1)
+    total = grad_F.sum(axis=-1, keepdims=True)
+    return fk, np.divide(cone.tau * grad_F + (1.0 - cone.tau) * total, s)
+
+
+def two_sort_blocks(cone, lam, read):
+    """read(mu, sig) by blocks of cones._BLOCK_ROWS rows, as _by_blocks
+    splits them, the results joined in row order."""
+    lam = np.asarray(lam, dtype=float)
+    lead = lam.shape[:-1]
+    rows = math.prod(lead)
+    if rows <= cones._BLOCK_ROWS:
+        return read(*two_sort_pass(cone, lam))
+    flat = lam.reshape(rows, lam.shape[-1])
+    parts = [read(*two_sort_pass(cone, flat[start:start + cones._BLOCK_ROWS]))
+             for start in range(0, rows, cones._BLOCK_ROWS)]
+    return tuple(np.concatenate(col).reshape(lead + col[0].shape[1:])
+                 for col in zip(*parts))
+
+
+def two_sort_inside(cone, lam, read):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin, out = two_sort_blocks(cone, lam, lambda mu, sig: (
+            two_sort_margin(cone, mu, sig), read(mu, sig)))
+    if not np.all(np.asarray(margin) > 0.0):
+        worst = float(np.min(margin))
+        raise ConeDomainError(
+            f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
+    return out
+
+
+def two_sort_cone_margin(cone, lam):
+    return two_sort_blocks(cone, lam, lambda mu, sig: (
+        two_sort_margin(cone, mu, sig),))[0]
+
+
+def two_sort_f_eval(cone, lam):
+    fk = two_sort_inside(cone, lam, lambda mu, sig: two_sort_f_undeformed(cone, sig))
+    out = fk / cone.deformation_scale
+    return out if np.ndim(out) else float(out)
+
+
+def two_sort_f_and_grad_unchecked(cone, lam):
+    return two_sort_blocks(cone, lam, lambda mu, sig: two_sort_f_and_grad(
+        cone, mu, sig))
+
+
+def two_sort_grad_f(cone, lam):
+    return two_sort_inside(cone, lam, lambda mu, sig: two_sort_f_and_grad(
+        cone, mu, sig)[1])
+
+
+TWO_SORT = {cone_margin: two_sort_cone_margin, f_eval: two_sort_f_eval,
+            grad_f: two_sort_grad_f,
+            _f_and_grad_unchecked: two_sort_f_and_grad_unchecked}
+
+
+def assert_same_bits_but_nan(got, want):
+    """assert_same_bits, except that a NaN matches any NaN: its sign bit
+    depends on which NaN an operation meets first."""
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits_but_nan(g, w)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def assert_same_outcome_but_nan(got, want):
+    if isinstance(want, ConeDomainError):
+        assert isinstance(got, ConeDomainError)
+        assert_same_bits_but_nan(np.float64(got.margin), np.float64(want.margin))
+        assert str(got) == str(want)
+    else:
+        assert_same_bits_but_nan(got, want)
+
+
+NASTY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, -math.nan,
+                         math.inf, -math.inf, 1e308, -1e308, 5e-324])
+
+
+@st.composite
+def sort_once_inputs(draw):
+    """(cone, lam, block_rows): full spectra of shape (n,), (rows, n) or
+    (a, b, n), n up to 10, with ties and mixed signed zeros among their
+    entries, and in half the cases NaN, +-inf and overflowing sums as
+    well; some shifted inside the
+    positive cone, some laid out in Fortran order (np.sort keeps the
+    layout, and the trace sums in its order); block_rows None or 3."""
+    n = draw(st.integers(3, 10))
+    cone = ConeSpec(n, draw(st.integers(1, n)),
+                    draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    lead = draw(st.just(()) | st.tuples(st.integers(1, 12))
+                | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    size = math.prod(lead) * n
+    tame = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-20.0, 20.0)
+    entry = draw(st.sampled_from([tame, NASTY | st.floats(allow_nan=False) | tame]))
+    lam = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    lam = lam.reshape(lead + (n,))
+    if draw(st.booleans()):
+        with np.errstate(invalid="ignore", over="ignore"):
+            lam = np.abs(lam) + 0.5
+    if lam.ndim > 1 and draw(st.booleans()):
+        lam = np.asfortranarray(lam)
+    return cone, lam, draw(st.sampled_from([None, BLOCK]))
+
+
+@st.composite
+def tied_rows(draw):
+    """(cone, row): one full spectrum with n <= 5 entries of which at least
+    two are equal (+0.0 and -0.0 count as equal), NaN and +-inf allowed."""
+    n = draw(st.integers(3, 5))
+    cone = ConeSpec(n, draw(st.integers(1, n)),
+                    draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    distinct = draw(st.lists(NASTY | st.floats(-20.0, 20.0), min_size=1, max_size=n - 1))
+    # a repeated zero may come back with the other sign
+    again = st.sampled_from(distinct).flatmap(
+        lambda x: st.sampled_from([x, -x]) if x == 0.0 else st.just(x))
+    repeats = draw(st.lists(again, min_size=n - len(distinct),
+                            max_size=n - len(distinct)))
+    row = np.array(distinct + repeats)
+    if draw(st.booleans()):
+        row = np.abs(row) + 0.5
+    return cone, row
+
+
+class TestSortOnce:
+    """The full pass sorts each row once and keeps the bits of the pass that
+    sorted it twice, then argsorted it for the gradient."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=sort_once_inputs())
+    def test_bit_identical_to_two_sorts(self, case):
+        cone, lam, block_rows = case
+        for fn, reference in TWO_SORT.items():
+            assert_same_outcome_but_nan(outcome(fn, cone, lam, block_rows),
+                                        outcome(reference, cone, lam, block_rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tied_rows())
+    def test_every_permutation_of_a_tied_row(self, case):
+        """The margin and f of every permutation of the row have the bits of
+        the row's own, and each permutation's gradient is the two-sort one."""
+        cone, row = case
+        perms = np.array(list(itertools.permutations(range(cone.n))))
+        batch = row[perms]
+        for fn, reference in TWO_SORT.items():
+            assert_same_outcome_but_nan(outcome(fn, cone, batch),
+                                        outcome(reference, cone, batch))
+        margins = outcome(cone_margin, cone, batch)
+        fvals = outcome(_f_and_grad_unchecked, cone, batch)[0]
+        for values in (margins, fvals):
+            assert_same_bits_but_nan(values, np.full_like(values, values[0]))
 
 
 def mp_elementary(values, j):
