@@ -26,7 +26,8 @@ The two trees are compared file by file; each file that differs, or exists
 on one side only, is printed.  A leg CSV present on both sides also gets its
 largest relative |Δu| (|u_change − u_parent| / |u_parent| over the nodes),
 a solve JSON the δ-sweep legs whose `newton_iterations` changed, and a
-large run's report JSON its `newton_iterations` change.  Exits
+large run's report JSON its `newton_iterations` change; either JSON also
+gets the dotted key paths present on one side only.  Exits
 1 if any file differs or any command exited nonzero, 0 if the trees are
 identical and every command exited 0.  Progress goes to stderr.
 """
@@ -128,6 +129,17 @@ def files(tree: Path) -> set:
     return {p.relative_to(tree) for p in tree.rglob("*") if p.is_file()}
 
 
+def key_paths(document: dict, prefix: str = "") -> set:
+    """The dotted path of every key in a JSON object and the objects nested
+    in it, e.g. delta_sweep.legs."""
+    paths = set()
+    for key, value in document.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
 def change_detail(old: Path, new: Path) -> str | None:
     """The size of a change in a leg CSV, a solve JSON or a large run's
     report JSON, or None."""
@@ -137,21 +149,26 @@ def change_detail(old: Path, new: Path) -> str | None:
         if u_old.shape != u_new.shape:
             return f"node count {u_old.size} -> {u_new.size}"
         return f"max relative |du| {np.max(np.abs(u_new - u_old) / np.abs(u_old)):.3e}"
+    if old.name not in ("solve.json", "report.json"):
+        return None
+    doc_old, doc_new = (json.loads(p.read_text()) for p in (old, new))
     if old.name == "solve.json":
-        legs_old, legs_new = (json.loads(p.read_text())["delta_sweep"]["legs"]
-                              for p in (old, new))
+        legs_old, legs_new = doc_old["delta_sweep"]["legs"], doc_new["delta_sweep"]["legs"]
         changed = [f"leg {i}: {a['newton_iterations']} -> {b['newton_iterations']}"
                    for i, (a, b) in enumerate(zip(legs_old, legs_new))
                    if a["newton_iterations"] != b["newton_iterations"]]
         if len(legs_old) != len(legs_new):
             changed.append(f"leg count {len(legs_old)} -> {len(legs_new)}")
-        return "newton_iterations " + ("; ".join(changed) or "unchanged")
-    if old.name == "report.json":
-        before, after = (json.loads(p.read_text())["newton_iterations"]
-                         for p in (old, new))
-        return "newton_iterations " + (f"{before} -> {after}" if before != after
-                                       else "unchanged")
-    return None
+        details = ["newton_iterations " + ("; ".join(changed) or "unchanged")]
+    else:
+        before, after = doc_old["newton_iterations"], doc_new["newton_iterations"]
+        details = ["newton_iterations " + (f"{before} -> {after}" if before != after
+                                           else "unchanged")]
+    keys_old, keys_new = key_paths(doc_old), key_paths(doc_new)
+    for verb, keys in (("removed", keys_old - keys_new), ("added", keys_new - keys_old)):
+        if keys:
+            details.append(f"keys {verb}: {', '.join(sorted(keys))}")
+    return "; ".join(details)
 
 
 def main(argv) -> int:

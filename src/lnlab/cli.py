@@ -166,7 +166,6 @@ def cmd_solve(args) -> int:
             "converged": sweep.ok,
             "failed_delta": sweep.failed_delta,
             "monotonicity_max_violation": sweep.monotonicity_max_violation,
-            "interior_sup_diffs": sweep.interior_sup_diffs,
             "legs": [rep.to_dict() for rep in sweep.reports],
         },
     }

@@ -37,12 +37,11 @@ the sorted rows, which the deformation keeps sorted, and runs the product
 recurrence on them as they are: the order contract of the full pass is
 rows sorted once, so a row's two ends hold its extremes.  Public
 tau_deform and sigma_all sort for themselves, through the same
-deformation and recurrence.  A row is one spectrum of the flattened
-leading axes; inputs of at most _BLOCK_ROWS rows are one pass over the
-input as given, larger ones are split into blocks of _BLOCK_ROWS rows and
-a remainder, whose readers write their results straight into their block
-of one output (the first block's are copied in, see _by_blocks).  The
-readers work row by row, so blocks give the bits of a single pass.
+deformation and recurrence.  Every input takes one path (_by_blocks): its
+leading axes are flattened to rows (spectra), full rows C-ordered, so one
+spectrum is a one-row batch, passed over in blocks of _BLOCK_ROWS rows.
+The readers work row by row, and a trace sums a C-ordered row, in the
+pass and in tau_deform, so a row's numbers do not depend on its batch.
 f_eval and grad_f read the margin of that same pass too, and _inside
 checks it after the last block.
 The sigma kernels of both forms, and the pair path's deformation and
@@ -56,7 +55,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -254,15 +253,16 @@ def tau_deform(lam: np.ndarray, tau: float, n: int | None = None) -> np.ndarray:
             np.multiply(x, tau, out=column)
             column += shift
         return _last_axis_outermost(out)
+    lam = np.ascontiguousarray(lam)
     return _deform_full(lam, tau, np.sort(lam, axis=-1))
 
 
 def _deform_full(lam: np.ndarray, tau: float, rows: np.ndarray,
                  out=None) -> np.ndarray:
     """tau*lam + (1-tau)*sigma_1(lam)*e for full spectra lam, whose rows
-    sorted are given as rows, written into out if given (lam itself may be
-    rows and out).  sigma_1 sums the sorted rows, so permutations of lam
-    give bit-identical traces."""
+    sorted are given C-ordered as rows, written into out if given (lam
+    itself may be rows and out).  sigma_1 sums the sorted rows, so
+    permutations of lam give bit-identical traces."""
     s1 = rows.sum(axis=-1, keepdims=True)
     mu = np.multiply(lam, tau, out=out)
     mu += (1.0 - tau) * s1
@@ -306,10 +306,10 @@ def _pair_length(cone: ConeSpec, lam: np.ndarray) -> int | None:
     return None
 
 
-def _deformed_sigma(cone: ConeSpec, lam: np.ndarray, argsort: bool = False):
+def _deformed_sigma(cone: ConeSpec, lam: np.ndarray, pair, argsort: bool):
     """The one deformation and sigma pass that every cone function reads:
-    (mu, sig, pair, order) with mu = lam^tau, sig = sigma_0..sigma_k(mu)
-    and pair = cone.n for a pair spectrum, None for a full one.
+    (mu, sig, pair, order) with mu = lam^tau, sig = sigma_0..sigma_k(mu),
+    on (rows, 2) pairs (pair = cone.n) or C-ordered full rows (None).
 
     A pair goes through tau_deform and sigma_all.  A full spectrum's rows
     are sorted once, by np.sort, or with argsort by np.argsort, whose
@@ -321,19 +321,12 @@ def _deformed_sigma(cone: ConeSpec, lam: np.ndarray, argsort: bool = False):
     first, where a sort would put it last); a NaN anywhere in a row makes
     the row's margin and every sigma_j, j >= 1, NaN.
     """
-    pair = _pair_length(cone, lam)
     if pair is not None:
         mu = tau_deform(lam, cone.tau, pair)
         return mu, sigma_all(mu, pair, cone.k), pair, None
     if argsort:
         order = np.argsort(lam, axis=-1)
         rows = np.take_along_axis(lam, order, axis=-1)
-        if not lam.flags.c_contiguous:
-            # np.sort keeps lam's memory order, which decides the order in
-            # which rows.sum adds the entries up.
-            laid_out = np.empty_like(lam)
-            laid_out[...] = rows
-            rows = laid_out
     else:
         order, rows = None, np.sort(lam, axis=-1)
     mu = _deform_full(rows, cone.tau, rows, out=rows)
@@ -341,33 +334,32 @@ def _deformed_sigma(cone: ConeSpec, lam: np.ndarray, argsort: bool = False):
 
 
 def _margin(cone: ConeSpec, mu: np.ndarray, sig: np.ndarray,
-            out=None) -> np.ndarray | float:
+            out=None) -> np.ndarray:
     """cone_margin from a _deformed_sigma pass, written into out if given."""
     # max|mu| over a row is the larger |mu| at its two ends: a pair's two
     # columns are its ends, and a full pass's rows are sorted, with any NaN
     # at an end (see _deformed_sigma).  Column-wise max and min: exact like
     # the axis reductions, and much cheaper than them on a short last axis.
-    # The scale is built in place in one column of its own; [()] makes one
-    # spectrum's scale the scalar a ufunc would return, so its powers take
-    # numpy's scalar path.  scale ** 1 would be a copy of scale.
+    # The scale is built in place in one (rows,) column of its own, one
+    # spectrum's too, so every row's powers take numpy's array path.
+    # scale ** 1 would be a copy of scale.
     scale = np.abs(mu[..., 0], out=np.empty(mu.shape[:-1]))
     np.maximum(scale, np.abs(mu[..., -1]), out=scale)
     np.maximum(scale, 1.0, out=scale)
-    scale = scale[()]
     # With out given, the last ufunc of the loop writes into it.
     for j in range(1, cone.k + 1):
         margin_j = np.divide(sig[..., j],
                              comb(cone.n, j) * (scale ** j if j > 1 else scale),
                              out=out if cone.k == 1 else None)
         margin = margin_j if j == 1 else np.minimum(margin, margin_j, out=out)
-    return margin if margin.ndim else float(margin)
+    return margin
 
 
 def _f_undeformed(cone: ConeSpec, sig: np.ndarray, out=None) -> np.ndarray:
     """c_{n,k} * sigma_k^(1/k) from a _deformed_sigma pass, before the
     division by the deformation scale, written into out if given, else
-    into a fresh buffer (a scalar for one spectrum).  x ** p takes the
-    path of x **= p, and c * x is x * c."""
+    into a fresh (rows,) buffer.  x ** p takes the path of x **= p, and
+    c * x is x * c."""
     fk = sig[..., cone.k]
     if cone.k > 1:                      # x ** 1.0 would be a copy of x
         fk = fk ** (1.0 / cone.k)
@@ -450,40 +442,43 @@ def _by_blocks(cone: ConeSpec, lam, read, argsort: bool = False) -> tuple:
     """read(mu, sig, pair, order, *out) on the _deformed_sigma pass of lam
     (with argsort passed on), the one driver of every cone function.
 
+    Every lam takes one path: flattened to rows (spectra of its leading
+    axes), a view for pairs, which keeps the solver's column layout, and
+    C-ordered for full spectra, so one spectrum is a one-row batch.  The
+    rows are passed over in blocks of _BLOCK_ROWS rows and a remainder.
     read returns a tuple of per-row results, in fresh buffers, or written
-    into out, one destination per result, where out is given.  lam of at
-    most _BLOCK_ROWS rows (spectra of its flattened leading axes) is one
-    pass over lam as given, whose results come back as read gives them,
-    so one spectrum keeps numpy's scalar path.  Larger lam is passed over
-    in blocks of _BLOCK_ROWS rows and a remainder, into outputs allocated
-    after the first block, (rows,) or (columns, rows) for a result of
-    shape (rows, columns) per block.  The first block's results are
-    copied in; every later read gets its block of the outputs as out and
-    writes straight into it, so at 1e5 rows (seven blocks) each result is
-    copied for one block, not seven.  The outputs never live beside the
-    first block's temporaries: preallocated, they made the tau step at
-    grid 2e4 (one block and a remainder) peak at 15.9 grid arrays, not
-    14.6.  The outputs come back with lam's leading shape.  Every read is
-    row by row, so they have the bits of one pass over all of lam.
+    into out, one destination per result, where out is given.  The first
+    block's results are the outputs when it holds every row.  Otherwise
+    outputs are allocated after it, (rows,) or a (rows, columns) view of a
+    (columns, rows) buffer, and its results copied in; every later read
+    gets its block of the outputs as out and writes straight into it, so
+    at 1e5 rows (seven blocks) each result is copied for one block, not
+    seven.  The outputs never live beside the first block's temporaries:
+    preallocated, they made the tau step at grid 2e4 (one block and a
+    remainder) peak at 15.9 grid arrays, not 14.6.  The outputs come back
+    with lam's leading shape, [()] making one spectrum's numpy scalars.
+    Every read is row by row, so a row has the same bits in every batch.
     """
     lam = _real_array(lam, "lam")
-    lead = lam.shape[:-1]
-    rows = prod(lead)
-    if rows <= _BLOCK_ROWS:
-        return read(*_deformed_sigma(cone, lam, argsort))
-    flat = lam.reshape(rows, lam.shape[-1])
-    outs = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        results = read(*_deformed_sigma(cone, flat[block], argsort),
-                       *(_last_axis_outermost(out)[block] for out in outs))
-        if not outs:
-            outs = [np.empty(res.shape[1:] + (rows,)) for res in results]
-            for out, res in zip(outs, results):
-                _last_axis_outermost(out)[block] = res
-    return tuple(out.reshape(lead) if out.ndim == 1 else
-                 _last_axis_outermost(out.reshape(out.shape[:1] + lead))
-                 for out in outs)
+    pair = _pair_length(cone, lam)
+    flat = lam.reshape(-1, lam.shape[-1])
+    if pair is None:
+        flat = np.ascontiguousarray(flat)
+    rows = len(flat)
+    outs = read(*_deformed_sigma(cone, flat[:_BLOCK_ROWS], pair, argsort))
+    if rows > _BLOCK_ROWS:
+        first = outs
+        outs = tuple(_last_axis_outermost(np.empty(res.shape[1:] + (rows,)))
+                     for res in first)
+        for out, res in zip(outs, first):
+            out[:_BLOCK_ROWS] = res
+        for start in range(_BLOCK_ROWS, rows, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            read(*_deformed_sigma(cone, flat[block], pair, argsort),
+                 *[out[block] for out in outs])
+    if lam.ndim == 2:                   # already in lam's leading shape
+        return outs
+    return tuple(out.reshape(lam.shape[:-1] + out.shape[1:])[()] for out in outs)
 
 
 def _inside(cone: ConeSpec, lam, read, argsort: bool = False):
@@ -495,7 +490,7 @@ def _inside(cone: ConeSpec, lam, read, argsort: bool = False):
         margin, out = _by_blocks(cone, lam, lambda mu, sig, pair, order, *out: (
             _margin(cone, mu, sig, *out[:1]), read(mu, sig, pair, order, *out[1:])),
             argsort)
-    if not np.all(np.asarray(margin) > 0.0):
+    if not np.all(margin > 0.0):
         worst = float(np.min(margin))
         raise ConeDomainError(
             f"spectrum outside Gamma (worst margin {worst:.3e})", margin=worst)
@@ -510,8 +505,9 @@ def cone_margin(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:
     normalization makes margins comparable across j.  lam may be a full
     spectrum or a pair (see the module docstring).
     """
-    return _by_blocks(cone, lam, lambda mu, sig, pair, order, *out: (
+    margin = _by_blocks(cone, lam, lambda mu, sig, pair, order, *out: (
         _margin(cone, mu, sig, *out),))[0]
+    return margin if margin.ndim else float(margin)
 
 
 def f_eval(cone: ConeSpec, lam: np.ndarray) -> np.ndarray | float:

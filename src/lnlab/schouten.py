@@ -204,10 +204,12 @@ def ricci_spectrum_from_schouten(schouten: np.ndarray) -> np.ndarray:
     (n-2)*lam + sigma_1(lam)*e.
 
     Inverts the trace adjustment A = (Ric - R g / (2(n-1))) / (n-2) at the
-    eigenvalue level.
+    eigenvalue level.  sigma_1 sums each row C-ordered, as the cone pass
+    does, so a spectrum's bits do not depend on its batch's layout.
     """
     lam = _real_array(schouten, "schouten")
     _check_form(lam, None)
+    lam = np.ascontiguousarray(lam)
     return (lam.shape[-1] - 2) * lam + lam.sum(axis=-1, keepdims=True)
 
 

@@ -54,9 +54,6 @@ WAYPOINT_TOL = 1e-3
 # The boundary data continuation_delta sweeps, in order, as multiples of the
 # outer radius (see _delta_legs): 11 legs down to 1e-4.
 DELTA_SCHEDULE = tuple(0.1 * 0.5**i for i in range(10)) + (1e-4,)
-# Successive delta legs are compared on this share of the span next to its
-# start, r = 0 or the inner sphere (see interior_sup_diffs).
-INTERIOR_FRACTION = 0.5
 # The paper's right-hand side.  Any constant c > 0 reduces to it: the Schouten
 # tensor is scale-invariant, so u -> sqrt(2c) u multiplies lam by 2c.
 RHS = 0.5
@@ -870,21 +867,6 @@ class DeltaContinuationResult:
         pairs = zip(self.reports[1:], self.reports)
         return max((float(np.max(leg.profile.u - prev.profile.u)) for leg, prev in pairs
                     if not comparison_check(leg.profile, prev.profile)), default=0.0)
-
-    @property
-    def interior_sup_diffs(self) -> list:
-        """max|u_i - u_{i-1}| of successive legs over r <= a +
-        INTERIOR_FRACTION (b - a), a = 0 on a ball: the stabilization
-        diagnostic.  On an annulus that window starts at the inner sphere,
-        so it holds the inner boundary layer, where the legs differ most
-        (r = 0.52 to 0.63 on [0.5, 1] at grid 1000); on a ball the largest
-        difference lies at the window's edge, r = b/2."""
-        if not self.reports:
-            return []
-        r = self.reports[0].profile.r
-        interior = r <= r[0] + INTERIOR_FRACTION * (r[-1] - r[0])
-        return [float(np.max(np.abs(leg.profile.u[interior] - prev.profile.u[interior])))
-                for prev, leg in zip(self.reports, self.reports[1:])]
 
 
 def _leg_start(reports: list, delta: float) -> RadialProfile:

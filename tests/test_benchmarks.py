@@ -237,7 +237,8 @@ def test_diff_outputs_keeps_each_commands_stderr(monkeypatch, tmp_path):
 
 def test_diff_outputs_names_the_newton_iteration_changes(monkeypatch, tmp_path):
     """A solve JSON gets the δ-sweep legs whose newton_iterations changed,
-    and a large run's report JSON its own newton_iterations change."""
+    and a large run's report JSON its own newton_iterations change; both
+    get the dotted key paths present on one side only."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     diff_outputs = importlib.import_module("diff_outputs")
 
@@ -256,9 +257,21 @@ def test_diff_outputs_names_the_newton_iteration_changes(monkeypatch, tmp_path):
     report = [write(side, "report.json", {"newton_iterations": i, "residual_sup": r})
               for side, i, r in (("parent", 23, 1e-9), ("change", 4, 2e-9))]
     assert diff_outputs.change_detail(*report) == "newton_iterations 23 -> 4"
-    same = write("change", "same/report.json", {"newton_iterations": 23})
+    same = write("change", "same/report.json", {"newton_iterations": 23, "residual_sup": 2e-9})
     assert diff_outputs.change_detail(report[0], same) == "newton_iterations unchanged"
     assert diff_outputs.change_detail(tmp_path / "a.txt", tmp_path / "b.txt") is None
+    # Keys on one side only are named by their dotted paths.
+    diag = sweep(3, 15, 2)
+    diag["delta_sweep"]["interior_sup_diffs"] = [0.1, 0.01]
+    solve_keys = [write(side, "keys/solve.json", document)
+                  for side, document in (("parent", diag), ("change", sweep(3, 3, 2)))]
+    assert diff_outputs.change_detail(*solve_keys) == (
+        "newton_iterations leg 1: 15 -> 3; keys removed: delta_sweep.interior_sup_diffs")
+    grown = write("change", "grown/report.json",
+                  {"newton_iterations": 23, "limit": {"delta": 0.0}})
+    assert diff_outputs.change_detail(report[0], grown) == (
+        "newton_iterations unchanged; keys removed: residual_sup; keys added: limit, "
+        "limit.delta")
 
 
 @pytest.mark.parametrize("parts, missing", [

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnlab import (ConeSpec, cone_margin, contains_ray_e1, f_eval, grad_f,
-                   mu_plus, tau_deform)
+                   mu_plus, ricci_spectrum_from_schouten, tau_deform)
 from lnlab import cones
 from lnlab.cones import _f_and_grad_unchecked, sigma_all
 from lnlab.errors import ConeDomainError, InvalidArgumentError
@@ -357,6 +357,23 @@ def reference_cone_margin(cone, lam):
     return out if out.ndim else float(out)
 
 
+def on_one_path(reference):
+    """reference(cone, lam) applied as the cone functions apply their one
+    input path: to lam flattened to a C-ordered (rows, last) batch, so one
+    spectrum is a one-row batch, with each result reshaped back to lam's
+    leading shape.  A one-spectrum result is a numpy scalar, or a float
+    where the reference returns a float for a single spectrum."""
+    def batched(cone, lam):
+        lam = np.asarray(lam, dtype=float)
+        lead = lam.shape[:-1]
+        got = reference(cone, np.ascontiguousarray(lam.reshape(-1, lam.shape[-1])))
+        if isinstance(got, tuple):
+            return tuple(res.reshape(lead + res.shape[1:])[()] for res in got)
+        got = got.reshape(lead + got.shape[1:])
+        return got if got.ndim else float(got)
+    return batched
+
+
 class TestGeneralPathUnchanged:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_bit_identical_to_reference(self, n):
@@ -373,7 +390,7 @@ class TestGeneralPathUnchanged:
                 for k in range(1, n + 1):
                     cone = ConeSpec(n, k, tau)
                     assert np.array_equal(cone_margin(cone, lam),
-                                          reference_cone_margin(cone, lam))
+                                          on_one_path(reference_cone_margin)(cone, lam))
 
 
 def mp_sigma(full, j):
@@ -662,15 +679,15 @@ class TestOnePass:
     @given(case=cone_inputs())
     def test_bit_identical_to_pre_split(self, case):
         cone, lam = case
-        margin = pre_split_margin(cone, lam)
+        margin = on_one_path(pre_split_margin)(cone, lam)
         assert_same_bits(cone_margin(cone, lam), margin)
         with np.errstate(all="ignore"):
             assert_same_bits(_f_and_grad_unchecked(cone, lam),
-                             pre_split_f_and_grad(cone, lam))
+                             on_one_path(pre_split_f_and_grad)(cone, lam))
         for fn, reference in ((f_eval, pre_split_f_eval),
                               (grad_f, pre_split_grad_f)):
             try:
-                want = reference(cone, lam)
+                want = on_one_path(reference)(cone, lam)
             except ConeDomainError as err:
                 with pytest.raises(ConeDomainError) as got:
                     fn(cone, lam)
@@ -1081,8 +1098,9 @@ class TestSortOnce:
     def test_bit_identical_to_two_sorts(self, case):
         cone, lam, block_rows = case
         for fn, reference in TWO_SORT.items():
-            assert_same_outcome_but_nan(outcome(fn, cone, lam, block_rows),
-                                        outcome(reference, cone, lam, block_rows))
+            assert_same_outcome_but_nan(
+                outcome(fn, cone, lam, block_rows),
+                outcome(on_one_path(reference), cone, lam, block_rows))
 
     @settings(max_examples=150, deadline=None)
     @given(case=tied_rows())
@@ -1099,6 +1117,84 @@ class TestSortOnce:
         fvals = outcome(_f_and_grad_unchecked, cone, batch)[0]
         for values in (margins, fvals):
             assert_same_bits_but_nan(values, np.full_like(values, values[0]))
+
+
+@st.composite
+def batches(draw):
+    """(cone, lam, lead): a*b spectra as a C-ordered (a*b, width) batch and
+    the leading shape (a, b) to regroup them by; n from 3 to 10, full rows
+    (width n) or pairs (width 2); entries with ties, signed zeros,
+    subnormals and +-inf, and among them (None drawn) seeded normal draws,
+    whose sums round, unlike those of the short floats hypothesis favours."""
+    n = draw(st.integers(3, 10))
+    cone = ConeSpec(n, draw(st.integers(1, n)),
+                    draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    width = draw(st.sampled_from([2, n]))
+    lead = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    size = math.prod(lead) * width
+    entry = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -1e-310,
+                              math.inf, -math.inf]) | st.floats(-20.0, 20.0)
+             | st.none())
+    drawn = draw(st.lists(entry, min_size=size, max_size=size))
+    noise = iter(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        scale=10.0, size=size))
+    lam = np.array([next(noise) if x is None else x for x in drawn])
+    return cone, lam.reshape(-1, width), lead
+
+
+def row_results(result, rows):
+    """A function's result, an array, a number or a tuple of them, as one
+    (rows, columns) array per component, its NaNs all one NaN."""
+    parts = []
+    for part in result if isinstance(result, tuple) else (result,):
+        part = np.array(part, dtype=float).reshape(rows, -1)
+        part[np.isnan(part)] = np.nan
+        parts.append(part)
+    return parts
+
+
+class TestBatchInvariance:
+    """f and Gamma depend on the spectrum alone, and so does every number
+    lnlab gives for one: a row has the same bits passed alone, inside a
+    (rows,) or an (a, b) batch, in a Fortran-ordered one, and with the
+    pass split into blocks of 3 rows."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=batches())
+    def test_each_row_has_the_bits_it_has_alone(self, case):
+        cone, lam, lead = case
+        pair = cone.n if lam.shape[-1] == 2 else None
+        inside = np.abs(np.where(np.isfinite(lam), lam, 3.0)) + 0.5
+        functions = {
+            "cone_margin": (lambda x: cone_margin(cone, x), lam),
+            "tau_deform": (lambda x: tau_deform(x, cone.tau, pair), lam),
+            "sigma_all": (lambda x: sigma_all(x, pair, cone.k), lam),
+            "f_eval": (lambda x: f_eval(cone, x), inside),
+            "grad_f": (lambda x: grad_f(cone, x), inside),
+            "_f_and_grad_unchecked": (lambda x: _f_and_grad_unchecked(cone, x),
+                                      inside),
+        }
+        if pair is None:
+            functions["ricci_spectrum_from_schouten"] = (
+                ricci_spectrum_from_schouten, lam)
+        rows = len(lam)
+        with np.errstate(all="ignore"):
+            for name, (fn, batch) in functions.items():
+                grouped = batch.reshape(lead + batch.shape[-1:])
+                alone = [row_results(fn(row), 1) for row in batch]
+                want = [np.concatenate(part) for part in zip(*alone)]
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(cones, "_BLOCK_ROWS", BLOCK)
+                    blocked = fn(batch), fn(grouped)
+                for form, got in (("batch", fn(batch)), ("grouped", fn(grouped)),
+                                  ("Fortran batch", fn(np.asfortranarray(batch))),
+                                  ("Fortran grouped", fn(np.asfortranarray(grouped))),
+                                  ("blocked batch", blocked[0]),
+                                  ("blocked grouped", blocked[1])):
+                    got = row_results(got, rows)
+                    assert [part.shape for part in got] == [part.shape for part in want]
+                    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (
+                        f"{name}: a {form} changes a row's bits")
 
 
 def mp_elementary(values, j):

@@ -2295,8 +2295,6 @@ class TestContinuationDelta:
         assert sweep.ok
         assert sweep.deltas == list(DELTA_SCHEDULE)
         assert sweep.monotonicity_max_violation == 0.0
-        # interior values stabilize as delta -> 0
-        assert sweep.interior_sup_diffs[-1] < sweep.interior_sup_diffs[0]
         final = sweep.reports[-1]
         assert abs(final.boundary_slope - 1.0) < 0.01
         assert final.boundary_slope == boundary_slope(final.profile)
@@ -2365,14 +2363,12 @@ class TestContinuationDelta:
         assert all(rep.converged and rep.tau == 1.0 for rep in sweep.reports)
 
     def test_summaries_follow_the_reports(self):
-        """deltas, interior_sup_diffs and monotonicity_max_violation are
-        read from the reports: a copy with the first 4 reads 4 deltas and 3
-        diffs, and its monotonicity over those legs alone."""
+        """deltas and monotonicity_max_violation are read from the reports:
+        a copy with the first 4 reads 4 deltas, and its monotonicity over
+        those legs alone."""
         sweep = continuation_delta(ball_spec(grid=50))
         short = replace(sweep, reports=sweep.reports[:4])
         assert short.deltas == sweep.deltas[:4] == list(DELTA_SCHEDULE[:4])
-        assert short.interior_sup_diffs == sweep.interior_sup_diffs[:3]
-        assert len(short.interior_sup_diffs) == 3
         rising = replace(sweep, reports=sweep.reports[:4] + sweep.reports[:1])
         excess = float(np.max(sweep.reports[0].profile.u - sweep.reports[3].profile.u))
         assert rising.monotonicity_max_violation == excess > 0.0
@@ -2429,7 +2425,6 @@ def test_delta_sweep_completes_or_names_its_leg(n, data, tau, inner, grid):
     done = len(sweep.reports)
     assert sweep.deltas == list(DELTA_SCHEDULE[:done])
     assert all(rep.converged for rep in sweep.reports)
-    assert len(sweep.interior_sup_diffs) == max(done - 1, 0)
     if sweep.ok:
         assert done == len(DELTA_SCHEDULE) and sweep.failure is None
     else:
@@ -2576,7 +2571,6 @@ class TestDeltaFallback:
         assert sweep.deltas == list(DELTA_SCHEDULE[:self.LEG])
         assert len(sweep.reports) == self.LEG
         assert all(same_report(a, b) for a, b in zip(sweep.reports, clean.reports))
-        assert sweep.interior_sup_diffs == clean.interior_sup_diffs[:self.LEG - 1]
 
 
 class TestDiagnostics:
